@@ -16,8 +16,10 @@
 //!   posting lists, caches, or relaxation chains — only
 //!   `peek_bound` / `next_merged` / `remaining_mass`.
 //! * **[`crate::exec::join`]** (stage 2) holds the per-stream join
-//!   state ([`Stream`]) and combines each arrival against the other
-//!   streams' partitions ([`join::join_with_others`]).
+//!   state ([`Stream`]), decides whether an arrival is worth keeping at
+//!   all ([`join::dead_on_arrival`], the retired-stream semijoin
+//!   filter) and combines each kept arrival against the other streams'
+//!   partitions ([`join::join_with_others`]).
 //! * **[`crate::exec::threshold`]** (stage 3) decides termination: the
 //!   driver asks [`ThresholdPolicy::admit_variant`] before opening a
 //!   variant and [`ThresholdPolicy::after_round`] after every pull.
@@ -45,11 +47,11 @@ use trinit_relax::{
 };
 use trinit_xkg::XkgStore;
 
-use crate::answer::{Answer, AnswerCollector, Bindings};
+use crate::answer::{Answer, AnswerCollector};
 use crate::ast::Query;
 use crate::exec::budget::{BudgetTracker, Completeness, ExecBudget, Governor};
-use crate::exec::join::{self, Stream};
-use crate::exec::merge::{is_mergeable, IncrementalMerge, RankSource};
+use crate::exec::join::{self, JoinScratch, SeenItem, Stream};
+use crate::exec::merge::{is_mergeable, IncrementalMerge, RankSource, FRESH_VARS_PER_STREAM};
 use crate::exec::threshold::{Admission, RoundVerdict, ThresholdPolicy};
 use crate::exec::{ExecMetrics, TripleLookup};
 use crate::score::{ln_weight, GlobalTotals, PostingCache, SharedPostingCache};
@@ -423,23 +425,7 @@ pub(crate) fn run_pipeline<M: RankSource>(
             continue;
         }
         let variant_start = recorder.start();
-        let max_var = join::max_var_of(&patterns);
-        let join_vars = join::join_vars_of(&patterns);
-        let mut streams: Vec<Stream<M>> = patterns
-            .iter()
-            .zip(join_vars)
-            .enumerate()
-            .map(|(i, (pattern, join_vars))| {
-                // Disjoint fresh-variable ranges per pattern — and the
-                // same base across shards, so every slice derives the
-                // identical alternative set.
-                let fresh_base = max_var + (i as u16) * 8;
-                // `i` is the pattern's position in the (variant's) query
-                // — segmented execution uses it to restrict one pattern
-                // to the delta slices (semi-naive delta queries).
-                Stream::new(source_for(pattern, fresh_base, i), join_vars)
-            })
-            .collect();
+        let (mut streams, n_vars) = variant_streams(&patterns, &mut source_for);
         cut = !rank_join(
             lookup,
             cfg,
@@ -448,7 +434,7 @@ pub(crate) fn run_pipeline<M: RankSource>(
             &variant_trace,
             &projection,
             k,
-            max_var as usize + 64, // headroom for fresh variables
+            n_vars,
             &mut collector,
             metrics,
             governor,
@@ -460,6 +446,34 @@ pub(crate) fn run_pipeline<M: RankSource>(
         recorder.record(Stage::Variant, variant_idx as u32, variant_start);
     }
     collector.into_top_k(query.k)
+}
+
+/// One [`Stream`] per pattern of a variant around the stage-1 source
+/// `source_for` yields, plus the size of the variant's variable space
+/// (its own variables and every stream's fresh-variable range) — what the
+/// join's scratch assignment is sized from.
+pub(crate) fn variant_streams<M: RankSource>(
+    patterns: &[QPattern],
+    mut source_for: impl FnMut(&QPattern, u16, usize) -> M,
+) -> (Vec<Stream<M>>, usize) {
+    let max_var = join::max_var_of(patterns);
+    let streams = patterns
+        .iter()
+        .zip(join::join_vars_of(patterns))
+        .enumerate()
+        .map(|(i, (pattern, join_vars))| {
+            // Disjoint fresh-variable ranges per pattern — and the same
+            // base across shards, so every slice derives the identical
+            // alternative set.
+            let fresh_base = max_var + (i as u16) * FRESH_VARS_PER_STREAM;
+            // `i` is the pattern's position in the (variant's) query —
+            // segmented execution uses it to restrict one pattern to the
+            // delta slices (semi-naive delta queries).
+            Stream::new(source_for(pattern, fresh_base, i), join_vars)
+        })
+        .collect();
+    let n_vars = max_var as usize + patterns.len() * FRESH_VARS_PER_STREAM as usize;
+    (streams, n_vars)
 }
 
 /// Windowed batching of per-pull [`Stage::JoinRound`] spans: the clock
@@ -513,12 +527,12 @@ impl PullWindow {
 }
 
 /// The rank join over one variant's streams: pulls the highest-frontier
-/// stream, joins each arrival against the other streams' seen
-/// partitions (stage 2), and stops when the termination policy (stage
-/// 3) says so. Generic over the stream source so the monolithic and
-/// sharded engines share every line of join, threshold, and capping
-/// logic; `lookup` resolves emitted triple ids (global ids, for a
-/// sharded source).
+/// stream, drops the arrival if a retired stream proves it partnerless,
+/// otherwise joins it against the other streams' kept partitions (stage
+/// 2), and stops when the termination policy (stage 3) says so. Generic
+/// over the stream source so the monolithic and sharded engines share
+/// every line of join, threshold, and capping logic; `lookup` resolves
+/// emitted triple ids (global ids, for a sharded source).
 ///
 /// Returns `false` when a hard budget cutoff fired — the caller must
 /// stop opening further variants (the policy has already recorded the
@@ -548,15 +562,16 @@ pub(crate) fn rank_join<M: RankSource>(
         }
     }
 
-    // Scratch assignment for the combination loop; `join_with_others`
-    // always restores it to fully unbound.
-    let mut scratch = Bindings::new(n_vars);
+    // A stream with no matches at all kills the variant.
+    if streams.iter().any(Stream::barren) {
+        return true;
+    }
+    let mut scratch = JoinScratch::new(n_vars, streams.len());
     let mut window = PullWindow::new(recorder);
 
-    // Pick the non-exhausted, non-capped stream with the highest
-    // frontier each round.
+    // Pick the live stream with the highest (cached) frontier each round.
     while let Some(next) = (0..streams.len())
-        .filter(|&i| !streams[i].exhausted && !streams[i].capped)
+        .filter(|&i| !streams[i].retired())
         .max_by(|&a, &b| streams[a].frontier_log().total_cmp(&streams[b].frontier_log()))
     {
         metrics.pulls += 1;
@@ -564,33 +579,17 @@ pub(crate) fn rank_join<M: RankSource>(
         window.tick(recorder);
         #[cfg(feature = "faults")]
         crate::exec::faults::on_pull();
-        let merged = streams[next].merge.next_merged(metrics, recorder);
-        match merged {
-            None => {
-                streams[next].exhausted = true;
-                // A stream with no matches at all kills the variant.
-                if streams[next].seen.is_empty() {
-                    window.flush(recorder);
-                    return true;
-                }
-            }
-            Some(m) => {
-                let Some(bound) = join::bind_pairs(&m.pattern, lookup, m.triple) else {
-                    continue;
-                };
-                let log_score = ln_weight(m.prob);
-                let item = join::SeenItem {
-                    bound,
-                    log_score,
-                    pattern: m.pattern,
-                    triple: m.triple,
-                    trace: m.trace,
-                    weight: m.weight,
-                };
-
-                // Join the new item with the seen items of other streams
-                // (its own stream is skipped, so joining before remembering
-                // the item is equivalent).
+        if let Some(m) = streams[next].pull(metrics, recorder) {
+            let pattern = streams[next].merge.alternative(m.alt).pattern;
+            // An arrival a retired stream proves partnerless is neither
+            // joined nor kept.
+            if let Some(bound) = join::bind_pairs(pattern, lookup, m.triple)
+                .filter(|bound| !join::dead_on_arrival(streams, next, bound))
+            {
+                let item = SeenItem::new(bound, ln_weight(m.prob), &m);
+                // Join the new item with the kept items of the other
+                // streams (its own stream is skipped, so joining before
+                // keeping the item is equivalent).
                 join::join_with_others(
                     streams, next, &item, variant_log, variant_trace, projection, &mut scratch,
                     collector, metrics,
@@ -598,8 +597,13 @@ pub(crate) fn rank_join<M: RankSource>(
                 streams[next].push_seen(item);
             }
         }
+        // A stream that ends with nothing kept kills the variant.
+        if streams[next].barren() {
+            window.flush(recorder);
+            return true;
+        }
 
-        match policy.after_round(streams, variant_log, collector, metrics) {
+        match policy.after_round(streams, next, variant_log, collector, metrics) {
             RoundVerdict::Continue => {}
             RoundVerdict::Done => {
                 window.flush(recorder);
@@ -628,7 +632,7 @@ mod tests {
     use crate::ast::QueryBuilder;
     use crate::exec::budget::{CutoffReason, DegradationRung};
     use crate::exec::expand;
-    use crate::exec::testfix::store;
+    use crate::exec::testfix::{assert_same_answers, reference, store};
     use trinit_relax::{ExpandOptions, QTerm, Rule, RuleProvenance, RuleSet};
     use trinit_xkg::XkgBuilder;
 
@@ -822,29 +826,60 @@ mod tests {
         assert!(answers.is_empty());
     }
 
-    /// Reference evaluation for the partition tests: full expansion
-    /// evaluates every rewriting with a nested-loop join, so its answer
-    /// set is exactly what the hash-partitioned combine must reproduce.
-    fn reference(store: &XkgStore, q: &crate::ast::Query, rules: &RuleSet) -> Vec<crate::answer::Answer> {
-        let (full, _) = expand::run(
-            store,
-            q,
-            rules,
-            &ExpandOptions {
-                max_depth: 2,
-                min_weight: 0.0,
-                max_rewritings: 4096,
-            },
-        );
-        full
-    }
-
-    fn assert_same_answers(a: &[crate::answer::Answer], b: &[crate::answer::Answer]) {
-        assert_eq!(a.len(), b.len(), "answer counts differ");
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.key, y.key, "answer keys differ");
-            assert!((x.score - y.score).abs() < 1e-9, "scores differ");
+    #[test]
+    fn fresh_variables_of_different_streams_never_alias() {
+        // Nine mergeable rules `?x p ?y → ?x q_i ?z` give the first
+        // stream nine alternatives with a fresh variable each; one rule
+        // `?x r ?y → ?x r2 ?z` gives the second stream one. However many
+        // alternatives a stream has, their fresh ids must stay inside its
+        // own range: were the ninth alternative's ?z to share an id with
+        // the second stream's ?z, the scratch assignment would force
+        // `zval == vval` and `a` would be silently lost.
+        let mut b = XkgBuilder::new();
+        b.add_kg_resources("a", "q9", "zval");
+        b.add_kg_resources("a", "r2", "vval");
+        b.add_kg_resources("nobody", "p", "somebody");
+        b.add_kg_resources("nobody", "r", "something");
+        for i in 1..9 {
+            b.dict_mut().resource(&format!("q{i}"));
         }
+        let store = b.build();
+        let (x, y, z) = (
+            trinit_relax::TTerm::Var(trinit_relax::RVar(0)),
+            trinit_relax::TTerm::Var(trinit_relax::RVar(1)),
+            trinit_relax::TTerm::Var(trinit_relax::RVar(2)),
+        );
+        let fresh_object = |from: &str, to: &str| {
+            let from = trinit_relax::TTerm::Const(store.resource(from).unwrap());
+            let to = trinit_relax::TTerm::Const(store.resource(to).unwrap());
+            Rule::structural(
+                "fresh object",
+                vec![trinit_relax::Template::new(x, from, y)],
+                vec![trinit_relax::Template::new(x, to, z)],
+                0.5,
+                RuleProvenance::UserDefined,
+            )
+        };
+        let mut rules = RuleSet::new();
+        for i in 1..=9 {
+            rules.add(fresh_object("p", &format!("q{i}")));
+        }
+        rules.add(fresh_object("r", "r2"));
+        let q = QueryBuilder::new(&store)
+            .pattern_v_r_v("x", "p", "y")
+            .pattern_v_r_v("x", "r", "w")
+            .project(&["x"])
+            .build();
+        let cfg = TopkConfig { min_weight: 0.0, ..TopkConfig::default() };
+        let (inc, _) = run(&store, &q, &rules, &cfg);
+        let (full, _) = expand::run(
+            &store,
+            &q,
+            &rules,
+            &ExpandOptions { max_depth: 3, min_weight: 0.0, max_rewritings: 4096 },
+        );
+        assert_eq!(full.len(), 2, "`nobody` exactly, `a` through q9 and r2");
+        assert_same_answers(&inc, &full);
     }
 
     #[test]

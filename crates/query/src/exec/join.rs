@@ -3,76 +3,266 @@
 //!
 //! Consumes emissions from any [`RankSource`] (stage 1,
 //! [`crate::exec::merge`]) and combines them across a variant's streams,
-//! HRJN-style: each new item joins against the seen items of the other
-//! streams. Each [`Stream`] keeps its seen items partitioned by the
-//! values of its *join variables* (variables shared with other streams
-//! in the variant), so an arriving item probes exactly one bucket per
-//! stream instead of scanning every seen item — the Yannakakis-style
-//! observation that only join-compatible partners can ever merge. Items
-//! whose relaxed form dropped a join variable land in a small
-//! always-scanned residual list, and streams with no shared variables
-//! degrade to a single bucket (a true cross product).
+//! HRJN-style: each new item joins against the kept items of the other
+//! streams. This module knows nothing about thresholds or termination —
+//! pulls are sequenced by the driver ([`crate::exec::drive`]) under the
+//! policy of [`crate::exec::threshold`]. The seams it exposes upward are
+//! [`Stream`] (per-stream join state plus the frontier / contribution
+//! bounds the threshold reads), [`dead_on_arrival`] (the semijoin
+//! filter) and [`join_with_others`] (combine one arrival against the
+//! other streams' partitions).
 //!
-//! The combination loop works in a single scratch [`Bindings`] with
-//! undo-based backtracking; a combined `Bindings` is allocated once per
-//! *successful* full join, never speculatively.
+//! ## State layout
 //!
-//! This module knows nothing about thresholds or termination — pulls
-//! are sequenced by the driver ([`crate::exec::drive`]) under the
-//! policy of [`crate::exec::threshold`]. The seams it exposes upward
-//! are [`Stream`] (per-stream join state plus the frontier /
-//! contribution bounds the threshold reads) and [`join_with_others`]
-//! (combine one arrival against the other streams' partitions).
+//! A steady-state pull allocates nothing, hashes one machine word and
+//! touches one compact record per candidate:
+//!
+//! * A [`SeenItem`] is a fixed-size record: its ≤ 3 `(variable, value)`
+//!   pairs inline ([`Pairs`] — a triple pattern has three slots), its log
+//!   score, its triple id, and the *index* of the alternative that
+//!   emitted it. The alternative's pattern, rule trace and weight stay in
+//!   the source's alternative table ([`RankSource::alternative`]) and are
+//!   read once per *successful* join, when a derivation is materialized.
+//! * Each [`Stream`] partitions its kept items by the values of its
+//!   *join variables* (variables shared with other streams in the
+//!   variant — the Yannakakis-style observation that only join-compatible
+//!   partners can ever merge). The partition key is a fixed-width
+//!   [`JoinKey`] (≤ 3 term ids inline) hashed with a multiplicative
+//!   hasher — keys are dense internal ids, not outside input, so SipHash
+//!   buys nothing here. Buckets are intrusive chains: the map holds a
+//!   chain's `head`/`tail`, each item its `next`, so a probe goes map
+//!   slot → item with no bucket vector in between. Chains keep arrival
+//!   order. Items whose relaxed form dropped a join variable sit on one
+//!   always-scanned residual chain, and streams with no shared variables
+//!   degrade to a single bucket (a true cross product).
+//! * The combination loop works in one reusable [`JoinScratch`] per
+//!   variant: a scratch [`Bindings`] sized from the variant's real
+//!   variable count, one undo stack shared by every recursion depth, and
+//!   the stack of accumulated partners. A combined `Bindings` is
+//!   allocated once per *successful* full join, never speculatively.
+//!
+//! ## The retired-stream semijoin filter
+//!
+//! An arrival is *dead on arrival* — dropped before it is joined or
+//! stored — when some other stream `j` is retired (exhausted, or capped
+//! by the exact or the ε criterion), holds no residual item, and the
+//! arrival binds all of `j`'s join variables to a key with no bucket in
+//! `j`. Every combination the arrival could complete needs an item of
+//! `j` with exactly that key, and `j` keeps none:
+//!
+//! * if `j` is *exhausted*, every item it will ever emit has been seen,
+//!   so the partner was either never emitted (no combination exists) or
+//!   was itself dropped (below);
+//! * if `j` is *capped*, a partner `j` does not keep is an unseen item
+//!   of `j` (or a dropped one). When `j` was capped the policy had
+//!   established `kth ≥ variant + frontier_j + Σ others' bounds` (or,
+//!   for the ε criterion, that the same sum with `j`'s remaining mass is
+//!   within ε). `kth` only rises and the right-hand side only falls, so
+//!   a combination through an unseen item of `j` can never enter the
+//!   top-k — the same tie semantics capping has always had, and under
+//!   ε / θ the forfeit is the one `note_approx` recorded at capping time.
+//!
+//! Dropped items need the same argument once more, since later arrivals
+//! no longer find them: take any combination containing a dropped item
+//! and look at the item `d` of it that was dropped *first*, because of
+//! retired stream `i`. The combination's `i`-item is not kept (no bucket
+//! carried `d`'s key, and a retired stream receives nothing more), nor
+//! dropped (all of `i`'s drops precede its retirement, hence precede
+//! `d`'s), so it is unseen and `i` is capped; every other item of the
+//! combination was kept or unseen when `i` was capped, so the capping
+//! inequality bounds the whole combination. Hence `best_log` and
+//! [`Stream::contribution_bound`] range over *kept* items only (the
+//! frontier while nothing is kept — tighter, and sound by the above), and
+//! a stream that retires with nothing kept kills the variant exactly as
+//! an empty one does. The filter is sorted-access only: it can lower
+//! pull counts (tighter bounds), never raise them.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
+use trinit_obs::TraceRecorder;
 use trinit_relax::{QPattern, QTerm, RuleId, VarId};
 use trinit_xkg::{TermId, TripleId};
 
 use crate::answer::{Answer, AnswerCollector, Bindings, Derivation};
-use crate::exec::merge::RankSource;
+use crate::exec::merge::{Merged, RankSource};
 use crate::exec::{ExecMetrics, TripleLookup};
-use crate::score::LOG_ZERO;
+use crate::score::{ln_weight, LOG_ZERO};
 
-/// An item seen by one rank-join stream: the (few) variable bindings its
-/// triple induced, plus provenance for derivations.
-#[derive(Debug, Clone)]
-pub(crate) struct SeenItem {
-    /// `(variable, value)` pairs bound by this item's pattern — at most
-    /// three, deduplicated. Stored as pairs (not a dense [`Bindings`])
-    /// so joining is an O(|pairs|) probe into the shared scratch
-    /// assignment instead of a per-candidate vector clone.
-    pub(crate) bound: Vec<(VarId, TermId)>,
-    pub(crate) log_score: f64,
-    pub(crate) pattern: QPattern,
-    pub(crate) triple: TripleId,
-    pub(crate) trace: Vec<RuleId>,
-    pub(crate) weight: f64,
+/// End-of-chain marker of the intrusive bucket chains.
+const NIL: u32 = u32::MAX;
+
+/// The `(variable, value)` pairs one triple pattern binds: at most three,
+/// deduplicated, inline. Stored as pairs (not a dense [`Bindings`]) so
+/// joining is an O(|pairs|) probe into the shared scratch assignment.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pairs {
+    len: u8,
+    items: [(VarId, TermId); 3],
 }
 
-/// One rank-join stream: a stage-1 source plus the partitioned seen-item
+impl Pairs {
+    fn new() -> Pairs {
+        Pairs {
+            len: 0,
+            items: [(VarId(0), TermId::from_raw(0)); 3],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[(VarId, TermId)] {
+        &self.items[..usize::from(self.len)]
+    }
+
+    #[inline]
+    fn get(&self, v: VarId) -> Option<TermId> {
+        self.as_slice()
+            .iter()
+            .find(|(u, _)| *u == v)
+            .map(|&(_, t)| t)
+    }
+
+    fn push(&mut self, v: VarId, t: TermId) {
+        self.items[usize::from(self.len)] = (v, t);
+        self.len += 1;
+    }
+}
+
+/// An item kept by one rank-join stream: the (few) variable bindings its
+/// triple induced, plus what a derivation needs to name it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SeenItem {
+    pub(crate) bound: Pairs,
+    pub(crate) log_score: f64,
+    pub(crate) triple: TripleId,
+    /// Index into the stream's alternative table
+    /// ([`RankSource::alternative`]).
+    pub(crate) alt: u32,
+    /// Next item of this item's bucket (or residual) chain.
+    next: u32,
+}
+
+impl SeenItem {
+    pub(crate) fn new(bound: Pairs, log_score: f64, m: &Merged) -> SeenItem {
+        SeenItem {
+            bound,
+            log_score,
+            triple: m.triple,
+            alt: m.alt,
+            next: NIL,
+        }
+    }
+}
+
+/// A partition key: the values of a stream's (≤ 3) join variables in
+/// `join_vars` order, unused positions zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct JoinKey([u32; 3]);
+
+impl JoinKey {
+    /// The key `value_of` induces over `join_vars`, or `None` if some
+    /// join variable has no value.
+    #[inline]
+    fn over(join_vars: &[VarId], value_of: impl Fn(VarId) -> Option<TermId>) -> Option<JoinKey> {
+        let mut key = [0u32; 3];
+        for (slot, &v) in key.iter_mut().zip(join_vars) {
+            *slot = value_of(v)?.raw();
+        }
+        Some(JoinKey(key))
+    }
+}
+
+impl Hash for JoinKey {
+    /// Folds the key into one word: the common one- and two-variable
+    /// keys are the word itself.
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c] = self.0;
+        let word = u64::from(a) | u64::from(b) << 32;
+        state.write_u64(word ^ u64::from(c).wrapping_mul(WordHasher::ODD));
+    }
+}
+
+/// Multiplicative hasher for [`JoinKey`] words: one multiply by an odd
+/// constant, then a rotation that moves the well-mixed high bits to where
+/// the table takes its bucket index from. Keys are dense internal term
+/// ids, never outside input, so there is nothing for a keyed hash to
+/// defend against.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    /// 2⁶⁴ / φ, the Fibonacci-hashing multiplier.
+    const ODD: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word).wrapping_mul(Self::ODD);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// An intrusive chain through a stream's kept items, in arrival order.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    head: u32,
+    tail: u32,
+}
+
+impl Chain {
+    const EMPTY: Chain = Chain {
+        head: NIL,
+        tail: NIL,
+    };
+
+    fn is_empty(&self) -> bool {
+        self.head == NIL
+    }
+}
+
+/// One rank-join stream: a stage-1 source plus the partitioned kept-item
 /// state the join probes and the bounds the threshold policy reads.
 pub(crate) struct Stream<M> {
     pub(crate) merge: M,
-    pub(crate) seen: Vec<SeenItem>,
+    /// Items that survived the semijoin filter, in arrival order.
+    seen: Vec<SeenItem>,
     /// This stream's join variables: variables of its variant pattern
-    /// shared with at least one other stream. Sorted, deduplicated; the
-    /// partition key is their value tuple.
-    pub(crate) join_vars: Vec<VarId>,
-    /// Seen items that bind every join variable, partitioned by their
-    /// join-key values. With no join variables all items share the empty
-    /// key (a deliberate single-bucket cross product).
-    pub(crate) buckets: HashMap<Vec<TermId>, Vec<u32>>,
-    /// Seen items whose (relaxed) pattern dropped a join variable; they
+    /// shared with at least one other stream. Sorted, deduplicated, at
+    /// most three; the partition key is their value tuple.
+    join_vars: Vec<VarId>,
+    /// Kept items that bind every join variable, chained per join-key
+    /// value. With no join variables all items share the zero key (a
+    /// deliberate single-bucket cross product).
+    buckets: HashMap<JoinKey, Chain, BuildHasherDefault<WordHasher>>,
+    /// Kept items whose (relaxed) pattern dropped a join variable; they
     /// are compatible with any key value there, so every probe scans
-    /// this residual list as well.
-    pub(crate) partial: Vec<u32>,
-    pub(crate) best_log: f64,
-    pub(crate) exhausted: bool,
+    /// this residual chain as well.
+    partial: Chain,
+    /// Score of the best (= first) kept item.
+    best_log: f64,
+    /// Cached `ln` of the source's bound on its next emission. The bound
+    /// only moves inside the source's own `next_merged`
+    /// ([`RankSource::peek_bound`] is `&self`), so [`Stream::pull`]
+    /// refreshes it and every reader in between pays no `ln`.
+    frontier: f64,
+    /// The source has nothing more to emit (set by [`Stream::pull`]).
+    exhausted: bool,
     /// Retired by the termination policy: no unseen item of this stream
     /// can improve the top-k (exact capping) or everything it can still
     /// contribute is within the ε tolerance (approximate capping), so it
-    /// is no longer pulled (its seen items keep participating in other
+    /// is no longer pulled (its kept items keep participating in other
     /// streams' joins).
     pub(crate) capped: bool,
 }
@@ -80,61 +270,118 @@ pub(crate) struct Stream<M> {
 impl<M: RankSource> Stream<M> {
     /// A fresh stream over `merge` with the given join variables.
     pub(crate) fn new(merge: M, join_vars: Vec<VarId>) -> Stream<M> {
+        debug_assert!(join_vars.len() <= 3, "a triple pattern has three slots");
+        let bound = merge.peek_bound();
         Stream {
             merge,
             seen: Vec::new(),
             join_vars,
-            buckets: HashMap::new(),
-            partial: Vec::new(),
+            buckets: HashMap::default(),
+            partial: Chain::EMPTY,
             best_log: LOG_ZERO,
-            exhausted: false,
+            frontier: bound.map_or(LOG_ZERO, ln_weight),
+            exhausted: bound.is_none(),
             capped: false,
         }
     }
 
-    /// Upper bound (log) on this stream's next emission; [`LOG_ZERO`]
-    /// once exhausted.
-    pub(crate) fn frontier_log(&self) -> f64 {
-        if self.exhausted {
-            LOG_ZERO
-        } else {
-            self.merge.peek_bound().map_or(LOG_ZERO, crate::score::ln_weight)
+    /// Pulls the source's next emission and refreshes the cached
+    /// frontier. The stream is exhausted as soon as the source reports no
+    /// bound on a further emission — with its last item, not one empty
+    /// pull later — so the semijoin filter can rely on it while the
+    /// other streams still drain.
+    pub(crate) fn pull(
+        &mut self,
+        metrics: &mut ExecMetrics,
+        recorder: &mut TraceRecorder,
+    ) -> Option<Merged> {
+        let merged = self.merge.next_merged(metrics, recorder);
+        match self.merge.peek_bound() {
+            Some(bound) if merged.is_some() => self.frontier = ln_weight(bound),
+            _ => {
+                self.exhausted = true;
+                self.frontier = LOG_ZERO;
+            }
         }
+        merged
     }
 
-    /// Upper bound on any item this stream can contribute.
+    /// Upper bound (log) on this stream's next emission; [`LOG_ZERO`]
+    /// once exhausted.
+    #[inline]
+    pub(crate) fn frontier_log(&self) -> f64 {
+        self.frontier
+    }
+
+    /// No longer pulled: exhausted, or capped by the termination policy.
+    #[inline]
+    pub(crate) fn retired(&self) -> bool {
+        self.exhausted || self.capped
+    }
+
+    /// Retired without a single kept item: no combination of the variant
+    /// can complete (or matter) any more.
+    #[inline]
+    pub(crate) fn barren(&self) -> bool {
+        self.retired() && self.seen.is_empty()
+    }
+
+    /// Upper bound on any item this stream can contribute to a
+    /// combination that can still matter: the best kept item, or the
+    /// frontier while nothing is kept.
+    #[inline]
     pub(crate) fn contribution_bound(&self) -> f64 {
         if self.seen.is_empty() {
-            self.frontier_log()
+            self.frontier
         } else {
             self.best_log
         }
     }
 
-    /// Remembers an item, filing it under its join-key partition.
+    /// Keeps an item, chaining it under its join-key partition.
     pub(crate) fn push_seen(&mut self, item: SeenItem) {
         if self.seen.is_empty() {
             self.best_log = item.log_score;
         }
         let idx = self.seen.len() as u32;
-        let mut key = Vec::with_capacity(self.join_vars.len());
-        let mut complete = true;
-        for &v in &self.join_vars {
-            match item.bound.iter().find(|(u, _)| *u == v) {
-                Some(&(_, t)) => key.push(t),
-                None => {
-                    complete = false;
-                    break;
-                }
-            }
-        }
-        if complete {
-            self.buckets.entry(key).or_default().push(idx);
+        let chain = match JoinKey::over(&self.join_vars, |v| item.bound.get(v)) {
+            Some(key) => self.buckets.entry(key).or_insert(Chain::EMPTY),
+            None => &mut self.partial,
+        };
+        if chain.is_empty() {
+            chain.head = idx;
         } else {
-            self.partial.push(idx);
+            self.seen[chain.tail as usize].next = idx;
         }
+        chain.tail = idx;
         self.seen.push(item);
     }
+
+    /// The semijoin test against this stream: true if it is retired,
+    /// keeps no residual item, and `arrival` (an item of another stream)
+    /// binds all of its join variables to a key it keeps no bucket for —
+    /// no item this stream holds or will ever hold can partner `arrival`.
+    fn rejects(&self, arrival: &Pairs) -> bool {
+        self.retired()
+            && self.partial.is_empty()
+            && JoinKey::over(&self.join_vars, |v| arrival.get(v))
+                .is_some_and(|key| !self.buckets.contains_key(&key))
+    }
+}
+
+/// The retired-stream semijoin filter: true if some stream other than
+/// `new_stream` proves that `arrival` can never complete a combination
+/// that matters (see the module docs for the soundness argument). Such an
+/// arrival is neither joined nor kept.
+pub(crate) fn dead_on_arrival<M: RankSource>(
+    streams: &[Stream<M>],
+    new_stream: usize,
+    arrival: &Pairs,
+) -> bool {
+    streams
+        .iter()
+        .enumerate()
+        .any(|(j, stream)| j != new_stream && stream.rejects(arrival))
 }
 
 /// The `(variable, value)` pairs a pattern induces against a concrete
@@ -145,18 +392,15 @@ pub(crate) fn bind_pairs(
     pattern: &QPattern,
     lookup: &dyn TripleLookup,
     triple: TripleId,
-) -> Option<Vec<(VarId, TermId)>> {
+) -> Option<Pairs> {
     let t = lookup.triple_of(triple);
-    let mut out: Vec<(VarId, TermId)> = Vec::with_capacity(3);
+    let mut out = Pairs::new();
     for (slot, value) in pattern.slots().into_iter().zip([t.s, t.p, t.o]) {
         if let QTerm::Var(v) = slot {
-            match out.iter().find(|(u, _)| *u == v) {
-                Some(&(_, existing)) => {
-                    if existing != value {
-                        return None;
-                    }
-                }
-                None => out.push((v, value)),
+            match out.get(v) {
+                Some(existing) if existing != value => return None,
+                Some(_) => {}
+                None => out.push(v, value),
             }
         }
     }
@@ -196,233 +440,585 @@ pub(crate) fn max_var_of(patterns: &[QPattern]) -> u16 {
         .map_or(0, |m| m + 1)
 }
 
-/// Binds an item's `(variable, value)` pairs into the scratch
-/// assignment, recording newly bound variables in `undo`. On conflict,
-/// rolls back the partial binds and returns `false` — nothing is
-/// allocated either way.
-fn bind_all(scratch: &mut Bindings, bound: &[(VarId, TermId)], undo: &mut Vec<VarId>) -> bool {
-    for &(v, t) in bound {
-        if !scratch.try_bind_recorded(v, t, undo) {
-            for &u in undo.iter() {
-                scratch.unbind(u);
-            }
-            return false;
+/// Reusable per-variant scratch of the combination loop, so a join
+/// allocates nothing until a combination succeeds.
+pub(crate) struct JoinScratch {
+    /// The shared assignment; restored to fully unbound after every
+    /// [`join_with_others`].
+    bindings: Bindings,
+    /// Variables bound so far, one stack across every recursion depth:
+    /// a depth remembers its mark and unwinds to it.
+    undo: Vec<VarId>,
+    /// `(stream, item)` of the partners accumulated so far, in stream
+    /// order.
+    partners: Vec<(u32, u32)>,
+}
+
+impl JoinScratch {
+    /// Scratch for a variant over `n_vars` variables and `n_streams`
+    /// streams.
+    pub(crate) fn new(n_vars: usize, n_streams: usize) -> JoinScratch {
+        JoinScratch {
+            bindings: Bindings::new(n_vars),
+            undo: Vec::with_capacity(3 * n_streams),
+            partners: Vec::with_capacity(n_streams),
         }
     }
-    true
+
+    /// Binds an item's pairs into the shared assignment, recording newly
+    /// bound variables on the undo stack. On conflict, unwinds to `mark`
+    /// and returns `false`.
+    fn bind_all(&mut self, bound: &Pairs, mark: usize) -> bool {
+        for &(v, t) in bound.as_slice() {
+            if !self.bindings.try_bind_recorded(v, t, &mut self.undo) {
+                self.unwind(mark);
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Unbinds everything bound since the undo stack stood at `mark`.
+    fn unwind(&mut self, mark: usize) {
+        for &v in &self.undo[mark..] {
+            self.bindings.unbind(v);
+        }
+        self.undo.truncate(mark);
+    }
 }
 
-/// The join-key values of `join_vars` under the scratch assignment, or
-/// `None` if some join variable is still unbound (the accumulated
-/// streams do not cover it, so every partition stays reachable).
-fn probe_key(scratch: &Bindings, join_vars: &[VarId]) -> Option<Vec<TermId>> {
-    let mut key = Vec::with_capacity(join_vars.len());
-    for &v in join_vars {
-        key.push(scratch.get(v)?);
-    }
-    Some(key)
+/// One arrival's combination pass: what stays fixed while the recursion
+/// walks the other streams.
+struct Combine<'a, M> {
+    streams: &'a [Stream<M>],
+    new_stream: usize,
+    new_item: &'a SeenItem,
+    variant_log: f64,
+    variant_trace: &'a [RuleId],
+    projection: &'a [VarId],
+    collector: &'a mut AnswerCollector,
+    metrics: &'a mut ExecMetrics,
 }
 
-/// Depth-first combination over the other streams' seen items. Each
-/// stream is entered through its join-key partition: one hash probe
-/// selects the only bucket whose items can merge with the accumulated
-/// assignment (plus the residual list of items missing a join variable).
-/// The scratch assignment is shared across the whole recursion with
-/// undo-based backtracking; a combined `Bindings` is only materialized
-/// inside `emit`, once per successful full join.
-#[allow(clippy::too_many_arguments)]
-fn combine<'s, M>(
-    streams: &'s [Stream<M>],
-    skip: usize,
-    idx: usize,
-    scratch: &mut Bindings,
-    acc_score: f64,
-    acc_items: &mut Vec<&'s SeenItem>,
-    emit: &mut dyn FnMut(&Bindings, f64, &[&SeenItem]),
-    metrics: &mut ExecMetrics,
-) {
-    if idx == streams.len() {
-        emit(scratch, acc_score, acc_items);
-        return;
-    }
-    if idx == skip {
-        combine(
-            streams, skip, idx + 1, scratch, acc_score, acc_items, emit, metrics,
-        );
-        return;
-    }
-    let stream = &streams[idx];
-    let mut undo: Vec<VarId> = Vec::new();
-    let try_candidate = |item: &'s SeenItem,
-                             scratch: &mut Bindings,
-                             acc_items: &mut Vec<&'s SeenItem>,
-                             undo: &mut Vec<VarId>,
-                             emit: &mut dyn FnMut(&Bindings, f64, &[&SeenItem]),
-                             metrics: &mut ExecMetrics| {
-        metrics.join_candidates += 1;
-        undo.clear();
-        if !bind_all(scratch, &item.bound, undo) {
+impl<M: RankSource> Combine<'_, M> {
+    /// Depth-first combination over the other streams' kept items. Each
+    /// stream is entered through its join-key partition: one hash probe
+    /// selects the only chain whose items can merge with the accumulated
+    /// assignment (plus the residual chain of items missing a join
+    /// variable). A stream some of whose join variables are still unbound
+    /// (the accumulated streams do not cover them) is scanned whole.
+    fn descend(&mut self, idx: usize, score: f64, scratch: &mut JoinScratch) {
+        let streams = self.streams;
+        if idx == streams.len() {
+            self.emit(score, scratch);
             return;
         }
-        acc_items.push(item);
-        combine(
-            streams,
-            skip,
-            idx + 1,
-            scratch,
-            acc_score + item.log_score,
-            acc_items,
-            emit,
-            metrics,
-        );
-        acc_items.pop();
-        for &v in undo.iter() {
-            scratch.unbind(v);
+        if idx == self.new_stream {
+            self.descend(idx + 1, score, scratch);
+            return;
         }
-    };
-    match probe_key(scratch, &stream.join_vars) {
-        Some(key) => {
-            if let Some(bucket) = stream.buckets.get(&key) {
-                for &i in bucket {
-                    try_candidate(
-                        &stream.seen[i as usize],
-                        scratch,
-                        acc_items,
-                        &mut undo,
-                        emit,
-                        metrics,
-                    );
+        let stream = &streams[idx];
+        match JoinKey::over(&stream.join_vars, |v| scratch.bindings.get(v)) {
+            Some(key) => {
+                if let Some(chain) = stream.buckets.get(&key) {
+                    self.walk(idx, chain.head, score, scratch);
                 }
+                self.walk(idx, stream.partial.head, score, scratch);
             }
-            for &i in &stream.partial {
-                try_candidate(
-                    &stream.seen[i as usize],
-                    scratch,
-                    acc_items,
-                    &mut undo,
-                    emit,
-                    metrics,
-                );
-            }
-        }
-        None => {
-            for item in &stream.seen {
-                try_candidate(item, scratch, acc_items, &mut undo, emit, metrics);
+            None => {
+                for item in 0..stream.seen.len() as u32 {
+                    self.try_candidate(idx, item, score, scratch);
+                }
             }
         }
     }
+
+    fn walk(&mut self, idx: usize, head: u32, score: f64, scratch: &mut JoinScratch) {
+        let mut item = head;
+        while item != NIL {
+            item = self.try_candidate(idx, item, score, scratch);
+        }
+    }
+
+    /// Tests one candidate of stream `idx`, descending on a match.
+    /// Returns the candidate's chain successor.
+    fn try_candidate(
+        &mut self,
+        idx: usize,
+        item: u32,
+        score: f64,
+        scratch: &mut JoinScratch,
+    ) -> u32 {
+        let streams = self.streams;
+        let candidate = &streams[idx].seen[item as usize];
+        self.metrics.join_candidates += 1;
+        let mark = scratch.undo.len();
+        if scratch.bind_all(&candidate.bound, mark) {
+            scratch.partners.push((idx as u32, item));
+            self.descend(idx + 1, score + candidate.log_score, scratch);
+            scratch.partners.pop();
+            scratch.unwind(mark);
+        }
+        candidate.next
+    }
+
+    /// Materializes one completed combination — the only place the
+    /// alternative tables are read and anything is allocated.
+    fn emit(&mut self, score: f64, scratch: &JoinScratch) {
+        let streams = self.streams;
+        // The arrival first, then its partners in stream order.
+        let items = std::iter::once((self.new_stream, self.new_item)).chain(
+            scratch
+                .partners
+                .iter()
+                .map(|&(s, i)| (s as usize, &streams[s as usize].seen[i as usize])),
+        );
+        let mut rules: Vec<RuleId> = self.variant_trace.to_vec();
+        let mut rule_weight = 1.0;
+        let mut triples = Vec::with_capacity(streams.len());
+        for (stream, item) in items {
+            let alt = streams[stream].merge.alternative(item.alt);
+            rules.extend_from_slice(alt.trace);
+            rule_weight *= alt.weight;
+            triples.push((*alt.pattern, item.triple));
+        }
+        // Variant weight folds into the derivation weight as well.
+        if self.variant_log.is_finite() {
+            rule_weight *= self.variant_log.exp();
+        }
+        self.collector.offer(Answer {
+            key: scratch.bindings.project(self.projection),
+            bindings: scratch.bindings.clone(),
+            score,
+            derivation: Derivation {
+                triples,
+                rules,
+                rule_weight,
+            },
+        });
+    }
 }
 
-/// Joins one arrival against the other streams' seen partitions,
-/// offering every completed combination to the collector.
+/// Joins one arrival against the other streams' kept partitions,
+/// offering every completed combination to the collector. The arrival's
+/// own stream is skipped, so joining before keeping the item is
+/// equivalent to the reverse.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn join_with_others<M>(
+pub(crate) fn join_with_others<M: RankSource>(
     streams: &[Stream<M>],
     new_stream: usize,
     new_item: &SeenItem,
     variant_log: f64,
     variant_trace: &[RuleId],
     projection: &[VarId],
-    scratch: &mut Bindings,
+    scratch: &mut JoinScratch,
     collector: &mut AnswerCollector,
     metrics: &mut ExecMetrics,
 ) {
-    let mut base_undo: Vec<VarId> = Vec::new();
-    if !bind_all(scratch, &new_item.bound, &mut base_undo) {
+    if !scratch.bind_all(&new_item.bound, 0) {
         return; // scratch starts unbound, so this cannot conflict; defensive
     }
-    let mut acc_items: Vec<&SeenItem> = vec![new_item];
-    let base_score = new_item.log_score + variant_log;
-    combine(
+    Combine {
         streams,
         new_stream,
-        0,
-        scratch,
-        base_score,
-        &mut acc_items,
-        &mut |bindings, score, items| {
-            let mut rules: Vec<RuleId> = variant_trace.to_vec();
-            let mut rule_weight = 1.0;
-            for item in items {
-                rules.extend_from_slice(&item.trace);
-                rule_weight *= item.weight;
-            }
-            // Variant weight folds into the derivation weight as well.
-            if variant_log.is_finite() {
-                rule_weight *= variant_log.exp();
-            }
-            collector.offer(Answer {
-                key: bindings.project(projection),
-                bindings: bindings.clone(),
-                score,
-                derivation: Derivation {
-                    triples: items.iter().map(|it| (it.pattern, it.triple)).collect(),
-                    rules,
-                    rule_weight,
-                },
-            });
-        },
+        new_item,
+        variant_log,
+        variant_trace,
+        projection,
+        collector,
         metrics,
-    );
-    for &v in &base_undo {
-        scratch.unbind(v);
     }
+    .descend(0, new_item.log_score + variant_log, scratch);
+    scratch.unwind(0);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::drive::TopkConfig;
+    use crate::ast::{Query, QueryBuilder};
+    use crate::exec::budget::{BudgetTracker, Completeness, Governor};
+    use crate::exec::drive::{self, TopkConfig};
     use crate::exec::merge::{pattern_alternatives, IncrementalMerge};
-    use crate::exec::testfix::store;
+    use crate::exec::testfix::{assert_same_answers, reference, store};
     use crate::score::PostingCache;
     use std::cell::RefCell;
     use std::rc::Rc;
-    use trinit_relax::RuleSet;
+    use trinit_relax::{RVar, Rule, RuleProvenance, RuleSet, TTerm, Template};
+    use trinit_xkg::{XkgBuilder, XkgStore};
 
     #[test]
-    fn partition_buckets_and_residual_list() {
-        // White-box: items binding every join variable land in the
-        // keyed bucket; items whose (relaxed) pattern dropped a join
-        // variable go to the always-scanned residual list.
+    fn partition_chains_and_residual_chain() {
+        // White-box: items binding every join variable are chained, in
+        // arrival order, under their key; items whose (relaxed) pattern
+        // dropped a join variable go to the always-scanned residual
+        // chain.
         let store = store();
         let p = store.resource("affiliation").unwrap();
         let pattern = QPattern::new(QTerm::Var(VarId(0)), QTerm::Term(p), QTerm::Var(VarId(1)));
         let alts = pattern_alternatives(&pattern, &RuleSet::new(), &TopkConfig::default(), 10);
         let cache = Rc::new(RefCell::new(PostingCache::new()));
-        let mut stream = Stream {
-            merge: IncrementalMerge::new(&store, alts, cache, None, true, None),
-            seen: Vec::new(),
-            join_vars: vec![VarId(0)],
-            buckets: HashMap::new(),
-            partial: Vec::new(),
-            best_log: LOG_ZERO,
-            exhausted: false,
-            capped: false,
-        };
+        let merge = IncrementalMerge::new(&store, alts, cache, None, true, None);
+        let mut stream = Stream::new(merge, vec![VarId(0)]);
         let einstein = store.resource("AlbertEinstein").unwrap();
         let ias = store.resource("IAS").unwrap();
-        let item = |bound: Vec<(VarId, TermId)>, score: f64| SeenItem {
-            bound,
-            log_score: score,
-            pattern,
-            triple: TripleId(0),
-            trace: Vec::new(),
-            weight: 1.0,
+        let item = |bound: &[(VarId, TermId)], score: f64| {
+            let mut pairs = Pairs::new();
+            for &(v, t) in bound {
+                pairs.push(v, t);
+            }
+            let m = Merged {
+                triple: TripleId(0),
+                prob: score.exp(),
+                alt: 0,
+            };
+            SeenItem::new(pairs, score, &m)
         };
-        stream.push_seen(item(vec![(VarId(0), einstein), (VarId(1), ias)], -0.1));
-        stream.push_seen(item(vec![(VarId(1), ias)], -0.2)); // dropped ?x
-        stream.push_seen(item(vec![(VarId(0), einstein), (VarId(1), einstein)], -0.3));
-        assert_eq!(stream.buckets.get(&vec![einstein]), Some(&vec![0u32, 2]));
-        assert_eq!(stream.partial, vec![1u32]);
+        stream.push_seen(item(&[(VarId(0), einstein), (VarId(1), ias)], -0.1));
+        stream.push_seen(item(&[(VarId(1), ias)], -0.2)); // dropped ?x
+        stream.push_seen(item(&[(VarId(0), einstein), (VarId(1), einstein)], -0.3));
+        let chain_of = |head: u32| {
+            let mut out = Vec::new();
+            let mut i = head;
+            while i != NIL {
+                out.push(i);
+                i = stream.seen[i as usize].next;
+            }
+            out
+        };
+        let key = JoinKey::over(&stream.join_vars, |_| Some(einstein)).unwrap();
+        assert_eq!(chain_of(stream.buckets[&key].head), vec![0, 2]);
+        assert_eq!(chain_of(stream.partial.head), vec![1]);
         assert_eq!(stream.best_log, -0.1);
+        assert_eq!(stream.contribution_bound(), -0.1);
+        assert!(
+            std::mem::size_of::<SeenItem>() <= 48,
+            "one record, under a cache line"
+        );
 
-        // Probe keys resolve through the scratch assignment.
+        // Probe keys resolve through any partial assignment.
         let mut scratch = Bindings::new(4);
-        assert_eq!(probe_key(&scratch, &stream.join_vars), None, "unbound join var");
+        assert_eq!(
+            JoinKey::over(&stream.join_vars, |v| scratch.get(v)),
+            None,
+            "unbound join var"
+        );
         scratch.bind(VarId(0), einstein);
-        assert_eq!(probe_key(&scratch, &stream.join_vars), Some(vec![einstein]));
-        assert_eq!(probe_key(&scratch, &[]), Some(Vec::new()), "cross product key");
+        assert_eq!(
+            JoinKey::over(&stream.join_vars, |v| scratch.get(v)),
+            Some(key)
+        );
+        assert_eq!(
+            JoinKey::over(&[], |_| None),
+            Some(JoinKey([0; 3])),
+            "cross product key"
+        );
+
+        // A live stream rejects nothing; once retired it rejects exactly
+        // the arrivals it has no bucket for — unless it holds a residual
+        // item, which partners with every key.
+        let mut arrival = Pairs::new();
+        arrival.push(VarId(0), ias);
+        assert!(!stream.rejects(&arrival), "live stream");
+        stream.capped = true;
+        assert!(
+            !stream.rejects(&arrival),
+            "residual item keeps every key alive"
+        );
+        stream.partial = Chain::EMPTY;
+        assert!(stream.rejects(&arrival));
+        let mut known = Pairs::new();
+        known.push(VarId(0), einstein);
+        assert!(!stream.rejects(&known), "key with a bucket");
+        let mut unrelated = Pairs::new();
+        unrelated.push(VarId(1), ias);
+        assert!(
+            !stream.rejects(&unrelated),
+            "arrival does not bind the join variable"
+        );
+    }
+
+    /// The granularity-shaped world the filter tests share: 120 people,
+    /// three born in each of 40 places; places 0–2 lie in `C0` with
+    /// strong, descending confidence, places 3–22 in `C0` with confidence
+    /// 0.01, the rest in `C1`; all but the last five places are typed
+    /// `city`. The nine people of the strong places head the flat
+    /// `bornIn` list, so its first pulls already complete answers.
+    fn granularity_world(extra: impl FnOnce(&mut XkgBuilder)) -> XkgStore {
+        let mut b = XkgBuilder::new();
+        let src = b.intern_source("d");
+        let located = b.dict_mut().resource("locatedIn");
+        let c0 = b.dict_mut().resource("C0");
+        let c1 = b.dict_mut().resource("C1");
+        for person in 0..120u32 {
+            let place = if person < 9 {
+                person % 3
+            } else {
+                3 + (person - 9) % 37
+            };
+            b.add_kg_resources(&format!("p{person}"), "bornIn", &format!("place{place}"));
+        }
+        for place in 0..40u32 {
+            let z = b.dict_mut().resource(&format!("place{place}"));
+            if place < 35 {
+                b.add_kg_resources(&format!("place{place}"), "type", "city");
+            }
+            let (country, conf) = match place {
+                0 => (c0, 0.9),
+                1 => (c0, 0.8),
+                2 => (c0, 0.7),
+                3..=22 => (c0, 0.01),
+                _ => (c1, 0.9),
+            };
+            b.add_extracted(z, located, country, conf, src);
+        }
+        extra(&mut b);
+        b.build()
+    }
+
+    fn granularity_query(store: &XkgStore, country: &str, k: usize) -> Query {
+        QueryBuilder::new(store)
+            .pattern_v_r_v("x", "bornIn", "z")
+            .pattern_v_r_r("z", "type", "city")
+            .pattern_v_r_r("z", "locatedIn", country)
+            .limit(k)
+            .build()
+    }
+
+    /// What one white-box run of the original variant leaves behind.
+    struct Driven {
+        answers: Vec<Answer>,
+        metrics: ExecMetrics,
+        completeness: Completeness,
+        /// `(exhausted, capped, kept items)` per stream.
+        streams: Vec<(bool, bool, usize)>,
+    }
+
+    /// Runs the query's original variant through `rank_join`, assembled
+    /// exactly as the driver assembles it, and reports the stream state.
+    fn drive_variant(store: &XkgStore, query: &Query, rules: &RuleSet, cfg: &TopkConfig) -> Driven {
+        let cache = Rc::new(RefCell::new(PostingCache::new()));
+        let (mut streams, n_vars) =
+            drive::variant_streams(&query.patterns, |pattern, fresh_base, _| {
+                IncrementalMerge::for_pattern(
+                    store,
+                    pattern,
+                    rules,
+                    cfg,
+                    fresh_base,
+                    Rc::clone(&cache),
+                    None,
+                    None,
+                )
+            });
+        let tracker = BudgetTracker::new(cfg);
+        let mut collector = AnswerCollector::tracking(query.k);
+        let mut metrics = ExecMetrics::default();
+        drive::rank_join(
+            store,
+            cfg,
+            &mut streams,
+            0.0,
+            &[],
+            &query.effective_projection(),
+            query.k,
+            n_vars,
+            &mut collector,
+            &mut metrics,
+            Governor::primary(&tracker),
+            &mut TraceRecorder::off(),
+        );
+        let answers = collector.into_top_k(query.k);
+        Driven {
+            completeness: tracker.completeness(&answers),
+            answers,
+            metrics,
+            streams: streams
+                .iter()
+                .map(|s| (s.exhausted, s.capped, s.seen.len()))
+                .collect(),
+        }
+    }
+
+    /// `?a lhs ?b → ?a rhs ?f` (`drop_object`) or `?a lhs ?b → ?f rhs ?b`:
+    /// a mergeable rule whose relaxed form replaces one variable of the
+    /// pattern by a fresh one.
+    fn dropping_rule(
+        store: &XkgStore,
+        lhs: &str,
+        rhs: &str,
+        drop_object: bool,
+        weight: f64,
+    ) -> Rule {
+        let (a, b, f) = (
+            TTerm::Var(RVar(0)),
+            TTerm::Var(RVar(1)),
+            TTerm::Var(RVar(2)),
+        );
+        let lhs_p = TTerm::Const(store.resource(lhs).unwrap());
+        let rhs_p = TTerm::Const(store.resource(rhs).unwrap());
+        let rhs = if drop_object {
+            Template::new(a, rhs_p, f)
+        } else {
+            Template::new(f, rhs_p, b)
+        };
+        Rule::structural(
+            "drops a join variable",
+            vec![Template::new(a, lhs_p, b)],
+            vec![rhs],
+            weight,
+            RuleProvenance::UserDefined,
+        )
+    }
+
+    #[test]
+    fn filter_fires_behind_a_capped_selective_stream() {
+        // (a) k = 5: the five best answers pair places 0 and 1, so once
+        // they are collected the selective stream's weak tail is capped
+        // (not exhausted) while the flat `bornIn` stream — still able to
+        // tie the k-th answer through place 0 — drains on. Every arrival
+        // born outside the three kept places is dead on arrival.
+        let store = granularity_world(|_| {});
+        let query = granularity_query(&store, "C0", 5);
+        let rules = RuleSet::new();
+        let run = drive_variant(&store, &query, &rules, &TopkConfig::default());
+        assert_same_answers(&run.answers, &reference(&store, &query, &rules));
+        assert_eq!(run.completeness, Completeness::Exact);
+        let (exhausted, capped, kept) = run.streams[2];
+        assert!(
+            capped && !exhausted,
+            "selective stream must be capped: {:?}",
+            run.streams
+        );
+        assert_eq!(kept, 3, "only the strong places were pulled");
+        assert!(
+            run.metrics.join_candidates < run.metrics.pulls,
+            "dead arrivals must not be joined: {:?}",
+            run.metrics
+        );
+        assert!(
+            run.streams[0].2 <= 9,
+            "arrivals outside the kept places must not be stored: {:?}",
+            run.streams
+        );
+    }
+
+    #[test]
+    fn residual_item_in_a_retired_stream_disarms_the_filter() {
+        // (b) The selective pattern `?z locatedIn C1` (17 strong places)
+        // relaxes to `?f near C1`, which drops the join variable ?z: its
+        // one match sits on the residual chain and partners with *every*
+        // place. The stream drains first and exhausts, and from then on
+        // cities outside C1 find no bucket in it — but the filter must
+        // not fire: everyone born in a city is an answer.
+        let store = granularity_world(|b| {
+            b.add_kg_resources("Somewhere", "near", "C1");
+        });
+        let query = granularity_query(&store, "C1", 1000);
+        let mut rules = RuleSet::new();
+        rules.add(dropping_rule(&store, "locatedIn", "near", false, 0.5));
+        let cfg = TopkConfig {
+            min_weight: 0.0,
+            ..TopkConfig::default()
+        };
+        let run = drive_variant(&store, &query, &rules, &cfg);
+        assert!(
+            run.streams[2].0,
+            "selective stream exhausts: {:?}",
+            run.streams
+        );
+        assert_eq!(
+            run.streams[1].2, 35,
+            "every city is kept: {:?}",
+            run.streams
+        );
+        assert_eq!(run.answers.len(), 105, "3 people × 35 cities");
+        assert_same_answers(&run.answers, &reference(&store, &query, &rules));
+    }
+
+    #[test]
+    fn arrival_that_dropped_the_join_variable_is_kept() {
+        // (c) `bornIn` relaxes — weakly, so the arrival comes after the
+        // selective stream `?z locatedIn C1` has drained and exhausted —
+        // to `?x citizenOf ?f`, dropping ?z: such an arrival binds none
+        // of the retired stream's join variables, so no key can prove it
+        // partnerless. It must be kept and pair with every city of C1.
+        let store = granularity_world(|b| {
+            b.add_kg_resources("expat", "citizenOf", "Elsewhere");
+        });
+        let query = granularity_query(&store, "C1", 1000);
+        let mut rules = RuleSet::new();
+        rules.add(dropping_rule(&store, "bornIn", "citizenOf", true, 0.04));
+        let cfg = TopkConfig {
+            min_weight: 0.0,
+            ..TopkConfig::default()
+        };
+        let run = drive_variant(&store, &query, &rules, &cfg);
+        assert!(
+            run.streams[2].0,
+            "selective stream exhausts: {:?}",
+            run.streams
+        );
+        let expat = store.resource("expat").unwrap();
+        let through_expat = run
+            .answers
+            .iter()
+            .filter(|a| a.bindings.get(VarId(0)) == Some(expat))
+            .count();
+        assert_eq!(through_expat, 12, "one answer per city of C1");
+        assert_same_answers(&run.answers, &reference(&store, &query, &rules));
+    }
+
+    #[test]
+    fn epsilon_retired_stream_drops_stay_inside_the_guarantee() {
+        // (d) k exceeds the answer count, so nothing is ever capped
+        // exactly; with ε = 2e-5 the selective stream's weak tail (mass
+        // 0.077 × the other streams' flat 1/120 and 1/35) retires right
+        // after its three strong places. From then on cities and people
+        // of other places are dropped on arrival: forfeited answers score
+        // ≤ ε, kept ones carry exact scores, and the run reports Approx.
+        let store = granularity_world(|_| {});
+        let query = granularity_query(&store, "C0", 1000);
+        let rules = RuleSet::new();
+        let eps = 2e-5;
+        let exact = drive_variant(&store, &query, &rules, &TopkConfig::default());
+        assert_eq!(exact.answers.len(), 69, "3 people × 23 cities of C0");
+        let run = drive_variant(
+            &store,
+            &query,
+            &rules,
+            &TopkConfig {
+                epsilon: eps,
+                ..TopkConfig::default()
+            },
+        );
+        assert!(run.metrics.approx_cutoffs > 0, "{:?}", run.metrics);
+        let (exhausted, capped, kept) = run.streams[2];
+        assert!(capped && !exhausted && kept == 3, "{:?}", run.streams);
+        assert_eq!(
+            run.streams[1].2, 3,
+            "cities outside the kept places are dropped"
+        );
+        assert!(
+            matches!(run.completeness, Completeness::Approx { epsilon, .. } if epsilon == eps),
+            "got {:?}",
+            run.completeness
+        );
+        assert_eq!(run.answers.len(), 9, "3 people × 3 strong places");
+        for (r, e) in exact.answers.iter().enumerate() {
+            let pe = e.score.exp();
+            let pa = run.answers.get(r).map_or(0.0, |a| a.score.exp());
+            assert!(
+                pa >= pe - eps - 1e-12,
+                "rank {r}: {pa} not within ε of {pe}"
+            );
+        }
+        for (a, e) in run.answers.iter().zip(&exact.answers) {
+            assert_eq!(a.key, e.key);
+            assert!(
+                (a.score - e.score).abs() < 1e-12,
+                "kept answers carry exact scores"
+            );
+        }
     }
 
     #[test]
@@ -439,14 +1035,16 @@ mod tests {
         let v = QTerm::Var(VarId(0));
         let w = QTerm::Var(VarId(1));
         let pairs = bind_pairs(&QPattern::new(v, QTerm::Term(aff), w), &store, triple).unwrap();
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(pairs[0].0, VarId(0));
-        assert_eq!(pairs[0].1, einstein);
+        assert_eq!(pairs.as_slice().len(), 2);
+        assert_eq!(pairs.as_slice()[0], (VarId(0), einstein));
         // Repeated variable over distinct slot values: conflict.
         assert!(bind_pairs(&QPattern::new(v, QTerm::Term(aff), v), &store, triple).is_none());
         // Ground pattern binds nothing.
         let t = store.triple(triple);
         let ground = QPattern::new(QTerm::Term(t.s), QTerm::Term(t.p), QTerm::Term(t.o));
-        assert!(bind_pairs(&ground, &store, triple).unwrap().is_empty());
+        assert!(bind_pairs(&ground, &store, triple)
+            .unwrap()
+            .as_slice()
+            .is_empty());
     }
 }

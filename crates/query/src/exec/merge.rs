@@ -14,7 +14,11 @@
 //! * **[`RankSource`]** — the seam to stage 2 (the rank join,
 //!   [`crate::exec::join`]): a source of emissions in descending order
 //!   with a sound upper bound on the next one and an O(1) bound on the
-//!   collective remaining emission mass. `IncrementalMerge` is the
+//!   collective remaining emission mass. An emission ([`Merged`]) is a
+//!   plain `Copy` record — triple, probability, and the *index* of the
+//!   alternative that produced it; the alternative's pattern, rule trace
+//!   and weight are read through [`RankSource::alternative`] when the
+//!   join needs them, so a pull clones nothing. `IncrementalMerge` is the
 //!   single-store source; the sharded engine's
 //!   [`crate::exec::sharded::ShardedMerge`] implements the same seam
 //!   over one merge per shard, so every stage above this one is shared
@@ -64,11 +68,18 @@ pub(crate) struct Alternative<'s> {
     pub(crate) head_bound: f64,
 }
 
+/// Variable ids a stream may allocate for rule-introduced fresh
+/// variables: its range is `[fresh_base, fresh_base + FRESH_VARS_PER_STREAM)`.
+/// Every alternative draws from the same range (see [`remap_fresh`]); a
+/// triple pattern has three slots, so three ids always suffice.
+pub(crate) const FRESH_VARS_PER_STREAM: u16 = 3;
+
 /// Computes the alternatives of one pattern under the mergeable rules.
 ///
 /// `fresh_base` is the first variable id this pattern may allocate for
 /// RHS-fresh rule variables; callers give each pattern a disjoint range
-/// so fresh variables of different streams never alias.
+/// of [`FRESH_VARS_PER_STREAM`] ids so fresh variables of different
+/// streams never alias.
 pub(crate) fn pattern_alternatives<'s>(
     pattern: &QPattern,
     rules: &RuleSet,
@@ -82,7 +93,6 @@ pub(crate) fn pattern_alternatives<'s>(
         matches: None,
         head_bound: 1.0,
     }];
-    let mut fresh_next = fresh_base;
     let mut frontier = vec![0usize]; // indices into `out`
     for _ in 0..cfg.chain_depth {
         let mut next_frontier = Vec::new();
@@ -108,7 +118,7 @@ pub(crate) fn pattern_alternatives<'s>(
                         continue;
                     };
                     // Remap any fresh variables into this pattern's range.
-                    let new_pattern = remap_fresh(*new_pattern, &cur_pattern, &mut fresh_next);
+                    let new_pattern = remap_fresh(*new_pattern, &cur_pattern, fresh_base);
                     match out.iter_mut().find(|a| a.pattern == new_pattern) {
                         Some(existing) => {
                             if weight > existing.weight {
@@ -147,29 +157,41 @@ pub(crate) fn pattern_alternatives<'s>(
     out
 }
 
-/// Remaps variables of `pattern` that do not occur in `origin` (i.e.
-/// rule-introduced fresh variables) into the caller-controlled range.
-fn remap_fresh(pattern: QPattern, origin: &QPattern, fresh_next: &mut u16) -> QPattern {
-    let origin_vars: Vec<VarId> = origin.vars().collect();
-    let mut mapping: Vec<(VarId, VarId)> = Vec::new();
-    let map = |t: QTerm, fresh_next: &mut u16, mapping: &mut Vec<(VarId, VarId)>| match t {
-        QTerm::Var(v) if !origin_vars.contains(&v) => {
-            if let Some(&(_, nv)) = mapping.iter().find(|(old, _)| *old == v) {
-                QTerm::Var(nv)
-            } else {
-                let nv = VarId(*fresh_next);
-                *fresh_next += 1;
-                mapping.push((v, nv));
-                QTerm::Var(nv)
+/// Renames the variables of `pattern` that do not occur in `origin`
+/// (rule-introduced fresh variables) to the lowest ids from `fresh_base`
+/// that `pattern` does not keep from `origin`.
+///
+/// The ids are allocated per alternative, not across the alternatives of
+/// a stream: items of different alternatives never join with each other,
+/// so they may share fresh ids, and a pattern holds at most three
+/// variables, so the allocation never leaves the stream's
+/// [`FRESH_VARS_PER_STREAM`]-wide range however many alternatives there
+/// are. (`origin` may itself carry fresh ids from an earlier link of the
+/// chain; the ones `pattern` keeps are skipped.) Alternatives that differ
+/// only in the naming of their fresh variables become equal patterns and
+/// are deduplicated by the caller.
+fn remap_fresh(pattern: QPattern, origin: &QPattern, fresh_base: u16) -> QPattern {
+    let kept = |v: VarId| origin.vars().any(|u| u == v);
+    let mut mapping = [(VarId(0), VarId(0)); 3];
+    let mut mapped = 0;
+    let mut next = fresh_base;
+    let mut map = |t: QTerm| match t {
+        QTerm::Var(v) if !kept(v) => {
+            if let Some(&(_, nv)) = mapping[..mapped].iter().find(|(old, _)| *old == v) {
+                return QTerm::Var(nv);
             }
+            while pattern.vars().any(|u| u.0 == next && kept(u)) {
+                next += 1;
+            }
+            let nv = VarId(next);
+            next += 1;
+            mapping[mapped] = (v, nv);
+            mapped += 1;
+            QTerm::Var(nv)
         }
         other => other,
     };
-    QPattern::new(
-        map(pattern.s, fresh_next, &mut mapping),
-        map(pattern.p, fresh_next, &mut mapping),
-        map(pattern.o, fresh_next, &mut mapping),
-    )
+    QPattern::new(map(pattern.s), map(pattern.p), map(pattern.o))
 }
 
 /// Heap entry of the incremental merge: an alternative keyed by an upper
@@ -220,6 +242,14 @@ pub trait RankSource {
     fn next_merged(&mut self, metrics: &mut ExecMetrics, recorder: &mut TraceRecorder)
         -> Option<Merged>;
 
+    /// The entry of this source's alternative table an emission's
+    /// [`Merged::alt`] indexes: the pattern the triple matched (needed to
+    /// bind variables) and the provenance a derivation records. Emissions
+    /// carry the index instead of a copy, so the per-pull path clones
+    /// nothing; the join reads the pattern once per arrival and the rest
+    /// once per *successful* combination.
+    fn alternative(&self, alt: u32) -> AltView<'_>;
+
     /// Flush any batched span state into `recorder` — called once per
     /// stream when the rank join over it ends. Default: nothing.
     fn finish_obs(&mut self, _recorder: &mut TraceRecorder) {}
@@ -237,16 +267,24 @@ pub trait RankSource {
 }
 
 /// An emission of the incremental merge.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Merged {
     /// The matched triple.
     pub triple: TripleId,
     /// Combined probability `w_alt × P(t | alt pattern)`.
     pub prob: f64,
+    /// Index of the emitting alternative in the source's alternative
+    /// table ([`RankSource::alternative`]).
+    pub alt: u32,
+}
+
+/// One entry of a source's alternative table, as the join reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct AltView<'a> {
     /// The alternative's pattern (needed to bind variables).
-    pub pattern: QPattern,
+    pub pattern: &'a QPattern,
     /// Rules on the alternative's chain.
-    pub trace: Vec<RuleId>,
+    pub trace: &'a [RuleId],
     /// The alternative's weight.
     pub weight: f64,
 }
@@ -360,6 +398,16 @@ impl<'a> IncrementalMerge<'a> {
         self.mass_upper.max(0.0)
     }
 
+    /// The alternative table entry behind [`Merged::alt`].
+    pub fn alternative(&self, alt: u32) -> AltView<'_> {
+        let a = &self.alts[alt as usize];
+        AltView {
+            pattern: &a.pattern,
+            trace: &a.trace,
+            weight: a.weight,
+        }
+    }
+
     /// Opens an unopened heap entry's posting list — the moment its
     /// relaxation is "invoked" — and re-queues it at its exact head
     /// probability.
@@ -455,9 +503,7 @@ impl<'a> IncrementalMerge<'a> {
             return Some(Merged {
                 triple,
                 prob: alt.weight * prob,
-                pattern: alt.pattern,
-                trace: alt.trace.clone(),
-                weight: alt.weight,
+                alt: entry.alt as u32,
             });
         }
     }
@@ -476,6 +522,11 @@ impl RankSource for IncrementalMerge<'_> {
         _recorder: &mut TraceRecorder,
     ) -> Option<Merged> {
         IncrementalMerge::next_merged(self, metrics)
+    }
+
+    #[inline]
+    fn alternative(&self, alt: u32) -> AltView<'_> {
+        IncrementalMerge::alternative(self, alt)
     }
 
     #[inline]

@@ -146,10 +146,41 @@ impl ExecMetrics {
     }
 }
 
-/// Shared store fixture for the pipeline stages' unit tests.
+/// Shared fixtures for the pipeline stages' unit tests.
 #[cfg(test)]
 pub(crate) mod testfix {
+    use trinit_relax::{ExpandOptions, RuleSet};
     use trinit_xkg::{XkgBuilder, XkgStore};
+
+    use crate::answer::Answer;
+    use crate::ast::Query;
+    use crate::exec::expand;
+
+    /// Reference evaluation for the join tests: full expansion evaluates
+    /// every rewriting with a nested-loop join, so its answer set is
+    /// exactly what the hash-partitioned, semijoin-filtered combine must
+    /// reproduce.
+    pub(crate) fn reference(store: &XkgStore, q: &Query, rules: &RuleSet) -> Vec<Answer> {
+        let (full, _) = expand::run(
+            store,
+            q,
+            rules,
+            &ExpandOptions {
+                max_depth: 2,
+                min_weight: 0.0,
+                max_rewritings: 4096,
+            },
+        );
+        full
+    }
+
+    pub(crate) fn assert_same_answers(a: &[Answer], b: &[Answer]) {
+        assert_eq!(a.len(), b.len(), "answer counts differ");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.key, y.key, "answer keys differ");
+            assert!((x.score - y.score).abs() < 1e-9, "scores differ");
+        }
+    }
 
     /// The small paper-flavoured store the stage tests share: curated
     /// KG facts plus two extractions with sub-1.0 confidence.

@@ -66,7 +66,7 @@ use crate::answer::Answer;
 use crate::ast::Query;
 use crate::exec::budget::{Completeness, Governor};
 use crate::exec::drive::{self, TopkConfig};
-use crate::exec::merge::{IncrementalMerge, Merged, RankSource};
+use crate::exec::merge::{AltView, IncrementalMerge, Merged, RankSource};
 use crate::exec::{ExecMetrics, TripleLookup};
 use crate::score::{GlobalTotals, PostingCache, SharedPostingCache};
 
@@ -243,6 +243,14 @@ impl RankSource for ShardedMerge<'_> {
             }
         }
         out
+    }
+
+    fn alternative(&self, alt: u32) -> AltView<'_> {
+        // Every shard's merge is built from the same pattern, rules and
+        // fresh-variable base, so the alternative tables are identical
+        // by construction and one index serves the union stream. (An
+        // index only ever comes out of an emission, so a shard exists.)
+        self.shards[0].alternative(alt)
     }
 
     fn remaining_mass(&self) -> f64 {
@@ -571,7 +579,7 @@ mod tests {
                                 g.prob.to_bits(),
                                 "{n} shards, emission {emitted}"
                             );
-                            assert_eq!(w.pattern, g.pattern);
+                            assert_eq!(w.alt, g.alt);
                         }
                         (w, g) => panic!(
                             "streams diverge at {n} shards, emission {emitted}: \

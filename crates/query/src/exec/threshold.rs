@@ -19,14 +19,27 @@
 //! pruning, per-stream capping); answers are provably identical either
 //! way — tightening only reduces pulls.
 //!
-//! Per round, the capping pass needs every stream's "others"
-//! contribution sum. These are maintained as prefix/suffix sums over
-//! the per-stream contribution bounds — O(streams) per round rather
-//! than the O(streams²) of recomputing each exclusion sum from scratch.
-//! For up to three streams the floating-point result is identical to
-//! the direct exclusion sum; at higher arity the summation associates
-//! differently, an ULP-level difference between two equally sound
-//! bounds on the same exact quantity.
+//! ## Per-round cost
+//!
+//! A round reads no logarithm and, usually, recomputes nothing. Every
+//! stream caches the `ln` of its frontier and refreshes it only inside
+//! its own pull ([`Stream::pull`] — the source's bound cannot move
+//! anywhere else), so the threshold, the capping pass and the driver's
+//! stream selection compare cached numbers; the one `ln` a pull pays for
+//! its bound is the only one (the ε pass adds one per live stream for the
+//! mass envelope, and only when ε > 0). The capping pass needs every
+//! stream's "others" contribution sum; these are kept as prefix/suffix
+//! sums over the per-stream contribution bounds and rebuilt — O(streams)
+//! — only in a round where a contribution bound actually moved. A
+//! stream's contribution bound is its frontier while it keeps nothing
+//! and its first kept item's score from then on, and only the stream
+//! just pulled can have changed, so the policy compares that one bound
+//! with its stored copy. In the steady state of a long drain (every
+//! stream holds an item) that comparison is all the bookkeeping a round
+//! does. For up to three streams the floating-point result is identical
+//! to the direct exclusion sum; at higher arity the summation associates
+//! differently, an ULP-level difference between two equally sound bounds
+//! on the same exact quantity.
 //!
 //! ## The ε-approximate criterion (mass envelope, load-bearing)
 //!
@@ -106,7 +119,7 @@ pub(crate) enum RoundVerdict {
     /// The top-k is settled (within ε / θ, if set): stop this variant's
     /// join loop normally.
     Done,
-    /// A stream with no seen items was retired — no combination of this
+    /// A stream with no kept items was retired — no combination of this
     /// variant can ever complete; abandon the variant immediately.
     DeadVariant,
     /// A hard budget cutoff fired: stop the whole pipeline, returning
@@ -145,8 +158,10 @@ pub(crate) struct ThresholdPolicy<'a> {
     /// (θ = 0) makes the θ test coincide with the exact one.
     ln_keep: f64,
     k: usize,
-    /// Round scratch: per-stream contribution bounds and their
-    /// prefix/suffix running totals (lengths `n` and `n + 1`).
+    /// Per-stream contribution bounds as of the last round and their
+    /// prefix/suffix running totals (lengths `n` and `n + 1`), loaded by
+    /// [`ThresholdPolicy::admit_variant`] and rebuilt only when the
+    /// pulled stream's bound moved.
     contrib: Vec<f64>,
     prefix: Vec<f64>,
     suffix: Vec<f64>,
@@ -222,6 +237,10 @@ impl<'a> ThresholdPolicy<'a> {
         collector: &AnswerCollector,
         metrics: &mut ExecMetrics,
     ) -> Admission {
+        for (c, stream) in self.contrib.iter_mut().zip(streams) {
+            *c = stream.contribution_bound();
+        }
+        self.resum();
         let kth = if self.tighten {
             collector.kth_score(self.k)
         } else {
@@ -230,7 +249,8 @@ impl<'a> ThresholdPolicy<'a> {
         if kth.is_none() && self.ln_eps <= LOG_ZERO && !self.governor.is_governed() {
             return Admission::Admit;
         }
-        let bound: f64 = variant_log + streams.iter().map(Stream::frontier_log).sum::<f64>();
+        // Nothing is kept yet, so every contribution bound is a frontier.
+        let bound: f64 = variant_log + self.prefix[streams.len()];
         if self.governor.is_governed() {
             let d = self.governor.directive(collector.len());
             if let Some(reason) = self.apply_directive(d, metrics) {
@@ -254,23 +274,9 @@ impl<'a> ThresholdPolicy<'a> {
         Admission::Admit
     }
 
-    /// The per-round termination pass: recomputes the contribution
-    /// prefix/suffix sums, evaluates the global threshold, and runs the
-    /// exact and ε capping criteria.
-    pub(crate) fn after_round<M: RankSource>(
-        &mut self,
-        streams: &mut [Stream<M>],
-        variant_log: f64,
-        collector: &AnswerCollector,
-        metrics: &mut ExecMetrics,
-    ) -> RoundVerdict {
-        let n = streams.len();
-
-        // Running contribution totals: Σ_{j≠i} contribution_bound(j) for
-        // every i, via prefix/suffix sums over this round's bounds.
-        for (i, c) in self.contrib.iter_mut().enumerate() {
-            *c = streams[i].contribution_bound();
-        }
+    /// Rebuilds the prefix/suffix running totals from `contrib`.
+    fn resum(&mut self) {
+        let n = self.contrib.len();
         for i in 0..n {
             self.prefix[i + 1] = self.prefix[i] + self.contrib[i];
         }
@@ -278,19 +284,42 @@ impl<'a> ThresholdPolicy<'a> {
         for i in (0..n).rev() {
             self.suffix[i] = self.suffix[i + 1] + self.contrib[i];
         }
+    }
+
+    /// `Σ_{j≠i} contribution_bound(j)` as of the last [`Self::resum`].
+    #[inline]
+    fn others(&self, i: usize) -> f64 {
+        self.prefix[i] + self.suffix[i + 1]
+    }
+
+    /// The per-round termination pass, after stream `pulled` was pulled:
+    /// folds in its contribution bound if it moved, evaluates the global
+    /// threshold, and runs the exact and ε capping criteria.
+    pub(crate) fn after_round<M: RankSource>(
+        &mut self,
+        streams: &mut [Stream<M>],
+        pulled: usize,
+        variant_log: f64,
+        collector: &AnswerCollector,
+        metrics: &mut ExecMetrics,
+    ) -> RoundVerdict {
+        let n = streams.len();
+
+        // Only the pulled stream can have moved its contribution bound
+        // (retirement flags do not enter it).
+        let contribution = streams[pulled].contribution_bound();
+        if contribution != self.contrib[pulled] {
+            self.contrib[pulled] = contribution;
+            self.resum();
+        }
         // Threshold: best score any unseen combination can still achieve.
-        // Capped streams produce no further items, so they drop out of
-        // the outer max; their seen items still bound the inner product.
-        // (The prefix/suffix borrow is scoped so the governed block
-        // below can take `&mut self` for the directive refresh.)
-        let threshold = {
-            let (prefix, suffix) = (&self.prefix, &self.suffix);
-            variant_log
-                + (0..n)
-                    .filter(|&i| !streams[i].exhausted && !streams[i].capped)
-                    .map(|i| streams[i].frontier_log() + prefix[i] + suffix[i + 1])
-                    .fold(LOG_ZERO, f64::max)
-        };
+        // Retired streams produce no further items, so they drop out of
+        // the outer max; their kept items still bound the inner product.
+        let threshold = variant_log
+            + (0..n)
+                .filter(|&i| !streams[i].retired())
+                .map(|i| streams[i].frontier_log() + self.others(i))
+                .fold(LOG_ZERO, f64::max);
 
         if threshold == LOG_ZERO {
             return RoundVerdict::Done;
@@ -317,8 +346,6 @@ impl<'a> ThresholdPolicy<'a> {
                 return RoundVerdict::Cutoff(reason);
             }
         }
-        let (prefix, suffix) = (&self.prefix, &self.suffix);
-        let others = |i: usize| prefix[i] + suffix[i + 1];
         if let Some(kth) = collector.kth_score(self.k) {
             if kth >= threshold {
                 return RoundVerdict::Done;
@@ -345,16 +372,16 @@ impl<'a> ThresholdPolicy<'a> {
                 // skip this: there the cap condition is exactly the
                 // global break above.)
                 for (i, stream) in streams.iter_mut().enumerate() {
-                    if stream.exhausted || stream.capped {
+                    if stream.retired() {
                         continue;
                     }
                     let stream_bound = stream.frontier_log();
-                    if kth >= variant_log + stream_bound + others(i) {
+                    if kth >= variant_log + stream_bound + self.others(i) {
                         stream.capped = true;
                         metrics.early_cutoffs += 1;
-                        // A capped stream with nothing seen can never
+                        // A capped stream with nothing kept can never
                         // complete a combination: the variant is done.
-                        if stream.seen.is_empty() {
+                        if stream.barren() {
                             return RoundVerdict::DeadVariant;
                         }
                     }
@@ -369,15 +396,15 @@ impl<'a> ThresholdPolicy<'a> {
         // alive. Needs no k-th answer: the bound is absolute.
         if self.ln_eps > LOG_ZERO {
             for (i, stream) in streams.iter_mut().enumerate() {
-                if stream.exhausted || stream.capped {
+                if stream.retired() {
                     continue;
                 }
                 let mass_log = ln_weight(stream.merge.remaining_mass());
-                if variant_log + mass_log + others(i) <= self.ln_eps {
+                if variant_log + mass_log + self.others(i) <= self.ln_eps {
                     stream.capped = true;
                     metrics.approx_cutoffs += 1;
                     self.governor.note_approx();
-                    if stream.seen.is_empty() {
+                    if stream.barren() {
                         return RoundVerdict::DeadVariant;
                     }
                 }

@@ -29,4 +29,4 @@ pub use crate::exec::drive::{
     run, run_cached, run_governed, run_scaled, run_scaled_traced, run_scaled_with, GovernedRun,
     TopkConfig,
 };
-pub use crate::exec::merge::{IncrementalMerge, Merged, RankSource};
+pub use crate::exec::merge::{AltView, IncrementalMerge, Merged, RankSource};

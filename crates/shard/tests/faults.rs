@@ -212,11 +212,11 @@ fn injected_pull_latency_shifts_stage_histogram_p99() {
 
     let record_batch = |faulted: bool| -> MetricsRegistry {
         let registry = MetricsRegistry::new();
-        let _scope = faulted.then(|| {
-            FaultScope::install(FaultPlan {
-                pull_delay: Some(Duration::from_millis(2)),
-                ..FaultPlan::default()
-            })
+        // The clean batch holds the scope too (with an empty plan), so a
+        // concurrently running test's faults cannot leak into it.
+        let _scope = FaultScope::install(FaultPlan {
+            pull_delay: faulted.then(|| Duration::from_millis(2)),
+            ..FaultPlan::default()
         });
         for run in exec.run_batch_stealing(&queries, &rules, &cfg, 2) {
             registry.record_trace(&run.expect("no panics planned").trace);

@@ -21,19 +21,47 @@ fn tid(i: u32) -> TermId {
     TermId::new(TermKind::Resource, i)
 }
 
+type Row = (u32, u32, u32, f32, u8);
+
 /// A random store over a small universe: up to `max_triples` triples
-/// with random confidences and supports.
-fn store_strategy(
-    universe: u32,
-    max_triples: usize,
-) -> impl Strategy<Value = Vec<(u32, u32, u32, f32, u8)>> {
-    proptest::collection::vec(
-        (0..universe, 0..universe, 0..universe, 0.05f32..1.0, 0u8..4),
-        1..max_triples,
+/// with random confidences and supports — and, about one time in three,
+/// a flat-score hub on top (see [`hub_strategy`]).
+fn store_strategy(universe: u32, max_triples: usize) -> impl Strategy<Value = Vec<Row>> {
+    (
+        proptest::collection::vec(
+            (0..universe, 0..universe, 0..universe, 0.05f32..1.0, 0u8..4),
+            1..max_triples,
+        ),
+        hub_strategy(universe),
     )
+        .prop_map(|(mut rows, hub)| {
+            rows.extend(hub);
+            rows
+        })
 }
 
-fn builder_from(rows: &[(u32, u32, u32, f32, u8)]) -> XkgBuilder {
+/// The predicate a generated hub sits on: the last of the universe, so
+/// random patterns and rules reach it too.
+fn hub_predicate(universe: u32) -> u32 {
+    universe - 1
+}
+
+/// A flat-score hub predicate: 100–240 equal-weight triples with distinct
+/// subjects (outside the universe, so they spread over every shard) whose
+/// objects cycle over the first few terms of it — the posting list a rank
+/// join has to drain without any score signal. Empty two times in three.
+fn hub_strategy(universe: u32) -> impl Strategy<Value = Vec<Row>> {
+    (0u32..3, 100u32..240, 1u32..universe).prop_map(move |(pick, n, objects)| {
+        if pick != 0 {
+            return Vec::new();
+        }
+        (0..n)
+            .map(|i| (1000 + i, hub_predicate(universe), i % objects, 0.5, 0))
+            .collect()
+    })
+}
+
+fn builder_from(rows: &[Row]) -> XkgBuilder {
     let mut b = XkgBuilder::new();
     for &(s, p, o, conf, support) in rows {
         let mut prov = Provenance::extraction(conf, SourceId(0));
@@ -74,18 +102,69 @@ fn pattern_strategy(vars: u16, universe: u32) -> impl Strategy<Value = QPattern>
         .prop_map(|(s, p, o)| QPattern::new(s, p, o))
 }
 
+/// A granularity-shaped three-pattern star, `?0 hub ?1 . ?1 pa ta .
+/// ?1 pb tb`: every pattern shares `?1`, and the legs' objects are terms
+/// or (both the same) third variable.
+fn star_strategy(universe: u32) -> impl Strategy<Value = Vec<QPattern>> {
+    let leg = move || (0..universe, 0..universe + 1);
+    (leg(), leg()).prop_map(move |((pa, oa), (pb, ob))| {
+        let z = QTerm::Var(VarId(1));
+        let object = |o: u32| {
+            if o == universe {
+                QTerm::Var(VarId(2))
+            } else {
+                QTerm::Term(tid(o))
+            }
+        };
+        vec![
+            QPattern::new(QTerm::Var(VarId(0)), QTerm::Term(tid(hub_predicate(universe))), z),
+            QPattern::new(z, QTerm::Term(tid(pa)), object(oa)),
+            QPattern::new(z, QTerm::Term(tid(pb)), object(ob)),
+        ]
+    })
+}
+
+/// Multi-pattern queries: `len` random patterns over `vars` variables,
+/// or (half the time) a [`star_strategy`] star.
+fn patterns_strategy(
+    vars: u16,
+    universe: u32,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<QPattern>> {
+    prop_oneof![
+        proptest::collection::vec(pattern_strategy(vars, universe), len),
+        star_strategy(universe),
+    ]
+}
+
 fn rules_strategy(universe: u32) -> impl Strategy<Value = Vec<Rule>> {
     proptest::collection::vec(
-        (0..universe, 0..universe, 0.15f64..1.0, proptest::bool::ANY).prop_map(
-            |(p1, p2, w, inv)| {
-                if inv {
-                    Rule::inversion("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined)
-                } else {
-                    Rule::predicate_rewrite("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined)
-                }
-            },
-        ),
+        (0..universe, 0..universe, 0.15f64..1.0, 0u8..4)
+            .prop_map(|(p1, p2, w, shape)| rule_of_shape(p1, p2, w, shape)),
         0..4,
+    )
+}
+
+/// One single-pattern rule `?x p1 ?y → …`: a predicate rewrite
+/// (`?x p2 ?y`), an inversion (`?y p2 ?x`), or a rewrite that replaces
+/// the object (`?x p2 ?f`) or the subject (`?f p2 ?y`) by a fresh
+/// variable — the relaxed form then no longer binds that variable, which
+/// is what puts items on a rank-join stream's residual chain.
+fn rule_of_shape(p1: u32, p2: u32, w: f64, shape: u8) -> Rule {
+    use trinit_relax::{RVar, TTerm, Template};
+    let (x, y, f) = (TTerm::Var(RVar(0)), TTerm::Var(RVar(1)), TTerm::Var(RVar(2)));
+    let relaxed = match shape {
+        0 => return Rule::predicate_rewrite("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined),
+        1 => return Rule::inversion("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined),
+        2 => Template::new(x, TTerm::Const(tid(p2)), f),
+        _ => Template::new(f, TTerm::Const(tid(p2)), y),
+    };
+    Rule::structural(
+        "r",
+        vec![Template::new(x, TTerm::Const(tid(p1)), y)],
+        vec![relaxed],
+        w,
+        RuleProvenance::UserDefined,
     )
 }
 
@@ -143,7 +222,7 @@ proptest! {
     #[test]
     fn sharded_execution_equals_single_store(
         rows in store_strategy(6, 40),
-        patterns in proptest::collection::vec(pattern_strategy(3, 6), 1..4),
+        patterns in patterns_strategy(3, 6, 1..4),
         rules in rules_strategy(6),
         k in 1usize..12,
     ) {
@@ -290,7 +369,7 @@ proptest! {
     #[test]
     fn sharded_tightening_preserves_answers(
         rows in store_strategy(5, 30),
-        patterns in proptest::collection::vec(pattern_strategy(3, 5), 1..3),
+        patterns in patterns_strategy(3, 5, 1..3),
         rules in rules_strategy(5),
         k in 1usize..8,
     ) {
@@ -325,12 +404,13 @@ proptest! {
     #[test]
     fn sharded_epsilon_within_eps_of_exact_monolith(
         rows in store_strategy(5, 32),
-        patterns in proptest::collection::vec(pattern_strategy(3, 5), 1..3),
+        patterns in patterns_strategy(3, 5, 1..3),
         rules in rules_strategy(5),
         k in 1usize..8,
-        eps_pick in proptest::bool::ANY,
+        eps_pick in 0usize..3,
     ) {
-        let eps = if eps_pick { 0.05 } else { 0.01 };
+        // The last one is small enough to bite on a flat-score hub.
+        let eps = [0.05, 0.01, 1e-4][eps_pick];
         let single = builder_from(&rows).build();
         let set: RuleSet = rules.into_iter().collect();
         let cfg = TopkConfig::default();
@@ -370,6 +450,53 @@ proptest! {
                     "ε=0 changed sharded pull counts"
                 );
                 prop_assert_eq!(eps0_run.metrics.approx_cutoffs, 0);
+            }
+        }
+    }
+
+    /// The relative-θ guarantee under sharding, at 1/2/4/7 shards and
+    /// both seed modes: rank-wise the sharded θ ranking keeps
+    /// `prob ≥ (1 − θ) ·` the *monolithic exact* ranking's, never pulls
+    /// more than the sharded exact run, and labels itself `Approx` only
+    /// when the criterion actually fired.
+    #[test]
+    fn sharded_theta_keeps_rankwise_ratio_of_exact_monolith(
+        rows in store_strategy(5, 32),
+        patterns in patterns_strategy(3, 5, 1..3),
+        rules in rules_strategy(5),
+        k in 1usize..8,
+        theta_pick in proptest::bool::ANY,
+    ) {
+        let theta = if theta_pick { 0.3 } else { 0.7 };
+        let single = builder_from(&rows).build();
+        let set: RuleSet = rules.into_iter().collect();
+        let cfg = TopkConfig::default();
+        let query = query_from(patterns, k);
+        let (mono, _) = topk::run(&single, &query, &set, &cfg);
+        let theta_cfg = TopkConfig { theta, ..cfg.clone() };
+        for shards in [1usize, 2, 4, 7] {
+            let sharded = ShardedStore::build(builder_from(&rows), shards);
+            let exec = ShardedExecutor::new(&sharded);
+            for mode in [SeedMode::Off, SeedMode::Parallel] {
+                let exact_run = exec.run(&query, &set, &cfg, mode);
+                let theta_run = exec.run(&query, &set, &theta_cfg, mode);
+                for (r, e) in mono.iter().enumerate() {
+                    let pe = e.score.exp();
+                    let pa = theta_run.answers.get(r).map_or(0.0, |a| a.score.exp());
+                    prop_assert!(
+                        pa >= (1.0 - theta) * pe - 1e-12,
+                        "{} shards ({:?}), rank {}: θ={} run {} below (1−θ)·{}",
+                        shards, mode, r, theta, pa, pe
+                    );
+                }
+                prop_assert!(
+                    theta_run.metrics.pulls <= exact_run.metrics.pulls,
+                    "{} shards ({:?}): θ pulled more ({} > {})",
+                    shards, mode, theta_run.metrics.pulls, exact_run.metrics.pulls
+                );
+                if theta_run.metrics.approx_cutoffs == 0 {
+                    prop_assert_eq!(theta_run.completeness, Completeness::Exact);
+                }
             }
         }
     }
@@ -415,7 +542,7 @@ proptest! {
     #[test]
     fn governed_unlimited_budget_is_bit_identical_to_exact(
         rows in store_strategy(5, 32),
-        patterns in proptest::collection::vec(pattern_strategy(3, 5), 1..3),
+        patterns in patterns_strategy(3, 5, 1..3),
         rules in rules_strategy(5),
         k in 1usize..8,
     ) {

@@ -29,11 +29,44 @@ fn tid(i: u32) -> TermId {
 
 type Row = (u32, u32, u32, f32, u8);
 
+/// A random store over a small universe: up to `max_triples` triples
+/// with random confidences and supports — and, about one time in three,
+/// a flat-score hub on top (see [`hub_strategy`]).
 fn store_strategy(universe: u32, max_triples: usize) -> impl Strategy<Value = Vec<Row>> {
+    (plain_store_strategy(universe, max_triples), hub_strategy(universe)).prop_map(
+        |(mut rows, hub)| {
+            rows.extend(hub);
+            rows
+        },
+    )
+}
+
+fn plain_store_strategy(universe: u32, max_triples: usize) -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec(
         (0..universe, 0..universe, 0..universe, 0.05f32..1.0, 0u8..4),
         1..max_triples,
     )
+}
+
+/// The predicate a generated hub sits on: the last of the universe, so
+/// random patterns and rules reach it too.
+fn hub_predicate(universe: u32) -> u32 {
+    universe - 1
+}
+
+/// A flat-score hub predicate: 100–240 equal-weight triples with distinct
+/// subjects (outside the universe, so they spread over every shard) whose
+/// objects cycle over the first few terms of it — the posting list a rank
+/// join has to drain without any score signal. Empty two times in three.
+fn hub_strategy(universe: u32) -> impl Strategy<Value = Vec<Row>> {
+    (0u32..3, 100u32..240, 1u32..universe).prop_map(move |(pick, n, objects)| {
+        if pick != 0 {
+            return Vec::new();
+        }
+        (0..n)
+            .map(|i| (1000 + i, hub_predicate(universe), i % objects, 0.5, 0))
+            .collect()
+    })
 }
 
 fn add_rows(b: &mut XkgBuilder, rows: &[Row]) {
@@ -94,18 +127,69 @@ fn pattern_strategy(vars: u16, universe: u32) -> impl Strategy<Value = QPattern>
         .prop_map(|(s, p, o)| QPattern::new(s, p, o))
 }
 
+/// A granularity-shaped three-pattern star, `?0 hub ?1 . ?1 pa ta .
+/// ?1 pb tb`: every pattern shares `?1`, and the legs' objects are terms
+/// or (both the same) third variable.
+fn star_strategy(universe: u32) -> impl Strategy<Value = Vec<QPattern>> {
+    let leg = move || (0..universe, 0..universe + 1);
+    (leg(), leg()).prop_map(move |((pa, oa), (pb, ob))| {
+        let z = QTerm::Var(VarId(1));
+        let object = |o: u32| {
+            if o == universe {
+                QTerm::Var(VarId(2))
+            } else {
+                QTerm::Term(tid(o))
+            }
+        };
+        vec![
+            QPattern::new(QTerm::Var(VarId(0)), QTerm::Term(tid(hub_predicate(universe))), z),
+            QPattern::new(z, QTerm::Term(tid(pa)), object(oa)),
+            QPattern::new(z, QTerm::Term(tid(pb)), object(ob)),
+        ]
+    })
+}
+
+/// Multi-pattern queries: `len` random patterns over `vars` variables,
+/// or (half the time) a [`star_strategy`] star.
+fn patterns_strategy(
+    vars: u16,
+    universe: u32,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<QPattern>> {
+    prop_oneof![
+        proptest::collection::vec(pattern_strategy(vars, universe), len),
+        star_strategy(universe),
+    ]
+}
+
 fn rules_strategy(universe: u32) -> impl Strategy<Value = Vec<Rule>> {
     proptest::collection::vec(
-        (0..universe, 0..universe, 0.15f64..1.0, proptest::bool::ANY).prop_map(
-            |(p1, p2, w, inv)| {
-                if inv {
-                    Rule::inversion("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined)
-                } else {
-                    Rule::predicate_rewrite("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined)
-                }
-            },
-        ),
+        (0..universe, 0..universe, 0.15f64..1.0, 0u8..4)
+            .prop_map(|(p1, p2, w, shape)| rule_of_shape(p1, p2, w, shape)),
         0..4,
+    )
+}
+
+/// One single-pattern rule `?x p1 ?y → …`: a predicate rewrite
+/// (`?x p2 ?y`), an inversion (`?y p2 ?x`), or a rewrite that replaces
+/// the object (`?x p2 ?f`) or the subject (`?f p2 ?y`) by a fresh
+/// variable — the relaxed form then no longer binds that variable, which
+/// is what puts items on a rank-join stream's residual chain.
+fn rule_of_shape(p1: u32, p2: u32, w: f64, shape: u8) -> Rule {
+    use trinit_relax::{RVar, TTerm, Template};
+    let (x, y, f) = (TTerm::Var(RVar(0)), TTerm::Var(RVar(1)), TTerm::Var(RVar(2)));
+    let relaxed = match shape {
+        0 => return Rule::predicate_rewrite("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined),
+        1 => return Rule::inversion("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined),
+        2 => Template::new(x, TTerm::Const(tid(p2)), f),
+        _ => Template::new(f, TTerm::Const(tid(p2)), y),
+    };
+    Rule::structural(
+        "r",
+        vec![Template::new(x, TTerm::Const(tid(p1)), y)],
+        vec![relaxed],
+        w,
+        RuleProvenance::UserDefined,
     )
 }
 
@@ -155,7 +239,7 @@ proptest! {
     fn segmented_serve_equals_from_scratch_rebuild(
         base_rows in store_strategy(6, 30),
         delta_rows in store_strategy(6, 12),
-        patterns in proptest::collection::vec(pattern_strategy(3, 6), 1..3),
+        patterns in patterns_strategy(3, 6, 1..3),
         rules in rules_strategy(6),
         k in 1usize..12,
     ) {
@@ -259,8 +343,9 @@ proptest! {
     /// score — by the union of the per-pattern restricted runs.
     #[test]
     fn delta_restricted_runs_surface_exactly_the_fresh_answers(
-        base_rows in store_strategy(6, 30),
-        delta_rows in store_strategy(6, 12),
+        // Hub-free stores: k = 400 below must hold every answer.
+        base_rows in plain_store_strategy(6, 30),
+        delta_rows in plain_store_strategy(6, 12),
         patterns in proptest::collection::vec(pattern_strategy(3, 6), 1..3),
         rules in rules_strategy(6),
     ) {
