@@ -15,8 +15,9 @@
 
 use trinit_query::{Query, SharedCacheStats, SharedPostingCache};
 use trinit_relax::{Rule, RuleId, RuleSet};
+use trinit_shard::SeedMode;
 
-use crate::trinit::{Engine, QueryOutcome, Trinit};
+use crate::trinit::{Engine, QueryOutcome, Scope, Trinit};
 
 /// Default capacity of a session's posting cache (materialized lists).
 pub const SESSION_CACHE_CAPACITY: usize = 256;
@@ -26,29 +27,22 @@ pub struct Session<'a> {
     system: &'a Trinit,
     rules: RuleSet,
     user_rules: usize,
-    /// The cache serving a monolithic system's queries.
-    posting_cache: SharedPostingCache,
-    /// On a sharded system: one session-owned cache per shard (cached
-    /// lists are shard-specific, so shards never share one). Empty for
-    /// monolithic systems.
-    shard_caches: Vec<SharedPostingCache>,
+    /// One session-owned cache per shard of the system (cached lists
+    /// are shard-specific, so shards never share one); a monolithic
+    /// system is one shard.
+    caches: Vec<SharedPostingCache>,
 }
 
 impl<'a> Session<'a> {
     fn with_rules(system: &'a Trinit, rules: RuleSet) -> Session<'a> {
-        let shard_caches = match system.sharded_store() {
-            Some(sharded) => (0..sharded.shard_count())
-                .map(|_| SharedPostingCache::new(SESSION_CACHE_CAPACITY))
-                .collect(),
-            None => Vec::new(),
-        };
-        Session {
+        let mut session = Session {
             system,
             rules,
             user_rules: 0,
-            posting_cache: SharedPostingCache::new(SESSION_CACHE_CAPACITY),
-            shard_caches,
-        }
+            caches: Vec::new(),
+        };
+        session.set_posting_cache_capacity(SESSION_CACHE_CAPACITY);
+        session
     }
 
     /// Opens a session over a system; starts with the system rule set.
@@ -65,37 +59,27 @@ impl<'a> Session<'a> {
         Session::with_rules(system, RuleSet::new())
     }
 
-    /// Replaces the session posting cache(s) with ones holding
-    /// `capacity` materialized lists (0 disables retention; sharded
-    /// systems get `capacity` per shard). Drops cached lists and
-    /// counters.
+    /// Replaces the session posting caches with ones holding `capacity`
+    /// materialized lists each (0 disables retention). Drops cached
+    /// lists and counters.
     pub fn set_posting_cache_capacity(&mut self, capacity: usize) -> &mut Self {
-        self.posting_cache = SharedPostingCache::new(capacity);
-        for cache in &mut self.shard_caches {
-            *cache = SharedPostingCache::new(capacity);
-        }
+        self.caches = (0..self.system.shard_count())
+            .map(|_| SharedPostingCache::new(capacity))
+            .collect();
         self
     }
 
-    /// The session's posting cache (stats, capacity, manual clearing).
-    /// Serves queries on monolithic systems; on sharded systems the
-    /// per-shard caches ([`Session::shard_posting_caches`]) serve
-    /// instead.
-    pub fn posting_cache(&self) -> &SharedPostingCache {
-        &self.posting_cache
-    }
-
-    /// The session's per-shard posting caches (empty on monolithic
-    /// systems).
-    pub fn shard_posting_caches(&self) -> &[SharedPostingCache] {
-        &self.shard_caches
+    /// The session's posting caches (stats, capacity, manual clearing):
+    /// one per shard of the system, one for a monolithic system.
+    pub fn posting_caches(&self) -> &[SharedPostingCache] {
+        &self.caches
     }
 
     /// Hit/miss/eviction/poison-recovery counters of the session
-    /// posting cache(s), summed across shards on a sharded system.
+    /// posting caches, summed across shards.
     pub fn cache_stats(&self) -> SharedCacheStats {
-        let mut stats = self.posting_cache.stats();
-        for cache in &self.shard_caches {
+        let mut stats = SharedCacheStats::default();
+        for cache in &self.caches {
             let s = cache.stats();
             stats.hits += s.hits;
             stats.misses += s.misses;
@@ -135,45 +119,20 @@ impl<'a> Session<'a> {
     /// The semi-naive delta question under the session rule set: which
     /// of `query`'s top-k answers use at least one triple from the
     /// system's live delta segment (the most recent un-compacted
-    /// [`Trinit::ingest`] batches)? Runs one restricted query variant
-    /// per triple pattern — that pattern's merge source confined to the
-    /// delta — and unions the results; scores equal the same answers'
-    /// scores under a full run. Returns no answers when no delta is
-    /// live.
+    /// [`Trinit::ingest`] batches)? See
+    /// [`Trinit::answers_introduced_by`]. Returns no answers when no
+    /// delta is live.
     pub fn answers_introduced_by(&self, query: Query) -> QueryOutcome {
-        if self.system.sharded_store().is_some() {
-            self.system.answers_introduced_by_cached(
-                query,
-                &self.rules,
-                None,
-                Some(&self.shard_caches),
-            )
-        } else {
-            self.system.answers_introduced_by_cached(
-                query,
-                &self.rules,
-                Some(&self.posting_cache),
-                None,
-            )
-        }
+        let engine = Engine::IncrementalTopK;
+        self.system.execute(query, engine, &self.rules, &self.caches, Scope::Delta)
     }
 
     /// Runs a compiled query with the session rule set, reusing posting
-    /// lists cached by this session's earlier queries (per-shard caches
-    /// on a sharded system; caches are session-isolated either way).
+    /// lists cached by this session's earlier queries (caches are
+    /// session-isolated).
     pub fn run(&self, query: Query, engine: Engine) -> QueryOutcome {
-        if self.system.sharded_store().is_some() {
-            self.system.run_with_rules_shard_cached(
-                query,
-                engine,
-                &self.rules,
-                Some(&self.shard_caches),
-                trinit_shard::SeedMode::Parallel,
-            )
-        } else {
-            self.system
-                .run_with_rules_cached(query, engine, &self.rules, Some(&self.posting_cache))
-        }
+        let scope = Scope::Store(SeedMode::Parallel);
+        self.system.execute(query, engine, &self.rules, &self.caches, scope)
     }
 }
 
@@ -291,7 +250,7 @@ mod tests {
         session.query(qa).unwrap();
         let stats = session.cache_stats();
         assert!(stats.evictions > 0, "capacity 1 must evict: {stats:?}");
-        assert!(session.posting_cache().len() <= 1);
+        assert!(session.posting_caches()[0].len() <= 1);
     }
 
     #[test]
@@ -324,7 +283,7 @@ mod tests {
         builder.options_mut().shards(3);
         let sys = builder.build();
         let session = Session::new(&sys);
-        assert_eq!(session.shard_posting_caches().len(), 3);
+        assert_eq!(session.posting_caches().len(), 3);
         let q = "?x type person LIMIT 4";
         let first = session.query(q).unwrap();
         let second = session.query(q).unwrap();

@@ -6,22 +6,23 @@
 //! triple-pattern queries with relaxation, explanation, suggestion, and
 //! auto-completion — the full demo surface of the paper.
 
+use std::sync::OnceLock;
+
 use trinit_obs::{
     now_ns, CacheTally, Counter, Gauge, MetricsRegistry, ObsConfig, QueryTrace, Stage,
     TraceRecorder,
 };
 use trinit_openie::{Linker, OpenIePipeline, PipelineConfig};
-use trinit_query::exec::segmented::SegmentedExec;
-use trinit_query::exec::sharded::{run_partitioned, PartitionedRun};
+use trinit_query::exec::topk::{ExecCtx, ExecOutcome, ExecRequest, SegmentedExec, StoreView};
 use trinit_query::exec::{exact, expand, topk};
 use trinit_query::{
     Answer, AnswerCollector, BudgetTracker, Completeness, ExecError, ExecMetrics, Governor,
     Query, SharedCacheStats, SharedPostingCache, TopkConfig,
 };
 use trinit_relax::{
-    ConditionOracle, CooccurrenceOperator, ExpandOptions, GranularityMinerConfig,
-    GranularityOperator, MinerConfig, OperatorRegistry, ParaphraseGroup, ParaphraseOperator,
-    RelaxationOperator, RuleSet,
+    CooccurrenceOperator, ExpandOptions, GranularityMinerConfig, GranularityOperator,
+    MinerConfig, OperatorRegistry, ParaphraseGroup, ParaphraseOperator, RelaxationOperator,
+    RuleSet,
 };
 use trinit_shard::{QueryPool, SeedMode, ShardedExecutor, ShardedStore};
 use trinit_worldgen::corpus::generate_corpus;
@@ -34,14 +35,16 @@ use crate::suggest::{suggest, SuggestConfig, Suggestion};
 
 /// Which execution engine answers a query.
 ///
-/// On a **sharded** system ([`BuildOptions::shards`] > 1) every variant
-/// routes through the partitioned top-k path: `Exact` runs it with an
-/// empty rule set (the same answer set, since top-k without rules
-/// reduces to exact evaluation), and `FullExpansion` runs it with the
-/// full rule set under the [`TopkConfig`] budget — its per-engine work
-/// counters and any budget-sensitive answers are not comparable with
-/// the monolithic expansion baseline, so engine-comparison experiments
-/// should use monolithic builds.
+/// Every engine value means the same *answers* on every backend. The
+/// reference engines (`Exact`, `FullExpansion`) exist only over one
+/// frozen store; a **sharded** system ([`BuildOptions::shards`] > 1) or
+/// a monolith with a live delta answers them through the top-k
+/// processor instead — `Exact` with an empty rule set (top-k without
+/// rules reduces to exact evaluation), `FullExpansion` with the full
+/// rule set (full expansion runs to the depth the top-k configuration
+/// reaches, so the two agree). Per-engine work counters are then not
+/// comparable with the monolithic baselines, so engine-comparison
+/// experiments should use frozen monolithic builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Exact evaluation, no relaxation (the non-relaxing baseline).
@@ -86,6 +89,43 @@ impl QueryOutcome {
     pub fn trace(&self) -> &QueryTrace {
         &self.trace
     }
+
+    /// The outcome of `query` as the top-k engine reported it.
+    fn of(query: Query, run: ExecOutcome) -> QueryOutcome {
+        QueryOutcome {
+            query,
+            answers: run.answers,
+            metrics: run.metrics,
+            shard_metrics: run.per_shard,
+            completeness: run.completeness,
+            trace: run.trace,
+        }
+    }
+
+    /// An outcome that ran to completion outside the traced pipeline.
+    fn untraced(query: Query, answers: Vec<Answer>, metrics: ExecMetrics) -> QueryOutcome {
+        QueryOutcome {
+            query,
+            answers,
+            metrics,
+            shard_metrics: Vec::new(),
+            completeness: Completeness::Exact,
+            trace: QueryTrace::default(),
+        }
+    }
+}
+
+/// What one [`Trinit::execute`] call reads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scope {
+    /// The whole store; a sharded backend seeds its cross-shard merge
+    /// per the mode ([`SeedMode::Parallel`] for a query on its own,
+    /// [`SeedMode::Off`] inside a batch pool, where the parallelism is
+    /// already spent across queries).
+    Store(SeedMode),
+    /// Only answers that use the live delta: one pass per pattern
+    /// position, that pattern restricted to the delta slices.
+    Delta,
 }
 
 /// Statistics describing a built system (the E2 dataset table).
@@ -133,7 +173,9 @@ pub struct BuildOptions {
     pub linker_dominance: f64,
     /// Default top-k processor configuration.
     pub topk: TopkConfig,
-    /// Default full-expansion options (baseline engine).
+    /// Default full-expansion options (baseline engine). `max_depth` is
+    /// not read: [`Engine::FullExpansion`] expands to the depth the
+    /// top-k configuration reaches (`chain_depth + structural_depth`).
     pub expand: ExpandOptions,
     /// Number of store shards to build (1 = monolithic store). Set via
     /// [`BuildOptions::shards`].
@@ -335,13 +377,6 @@ impl TrinitBuilder {
         }
         let rules = registry.build_rules(&store);
 
-        let stats = BuildStats {
-            kg_triples: store.len_of(GraphTag::Kg),
-            xkg_triples: store.len_of(GraphTag::Xkg),
-            documents: self.documents.len(),
-            ingest,
-            rules: rules.len(),
-        };
         let completer = Completer::build(&store);
         let backend = match sharded_builder {
             Some(builder) => {
@@ -354,19 +389,11 @@ impl TrinitBuilder {
             }
             None => Backend::Single(Box::new(SegmentedStore::new(store))),
         };
-        let trinit = Trinit {
-            backend,
-            rules,
-            completer,
-            topk: self.options.topk,
-            expand: self.options.expand,
-            suggest_cfg: SuggestConfig::default(),
-            stats,
-            posting_cache: None,
-            shard_caches: None,
-            registry: MetricsRegistry::new(),
-        };
-        trinit.refresh_gauges();
+        let mut trinit = Trinit::assemble(backend, completer, rules);
+        trinit.topk = self.options.topk;
+        trinit.expand = self.options.expand;
+        trinit.stats.documents = self.documents.len();
+        trinit.stats.ingest = ingest;
         trinit
     }
 }
@@ -376,11 +403,11 @@ enum Backend {
     /// One segmented store — a frozen base plus a live-ingestion delta
     /// segment (empty until [`Trinit::ingest`] runs). While the delta
     /// is empty every engine runs directly against the frozen base;
-    /// with a live delta, queries serve base ∪ delta through the
-    /// partitioned pipeline (boxed: variant size balance).
+    /// with a live delta, queries serve base ∪ delta as a two-slice
+    /// view (boxed: variant size balance).
     Single(Box<SegmentedStore>),
-    /// Subject-hash-partitioned shards; queries route through the
-    /// partitioned top-k engine ([`trinit_shard::ShardedExecutor`]).
+    /// Subject-hash-partitioned shards; queries route through a
+    /// [`trinit_shard::ShardedExecutor`] over the shard slices.
     /// Boxed like `Single`: the delta bookkeeping makes the store wide.
     Sharded(Box<ShardedStore>),
 }
@@ -395,12 +422,12 @@ pub struct Trinit {
     expand: ExpandOptions,
     suggest_cfg: SuggestConfig,
     stats: BuildStats,
-    /// Optional store-level posting cache shared across every query
-    /// answered through this system (see [`Trinit::enable_posting_cache`]).
-    posting_cache: Option<SharedPostingCache>,
-    /// The sharded counterpart: one cache per shard (cached lists hold
-    /// one shard's entries, so shards must never share a cache).
-    shard_caches: Option<Vec<SharedPostingCache>>,
+    /// Store-level posting caches shared across every query answered
+    /// through this system: empty until
+    /// [`Trinit::enable_posting_cache`], then one per shard (cached
+    /// lists hold one shard's entries, so shards never share a cache) —
+    /// a monolith is one shard.
+    caches: Vec<SharedPostingCache>,
     /// Process-wide metrics: query/answer/completeness counters, store
     /// gauges, latency histograms, and the cache tally dropped sessions
     /// fold in. Shared by every query answered through this system.
@@ -418,57 +445,40 @@ pub(crate) fn cache_tally(stats: SharedCacheStats) -> CacheTally {
 }
 
 impl Trinit {
-    /// Wraps an already-built store and rule set (used by fixtures,
-    /// evaluation ablations, and tests).
-    pub fn from_parts(store: XkgStore, rules: RuleSet) -> Trinit {
-        let completer = Completer::build(&store);
-        let stats = BuildStats {
-            kg_triples: store.len_of(GraphTag::Kg),
-            xkg_triples: store.len_of(GraphTag::Xkg),
-            documents: 0,
-            ingest: Default::default(),
-            rules: rules.len(),
-        };
-        let trinit = Trinit {
-            backend: Backend::Single(Box::new(SegmentedStore::new(store))),
-            rules,
+    /// A system over `backend` with default configuration; the stratum
+    /// counts and store gauges are read off the backend.
+    fn assemble(backend: Backend, completer: Completer, rules: RuleSet) -> Trinit {
+        let mut trinit = Trinit {
+            backend,
             completer,
             topk: TopkConfig::default(),
             expand: ExpandOptions::default(),
             suggest_cfg: SuggestConfig::default(),
-            stats,
-            posting_cache: None,
-            shard_caches: None,
+            stats: BuildStats {
+                rules: rules.len(),
+                ..BuildStats::default()
+            },
+            rules,
+            caches: Vec::new(),
             registry: MetricsRegistry::new(),
         };
+        trinit.refresh_strata_stats();
         trinit.refresh_gauges();
         trinit
+    }
+
+    /// Wraps an already-built store and rule set (used by fixtures,
+    /// evaluation ablations, and tests).
+    pub fn from_parts(store: XkgStore, rules: RuleSet) -> Trinit {
+        let completer = Completer::build(&store);
+        let backend = Backend::Single(Box::new(SegmentedStore::new(store)));
+        Trinit::assemble(backend, completer, rules)
     }
 
     /// Wraps an already-built sharded store and rule set.
     pub fn from_sharded_parts(store: ShardedStore, rules: RuleSet) -> Trinit {
         let completer = Completer::build(store.shard(0));
-        let stats = BuildStats {
-            kg_triples: store.len_of(GraphTag::Kg),
-            xkg_triples: store.len_of(GraphTag::Xkg),
-            documents: 0,
-            ingest: Default::default(),
-            rules: rules.len(),
-        };
-        let trinit = Trinit {
-            backend: Backend::Sharded(Box::new(store)),
-            rules,
-            completer,
-            topk: TopkConfig::default(),
-            expand: ExpandOptions::default(),
-            suggest_cfg: SuggestConfig::default(),
-            stats,
-            posting_cache: None,
-            shard_caches: None,
-            registry: MetricsRegistry::new(),
-        };
-        trinit.refresh_gauges();
-        trinit
+        Trinit::assemble(Backend::Sharded(Box::new(store)), completer, rules)
     }
 
     /// The vocabulary store: the monolith's base (or its delta view
@@ -619,13 +629,8 @@ impl Trinit {
     /// caches (never double-counted: system caches fold nothing in).
     pub fn metrics_snapshot(&self) -> String {
         let mut live = CacheTally::default();
-        if let Some(cache) = &self.posting_cache {
+        for cache in &self.caches {
             live.add(cache_tally(cache.stats()));
-        }
-        if let Some(caches) = &self.shard_caches {
-            for cache in caches {
-                live.add(cache_tally(cache.stats()));
-            }
         }
         self.registry.snapshot(live)
     }
@@ -695,19 +700,15 @@ impl Trinit {
         self.registry.set_gauge(Gauge::BytesPerTriple, bytes_per_triple);
     }
 
-    /// The rule set an engine variant executes with on the sharded
-    /// path: `Exact` runs the partitioned engine with no rules (top-k
-    /// without rules reduces to exact evaluation); the relaxing engines
-    /// use `rules` as given. The single mapping the batch schedulers
-    /// and per-query sharded execution share — `scratch` hosts the
-    /// empty set for the `Exact` case.
-    fn engine_rules<'s>(
-        engine: Engine,
-        rules: &'s RuleSet,
-        scratch: &'s mut Option<RuleSet>,
-    ) -> &'s RuleSet {
+    /// The rule set an engine variant runs the top-k processor with:
+    /// none for `Exact` (top-k without rules reduces to exact
+    /// evaluation), `rules` as given for the relaxing engines. The
+    /// single mapping per-query execution and the stealing scheduler
+    /// share.
+    fn engine_rules(engine: Engine, rules: &RuleSet) -> &RuleSet {
+        static NO_RULES: OnceLock<RuleSet> = OnceLock::new();
         match engine {
-            Engine::Exact => scratch.insert(RuleSet::new()),
+            Engine::Exact => NO_RULES.get_or_init(RuleSet::new),
             Engine::FullExpansion | Engine::IncrementalTopK => rules,
         }
     }
@@ -719,28 +720,21 @@ impl Trinit {
     /// queries directly. On a sharded system this provisions one cache
     /// of `capacity` lists *per shard*. Returns `self` for chaining.
     pub fn enable_posting_cache(&mut self, capacity: usize) -> &mut Self {
-        match &self.backend {
-            Backend::Single(_) => self.posting_cache = Some(SharedPostingCache::new(capacity)),
-            Backend::Sharded(sharded) => {
-                self.shard_caches = Some(
-                    (0..sharded.shard_count())
-                        .map(|_| SharedPostingCache::new(capacity))
-                        .collect(),
-                );
-            }
-        }
+        self.caches = (0..self.shard_count())
+            .map(|_| SharedPostingCache::new(capacity))
+            .collect();
         self
     }
 
     /// The system-level posting cache, if enabled (monolithic systems).
     pub fn posting_cache(&self) -> Option<&SharedPostingCache> {
-        self.posting_cache.as_ref()
+        self.segmented_store().and(self.caches.first())
     }
 
-    /// The system-level per-shard posting caches, if enabled (sharded
-    /// systems).
-    pub fn shard_posting_caches(&self) -> Option<&[SharedPostingCache]> {
-        self.shard_caches.as_deref()
+    /// The system-level posting caches: one per shard (one for a
+    /// monolith), empty unless enabled.
+    pub fn posting_caches(&self) -> &[SharedPostingCache] {
+        &self.caches
     }
 
     /// Parses a query string against this system's vocabulary.
@@ -760,353 +754,192 @@ impl Trinit {
         self.run_with_rules(query, engine, &self.rules)
     }
 
-    /// Runs a compiled query with a caller-supplied rule set (sessions
-    /// with user-defined rules, evaluation ablations). Consults the
-    /// system-level posting cache if one was enabled.
+    /// Runs a compiled query with a caller-supplied rule set (evaluation
+    /// ablations; [`Session`](crate::Session)s add their own caches).
+    /// Consults the system-level posting cache if one was enabled.
     pub fn run_with_rules(&self, query: Query, engine: Engine, rules: &RuleSet) -> QueryOutcome {
-        self.run_with_rules_cached(query, engine, rules, self.posting_cache.as_ref())
-    }
-
-    /// Runs a compiled query with a caller-supplied rule set and an
-    /// explicit store-level posting cache ([`Session`]s pass their own,
-    /// keeping cached lists session-isolated). On a sharded system the
-    /// single cache does not apply (cached lists are shard-specific);
-    /// sharded sessions route per-shard caches through
-    /// [`Trinit::run_with_rules_shard_cached`].
-    ///
-    /// [`Session`]: crate::Session
-    pub fn run_with_rules_cached(
-        &self,
-        query: Query,
-        engine: Engine,
-        rules: &RuleSet,
-        cache: Option<&SharedPostingCache>,
-    ) -> QueryOutcome {
-        let seg = match &self.backend {
-            Backend::Single(seg) => seg,
-            Backend::Sharded(_) => {
-                return self.run_with_rules_shard_cached(
-                    query,
-                    engine,
-                    rules,
-                    self.shard_caches.as_deref(),
-                    SeedMode::Parallel,
-                )
-            }
-        };
-        let wall_start = now_ns();
-        // Cached posting lists embed store-generation-specific scaling;
-        // a stale cache is dropped wholesale before serving.
-        if let Some(cache) = cache {
-            cache.ensure_generation(seg.generation());
-        }
-        if seg.delta_view().is_some() {
-            let outcome = self.run_segmented(seg, query, engine, rules, cache);
-            self.observe_outcome(&outcome, Some(wall_start));
-            return outcome;
-        }
-        let store = seg.base();
-        let (answers, metrics, completeness, trace) = match engine {
-            Engine::Exact => {
-                let mut metrics = ExecMetrics::default();
-                let all = exact::evaluate(
-                    store,
-                    &query,
-                    &query.patterns,
-                    &[],
-                    1.0,
-                    &mut metrics,
-                );
-                let mut collector = AnswerCollector::new();
-                for a in all {
-                    collector.offer(a);
-                }
-                (
-                    collector.into_top_k(query.k),
-                    metrics,
-                    Completeness::Exact,
-                    QueryTrace::default(),
-                )
-            }
-            Engine::FullExpansion => {
-                let (answers, metrics) = expand::run(store, &query, rules, &self.expand);
-                (answers, metrics, Completeness::Exact, QueryTrace::default())
-            }
-            Engine::IncrementalTopK => {
-                let run = topk::run_governed(store, &query, rules, &self.topk, cache);
-                (run.answers, run.metrics, run.completeness, run.trace)
-            }
-        };
-        let outcome = QueryOutcome {
-            query,
-            answers,
-            metrics,
-            shard_metrics: Vec::new(),
-            completeness,
-            trace,
-        };
-        self.observe_outcome(&outcome, Some(wall_start));
-        outcome
-    }
-
-    /// One partitioned run over a monolithic system's live segments
-    /// (base + delta view), optionally restricting one query pattern to
-    /// the delta slice. The caller owns the budget tracker so
-    /// multi-run unions share one budget.
-    #[allow(clippy::too_many_arguments)]
-    fn run_segmented_once(
-        &self,
-        seg: &SegmentedStore,
-        query: &Query,
-        rules: &RuleSet,
-        cache: Option<&SharedPostingCache>,
-        tracker: &BudgetTracker,
-        restrict: Option<usize>,
-        recorder: &mut TraceRecorder,
-    ) -> PartitionedRun {
-        let delta = seg
-            .delta_view()
-            .expect("segmented execution requires a live delta");
-        let base = seg.base();
-        let slices = [base, delta];
-        let offsets = [0u32, base.len() as u32];
-        let exec = SegmentedExec::new(&slices, &offsets);
-        run_partitioned(
-            &slices,
-            &offsets,
-            &exec,
-            &exec,
-            Some(&exec as &dyn ConditionOracle),
-            query,
-            rules,
-            &self.topk,
-            // The store-level cache holds frozen-base lists; the delta
-            // slice (rebuilt every ingest) runs uncached.
-            cache.map(std::slice::from_ref),
-            Vec::new(),
-            Governor::primary(tracker),
-            restrict.map(|j| (j, 1..2)),
-            recorder,
-        )
-    }
-
-    /// Answers a query over a monolithic system with a live delta: the
-    /// base and the delta view are two slices of the partitioned
-    /// pipeline, normalized over the union's totals — answers (keys
-    /// *and* scores) equal a from-scratch rebuild's. As on the sharded
-    /// path, every engine routes through the partitioned top-k
-    /// processor: `Exact` runs it with an empty rule set,
-    /// `FullExpansion` with the full set under the [`TopkConfig`]
-    /// budget.
-    fn run_segmented(
-        &self,
-        seg: &SegmentedStore,
-        query: Query,
-        engine: Engine,
-        rules: &RuleSet,
-        cache: Option<&SharedPostingCache>,
-    ) -> QueryOutcome {
-        let mut scratch = None;
-        let rules = Self::engine_rules(engine, rules, &mut scratch);
-        let tracker = BudgetTracker::new(&self.topk);
-        let mut recorder = self.topk.obs.recorder();
-        let query_start = recorder.start();
-        let run =
-            self.run_segmented_once(seg, &query, rules, cache, &tracker, None, &mut recorder);
-        recorder.record(Stage::Query, run.answers.len() as u32, query_start);
-        QueryOutcome {
-            query,
-            answers: run.answers,
-            metrics: run.metrics,
-            shard_metrics: Vec::new(),
-            completeness: run.completeness,
-            trace: recorder.finish(),
-        }
+        self.execute(query, engine, rules, &self.caches, Scope::Store(SeedMode::Parallel))
     }
 
     /// The semi-naive delta question: which of `query`'s top-k answers
     /// use at least one triple from the live delta segment? Runs one
-    /// restricted variant per query pattern — pattern `j`'s merge
-    /// source confined to the delta slices, every other pattern reading
-    /// the full base ∪ delta union — and unions the results (an answer
-    /// joining two fresh triples surfaces in two variants; the
-    /// collector keeps one). Scores equal the same answers' scores
-    /// under a full run. Returns no answers when no delta is live —
-    /// an empty batch introduces nothing.
+    /// restricted pass per pattern position (of the query and of its
+    /// structural variants) — pattern `j`'s merge source confined to the
+    /// delta slices, every other pattern reading the full base ∪ delta
+    /// union — and unions the results (an answer joining two fresh
+    /// triples surfaces in two passes; the collector keeps one). An
+    /// answer scores as its best derivation *through the delta*: its
+    /// full-run score unless base alone already derives it better.
+    /// Returns no answers when no delta is live — an empty batch
+    /// introduces nothing.
     ///
     /// Pre-existing answers whose scores merely *changed* because the
     /// delta shifted the normalization totals are not reported; this
     /// surfaces answers with fresh evidence, the re-query–vs–rebuild
-    /// trade the `e11_ingest` benchmark measures.
+    /// trade the `live_ingest` benchmark workload measures.
     pub fn answers_introduced_by(&self, query: Query) -> QueryOutcome {
-        self.answers_introduced_by_cached(
-            query,
-            &self.rules,
-            self.posting_cache.as_ref(),
-            self.shard_caches.as_deref(),
-        )
+        self.execute(query, Engine::IncrementalTopK, &self.rules, &self.caches, Scope::Delta)
     }
 
-    /// [`Trinit::answers_introduced_by`] with a caller-supplied rule
-    /// set and caller-owned posting caches ([`Session`]s pass their
-    /// session-isolated caches and combined rules).
-    ///
-    /// [`Session`]: crate::Session
-    pub fn answers_introduced_by_cached(
-        &self,
-        query: Query,
-        rules: &RuleSet,
-        mono_cache: Option<&SharedPostingCache>,
-        shard_caches: Option<&[SharedPostingCache]>,
-    ) -> QueryOutcome {
-        let wall_start = now_ns();
-        let tracker = BudgetTracker::new(&self.topk);
-        let mut collector = AnswerCollector::new();
-        let mut metrics = ExecMetrics::default();
-        let mut shard_metrics: Vec<ExecMetrics> = Vec::new();
-        let mut recorder = self.topk.obs.recorder();
-        let query_start = recorder.start();
-        match &self.backend {
-            Backend::Single(seg) => {
-                if seg.delta_view().is_none() {
-                    let outcome = QueryOutcome {
-                        query,
-                        answers: Vec::new(),
-                        metrics,
-                        shard_metrics,
-                        completeness: Completeness::Exact,
-                        trace: recorder.finish(),
-                    };
-                    self.observe_outcome(&outcome, Some(wall_start));
-                    return outcome;
-                }
-                if let Some(cache) = mono_cache {
-                    cache.ensure_generation(seg.generation());
-                }
-                for j in 0..query.patterns.len() {
-                    let run = self.run_segmented_once(
-                        seg,
-                        &query,
-                        rules,
-                        mono_cache,
-                        &tracker,
-                        Some(j),
-                        &mut recorder,
-                    );
-                    metrics.merge(&run.metrics);
-                    for a in run.answers {
-                        collector.offer(a);
-                    }
-                }
-            }
-            Backend::Sharded(sharded) => {
-                if !sharded.has_delta() {
-                    let outcome = QueryOutcome {
-                        query,
-                        answers: Vec::new(),
-                        metrics,
-                        shard_metrics,
-                        completeness: Completeness::Exact,
-                        trace: recorder.finish(),
-                    };
-                    self.observe_outcome(&outcome, Some(wall_start));
-                    return outcome;
-                }
-                if let Some(caches) = shard_caches {
-                    for cache in caches {
-                        cache.ensure_generation(sharded.generation());
-                    }
-                }
-                let mut executor = ShardedExecutor::new(sharded);
-                if let Some(caches) = shard_caches {
-                    executor = executor.with_caches(caches);
-                }
-                for j in 0..query.patterns.len() {
-                    let run = executor.run_delta_restricted(&query, rules, &self.topk, j, &tracker);
-                    metrics.merge(&run.metrics);
-                    if shard_metrics.len() < run.per_shard.len() {
-                        shard_metrics.resize(run.per_shard.len(), ExecMetrics::default());
-                    }
-                    for (acc, m) in shard_metrics.iter_mut().zip(&run.per_shard) {
-                        acc.merge(m);
-                    }
-                    // The restricted run finished its own recorder;
-                    // replay its spans so the whole delta pass surfaces
-                    // as one trace on the outcome.
-                    for span in &run.trace.spans {
-                        recorder.record_span(*span);
-                    }
-                    for a in run.answers {
-                        collector.offer(a);
-                    }
-                }
-            }
-        }
-        let answers = collector.into_top_k(query.k);
-        let completeness = tracker.completeness(&answers);
-        recorder.record(Stage::Query, answers.len() as u32, query_start);
-        let outcome = QueryOutcome {
-            query,
-            answers,
-            metrics,
-            shard_metrics,
-            completeness,
-            trace: recorder.finish(),
-        };
-        self.observe_outcome(&outcome, Some(wall_start));
-        outcome
-    }
-
-    /// Runs a compiled query over the sharded backend with caller-owned
-    /// per-shard posting caches (sharded [`Session`]s pass their own set,
-    /// keeping cached lists session-isolated).
-    ///
-    /// Every engine routes through the partitioned top-k path on a
-    /// sharded system: `Exact` executes it with an empty rule set (no
-    /// relaxation — the same answer set exact evaluation produces), and
-    /// `FullExpansion` executes it with the full rule set (the engines
-    /// are property-tested answer-equal under equivalent rule budgets;
-    /// the sharded path uses the [`TopkConfig`] budget).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this system was not built with shards.
-    ///
-    /// [`Session`]: crate::Session
-    pub fn run_with_rules_shard_cached(
+    /// The one way a query reaches an engine: every public query method
+    /// of [`Trinit`] and [`Session`](crate::Session) is this call with
+    /// its own rule set and cache set (one store-level posting cache per
+    /// shard — one for a monolith — or none; sessions pass their own).
+    /// Total over backends and delta states: the reference engines run
+    /// where they exist (one frozen store) and the top-k processor
+    /// answers for them everywhere else.
+    pub(crate) fn execute(
         &self,
         query: Query,
         engine: Engine,
         rules: &RuleSet,
-        caches: Option<&[SharedPostingCache]>,
-        seed: SeedMode,
+        caches: &[SharedPostingCache],
+        scope: Scope,
     ) -> QueryOutcome {
-        let Backend::Sharded(sharded) = &self.backend else {
-            panic!("run_with_rules_shard_cached requires a sharded system");
-        };
-        let mut executor = ShardedExecutor::new(sharded);
-        if let Some(caches) = caches {
-            // Cached posting lists embed generation-specific scaling;
-            // stale caches are dropped wholesale before serving.
-            for cache in caches {
-                cache.ensure_generation(sharded.generation());
-            }
-            executor = executor.with_caches(caches);
-        }
-        let mut scratch = None;
-        let rules = Self::engine_rules(engine, rules, &mut scratch);
         let wall_start = now_ns();
-        let run = executor.run(&query, rules, &self.topk, seed);
-        let outcome = QueryOutcome {
-            query,
-            answers: run.answers,
-            metrics: run.metrics,
-            shard_metrics: run.per_shard,
-            completeness: run.completeness,
-            trace: run.trace,
+        // Cached posting lists embed store-generation-specific scaling;
+        // a stale cache is dropped wholesale before serving.
+        let generation = self.generation();
+        for cache in caches {
+            cache.ensure_generation(generation);
+        }
+        let outcome = match (&self.backend, engine, scope) {
+            // An empty batch introduces nothing.
+            (_, _, Scope::Delta) if !self.has_delta() => {
+                QueryOutcome::untraced(query, Vec::new(), ExecMetrics::default())
+            }
+            (Backend::Single(seg), Engine::Exact | Engine::FullExpansion, Scope::Store(_))
+                if seg.delta_view().is_none() =>
+            {
+                self.run_reference(seg.base(), query, engine, rules)
+            }
+            _ => self.run_topk(query, engine, rules, caches, scope),
         };
         self.observe_outcome(&outcome, Some(wall_start));
         outcome
+    }
+
+    /// The reference engines over one frozen store. They run to
+    /// completion by construction and record no trace.
+    fn run_reference(
+        &self,
+        store: &XkgStore,
+        query: Query,
+        engine: Engine,
+        rules: &RuleSet,
+    ) -> QueryOutcome {
+        let (answers, metrics) = if engine == Engine::Exact {
+            let mut metrics = ExecMetrics::default();
+            let mut collector = AnswerCollector::new();
+            for a in exact::evaluate(store, &query, &query.patterns, &[], 1.0, &mut metrics) {
+                collector.offer(a);
+            }
+            (collector.into_top_k(query.k), metrics)
+        } else {
+            // Top-k chains `chain_depth` single-pattern rules and then
+            // applies `structural_depth` structural ones; full expansion
+            // reaches the same rewritings only at the sum.
+            let options = ExpandOptions {
+                max_depth: self.topk.chain_depth + self.topk.structural_depth,
+                ..self.expand.clone()
+            };
+            expand::run(store, &query, rules, &options)
+        };
+        QueryOutcome::untraced(query, answers, metrics)
+    }
+
+    /// The top-k processor over the backend's [`StoreView`] — one frozen
+    /// store; base + delta view; the shards and their delta views
+    /// (through a [`ShardedExecutor`]) — once for [`Scope::Store`], once
+    /// per pattern position for [`Scope::Delta`]. Answers (keys *and*
+    /// scores) equal a from-scratch rebuild's on every route. Owns the
+    /// query's budget tracker and recorder, so every pass draws down one
+    /// budget and lands in one trace.
+    fn run_topk(
+        &self,
+        query: Query,
+        engine: Engine,
+        rules: &RuleSet,
+        caches: &[SharedPostingCache],
+        scope: Scope,
+    ) -> QueryOutcome {
+        let rules = Self::engine_rules(engine, rules);
+        let cfg = &self.topk;
+        let tracker = BudgetTracker::new(cfg);
+        let mut recorder = cfg.obs.recorder();
+        let query_start = recorder.start();
+        // Delta passes never seed: seed tasks search whole shards and
+        // would reintroduce base-only matches.
+        let (first, mode) = match scope {
+            Scope::Store(mode) => (None, mode),
+            Scope::Delta => (Some(0), SeedMode::Off),
+        };
+        // One pass, pattern `restrict` (if any) confined to the delta
+        // slices — to nothing, hence no answers, when there are none.
+        let pass = |restrict: Option<usize>, recorder: &mut TraceRecorder| -> ExecOutcome {
+            let governor = Governor::primary(&tracker);
+            match &self.backend {
+                Backend::Single(seg) => {
+                    let base = seg.base();
+                    let request = |delta: std::ops::Range<usize>| ExecRequest {
+                        caches,
+                        restrict: restrict.map(|j| (j, delta)),
+                        ..ExecRequest::new(&query, rules, cfg)
+                    };
+                    let ctx = ExecCtx { governor, recorder };
+                    match seg.delta_view() {
+                        None => topk::execute(&StoreView::single(base), request(1..1), ctx),
+                        Some(delta) => {
+                            let slices = [base, delta];
+                            let offsets = [0, base.len() as u32];
+                            let exec = SegmentedExec::new(&slices, &offsets);
+                            // The store-level cache holds frozen-base
+                            // lists; the delta slice (rebuilt every
+                            // ingest) runs uncached.
+                            topk::execute(&exec.view(), request(1..2), ctx)
+                        }
+                    }
+                }
+                Backend::Sharded(sharded) => {
+                    let executor = ShardedExecutor::new(sharded).with_caches(caches);
+                    let seeds = executor.seed(&query, rules, cfg, mode, &tracker, recorder);
+                    let ctx = ExecCtx { governor, recorder };
+                    executor.merge(&query, rules, cfg, seeds, restrict, ctx)
+                }
+            }
+        };
+        let mut run = pass(first, &mut recorder);
+        if first.is_some() {
+            // The union over every pattern position's restricted pass —
+            // structural variants may have more patterns than the query,
+            // so until a pass finds no variant with a `j`-th pattern. An
+            // answer joining two fresh triples surfaces in two passes,
+            // and the collector keeps one.
+            for j in 1.. {
+                let next = pass(Some(j), &mut recorder);
+                if next.metrics.rewritings_evaluated == 0 {
+                    break;
+                }
+                run.metrics.merge(&next.metrics);
+                for (acc, m) in run.per_shard.iter_mut().zip(&next.per_shard) {
+                    acc.merge(m);
+                }
+                run.answers.extend(next.answers);
+            }
+            let mut collector = AnswerCollector::new();
+            for a in std::mem::take(&mut run.answers) {
+                collector.offer(a);
+            }
+            run.answers = collector.into_top_k(query.k);
+            run.completeness = tracker.completeness(&run.answers);
+        }
+        recorder.record(Stage::Query, run.answers.len() as u32, query_start);
+        run.trace = recorder.finish();
+        if matches!(self.backend, Backend::Single(_)) {
+            // Per-shard breakdowns surface on sharded systems only.
+            run.per_shard.clear();
+        }
+        QueryOutcome::of(query, run)
     }
 
     /// Executes a batch of independent queries concurrently and returns
@@ -1170,15 +1003,11 @@ impl Trinit {
         let Backend::Sharded(sharded) = &self.backend else {
             return self.run_batch_with_workers(queries, engine, workers);
         };
-        let mut executor = ShardedExecutor::new(sharded);
-        if let Some(caches) = self.shard_caches.as_deref() {
-            for cache in caches {
-                cache.ensure_generation(sharded.generation());
-            }
-            executor = executor.with_caches(caches);
+        for cache in &self.caches {
+            cache.ensure_generation(sharded.generation());
         }
-        let mut scratch = None;
-        let rules = Self::engine_rules(engine, &self.rules, &mut scratch);
+        let executor = ShardedExecutor::new(sharded).with_caches(&self.caches);
+        let rules = Self::engine_rules(engine, &self.rules);
         let runs = executor.run_batch_stealing_observed(
             &queries,
             rules,
@@ -1191,14 +1020,7 @@ impl Trinit {
             .zip(runs)
             .map(|(query, run)| match run {
                 Ok(run) => {
-                    let outcome = QueryOutcome {
-                        query,
-                        answers: run.answers,
-                        metrics: run.metrics,
-                        shard_metrics: run.per_shard,
-                        completeness: run.completeness,
-                        trace: run.trace,
-                    };
+                    let outcome = QueryOutcome::of(query, run);
                     // Batch wall clocks overlap across queries; only the
                     // per-stage spans and counters are registered here.
                     self.observe_outcome(&outcome, None);
@@ -1221,21 +1043,13 @@ impl Trinit {
         engine: Engine,
         workers: usize,
     ) -> Vec<Result<QueryOutcome, ExecError>> {
-        let pool = QueryPool::new(workers);
-        let results = match &self.backend {
-            Backend::Single(_) => pool.try_execute(queries, |q| self.run(q, engine)),
-            Backend::Sharded(_) => pool.try_execute(queries, |q| {
-                self.run_with_rules_shard_cached(
-                    q,
-                    engine,
-                    &self.rules,
-                    self.shard_caches.as_deref(),
-                    SeedMode::Off,
-                )
-            }),
-        };
-        // Successful slots were observed by the per-query paths above;
-        // panicked slots only surface here.
+        // Whole queries are the pool's unit of work, so sharded queries
+        // skip their seed phase.
+        let results = QueryPool::new(workers).try_execute(queries, |q| {
+            self.execute(q, engine, &self.rules, &self.caches, Scope::Store(SeedMode::Off))
+        });
+        // Successful slots were observed by `execute`; panicked slots
+        // only surface here.
         for result in &results {
             if result.is_err() {
                 self.registry.incr(Counter::QueryFailures);
@@ -1557,10 +1371,9 @@ mod tests {
     #[test]
     fn sharded_system_posting_caches_are_per_shard() {
         let mut sys = tiny_sharded_system(2);
-        assert!(sys.shard_posting_caches().is_none());
+        assert!(sys.posting_caches().is_empty());
         sys.enable_posting_cache(32);
-        let caches = sys.shard_posting_caches().expect("per-shard caches");
-        assert_eq!(caches.len(), 2);
+        assert_eq!(sys.posting_caches().len(), 2, "per-shard caches");
         assert!(sys.posting_cache().is_none(), "single-store tier unused");
         let q = "?x type person LIMIT 4";
         let cold = sys.query(q).unwrap();

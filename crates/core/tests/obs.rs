@@ -3,7 +3,7 @@
 //! cache tally dropped [`Session`]s fold in.
 
 use trinit_core::fixtures::{paper_rules, paper_store};
-use trinit_core::shard::{SeedMode, ShardedStore};
+use trinit_core::shard::ShardedStore;
 use trinit_core::xkg::XkgBuilder;
 use trinit_core::{Counter, Engine, Gauge, ObsConfig, Session, Stage, Trinit};
 
@@ -216,20 +216,14 @@ fn dropped_sessions_fold_cache_traffic_into_the_registry() {
 }
 
 #[test]
-fn sharded_session_seed_modes_preserve_traces() {
+fn sharded_session_seeded_runs_preserve_traces() {
     let sys = Trinit::from_sharded_parts(
         ShardedStore::build(kg_builder(FACTS), 2),
         trinit_core::relax::RuleSet::new(),
     );
     let session = Session::new(&sys);
     let q = sys.parse("?p likes tea LIMIT 10").unwrap();
-    let out = sys.run_with_rules_shard_cached(
-        q,
-        Engine::IncrementalTopK,
-        session.rules(),
-        Some(session.shard_posting_caches()),
-        SeedMode::Sequential,
-    );
+    let out = session.run(q, Engine::IncrementalTopK);
     assert_eq!(out.trace().stage_count(Stage::SeedTask), 2);
     assert_eq!(out.trace().stage_count(Stage::Merge), 1);
 }

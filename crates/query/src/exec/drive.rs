@@ -1,5 +1,5 @@
-//! Stage 4 of the top-k operator pipeline: the **driver** — variant
-//! enumeration, stream assembly, and the pull loop.
+//! Stage 4 of the top-k operator pipeline: the **driver** — the one
+//! entry point, variant enumeration, stream assembly, and the pull loop.
 //!
 //! "TriniT uses a top-k approach to query processing that is an extension
 //! of the incremental top-k algorithm of [Theobald et al., SIGIR'05],
@@ -8,7 +8,34 @@
 //! their scores, allowing us to go only as far as necessary into each
 //! triple pattern index list." (paper §4)
 //!
-//! The driver composes the three stages below it through two narrow
+//! **One seam.** Every route into the engine is
+//! [`execute`]`(view, request, ctx)`:
+//!
+//! * the [`StoreView`] says *what is being queried* — one frozen store,
+//!   a base plus its delta, N shards plus their delta views (see
+//!   [`crate::exec::segmented`]);
+//! * the [`ExecRequest`] says *what the call is* — query, rules,
+//!   configuration, store-level caches, seed answers, restriction;
+//! * the [`ExecCtx`] carries the per-query budget [`Governor`] and span
+//!   recorder. Their **owner is the caller** that started the query —
+//!   the engine facade, a sharded executor, or the [`run`] /
+//!   [`run_governed`] conveniences below — because one query may span
+//!   several `execute` calls (per-shard seed tasks under an advisory
+//!   governor, then the merge; one restricted pass per pattern of a
+//!   delta query) that must draw down one budget and land in one trace.
+//!   The owner records the enclosing [`Stage::Query`] span and finishes
+//!   the recorder into [`ExecOutcome::trace`].
+//!
+//! **The factory specializes on slice count.** `execute` assembles the
+//! same pipeline either way and only swaps the stage-1 source its
+//! factory builds per pattern: a bare [`IncrementalMerge`] when the view
+//! has one slice, a [`ShardedMerge`] union of per-slice merges
+//! otherwise. These are two monomorphic instantiations of
+//! [`run_pipeline`], so the single-store path pays nothing for the
+//! election heap it does not need — and the choice is read off the
+//! view, never off an option.
+//!
+//! The pipeline composes the three stages below it through two narrow
 //! seams and owns nothing else:
 //!
 //! * **[`crate::exec::merge`]** (stage 1) supplies per-pattern sorted
@@ -24,21 +51,12 @@
 //!   driver asks [`ThresholdPolicy::admit_variant`] before opening a
 //!   variant and [`ThresholdPolicy::after_round`] after every pull.
 //!
-//! [`run_pipeline`] is the seam partitioned execution shares: it is
-//! generic over a *source factory* (`FnMut(&QPattern, u16) -> M`), so
-//! the monolithic engine ([`run_scaled`] with an [`IncrementalMerge`]
-//! factory) and the sharded engine
-//! ([`crate::exec::sharded::run_partitioned`] with a `ShardedMerge`
-//! factory) assemble the identical pipeline around different stage-1
-//! sources — every line of join, threshold, capping, and collection
-//! logic is shared, which is what makes the sharded engine's
-//! score-equality (and the ε mode's guarantee) carry over verbatim.
-//!
 //! **Structural variants** (multi-pattern rules, e.g. paper rule 1)
 //! rewrite the query as a whole; each variant runs through the pipeline
 //! above, sharing one global answer collector.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
 use trinit_obs::{now_ns, ObsConfig, QueryTrace, SpanRecord, Stage, TraceRecorder};
@@ -52,9 +70,11 @@ use crate::ast::Query;
 use crate::exec::budget::{BudgetTracker, Completeness, ExecBudget, Governor};
 use crate::exec::join::{self, JoinScratch, SeenItem, Stream};
 use crate::exec::merge::{is_mergeable, IncrementalMerge, RankSource, FRESH_VARS_PER_STREAM};
+use crate::exec::segmented::StoreView;
+use crate::exec::sharded::ShardedMerge;
 use crate::exec::threshold::{Admission, RoundVerdict, ThresholdPolicy};
 use crate::exec::{ExecMetrics, TripleLookup};
-use crate::score::{ln_weight, GlobalTotals, PostingCache, SharedPostingCache};
+use crate::score::{ln_weight, PostingCache, SharedPostingCache};
 
 /// Configuration of the incremental top-k processor.
 #[derive(Debug, Clone)]
@@ -178,226 +198,221 @@ pub(crate) fn structural_variants(
     out
 }
 
-/// Runs incremental top-k processing for `query` under `rules`.
+/// The call: what to answer, under which rules and configuration, with
+/// which warm state.
+pub struct ExecRequest<'a> {
+    /// The query.
+    pub query: &'a Query,
+    /// The relaxation rules in force.
+    pub rules: &'a RuleSet,
+    /// Processor configuration.
+    pub cfg: &'a TopkConfig,
+    /// Store-level posting caches, one per *leading* slice of the view
+    /// (cached lists are slice-specific, so slices never share one);
+    /// trailing slices — freshly built delta segments, whose lists
+    /// change every ingest — run uncached. Empty: no store-level tier.
+    pub caches: &'a [SharedPostingCache],
+    /// Already-known answers offered to the collector before any
+    /// posting list is opened (a sharded executor passes what its
+    /// per-shard seed runs found, so the threshold starts tight). Seeds
+    /// must carry true (globally normalized) scores and global ids.
+    pub seed: Vec<Answer>,
+    /// `Some((j, range))` confines query pattern `j`'s source to the
+    /// slice sub-range `range` — the semi-naive delta-query seam: a
+    /// pattern restricted to the delta slices matches only newly
+    /// ingested triples while every other pattern reads the full view.
+    /// Positions count within each structural variant, and a variant
+    /// without a `j`-th pattern is skipped (it would run unrestricted);
+    /// an empty range matches nothing, so the run has no answers.
+    pub restrict: Option<(usize, Range<usize>)>,
+}
+
+impl<'a> ExecRequest<'a> {
+    /// A cold, unseeded, unrestricted request.
+    pub fn new(query: &'a Query, rules: &'a RuleSet, cfg: &'a TopkConfig) -> ExecRequest<'a> {
+        ExecRequest {
+            query,
+            rules,
+            cfg,
+            caches: &[],
+            seed: Vec::new(),
+            restrict: None,
+        }
+    }
+}
+
+/// The per-query state one or more [`execute`] calls share; owned by
+/// whoever started the query (see the module docs).
+pub struct ExecCtx<'a> {
+    /// Budget governance over the query's shared [`BudgetTracker`]:
+    /// primary for the phase that determines the run's
+    /// [`Completeness`], advisory for seed phases that only draw the
+    /// budget down.
+    pub governor: Governor<'a>,
+    /// Receives the run's stage spans (variant spans, pull and election
+    /// windows, threshold/cutoff events); [`TraceRecorder::off`] for an
+    /// uninstrumented run.
+    pub recorder: &'a mut TraceRecorder,
+}
+
+/// The result of one execution.
+#[derive(Debug)]
+pub struct ExecOutcome {
+    /// Top-k answers, best first. Derivation triple ids are in the
+    /// view's global id space.
+    pub answers: Vec<Answer>,
+    /// Aggregate work counters, budget cutoffs and degradation steps
+    /// included.
+    pub metrics: ExecMetrics,
+    /// Merge-level work (posting lists built, postings scanned, cache
+    /// hits, relaxations opened) attributed to each slice. Empty for a
+    /// one-slice view, where the aggregate *is* the slice's work.
+    pub per_shard: Vec<ExecMetrics>,
+    /// What the ranking is guaranteed to be relative to the exact
+    /// engine's, read off the governor's tracker:
+    /// [`Completeness::Exact`] unless a cutoff or an ε / θ retirement
+    /// actually fired.
+    pub completeness: Completeness,
+    /// Per-stage span trace, filled in by the recorder's owner once the
+    /// whole query is done ([`execute`] itself leaves it empty).
+    pub trace: QueryTrace,
+}
+
+/// Runs incremental top-k processing of `request` over `view`.
 ///
-/// Returns the top `query.k` answers (identical to what
-/// [`crate::exec::expand::run`] would return for an equivalent rule
-/// budget) and the work metrics, which are the point: posting lists are
-/// only materialized, and relaxations only invoked, when they can still
-/// contribute to the top-k.
+/// Returns the top `query.k` answers — keys *and* scores identical to
+/// what [`crate::exec::expand::run`] returns on the union of the view's
+/// slices for an equivalent rule budget — and the work metrics, which
+/// are the point: posting lists are only materialized, and relaxations
+/// only invoked, when they can still contribute to the top-k.
+pub fn execute(view: &StoreView<'_>, request: ExecRequest<'_>, ctx: ExecCtx<'_>) -> ExecOutcome {
+    let (rules, cfg, caches) = (request.rules, request.cfg, request.caches);
+    let slices = view.slices();
+    let n = slices.len();
+    assert!(
+        caches.len() <= n,
+        "at most one cache per slice, leading slices first"
+    );
+    let restrict = request.restrict.clone();
+    if let Some((_, range)) = &restrict {
+        assert!(range.end <= n, "restricted slice range out of bounds");
+    }
+    let tracker = ctx.governor.tracker();
+    let mut metrics = ExecMetrics::default();
+    // One per-execution posting cache per slice (a cached list holds one
+    // slice's entries): structural variants that share a relaxed pattern
+    // never rebuild its matches.
+    type SliceCache = Rc<RefCell<PostingCache>>;
+    let slice_merge = |s: usize, cache: &SliceCache, pattern: &QPattern, fresh: u16| {
+        IncrementalMerge::for_pattern(
+            slices[s],
+            pattern,
+            rules,
+            cfg,
+            fresh,
+            Rc::clone(cache),
+            caches.get(s),
+            view.totals,
+        )
+        .with_id_base(view.offsets[s])
+    };
+    let mut per_shard = Vec::new();
+    let answers = if restrict.as_ref().is_some_and(|(_, range)| range.is_empty()) {
+        Vec::new()
+    } else if n == 1 {
+        let cache = SliceCache::default();
+        run_pipeline(view, request, ctx, &mut metrics, |pattern, fresh, _| {
+            slice_merge(0, &cache, pattern, fresh)
+        })
+    } else {
+        let exec_caches: Vec<SliceCache> = (0..n).map(|_| SliceCache::default()).collect();
+        let slots = Rc::new(RefCell::new(vec![ExecMetrics::default(); n]));
+        let answers = run_pipeline(view, request, ctx, &mut metrics, |pattern, fresh, at| {
+            let range = match &restrict {
+                Some((j, range)) if *j == at => range.clone(),
+                _ => 0..n,
+            };
+            let merges = range
+                .clone()
+                .map(|s| slice_merge(s, &exec_caches[s], pattern, fresh))
+                .collect();
+            ShardedMerge::new(merges, range.collect(), Rc::clone(&slots))
+        });
+        // No end-fold into `metrics`: per-slice merge work already
+        // flowed into the aggregate at call time (ShardedMerge records
+        // into both), so folding the slots would double-count it.
+        per_shard = slots.take();
+        answers
+    };
+    let completeness = tracker.completeness(&answers);
+    ExecOutcome {
+        answers,
+        metrics,
+        per_shard,
+        completeness,
+        trace: QueryTrace::default(),
+    }
+}
+
+/// [`execute`] over one store with a private budget and no tracing or
+/// store-level cache: answers and work metrics.
 pub fn run(
     store: &XkgStore,
     query: &Query,
     rules: &RuleSet,
     cfg: &TopkConfig,
 ) -> (Vec<Answer>, ExecMetrics) {
-    run_cached(store, query, rules, cfg, None)
-}
-
-/// Like [`run`], additionally consulting a store-level posting cache
-/// shared across executions — the session tier of the cache hierarchy.
-/// Interactive workloads that re-issue queries over the same canonical
-/// patterns (the paper's E6 setting) reuse materialized lists across
-/// consecutive queries; hits are counted in
-/// [`ExecMetrics::shared_cache_hits`].
-pub fn run_cached(
-    store: &XkgStore,
-    query: &Query,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    shared: Option<&SharedPostingCache>,
-) -> (Vec<Answer>, ExecMetrics) {
-    run_scaled(store, query, rules, cfg, shared, None, Some(store), Vec::new())
-}
-
-/// Like [`run_cached`], with the three extension points partitioned
-/// execution needs: a [`GlobalTotals`] provider (so a store *slice*
-/// scores its emissions with globally-correct normalization), an
-/// explicit [`ConditionOracle`] for structural-rule data conditions
-/// (existence across every slice), and a `seed` of already-known answers
-/// offered to the collector before any posting list is opened (a
-/// sharded executor seeds with the answers its per-shard runs found,
-/// tightening the threshold from the first pull). With `totals = None`,
-/// `oracle = Some(store)`, and an empty seed this *is* the monolithic
-/// engine.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scaled(
-    store: &XkgStore,
-    query: &Query,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    shared: Option<&SharedPostingCache>,
-    totals: Option<&dyn GlobalTotals>,
-    oracle: Option<&dyn ConditionOracle>,
-    seed: Vec<Answer>,
-) -> (Vec<Answer>, ExecMetrics) {
     let tracker = BudgetTracker::new(cfg);
-    run_scaled_with(
-        store,
-        query,
-        rules,
-        cfg,
-        shared,
-        totals,
-        oracle,
-        seed,
-        Governor::primary(&tracker),
-    )
+    let ctx = ExecCtx {
+        governor: Governor::primary(&tracker),
+        recorder: &mut TraceRecorder::off(),
+    };
+    let out = execute(&StoreView::single(store), ExecRequest::new(query, rules, cfg), ctx);
+    (out.answers, out.metrics)
 }
 
-/// [`run_scaled`] with an explicit budget [`Governor`]: the seam a
-/// sharded executor uses to make every phase of one query (per-shard
-/// seed tasks, the cross-shard merge) observe a *shared*
-/// [`BudgetTracker`]. Seed phases pass an advisory governor — they
-/// draw down the budget and stop on cutoffs, but only a primary phase
-/// determines the run's [`Completeness`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_scaled_with(
-    store: &XkgStore,
-    query: &Query,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    shared: Option<&SharedPostingCache>,
-    totals: Option<&dyn GlobalTotals>,
-    oracle: Option<&dyn ConditionOracle>,
-    seed: Vec<Answer>,
-    governor: Governor<'_>,
-) -> (Vec<Answer>, ExecMetrics) {
-    run_scaled_traced(
-        store,
-        query,
-        rules,
-        cfg,
-        shared,
-        totals,
-        oracle,
-        seed,
-        governor,
-        &mut TraceRecorder::off(),
-    )
-}
-
-/// [`run_scaled_with`] with an explicit span recorder: the seam every
-/// instrumented caller (the sharded executor's seed tasks, the engine
-/// facade) threads its per-query [`TraceRecorder`] through. Passing
-/// [`TraceRecorder::off`] makes this identical to [`run_scaled_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_scaled_traced(
-    store: &XkgStore,
-    query: &Query,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    shared: Option<&SharedPostingCache>,
-    totals: Option<&dyn GlobalTotals>,
-    oracle: Option<&dyn ConditionOracle>,
-    seed: Vec<Answer>,
-    governor: Governor<'_>,
-    recorder: &mut TraceRecorder,
-) -> (Vec<Answer>, ExecMetrics) {
-    let mut metrics = ExecMetrics::default();
-    // One posting cache for the whole execution: structural variants that
-    // share a relaxed pattern never rebuild its matches.
-    let cache = Rc::new(RefCell::new(PostingCache::new()));
-    let answers = run_pipeline(
-        store,
-        oracle,
-        query,
-        rules,
-        cfg,
-        seed,
-        &mut metrics,
-        governor,
-        recorder,
-        |pattern, fresh_base, _| {
-            IncrementalMerge::for_pattern(
-                store,
-                pattern,
-                rules,
-                cfg,
-                fresh_base,
-                Rc::clone(&cache),
-                shared,
-                totals,
-            )
-        },
-    );
-    (answers, metrics)
-}
-
-/// A governed monolithic run: answers, metrics, and the typed
-/// [`Completeness`] of the result.
-#[derive(Debug)]
-pub struct GovernedRun {
-    /// Top-k answers, best first.
-    pub answers: Vec<Answer>,
-    /// Work counters, budget cutoffs and degradation steps included.
-    pub metrics: ExecMetrics,
-    /// What the ranking is guaranteed to be relative to the exact
-    /// engine's ([`Completeness::Exact`] unless a cutoff or an ε / θ
-    /// retirement actually fired).
-    pub completeness: Completeness,
-    /// Per-stage span trace of the run (empty under
-    /// [`ObsConfig::off`]).
-    pub trace: QueryTrace,
-}
-
-/// Like [`run_cached`], additionally reporting the run's typed
-/// [`Completeness`] — the serving-tier entry point for budgeted
-/// monolithic execution.
+/// [`execute`] over one store as a whole query: owns the budget tracker
+/// and the recorder `cfg.obs` asks for, consults `shared` (the session
+/// tier of the cache hierarchy; hits are counted in
+/// [`ExecMetrics::shared_cache_hits`]), and returns the finished trace.
 pub fn run_governed(
     store: &XkgStore,
     query: &Query,
     rules: &RuleSet,
     cfg: &TopkConfig,
     shared: Option<&SharedPostingCache>,
-) -> GovernedRun {
+) -> ExecOutcome {
     let tracker = BudgetTracker::new(cfg);
     let mut recorder = cfg.obs.recorder();
     let span_start = recorder.start();
-    let (answers, metrics) = run_scaled_traced(
-        store,
-        query,
-        rules,
-        cfg,
-        shared,
-        None,
-        Some(store),
-        Vec::new(),
-        Governor::primary(&tracker),
-        &mut recorder,
-    );
-    let completeness = tracker.completeness(&answers);
-    recorder.record(Stage::Query, answers.len() as u32, span_start);
-    GovernedRun {
-        answers,
-        metrics,
-        completeness,
-        trace: recorder.finish(),
-    }
+    let request = ExecRequest {
+        caches: shared.map_or(&[], std::slice::from_ref),
+        ..ExecRequest::new(query, rules, cfg)
+    };
+    let ctx = ExecCtx {
+        governor: Governor::primary(&tracker),
+        recorder: &mut recorder,
+    };
+    let mut out = execute(&StoreView::single(store), request, ctx);
+    recorder.record(Stage::Query, out.answers.len() as u32, span_start);
+    out.trace = recorder.finish();
+    out
 }
 
 /// Assembles and drives the full pipeline for one query: enumerates
 /// structural variants, builds one [`Stream`] per pattern around the
 /// stage-1 source `source_for` yields, and runs the rank join per
-/// variant into one shared collector.
-///
-/// This is the composition seam between the monolithic and partitioned
-/// engines: [`run_scaled`] passes an [`IncrementalMerge`] factory,
-/// [`crate::exec::sharded::run_partitioned`] a `ShardedMerge` factory —
-/// everything downstream of the factory is the same code.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pipeline<M: RankSource>(
-    lookup: &dyn TripleLookup,
-    oracle: Option<&dyn ConditionOracle>,
-    query: &Query,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    seed: Vec<Answer>,
+/// variant into one shared collector. Everything downstream of the
+/// factory is the same code for every source type.
+fn run_pipeline<M: RankSource>(
+    view: &StoreView<'_>,
+    request: ExecRequest<'_>,
+    ctx: ExecCtx<'_>,
     metrics: &mut ExecMetrics,
-    governor: Governor<'_>,
-    recorder: &mut TraceRecorder,
     mut source_for: impl FnMut(&QPattern, u16, usize) -> M,
 ) -> Vec<Answer> {
+    let ExecRequest { query, rules, cfg, seed, restrict, .. } = request;
+    let ExecCtx { governor, recorder } = ctx;
     let projection = query.effective_projection();
     let k = query.k.max(1);
     // Tracked collector: the k-th score the threshold reads on every
@@ -407,7 +422,7 @@ pub(crate) fn run_pipeline<M: RankSource>(
     for answer in seed {
         collector.offer(answer);
     }
-    let variants = structural_variants(oracle, &query.patterns, rules, cfg);
+    let variants = structural_variants(Some(view.oracle), &query.patterns, rules, cfg);
     let mut cut = false;
     for (variant_idx, (patterns, variant_weight, variant_trace)) in
         variants.into_iter().enumerate()
@@ -420,6 +435,9 @@ pub(crate) fn run_pipeline<M: RankSource>(
             governor.note_truncated(ln_weight(variant_weight));
             continue;
         }
+        if restrict.as_ref().is_some_and(|(j, _)| *j >= patterns.len()) {
+            continue;
+        }
         metrics.rewritings_evaluated += 1;
         if patterns.is_empty() {
             continue;
@@ -427,7 +445,7 @@ pub(crate) fn run_pipeline<M: RankSource>(
         let variant_start = recorder.start();
         let (mut streams, n_vars) = variant_streams(&patterns, &mut source_for);
         cut = !rank_join(
-            lookup,
+            view.lookup,
             cfg,
             &mut streams,
             ln_weight(variant_weight),

@@ -314,6 +314,9 @@ pub struct IncrementalMerge<'a> {
     /// emission subtracts its own contribution, so reading the bound is
     /// O(1) per capping round.
     mass_upper: f64,
+    /// `store`'s base in the view's global triple-id space, added to
+    /// every emitted id (0 for a store queried on its own).
+    id_base: u32,
 }
 
 impl<'a> IncrementalMerge<'a> {
@@ -362,7 +365,15 @@ impl<'a> IncrementalMerge<'a> {
             shared,
             totals,
             mass_upper,
+            id_base: 0,
         }
+    }
+
+    /// Emits triple ids offset by `id_base`: the slice's base in a
+    /// multi-slice view's global id space.
+    pub(crate) fn with_id_base(mut self, id_base: u32) -> IncrementalMerge<'a> {
+        self.id_base = id_base;
+        self
     }
 
     /// Builds the merge over `pattern`'s alternatives under `rules` —
@@ -501,7 +512,7 @@ impl<'a> IncrementalMerge<'a> {
                 });
             }
             return Some(Merged {
-                triple,
+                triple: TripleId(self.id_base + triple.0),
                 prob: alt.weight * prob,
                 alt: entry.alt as u32,
             });

@@ -16,10 +16,12 @@
 //! The top-k processor is a staged operator pipeline spread over four
 //! modules — [`merge`] (sorted-access sources), [`join`] (the
 //! hash-partitioned rank join), [`threshold`] (termination policy,
-//! including the ε-approximate mass criterion), and [`drive`] (variant
-//! enumeration and the pull loop). [`topk`] remains as a thin
-//! re-export façade; [`sharded`] composes the same stages around a
-//! cross-shard merge source.
+//! including the ε-approximate mass criterion), and [`drive`] (the one
+//! entry point `execute(view, request, ctx)`, variant enumeration and
+//! the pull loop). [`segmented`] defines what is queried (a
+//! `StoreView` over store slices), [`sharded`] the merge-of-merges
+//! source a multi-slice view gets, and [`topk`] re-exports the public
+//! surface.
 
 pub mod budget;
 pub mod drive;

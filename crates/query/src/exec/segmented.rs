@@ -1,31 +1,32 @@
-//! Execution context over the segments of a segmented (base + delta)
-//! store.
+//! What an execution queries: a [`StoreView`] over store slices.
 //!
-//! A segmented store serves queries as a union of store slices — the
-//! frozen base segment(s) followed by the freshly frozen delta
-//! segment(s) — through the exact same partitioned pipeline sharding
-//! uses ([`run_partitioned`](crate::exec::sharded::run_partitioned)):
-//! a segment is just another merge source. What the pipeline needs from
-//! the caller is the cross-slice context, and [`SegmentedExec`] bundles
-//! all three facets of it for an arbitrary slice list:
+//! Every backend answers a query as a union of frozen [`XkgStore`]
+//! slices — one store; a frozen base plus a freshly frozen delta; N
+//! subject-hash shards followed by their delta views — and
+//! [`execute`](crate::exec::drive::execute) takes that list, never the
+//! backend. Besides the slices, a view carries the cross-slice context
+//! the pipeline needs:
 //!
-//! * [`GlobalTotals`] — a pattern's matches may now split across
-//!   slices (in particular, a subject's matches split between its home
-//!   shard's base and delta, so even subject-bound shapes need a
-//!   cross-slice denominator), and every emission must be normalized
-//!   over the *union's* total emission weight for scores to equal a
-//!   from-scratch rebuild's;
-//! * [`TripleLookup`] — derivation ids are global (slice offset +
-//!   local id);
+//! * `offsets[i]` — slice `i`'s base in the view's global triple-id
+//!   space (every emitted and derivation id is global);
+//! * [`TripleLookup`] — resolves those global ids during the join;
+//! * [`GlobalTotals`] — a pattern's matches split across slices (a
+//!   subject's matches split between its home shard's base and delta,
+//!   so even subject-bound shapes need a cross-slice denominator), and
+//!   every emission is normalized over the *union's* total emission
+//!   weight so scores equal a from-scratch rebuild's;
 //! * [`ConditionOracle`] — a structural rule's data condition holds if
 //!   any slice asserts the ground triple.
 //!
-//! The provider is deliberately transient (per query): delta views are
-//! rebuilt on every ingest, so memoizing totals across queries would
-//! just be another invalidation surface. The totals it computes are
-//! O(log n) prefix-sum reads per slice for the four index-served
-//! shapes, and a scan of the (small) matching range for composite
-//! shapes.
+//! [`StoreView::single`] is one store on its own (it is its own lookup
+//! and oracle, and local totals are global). A sharded store implements
+//! all three traits itself; [`SegmentedExec`] implements them for an
+//! arbitrary slice list (a monolith's base + delta). It is deliberately
+//! transient (per query): delta views are rebuilt on every ingest, so
+//! memoizing totals across queries would just be another invalidation
+//! surface. Its totals are O(log n) prefix-sum reads per slice for the
+//! four index-served shapes, and a scan of the (small) matching range
+//! for composite shapes.
 
 use trinit_relax::ConditionOracle;
 use trinit_xkg::{SlotPattern, TermId, Triple, TripleId, XkgStore};
@@ -33,9 +34,70 @@ use trinit_xkg::{SlotPattern, TermId, Triple, TripleId, XkgStore};
 use crate::exec::TripleLookup;
 use crate::score::{satisfies_mask, CanonicalPattern, GlobalTotals};
 
+/// The slice list of a view; `One` lets [`StoreView::single`] hold its
+/// store without borrowing a caller-side array.
+#[derive(Clone, Copy)]
+enum Slices<'a> {
+    One([&'a XkgStore; 1]),
+    Many(&'a [&'a XkgStore]),
+}
+
+/// What one execution queries: store slices plus the cross-slice
+/// context (see the module docs).
+#[derive(Clone, Copy)]
+pub struct StoreView<'a> {
+    slices: Slices<'a>,
+    pub(crate) offsets: &'a [u32],
+    pub(crate) lookup: &'a dyn TripleLookup,
+    /// `None` only for [`StoreView::single`]: local totals are global.
+    pub(crate) totals: Option<&'a dyn GlobalTotals>,
+    pub(crate) oracle: &'a dyn ConditionOracle,
+}
+
+impl<'a> StoreView<'a> {
+    /// One store queried on its own — the monolith.
+    pub fn single(store: &'a XkgStore) -> StoreView<'a> {
+        StoreView {
+            slices: Slices::One([store]),
+            offsets: &[0],
+            lookup: store,
+            totals: None,
+            oracle: store,
+        }
+    }
+
+    /// `slices` (slice `i` based at `offsets[i]` in the global id
+    /// space) under `context`'s lookup, totals and oracle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lists differ in length or are empty.
+    pub fn over<C>(slices: &'a [&'a XkgStore], offsets: &'a [u32], context: &'a C) -> StoreView<'a>
+    where
+        C: TripleLookup + GlobalTotals + ConditionOracle,
+    {
+        assert_eq!(slices.len(), offsets.len(), "one offset per slice");
+        assert!(!slices.is_empty(), "at least one slice");
+        StoreView {
+            slices: Slices::Many(slices),
+            offsets,
+            lookup: context,
+            totals: Some(context),
+            oracle: context,
+        }
+    }
+
+    /// The slices, in global-id order.
+    pub fn slices(&self) -> &[&'a XkgStore] {
+        match &self.slices {
+            Slices::One(one) => one,
+            Slices::Many(many) => many,
+        }
+    }
+}
+
 /// Cross-slice totals, lookup, and oracle over an explicit slice list —
-/// the execution context a segmented store passes to
-/// [`run_partitioned`](crate::exec::sharded::run_partitioned).
+/// the context of a segmented store's [`StoreView`].
 pub struct SegmentedExec<'a> {
     slices: &'a [&'a XkgStore],
     /// `offsets[i]` is slice `i`'s base in the global triple-id space;
@@ -54,6 +116,11 @@ impl<'a> SegmentedExec<'a> {
         assert_eq!(slices.len(), offsets.len(), "one offset per slice");
         assert!(!slices.is_empty(), "at least one slice");
         SegmentedExec { slices, offsets }
+    }
+
+    /// The view over these slices, with `self` as its context.
+    pub fn view(&'a self) -> StoreView<'a> {
+        StoreView::over(self.slices, self.offsets, self)
     }
 
     /// Resolves a global triple id to its slice and slice-local id.

@@ -1,74 +1,61 @@
-//! Partitioned top-k execution: the staged pipeline over shard slices.
+//! Stage 1 over a multi-slice [`StoreView`]: the merge-of-merges.
 //!
-//! A sharded store splits the triple table into N independent
-//! [`XkgStore`] slices (subject-hash partitioned, sharing one term
-//! dictionary — see `trinit-xkg`'s `XkgBuilder::build_sharded`). This
-//! module runs the *same* staged operator pipeline over all slices at
-//! once by swapping only stage 1:
+//! When a view has more than one slice (N subject-hash shards, a base
+//! plus its delta, or both — see [`crate::exec::segmented`]),
+//! [`execute`](crate::exec::drive::execute)'s source factory hands each
+//! query pattern one [`ShardedMerge`] instead of a bare
+//! [`IncrementalMerge`]; nothing else about the pipeline changes:
 //!
-//! * each query pattern gets one [`ShardedMerge`] — a merge-of-merges
-//!   holding one [`IncrementalMerge`] per shard, emitting the union of
-//!   the shards' posting streams in globally descending probability
-//!   order behind the same [`RankSource`] seam the monolithic source
-//!   implements;
-//! * probabilities are normalized by a [`GlobalTotals`] provider, so a
-//!   shard's emissions carry exactly the probability the monolithic
-//!   engine would assign them (a shard-local denominator would inflate
-//!   them);
-//! * the emitted triple ids are remapped into a global id space
-//!   (per-shard offset + local id), and the rank join resolves them
-//!   through a caller-supplied [`TripleLookup`];
+//! * a [`ShardedMerge`] holds one [`IncrementalMerge`] per slice and
+//!   emits the union of their posting streams in globally descending
+//!   probability order behind the same [`RankSource`] seam;
+//! * probabilities are normalized by the view's [`GlobalTotals`], so a
+//!   slice's emissions carry exactly the probability the monolithic
+//!   engine would assign them (a slice-local denominator would inflate
+//!   them), and each slice's merge emits ids already based in the
+//!   view's global id space;
 //! * stages 2–4 — the join, threshold/capping policy, and the driver
-//!   loop — are literally the monolithic engine's code:
-//!   [`run_partitioned`] calls the same
-//!   [`drive::run_pipeline`](crate::exec::drive::run_pipeline) with a
-//!   `ShardedMerge` factory instead of an `IncrementalMerge` factory.
-//!   Each shard's posting-index head bounds enter the merge exactly as
-//!   the single store's do, so the global k-th answer terminates the
-//!   join as soon as it dominates every shard's remaining frontier —
-//!   and the ε-approximate mass criterion sums the shards' remaining
-//!   masses into one envelope with the same guarantee.
+//!   loop — are the same `run_pipeline` code, instantiated for this
+//!   source type. Each slice's posting-index head bounds enter the
+//!   merge exactly as a single store's do, so the global k-th answer
+//!   terminates the join as soon as it dominates every slice's
+//!   remaining frontier — and the ε-approximate mass criterion sums the
+//!   slices' remaining masses into one envelope with the same
+//!   guarantee.
 //!
-//! **Soundness / completeness.** The union of the shards' match sets is
+//! **Soundness / completeness.** The union of the slices' match sets is
 //! exactly the monolithic match set (the partition is total and
-//! disjoint), and [`ShardedMerge::next_merged`] only emits a shard's
+//! disjoint), and [`ShardedMerge::next_merged`] only emits a slice's
 //! head after [`IncrementalMerge::tighten_head`] has made it exact and
-//! no other shard's upper bound exceeds it — so the union stream is
+//! no other slice's upper bound exceeds it — so the union stream is
 //! emitted in the same globally descending order the monolithic merge
 //! produces, and every threshold argument of the single-store engine
 //! carries over verbatim.
 //!
-//! **Election cost.** The best shard is elected from a small max-heap
-//! keyed by per-shard bounds (O(log shards) per emission instead of a
+//! **Election cost.** The best slice is elected from a small max-heap
+//! keyed by per-slice bounds (O(log slices) per emission instead of a
 //! linear rescan), and the union's remaining-mass envelope is an
 //! incrementally maintained sum (O(1) per read). The heap's entries are
-//! always exact: a shard's bound only moves inside its own `&mut` calls
+//! always exact: a slice's bound only moves inside its own `&mut` calls
 //! (`tighten_head` / `next_merged`), each of which is followed by a
 //! re-push here — the emission order is property-pinned identical to
 //! the linear-scan election at 1/2/4/7 shards.
 //!
-//! A slice need not be a subject-hash shard: segmented (base + delta)
-//! stores pass their segments as extra slices, and the `restrict`
-//! parameter of [`run_partitioned`] confines one query pattern to a
-//! sub-range of slices — the seam semi-naive delta queries ("which
-//! answers did this batch introduce?") are built on.
+//! **Restriction.** A request's `restrict` confines one query pattern's
+//! merge to a sub-range of the slices (the delta slices) while every
+//! other pattern reads the full union — the seam semi-naive delta
+//! queries ("which answers did this batch introduce?") are built on.
+//! Scores stay exact because the totals normalize over the whole view
+//! either way.
 
 use std::cell::RefCell;
 use std::collections::BinaryHeap;
-use std::ops::Range;
 use std::rc::Rc;
 
 use trinit_obs::{now_ns, SpanRecord, Stage, TraceRecorder};
-use trinit_relax::{ConditionOracle, RuleSet};
-use trinit_xkg::{TripleId, XkgStore};
 
-use crate::answer::Answer;
-use crate::ast::Query;
-use crate::exec::budget::{Completeness, Governor};
-use crate::exec::drive::{self, TopkConfig};
 use crate::exec::merge::{AltView, IncrementalMerge, Merged, RankSource};
-use crate::exec::{ExecMetrics, TripleLookup};
-use crate::score::{GlobalTotals, PostingCache, SharedPostingCache};
+use crate::exec::ExecMetrics;
 
 /// One shard's standing in the election: its current exact upper bound.
 /// Max-heap order — higher bound first, ties to the lowest shard index
@@ -106,9 +93,6 @@ impl Ord for ShardEntry {
 /// via a bound-keyed max-heap.
 pub struct ShardedMerge<'a> {
     shards: Vec<IncrementalMerge<'a>>,
-    /// Each shard's base in the global triple-id space (parallel to
-    /// `shards`).
-    offsets: Vec<u32>,
     /// Each shard's slot in the shared `metrics` vector (parallel to
     /// `shards`; restricted merges cover a sub-range of the slots).
     slots: Vec<usize>,
@@ -133,9 +117,10 @@ pub struct ShardedMerge<'a> {
 }
 
 impl<'a> ShardedMerge<'a> {
-    fn new(
+    /// The union of `shards` (each already emitting global ids);
+    /// `slots[i]` is shard `i`'s index in the shared `metrics` vector.
+    pub(crate) fn new(
         shards: Vec<IncrementalMerge<'a>>,
-        offsets: Vec<u32>,
         slots: Vec<usize>,
         metrics: Rc<RefCell<Vec<ExecMetrics>>>,
     ) -> ShardedMerge<'a> {
@@ -147,7 +132,6 @@ impl<'a> ShardedMerge<'a> {
         let mass = shards.iter().map(IncrementalMerge::remaining_mass).sum();
         ShardedMerge {
             shards,
-            offsets,
             slots,
             metrics,
             heap,
@@ -221,7 +205,7 @@ impl RankSource for ShardedMerge<'_> {
                 });
                 continue;
             }
-            let Some(mut merged) = self
+            let Some(merged) = self
                 .with_mass_delta(i, metrics, |shard, m| shard.next_merged(m))
             else {
                 // A just-tightened head always emits; if the invariant
@@ -232,8 +216,6 @@ impl RankSource for ShardedMerge<'_> {
             if let Some(bound) = self.shards[i].peek_bound() {
                 self.heap.push(ShardEntry { bound, idx: i });
             }
-            // Remap into the global id space.
-            merged.triple = TripleId(self.offsets[i] + merged.triple.0);
             break Some(merged);
         };
         if obs_on {
@@ -288,154 +270,14 @@ impl ShardedMerge<'_> {
     }
 }
 
-/// The result of one partitioned execution.
-#[derive(Debug)]
-pub struct PartitionedRun {
-    /// Top-k answers, best first. Derivation triple ids are global
-    /// (shard offset + local id).
-    pub answers: Vec<Answer>,
-    /// Aggregate work counters, per-shard merge work included.
-    pub metrics: ExecMetrics,
-    /// Merge-level work (posting lists built, postings scanned, cache
-    /// hits, relaxations opened) attributed to each shard.
-    pub per_shard: Vec<ExecMetrics>,
-    /// The exactness guarantee of `answers`, read off the run's budget
-    /// tracker: `Exact` unless an ε/θ criterion genuinely retired work
-    /// or a hard budget cutoff fired.
-    pub completeness: Completeness,
-}
-
-/// Runs incremental top-k over the shards of a partitioned store,
-/// returning exactly the answers (keys *and* scores) the monolithic
-/// engine returns on the union of the shards.
-///
-/// * `offsets[i]` is shard `i`'s base in the global triple-id space;
-///   `lookup` resolves those global ids.
-/// * `totals` supplies cross-shard normalization totals; `oracle`
-///   verifies structural-rule data conditions across every slice.
-/// * `shard_caches`, when given, holds one store-level posting cache
-///   per *leading* slice (cached lists are slice-specific, so slices
-///   must never share one); trailing slices — e.g. freshly built delta
-///   segments, whose lists change every ingest — run uncached.
-/// * `seed` pre-loads the answer collector — a sharded executor passes
-///   the answers its parallel per-shard runs already found, so the
-///   threshold starts tight. Seeds must carry true (globally
-///   normalized) scores and global triple ids.
-/// * `governor` carries the query's budget state into the pipeline
-///   (pass `Governor::primary` over a fresh
-///   [`BudgetTracker`](crate::exec::budget::BudgetTracker) for a
-///   standalone run); the returned completeness is read off its
-///   tracker.
-/// * `restrict`, when `Some((j, range))`, confines query pattern `j`'s
-///   merge source to the slice sub-range `range` — the semi-naive
-///   delta-query seam: a pattern restricted to the delta slices matches
-///   only newly ingested triples, while every other pattern still reads
-///   the full union. Scores stay exact because `totals` normalizes over
-///   the whole store either way.
-/// * `recorder` receives the run's stage spans (variant spans, pull
-///   windows, election windows, threshold/cutoff events); pass
-///   [`TraceRecorder::off`] for an uninstrumented run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_partitioned(
-    shards: &[&XkgStore],
-    offsets: &[u32],
-    lookup: &dyn TripleLookup,
-    totals: &dyn GlobalTotals,
-    oracle: Option<&dyn ConditionOracle>,
-    query: &Query,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    shard_caches: Option<&[SharedPostingCache]>,
-    seed: Vec<Answer>,
-    governor: Governor<'_>,
-    restrict: Option<(usize, Range<usize>)>,
-    recorder: &mut TraceRecorder,
-) -> PartitionedRun {
-    assert_eq!(shards.len(), offsets.len(), "one offset per shard");
-    if let Some(caches) = shard_caches {
-        assert!(
-            caches.len() <= shards.len(),
-            "at most one cache per slice, leading slices first"
-        );
-    }
-    if let Some((_, range)) = &restrict {
-        assert!(
-            range.start < range.end && range.end <= shards.len(),
-            "restricted slice range out of bounds"
-        );
-    }
-    let n_shards = shards.len();
-    let mut metrics = ExecMetrics::default();
-
-    // One per-execution posting cache per shard: a cached list holds one
-    // slice's entries, so the cache key space is per shard.
-    let exec_caches: Vec<Rc<RefCell<PostingCache>>> = (0..n_shards)
-        .map(|_| Rc::new(RefCell::new(PostingCache::new())))
-        .collect();
-    let shard_metrics = Rc::new(RefCell::new(vec![ExecMetrics::default(); n_shards]));
-
-    // The same pipeline as the monolithic engine, assembled around a
-    // cross-shard stage-1 source: one IncrementalMerge per shard per
-    // pattern, unioned by ShardedMerge behind the RankSource seam.
-    let answers = drive::run_pipeline(
-        lookup,
-        oracle,
-        query,
-        rules,
-        cfg,
-        seed,
-        &mut metrics,
-        governor,
-        recorder,
-        |pattern, fresh_base, position| {
-            let range = match &restrict {
-                Some((j, range)) if *j == position => range.clone(),
-                _ => 0..n_shards,
-            };
-            let merges = range
-                .clone()
-                .map(|s| {
-                    IncrementalMerge::for_pattern(
-                        shards[s],
-                        pattern,
-                        rules,
-                        cfg,
-                        fresh_base,
-                        Rc::clone(&exec_caches[s]),
-                        shard_caches.and_then(|c| c.get(s)),
-                        Some(totals),
-                    )
-                })
-                .collect();
-            ShardedMerge::new(
-                merges,
-                range.clone().map(|s| offsets[s]).collect(),
-                range.collect(),
-                Rc::clone(&shard_metrics),
-            )
-        },
-    );
-
-    // No end-fold: per-shard merge work already flowed into the
-    // aggregate at call time (ShardedMerge::with_mass_delta records
-    // into both the shard slot and the passed metrics), so folding the
-    // slots here would double-count it.
-    let per_shard = shard_metrics.borrow().clone();
-    let completeness = governor.tracker().completeness(&answers);
-    PartitionedRun {
-        answers,
-        metrics,
-        per_shard,
-        completeness,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::drive::TopkConfig;
     use crate::exec::segmented::SegmentedExec;
-    use trinit_relax::QPattern;
-    use trinit_xkg::XkgBuilder;
+    use crate::score::{GlobalTotals, PostingCache};
+    use trinit_relax::{QPattern, RuleSet};
+    use trinit_xkg::{TripleId, XkgBuilder, XkgStore};
 
     fn builder() -> XkgBuilder {
         let mut b = XkgBuilder::new();
@@ -549,8 +391,11 @@ mod tests {
                 let mut ref_metrics = vec![ExecMetrics::default(); n];
                 let heap_metrics = Rc::new(RefCell::new(vec![ExecMetrics::default(); n]));
                 let mut heap_merge = ShardedMerge::new(
-                    merges_for(&slices, &pattern, &rules, &cfg, &exec),
-                    offsets.clone(),
+                    merges_for(&slices, &pattern, &rules, &cfg, &exec)
+                        .into_iter()
+                        .zip(&offsets)
+                        .map(|(m, &base)| m.with_id_base(base))
+                        .collect(),
                     (0..n).collect(),
                     Rc::clone(&heap_metrics),
                 );

@@ -1,8 +1,8 @@
-//! Incremental top-k query processing (paper §4) — compatibility
-//! façade over the staged operator pipeline.
+//! Incremental top-k query processing (paper §4) — the public surface
+//! of the staged operator pipeline.
 //!
-//! The former monolithic implementation now lives in four stage
-//! modules with narrow seams between them:
+//! The processor lives in four stage modules with narrow seams between
+//! them:
 //!
 //! * [`crate::exec::merge`] — stage 1: pattern alternatives and the
 //!   [`IncrementalMerge`] sorted-access source behind the
@@ -13,20 +13,19 @@
 //!   termination bound, stream capping, and the remaining-mass
 //!   envelope that is the load-bearing criterion of the ε-approximate
 //!   mode ([`TopkConfig::epsilon`]).
-//! * [`crate::exec::drive`] — stage 4: variant enumeration, stream
-//!   assembly, and the pull loop; `run_pipeline` is the composition
-//!   seam the sharded engine shares.
+//! * [`crate::exec::drive`] — stage 4: the one entry point
+//!   [`execute`]`(view, request, ctx)`, variant enumeration, stream
+//!   assembly, and the pull loop.
 //!
-//! This module re-exports the public surface so existing callers (and
-//! the paper-anchored docs that reference `exec::topk`) keep working;
-//! new code should import from the stage modules directly.
+//! This module re-exports that surface under the paper-anchored name
+//! `exec::topk`.
 
 pub use crate::exec::budget::{
     describe_panic, BudgetTracker, Completeness, CutoffReason, DegradationRung, ExecBudget,
     ExecError, Governor,
 };
 pub use crate::exec::drive::{
-    run, run_cached, run_governed, run_scaled, run_scaled_traced, run_scaled_with, GovernedRun,
-    TopkConfig,
+    execute, run, run_governed, ExecCtx, ExecOutcome, ExecRequest, TopkConfig,
 };
 pub use crate::exec::merge::{AltView, IncrementalMerge, Merged, RankSource};
+pub use crate::exec::segmented::{SegmentedExec, StoreView};

@@ -345,8 +345,12 @@ proptest! {
         let cfg = TopkConfig::default();
         let (plain, m_plain) = topk::run(&store, &query_from(patterns.clone(), k), &set, &cfg);
         let cache = SharedPostingCache::new(64);
-        let (cold, m_cold) = topk::run_cached(&store, &query_from(patterns.clone(), k), &set, &cfg, Some(&cache));
-        let (warm, m_warm) = topk::run_cached(&store, &query_from(patterns, k), &set, &cfg, Some(&cache));
+        let cached = |q: &Query| {
+            let run = topk::run_governed(&store, q, &set, &cfg, Some(&cache));
+            (run.answers, run.metrics)
+        };
+        let (cold, m_cold) = cached(&query_from(patterns.clone(), k));
+        let (warm, m_warm) = cached(&query_from(patterns, k));
         // Pull-count parity: caching changes where lists come from, never
         // how far sorted access walks — and the persistently tracked
         // k-th score must drive the threshold identically on every run.

@@ -1,19 +1,25 @@
 //! The sharded executor: per-shard seeding on scoped threads, the
 //! cross-shard merge phase, and the batch query pool.
+//!
+//! Both phases are calls into the engine's one entry point,
+//! [`execute`]: a seed task is `execute` over a one-slice view of its
+//! shard under an advisory governor, the merge phase is `execute` over
+//! every shard plus the live delta views, pre-seeded with what the seed
+//! tasks found. Whoever starts the query ([`ShardedExecutor::run`], the
+//! work-stealing scheduler, or the engine facade) owns its budget
+//! tracker and recorder and lends them to both phases.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use trinit_obs::{QueryTrace, Stage, TraceRecorder};
-use trinit_query::exec::sharded::run_partitioned;
-use trinit_query::exec::topk::{run_scaled_traced, TopkConfig};
+use trinit_obs::{Stage, TraceRecorder};
+use trinit_query::exec::topk::{execute, ExecCtx, ExecOutcome, ExecRequest, StoreView, TopkConfig};
 use trinit_query::{
-    describe_panic, Answer, BudgetTracker, Completeness, ExecError, ExecMetrics, Governor, Query,
+    describe_panic, Answer, BudgetTracker, ExecError, ExecMetrics, Governor, Query,
     SharedPostingCache,
 };
-use trinit_relax::{ConditionOracle, RuleSet};
-use trinit_xkg::TripleId;
+use trinit_relax::RuleSet;
 
 use crate::store::ShardedStore;
 
@@ -26,80 +32,85 @@ pub enum SeedMode {
     /// instead of the sum, and the merge phase starts with a tight
     /// k-th score.
     Parallel,
-    /// Run the per-shard seeds one after another on the calling thread.
-    /// Used inside batch pools, where the parallelism budget is already
-    /// spent across queries.
-    Sequential,
     /// Skip seeding: go straight to the cross-shard merge. Cheapest in
-    /// total work — the merge phase alone is complete and exact.
+    /// total work — the merge phase alone is complete and exact. Used
+    /// inside batch pools, where the parallelism budget is already
+    /// spent across queries.
     Off,
 }
 
-/// The outcome of one sharded execution.
+/// What a query's seed phase hands its merge phase: the answers the
+/// per-shard seed tasks found (global ids, globally normalized scores)
+/// and the work each shard's task cost.
 #[derive(Debug)]
-pub struct ShardedRun {
-    /// Top-k answers, best first; derivation triple ids are global
-    /// (resolve them with [`ShardedStore::resolve`]).
-    pub answers: Vec<Answer>,
-    /// Aggregate work counters across the seed and merge phases.
-    pub metrics: ExecMetrics,
-    /// Per-shard work: each shard's seed-phase run plus its share of
-    /// the merge phase's posting work.
-    pub per_shard: Vec<ExecMetrics>,
-    /// The exactness guarantee of `answers` under the query's
-    /// [`trinit_query::ExecBudget`]: `Exact` unless an ε/θ criterion
-    /// retired work in the merge phase or a hard budget cutoff fired.
-    /// Seed-phase retirements never degrade the label — the merge
-    /// phase alone is complete and exact.
-    pub completeness: Completeness,
-    /// Per-stage execution trace: seed-task spans (merged from every
-    /// worker in shard order), the merge-phase span, and the pipeline's
-    /// windowed pull/election spans. Empty when
-    /// [`ObsConfig`](trinit_obs::ObsConfig) is off.
-    pub trace: QueryTrace,
+pub struct Seeds {
+    answers: Vec<Answer>,
+    per_shard: Vec<ExecMetrics>,
+}
+
+impl Seeds {
+    /// No seed phase ran over a store of `shards` shards.
+    pub fn none(shards: usize) -> Seeds {
+        Seeds {
+            answers: Vec::new(),
+            per_shard: vec![ExecMetrics::default(); shards],
+        }
+    }
+
+    /// Adds `shard`'s finished seed task.
+    pub(crate) fn add(&mut self, shard: usize, answers: Vec<Answer>, metrics: &ExecMetrics) {
+        self.answers.extend(answers);
+        self.per_shard[shard].merge(metrics);
+    }
 }
 
 /// Executes queries over a [`ShardedStore`]: fans the query out to
 /// per-shard top-k executions (the seed phase) and merges the shards'
 /// posting streams under the engine's tightened global threshold (the
 /// merge phase, which is always complete and exact).
+///
+/// Outcomes are the engine's [`ExecOutcome`]: derivation triple ids are
+/// global (resolve them with [`ShardedStore::resolve`]), `metrics`
+/// aggregates the seed and merge phases, `per_shard` holds each shard's
+/// seed-phase run plus its share of the merge phase's posting work
+/// (live delta views follow the shards), and `completeness` reflects
+/// the merge phase alone — seed-phase retirements never degrade the
+/// label.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedExecutor<'a> {
     pub(crate) store: &'a ShardedStore,
-    /// One store-level posting cache per shard, if caching is enabled.
-    pub(crate) caches: Option<&'a [SharedPostingCache]>,
+    /// One store-level posting cache per shard; empty when caching is
+    /// off.
+    pub(crate) caches: &'a [SharedPostingCache],
 }
 
 impl<'a> ShardedExecutor<'a> {
     /// An executor without store-level posting caches.
     pub fn new(store: &'a ShardedStore) -> ShardedExecutor<'a> {
-        ShardedExecutor {
-            store,
-            caches: None,
-        }
+        ShardedExecutor { store, caches: &[] }
     }
 
     /// Attaches one store-level posting cache per shard (cached lists
     /// are shard-specific, so the set's length must equal the shard
-    /// count).
+    /// count); an empty set means no store-level caching.
     ///
     /// # Panics
     ///
-    /// Panics if `caches.len()` differs from the shard count.
+    /// Panics if `caches` is neither empty nor one per shard.
     pub fn with_caches(mut self, caches: &'a [SharedPostingCache]) -> ShardedExecutor<'a> {
-        assert_eq!(
-            caches.len(),
-            self.store.shard_count(),
+        assert!(
+            caches.is_empty() || caches.len() == self.store.shard_count(),
             "one posting cache per shard"
         );
-        self.caches = Some(caches);
+        self.caches = caches;
         self
     }
 
     /// Runs one shard's local top-k (all patterns restricted to the
-    /// shard's slice, scores globally normalized) and remaps the
-    /// answers' derivation ids into the global space. One seed task of
-    /// the work-stealing batch scheduler ([`crate::schedule`]).
+    /// shard's slice; scores globally normalized and derivation ids
+    /// global, because the one-slice view keeps the store's totals and
+    /// id space). One seed task of the work-stealing batch scheduler
+    /// ([`crate::schedule`]).
     pub(crate) fn seed_shard(
         &self,
         shard: usize,
@@ -109,32 +120,24 @@ impl<'a> ShardedExecutor<'a> {
         tracker: &BudgetTracker,
         recorder: &mut TraceRecorder,
     ) -> (Vec<Answer>, ExecMetrics) {
-        let store = self.store.shard(shard);
-        let offset = self.store.offsets()[shard];
+        let slices = [self.store.shard(shard)];
+        let offsets = [self.store.offsets()[shard]];
+        let request = ExecRequest {
+            caches: self.caches.get(shard).map_or(&[], std::slice::from_ref),
+            ..ExecRequest::new(query, rules, cfg)
+        };
         let seed_start = recorder.start();
         // Advisory governance: seed pulls consume the shared budget and
         // pick up ladder escalations, but a cutoff or ε retirement here
         // never marks the query non-exact — seeds only warm the merge
         // phase's collector, and the merge phase alone is complete.
-        let (mut answers, metrics) = run_scaled_traced(
-            store,
-            query,
-            rules,
-            cfg,
-            self.caches.map(|c| &c[shard]),
-            Some(self.store),
-            Some(self.store as &dyn ConditionOracle),
-            Vec::new(),
-            Governor::advisory(tracker),
-            recorder,
-        );
+        let ctx = ExecCtx {
+            governor: Governor::advisory(tracker),
+            recorder: &mut *recorder,
+        };
+        let run = execute(&StoreView::over(&slices, &offsets, self.store), request, ctx);
         recorder.record(Stage::SeedTask, shard as u32, seed_start);
-        for answer in &mut answers {
-            for (_, id) in &mut answer.derivation.triples {
-                *id = TripleId(offset + id.0);
-            }
-        }
-        (answers, metrics)
+        (run.answers, run.metrics)
     }
 
     /// Answers `query`: seed phase per `seed`, then the cross-shard
@@ -146,182 +149,124 @@ impl<'a> ShardedExecutor<'a> {
         rules: &RuleSet,
         cfg: &TopkConfig,
         seed: SeedMode,
-    ) -> ShardedRun {
-        let n = self.store.shard_count();
+    ) -> ExecOutcome {
         let tracker = BudgetTracker::new(cfg);
         let mut recorder = cfg.obs.recorder();
         let query_start = recorder.start();
-        let mut per_shard = vec![ExecMetrics::default(); n];
-        let mut seeds: Vec<Answer> = Vec::new();
-        match seed {
-            SeedMode::Off => {}
-            SeedMode::Sequential => {
-                for (shard, acc) in per_shard.iter_mut().enumerate() {
-                    let (answers, metrics) =
-                        self.seed_shard(shard, query, rules, cfg, &tracker, &mut recorder);
-                    seeds.extend(answers);
-                    acc.merge(&metrics);
-                }
-            }
-            SeedMode::Parallel => {
-                let tracker = &tracker;
-                let results = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..n)
-                        .map(|shard| {
-                            scope.spawn(move || {
-                                // Worker-local recorder: the seed thread
-                                // records lock-free and the join below
-                                // merges in shard order.
-                                let mut local = cfg.obs.recorder();
-                                let out = self
-                                    .seed_shard(shard, query, rules, cfg, tracker, &mut local);
-                                (out, local)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join())
-                        .collect::<Vec<_>>()
-                });
-                for (shard, joined) in results.into_iter().enumerate() {
-                    // A panicked seed thread forfeits only its warm
-                    // start: the merge phase is complete on its own, so
-                    // the query still returns its exact answers.
-                    let ((answers, metrics), local) = joined.unwrap_or_else(|_| {
-                        ((Vec::new(), ExecMetrics::default()), TraceRecorder::off())
-                    });
-                    seeds.extend(answers);
-                    per_shard[shard].merge(&metrics);
-                    recorder.merge(&local);
-                }
-            }
-        }
-
-        let mut run =
-            self.merge_with_seeds(query, rules, cfg, seeds, per_shard, &tracker, &mut recorder);
+        let seeds = self.seed(query, rules, cfg, seed, &tracker, &mut recorder);
+        let ctx = ExecCtx {
+            governor: Governor::primary(&tracker),
+            recorder: &mut recorder,
+        };
+        let mut run = self.merge(query, rules, cfg, seeds, None, ctx);
         recorder.record(Stage::Query, run.answers.len() as u32, query_start);
         run.trace = recorder.finish();
         run
     }
 
-    /// The cross-shard merge phase: runs the partitioned pipeline with
-    /// the collector pre-loaded from `seeds`, folding the seed phase's
-    /// per-shard work (`per_shard`) into the aggregate counters. Shared
-    /// by [`ShardedExecutor::run`] and the work-stealing batch
-    /// scheduler, whose stolen seed tasks feed the same merge.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn merge_with_seeds(
+    /// The seed phase per `mode`: nothing for [`SeedMode::Off`]; for
+    /// [`SeedMode::Parallel`] every shard's seed task on its own scoped
+    /// thread, joined in shard order (worker-local recorders merge into
+    /// `recorder` at the join).
+    pub fn seed(
         &self,
         query: &Query,
         rules: &RuleSet,
         cfg: &TopkConfig,
-        seeds: Vec<Answer>,
-        per_shard: Vec<ExecMetrics>,
+        mode: SeedMode,
         tracker: &BudgetTracker,
         recorder: &mut TraceRecorder,
-    ) -> ShardedRun {
-        self.merge_restricted(query, rules, cfg, seeds, per_shard, tracker, None, recorder)
+    ) -> Seeds {
+        let n = self.store.shard_count();
+        let mut seeds = Seeds::none(n);
+        if mode == SeedMode::Off {
+            return seeds;
+        }
+        let results = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|shard| {
+                    scope.spawn(move || {
+                        // Worker-local recorder: the seed thread records
+                        // lock-free and the join below merges in shard
+                        // order.
+                        let mut local = cfg.obs.recorder();
+                        let out = self.seed_shard(shard, query, rules, cfg, tracker, &mut local);
+                        (out, local)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join())
+                .collect::<Vec<_>>()
+        });
+        for (shard, joined) in results.into_iter().enumerate() {
+            // A panicked seed thread forfeits only its warm start: the
+            // merge phase is complete on its own, so the query still
+            // returns its exact answers.
+            if let Ok(((answers, metrics), local)) = joined {
+                seeds.add(shard, answers, &metrics);
+                recorder.merge(&local);
+            }
+        }
+        seeds
     }
 
-    /// Cross-shard merge with query pattern `position`'s merge source
-    /// confined to the delta slices — the semi-naive delta-query seam:
-    /// every answer uses at least one freshly ingested triple for that
-    /// pattern, while the other patterns still read the full base ∪
-    /// delta union (and scores normalize over the union, so they equal
-    /// a full run's). No seed phase — seeds search whole shards and
-    /// would reintroduce base-only matches.
+    /// The cross-shard merge phase — one [`execute`] over the base
+    /// shards plus any live delta views as extra slices, the collector
+    /// pre-loaded from `seeds` and the seed phase's per-shard work
+    /// folded into the outcome's counters. `ctx` is the query's budget
+    /// and recorder (the caller finishes the trace).
     ///
-    /// # Panics
-    ///
-    /// Panics if the store has no live delta
-    /// ([`ShardedStore::has_delta`]).
-    pub fn run_delta_restricted(
+    /// `restrict = Some(j)` confines query pattern `j` to the delta
+    /// slices — the semi-naive delta-query seam: every answer uses at
+    /// least one freshly ingested triple for that pattern, while the
+    /// other patterns still read the full base ∪ delta union (and
+    /// scores normalize over the union, so a derivation scores exactly
+    /// as it does in a full run).
+    /// Pass no seeds with it — seed tasks search whole shards and would
+    /// reintroduce base-only matches. With no live delta the restricted
+    /// pattern matches nothing and the run has no answers.
+    pub fn merge(
         &self,
         query: &Query,
         rules: &RuleSet,
         cfg: &TopkConfig,
-        position: usize,
-        tracker: &BudgetTracker,
-    ) -> ShardedRun {
-        assert!(
-            self.store.has_delta(),
-            "delta-restricted run requires a live delta"
-        );
-        let per_shard = vec![ExecMetrics::default(); self.store.shard_count()];
-        let mut recorder = cfg.obs.recorder();
-        let mut run = self.merge_restricted(
-            query,
-            rules,
-            cfg,
-            Vec::new(),
-            per_shard,
-            tracker,
-            Some(position),
-            &mut recorder,
-        );
-        run.trace = recorder.finish();
-        run
-    }
-
-    /// The shared merge-phase core: base shards plus any live delta
-    /// views as extra slices, optionally restricting one pattern to the
-    /// delta sub-range.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_restricted(
-        &self,
-        query: &Query,
-        rules: &RuleSet,
-        cfg: &TopkConfig,
-        seeds: Vec<Answer>,
-        mut per_shard: Vec<ExecMetrics>,
-        tracker: &BudgetTracker,
-        restrict_pattern: Option<usize>,
-        recorder: &mut TraceRecorder,
-    ) -> ShardedRun {
-        let mut shard_refs: Vec<&trinit_xkg::XkgStore> = self.store.shards().iter().collect();
+        seeds: Seeds,
+        restrict: Option<usize>,
+        ctx: ExecCtx<'_>,
+    ) -> ExecOutcome {
+        let mut slices: Vec<&trinit_xkg::XkgStore> = self.store.shards().iter().collect();
         let mut offsets: Vec<u32> = self.store.offsets().to_vec();
-        let n_base = shard_refs.len();
+        let n_base = slices.len();
         for (view, offset) in self.store.delta_slices() {
-            shard_refs.push(view);
+            slices.push(view);
             offsets.push(offset);
         }
-        let restrict = restrict_pattern.map(|j| (j, n_base..shard_refs.len()));
+        let request = ExecRequest {
+            caches: self.caches,
+            seed: seeds.answers,
+            restrict: restrict.map(|j| (j, n_base..slices.len())),
+            ..ExecRequest::new(query, rules, cfg)
+        };
+        let ExecCtx { governor, recorder } = ctx;
         let merge_start = recorder.start();
-        let run = run_partitioned(
-            &shard_refs,
-            &offsets,
-            self.store,
-            self.store,
-            Some(self.store as &dyn ConditionOracle),
-            query,
-            rules,
-            cfg,
-            self.caches,
-            seeds,
-            Governor::primary(tracker),
-            restrict,
-            recorder,
-        );
-        recorder.record(Stage::Merge, shard_refs.len() as u32, merge_start);
+        let view = StoreView::over(&slices, &offsets, self.store);
+        let mut run = execute(&view, request, ExecCtx { governor, recorder: &mut *recorder });
+        recorder.record(Stage::Merge, slices.len() as u32, merge_start);
 
-        let mut metrics = run.metrics;
-        // Delta slices have no seed-phase slot; grow the accumulator so
-        // their merge-phase work is reported rather than dropped.
-        per_shard.resize(run.per_shard.len(), ExecMetrics::default());
-        for (acc, phase2) in per_shard.iter_mut().zip(&run.per_shard) {
-            metrics.merge(acc); // seed-phase work into the aggregate
-            acc.merge(phase2);
+        // A one-slice view reports no per-slice split: the aggregate is
+        // that slice's work.
+        if run.per_shard.is_empty() {
+            run.per_shard.push(run.metrics);
         }
-        ShardedRun {
-            answers: run.answers,
-            metrics,
-            per_shard,
-            completeness: run.completeness,
-            // The caller that owns the query's recorder finishes it;
-            // runs that never see a trace keep the empty default.
-            trace: QueryTrace::default(),
+        // Seed-phase work joins both the aggregate and its shard's slot
+        // (delta slices, past the shards, have no seed phase).
+        for (seed, slot) in seeds.per_shard.iter().zip(&mut run.per_shard) {
+            run.metrics.merge(seed);
+            slot.merge(seed);
         }
+        run
     }
 }
 
@@ -480,7 +425,7 @@ mod tests {
             .build();
         let (mono, _) = topk::run(&single, &q, &rules, &cfg);
         let exec = ShardedExecutor::new(&sharded);
-        for mode in [SeedMode::Off, SeedMode::Sequential, SeedMode::Parallel] {
+        for mode in [SeedMode::Off, SeedMode::Parallel] {
             let run = exec.run(&q, &rules, &cfg, mode);
             assert_same_answers(&run.answers, &mono);
             assert_eq!(run.per_shard.len(), 3);
@@ -528,8 +473,8 @@ mod tests {
             .limit(5)
             .build();
         let cfg = TopkConfig::default();
-        let cold = exec.run(&q, &rules, &cfg, SeedMode::Sequential);
-        let warm = exec.run(&q, &rules, &cfg, SeedMode::Sequential);
+        let cold = exec.run(&q, &rules, &cfg, SeedMode::Parallel);
+        let warm = exec.run(&q, &rules, &cfg, SeedMode::Parallel);
         assert_same_answers(&cold.answers, &warm.answers);
         assert!(
             warm.metrics.shared_cache_hits > 0,
@@ -551,7 +496,7 @@ mod tests {
             &q,
             &rules,
             &TopkConfig::default(),
-            SeedMode::Sequential,
+            SeedMode::Parallel,
         );
         let scanned: usize = run.per_shard.iter().map(|m| m.postings_scanned).sum();
         assert_eq!(
@@ -574,7 +519,7 @@ mod tests {
             .pattern_v_r_v("a", "p", "b")
             .limit(6)
             .build();
-        for mode in [SeedMode::Off, SeedMode::Sequential, SeedMode::Parallel] {
+        for mode in [SeedMode::Off, SeedMode::Parallel] {
             let run = exec.run(&q, &rules, &cfg, mode);
             let trace = &run.trace;
             assert_eq!(trace.stage_count(Stage::Query), 1, "{mode:?}");

@@ -67,7 +67,7 @@ pub mod exec;
 pub mod schedule;
 pub mod store;
 
-pub use exec::{QueryPool, SeedMode, ShardedExecutor, ShardedRun};
+pub use exec::{QueryPool, SeedMode, Seeds, ShardedExecutor};
 pub use store::ShardedStore;
 
 /// Test support: the tie-group-aware answer comparator shared by this

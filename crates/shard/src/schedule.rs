@@ -20,7 +20,7 @@
 //!   query);
 //! * the worker that completes a query's *last* seed task immediately
 //!   drives its cross-shard merge phase
-//!   ([`ShardedExecutor::merge_with_seeds`](crate::ShardedExecutor)),
+//!   ([`ShardedExecutor::merge`](crate::ShardedExecutor)),
 //!   with the collector pre-loaded from every shard's seed answers — so
 //!   the merge starts with a tight k-th score, exactly like the
 //!   latency-oriented [`SeedMode::Parallel`](crate::SeedMode) path, and
@@ -46,13 +46,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use trinit_obs::{MetricsRegistry, TraceRecorder};
-use trinit_query::exec::topk::TopkConfig;
+use trinit_query::exec::topk::{ExecCtx, ExecOutcome, TopkConfig};
 use trinit_query::{
-    describe_panic, Answer, BudgetTracker, ExecError, ExecMetrics, QTerm, Query,
+    describe_panic, Answer, BudgetTracker, ExecError, ExecMetrics, Governor, QTerm, Query,
 };
 use trinit_relax::RuleSet;
 
-use crate::exec::{ShardedExecutor, ShardedRun};
+use crate::exec::{Seeds, ShardedExecutor};
 
 /// Sentinel: no worker has claimed this query yet.
 const NO_OWNER: usize = usize::MAX;
@@ -89,7 +89,7 @@ struct QueryState {
     seeds: Mutex<Vec<Option<SeedResult>>>,
     /// The finished run — or the typed error of the first panic caught
     /// on this query's work — written under panic isolation.
-    outcome: Mutex<Option<Result<ShardedRun, ExecError>>>,
+    outcome: Mutex<Option<Result<ExecOutcome, ExecError>>>,
 }
 
 impl QueryState {
@@ -153,26 +153,25 @@ impl<'a> ShardedExecutor<'a> {
     /// Each run's `metrics.seed_steals` reports how many of the query's
     /// seed tasks were lifted by workers other than its owner; the rest
     /// of the counters aggregate the seed and merge phases exactly like
-    /// [`ShardedExecutor::run`] with [`SeedMode`](crate::SeedMode)
-    /// seeding.
+    /// [`ShardedExecutor::run`] with seeding.
     pub fn run_batch_stealing(
         &self,
         queries: &[Query],
         rules: &RuleSet,
         cfg: &TopkConfig,
         workers: usize,
-    ) -> Vec<Result<ShardedRun, ExecError>> {
+    ) -> Vec<Result<ExecOutcome, ExecError>> {
         self.run_batch_stealing_observed(queries, rules, cfg, workers, None)
     }
 
     /// [`ShardedExecutor::run_batch_stealing`] with a metrics sink for
-    /// queries that never produce a [`ShardedRun`]: when a seed task or
+    /// queries that never produce a [`ExecOutcome`]: when a seed task or
     /// merge phase panics, the worker-local recorder lives *outside*
     /// the `catch_unwind` boundary, so the spans completed before the
     /// panic survive — they are flushed into `registry`'s per-stage
     /// histograms instead of being lost with the poisoned query.
-    /// Successful queries carry their trace on
-    /// [`ShardedRun::trace`](crate::ShardedRun) as usual.
+    /// Successful queries carry their trace on [`ExecOutcome::trace`]
+    /// as usual.
     pub fn run_batch_stealing_observed(
         &self,
         queries: &[Query],
@@ -180,7 +179,7 @@ impl<'a> ShardedExecutor<'a> {
         cfg: &TopkConfig,
         workers: usize,
         registry: Option<&MetricsRegistry>,
-    ) -> Vec<Result<ShardedRun, ExecError>> {
+    ) -> Vec<Result<ExecOutcome, ExecError>> {
         let n_shards = self.store.shard_count();
         let n_queries = queries.len();
         if n_queries == 0 {
@@ -285,8 +284,7 @@ impl<'a> ShardedExecutor<'a> {
                             continue;
                         }
                         let slots = std::mem::take(&mut *lock_recover(&state.seeds));
-                        let mut seeds: Vec<Answer> = Vec::new();
-                        let mut per_shard = vec![ExecMetrics::default(); n_shards];
+                        let mut seeds = Seeds::none(n_shards);
                         // The query's trace: worker-local seed recorders
                         // merged in shard order (deterministic regardless
                         // of which worker ran which task), then the merge
@@ -295,23 +293,18 @@ impl<'a> ShardedExecutor<'a> {
                         for (shard, slot) in slots.into_iter().enumerate() {
                             // Empty slots are adaptively skipped shards.
                             if let Some((answers, metrics, task_recorder)) = slot {
-                                seeds.extend(answers);
-                                per_shard[shard] = metrics;
+                                seeds.add(shard, answers, &metrics);
                                 recorder.merge(&task_recorder);
                             }
                         }
                         let merged = catch_unwind(AssertUnwindSafe(|| {
                             #[cfg(feature = "faults")]
                             trinit_query::faults::on_merge(qi);
-                            self.merge_with_seeds(
-                                &queries[qi],
-                                rules,
-                                cfg,
-                                seeds,
-                                per_shard,
-                                &trackers[qi],
-                                &mut recorder,
-                            )
+                            let ctx = ExecCtx {
+                                governor: Governor::primary(&trackers[qi]),
+                                recorder: &mut recorder,
+                            };
+                            self.merge(&queries[qi], rules, cfg, seeds, None, ctx)
                         }));
                         match merged {
                             Ok(mut run) => {
@@ -476,7 +469,7 @@ mod tests {
     fn seed_metrics_fold_into_the_aggregate() {
         // The stolen batch's counters must match the equivalent
         // seed-then-merge execution: per-shard seed work plus the merge
-        // phase's posting work, exactly like SeedMode::Sequential.
+        // phase's posting work, exactly like a seeded per-query run.
         let single = builder().build();
         let rules = rules(&single);
         let sharded = ShardedStore::build(builder(), 3);
@@ -492,7 +485,7 @@ mod tests {
             2,
         );
         let run = runs[0].as_ref().expect("no worker panicked");
-        let reference = exec.run(&q, &rules, &TopkConfig::default(), SeedMode::Sequential);
+        let reference = exec.run(&q, &rules, &TopkConfig::default(), SeedMode::Parallel);
         assert_same_answers(&run.answers, &reference.answers);
         assert_eq!(
             run.metrics.postings_scanned, reference.metrics.postings_scanned,

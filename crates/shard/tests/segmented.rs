@@ -13,12 +13,10 @@ use std::collections::{BTreeMap, HashSet};
 
 use proptest::prelude::*;
 
-use trinit_query::exec::segmented::SegmentedExec;
-use trinit_query::exec::sharded::run_partitioned;
-use trinit_query::exec::topk::{self, TopkConfig};
-use trinit_query::{Answer, BudgetTracker, Governor, Query};
+use trinit_query::exec::topk::{self, ExecCtx, ExecRequest, SegmentedExec, TopkConfig};
+use trinit_query::{Answer, BudgetTracker, Governor, Query, TraceRecorder};
 use trinit_relax::{ConditionOracle, QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
-use trinit_shard::{SeedMode, ShardedExecutor, ShardedStore};
+use trinit_shard::{SeedMode, Seeds, ShardedExecutor, ShardedStore};
 use trinit_xkg::{
     Provenance, SegmentedStore, SlotPattern, SourceId, TermId, TermKind, Triple, XkgBuilder,
 };
@@ -195,8 +193,8 @@ fn rule_of_shape(p1: u32, p2: u32, w: f64, shape: u8) -> Rule {
 
 use trinit_shard::testkit::assert_answers_score_equivalent as assert_answers_equivalent;
 
-/// Monolithic segmented execution: the base and the delta view as two
-/// slices of the partitioned pipeline, normalized by [`SegmentedExec`].
+/// Monolithic segmented execution: the base and the delta view as the
+/// two slices of one view, normalized by [`SegmentedExec`].
 fn run_mono_segmented(
     seg: &SegmentedStore,
     query: &Query,
@@ -211,22 +209,11 @@ fn run_mono_segmented(
     let offsets = [0u32, base.len() as u32];
     let exec = SegmentedExec::new(&slices, &offsets);
     let tracker = BudgetTracker::new(cfg);
-    run_partitioned(
-        &slices,
-        &offsets,
-        &exec,
-        &exec,
-        Some(&exec as &dyn ConditionOracle),
-        query,
-        rules,
-        cfg,
-        None,
-        Vec::new(),
-        Governor::primary(&tracker),
-        None,
-        &mut trinit_query::TraceRecorder::off(),
-    )
-    .answers
+    let ctx = ExecCtx {
+        governor: Governor::primary(&tracker),
+        recorder: &mut TraceRecorder::off(),
+    };
+    topk::execute(&exec.view(), ExecRequest::new(query, rules, cfg), ctx).answers
 }
 
 proptest! {
@@ -271,8 +258,17 @@ proptest! {
             }
             sharded.compact();
             prop_assert!(!sharded.has_delta());
-            let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg, SeedMode::Off);
+            let exec = ShardedExecutor::new(&sharded);
+            let run = exec.run(&query, &set, &cfg, SeedMode::Off);
             assert_answers_equivalent(&run.answers, &want);
+            // No delta: a delta-restricted pattern matches nothing.
+            let tracker = BudgetTracker::new(&cfg);
+            let ctx = ExecCtx {
+                governor: Governor::primary(&tracker),
+                recorder: &mut TraceRecorder::off(),
+            };
+            let none = exec.merge(&query, &set, &cfg, Seeds::none(shards), Some(0), ctx);
+            prop_assert!(none.answers.is_empty());
         }
     }
 
@@ -368,7 +364,11 @@ proptest! {
             let mut introduced: BTreeMap<Vec<(VarId, Option<TermId>)>, f64> = BTreeMap::new();
             for j in 0..query.patterns.len() {
                 let tracker = BudgetTracker::new(&cfg);
-                let run = exec.run_delta_restricted(&query, &set, &cfg, j, &tracker);
+                let ctx = ExecCtx {
+                    governor: Governor::primary(&tracker),
+                    recorder: &mut TraceRecorder::off(),
+                };
+                let run = exec.merge(&query, &set, &cfg, Seeds::none(shards), Some(j), ctx);
                 for a in run.answers {
                     prop_assert!(
                         a.derivation.triples.iter().any(|(_, id)| id.0 >= base_total),

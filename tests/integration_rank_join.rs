@@ -12,6 +12,7 @@
 use trinit_core::query::exec::expand;
 use trinit_core::relax::ExpandOptions;
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
+use trinit_core::query::Answer;
 use trinit_core::{Completeness, Engine, TrinitBuilder};
 
 const SEED: u64 = 42;
@@ -67,4 +68,47 @@ fn granularity_query_matches_full_expansion_and_skips_dead_arrivals() {
         );
     }
     assert!(heavy > 0, "no query drained the flat bornIn list");
+}
+
+fn same_scores(a: &[Answer], b: &[Answer]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x.score - y.score).abs() < 1e-9)
+}
+
+/// `Engine::FullExpansion` is the reference for the system's top-k
+/// configuration: it expands to `chain_depth + structural_depth`, not to
+/// `ExpandOptions::default()`'s depth 2 — which stops one rule short of
+/// the granularity rewriting followed by a two-rule chain, so the two
+/// engines used to disagree on granularity queries. The demo corpus
+/// mines enough chainable rules for the depths to differ.
+#[test]
+fn full_expansion_engine_expands_to_the_depth_topk_reaches() {
+    let world = World::generate(WorldConfig::demo(SEED).scaled(0.05));
+    let sys =
+        TrinitBuilder::from_world(&world, &KgConfig::default(), &CorpusConfig::demo(SEED)).build();
+    let topk = sys.topk_config();
+    let reference = ExpandOptions {
+        max_depth: topk.chain_depth + topk.structural_depth,
+        min_weight: topk.min_weight,
+        max_rewritings: 4096,
+    };
+    let mut reproduced = 0;
+    for predicate in ["bornIn", "diedIn"] {
+        for &country in world.of_type(EntityType::Country) {
+            let text = format!("?x {predicate} {} LIMIT 10", world.entity(country).resource);
+            let query = sys.parse(&text).expect("generated query parses");
+            let (want, _) = expand::run(sys.store(), &query, sys.rules(), &reference);
+            let (shallow, _) =
+                expand::run(sys.store(), &query, sys.rules(), &ExpandOptions::default());
+            let full = sys.run(query.clone(), Engine::FullExpansion);
+            assert!(same_scores(&full.answers, &want), "{text}");
+            let got = sys.run(query, Engine::IncrementalTopK);
+            if !same_scores(&shallow, &want) && same_scores(&got.answers, &want) {
+                reproduced += 1;
+            }
+        }
+    }
+    assert!(
+        reproduced > 0,
+        "no query on which depth 2 falls short of what top-k and the reference find"
+    );
 }
