@@ -514,12 +514,22 @@ impl Trinit {
     }
 
     /// The store generation: bumped by every [`Trinit::ingest`] and
-    /// [`Trinit::compact`]. Store-level posting caches stamp their
-    /// entries with this and drop them when it moves.
+    /// [`Trinit::compact`].
     pub fn generation(&self) -> u64 {
         match &self.backend {
             Backend::Single(seg) => seg.generation(),
             Backend::Sharded(sharded) => sharded.generation(),
+        }
+    }
+
+    /// The epoch of the frozen base slices: bumped by
+    /// [`Trinit::compact`] only. Posting caches hold base-slice lists,
+    /// which an ingest cannot change, so they are stamped with this
+    /// rather than with the generation.
+    fn base_epoch(&self) -> u64 {
+        match &self.backend {
+            Backend::Single(seg) => seg.base_epoch(),
+            Backend::Sharded(sharded) => sharded.base_epoch(),
         }
     }
 
@@ -797,11 +807,13 @@ impl Trinit {
         scope: Scope,
     ) -> QueryOutcome {
         let wall_start = now_ns();
-        // Cached posting lists embed store-generation-specific scaling;
-        // a stale cache is dropped wholesale before serving.
-        let generation = self.generation();
+        // Cached posting lists are a base slice's entries: stale once
+        // compaction replaces the slice, and dropped wholesale then. An
+        // ingest leaves them valid up to the normalization total baked
+        // into their probabilities, which every hit re-checks.
+        let epoch = self.base_epoch();
         for cache in caches {
-            cache.ensure_generation(generation);
+            cache.ensure_generation(epoch);
         }
         let outcome = match (&self.backend, engine, scope) {
             // An empty batch introduces nothing.
@@ -1004,7 +1016,7 @@ impl Trinit {
             return self.run_batch_with_workers(queries, engine, workers);
         };
         for cache in &self.caches {
-            cache.ensure_generation(sharded.generation());
+            cache.ensure_generation(sharded.base_epoch());
         }
         let executor = ShardedExecutor::new(sharded).with_caches(&self.caches);
         let rules = Self::engine_rules(engine, &self.rules);
@@ -1501,6 +1513,58 @@ mod tests {
         assert!(sharded.has_delta());
         let got = sharded.query(q).unwrap();
         assert_named_answers_eq(&named_answers(&sharded, &got), &want);
+    }
+
+    /// Posting caches survive an ingest (it cannot change a base slice),
+    /// so the adversarial case is a cached *filtered* list whose
+    /// normalization total a later ingest moves: a batch that misses the
+    /// pattern must leave the list servable, a batch that matches it
+    /// must not — and either way scores equal a from-scratch rebuild.
+    #[test]
+    fn cached_filtered_list_is_reused_only_under_the_total_it_was_scaled_by() {
+        let q = "?p likes tea LIMIT 10";
+        let systems = [
+            Trinit::from_parts(kg_builder(BASE_FACTS).build(), RuleSet::new()),
+            Trinit::from_sharded_parts(
+                ShardedStore::build(kg_builder(BASE_FACTS), 3),
+                RuleSet::new(),
+            ),
+        ];
+        for mut sys in systems {
+            sys.enable_posting_cache(64);
+            let mut facts: Vec<_> = BASE_FACTS.iter().chain(DELTA_FACTS).copied().collect();
+            assert_eq!(sys.ingest(add_delta), 2);
+            sys.query(q).unwrap(); // cached while the delta is live
+            assert!(sys.query(q).unwrap().metrics.shared_cache_hits > 0);
+
+            for (fact, matches) in [
+                (("zed", "hates", "rain"), false),
+                (("fay", "likes", "tea"), true),
+            ] {
+                facts.push(fact);
+                assert_eq!(
+                    sys.ingest(|b| {
+                        b.add_kg_resources(fact.0, fact.1, fact.2);
+                    }),
+                    1
+                );
+                let misses = |sys: &Trinit| -> usize {
+                    sys.posting_caches().iter().map(|c| c.stats().misses).sum()
+                };
+                let before = misses(&sys);
+                let got = sys.query(q).unwrap();
+                assert_eq!(
+                    misses(&sys) > before,
+                    matches,
+                    "{fact:?}: a list is stale iff the batch moved its total"
+                );
+                let fresh = Trinit::from_parts(kg_builder(&facts).build(), RuleSet::new());
+                let want = named_answers(&fresh, &fresh.query(q).unwrap());
+                assert_named_answers_eq(&named_answers(&sys, &got), &want);
+                // The rebuilt list is cached in its turn.
+                assert!(sys.query(q).unwrap().metrics.shared_cache_hits > 0);
+            }
+        }
     }
 
     /// The semi-naive delta question: before any ingest it is exactly

@@ -31,7 +31,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use trinit_relax::{QPattern, QTerm};
-use trinit_xkg::{EntriesRef, Posting, PostingList, ServeKind, SlotPattern, TripleId, XkgStore};
+use trinit_xkg::{
+    EntriesRef, Posting, PostingList, ServeKind, SharedParts, SlotPattern, TripleId, XkgStore,
+};
 
 /// Bitmask of within-pattern variable-equality constraints: bit 0 =
 /// subject/predicate, bit 1 = subject/object, bit 2 = predicate/object.
@@ -78,8 +80,47 @@ pub fn canonical_pattern(pattern: &QPattern) -> CanonicalPattern {
 /// prefix-sum column when the source had one (`Packed` stores decode
 /// their hot shapes once per cache tier and keep the exact column so
 /// `remaining_mass` stays bit-identical to the `Flat` borrow path), and
-/// the total emission weight.
-type CachedList = (Arc<[Posting]>, Option<Arc<[f64]>>, f64);
+/// the total emission weight the entries' probabilities are normalized
+/// by.
+#[derive(Debug, Clone)]
+struct CachedList {
+    entries: Arc<[Posting]>,
+    prefix: Option<Arc<[f64]>>,
+    total: f64,
+    /// True when `total` was supplied by a [`GlobalTotals`] provider
+    /// (a cross-slice denominator) rather than summed over the slice.
+    scaled: bool,
+}
+
+impl CachedList {
+    fn local((entries, prefix, total): SharedParts) -> CachedList {
+        CachedList {
+            entries,
+            prefix,
+            total,
+            scaled: false,
+        }
+    }
+
+    /// A fresh cursor over the shared entries.
+    fn list(&self) -> PostingList<'static> {
+        PostingList::from_shared_parts(Arc::clone(&self.entries), self.prefix.clone(), self.total)
+    }
+
+    /// True if the baked-in probabilities are bit for bit the ones a
+    /// rebuild under `global` would compute. The slice's entries never
+    /// change while a cache may hold them (caches are stamped with the
+    /// slice's epoch), but an ingest into a sibling slice moves the
+    /// cross-slice total they are divided by: a list is reusable under
+    /// a global total iff it was normalized by that very number, and
+    /// under none iff it was normalized locally.
+    fn normalized_for(&self, global: Option<f64>) -> bool {
+        match global {
+            Some(t) => self.total.to_bits() == t.to_bits(),
+            None => !self.scaled,
+        }
+    }
+}
 
 /// Per-execution cache of materialized posting lists, keyed by
 /// [`CanonicalPattern`]. Borrow-served pattern shapes are never inserted
@@ -162,9 +203,7 @@ const LRU_NONE: usize = usize::MAX;
 #[derive(Debug)]
 struct SharedEntry {
     key: CanonicalPattern,
-    entries: Arc<[Posting]>,
-    prefix: Option<Arc<[f64]>>,
-    total: f64,
+    list: CachedList,
     prev: usize,
     next: usize,
 }
@@ -223,8 +262,7 @@ impl SharedInner {
         debug_assert!(i != LRU_NONE, "evict on empty cache");
         self.unlink(i);
         self.map.remove(&self.slab[i].key);
-        self.slab[i].entries = Vec::new().into();
-        self.slab[i].prefix = None;
+        self.slab[i].list = CachedList::local((Vec::new().into(), None, 0.0));
         self.free.push(i);
         self.stats.evictions += 1;
     }
@@ -323,14 +361,16 @@ impl SharedPostingCache {
         inner.tail = LRU_NONE;
     }
 
-    /// Stamps the cache with the store generation it is about to serve.
-    /// Cached lists embed the store's contents *and* its global
-    /// normalization totals, so any mutation (ingest, compaction) makes
-    /// every resident entry stale; callers bump the store generation on
-    /// mutation and call this at query entry. A mismatch drops all
-    /// resident lists (a cold restart — counters survive); a match is
-    /// one comparison. No entry built against an older generation can
-    /// survive a stamp.
+    /// Stamps the cache with the generation of the store *slice* it is
+    /// about to serve. Cached lists hold that slice's entries, so
+    /// replacing the slice (compaction) makes every resident stale;
+    /// owners bump the slice's generation then and call this at query
+    /// entry. A mismatch drops all resident lists (a cold restart —
+    /// counters survive); a match is one comparison. No entry built
+    /// against an older generation can survive a stamp. A mutation that
+    /// leaves the slice alone (an ingest into a sibling delta) needs no
+    /// stamp: it can only move the cross-slice total a list was
+    /// normalized by, which every lookup checks per entry.
     pub fn ensure_generation(&self, generation: u64) {
         let mut inner = self.lock();
         if inner.generation != generation {
@@ -343,22 +383,24 @@ impl SharedPostingCache {
         }
     }
 
-    /// Looks up a canonical pattern, bumping its recency on hit. Counts
-    /// one hit or one miss. O(1).
-    fn get(&self, key: &CanonicalPattern) -> Option<CachedList> {
+    /// Looks up a canonical pattern, bumping its recency on hit. A
+    /// resident list that is not `usable` (its normalization went stale)
+    /// is a miss; the rebuild that follows overwrites it. Counts one
+    /// hit or one miss. O(1).
+    fn get(
+        &self,
+        key: &CanonicalPattern,
+        usable: impl FnOnce(&CachedList) -> bool,
+    ) -> Option<CachedList> {
         let mut inner = self.lock();
         match inner.map.get(key).copied() {
-            Some(i) => {
+            Some(i) if usable(&inner.slab[i].list) => {
                 inner.unlink(i);
                 inner.push_front(i);
                 inner.stats.hits += 1;
-                Some((
-                    Arc::clone(&inner.slab[i].entries),
-                    inner.slab[i].prefix.clone(),
-                    inner.slab[i].total,
-                ))
+                Some(inner.slab[i].list.clone())
             }
-            None => {
+            _ => {
                 inner.stats.misses += 1;
                 None
             }
@@ -368,21 +410,13 @@ impl SharedPostingCache {
     /// Inserts a materialized list, evicting least-recently-used entries
     /// (O(1) each, off the recency list's tail) if the capacity bound
     /// would be exceeded.
-    fn insert(
-        &self,
-        key: CanonicalPattern,
-        entries: Arc<[Posting]>,
-        prefix: Option<Arc<[f64]>>,
-        total: f64,
-    ) {
+    fn insert(&self, key: CanonicalPattern, list: CachedList) {
         let mut inner = self.lock();
         if inner.capacity == 0 {
             return;
         }
         if let Some(i) = inner.map.get(&key).copied() {
-            inner.slab[i].entries = entries;
-            inner.slab[i].prefix = prefix;
-            inner.slab[i].total = total;
+            inner.slab[i].list = list;
             inner.unlink(i);
             inner.push_front(i);
             return;
@@ -392,9 +426,7 @@ impl SharedPostingCache {
         }
         let node = SharedEntry {
             key,
-            entries,
-            prefix,
-            total,
+            list,
             prev: LRU_NONE,
             next: LRU_NONE,
         };
@@ -547,76 +579,45 @@ impl<'s> ScoredMatches<'s> {
             // one decode per execution (or session) instead of one per
             // build. The exact prefix column rides along, keeping
             // `remaining_mass` bit-identical to the Flat borrow path.
-            if let Some((entries, prefix, total)) = cache.map.get(&key) {
-                let scale = rescale(*total);
-                return (
-                    ScoredMatches {
-                        list: PostingList::from_shared_parts(
-                            Arc::clone(entries),
-                            prefix.clone(),
-                            *total,
-                        ),
-                        scale,
-                        built: None,
-                    },
-                    CacheSource::ExecHit,
-                );
+            let hit = |cached: &CachedList, source| {
+                let view = ScoredMatches {
+                    list: cached.list(),
+                    scale: rescale(cached.total),
+                    built: None,
+                };
+                (view, source)
+            };
+            if let Some(cached) = cache.map.get(&key) {
+                return hit(cached, CacheSource::ExecHit);
             }
-            if let Some(store_cache) = shared {
-                if let Some((entries, prefix, total)) = store_cache.get(&key) {
-                    cache
-                        .map
-                        .insert(key, (Arc::clone(&entries), prefix.clone(), total));
-                    let scale = rescale(total);
-                    return (
-                        ScoredMatches {
-                            list: PostingList::from_shared_parts(entries, prefix, total),
-                            scale,
-                            built: None,
-                        },
-                        CacheSource::SharedHit,
-                    );
-                }
+            // Locally normalized and rescaled on the fly: valid under
+            // any totals provider.
+            if let Some(cached) = shared.and_then(|c| c.get(&key, |_| true)) {
+                let out = hit(&cached, CacheSource::SharedHit);
+                cache.map.insert(key, cached);
+                return out;
             }
             let built = PostingList::build(store, &slot);
             let kind = built.serve_kind();
-            let scale = rescale(built.total_weight());
-            let (entries, prefix, total) = built.into_shared_parts();
-            cache
-                .map
-                .insert(key, (Arc::clone(&entries), prefix.clone(), total));
+            let cached = CachedList::local(built.into_shared_parts());
+            let view = ScoredMatches {
+                list: cached.list(),
+                scale: rescale(cached.total),
+                built: Some(kind),
+            };
             if let Some(store_cache) = shared {
-                store_cache.insert(key, Arc::clone(&entries), prefix.clone(), total);
+                store_cache.insert(key, cached.clone());
             }
-            return (
-                ScoredMatches {
-                    list: PostingList::from_shared_parts(entries, prefix, total),
-                    scale,
-                    built: Some(kind),
-                },
-                CacheSource::Built,
-            );
+            cache.map.insert(key, cached);
+            return (view, CacheSource::Built);
         }
-        if let Some((entries, prefix, total)) = cache.map.get(&key) {
-            return (
-                ScoredMatches::unscaled(PostingList::from_shared_parts(
-                    Arc::clone(entries),
-                    prefix.clone(),
-                    *total,
-                )),
-                CacheSource::ExecHit,
-            );
+        if let Some(cached) = cache.map.get(&key) {
+            return (ScoredMatches::unscaled(cached.list()), CacheSource::ExecHit);
         }
-        if let Some(store_cache) = shared {
-            if let Some((entries, prefix, total)) = store_cache.get(&key) {
-                cache
-                    .map
-                    .insert(key, (Arc::clone(&entries), prefix.clone(), total));
-                return (
-                    ScoredMatches::unscaled(PostingList::from_shared_parts(entries, prefix, total)),
-                    CacheSource::SharedHit,
-                );
-            }
+        if let Some(cached) = shared.and_then(|c| c.get(&key, |l| l.normalized_for(global))) {
+            let view = ScoredMatches::unscaled(cached.list());
+            cache.map.insert(key, cached);
+            return (view, CacheSource::SharedHit);
         }
         let (entries, total, kind) = match global {
             Some(t) => scaled_entries(store, &slot, mask, t),
@@ -626,19 +627,18 @@ impl<'s> ScoredMatches<'s> {
             }
             None => filtered_entries(store, &slot, mask),
         };
-        let rc: Arc<[Posting]> = entries.into();
-        cache.map.insert(key, (Arc::clone(&rc), None, total));
+        let cached = CachedList {
+            entries: entries.into(),
+            prefix: None,
+            total,
+            scaled: global.is_some(),
+        };
+        let view = ScoredMatches::fresh(cached.list(), kind);
         if let Some(store_cache) = shared {
-            store_cache.insert(key, Arc::clone(&rc), None, total);
+            store_cache.insert(key, cached.clone());
         }
-        (
-            ScoredMatches {
-                list: PostingList::from_shared(rc, total),
-                scale: 1.0,
-                built: Some(kind),
-            },
-            CacheSource::Built,
-        )
+        cache.map.insert(key, cached);
+        (view, CacheSource::Built)
     }
 
     /// Number of (filtered) matches.
@@ -1095,7 +1095,7 @@ mod tests {
         let p = pat(&store, QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
         let key = canonical_pattern(&p);
         let cache = SharedPostingCache::new(8);
-        cache.insert(key, Vec::new().into(), None, 1.0);
+        cache.insert(key, CachedList::local((Vec::new().into(), None, 1.0)));
         assert_eq!(cache.len(), 1);
 
         // Poison the mutex: a holder panics with the guard live.
@@ -1112,12 +1112,15 @@ mod tests {
         // of aborting: residents are gone, structure is consistent.
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().poison_recoveries, 1);
-        assert!(cache.get(&key).is_none(), "resident list dropped, not trusted");
+        assert!(
+            cache.get(&key, |_| true).is_none(),
+            "resident list dropped, not trusted"
+        );
         assert_eq!(cache.capacity(), 8, "capacity survives recovery");
 
         // And the cache is fully usable again (poison flag cleared).
-        cache.insert(key, Vec::new().into(), None, 1.0);
-        assert!(cache.get(&key).is_some());
+        cache.insert(key, CachedList::local((Vec::new().into(), None, 1.0)));
+        assert!(cache.get(&key, |_| true).is_some());
         assert_eq!(cache.stats().poison_recoveries, 1, "recovered once, not per lock");
     }
 
@@ -1128,18 +1131,21 @@ mod tests {
         let key = canonical_pattern(&p);
         let cache = SharedPostingCache::new(8);
         cache.ensure_generation(0);
-        cache.insert(key, Vec::new().into(), None, 1.0);
-        assert!(cache.get(&key).is_some());
+        cache.insert(key, CachedList::local((Vec::new().into(), None, 1.0)));
+        assert!(cache.get(&key, |_| true).is_some());
         // Same generation: residents survive.
         cache.ensure_generation(0);
-        assert!(cache.get(&key).is_some());
-        // The store mutated (ingest/compact bumped its generation): every
-        // pre-mutation list is dropped before the cache serves again.
+        assert!(cache.get(&key, |_| true).is_some());
+        // The slice was replaced (compaction bumped its epoch): every
+        // earlier list is dropped before the cache serves again.
         cache.ensure_generation(1);
-        assert!(cache.get(&key).is_none(), "stale list served after ingest");
+        assert!(
+            cache.get(&key, |_| true).is_none(),
+            "stale list served after compaction"
+        );
         // Re-stamping the same generation is a no-op for new residents.
-        cache.insert(key, Vec::new().into(), None, 2.0);
+        cache.insert(key, CachedList::local((Vec::new().into(), None, 2.0)));
         cache.ensure_generation(1);
-        assert_eq!(cache.get(&key).map(|(_, _, t)| t), Some(2.0));
+        assert_eq!(cache.get(&key, |_| true).map(|l| l.total), Some(2.0));
     }
 }

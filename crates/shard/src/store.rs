@@ -8,9 +8,52 @@ use trinit_query::exec::TripleLookup;
 use trinit_query::{satisfies_mask, CanonicalPattern, GlobalTotals};
 use trinit_relax::ConditionOracle;
 use trinit_xkg::{
-    GraphTag, Provenance, SegmentLayout, SlotPattern, SourceId, TermDict, TermId, TermKind, Triple,
-    TripleId, XkgBuilder, XkgStore,
+    GraphTag, LiveDelta, Provenance, SegmentLayout, SlotPattern, SourceId, TermDict, TermId,
+    TermKind, Triple, TripleId, XkgBuilder, XkgStore,
 };
+
+/// What partitioned execution needs to know about a list of slices as
+/// a whole: where each sits in the global triple-id space and the
+/// emission-weight totals global normalization divides by.
+#[derive(Debug, Default)]
+struct Aggregates {
+    /// Slice `i`'s base in the global triple-id space.
+    offsets: Vec<u32>,
+    /// Emission-weight total per predicate over the slices.
+    pred_totals: HashMap<TermId, f64>,
+    /// Emission-weight total of the slices.
+    global_total: f64,
+    /// Distinct triples in the slices.
+    len: usize,
+}
+
+impl Aggregates {
+    /// Aggregates `slices`, the first of which starts at global id
+    /// `origin`.
+    fn over(slices: &[XkgStore], origin: usize) -> Aggregates {
+        let mut agg = Aggregates::default();
+        for slice in slices {
+            let base = (origin + agg.len) as u64;
+            // lint:allow(no-panic-hot-path): construction-time capacity guard — the global triple-id space is u32 by design
+            let base = u32::try_from(base).expect("global triple-id overflow");
+            agg.offsets.push(base);
+            agg.len += slice.len();
+            let index = slice.posting_index();
+            for &p in slice.predicates() {
+                *agg.pred_totals.entry(p).or_insert(0.0) += index.predicate_total_weight(p);
+            }
+            agg.global_total += index.total_weight();
+        }
+        agg
+    }
+
+    /// The slices' predicates, ascending by term id.
+    fn predicates(&self) -> Vec<TermId> {
+        let mut predicates: Vec<TermId> = self.pred_totals.keys().copied().collect();
+        predicates.sort_unstable();
+        predicates
+    }
+}
 
 /// N subject-hash-partitioned store shards sharing one term dictionary,
 /// plus the global aggregates partitioned execution needs: per-predicate
@@ -22,52 +65,22 @@ use trinit_xkg::{
 /// the shards share one dictionary and source table.
 #[derive(Debug)]
 pub struct ShardedStore {
-    shards: Vec<XkgStore>,
-    /// Shard `i`'s base in the global triple-id space.
-    offsets: Vec<u32>,
-    /// Emission-weight total per predicate over the *base* shards
-    /// (frozen at build time; delta contributions live in
-    /// [`ShardedStore::delta_pred_totals`]).
-    pred_totals: HashMap<TermId, f64>,
-    /// Emission-weight total of the base shards.
-    global_total: f64,
+    /// The base shards and the live delta over them — the write path
+    /// shared with the monolith's `SegmentedStore`. Delta views are
+    /// subject-hash partitioned like the shards, so subject co-location
+    /// holds per segment pair.
+    live: LiveDelta,
+    /// Aggregates of the base shards, frozen until compaction.
+    base: Aggregates,
+    /// Aggregates of the delta views (delta ids follow every base id);
+    /// empty while the delta is.
+    delta: Aggregates,
     /// Union of the base shards' predicates, ascending by term id.
     predicates: Vec<TermId>,
-    len: usize,
-    kg_len: usize,
     /// Memoized cross-shard totals for non-precomputed shapes
     /// (object-bound and repeated-variable patterns). Cleared on every
     /// mutation — memoized totals span the delta slices.
     totals_memo: Mutex<HashMap<CanonicalPattern, f64>>,
-    /// Accumulates ingested triples between compactions. Its dictionary
-    /// and source table are supersets of the shards' (same ids).
-    delta: XkgBuilder,
-    /// The delta re-frozen into subject-hash-partitioned views (same
-    /// partitioning as the base shards, so subject co-location holds
-    /// per segment pair); empty while the delta is empty.
-    delta_views: Vec<XkgStore>,
-    /// Delta view `i`'s base in the global triple-id space (delta ids
-    /// follow every base id).
-    delta_offsets: Vec<u32>,
-    /// Emission-weight total per predicate over the delta views.
-    delta_pred_totals: HashMap<TermId, f64>,
-    /// Emission-weight total of the delta views.
-    delta_global_total: f64,
-    /// Distinct triples in the delta, and how many are KG-stratum.
-    delta_len: usize,
-    delta_kg_len: usize,
-    /// Provenance merges for re-observed *base* triples, keyed by the
-    /// global base id; applied at the next compaction.
-    pending: Vec<(TripleId, Provenance)>,
-    /// Bumped on every mutation (ingest or compact). Caches stamp
-    /// entries with this and drop them when it moves.
-    generation: u64,
-    /// Wall time of the most recent ingest batch, in nanoseconds (`0`
-    /// before the first ingest).
-    last_ingest_ns: u64,
-    /// Wall time of the most recent compaction, in nanoseconds (`0`
-    /// before the first compaction).
-    last_compact_ns: u64,
 }
 
 impl ShardedStore {
@@ -110,78 +123,44 @@ impl ShardedStore {
                 "shards must share one term dictionary"
             );
         }
-        let mut offsets = Vec::with_capacity(shards.len());
-        let mut base: u64 = 0;
-        for shard in &shards {
-            // lint:allow(no-panic-hot-path): construction-time capacity guard — the global triple-id space is u32 by design
-            offsets.push(u32::try_from(base).expect("global triple-id overflow"));
-            base += shard.len() as u64;
-        }
-        let mut pred_totals: HashMap<TermId, f64> = HashMap::new();
-        let mut global_total = 0.0;
-        for shard in &shards {
-            let index = shard.posting_index();
-            for &p in shard.predicates() {
-                *pred_totals.entry(p).or_insert(0.0) += index.predicate_total_weight(p);
-            }
-            global_total += index.total_weight();
-        }
-        let mut predicates: Vec<TermId> = pred_totals.keys().copied().collect();
-        predicates.sort_unstable();
-        let len = shards.iter().map(XkgStore::len).sum();
-        let kg_len = shards.iter().map(|s| s.len_of(GraphTag::Kg)).sum();
-        let delta = XkgBuilder::with_context(shards[0].dict().clone(), shards[0].sources());
+        let base = Aggregates::over(&shards, 0);
         ShardedStore {
-            shards,
-            offsets,
-            pred_totals,
-            global_total,
-            predicates,
-            len,
-            kg_len,
+            live: LiveDelta::new(shards),
+            predicates: base.predicates(),
+            base,
+            delta: Aggregates::default(),
             totals_memo: Mutex::new(HashMap::new()),
-            delta,
-            delta_views: Vec::new(),
-            delta_offsets: Vec::new(),
-            delta_pred_totals: HashMap::new(),
-            delta_global_total: 0.0,
-            delta_len: 0,
-            delta_kg_len: 0,
-            pending: Vec::new(),
-            generation: 0,
-            last_ingest_ns: 0,
-            last_compact_ns: 0,
         }
     }
 
     /// Number of shards.
     #[inline]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.live.bases().len()
     }
 
     /// The shard slices.
     #[inline]
     pub fn shards(&self) -> &[XkgStore] {
-        &self.shards
+        self.live.bases()
     }
 
     /// One shard slice.
     #[inline]
     pub fn shard(&self, i: usize) -> &XkgStore {
-        &self.shards[i]
+        &self.live.bases()[i]
     }
 
     /// Per-shard bases in the global triple-id space.
     #[inline]
     pub fn offsets(&self) -> &[u32] {
-        &self.offsets
+        &self.base.offsets
     }
 
     /// Total number of distinct triples across shards and the delta.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len + self.delta_len
+        self.base.len + self.live.len()
     }
 
     /// True if neither the shards nor the delta hold a triple.
@@ -193,10 +172,8 @@ impl ShardedStore {
     /// Number of distinct triples in a stratum, across shards and the
     /// delta.
     pub fn len_of(&self, graph: GraphTag) -> usize {
-        match graph {
-            GraphTag::Kg => self.kg_len + self.delta_kg_len,
-            GraphTag::Xkg => (self.len - self.kg_len) + (self.delta_len - self.delta_kg_len),
-        }
+        let base: usize = self.live.bases().iter().map(|s| s.len_of(graph)).sum();
+        base + self.live.len_of(graph)
     }
 
     /// The shared term dictionary of the frozen base shards. Terms
@@ -205,7 +182,7 @@ impl ShardedStore {
     /// [`ShardedStore::vocab`] instead when a delta may be live.
     #[inline]
     pub fn dict(&self) -> &TermDict {
-        self.shards[0].dict()
+        self.live.bases()[0].dict()
     }
 
     /// The store to resolve vocabulary against: a delta view when the
@@ -213,7 +190,7 @@ impl ShardedStore {
     /// with identical ids for shared terms), base shard 0 otherwise.
     #[inline]
     pub fn vocab(&self) -> &XkgStore {
-        self.delta_views.first().unwrap_or(&self.shards[0])
+        self.live.views().first().unwrap_or(&self.live.bases()[0])
     }
 
     /// Looks up an existing resource term by name (either segment's
@@ -244,8 +221,8 @@ impl ShardedStore {
     /// Global emission-weight total of one predicate's match set,
     /// across the base shards and the delta.
     pub fn predicate_total_weight(&self, p: TermId) -> f64 {
-        self.pred_totals.get(&p).copied().unwrap_or(0.0)
-            + self.delta_pred_totals.get(&p).copied().unwrap_or(0.0)
+        self.base.pred_totals.get(&p).copied().unwrap_or(0.0)
+            + self.delta.pred_totals.get(&p).copied().unwrap_or(0.0)
     }
 
     /// Resolves a *base-segment* global triple id to
@@ -256,10 +233,10 @@ impl ShardedStore {
     ///
     /// Panics if `id` is out of range of the base segment.
     pub fn resolve(&self, id: TripleId) -> (usize, TripleId) {
-        let shard = self.offsets.partition_point(|&base| base <= id.0) - 1;
-        let local = TripleId(id.0 - self.offsets[shard]);
+        let shard = self.base.offsets.partition_point(|&base| base <= id.0) - 1;
+        let local = TripleId(id.0 - self.base.offsets[shard]);
         assert!(
-            local.idx() < self.shards[shard].len(),
+            local.idx() < self.live.bases()[shard].len(),
             "triple id {id:?} not issued by this store's base segment"
         );
         (shard, local)
@@ -268,27 +245,27 @@ impl ShardedStore {
     /// Resolves any global triple id — base or delta — to its slice and
     /// slice-local id.
     fn slice_of(&self, id: TripleId) -> (&XkgStore, TripleId) {
-        if (id.0 as usize) < self.len {
+        if (id.0 as usize) < self.base.len {
             let (shard, local) = self.resolve(id);
-            return (&self.shards[shard], local);
+            return (&self.live.bases()[shard], local);
         }
         assert!(
-            !self.delta_views.is_empty(),
+            !self.live.is_empty(),
             "triple id {id:?} not issued by this store"
         );
-        let i = self.delta_offsets.partition_point(|&base| base <= id.0) - 1;
-        let local = TripleId(id.0 - self.delta_offsets[i]);
+        let i = self.delta.offsets.partition_point(|&base| base <= id.0) - 1;
+        let local = TripleId(id.0 - self.delta.offsets[i]);
         assert!(
-            local.idx() < self.delta_views[i].len(),
+            local.idx() < self.live.views()[i].len(),
             "triple id {id:?} not issued by this store"
         );
-        (&self.delta_views[i], local)
+        (&self.live.views()[i], local)
     }
 
     /// The global id of shard `i`'s local triple `t`.
     #[inline]
     pub fn global_id(&self, shard: usize, local: TripleId) -> TripleId {
-        TripleId(self.offsets[shard] + local.0)
+        TripleId(self.base.offsets[shard] + local.0)
     }
 
     /// The triple with the given global id (base or delta).
@@ -329,13 +306,22 @@ impl ShardedStore {
             // Subject-bound patterns are co-located per segment: the
             // home base shard plus the home delta view.
             Some(s) => {
-                let home = s.shard_of(self.shards.len());
-                self.shards[home].count(pattern)
-                    + self.delta_views.get(home).map_or(0, |v| v.count(pattern))
+                let home = s.shard_of(self.shard_count());
+                self.live.bases()[home].count(pattern)
+                    + self.live.views().get(home).map_or(0, |v| v.count(pattern))
             }
             None => {
-                self.shards.iter().map(|sh| sh.count(pattern)).sum::<usize>()
-                    + self.delta_views.iter().map(|v| v.count(pattern)).sum::<usize>()
+                self.live
+                    .bases()
+                    .iter()
+                    .map(|sh| sh.count(pattern))
+                    .sum::<usize>()
+                    + self
+                        .live
+                        .views()
+                        .iter()
+                        .map(|v| v.count(pattern))
+                        .sum::<usize>()
             }
         }
     }
@@ -358,9 +344,10 @@ impl ShardedStore {
     /// (the memo is cleared on every mutation). Spans the delta views.
     fn scan_total(&self, key: &CanonicalPattern) -> f64 {
         let (slot, mask) = *key;
-        self.shards
+        self.live
+            .bases()
             .iter()
-            .chain(&self.delta_views)
+            .chain(self.live.views())
             .map(|slice| ShardedStore::slice_total(slice, &slot, mask))
             .sum()
     }
@@ -371,19 +358,19 @@ impl ShardedStore {
     /// between a subject's home base shard and its home delta view).
     #[inline]
     pub fn has_delta(&self) -> bool {
-        !self.delta_views.is_empty()
+        !self.live.is_empty()
     }
 
     /// Number of triples currently in the delta segment.
     #[inline]
     pub fn delta_len(&self) -> usize {
-        self.delta_len
+        self.live.len()
     }
 
     /// Number of provenance merges queued for the next compaction.
     #[inline]
     pub fn pending_absorbs(&self) -> usize {
-        self.pending.len()
+        self.live.pending_absorbs()
     }
 
     /// The store generation: bumped by every [`ShardedStore::ingest`]
@@ -391,135 +378,69 @@ impl ShardedStore {
     /// generation observe an identical store.
     #[inline]
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.live.generation()
+    }
+
+    /// The base shards' epoch: bumped by [`ShardedStore::compact`] only
+    /// — an ingest never changes a base shard. Store-level posting
+    /// caches (which hold base-shard lists) are stamped with this.
+    #[inline]
+    pub fn base_epoch(&self) -> u64 {
+        self.live.base_epoch()
     }
 
     /// The non-empty delta views with their global-id bases, in
     /// global-id order — the extra merge slices partitioned execution
     /// appends after the base shards.
     pub fn delta_slices(&self) -> impl Iterator<Item = (&XkgStore, u32)> {
-        self.delta_views
+        self.live
+            .views()
             .iter()
-            .zip(self.delta_offsets.iter().copied())
+            .zip(self.delta.offsets.iter().copied())
             .filter(|(view, _)| !view.is_empty())
     }
 
-    /// Ingests a batch of triples: `fill` appends into a scratch
-    /// builder whose dictionary/source table extend the current
-    /// vocabulary, and the batch lands in the delta, which is re-frozen
-    /// into subject-hash-partitioned views (the base shards are never
-    /// rebuilt). Returns the number of *new* triples appended;
-    /// re-observations of base triples are queued as pending provenance
-    /// absorbs (applied at the next [`ShardedStore::compact`]), and
-    /// re-observations of delta triples merge in place.
+    /// Ingests a batch of triples: `fill` appends into a builder whose
+    /// dictionary/source table extend the current vocabulary, the batch
+    /// lands in the delta, and the delta's subject-hash-partitioned
+    /// views are frozen again (see [`LiveDelta::ingest`]; the base
+    /// shards are never rebuilt). Returns the number of *new* triples
+    /// appended; re-observations of base triples are queued as pending
+    /// provenance absorbs (applied at the next
+    /// [`ShardedStore::compact`]), and re-observations of delta triples
+    /// merge in place.
     pub fn ingest(&mut self, fill: impl FnOnce(&mut XkgBuilder)) -> usize {
-        let ingest_start = trinit_obs::now_ns();
-        let mut scratch = XkgBuilder::with_context(self.delta.dict().clone(), self.delta.sources());
-        fill(&mut scratch);
-        // Rebuild the delta under the scratch's (possibly grown)
-        // dictionary so batch-interned terms resolve in the delta views.
-        let mut next = XkgBuilder::with_context(scratch.dict().clone(), scratch.sources());
-        for (t, p) in self.delta.triples().iter().zip(self.delta.provenances()) {
-            next.add(*t, p.clone());
-        }
-        let n = self.shards.len();
-        let mut appended = 0;
-        for (t, p) in scratch.triples().iter().zip(scratch.provenances()) {
-            let home = t.s.shard_of(n);
-            let ground = SlotPattern::new(Some(t.s), Some(t.p), Some(t.o));
-            if let Some(&local) = self.shards[home].lookup(&ground).first() {
-                self.pending
-                    .push((TripleId(self.offsets[home] + local.0), p.clone()));
-            } else if next.add(*t, p.clone()).idx() == next.len() - 1 {
-                appended += 1;
-            }
-        }
-        self.delta = next;
-        self.rebuild_delta_views();
+        let appended = self.live.ingest(fill);
+        self.delta = Aggregates::over(self.live.views(), self.base.len);
         self.invalidate_memo();
-        self.generation += 1;
-        self.last_ingest_ns = trinit_obs::now_ns().saturating_sub(ingest_start);
         appended
     }
 
-    /// Re-freezes the delta into the base shards: base triples, pending
-    /// provenance absorbs, and delta triples merge into fresh
-    /// subject-hash-partitioned shards with rebuilt strata and
-    /// aggregates, and the delta empties. Global triple ids are
+    /// Re-freezes the delta into the base shards: each shard's triples,
+    /// its pending provenance absorbs, and its delta view's triples
+    /// become one fresh shard in the base layout with rebuilt strata
+    /// and aggregates, and the delta empties. Global triple ids are
     /// reassigned.
     pub fn compact(&mut self) {
-        let compact_start = trinit_obs::now_ns();
-        let n = self.shards.len();
-        let mut merged = XkgBuilder::with_context(self.delta.dict().clone(), self.delta.sources());
-        for shard in &self.shards {
-            for (id, t) in shard.iter() {
-                merged.add(t, shard.provenance(id).clone());
-            }
-        }
-        for (gid, prov) in std::mem::take(&mut self.pending) {
-            let (shard, local) = self.resolve(gid);
-            merged.add(self.shards[shard].triple(local), prov);
-        }
-        for (t, p) in self.delta.triples().iter().zip(self.delta.provenances()) {
-            merged.add(*t, p.clone());
-        }
-        let generation = self.generation + 1;
-        let last_ingest_ns = self.last_ingest_ns;
-        // Compaction re-freezes into the base shards' configured layout
-        // (delta views stay Flat — see `rebuild_delta_views`).
-        let layout = self.shards[0].layout();
-        *self = ShardedStore::from_shards(merged.build_sharded_with(n, layout));
-        self.generation = generation;
-        self.last_ingest_ns = last_ingest_ns;
-        self.last_compact_ns = trinit_obs::now_ns().saturating_sub(compact_start);
+        self.live.compact();
+        self.base = Aggregates::over(self.live.bases(), 0);
+        self.delta = Aggregates::default();
+        self.predicates = self.base.predicates();
+        self.invalidate_memo();
     }
 
     /// Wall time of the most recent ingest batch, in nanoseconds (`0`
     /// before the first ingest).
     #[inline]
     pub fn last_ingest_ns(&self) -> u64 {
-        self.last_ingest_ns
+        self.live.last_ingest_ns()
     }
 
     /// Wall time of the most recent compaction, in nanoseconds (`0`
     /// before the first compaction).
     #[inline]
     pub fn last_compact_ns(&self) -> u64 {
-        self.last_compact_ns
-    }
-
-    /// Re-freezes the delta builder into partitioned views and
-    /// recomputes the delta-side aggregates.
-    fn rebuild_delta_views(&mut self) {
-        self.delta_views.clear();
-        self.delta_offsets.clear();
-        self.delta_pred_totals.clear();
-        self.delta_global_total = 0.0;
-        self.delta_len = self.delta.len();
-        self.delta_kg_len = self
-            .delta
-            .provenances()
-            .iter()
-            .filter(|p| p.graph == GraphTag::Kg)
-            .count();
-        if self.delta.is_empty() {
-            return;
-        }
-        let views = self.delta.clone().build_sharded(self.shards.len());
-        let mut base = self.len as u64;
-        for view in &views {
-            // lint:allow(no-panic-hot-path): ingestion-time capacity guard — the global triple-id space is u32 by design
-            let offset = u32::try_from(base).expect("global triple-id overflow");
-            self.delta_offsets.push(offset);
-            base += view.len() as u64;
-            let index = view.posting_index();
-            for &p in view.predicates() {
-                *self.delta_pred_totals.entry(p).or_insert(0.0) +=
-                    index.predicate_total_weight(p);
-            }
-            self.delta_global_total += index.total_weight();
-        }
-        self.delta_views = views;
+        self.live.last_compact_ns()
     }
 
     /// Drops every memoized cross-shard total — they embed delta mass,
@@ -540,7 +461,7 @@ impl GlobalTotals for ShardedStore {
     fn pattern_total(&self, key: &CanonicalPattern) -> Option<f64> {
         let (slot, mask) = *key;
         if let Some(s) = slot.s {
-            if self.delta_views.is_empty() {
+            if self.live.is_empty() {
                 // Subject-bound, frozen: all matches are co-located, so
                 // the shard's local total is already the global total.
                 return None;
@@ -548,23 +469,23 @@ impl GlobalTotals for ShardedStore {
             // With a live delta the subject's matches split between its
             // home base shard and its home delta view, so the total
             // must be explicit.
-            let home = s.shard_of(self.shards.len());
-            let delta_view = &self.delta_views[home];
+            let home = s.shard_of(self.shard_count());
+            let delta_view = &self.live.views()[home];
             if mask == 0 && slot.p.is_none() && slot.o.is_none() {
                 return Some(
-                    self.shards[home].subject_total_weight(s)
+                    self.live.bases()[home].subject_total_weight(s)
                         + delta_view.subject_total_weight(s),
                 );
             }
             return Some(
-                ShardedStore::slice_total(&self.shards[home], &slot, mask)
+                ShardedStore::slice_total(&self.live.bases()[home], &slot, mask)
                     + ShardedStore::slice_total(delta_view, &slot, mask),
             );
         }
         if mask == 0 {
             match (slot.p, slot.o) {
                 (Some(p), None) => return Some(self.predicate_total_weight(p)),
-                (None, None) => return Some(self.global_total + self.delta_global_total),
+                (None, None) => return Some(self.base.global_total + self.delta.global_total),
                 // Object-anchored: each slice's object-group total is an
                 // O(log n) prefix-sum read, so the global total is a sum
                 // over slices instead of a memoized cross-shard scan —
@@ -573,9 +494,10 @@ impl GlobalTotals for ShardedStore {
                 // lookups).
                 (None, Some(o)) => {
                     return Some(
-                        self.shards
+                        self.live
+                            .bases()
                             .iter()
-                            .chain(&self.delta_views)
+                            .chain(self.live.views())
                             .map(|sh| sh.object_total_weight(o))
                             .sum(),
                     )
@@ -610,11 +532,12 @@ impl ConditionOracle for ShardedStore {
     fn ground_holds(&self, s: TermId, p: TermId, o: TermId) -> bool {
         // Subject-hash partitioning: a ground triple can only live in
         // its subject's base shard or its subject's delta view.
-        let shard = s.shard_of(self.shards.len());
+        let shard = s.shard_of(self.shard_count());
         let slot = SlotPattern::new(Some(s), Some(p), Some(o));
-        self.shards[shard].count(&slot) > 0
+        self.live.bases()[shard].count(&slot) > 0
             || self
-                .delta_views
+                .live
+                .views()
                 .get(shard)
                 .is_some_and(|v| v.count(&slot) > 0)
     }
@@ -659,7 +582,7 @@ mod tests {
         assert_eq!(sharded.len_of(GraphTag::Kg), single.len_of(GraphTag::Kg));
         assert_eq!(sharded.predicates(), single.predicates());
         let idx = single.posting_index();
-        assert!((sharded.global_total - idx.total_weight()).abs() < 1e-9);
+        assert!((sharded.base.global_total - idx.total_weight()).abs() < 1e-9);
         for &p in single.predicates() {
             assert!(
                 (sharded.predicate_total_weight(p) - idx.predicate_total_weight(p)).abs() < 1e-9,

@@ -5,9 +5,11 @@
 //! score-equal to rebuilding the whole store from scratch** — on
 //! arbitrary stores and batches, multi-pattern queries, and relaxation
 //! rules, monolithic and at 1/2/4/7 shards — and **compacting the
-//! delta changes nothing** but the serving topology. A second suite
-//! pins the semi-naive delta-query seam: restricted runs surface
-//! exactly the answers that use fresh evidence.
+//! delta changes nothing** but the serving topology. The same bar holds
+//! for a *sequence* of ingests with a compaction somewhere inside it,
+//! down to the term and source ids a from-scratch builder would issue.
+//! A second suite pins the semi-naive delta-query seam: restricted runs
+//! surface exactly the answers that use fresh evidence.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -18,7 +20,8 @@ use trinit_query::{Answer, BudgetTracker, Governor, Query, TraceRecorder};
 use trinit_relax::{ConditionOracle, QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
 use trinit_shard::{SeedMode, Seeds, ShardedExecutor, ShardedStore};
 use trinit_xkg::{
-    Provenance, SegmentedStore, SlotPattern, SourceId, TermId, TermKind, Triple, XkgBuilder,
+    PostingList, Provenance, SegmentedStore, SlotPattern, SourceId, TermId, TermKind, Triple,
+    XkgBuilder, XkgStore,
 };
 
 fn tid(i: u32) -> TermId {
@@ -73,6 +76,77 @@ fn add_rows(b: &mut XkgBuilder, rows: &[Row]) {
         prov.support = u32::from(support) + 1;
         b.add(Triple::new(tid(s), tid(p), tid(o)), prov);
     }
+}
+
+/// Interns resource `r{i}` for `i < universe`, in order, so that
+/// `tid(i)` — which the query and rule generators speak — is that
+/// resource's id in every store built on top.
+fn intern_universe(b: &mut XkgBuilder, universe: u32) {
+    for i in 0..universe {
+        assert_eq!(b.dict_mut().resource(&format!("r{i}")), tid(i));
+    }
+}
+
+/// [`add_rows`] through the dictionary: terms are resources `r{n}`
+/// (shifted by `shift`, so later batches bring terms nobody has seen)
+/// and every row cites `source`. Rows in `withheld` intern their terms
+/// and source but add nothing — what a live store does with a
+/// re-observed base triple until it compacts.
+fn add_named_rows(
+    b: &mut XkgBuilder,
+    rows: &[Row],
+    shift: u32,
+    source: &str,
+    withheld: &HashSet<(u32, u32, u32)>,
+) {
+    for &(s, p, o, conf, support) in rows {
+        let (s, o) = (s + shift, o + shift);
+        let triple = Triple::new(
+            b.dict_mut().resource(&format!("r{s}")),
+            b.dict_mut().resource(&format!("r{p}")),
+            b.dict_mut().resource(&format!("r{o}")),
+        );
+        let mut prov = Provenance::extraction(conf, b.intern_source(source));
+        prov.support = u32::from(support) + 1;
+        if !withheld.contains(&(s, p, o)) {
+            b.add(triple, prov);
+        }
+    }
+}
+
+/// `(triple, weight bits)` of `pattern`'s matches over `slices`, through
+/// the reference scan.
+fn scan_union<'a>(
+    slices: impl Iterator<Item = &'a XkgStore>,
+    pattern: &SlotPattern,
+) -> Vec<(Triple, u64)> {
+    let mut out: Vec<(Triple, u64)> = slices
+        .flat_map(|slice| {
+            let list = PostingList::build_by_scan(slice, pattern);
+            let entries = list.entries().iter();
+            entries
+                .map(|e| (slice.triple(e.triple), e.weight.to_bits()))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Term and source ids are the ones the from-scratch builder issued.
+fn assert_same_vocabulary(got: &XkgStore, want: &XkgStore) {
+    let terms: Vec<_> = got.dict().iter().collect();
+    assert_eq!(
+        terms,
+        want.dict().iter().collect::<Vec<_>>(),
+        "term ids diverge"
+    );
+    let sources: Vec<_> = got.sources().iter().collect();
+    assert_eq!(
+        sources,
+        want.sources().iter().collect::<Vec<_>>(),
+        "source ids diverge"
+    );
 }
 
 fn builder_from(rows: &[Row]) -> XkgBuilder {
@@ -269,6 +343,123 @@ proptest! {
             };
             let none = exec.merge(&query, &set, &cfg, Seeds::none(shards), Some(0), ctx);
             prop_assert!(none.answers.is_empty());
+        }
+    }
+
+    /// A *sequence* of ingests ≡ one rebuild: 1–12 batches that
+    /// re-observe base triples, re-observe their own and each other's
+    /// triples, and bring terms and sources nobody has seen before, with
+    /// one compaction somewhere inside the sequence, monolithic and at
+    /// 1/2/4 shards. While the delta is live the store serves what a
+    /// rebuild *withholding the re-observed base triples* serves (they
+    /// are pending absorbs); after a compaction it is the rebuild,
+    /// provenance record for provenance record. Either way every term
+    /// and source id is the one the from-scratch builder issued.
+    #[test]
+    fn ingest_sequence_equals_from_scratch_rebuild(
+        base_rows in store_strategy(6, 30),
+        batches in proptest::collection::vec(plain_store_strategy(6, 10), 1..13),
+        compact_after in 0usize..12,
+        patterns in patterns_strategy(3, 6, 1..3),
+        rules in rules_strategy(6),
+        k in 1usize..12,
+        anchors in (0u32..8, 0u32..6, 0u32..8),
+    ) {
+        let (s, p, o) = anchors;
+        let compact_after = compact_after % batches.len();
+        let nothing = HashSet::new();
+        let base = || {
+            let mut b = XkgBuilder::new();
+            intern_universe(&mut b, 6);
+            add_named_rows(&mut b, &base_rows, 0, "base", &nothing);
+            b
+        };
+        let shift = |i: usize| (i % 3) as u32 * 2;
+        let source = |i: usize| format!("batch{}", i % 5);
+        // What the base holds once the mid-sequence compaction ran, and
+        // which later rows therefore only queue absorbs.
+        let mut compacted: HashSet<(u32, u32, u32)> =
+            base_rows.iter().map(|r| (r.0, r.1, r.2)).collect();
+        for (i, rows) in batches.iter().enumerate().take(compact_after + 1) {
+            compacted.extend(rows.iter().map(|r| (r.0 + shift(i), r.1, r.2 + shift(i))));
+        }
+        let (mut live, mut full) = (base(), base());
+        for (i, rows) in batches.iter().enumerate() {
+            let withheld = if i > compact_after { &compacted } else { &nothing };
+            add_named_rows(&mut live, rows, shift(i), &source(i), withheld);
+            add_named_rows(&mut full, rows, shift(i), &source(i), &nothing);
+        }
+        let (live, full) = (live.build(), full.build());
+        let set: RuleSet = rules.into_iter().collect();
+        let cfg = TopkConfig::default();
+        let query = query_from(patterns, k);
+        let (want_live, _) = topk::run(&live, &query, &set, &cfg);
+        let (want_full, _) = topk::run(&full, &query, &set, &cfg);
+        let shapes: Vec<SlotPattern> = (0u8..8)
+            .map(|mask| SlotPattern::new(
+                (mask & 1 != 0).then_some(tid(s)),
+                (mask & 2 != 0).then_some(tid(p)),
+                (mask & 4 != 0).then_some(tid(o)),
+            ))
+            .collect();
+
+        let mut seg = SegmentedStore::new(base().build());
+        for (i, rows) in batches.iter().enumerate() {
+            seg.ingest(|b| add_named_rows(b, rows, shift(i), &source(i), &nothing));
+            if i == compact_after {
+                seg.compact();
+            }
+        }
+        assert_same_vocabulary(seg.vocab(), &live);
+        prop_assert_eq!(seg.len(), live.len());
+        for shape in &shapes {
+            let got = scan_union(seg.segments().into_iter(), shape);
+            prop_assert_eq!(got, scan_union(std::iter::once(&live), shape), "shape {}", shape);
+        }
+        assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want_live);
+        seg.compact();
+        assert_same_vocabulary(seg.base(), &full);
+        prop_assert_eq!(seg.base().len(), full.len());
+        for (id, t) in full.iter() {
+            prop_assert_eq!(seg.base().triple(id), t);
+            prop_assert_eq!(seg.base().provenance(id), full.provenance(id));
+        }
+        assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want_full);
+
+        for shards in [1usize, 2, 4] {
+            let mut sharded = ShardedStore::build(base(), shards);
+            for (i, rows) in batches.iter().enumerate() {
+                sharded.ingest(|b| add_named_rows(b, rows, shift(i), &source(i), &nothing));
+                if i == compact_after {
+                    sharded.compact();
+                }
+            }
+            assert_same_vocabulary(sharded.vocab(), &live);
+            prop_assert_eq!(sharded.len(), live.len());
+            for shape in &shapes {
+                let slices = sharded.shards().iter().chain(sharded.delta_slices().map(|(v, _)| v));
+                let got = scan_union(slices, shape);
+                prop_assert_eq!(
+                    got, scan_union(std::iter::once(&live), shape),
+                    "shape {} at {} shards", shape, shards
+                );
+            }
+            for mode in [SeedMode::Off, SeedMode::Parallel] {
+                let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg, mode);
+                assert_answers_equivalent(&run.answers, &want_live);
+            }
+            sharded.compact();
+            assert_same_vocabulary(sharded.vocab(), &full);
+            prop_assert_eq!(sharded.len(), full.len());
+            for (id, t) in full.iter() {
+                let home = &sharded.shards()[t.s.shard_of(shards)];
+                let ground = SlotPattern::new(Some(t.s), Some(t.p), Some(t.o));
+                let local = home.lookup(&ground);
+                prop_assert_eq!(local.len(), 1, "triple lost or duplicated");
+                prop_assert_eq!(home.provenance(local[0]), full.provenance(id));
+            }
+            let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg, SeedMode::Off);
+            assert_answers_equivalent(&run.answers, &want_full);
         }
     }
 

@@ -385,7 +385,7 @@ impl PermColumn {
 
 /// Below this table size, building the six permutations sequentially is
 /// faster than paying six thread spawns.
-const PARALLEL_BUILD_THRESHOLD: usize = 4096;
+pub(crate) const PARALLEL_BUILD_THRESHOLD: usize = 4096;
 
 /// The six columnar permutation indexes over a frozen triple table.
 #[derive(Debug, Default)]

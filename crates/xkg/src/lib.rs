@@ -40,12 +40,12 @@ pub mod store;
 pub mod term;
 pub mod triple;
 
-pub use dict::TermDict;
+pub use dict::{SourceTable, TermDict};
 pub use index::MatchIds;
 pub use pack::SegmentLayout;
 pub use pattern::SlotPattern;
 pub use posting::{EntriesRef, Posting, PostingIndex, PostingList, ServeKind, SharedParts};
-pub use segment::SegmentedStore;
+pub use segment::{LiveDelta, SegmentedStore};
 pub use stats::{args_pairs, cardinality, PredicateStats, StorageBytes, StoreStats};
 pub use store::{XkgBuilder, XkgError, XkgStore};
 pub use term::{TermId, TermKind};

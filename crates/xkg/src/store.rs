@@ -10,8 +10,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::dict::TermDict;
-use crate::index::{MatchIds, TripleIndex};
+use crate::dict::{SourceTable, TermDict};
+use crate::index::{MatchIds, TripleIndex, PARALLEL_BUILD_THRESHOLD};
 use crate::pack::SegmentLayout;
 use crate::pattern::SlotPattern;
 use crate::posting::{EntriesRef, GroupRef, PostingIndex, ServeKind};
@@ -58,8 +58,17 @@ pub struct XkgBuilder {
     triples: Vec<Triple>,
     prov: Vec<Provenance>,
     dedup: HashMap<Triple, TripleId>,
-    sources: Vec<Box<str>>,
-    source_lookup: HashMap<Box<str>, SourceId>,
+    sources: SourceTable,
+}
+
+/// One slice's payload columns: `triples[i]` and its provenance are the
+/// triple with local id `i`. What a store is frozen from and thaws back
+/// into.
+pub(crate) type Columns = (Vec<Triple>, Vec<Provenance>);
+
+/// The id the next triple appended to a `len`-triple table receives.
+pub(crate) fn next_triple_id(len: usize) -> TripleId {
+    TripleId(u32::try_from(len).expect("triple overflow"))
 }
 
 impl XkgBuilder {
@@ -69,26 +78,31 @@ impl XkgBuilder {
     }
 
     /// Creates a builder whose interning context extends an existing
-    /// store's: a clone of its append-only term dictionary plus its
-    /// source table. Every id already issued by the originating store
-    /// keeps resolving identically here, and new terms get fresh ids
-    /// past the store's — which is what lets a mutable delta segment
+    /// store's: clones of its append-only term dictionary and source
+    /// table, which share every sealed layer with the originals (O(1) in
+    /// the vocabulary size). Every id already issued by the originating
+    /// store keeps resolving identically here, and new terms get fresh
+    /// ids past the store's — which is what lets a mutable delta segment
     /// share a frozen base segment's id spaces (see
     /// [`SegmentedStore`](crate::SegmentedStore)).
-    pub fn with_context(dict: TermDict, sources: &[Box<str>]) -> XkgBuilder {
-        let source_lookup = sources
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), SourceId(i as u32)))
-            .collect();
+    pub fn with_context(dict: TermDict, sources: &SourceTable) -> XkgBuilder {
+        XkgBuilder::over(dict, sources.clone())
+    }
+
+    /// An empty builder that takes over an interning context by value —
+    /// the batch builder a [`LiveDelta`](crate::LiveDelta) hands to an
+    /// ingest's `fill`.
+    pub(crate) fn over(dict: TermDict, sources: SourceTable) -> XkgBuilder {
         XkgBuilder {
             dict,
-            triples: Vec::new(),
-            prov: Vec::new(),
-            dedup: HashMap::new(),
-            sources: sources.to_vec(),
-            source_lookup,
+            sources,
+            ..XkgBuilder::default()
         }
+    }
+
+    /// Splits the builder into its interning context and its columns.
+    pub(crate) fn into_parts(self) -> (TermDict, SourceTable, Columns) {
+        (self.dict, self.sources, (self.triples, self.prov))
     }
 
     /// Mutable access to the term dictionary for interning.
@@ -103,14 +117,7 @@ impl XkgBuilder {
 
     /// Interns a provenance source (document identifier / URL).
     pub fn intern_source(&mut self, name: &str) -> SourceId {
-        if let Some(&id) = self.source_lookup.get(name) {
-            return id;
-        }
-        let id = SourceId(u32::try_from(self.sources.len()).expect("source overflow"));
-        let boxed: Box<str> = name.into();
-        self.sources.push(boxed.clone());
-        self.source_lookup.insert(boxed, id);
-        id
+        self.sources.intern(name)
     }
 
     /// Adds a triple with explicit provenance, merging with any existing
@@ -151,7 +158,7 @@ impl XkgBuilder {
             self.prov[id.idx()].absorb(&prov);
             return id;
         }
-        let id = TripleId(u32::try_from(self.triples.len()).expect("triple overflow"));
+        let id = next_triple_id(self.triples.len());
         self.triples.push(triple);
         self.prov.push(prov);
         self.dedup.insert(triple, id);
@@ -228,8 +235,8 @@ impl XkgBuilder {
         &self.prov
     }
 
-    /// The interned provenance sources in [`SourceId`] order.
-    pub fn sources(&self) -> &[Box<str>] {
+    /// The interned provenance sources.
+    pub fn sources(&self) -> &SourceTable {
         &self.sources
     }
 
@@ -256,8 +263,8 @@ impl XkgBuilder {
     /// frozen base segments where bytes/triple dominates. Query answers
     /// are bit-identical in both layouts.
     pub fn build_with(self, layout: SegmentLayout) -> XkgStore {
-        let sources: Arc<[Box<str>]> = self.sources.into();
-        XkgStore::freeze(Arc::new(self.dict), self.triples, self.prov, sources, layout)
+        let columns = (self.triples, self.prov);
+        XkgStore::freeze(Vocab::sealed(self.dict, self.sources), columns, layout)
     }
 
     /// Freezes the builder into `shards` independent [`XkgStore`]s that
@@ -289,26 +296,63 @@ impl XkgBuilder {
     /// Panics if `shards` is zero.
     pub fn build_sharded_with(self, shards: usize, layout: SegmentLayout) -> Vec<XkgStore> {
         assert!(shards > 0, "shard count must be positive");
-        let dict = Arc::new(self.dict);
-        let sources: Arc<[Box<str>]> = self.sources.into();
-        let mut parts: Vec<(Vec<Triple>, Vec<Provenance>)> =
-            (0..shards).map(|_| (Vec::new(), Vec::new())).collect();
+        let mut parts: Vec<Columns> = (0..shards).map(|_| Columns::default()).collect();
         for (triple, prov) in self.triples.into_iter().zip(self.prov) {
             let shard = triple.s.shard_of(shards);
             parts[shard].0.push(triple);
             parts[shard].1.push(prov);
         }
-        // Freeze shard indexes in parallel: each shard's permutation and
-        // posting builds are independent. (The per-shard TripleIndex
-        // build itself goes parallel only above its own size threshold.)
+        Vocab::sealed(self.dict, self.sources).freeze_all(parts, layout)
+    }
+}
+
+/// The interning context every slice of one logical store is frozen
+/// under: one term dictionary and one source table behind `Arc`s, so
+/// [`TermId`]s and [`SourceId`]s resolve identically in every slice.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Vocab {
+    pub(crate) dict: Arc<TermDict>,
+    pub(crate) sources: Arc<SourceTable>,
+    /// What a slice frozen under this context reports as its
+    /// dictionary bytes ([`StorageBytes::dict`]).
+    dict_bytes: usize,
+}
+
+impl Vocab {
+    pub(crate) fn new(dict: TermDict, sources: SourceTable, dict_bytes: usize) -> Vocab {
+        Vocab {
+            dict: Arc::new(dict),
+            sources: Arc::new(sources),
+            dict_bytes,
+        }
+    }
+
+    /// Seals a builder's context so clones of it share its strings.
+    fn sealed(mut dict: TermDict, mut sources: SourceTable) -> Vocab {
+        dict.seal();
+        sources.seal();
+        let dict_bytes = dict.heap_bytes();
+        Vocab::new(dict, sources, dict_bytes)
+    }
+
+    /// Freezes one slice per part. Each slice's permutation and posting
+    /// builds are independent, so several large parts freeze on their
+    /// own threads; below [`PARALLEL_BUILD_THRESHOLD`] triples (ingest
+    /// deltas) thread start-up costs more than the freeze and the parts
+    /// freeze inline. (A slice's own index build goes parallel only
+    /// above the same threshold.)
+    pub(crate) fn freeze_all(&self, parts: Vec<Columns>, layout: SegmentLayout) -> Vec<XkgStore> {
+        let triples: usize = parts.iter().map(|(t, _)| t.len()).sum();
+        if parts.len() == 1 || triples < PARALLEL_BUILD_THRESHOLD {
+            return parts
+                .into_iter()
+                .map(|columns| XkgStore::freeze(self.clone(), columns, layout))
+                .collect();
+        }
         std::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .into_iter()
-                .map(|(triples, prov)| {
-                    let dict = Arc::clone(&dict);
-                    let sources = Arc::clone(&sources);
-                    scope.spawn(move || XkgStore::freeze(dict, triples, prov, sources, layout))
-                })
+                .map(|columns| scope.spawn(move || XkgStore::freeze(self.clone(), columns, layout)))
                 .collect();
             handles
                 .into_iter()
@@ -343,34 +387,63 @@ pub struct XkgStore {
     prov: Vec<Provenance>,
     /// Shared for the same reason: [`SourceId`]s are issued by one
     /// builder and must resolve identically in every shard.
-    sources: Arc<[Box<str>]>,
+    sources: Arc<SourceTable>,
     index: TripleIndex,
     postings: PostingIndex,
     kg_len: usize,
     layout: SegmentLayout,
+    /// Byte accounting, taken once at freeze (the store never changes
+    /// afterwards).
+    storage: StorageBytes,
 }
 
 impl XkgStore {
-    /// Freezes already-interned parts into a fully indexed store.
-    fn freeze(
-        dict: Arc<TermDict>,
-        triples: Vec<Triple>,
-        prov: Vec<Provenance>,
-        sources: Arc<[Box<str>]>,
-        layout: SegmentLayout,
-    ) -> XkgStore {
+    /// Freezes already-interned columns into a fully indexed store.
+    fn freeze(vocab: Vocab, (triples, prov): Columns, layout: SegmentLayout) -> XkgStore {
         let index = TripleIndex::build_with(&triples, layout);
         let postings = PostingIndex::build(&triples, &prov, layout);
         let kg_len = prov.iter().filter(|p| p.graph == GraphTag::Kg).count();
+        let (permutations, permutation_directories) = index.heap_bytes();
+        let (posting_strata, posting_directories) = postings.heap_bytes();
+        let provenance = prov.capacity() * std::mem::size_of::<Provenance>()
+            + prov
+                .iter()
+                .map(|p| p.sources.capacity() * std::mem::size_of::<SourceId>())
+                .sum::<usize>();
+        let storage = StorageBytes {
+            permutations,
+            permutation_directories,
+            posting_strata,
+            posting_directories,
+            dict: vocab.dict_bytes,
+            triples: triples.capacity() * std::mem::size_of::<Triple>(),
+            provenance,
+        };
         XkgStore {
-            dict,
+            dict: vocab.dict,
             triples,
             prov,
-            sources,
+            sources: vocab.sources,
             index,
             postings,
             kg_len,
             layout,
+            storage,
+        }
+    }
+
+    /// Thaws the store back into its payload columns, dropping the
+    /// indexes and this slice's handles on the shared vocabulary.
+    pub(crate) fn into_columns(self) -> Columns {
+        (self.triples, self.prov)
+    }
+
+    /// Handles on the interning context this store was frozen under.
+    pub(crate) fn vocab(&self) -> Vocab {
+        Vocab {
+            dict: Arc::clone(&self.dict),
+            sources: Arc::clone(&self.sources),
+            dict_bytes: self.storage.dict,
         }
     }
 
@@ -452,13 +525,13 @@ impl XkgStore {
 
     /// Resolves a source id to its document identifier.
     pub fn source_name(&self, id: SourceId) -> Option<&str> {
-        self.sources.get(id.0 as usize).map(AsRef::as_ref)
+        self.sources.name(id)
     }
 
-    /// The interned provenance sources in [`SourceId`] order. Used to
-    /// seed a delta builder that extends this store's source table
+    /// The interned provenance sources. Used to seed a delta builder
+    /// that extends this store's source table
     /// ([`XkgBuilder::with_context`]).
-    pub fn sources(&self) -> &[Box<str>] {
+    pub fn sources(&self) -> &SourceTable {
         &self.sources
     }
 
@@ -662,25 +735,13 @@ impl XkgStore {
         }
     }
 
-    /// Exact per-structure heap byte accounting of the frozen store.
+    /// Exact per-structure heap byte accounting of the frozen store,
+    /// taken at freeze. A slice frozen over a dictionary it shares with
+    /// a base segment (a live delta view) reports only the dictionary
+    /// bytes it holds beyond the base's.
+    #[inline]
     pub fn storage_bytes(&self) -> StorageBytes {
-        let (permutations, permutation_directories) = self.index.heap_bytes();
-        let (posting_strata, posting_directories) = self.postings.heap_bytes();
-        let provenance = self.prov.capacity() * std::mem::size_of::<Provenance>()
-            + self
-                .prov
-                .iter()
-                .map(|p| p.sources.capacity() * std::mem::size_of::<SourceId>())
-                .sum::<usize>();
-        StorageBytes {
-            permutations,
-            permutation_directories,
-            posting_strata,
-            posting_directories,
-            dict: self.dict.heap_bytes(),
-            triples: self.triples.capacity() * std::mem::size_of::<Triple>(),
-            provenance,
-        }
+        self.storage
     }
 
     /// Iterates all stored triples with their ids.

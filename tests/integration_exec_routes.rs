@@ -8,7 +8,9 @@
 //! ids and scores are comparable across them. Every route must agree
 //! with full expansion on the rebuilt union, and the semi-naive delta
 //! question must be sound against the full run on both live-delta
-//! routes.
+//! routes. A second case feeds the live routes their delta as 25
+//! successive ingests and then compacts, with a system-level posting
+//! cache that outlives every ingest.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,10 +36,10 @@ fn fill(b: &mut XkgBuilder, rows: &[(Triple, Provenance)]) {
     }
 }
 
-/// The four routes over `union`'s content, in the order frozen
-/// monolith, monolith + delta, 2 shards, 2 shards + delta — and the
-/// pre-ingest state of the live routes, for `answers(base)`.
-fn routes(union: &XkgStore, rules: &RuleSet) -> ([Trinit; 4], Trinit) {
+type Rows = Vec<(Triple, Provenance)>;
+
+/// `union`'s content as (frozen base, live delta) rows.
+fn split(union: &XkgStore) -> (Rows, Rows) {
     let (mut base, mut delta) = (Vec::new(), Vec::new());
     for id in 0..union.len() {
         let id = TripleId(id as u32);
@@ -49,21 +51,30 @@ fn routes(union: &XkgStore, rules: &RuleSet) -> ([Trinit; 4], Trinit) {
         }
         .push(row);
     }
-    // One dictionary and source table for every build: term ids mean
-    // the same thing on every route.
-    let builder = |parts: &[&[(Triple, Provenance)]]| {
-        let mut b = XkgBuilder::with_context(union.dict().clone(), union.sources());
-        for rows in parts {
-            fill(&mut b, rows);
-        }
-        b
-    };
-    let rules = || {
-        rules
-            .iter()
-            .map(|(_, rule)| rule.clone())
-            .collect::<RuleSet>()
-    };
+    (base, delta)
+}
+
+/// A builder holding `parts` under `union`'s dictionary and source
+/// table: term ids mean the same thing in every store built this way.
+fn builder_over(union: &XkgStore, parts: &[&[(Triple, Provenance)]]) -> XkgBuilder {
+    let mut b = XkgBuilder::with_context(union.dict().clone(), union.sources());
+    for rows in parts {
+        fill(&mut b, rows);
+    }
+    b
+}
+
+fn clone_rules(rules: &RuleSet) -> RuleSet {
+    rules.iter().map(|(_, rule)| rule.clone()).collect()
+}
+
+/// The four routes over `union`'s content, in the order frozen
+/// monolith, monolith + delta, 2 shards, 2 shards + delta — and the
+/// pre-ingest state of the live routes, for `answers(base)`.
+fn routes(union: &XkgStore, rules: &RuleSet) -> ([Trinit; 4], Trinit) {
+    let (base, delta) = split(union);
+    let builder = |parts: &[&[(Triple, Provenance)]]| builder_over(union, parts);
+    let rules = || clone_rules(rules);
     let mut mono_live = Trinit::from_parts(builder(&[&base]).build(), rules());
     let mut sharded_live =
         Trinit::from_sharded_parts(ShardedStore::build(builder(&[&base]), 2), rules());
@@ -192,4 +203,101 @@ fn every_route_agrees_with_full_expansion_and_delta_queries_are_sound() {
         introduced_total > 0,
         "the delta introduced no answer to any query"
     );
+}
+
+/// The write path at length: the live routes take their delta as 25
+/// successive ingests and then compact. A system-level posting cache
+/// stays enabled throughout — it holds base-slice lists, which no
+/// ingest changes, but every ingest moves the totals they were
+/// normalized by — and each checkpoint is compared against full
+/// expansion over a from-scratch build of what has arrived so far,
+/// directly and through a [`Session`].
+#[test]
+fn many_ingests_then_compaction_agree_with_the_rebuild_on_every_route() {
+    const INGESTS: usize = 25;
+    let world = World::generate(WorldConfig::demo(SEED).scaled(0.05));
+    let mined =
+        TrinitBuilder::from_world(&world, &KgConfig::default(), &CorpusConfig::tiny(SEED)).build();
+    let union = mined.segmented_store().expect("monolithic build").base();
+    let (base, delta) = split(union);
+    let cut = |i: usize| i * delta.len() / INGESTS;
+    let batches: Vec<&[(Triple, Provenance)]> =
+        (0..INGESTS).map(|i| &delta[cut(i)..cut(i + 1)]).collect();
+    assert!(batches.iter().all(|batch| !batch.is_empty()));
+    let topk = mined.topk_config();
+    let reference = ExpandOptions {
+        max_depth: topk.chain_depth + topk.structural_depth,
+        min_weight: topk.min_weight,
+        max_rewritings: 4096,
+    };
+    let mut texts = vec![
+        "?x type city LIMIT 25".to_string(),
+        "?x bornIn ?y LIMIT 12".to_string(),
+        "?x bornIn ?c . ?c locatedIn ?y LIMIT 15".to_string(),
+    ];
+    for &country in world.of_type(EntityType::Country).iter().take(3) {
+        let country = &world.entity(country).resource;
+        texts.push(format!("?x bornIn {country} LIMIT 10"));
+    }
+
+    let mut live = [
+        Trinit::from_parts(
+            builder_over(union, &[&base]).build(),
+            clone_rules(mined.rules()),
+        ),
+        Trinit::from_sharded_parts(
+            ShardedStore::build(builder_over(union, &[&base]), 2),
+            clone_rules(mined.rules()),
+        ),
+    ];
+    for sys in &mut live {
+        sys.enable_posting_cache(64);
+    }
+    // Every route, with and without a session cache, against full
+    // expansion over `rebuilt`.
+    let check = |live: &[Trinit; 2], rebuilt: &XkgStore, stage: &str| {
+        for text in &texts {
+            let query = mined.parse(text).expect("generated query parses");
+            let (want, _) = expand::run(rebuilt, &query, mined.rules(), &reference);
+            for (route, sys) in live.iter().enumerate() {
+                let q = sys.parse(text).expect("one dictionary on every route");
+                let direct = sys.run(q.clone(), Engine::IncrementalTopK);
+                assert_answers_score_equivalent(&direct.answers, &want);
+                let session = Session::new(sys);
+                for temperature in ["cold", "warm"] {
+                    assert_eq!(
+                        by_key(&session.run(q.clone(), Engine::IncrementalTopK).answers),
+                        by_key(&direct.answers),
+                        "{stage}, route {route}, {temperature} session: {text}"
+                    );
+                }
+            }
+        }
+    };
+    let mut arrived: Vec<&[(Triple, Provenance)]> = vec![&base];
+    for (i, batch) in batches.iter().enumerate() {
+        for sys in &mut live {
+            assert_eq!(sys.ingest(|b| fill(b, batch)), batch.len());
+            assert_eq!(sys.generation(), i as u64 + 1);
+        }
+        arrived.push(batch);
+        if i % 6 == 0 || i + 1 == INGESTS {
+            let rebuilt = builder_over(union, &arrived).build();
+            check(&live, &rebuilt, &format!("after ingest {i}"));
+        }
+    }
+    let hits =
+        |sys: &Trinit| -> usize { sys.posting_caches().iter().map(|c| c.stats().hits).sum() };
+    assert!(
+        live.iter().all(|sys| hits(sys) > 0),
+        "the cache never outlived an ingest"
+    );
+    for sys in &mut live {
+        assert_eq!(sys.stats().total_triples(), union.len());
+        sys.compact();
+        assert!(!sys.has_delta());
+        assert_eq!(sys.generation(), INGESTS as u64 + 1);
+        assert_eq!(sys.stats().total_triples(), union.len());
+    }
+    check(&live, union, "after compaction");
 }
