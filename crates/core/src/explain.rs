@@ -199,8 +199,9 @@ pub fn explain_from(
 /// show internal steps" feature of §5.
 ///
 /// Reconstructed from the engine's work counters and the answers'
-/// derivations: which rewritings were considered, how much sorted access
-/// was performed, which relaxations actually contributed.
+/// derivations: which rewritings were considered, how many postings
+/// were read (and how many streams a retired partner's keys restricted),
+/// which relaxations actually contributed.
 pub fn processing_report(
     store: &XkgStore,
     rules: &RuleSet,
@@ -239,8 +240,12 @@ pub fn processing_report(
         m.relaxations_opened
     ));
     out.push_str(&format!(
-        "  sorted-access depth:         {} postings\n",
+        "  postings read:               {}\n",
         m.postings_scanned
+    ));
+    out.push_str(&format!(
+        "  streams restricted:          {} ({} bound lookups, {} rest scans)\n",
+        m.probed_streams, m.probe_lookups, m.restriction_scans
     ));
     out.push_str(&format!(
         "  join candidates tested:      {}\n",
@@ -365,6 +370,8 @@ mod tests {
         let report = processing_report(system.store(), system.rules(), &outcome);
         assert!(report.contains("internal processing steps"));
         assert!(report.contains("relaxations invoked"));
+        assert!(report.contains("postings read"));
+        assert!(report.contains("streams restricted"));
         assert!(report.contains("via relaxation"));
         assert!(report.contains("housed in"), "contributing rule listed");
         assert!(report.contains("stage timing"), "trace section renders");

@@ -20,7 +20,7 @@ use trinit_query::{
     Query, SharedCacheStats, SharedPostingCache, TopkConfig,
 };
 use trinit_relax::{
-    CooccurrenceOperator, ExpandOptions, GranularityMinerConfig, GranularityOperator,
+    CooccurrenceOperator, GranularityMinerConfig, GranularityOperator,
     MinerConfig, OperatorRegistry, ParaphraseGroup, ParaphraseOperator, RelaxationOperator,
     RuleSet,
 };
@@ -49,7 +49,8 @@ use crate::suggest::{suggest, SuggestConfig, Suggestion};
 pub enum Engine {
     /// Exact evaluation, no relaxation (the non-relaxing baseline).
     Exact,
-    /// Full expansion of all rewritings up front (reference semantics).
+    /// Full expansion of all rewritings up front (reference semantics),
+    /// to [`TopkConfig::reference_expansion`].
     FullExpansion,
     /// The paper's incremental top-k processor (default).
     IncrementalTopK,
@@ -173,10 +174,6 @@ pub struct BuildOptions {
     pub linker_dominance: f64,
     /// Default top-k processor configuration.
     pub topk: TopkConfig,
-    /// Default full-expansion options (baseline engine). `max_depth` is
-    /// not read: [`Engine::FullExpansion`] expands to the depth the
-    /// top-k configuration reaches (`chain_depth + structural_depth`).
-    pub expand: ExpandOptions,
     /// Number of store shards to build (1 = monolithic store). Set via
     /// [`BuildOptions::shards`].
     pub shard_count: usize,
@@ -199,7 +196,6 @@ impl Default for BuildOptions {
             pipeline: PipelineConfig::default(),
             linker_dominance: 0.6,
             topk: TopkConfig::default(),
-            expand: ExpandOptions::default(),
             shard_count: 1,
             segment_layout: SegmentLayout::Flat,
         }
@@ -391,7 +387,6 @@ impl TrinitBuilder {
         };
         let mut trinit = Trinit::assemble(backend, completer, rules);
         trinit.topk = self.options.topk;
-        trinit.expand = self.options.expand;
         trinit.stats.documents = self.documents.len();
         trinit.stats.ingest = ingest;
         trinit
@@ -419,7 +414,6 @@ pub struct Trinit {
     rules: RuleSet,
     completer: Completer,
     topk: TopkConfig,
-    expand: ExpandOptions,
     suggest_cfg: SuggestConfig,
     stats: BuildStats,
     /// Store-level posting caches shared across every query answered
@@ -452,7 +446,6 @@ impl Trinit {
             backend,
             completer,
             topk: TopkConfig::default(),
-            expand: ExpandOptions::default(),
             suggest_cfg: SuggestConfig::default(),
             stats: BuildStats {
                 rules: rules.len(),
@@ -848,14 +841,7 @@ impl Trinit {
             }
             (collector.into_top_k(query.k), metrics)
         } else {
-            // Top-k chains `chain_depth` single-pattern rules and then
-            // applies `structural_depth` structural ones; full expansion
-            // reaches the same rewritings only at the sum.
-            let options = ExpandOptions {
-                max_depth: self.topk.chain_depth + self.topk.structural_depth,
-                ..self.expand.clone()
-            };
-            expand::run(store, &query, rules, &options)
+            expand::run(store, &query, rules, &self.topk.reference_expansion())
         };
         QueryOutcome::untraced(query, answers, metrics)
     }

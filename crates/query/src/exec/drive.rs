@@ -43,13 +43,19 @@
 //!   posting lists, caches, or relaxation chains — only
 //!   `peek_bound` / `next_merged` / `remaining_mass`.
 //! * **[`crate::exec::join`]** (stage 2) holds the per-stream join
-//!   state ([`Stream`]), decides whether an arrival is worth keeping at
-//!   all ([`join::dead_on_arrival`], the retired-stream semijoin
-//!   filter) and combines each kept arrival against the other streams'
-//!   partitions ([`join::join_with_others`]).
+//!   state ([`Stream`]), including the keys of a retired stream that
+//!   restrict the others (the retired-stream semijoin filter), and
+//!   combines each arrival against the other streams' partitions
+//!   ([`join::join_with_others`]).
 //! * **[`crate::exec::threshold`]** (stage 3) decides termination: the
 //!   driver asks [`ThresholdPolicy::admit_variant`] before opening a
 //!   variant and [`ThresholdPolicy::after_round`] after every pull.
+//!
+//! **The restriction seam** ([`restrict_to_retired_keys`]): a retired
+//! stream's join keys restrict the live streams' sources, so the
+//! semijoin filter's knowledge drives bound lookups instead of
+//! discarding pulled postings — Yannakakis' semijoin reduction inside the
+//! rank join, with no option and no second join loop.
 //!
 //! **Structural variants** (multi-pattern rules, e.g. paper rule 1)
 //! rewrite the query as a whole; each variant runs through the pipeline
@@ -61,7 +67,7 @@ use std::rc::Rc;
 
 use trinit_obs::{now_ns, ObsConfig, QueryTrace, SpanRecord, Stage, TraceRecorder};
 use trinit_relax::{
-    apply_rule_oracle, canonical_key, ConditionOracle, QPattern, RuleId, RuleSet,
+    apply_rule_oracle, canonical_key, ConditionOracle, ExpandOptions, QPattern, RuleId, RuleSet,
 };
 use trinit_xkg::XkgStore;
 
@@ -142,6 +148,19 @@ impl Default for TopkConfig {
             theta: 0.0,
             budget: ExecBudget::default(),
             obs: ObsConfig::default(),
+        }
+    }
+}
+
+impl TopkConfig {
+    /// The full expansion that reaches this configuration's rewritings —
+    /// `chain_depth` single-pattern rules, then `structural_depth`
+    /// structural ones: the reference its answers are checked against.
+    pub fn reference_expansion(&self) -> ExpandOptions {
+        ExpandOptions {
+            max_depth: self.chain_depth + self.structural_depth,
+            min_weight: self.min_weight,
+            max_rewritings: 4096,
         }
     }
 }
@@ -545,12 +564,12 @@ impl PullWindow {
 }
 
 /// The rank join over one variant's streams: pulls the highest-frontier
-/// stream, drops the arrival if a retired stream proves it partnerless,
-/// otherwise joins it against the other streams' kept partitions (stage
-/// 2), and stops when the termination policy (stage 3) says so. Generic
-/// over the stream source so the monolithic and sharded engines share
-/// every line of join, threshold, and capping logic; `lookup` resolves
-/// emitted triple ids (global ids, for a sharded source).
+/// stream, joins the arrival against the other streams' kept partitions
+/// (stage 2), restricts the live streams to the keys of any stream that
+/// retired, and stops when the termination policy (stage 3) says so.
+/// Generic over the stream source so the monolithic and sharded engines
+/// share every line of join, threshold, and capping logic; `lookup`
+/// resolves emitted triple ids (global ids, for a sharded source).
 ///
 /// Returns `false` when a hard budget cutoff fired — the caller must
 /// stop opening further variants (the policy has already recorded the
@@ -599,11 +618,7 @@ pub(crate) fn rank_join<M: RankSource>(
         crate::exec::faults::on_pull();
         if let Some(m) = streams[next].pull(metrics, recorder) {
             let pattern = streams[next].merge.alternative(m.alt).pattern;
-            // An arrival a retired stream proves partnerless is neither
-            // joined nor kept.
-            if let Some(bound) = join::bind_pairs(pattern, lookup, m.triple)
-                .filter(|bound| !join::dead_on_arrival(streams, next, bound))
-            {
+            if let Some(bound) = join::bind_pairs(pattern, lookup, m.triple) {
                 let item = SeenItem::new(bound, ln_weight(m.prob), &m);
                 // Join the new item with the kept items of the other
                 // streams (its own stream is skipped, so joining before
@@ -622,7 +637,12 @@ pub(crate) fn rank_join<M: RankSource>(
         }
 
         match policy.after_round(streams, next, variant_log, collector, metrics) {
-            RoundVerdict::Continue => {}
+            RoundVerdict::Continue => {
+                if restrict_to_retired_keys(streams, &mut policy, metrics) {
+                    window.flush(recorder);
+                    return true;
+                }
+            }
             RoundVerdict::Done => {
                 window.flush(recorder);
                 recorder.event(Stage::Threshold, metrics.pulls as u32);
@@ -644,6 +664,37 @@ pub(crate) fn rank_join<M: RankSource>(
     true
 }
 
+/// In a round where the set of retired streams changed, offers each
+/// newly retired stream's keys ([`Stream::key_set`]) to every live
+/// stream's source ([`RankSource::restrict`]), then refreshes a
+/// restricted stream's frontier — it may exhaust, and offer its own keys
+/// in turn — and re-folds its contribution bound. True when a
+/// restriction left a stream barren: the variant is dead.
+fn restrict_to_retired_keys<M: RankSource>(
+    streams: &mut [Stream<M>],
+    policy: &mut ThresholdPolicy<'_>,
+    metrics: &mut ExecMetrics,
+) -> bool {
+    while let Some(a) = streams.iter().position(|s| s.retired() && !s.keys_offered) {
+        streams[a].keys_offered = true;
+        let Some(keys) = streams[a].key_set().map(Rc::new) else {
+            continue;
+        };
+        for (b, stream) in streams.iter_mut().enumerate() {
+            if b == a || stream.retired() || !stream.merge.restrict(&keys, metrics) {
+                continue;
+            }
+            metrics.probed_streams += 1;
+            stream.refresh();
+            policy.refold(b, stream.contribution_bound());
+            if stream.barren() {
+                return true;
+            }
+        }
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,6 +704,10 @@ mod tests {
     use crate::exec::testfix::{assert_same_answers, reference, store};
     use trinit_relax::{ExpandOptions, QTerm, Rule, RuleProvenance, RuleSet};
     use trinit_xkg::XkgBuilder;
+
+    fn cfg() -> TopkConfig {
+        TopkConfig::default()
+    }
 
     fn advisor_rules(store: &XkgStore) -> (RuleSet, trinit_xkg::TermId) {
         let mut qb = QueryBuilder::new(store);
@@ -920,7 +975,7 @@ mod tests {
             .build();
         let (inc, _) = run(&store, &q, &RuleSet::new(), &TopkConfig::default());
         assert_eq!(inc.len(), 12, "3 × 4 cross product");
-        assert_same_answers(&inc, &reference(&store, &q, &RuleSet::new()));
+        assert_same_answers(&inc, &reference(&store, &q, &RuleSet::new(), &cfg()));
     }
 
     #[test]
@@ -943,7 +998,7 @@ mod tests {
         assert_eq!(inc.len(), 1, "only the self-loop joins");
         let loop_id = store.resource("loop").unwrap();
         assert_eq!(inc[0].bindings.get(trinit_relax::VarId(0)), Some(loop_id));
-        assert_same_answers(&inc, &reference(&store, &q, &RuleSet::new()));
+        assert_same_answers(&inc, &reference(&store, &q, &RuleSet::new(), &cfg()));
     }
 
     #[test]
@@ -968,7 +1023,7 @@ mod tests {
             metrics.join_candidates, 0,
             "disjoint keys must never be probed: {metrics:?}"
         );
-        assert_same_answers(&inc, &reference(&store, &q, &RuleSet::new()));
+        assert_same_answers(&inc, &reference(&store, &q, &RuleSet::new(), &cfg()));
     }
 
     #[test]
@@ -995,7 +1050,7 @@ mod tests {
             "partitioned probes should be linear, got {} for n = {n}",
             metrics.join_candidates
         );
-        assert_same_answers(&inc, &reference(&store, &q, &RuleSet::new()));
+        assert_same_answers(&inc, &reference(&store, &q, &RuleSet::new(), &cfg()));
     }
 
     #[test]
@@ -1255,7 +1310,7 @@ mod tests {
             "selective composite probe must take the range cutover: {metrics:?}"
         );
         assert_eq!(metrics.posting_sorts, 0, "{metrics:?}");
-        assert_same_answers(&answers, &reference(&store, &q, &RuleSet::new()));
+        assert_same_answers(&answers, &reference(&store, &q, &RuleSet::new(), &cfg()));
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! pulls are sequenced by the driver ([`crate::exec::drive`]) under the
 //! policy of [`crate::exec::threshold`]. The seams it exposes upward are
 //! [`Stream`] (per-stream join state plus the frontier / contribution
-//! bounds the threshold reads), [`dead_on_arrival`] (the semijoin
-//! filter) and [`join_with_others`] (combine one arrival against the
-//! other streams' partitions).
+//! bounds the threshold reads, and a retired stream's keys for the
+//! semijoin filter) and [`join_with_others`] (combine one arrival
+//! against the other streams' partitions).
 //!
 //! ## State layout
 //!
@@ -43,18 +43,21 @@
 //!
 //! ## The retired-stream semijoin filter
 //!
-//! An arrival is *dead on arrival* — dropped before it is joined or
-//! stored — when some other stream `j` is retired (exhausted, or capped
-//! by the exact or the ε criterion), holds no residual item, and the
-//! arrival binds all of `j`'s join variables to a key with no bucket in
-//! `j`. Every combination the arrival could complete needs an item of
-//! `j` with exactly that key, and `j` keeps none:
+//! An item is *dead* when some other stream `j` is retired (exhausted, or
+//! capped by the exact, ε or θ criterion), holds no residual item, and the
+//! item binds all of `j`'s join variables to a key with no bucket in `j`.
+//! Dead items are never pulled: in the round `j` retires, the driver
+//! restricts every live stream's source to `j`'s keys ([`Stream::key_set`],
+//! [`RankSource::restrict`]), which skips exactly the dead items — found by
+//! bound lookups of the keys, or one scan of a list's rest — and emits the
+//! others unchanged. Every combination a dead item could complete needs an
+//! item of `j` with exactly its key, and `j` keeps none:
 //!
 //! * if `j` is *exhausted*, every item it will ever emit has been seen,
 //!   so the partner was either never emitted (no combination exists) or
-//!   was itself dropped (below);
+//!   was itself skipped (below);
 //! * if `j` is *capped*, a partner `j` does not keep is an unseen item
-//!   of `j` (or a dropped one). When `j` was capped the policy had
+//!   of `j` (or a skipped one). When `j` was capped the policy had
 //!   established `kth ≥ variant + frontier_j + Σ others' bounds` (or,
 //!   for the ε criterion, that the same sum with `j`'s remaining mass is
 //!   within ε). `kth` only rises and the right-hand side only falls, so
@@ -62,20 +65,21 @@
 //!   top-k — the same tie semantics capping has always had, and under
 //!   ε / θ the forfeit is the one `note_approx` recorded at capping time.
 //!
-//! Dropped items need the same argument once more, since later arrivals
-//! no longer find them: take any combination containing a dropped item
-//! and look at the item `d` of it that was dropped *first*, because of
+//! Skipped items need the same argument once more, since later arrivals
+//! never find them: take any combination containing a skipped item and
+//! look at the item `d` of it that was skipped *first*, because of
 //! retired stream `i`. The combination's `i`-item is not kept (no bucket
 //! carried `d`'s key, and a retired stream receives nothing more), nor
-//! dropped (all of `i`'s drops precede its retirement, hence precede
-//! `d`'s), so it is unseen and `i` is capped; every other item of the
-//! combination was kept or unseen when `i` was capped, so the capping
-//! inequality bounds the whole combination. Hence `best_log` and
-//! [`Stream::contribution_bound`] range over *kept* items only (the
-//! frontier while nothing is kept — tighter, and sound by the above), and
-//! a stream that retires with nothing kept kills the variant exactly as
-//! an empty one does. The filter is sorted-access only: it can lower
-//! pull counts (tighter bounds), never raise them.
+//! skipped (a retired stream is never restricted, so all of `i`'s skips
+//! precede its retirement, hence `d`'s), so it is unseen and `i` is
+//! capped; every other item of the combination was kept or unseen when
+//! `i` was capped, so the capping inequality bounds the whole
+//! combination. Hence a restricted stream's frontier and remaining mass
+//! range over its surviving items, `best_log` and
+//! [`Stream::contribution_bound`] over *kept* items only (the frontier
+//! while nothing is kept — tighter, and sound by the above), and a stream
+//! that retires with nothing kept kills the variant exactly as an empty
+//! one does.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -172,6 +176,36 @@ impl JoinKey {
     }
 }
 
+/// A retired stream's join keys: the value tuples of its join variables
+/// a partner must bind (see the module docs).
+#[derive(Debug)]
+pub struct KeySet {
+    pub(crate) vars: Vec<VarId>,
+    /// One value per variable (unused positions zero); sorted, unique.
+    pub(crate) keys: Vec<[TermId; 3]>,
+}
+
+impl KeySet {
+    /// The set over `vars` (at most three) holding each of `keys`, which
+    /// give one value per variable, in `vars` order.
+    pub fn new<K: AsRef<[TermId]>>(vars: &[VarId], keys: impl IntoIterator<Item = K>) -> KeySet {
+        let mut keys: Vec<[TermId; 3]> = keys
+            .into_iter()
+            .map(|k| {
+                let mut key = [TermId::from_raw(0); 3];
+                key[..vars.len()].copy_from_slice(&k.as_ref()[..vars.len()]);
+                key
+            })
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        KeySet {
+            vars: vars.to_vec(),
+            keys,
+        }
+    }
+}
+
 impl Hash for JoinKey {
     /// Folds the key into one word: the common one- and two-variable
     /// keys are the word itself.
@@ -265,6 +299,9 @@ pub(crate) struct Stream<M> {
     /// is no longer pulled (its kept items keep participating in other
     /// streams' joins).
     pub(crate) capped: bool,
+    /// Set once the driver has offered this (retired) stream's keys to
+    /// the live streams ([`Stream::key_set`]).
+    pub(crate) keys_offered: bool,
 }
 
 impl<M: RankSource> Stream<M> {
@@ -282,6 +319,7 @@ impl<M: RankSource> Stream<M> {
             frontier: bound.map_or(LOG_ZERO, ln_weight),
             exhausted: bound.is_none(),
             capped: false,
+            keys_offered: false,
         }
     }
 
@@ -296,14 +334,34 @@ impl<M: RankSource> Stream<M> {
         recorder: &mut TraceRecorder,
     ) -> Option<Merged> {
         let merged = self.merge.next_merged(metrics, recorder);
+        if merged.is_some() {
+            self.refresh();
+        } else {
+            self.exhausted = true;
+            self.frontier = LOG_ZERO;
+        }
+        merged
+    }
+
+    /// Re-reads the cached frontier after the source moved (a pull, or a
+    /// restriction); a source left with nothing to emit is exhausted.
+    pub(crate) fn refresh(&mut self) {
         match self.merge.peek_bound() {
-            Some(bound) if merged.is_some() => self.frontier = ln_weight(bound),
-            _ => {
+            Some(bound) => self.frontier = ln_weight(bound),
+            None => {
                 self.exhausted = true;
                 self.frontier = LOG_ZERO;
             }
         }
-        merged
+    }
+
+    /// The keys a partner must hit, once final and complete: the stream
+    /// is retired, has join variables and keeps no residual item (which
+    /// would partner every key).
+    pub(crate) fn key_set(&self) -> Option<KeySet> {
+        let final_keys = self.retired() && self.partial.is_empty() && !self.join_vars.is_empty();
+        let keys = self.buckets.keys().map(|k| k.0.map(TermId::from_raw));
+        final_keys.then(|| KeySet::new(&self.join_vars, keys))
     }
 
     /// Upper bound (log) on this stream's next emission; [`LOG_ZERO`]
@@ -356,32 +414,6 @@ impl<M: RankSource> Stream<M> {
         chain.tail = idx;
         self.seen.push(item);
     }
-
-    /// The semijoin test against this stream: true if it is retired,
-    /// keeps no residual item, and `arrival` (an item of another stream)
-    /// binds all of its join variables to a key it keeps no bucket for —
-    /// no item this stream holds or will ever hold can partner `arrival`.
-    fn rejects(&self, arrival: &Pairs) -> bool {
-        self.retired()
-            && self.partial.is_empty()
-            && JoinKey::over(&self.join_vars, |v| arrival.get(v))
-                .is_some_and(|key| !self.buckets.contains_key(&key))
-    }
-}
-
-/// The retired-stream semijoin filter: true if some stream other than
-/// `new_stream` proves that `arrival` can never complete a combination
-/// that matters (see the module docs for the soundness argument). Such an
-/// arrival is neither joined nor kept.
-pub(crate) fn dead_on_arrival<M: RankSource>(
-    streams: &[Stream<M>],
-    new_stream: usize,
-    arrival: &Pairs,
-) -> bool {
-    streams
-        .iter()
-        .enumerate()
-        .any(|(j, stream)| j != new_stream && stream.rejects(arrival))
 }
 
 /// The `(variable, value)` pairs a pattern induces against a concrete
@@ -713,28 +745,20 @@ mod tests {
             "cross product key"
         );
 
-        // A live stream rejects nothing; once retired it rejects exactly
-        // the arrivals it has no bucket for — unless it holds a residual
-        // item, which partners with every key.
-        let mut arrival = Pairs::new();
-        arrival.push(VarId(0), ias);
-        assert!(!stream.rejects(&arrival), "live stream");
+        // A live stream offers no keys; once retired it offers exactly
+        // the keys it has buckets for — unless it holds a residual item,
+        // which partners with every key.
+        assert!(stream.key_set().is_none(), "live stream");
         stream.capped = true;
         assert!(
-            !stream.rejects(&arrival),
+            stream.key_set().is_none(),
             "residual item keeps every key alive"
         );
         stream.partial = Chain::EMPTY;
-        assert!(stream.rejects(&arrival));
-        let mut known = Pairs::new();
-        known.push(VarId(0), einstein);
-        assert!(!stream.rejects(&known), "key with a bucket");
-        let mut unrelated = Pairs::new();
-        unrelated.push(VarId(1), ias);
-        assert!(
-            !stream.rejects(&unrelated),
-            "arrival does not bind the join variable"
-        );
+        let keys = stream.key_set().expect("retired, no residual item");
+        assert_eq!(keys.vars, vec![VarId(0)]);
+        let zero = TermId::from_raw(0);
+        assert_eq!(keys.keys, vec![[einstein, zero, zero]]);
     }
 
     /// The granularity-shaped world the filter tests share: 120 people,
@@ -880,8 +904,9 @@ mod tests {
         let store = granularity_world(|_| {});
         let query = granularity_query(&store, "C0", 5);
         let rules = RuleSet::new();
-        let run = drive_variant(&store, &query, &rules, &TopkConfig::default());
-        assert_same_answers(&run.answers, &reference(&store, &query, &rules));
+        let cfg = TopkConfig::default();
+        let run = drive_variant(&store, &query, &rules, &cfg);
+        assert_same_answers(&run.answers, &reference(&store, &query, &rules, &cfg));
         assert_eq!(run.completeness, Completeness::Exact);
         let (exhausted, capped, kept) = run.streams[2];
         assert!(
@@ -932,7 +957,7 @@ mod tests {
             run.streams
         );
         assert_eq!(run.answers.len(), 105, "3 people × 35 cities");
-        assert_same_answers(&run.answers, &reference(&store, &query, &rules));
+        assert_same_answers(&run.answers, &reference(&store, &query, &rules, &cfg));
     }
 
     #[test]
@@ -965,7 +990,7 @@ mod tests {
             .filter(|a| a.bindings.get(VarId(0)) == Some(expat))
             .count();
         assert_eq!(through_expat, 12, "one answer per city of C1");
-        assert_same_answers(&run.answers, &reference(&store, &query, &rules));
+        assert_same_answers(&run.answers, &reference(&store, &query, &rules, &cfg));
     }
 
     #[test]

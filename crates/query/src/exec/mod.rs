@@ -69,7 +69,8 @@ pub struct ExecMetrics {
     /// Posting lists served from a store-level shared cache (consecutive
     /// queries of a session touching the same canonical pattern).
     pub shared_cache_hits: usize,
-    /// Entries consumed from posting lists (depth of sorted access).
+    /// Postings read: entries consumed from (possibly restricted) posting
+    /// lists plus the entries a restriction's scan skipped.
     pub postings_scanned: usize,
     /// Relaxed pattern alternatives actually opened.
     pub relaxations_opened: usize,
@@ -122,6 +123,14 @@ pub struct ExecMetrics {
     /// batch scheduler: subject-bound queries seed only their subject's
     /// home shard, and the skipped tasks are counted here.
     pub seed_skips: usize,
+    /// Bound lookups issued by restricted streams, one per key probed.
+    pub probe_lookups: usize,
+    /// Rank-join streams restricted to a retired stream's join keys.
+    pub probed_streams: usize,
+    /// Opened lists restricted by one scan of their rest, where key
+    /// lookups were priced dearer (the other side issues
+    /// [`ExecMetrics::probe_lookups`]).
+    pub restriction_scans: usize,
 }
 
 impl ExecMetrics {
@@ -145,35 +154,34 @@ impl ExecMetrics {
         self.budget_cutoffs += other.budget_cutoffs;
         self.degradation_steps += other.degradation_steps;
         self.seed_skips += other.seed_skips;
+        self.probe_lookups += other.probe_lookups;
+        self.probed_streams += other.probed_streams;
+        self.restriction_scans += other.restriction_scans;
     }
 }
 
 /// Shared fixtures for the pipeline stages' unit tests.
 #[cfg(test)]
 pub(crate) mod testfix {
-    use trinit_relax::{ExpandOptions, RuleSet};
+    use trinit_relax::RuleSet;
     use trinit_xkg::{XkgBuilder, XkgStore};
 
     use crate::answer::Answer;
     use crate::ast::Query;
+    use crate::exec::drive::TopkConfig;
     use crate::exec::expand;
 
-    /// Reference evaluation for the join tests: full expansion evaluates
-    /// every rewriting with a nested-loop join, so its answer set is
-    /// exactly what the hash-partitioned, semijoin-filtered combine must
-    /// reproduce.
-    pub(crate) fn reference(store: &XkgStore, q: &Query, rules: &RuleSet) -> Vec<Answer> {
-        let (full, _) = expand::run(
-            store,
-            q,
-            rules,
-            &ExpandOptions {
-                max_depth: 2,
-                min_weight: 0.0,
-                max_rewritings: 4096,
-            },
-        );
-        full
+    /// Reference evaluation for the join tests: full expansion to the
+    /// depth the engine under `cfg` reaches evaluates every rewriting with
+    /// a nested-loop join, so its answer set is exactly what the
+    /// hash-partitioned, semijoin-filtered combine must reproduce.
+    pub(crate) fn reference(
+        store: &XkgStore,
+        q: &Query,
+        rules: &RuleSet,
+        cfg: &TopkConfig,
+    ) -> Vec<Answer> {
+        expand::run(store, q, rules, &cfg.reference_expansion()).0
     }
 
     pub(crate) fn assert_same_answers(a: &[Answer], b: &[Answer]) {
@@ -234,6 +242,9 @@ mod tests {
             budget_cutoffs: 16,
             degradation_steps: 17,
             seed_skips: 18,
+            probe_lookups: 19,
+            probed_streams: 20,
+            restriction_scans: 21,
         };
         let mut merged = ExecMetrics::default();
         merged.merge(&full);
@@ -258,6 +269,9 @@ mod tests {
             budget_cutoffs: 32,
             degradation_steps: 34,
             seed_skips: 36,
+            probe_lookups: 38,
+            probed_streams: 40,
+            restriction_scans: 42,
         };
         assert_eq!(merged, doubled, "merge must sum every field");
     }

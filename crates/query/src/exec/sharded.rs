@@ -27,7 +27,7 @@
 //! exactly the monolithic match set (the partition is total and
 //! disjoint), and [`ShardedMerge::next_merged`] only emits a slice's
 //! head after [`IncrementalMerge::tighten_head`] has made it exact and
-//! no other slice's upper bound exceeds it — so the union stream is
+//! no other slice's bound outranks it — so the union stream is
 //! emitted in the same globally descending order the monolithic merge
 //! produces, and every threshold argument of the single-store engine
 //! carries over verbatim.
@@ -41,7 +41,7 @@
 //! re-push here — the emission order is property-pinned identical to
 //! the linear-scan election at 1/2/4/7 shards.
 //!
-//! **Restriction.** A request's `restrict` confines one query pattern's
+//! **Slice restriction.** A request's `restrict` confines one pattern's
 //! merge to a sub-range of the slices (the delta slices) while every
 //! other pattern reads the full union — the seam semi-naive delta
 //! queries ("which answers did this batch introduce?") are built on.
@@ -54,6 +54,7 @@ use std::rc::Rc;
 
 use trinit_obs::{now_ns, SpanRecord, Stage, TraceRecorder};
 
+use crate::exec::join::KeySet;
 use crate::exec::merge::{AltView, IncrementalMerge, Merged, RankSource};
 use crate::exec::ExecMetrics;
 
@@ -119,26 +120,33 @@ pub struct ShardedMerge<'a> {
 impl<'a> ShardedMerge<'a> {
     /// The union of `shards` (each already emitting global ids);
     /// `slots[i]` is shard `i`'s index in the shared `metrics` vector.
-    pub(crate) fn new(
+    pub fn new(
         shards: Vec<IncrementalMerge<'a>>,
         slots: Vec<usize>,
         metrics: Rc<RefCell<Vec<ExecMetrics>>>,
     ) -> ShardedMerge<'a> {
-        let heap = shards
+        let mass = shards.iter().map(IncrementalMerge::remaining_mass).sum();
+        let mut merge = ShardedMerge {
+            shards,
+            slots,
+            metrics,
+            heap: BinaryHeap::new(),
+            mass,
+            obs_elections: 0,
+            obs_window_start: 0,
+        };
+        merge.reelect();
+        merge
+    }
+
+    /// Rebuilds the election heap from every shard's current bound.
+    fn reelect(&mut self) {
+        self.heap = self
+            .shards
             .iter()
             .enumerate()
             .filter_map(|(idx, m)| m.peek_bound().map(|bound| ShardEntry { bound, idx }))
             .collect();
-        let mass = shards.iter().map(IncrementalMerge::remaining_mass).sum();
-        ShardedMerge {
-            shards,
-            slots,
-            metrics,
-            heap,
-            mass,
-            obs_elections: 0,
-            obs_window_start: 0,
-        }
     }
 
     /// Runs `f` against shard `i`'s merge, folding the move of its mass
@@ -188,7 +196,8 @@ impl RankSource for ShardedMerge<'_> {
             };
             // A bound can be loose (unopened alternatives). Tighten the
             // candidate's head to its exact next probability; if another
-            // shard's bound now exceeds it, re-elect.
+            // shard now outranks it (ties go to the lowest index, however
+            // loose the bounds were), re-elect.
             let tightened = self.with_mass_delta(i, metrics, |shard, m| shard.tighten_head(m));
             let Some(tight) = tightened else {
                 // Exhausted while tightening — drop out of the election
@@ -198,11 +207,12 @@ impl RankSource for ShardedMerge<'_> {
                 }
                 continue;
             };
-            if self.heap.peek().is_some_and(|top| top.bound > tight) {
-                self.heap.push(ShardEntry {
-                    bound: tight,
-                    idx: i,
-                });
+            let entry = ShardEntry {
+                bound: tight,
+                idx: i,
+            };
+            if self.heap.peek().is_some_and(|top| *top > entry) {
+                self.heap.push(entry);
                 continue;
             }
             let Some(merged) = self
@@ -249,6 +259,17 @@ impl RankSource for ShardedMerge<'_> {
             self.flush_election_window(recorder);
         }
     }
+
+    fn restrict(&mut self, keys: &Rc<KeySet>, metrics: &mut ExecMetrics) -> bool {
+        // Forwarded to every slice (all derive the same alternatives);
+        // the mass sum follows each slice's move, the heap is rebuilt.
+        let mut restricted = false;
+        for i in 0..self.shards.len() {
+            restricted |= self.with_mass_delta(i, metrics, |shard, m| shard.restrict(keys, m));
+        }
+        self.reelect();
+        restricted
+    }
 }
 
 impl ShardedMerge<'_> {
@@ -294,9 +315,10 @@ mod tests {
         b
     }
 
-    /// The previous election algorithm, kept verbatim as the reference:
-    /// a linear scan for the highest bound (ties to the lowest index),
-    /// tighten, linear dominance re-check, emit.
+    /// The election as a linear scan, the reference: the highest bound
+    /// (ties to the lowest index), tighten, linear re-check that no other
+    /// shard outranks the tightened head (a higher bound, or an equal one
+    /// at a lower index), emit.
     fn reference_next(
         shards: &mut [IncrementalMerge<'_>],
         offsets: &[u32],
@@ -315,10 +337,11 @@ mod tests {
             let Some(tight) = shards[i].tighten_head(&mut metrics[i]) else {
                 continue;
             };
+            let outranks = |(j, b): (usize, f64)| b > tight || (b == tight && j < i);
             let dominated = shards
                 .iter()
                 .enumerate()
-                .any(|(j, m)| j != i && m.peek_bound().is_some_and(|b| b > tight));
+                .any(|(j, m)| j != i && m.peek_bound().is_some_and(|b| outranks((j, b))));
             if dominated {
                 continue;
             }

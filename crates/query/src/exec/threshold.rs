@@ -23,23 +23,25 @@
 //!
 //! A round reads no logarithm and, usually, recomputes nothing. Every
 //! stream caches the `ln` of its frontier and refreshes it only inside
-//! its own pull ([`Stream::pull`] — the source's bound cannot move
-//! anywhere else), so the threshold, the capping pass and the driver's
-//! stream selection compare cached numbers; the one `ln` a pull pays for
-//! its bound is the only one (the ε pass adds one per live stream for the
+//! its own pull ([`Stream::pull`]) or after a restriction the driver
+//! applied to it ([`Stream::refresh`]) — the source's bound moves nowhere
+//! else — so the threshold, the capping pass and the driver's stream
+//! selection compare cached numbers; the one `ln` a pull pays for its
+//! bound is the only one (the ε pass adds one per live stream for the
 //! mass envelope, and only when ε > 0). The capping pass needs every
 //! stream's "others" contribution sum; these are kept as prefix/suffix
 //! sums over the per-stream contribution bounds and rebuilt — O(streams)
 //! — only in a round where a contribution bound actually moved. A
 //! stream's contribution bound is its frontier while it keeps nothing
-//! and its first kept item's score from then on, and only the stream
-//! just pulled can have changed, so the policy compares that one bound
-//! with its stored copy. In the steady state of a long drain (every
-//! stream holds an item) that comparison is all the bookkeeping a round
-//! does. For up to three streams the floating-point result is identical
-//! to the direct exclusion sum; at higher arity the summation associates
-//! differently, an ULP-level difference between two equally sound bounds
-//! on the same exact quantity.
+//! and its first kept item's score from then on, so a round compares the
+//! pulled stream's bound with its stored copy — and a restriction, which
+//! moves a stream outside its pull, re-folds that stream's
+//! ([`ThresholdPolicy::refold`]). In the steady state of a long drain
+//! (every stream holds an item) that comparison is all the bookkeeping a
+//! round does. For up to three streams the floating-point result is
+//! identical to the direct exclusion sum; at higher arity the summation
+//! associates differently, an ULP-level difference between two equally
+//! sound bounds on the same exact quantity.
 //!
 //! ## The ε-approximate criterion (mass envelope, load-bearing)
 //!
@@ -286,6 +288,15 @@ impl<'a> ThresholdPolicy<'a> {
         }
     }
 
+    /// Folds in stream `i`'s contribution bound if it moved — after a
+    /// pull, or after a [`RankSource::restrict`] outside any pull.
+    pub(crate) fn refold(&mut self, i: usize, contribution: f64) {
+        if contribution != self.contrib[i] {
+            self.contrib[i] = contribution;
+            self.resum();
+        }
+    }
+
     /// `Σ_{j≠i} contribution_bound(j)` as of the last [`Self::resum`].
     #[inline]
     fn others(&self, i: usize) -> f64 {
@@ -307,11 +318,7 @@ impl<'a> ThresholdPolicy<'a> {
 
         // Only the pulled stream can have moved its contribution bound
         // (retirement flags do not enter it).
-        let contribution = streams[pulled].contribution_bound();
-        if contribution != self.contrib[pulled] {
-            self.contrib[pulled] = contribution;
-            self.resum();
-        }
+        self.refold(pulled, streams[pulled].contribution_bound());
         // Threshold: best score any unseen combination can still achieve.
         // Retired streams produce no further items, so they drop out of
         // the outer max; their kept items still bound the inner product.

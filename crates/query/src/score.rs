@@ -550,11 +550,7 @@ impl<'s> ScoredMatches<'s> {
             // hot-shape lists keep their locally normalized entries and
             // rescale on the fly — the cached/borrowed list is valid
             // under any totals provider.
-            let rescale = |total: f64| match global {
-                Some(t) if t > 0.0 => total / t,
-                Some(_) => 0.0,
-                None => 1.0,
-            };
+            let rescale = |total: f64| rescale(total, global);
             if store.layout().is_flat() {
                 // Zero-alloc: the borrowed slice of the frozen posting
                 // index is reused with an on-the-fly probability rescale
@@ -689,6 +685,32 @@ impl<'s> ScoredMatches<'s> {
         self.list.consumed()
     }
 
+    /// The unconsumed entries, in order (probabilities unscaled).
+    pub(crate) fn rest(&self) -> &[Posting] {
+        &self.list.entries()[self.consumed()..]
+    }
+
+    /// A list of `entries` — ordered, and a subset of a match set whose
+    /// list divides by `total` and rescales by `scale` — that reports
+    /// them exactly as that list would: a restricted stream's private
+    /// cursor, never cached.
+    pub(crate) fn restricted(
+        entries: Vec<Posting>,
+        total: f64,
+        scale: f64,
+    ) -> ScoredMatches<'static> {
+        ScoredMatches {
+            list: PostingList::restricted(entries, total),
+            scale,
+            built: None,
+        }
+    }
+
+    /// This list cut to `entries`, a subset of its [`Self::rest`].
+    pub(crate) fn narrowed(&self, entries: Vec<Posting>) -> ScoredMatches<'static> {
+        ScoredMatches::restricted(entries, self.total_weight(), self.scale)
+    }
+
     /// Fraction of the emission mass not yet consumed by the cursor, in
     /// `[0, 1]`. O(1) for every list — the build-time prefix-sum columns
     /// for index-served lists, an incrementally tracked consumed weight
@@ -723,13 +745,15 @@ pub fn head_prob_bound(store: &XkgStore, pattern: &QPattern) -> f64 {
 
 /// [`head_prob_bound`] under a [`GlobalTotals`] provider: the bound on a
 /// *shard's* best emission when probabilities are normalized globally.
-/// For index-served shapes (the anchored strata included) this reads the
-/// shard's precomputed head *weight* and divides by the global total —
-/// each shard enters the sharded merge at its exact local head, which is
-/// ≤ the monolithic store's head bound for the same pattern. Shapes the
-/// index cannot answer fall back to the trivial bound (probabilities are
-/// ≤ 1 by construction, since every local weight participates in the
-/// global total).
+/// Borrow-served shapes keep their local probabilities and rescale them
+/// ([`ScoredMatches::build_global`]), so the bound is the local head
+/// probability rescaled the same way — bit for bit the head the list
+/// emits, which is ≤ the monolithic store's head bound for the same
+/// pattern. Repeated-variable shapes divide the unfiltered group's head
+/// *weight* by the global total (it still bounds the filtered head).
+/// Shapes the index cannot answer fall back to the trivial bound
+/// (probabilities are ≤ 1 by construction, since every local weight
+/// participates in the global total).
 pub fn head_prob_bound_global(
     store: &XkgStore,
     pattern: &QPattern,
@@ -742,11 +766,56 @@ pub fn head_prob_bound_global(
     if t <= 0.0 {
         return 0.0;
     }
-    let (slot, _) = key;
-    // Head *weight* of the shard-local group; for repeated-variable
-    // masks the unfiltered group head still bounds the filtered head.
-    match store.head_weight(&slot) {
-        Some(w) => (w / t).min(1.0),
+    let (slot, mask) = key;
+    match (mask, served_total(store, &slot)) {
+        (0, Some(total)) => store.head_prob(&slot).unwrap_or(0.0) * rescale(total, Some(t)),
+        _ => store.head_weight(&slot).map_or(1.0, |w| (w / t).min(1.0)),
+    }
+}
+
+/// The total a borrow-served list over `slot` reports as its own
+/// ([`PostingList::build`]'s `total_weight`); `None` for other shapes.
+fn served_total(store: &XkgStore, slot: &SlotPattern) -> Option<f64> {
+    match (slot.s, slot.p, slot.o) {
+        (None, Some(p), None) => Some(store.posting_index().predicate_total_weight(p)),
+        (None, None, None) => Some(store.posting_index().total_weight()),
+        (Some(s), None, None) => Some(store.subject_total_weight(s)),
+        (None, None, Some(o)) => Some(store.object_total_weight(o)),
+        _ => None,
+    }
+}
+
+/// How [`ScoredMatches::build_global`] would normalize `pattern`'s list,
+/// when that is known without building it: `(divisor, scale)` such that
+/// the cursor reports `weight / divisor × scale` for every entry — the
+/// stratum's own total and the global rescale for the predicate-only and
+/// unbound shapes, the global total for every shape a provider scales
+/// explicitly. A divisor ≤ 0 means the list serves empty. `None` for
+/// the shapes whose normalizer is the list itself (anchored strata,
+/// filtered composite shapes without a provider).
+pub(crate) fn probe_normalizer(
+    store: &XkgStore,
+    pattern: &QPattern,
+    totals: Option<&dyn GlobalTotals>,
+) -> Option<(f64, f64)> {
+    let key = canonical_pattern(pattern);
+    let (slot, mask) = key;
+    let global = totals.and_then(|t| t.pattern_total(&key));
+    match (mask, slot.s, slot.o, global) {
+        // Predicate-only and unbound lists divide by their own total.
+        (0, None, None, _) => served_total(store, &slot).map(|t| (t, rescale(t, global))),
+        (0, _, _, Some(_)) if is_borrow_served(&slot) => None,
+        (_, _, _, Some(t)) => Some((t, 1.0)),
+        _ => None,
+    }
+}
+
+/// The factor a borrow-served list normalized by its local `total`
+/// carries under an optional global total.
+fn rescale(total: f64, global: Option<f64>) -> f64 {
+    match global {
+        Some(t) if t > 0.0 => total / t,
+        Some(_) => 0.0,
         None => 1.0,
     }
 }
@@ -913,6 +982,24 @@ mod tests {
     }
 
     #[test]
+    fn cursor_rest_and_narrowed_view() {
+        let store = store();
+        let p = pat(&store, QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
+        let mut m = ScoredMatches::build(&store, &p);
+        let first = m.next_entry().unwrap();
+        assert_eq!(m.rest(), &m.entries()[1..]);
+        assert!(m.rest().iter().all(|e| e.triple != first.0));
+        // A narrowed view reports its entries exactly as the list would,
+        // and its remaining mass is theirs alone.
+        let kept = m.rest()[1];
+        let mut narrowed = m.narrowed(vec![kept]);
+        assert!((narrowed.remaining_mass() - kept.prob).abs() < 1e-12);
+        assert_eq!(narrowed.next_entry(), Some((kept.triple, kept.prob)));
+        assert!(narrowed.remaining_mass().abs() < 1e-12);
+        assert_eq!(narrowed.next_entry(), None);
+    }
+
+    #[test]
     fn empty_pattern() {
         let store = store();
         let ghost = QTerm::Term(trinit_xkg::TermId::new(trinit_xkg::TermKind::Resource, 500));
@@ -973,20 +1060,23 @@ mod tests {
         let narrow = pat(&store, QTerm::Term(a), QTerm::Var(VarId(1)));
         // First execution: builds and populates both tiers.
         let mut exec1 = PostingCache::new();
-        let (m1, src1) = ScoredMatches::build_tiered(&store, &narrow, &mut exec1, Some(&shared));
+        let (m1, src1) =
+            ScoredMatches::build_global(&store, &narrow, &mut exec1, Some(&shared), None);
         assert_eq!(src1, CacheSource::Built);
         assert_eq!(shared.len(), 1);
         assert_eq!(shared.stats().misses, 1);
         // Second execution (fresh L1): served by the shared tier and
         // promoted into the new execution cache.
         let mut exec2 = PostingCache::new();
-        let (m2, src2) = ScoredMatches::build_tiered(&store, &narrow, &mut exec2, Some(&shared));
+        let (m2, src2) =
+            ScoredMatches::build_global(&store, &narrow, &mut exec2, Some(&shared), None);
         assert_eq!(src2, CacheSource::SharedHit);
         assert_eq!(shared.stats().hits, 1);
         assert_eq!(exec2.len(), 1);
         assert_eq!(m1.entries(), m2.entries());
         // Within the same execution, L1 answers without touching L2.
-        let (_, src3) = ScoredMatches::build_tiered(&store, &narrow, &mut exec2, Some(&shared));
+        let (_, src3) =
+            ScoredMatches::build_global(&store, &narrow, &mut exec2, Some(&shared), None);
         assert_eq!(src3, CacheSource::ExecHit);
         assert_eq!(shared.stats().hits, 1);
     }
@@ -1004,21 +1094,24 @@ mod tests {
             .map(|&t| pat(&store, QTerm::Term(t), QTerm::Var(VarId(1))))
             .collect();
         let mut exec = PostingCache::new();
-        ScoredMatches::build_tiered(&store, &pats[0], &mut exec, Some(&shared));
-        ScoredMatches::build_tiered(&store, &pats[1], &mut exec, Some(&shared));
+        ScoredMatches::build_global(&store, &pats[0], &mut exec, Some(&shared), None);
+        ScoredMatches::build_global(&store, &pats[1], &mut exec, Some(&shared), None);
         assert_eq!(shared.len(), 2);
         // Touch pattern 0 through a fresh execution cache to bump recency.
         let mut exec2 = PostingCache::new();
-        let (_, src) = ScoredMatches::build_tiered(&store, &pats[0], &mut exec2, Some(&shared));
+        let (_, src) =
+            ScoredMatches::build_global(&store, &pats[0], &mut exec2, Some(&shared), None);
         assert_eq!(src, CacheSource::SharedHit);
         // Inserting a third list evicts pattern 1 (the LRU), not 0.
-        ScoredMatches::build_tiered(&store, &pats[2], &mut exec2, Some(&shared));
+        ScoredMatches::build_global(&store, &pats[2], &mut exec2, Some(&shared), None);
         assert_eq!(shared.len(), 2);
         assert_eq!(shared.stats().evictions, 1);
         let mut exec3 = PostingCache::new();
-        let (_, again0) = ScoredMatches::build_tiered(&store, &pats[0], &mut exec3, Some(&shared));
+        let (_, again0) =
+            ScoredMatches::build_global(&store, &pats[0], &mut exec3, Some(&shared), None);
         assert_eq!(again0, CacheSource::SharedHit);
-        let (_, again1) = ScoredMatches::build_tiered(&store, &pats[1], &mut exec3, Some(&shared));
+        let (_, again1) =
+            ScoredMatches::build_global(&store, &pats[1], &mut exec3, Some(&shared), None);
         assert_eq!(again1, CacheSource::Built, "pattern 1 was evicted");
     }
 
@@ -1029,10 +1122,11 @@ mod tests {
         let a = store.resource("a").unwrap();
         let narrow = pat(&store, QTerm::Term(a), QTerm::Var(VarId(1)));
         let mut exec = PostingCache::new();
-        ScoredMatches::build_tiered(&store, &narrow, &mut exec, Some(&shared));
+        ScoredMatches::build_global(&store, &narrow, &mut exec, Some(&shared), None);
         assert!(shared.is_empty());
         let mut exec2 = PostingCache::new();
-        let (_, src) = ScoredMatches::build_tiered(&store, &narrow, &mut exec2, Some(&shared));
+        let (_, src) =
+            ScoredMatches::build_global(&store, &narrow, &mut exec2, Some(&shared), None);
         assert_eq!(src, CacheSource::Built);
         assert_eq!(shared.stats().misses, 2);
     }

@@ -5,12 +5,24 @@
 //! stores, queries, and predicate-rewrite rule sets — the invariant that
 //! makes the paper's efficiency optimization safe.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
+use trinit_query::exec::join::KeySet;
+use trinit_query::exec::merge::{IncrementalMerge, RankSource};
 use trinit_query::exec::{expand, topk};
-use trinit_query::{Query, TopkConfig};
+use trinit_query::{ExecMetrics, PostingCache, Query, TopkConfig};
 use trinit_relax::{ExpandOptions, QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
-use trinit_xkg::{Provenance, SourceId, TermId, TermKind, Triple, XkgBuilder, XkgStore};
+use trinit_xkg::{
+    Provenance, SegmentLayout, SourceId, TermId, TermKind, Triple, XkgBuilder, XkgStore,
+};
+
+mod support {
+    pub mod restriction;
+}
+use support::restriction::{assert_restriction_filters, drain, key_values, key_vars};
 
 fn tid(i: u32) -> TermId {
     TermId::new(TermKind::Resource, i)
@@ -57,13 +69,17 @@ fn hub_strategy(universe: u32) -> impl Strategy<Value = Vec<Row>> {
 }
 
 fn build_store(rows: &[Row]) -> XkgStore {
+    build_store_with(rows, SegmentLayout::Flat)
+}
+
+fn build_store_with(rows: &[Row], layout: SegmentLayout) -> XkgStore {
     let mut b = XkgBuilder::new();
     for &(s, p, o, conf, support) in rows {
         let mut prov = Provenance::extraction(conf, SourceId(0));
         prov.support = u32::from(support) + 1;
         b.add(Triple::new(tid(s), tid(p), tid(o)), prov);
     }
-    b.build()
+    b.build_with(layout)
 }
 
 fn query_from(patterns: Vec<QPattern>, k: usize) -> Query {
@@ -474,6 +490,40 @@ proptest! {
     }
 }
 
+/// An alternative that dropped the key variable is never restricted:
+/// `?x hub ?y` relaxes to `?f hub2 ?y`, which no longer binds `?x`, so a
+/// retired partner's keys on `?x` can say nothing about its emissions —
+/// every one of them must survive, while the original alternative's are
+/// cut to the keyed subjects.
+#[test]
+fn restriction_leaves_an_alternative_that_dropped_the_key_variable_alone() {
+    let mut rows: Vec<Row> = (0..40).map(|i| (100 + i, 1, i % 4, 0.5, 0)).collect();
+    rows.extend((0..40).map(|i| (200 + i, 2, i % 4, 0.5, 0)));
+    let store = build_store(&rows);
+    let rules: RuleSet = [rule_of_shape(1, 2, 0.6, 3)].into_iter().collect();
+    let (x, y) = (VarId(0), VarId(1));
+    let pattern = QPattern::new(QTerm::Var(x), QTerm::Term(tid(1)), QTerm::Var(y));
+    let cfg = TopkConfig {
+        min_weight: 0.0,
+        ..TopkConfig::default()
+    };
+    let merge = || {
+        let cache = Rc::new(RefCell::new(PostingCache::new()));
+        IncrementalMerge::for_pattern(&store, &pattern, &rules, &cfg, 8, cache, None, None)
+    };
+    let keys = vec![vec![tid(103)], vec![tid(117)]];
+    for at in [0, 3] {
+        assert_restriction_filters(merge(), merge(), |id| store.triple(id), &[x], &keys, at);
+    }
+    let mut restricted = merge();
+    let keys = Rc::new(KeySet::new(&[x], &keys));
+    restricted.restrict(&keys, &mut ExecMetrics::default());
+    let emitted = drain(&mut restricted, usize::MAX);
+    let relaxed = emitted.iter().filter(|m| m.alt != 0).count();
+    assert_eq!(emitted.len() - relaxed, 2, "the keyed subjects");
+    assert_eq!(relaxed, 40, "every match of the relaxation that dropped ?x");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -587,6 +637,50 @@ proptest! {
                 "rank {}: approximate {} below (1−θ)·{} at θ={}",
                 r, pa, pe, theta
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A restricted merge emits exactly the filtered sorted stream: a
+    /// merge restricted to a key set at any point of its drain continues
+    /// with precisely the emissions its unrestricted twin makes from that
+    /// point on, minus those of an alternative binding the key variables
+    /// whose values form no key — same triples, probability bits and
+    /// alternatives, in the same order — whether an alternative was
+    /// opened before the restriction or opens through bound lookups
+    /// after it, on Flat and Packed segments, with rules that drop a
+    /// variable in play.
+    #[test]
+    fn restricted_merge_emits_the_filtered_sorted_stream(
+        rows in store_strategy(6, 40),
+        patterns in patterns_strategy(3, 6, 1..2),
+        rules in rules_strategy(6),
+        own_rule in (0u32..6, 0.15f64..1.0, 0u8..4),
+        raw_keys in proptest::collection::vec((0u32..6, 0u32..6, 0u32..6), 0..5),
+        pick in 0usize..4,
+        at in prop_oneof![0usize..2, 0usize..48],
+    ) {
+        let vars = key_vars(&patterns[0], pick);
+        if vars.is_empty() {
+            continue;
+        }
+        let keys = key_values(&raw_keys, vars.len());
+        // One rule always fires on the pattern itself, half the time
+        // dropping one of its variables.
+        let (p2, w, shape) = own_rule;
+        let own = patterns[0].p.term().map(|p1| rule_of_shape(p1.index(), p2, w, shape));
+        let set: RuleSet = rules.into_iter().chain(own).collect();
+        for (layout, tighten) in [(SegmentLayout::Flat, true), (SegmentLayout::Packed, false)] {
+            let store = build_store_with(&rows, layout);
+            let cfg = TopkConfig { min_weight: 0.0, tighten_threshold: tighten, ..TopkConfig::default() };
+            let merge = || {
+                let cache = Rc::new(RefCell::new(PostingCache::new()));
+                IncrementalMerge::for_pattern(&store, &patterns[0], &set, &cfg, 8, cache, None, None)
+            };
+            assert_restriction_filters(merge(), merge(), |id| store.triple(id), &vars, &keys, at);
         }
     }
 }

@@ -9,13 +9,26 @@
 //! mismatch to tolerate); only membership of a trailing tied-score group
 //! is tie-break detail.
 
+use std::cell::RefCell;
+use std::ops::Range;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
+use trinit_query::exec::merge::IncrementalMerge;
+use trinit_query::exec::sharded::ShardedMerge;
 use trinit_query::exec::topk::{self, TopkConfig};
-use trinit_query::{Completeness, ExecBudget, Query};
+use trinit_query::{Completeness, ExecBudget, ExecMetrics, GlobalTotals, PostingCache, Query};
 use trinit_relax::{QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
 use trinit_shard::{SeedMode, ShardedExecutor, ShardedStore};
-use trinit_xkg::{PostingList, Provenance, SlotPattern, SourceId, TermId, TermKind, Triple, XkgBuilder};
+use trinit_xkg::{
+    PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, TermId, TermKind, Triple,
+    XkgBuilder, XkgStore,
+};
+
+#[path = "../../query/tests/support/restriction.rs"]
+mod restriction;
+use restriction::{assert_restriction_filters, key_values, key_vars};
 
 fn tid(i: u32) -> TermId {
     TermId::new(TermKind::Resource, i)
@@ -597,5 +610,90 @@ proptest! {
                 prop_assert_eq!(gov_run.completeness, Completeness::Exact);
             }
         }
+    }
+}
+
+/// The union source `execute` builds for one pattern over `slices` (slice
+/// `i` based at `offsets[i]`), confined to the slice sub-range `range`
+/// the way a delta-restricted pattern is.
+fn union_merge<'a>(
+    slices: &[&'a XkgStore],
+    offsets: &[u32],
+    range: Range<usize>,
+    pattern: &QPattern,
+    rules: &RuleSet,
+    cfg: &TopkConfig,
+    totals: &'a dyn GlobalTotals,
+) -> ShardedMerge<'a> {
+    let merges = range
+        .clone()
+        .map(|s| {
+            let cache = Rc::new(RefCell::new(PostingCache::new()));
+            IncrementalMerge::for_pattern(slices[s], pattern, rules, cfg, 8, cache, None, Some(totals))
+                .with_id_base(offsets[s])
+        })
+        .collect();
+    let metrics = Rc::new(RefCell::new(vec![ExecMetrics::default(); slices.len()]));
+    ShardedMerge::new(merges, range.collect(), metrics)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The restriction under partitioning: restricting the union source
+    /// forwards to every slice's merge, each probing its own segment
+    /// under the *global* totals, and the union must still emit exactly
+    /// the filtered sorted stream of its unrestricted twin — at 1/2/4/7
+    /// shards on Flat and Packed segments, and for a union confined to
+    /// the delta slices of a store with a live delta (the semi-naive
+    /// delta-query seam), whose scores divide by totals that span base
+    /// and delta.
+    #[test]
+    fn restricted_sharded_merge_emits_the_filtered_sorted_stream(
+        rows in store_strategy(6, 40),
+        patterns in patterns_strategy(3, 6, 1..2),
+        rules in rules_strategy(6),
+        own_rule in (0u32..6, 0.15f64..1.0, 0u8..4),
+        raw_keys in proptest::collection::vec((0u32..6, 0u32..6, 0u32..6), 0..5),
+        pick in 0usize..4,
+        at in prop_oneof![0usize..2, 0usize..48],
+    ) {
+        let pattern = patterns[0];
+        let vars = key_vars(&pattern, pick);
+        if vars.is_empty() {
+            continue;
+        }
+        let keys = key_values(&raw_keys, vars.len());
+        let (p2, w, shape) = own_rule;
+        let own = pattern.p.term().map(|p1| rule_of_shape(p1.index(), p2, w, shape));
+        let set: RuleSet = rules.into_iter().chain(own).collect();
+        let cfg = TopkConfig { min_weight: 0.0, ..TopkConfig::default() };
+        let check = |store: &ShardedStore, range: Option<Range<usize>>| {
+            let mut slices: Vec<&XkgStore> = store.shards().iter().collect();
+            let mut offsets = store.offsets().to_vec();
+            for (view, offset) in store.delta_slices() {
+                slices.push(view);
+                offsets.push(offset);
+            }
+            let range = range.unwrap_or(0..slices.len());
+            let merge = || union_merge(&slices, &offsets, range.clone(), &pattern, &set, &cfg, store);
+            assert_restriction_filters(merge(), merge(), |id| store.triple(id), &vars, &keys, at);
+        };
+        for shards in [1usize, 2, 4, 7] {
+            for layout in [SegmentLayout::Flat, SegmentLayout::Packed] {
+                check(&ShardedStore::build_with(builder_from(&rows), shards, layout), None);
+            }
+        }
+        let half = rows.len() / 2;
+        let mut live = ShardedStore::build(builder_from(&rows[..half]), 2);
+        live.ingest(|b| {
+            for &(s, p, o, conf, support) in &rows[half..] {
+                let mut prov = Provenance::extraction(conf, SourceId(0));
+                prov.support = u32::from(support) + 1;
+                b.add(Triple::new(tid(s), tid(p), tid(o)), prov);
+            }
+        });
+        let deltas = live.delta_slices().count();
+        check(&live, Some(2..2 + deltas));
     }
 }

@@ -1221,6 +1221,18 @@ impl<'s> PostingList<'s> {
         }
     }
 
+    /// A list holding only `entries` — ordered, and a subset of a match
+    /// set whose total emission weight is `total_weight`. Their
+    /// probabilities keep that normalizer, and the remaining weight
+    /// starts at the entries' own, as if the rest had been consumed.
+    pub fn restricted(entries: Vec<Posting>, total_weight: f64) -> PostingList<'static> {
+        let kept: f64 = entries.iter().map(|e| e.weight).sum();
+        PostingList {
+            consumed_weight: total_weight - kept,
+            ..PostingList::from_owned(entries, total_weight)
+        }
+    }
+
     /// Wraps a cache-shared, already score-sorted entry list. The list
     /// gets its own cursor; the entries are not copied.
     pub fn from_shared(entries: Arc<[Posting]>, total_weight: f64) -> PostingList<'static> {

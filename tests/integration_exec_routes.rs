@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use trinit_core::query::exec::expand;
 use trinit_core::query::Answer;
-use trinit_core::relax::{ExpandOptions, RuleSet};
+use trinit_core::relax::RuleSet;
 use trinit_core::shard::testkit::assert_answers_score_equivalent;
 use trinit_core::shard::ShardedStore;
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
@@ -108,12 +108,7 @@ fn every_route_agrees_with_full_expansion_and_delta_queries_are_sound() {
         TrinitBuilder::from_world(&world, &KgConfig::default(), &CorpusConfig::tiny(SEED)).build();
     let union = mined.segmented_store().expect("monolithic build").base();
     let (systems, base_only) = routes(union, mined.rules());
-    let topk = mined.topk_config();
-    let reference = ExpandOptions {
-        max_depth: topk.chain_depth + topk.structural_depth,
-        min_weight: topk.min_weight,
-        max_rewritings: 4096,
-    };
+    let reference = mined.topk_config().reference_expansion();
 
     // (patterns, k) pairs; `LIMIT 1000` holds every answer of the world.
     let mut bodies = vec![
@@ -224,12 +219,7 @@ fn many_ingests_then_compaction_agree_with_the_rebuild_on_every_route() {
     let batches: Vec<&[(Triple, Provenance)]> =
         (0..INGESTS).map(|i| &delta[cut(i)..cut(i + 1)]).collect();
     assert!(batches.iter().all(|batch| !batch.is_empty()));
-    let topk = mined.topk_config();
-    let reference = ExpandOptions {
-        max_depth: topk.chain_depth + topk.structural_depth,
-        min_weight: topk.min_weight,
-        max_rewritings: 4096,
-    };
+    let reference = mined.topk_config().reference_expansion();
     let mut texts = vec![
         "?x type city LIMIT 25".to_string(),
         "?x bornIn ?y LIMIT 12".to_string(),

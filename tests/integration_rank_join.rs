@@ -5,77 +5,117 @@
 //! city granularity); the mined granularity rule rewrites it to
 //! `?x bornIn ?z . ?z type city . ?z locatedIn <Country>` — a flat-score
 //! `bornIn` list joined, on `?z`, with two short streams. This is the
-//! shape that sets the benchmark's heavy tail, and the one the
-//! retired-stream semijoin filter exists for, so tier-1 pins both the
-//! answers and the filter's effect here.
+//! shape that sets the benchmark's heavy tail: sorted access alone drains
+//! the whole `bornIn` hub. Once `?z locatedIn <Country>` retires, its
+//! cities are the only keys a partner can hit, and the other streams are
+//! restricted to them — so tier-1 pins the answers and that the work no
+//! longer grows with the hub.
 
 use trinit_core::query::exec::expand;
-use trinit_core::relax::ExpandOptions;
-use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
 use trinit_core::query::Answer;
-use trinit_core::{Completeness, Engine, TrinitBuilder};
+use trinit_core::relax::TTerm;
+use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
+use trinit_core::xkg::{SlotPattern, TermId};
+use trinit_core::{Completeness, Engine, Trinit, TrinitBuilder};
 
 const SEED: u64 = 42;
 
+/// `p` and every predicate the system's single-pattern rules rewrite it
+/// to within the top-k chain depth.
+fn family(sys: &Trinit, p: TermId) -> Vec<TermId> {
+    let mut out = vec![p];
+    for _ in 0..sys.topk_config().chain_depth {
+        for (_, rule) in sys.rules().iter() {
+            if let (Some(lhs), [rhs]) = (rule.lhs_predicate(), rule.rhs.as_slice()) {
+                if let TTerm::Const(q) = rhs.p {
+                    if out.contains(&lhs) && !out.contains(&q) {
+                        out.push(q);
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn granularity_query_matches_full_expansion_and_skips_dead_arrivals() {
-    let world = World::generate(WorldConfig::demo(SEED).scaled(0.05));
-    let sys =
-        TrinitBuilder::from_world(&world, &KgConfig::default(), &CorpusConfig::tiny(SEED)).build();
-    assert!(
-        sys.rules().iter().any(|(_, rule)| rule.rhs.len() == 3),
-        "the granularity rule (one pattern → three) must have been mined"
-    );
-    let topk = sys.topk_config();
-    let options = ExpandOptions {
-        // Top-k chains single-pattern rules and then applies structural
-        // ones; full expansion needs the sum to reach the same rewritings.
-        max_depth: topk.chain_depth + topk.structural_depth,
-        min_weight: topk.min_weight,
-        max_rewritings: 4096,
-    };
+    for scale in [0.05, 0.2] {
+        let world = World::generate(WorldConfig::demo(SEED).scaled(scale));
+        let sys =
+            TrinitBuilder::from_world(&world, &KgConfig::default(), &CorpusConfig::tiny(SEED))
+                .build();
+        assert!(
+            sys.rules().iter().any(|(_, rule)| rule.rhs.len() == 3),
+            "the granularity rule (one pattern → three) must have been mined"
+        );
+        let store = sys.store();
+        let reference = sys.topk_config().reference_expansion();
+        let located = family(&sys, store.resource("locatedIn").expect("locatedIn"));
+        let born = family(&sys, store.resource("bornIn").expect("bornIn"));
+        let hub: usize = born
+            .iter()
+            .map(|&p| store.count(&SlotPattern::with_p(p)))
+            .sum();
 
-    let mut heavy = 0;
-    for &country in world.of_type(EntityType::Country) {
-        let text = format!("?x bornIn {} LIMIT 10", world.entity(country).resource);
-        let query = sys.parse(&text).expect("generated query parses");
-        let (want, _) = expand::run(sys.store(), &query, sys.rules(), &options);
-        let got = sys.run(query, Engine::IncrementalTopK);
-        assert_eq!(got.completeness, Completeness::Exact, "{text}");
-        assert_eq!(got.answers.len(), want.len(), "{text}");
-        for (a, b) in got.answers.iter().zip(&want) {
+        for &country in world.of_type(EntityType::Country) {
+            let resource = &world.entity(country).resource;
+            let text = format!("?x bornIn {resource} LIMIT 10");
+            let query = sys.parse(&text).expect("generated query parses");
+            let (want, _) = expand::run(store, &query, sys.rules(), &reference);
+            let got = sys.run(query, Engine::IncrementalTopK);
+            assert_eq!(got.completeness, Completeness::Exact, "{text}");
+            assert_eq!(got.answers.len(), want.len(), "{text}");
+            for (a, b) in got.answers.iter().zip(&want) {
+                assert!(
+                    (a.score - b.score).abs() < 1e-9,
+                    "{text}: {} vs {}",
+                    a.score,
+                    b.score
+                );
+            }
+
+            // K: the places the country's `locatedIn` stream keeps.
+            let c = store.resource(resource).expect("country resource");
+            let mut keys: Vec<TermId> = located
+                .iter()
+                .flat_map(|&p| {
+                    let matches = store.lookup(&SlotPattern::with_po(p, c));
+                    matches
+                        .iter()
+                        .map(|&id| store.triple(id).s)
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let births: usize = keys
+                .iter()
+                .flat_map(|&z| born.iter().map(move |&p| SlotPattern::with_po(p, z)))
+                .map(|shape| store.count(&shape))
+                .sum();
+            let m = got.metrics;
             assert!(
-                (a.score - b.score).abs() < 1e-9,
-                "{text}: {} vs {}",
-                a.score,
-                b.score
+                m.pulls <= keys.len() + births + 8,
+                "{text} at scale {scale}: {} pulls for |K| = {} and {births} births in K \
+                 (the bornIn hub holds {hub})",
+                m.pulls,
+                keys.len()
             );
         }
-        let m = got.metrics;
-        if m.pulls < 50 {
-            continue; // k answers turned up before the flat list was drained
-        }
-        heavy += 1;
-        // Calibrated on `?x bornIn Stodresia`, which has fewer than k
-        // answers and so drains all 109 postings: without the filter
-        // every `bornIn` posting is joined (103 candidates), with it only
-        // births in the country's own cities are (14).
-        assert!(
-            m.join_candidates <= m.pulls / 2,
-            "{text}: the semijoin filter stopped firing ({} candidates for {} pulls)",
-            m.join_candidates,
-            m.pulls
-        );
     }
-    assert!(heavy > 0, "no query drained the flat bornIn list");
 }
 
 fn same_scores(a: &[Answer], b: &[Answer]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x.score - y.score).abs() < 1e-9)
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| (x.score - y.score).abs() < 1e-9)
 }
 
 /// `Engine::FullExpansion` is the reference for the system's top-k
-/// configuration: it expands to `chain_depth + structural_depth`, not to
+/// configuration: it expands to `chain_depth + structural_depth`
+/// (`TopkConfig::reference_expansion`), not to
 /// `ExpandOptions::default()`'s depth 2 — which stops one rule short of
 /// the granularity rewriting followed by a two-rule chain, so the two
 /// engines used to disagree on granularity queries. The demo corpus
@@ -85,20 +125,19 @@ fn full_expansion_engine_expands_to_the_depth_topk_reaches() {
     let world = World::generate(WorldConfig::demo(SEED).scaled(0.05));
     let sys =
         TrinitBuilder::from_world(&world, &KgConfig::default(), &CorpusConfig::demo(SEED)).build();
-    let topk = sys.topk_config();
-    let reference = ExpandOptions {
-        max_depth: topk.chain_depth + topk.structural_depth,
-        min_weight: topk.min_weight,
-        max_rewritings: 4096,
-    };
+    let reference = sys.topk_config().reference_expansion();
     let mut reproduced = 0;
     for predicate in ["bornIn", "diedIn"] {
         for &country in world.of_type(EntityType::Country) {
             let text = format!("?x {predicate} {} LIMIT 10", world.entity(country).resource);
             let query = sys.parse(&text).expect("generated query parses");
             let (want, _) = expand::run(sys.store(), &query, sys.rules(), &reference);
-            let (shallow, _) =
-                expand::run(sys.store(), &query, sys.rules(), &ExpandOptions::default());
+            let (shallow, _) = expand::run(
+                sys.store(),
+                &query,
+                sys.rules(),
+                &trinit_core::relax::ExpandOptions::default(),
+            );
             let full = sys.run(query.clone(), Engine::FullExpansion);
             assert!(same_scores(&full.answers, &want), "{text}");
             let got = sys.run(query, Engine::IncrementalTopK);
