@@ -304,10 +304,28 @@ proptest! {
     }
 
     /// Remaining-mass/head-bound threshold tightening never changes
-    /// answers — it only reduces sorted-access work. The tightened run
-    /// must report pulls ≤ the untightened run's.
+    /// answers, and the untightened run never cuts a stream off.
+    ///
+    /// Tightening does *not* bound pulls from above, so no pull count is
+    /// compared. It makes an unopened alternative enter its stream's
+    /// merge at its exact head probability instead of `weight × 1.0`,
+    /// which changes the order alternatives open in; and a restriction
+    /// (a retired stream's join keys) leaves an unopened alternative lazy
+    /// at that head bound while it drains an opened one at once. Minimal
+    /// case, found at the 155th case of this property's seeded sequence:
+    /// store `r0 r1 r1`, `r4 r0 r2`, `r1 r0 r4` (confidence 0.5, support
+    /// 1), query `?1 r4 r1 . ?1 r1 r1` with k = 2, rules
+    /// `?x r4 ?y → ?x r0 ?f` (0.97) and `r0 → r1` (0.74). Both runs pull
+    /// `?1 r1 r1` dry, which restricts the first pattern to `?1 = r0`.
+    /// The untightened run then opens `?1 r0 ?f` first (bound 0.97),
+    /// finds it empty under the restriction and emits `r0 r1 r1` through
+    /// `r0 → r1` in the same pull: 2 pulls. The tightened run ranks
+    /// `?1 r0 ?f` at its exact head, 0.97 × 0.5, below that emission, and
+    /// spends a third pull to open it and find it empty. Over 3,000
+    /// cases, 27 pull more when tightened, by up to 7 pulls; every one
+    /// returns the same answers.
     #[test]
-    fn tightened_threshold_preserves_answers_and_reduces_pulls(
+    fn tightened_threshold_preserves_answers(
         rows in store_strategy(5, 40),
         patterns in patterns_strategy(3, 5, 1..3),
         rules in rules_strategy(5),
@@ -317,7 +335,7 @@ proptest! {
         let set: RuleSet = rules.into_iter().collect();
         let q1 = query_from(patterns.clone(), k);
         let q2 = query_from(patterns, k);
-        let (tight, m_tight) = topk::run(
+        let (tight, _) = topk::run(
             &store,
             &q1,
             &set,
@@ -336,12 +354,6 @@ proptest! {
             },
         );
         assert_answers_equivalent(&tight, &loose);
-        prop_assert!(
-            m_tight.pulls <= m_loose.pulls,
-            "tightening increased pulls: {} > {}",
-            m_tight.pulls,
-            m_loose.pulls
-        );
         prop_assert_eq!(m_loose.early_cutoffs, 0, "untightened path must not cut off");
     }
 

@@ -20,8 +20,8 @@ use trinit_query::{Answer, BudgetTracker, Governor, Query, TraceRecorder};
 use trinit_relax::{ConditionOracle, QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
 use trinit_shard::{SeedMode, Seeds, ShardedExecutor, ShardedStore};
 use trinit_xkg::{
-    PostingList, Provenance, SegmentedStore, SlotPattern, SourceId, TermId, TermKind, Triple,
-    XkgBuilder, XkgStore,
+    PostingList, Provenance, SegmentLayout, SegmentedStore, SlotPattern, SourceId, StorageBytes,
+    TermId, TermKind, Triple, TripleId, XkgBuilder, XkgStore,
 };
 
 fn tid(i: u32) -> TermId {
@@ -131,6 +131,61 @@ fn scan_union<'a>(
         .collect();
     out.sort();
     out
+}
+
+/// Everything `store` serves for `shape`, bit for bit: the lookup's ids
+/// in serve order; the posting list's entries, prefix column and total;
+/// and the head bound.
+type Served = (
+    Vec<TripleId>,
+    Vec<(TripleId, u64, u64)>,
+    Option<Vec<u64>>,
+    u64,
+    Option<u64>,
+);
+
+fn served(store: &XkgStore, shape: &SlotPattern) -> Served {
+    let (entries, prefix, total) = PostingList::build(store, shape).into_shared_parts();
+    (
+        store.lookup(shape).to_vec(),
+        entries
+            .iter()
+            .map(|e| (e.triple, e.weight.to_bits(), e.prob.to_bits()))
+            .collect(),
+        prefix.map(|prefix| prefix.iter().map(|v| v.to_bits()).collect()),
+        total.to_bits(),
+        store.head_prob(shape).map(f64::to_bits),
+    )
+}
+
+/// A store frozen by merging serves exactly what a from-scratch freeze
+/// of the same rows serves, structure for structure, and holds the same
+/// index bytes. (The payload's byte counts follow each vector's growth
+/// history, which differs between the two, so they are left out.)
+fn assert_same_structures(got: &XkgStore, want: &XkgStore, shapes: &[SlotPattern]) {
+    for shape in shapes {
+        assert_eq!(served(got, shape), served(want, shape), "shape {shape}");
+    }
+    let index_share = |b: StorageBytes| StorageBytes {
+        dict: 0,
+        triples: 0,
+        provenance: 0,
+        ..b
+    };
+    assert_eq!(
+        index_share(got.storage_bytes()),
+        index_share(want.storage_bytes())
+    );
+}
+
+/// `view` frozen from scratch: its own rows, in id order, under its own
+/// vocabulary.
+fn refrozen(view: &XkgStore) -> XkgStore {
+    let mut b = XkgBuilder::with_context(view.dict().clone(), view.sources());
+    for (id, t) in view.iter() {
+        b.add(t, view.provenance(id).clone());
+    }
+    b.build_with(view.layout())
 }
 
 /// Term and source ids are the ones the from-scratch builder issued.
@@ -349,12 +404,17 @@ proptest! {
     /// A *sequence* of ingests ≡ one rebuild: 1–12 batches that
     /// re-observe base triples, re-observe their own and each other's
     /// triples, and bring terms and sources nobody has seen before, with
-    /// one compaction somewhere inside the sequence, monolithic and at
-    /// 1/2/4 shards. While the delta is live the store serves what a
-    /// rebuild *withholding the re-observed base triples* serves (they
-    /// are pending absorbs); after a compaction it is the rebuild,
-    /// provenance record for provenance record. Either way every term
-    /// and source id is the one the from-scratch builder issued.
+    /// one compaction somewhere inside the sequence, monolithic (Flat and
+    /// Packed base) and at 1/2/4 shards. While the delta is live the
+    /// store serves what a rebuild *withholding the re-observed base
+    /// triples* serves (they are pending absorbs); after a compaction it
+    /// is the rebuild, provenance record for provenance record. Either
+    /// way every term and source id is the one the from-scratch builder
+    /// issued. The merged freezes are pinned structure for structure:
+    /// every delta view serves what a from-scratch freeze of its own rows
+    /// serves, and every compacted base (or shard) what the from-scratch
+    /// build serves — the serve order, probability and prefix bits a
+    /// sorted multiset cannot see.
     #[test]
     fn ingest_sequence_equals_from_scratch_rebuild(
         base_rows in store_strategy(6, 30),
@@ -389,7 +449,8 @@ proptest! {
             add_named_rows(&mut live, rows, shift(i), &source(i), withheld);
             add_named_rows(&mut full, rows, shift(i), &source(i), &nothing);
         }
-        let (live, full) = (live.build(), full.build());
+        let (live, full_rows) = (live.build(), full);
+        let full = full_rows.clone().build();
         let set: RuleSet = rules.into_iter().collect();
         let cfg = TopkConfig::default();
         let query = query_from(patterns, k);
@@ -403,33 +464,42 @@ proptest! {
             ))
             .collect();
 
-        let mut seg = SegmentedStore::new(base().build());
-        for (i, rows) in batches.iter().enumerate() {
-            seg.ingest(|b| add_named_rows(b, rows, shift(i), &source(i), &nothing));
-            if i == compact_after {
-                seg.compact();
+        for layout in [SegmentLayout::Flat, SegmentLayout::Packed] {
+            let mut seg = SegmentedStore::new(base().build_with(layout));
+            for (i, rows) in batches.iter().enumerate() {
+                seg.ingest(|b| add_named_rows(b, rows, shift(i), &source(i), &nothing));
+                if let Some(view) = seg.delta_view() {
+                    assert_same_structures(view, &refrozen(view), &shapes);
+                }
+                if i == compact_after {
+                    seg.compact();
+                }
             }
+            assert_same_vocabulary(seg.vocab(), &live);
+            prop_assert_eq!(seg.len(), live.len());
+            for shape in &shapes {
+                let got = scan_union(seg.segments().into_iter(), shape);
+                prop_assert_eq!(got, scan_union(std::iter::once(&live), shape), "shape {}", shape);
+            }
+            assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want_live);
+            seg.compact();
+            assert_same_vocabulary(seg.base(), &full);
+            prop_assert_eq!(seg.base().len(), full.len());
+            for (id, t) in full.iter() {
+                prop_assert_eq!(seg.base().triple(id), t);
+                prop_assert_eq!(seg.base().provenance(id), full.provenance(id));
+            }
+            assert_same_structures(seg.base(), &full_rows.clone().build_with(layout), &shapes);
+            assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want_full);
         }
-        assert_same_vocabulary(seg.vocab(), &live);
-        prop_assert_eq!(seg.len(), live.len());
-        for shape in &shapes {
-            let got = scan_union(seg.segments().into_iter(), shape);
-            prop_assert_eq!(got, scan_union(std::iter::once(&live), shape), "shape {}", shape);
-        }
-        assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want_live);
-        seg.compact();
-        assert_same_vocabulary(seg.base(), &full);
-        prop_assert_eq!(seg.base().len(), full.len());
-        for (id, t) in full.iter() {
-            prop_assert_eq!(seg.base().triple(id), t);
-            prop_assert_eq!(seg.base().provenance(id), full.provenance(id));
-        }
-        assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want_full);
 
         for shards in [1usize, 2, 4] {
             let mut sharded = ShardedStore::build(base(), shards);
             for (i, rows) in batches.iter().enumerate() {
                 sharded.ingest(|b| add_named_rows(b, rows, shift(i), &source(i), &nothing));
+                for (view, _) in sharded.delta_slices() {
+                    assert_same_structures(view, &refrozen(view), &shapes);
+                }
                 if i == compact_after {
                     sharded.compact();
                 }
@@ -457,6 +527,10 @@ proptest! {
                 let local = home.lookup(&ground);
                 prop_assert_eq!(local.len(), 1, "triple lost or duplicated");
                 prop_assert_eq!(home.provenance(local[0]), full.provenance(id));
+            }
+            let rebuilt = ShardedStore::build(full_rows.clone(), shards);
+            for (got, want) in sharded.shards().iter().zip(rebuilt.shards()) {
+                assert_same_structures(got, want, &shapes);
             }
             let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg, SeedMode::Off);
             assert_answers_equivalent(&run.answers, &want_full);

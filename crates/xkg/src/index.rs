@@ -2,11 +2,11 @@
 //!
 //! # Layout
 //!
-//! Six sorted permutations (SPO, SOP, PSO, POS, OSP, OPS) make every shape
-//! of [`SlotPattern`] answerable with a binary-searched contiguous range,
-//! in the style of in-memory RDF stores (HDT, Hexastore). Each permutation
-//! stores its rows in one of two layouts chosen at build time
-//! ([`SegmentLayout`]):
+//! Three sorted permutations (SPO, POS, OSP) make every shape of
+//! [`SlotPattern`] answerable with a binary-searched contiguous range, in
+//! the style of in-memory RDF stores (HDT, Hexastore): each of the eight
+//! bound masks is a key prefix of one of them. Each permutation stores its
+//! rows in one of two layouts chosen at build time ([`SegmentLayout`]):
 //!
 //! * **Flat** — a `Vec<[TermId; 3]>` *key column* holding the permuted
 //!   keys inline, plus an aligned `Vec<TripleId>` *id column*. A probe
@@ -32,15 +32,16 @@
 //!
 //! * **Lookup**: two `partition_point` binary searches (Flat: over the
 //!   key column; Packed: over the directory, then within one block).
-//! * **Build**: each permutation materializes and sorts its rows once;
-//!   permutations build on six scoped threads when the table is large
-//!   enough to amortize spawning. Packing is a single append pass over
-//!   the sorted rows.
+//! * **Build**: a freeze sorts only the rows it does not already hold in
+//!   order — every row for a fresh build, the appended ones on a
+//!   re-freeze — and merges them into the old columns' sorted runs.
+//!   Packing is a single append pass over the merged rows.
 
 use std::ops::Range;
 
 use crate::pack::{bits_for, read_bits, BitWriter, SegmentLayout};
 use crate::pattern::SlotPattern;
+use crate::store::run_jobs;
 use crate::term::TermId;
 use crate::triple::{Triple, TripleId};
 
@@ -48,45 +49,29 @@ use crate::triple::{Triple, TripleId};
 /// selection directory.
 pub const BLOCK: usize = 128;
 
-/// One of the six orderings of (S, P, O).
+/// One of the three rotations of (S, P, O) the index keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(clippy::upper_case_acronyms)]
 pub enum Permutation {
     /// subject, predicate, object
     SPO,
-    /// subject, object, predicate
-    SOP,
-    /// predicate, subject, object
-    PSO,
     /// predicate, object, subject
     POS,
     /// object, subject, predicate
     OSP,
-    /// object, predicate, subject
-    OPS,
 }
 
 impl Permutation {
-    /// All six permutations in build order.
-    pub const ALL: [Permutation; 6] = [
-        Permutation::SPO,
-        Permutation::SOP,
-        Permutation::PSO,
-        Permutation::POS,
-        Permutation::OSP,
-        Permutation::OPS,
-    ];
+    /// All three permutations in build order.
+    pub const ALL: [Permutation; 3] = [Permutation::SPO, Permutation::POS, Permutation::OSP];
 
     /// Slot order as indexes into `[s, p, o]`.
     #[inline]
     fn order(self) -> [usize; 3] {
         match self {
             Permutation::SPO => [0, 1, 2],
-            Permutation::SOP => [0, 2, 1],
-            Permutation::PSO => [1, 0, 2],
             Permutation::POS => [1, 2, 0],
             Permutation::OSP => [2, 0, 1],
-            Permutation::OPS => [2, 1, 0],
         }
     }
 
@@ -103,10 +88,8 @@ impl Permutation {
     #[inline]
     pub fn for_pattern(pattern: &SlotPattern) -> Permutation {
         match pattern.bound_mask() {
-            0b010 => Permutation::PSO,
-            0b100 => Permutation::OSP,
-            0b101 => Permutation::SOP,
-            0b110 => Permutation::POS,
+            0b010 | 0b110 => Permutation::POS,
+            0b100 | 0b101 => Permutation::OSP,
             // 0b000 | 0b001 | 0b011 | 0b111 and any wider mask: the
             // subject-primary permutation covers them all.
             _ => Permutation::SPO,
@@ -187,38 +170,43 @@ struct PackedPerm {
     words: Vec<u64>,
 }
 
+/// A permutation row packed so that integer order is row order: the
+/// three permuted key slots' raw values, then the triple id.
+type Row = u128;
+
+/// Packs a row: its three key slots' raw values, then its id.
+fn pack(key: [u32; 3], id: u32) -> Row {
+    key.iter().fold(0, |row, &k| row << 32 | Row::from(k)) << 32 | Row::from(id)
+}
+
+/// The four fields of a packed row.
+fn unpack(row: Row) -> [u32; 4] {
+    [3, 2, 1, 0].map(|i| (row >> (32 * i)) as u32)
+}
+
 impl PackedPerm {
-    fn build(rows: &[([TermId; 3], TripleId)]) -> PackedPerm {
+    fn build(rows: &[Row]) -> PackedPerm {
         let n_blocks = rows.len().div_ceil(BLOCK);
         let mut dir = Vec::with_capacity(n_blocks);
         let mut blocks = Vec::with_capacity(n_blocks);
         let mut w = BitWriter::new();
         for chunk in rows.chunks(BLOCK) {
-            let first = chunk[0].0;
-            dir.push([first[0].raw(), first[1].raw(), first[2].raw()]);
+            let first = unpack(chunk[0]);
+            dir.push([first[0], first[1], first[2]]);
             let mut min = [u32::MAX; 4];
             let mut max = [0u32; 4];
-            for (key, id) in chunk {
-                for c in 0..3 {
-                    let v = key[c].raw();
+            for &row in chunk {
+                for (c, v) in unpack(row).into_iter().enumerate() {
                     min[c] = min[c].min(v);
                     max[c] = max[c].max(v);
                 }
-                min[3] = min[3].min(id.0);
-                max[3] = max[3].max(id.0);
             }
-            let mut width = [0u8; 4];
-            for c in 0..4 {
-                width[c] = bits_for(u64::from(max[c] - min[c]));
-            }
+            let width = [0, 1, 2, 3].map(|c| bits_for(u64::from(max[c] - min[c])));
             let bit = w.len_bits();
-            for c in 0..3 {
-                for (key, _) in chunk {
-                    w.push(u64::from(key[c].raw() - min[c]), width[c]);
+            for c in 0..4 {
+                for &row in chunk {
+                    w.push(u64::from(unpack(row)[c] - min[c]), width[c]);
                 }
-            }
-            for (_, id) in chunk {
-                w.push(u64::from(id.0 - min[3]), width[3]);
             }
             blocks.push(BlockMeta { bit, min, width });
         }
@@ -322,6 +310,21 @@ impl PackedPerm {
     }
 }
 
+/// `keys.partition_point(pred)`, forced inline into the probe so that its
+/// speed does not depend on how the crate is split into codegen units.
+#[inline(always)]
+fn partition(keys: &[[TermId; 3]], pred: impl Fn(&[TermId; 3]) -> bool) -> usize {
+    let (mut base, mut size) = (0, keys.len());
+    while size > 1 {
+        let half = size / 2;
+        if pred(&keys[base + half]) {
+            base += half;
+        }
+        size -= half;
+    }
+    base + usize::from(keys.get(base).is_some_and(pred))
+}
+
 /// Lexicographic comparison of two raw-key slices.
 #[inline]
 fn cmp_slice(a: &[u32], b: &[u32]) -> std::cmp::Ordering {
@@ -350,28 +353,36 @@ impl Default for PermColumn {
 }
 
 impl PermColumn {
-    fn build(perm: Permutation, triples: &[Triple], layout: SegmentLayout) -> PermColumn {
-        // Materialize the key column once; sorting compares inline 12-byte
-        // keys instead of recomputing `perm.key()` per comparison. Keys are
-        // unique (the store deduplicates on (s, p, o)), so unstable sort
-        // yields a deterministic order.
-        let mut rows: Vec<([TermId; 3], TripleId)> = triples
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (perm.key(*t), TripleId(i as u32)))
-            .collect();
-        rows.sort_unstable();
+    /// Lays out rows already in key order.
+    fn from_sorted(rows: Vec<Row>, layout: SegmentLayout) -> PermColumn {
         match layout {
             SegmentLayout::Flat => {
                 let mut keys = Vec::with_capacity(rows.len());
                 let mut ids = Vec::with_capacity(rows.len());
-                for (key, id) in rows {
-                    keys.push(key);
-                    ids.push(id);
+                for row in rows {
+                    let [s, p, o, id] = unpack(row);
+                    keys.push([s, p, o].map(TermId::from_raw));
+                    ids.push(TripleId(id));
                 }
                 PermColumn::Flat { keys, ids }
             }
             SegmentLayout::Packed => PermColumn::Packed(PackedPerm::build(&rows)),
+        }
+    }
+
+    /// Consumes the column into its rows in key order, ids shifted by
+    /// `offset`: the sorted run a re-freeze merges.
+    fn into_rows(self, offset: u32) -> Vec<Row> {
+        match self {
+            PermColumn::Flat { keys, ids } => keys
+                .into_iter()
+                .zip(ids)
+                .map(|(key, id)| pack(key.map(TermId::raw), id.0 + offset))
+                .collect(),
+            PermColumn::Packed(p) => (0..p.len)
+                .map(|i| [0, 1, 2, 3].map(|c| p.field(i / BLOCK, i % BLOCK, c)))
+                .map(|[k0, k1, k2, id]| pack([k0, k1, k2], id + offset))
+                .collect(),
         }
     }
 
@@ -383,46 +394,79 @@ impl PermColumn {
     }
 }
 
-/// Below this table size, building the six permutations sequentially is
-/// faster than paying six thread spawns.
-pub(crate) const PARALLEL_BUILD_THRESHOLD: usize = 4096;
+/// Merges ascending runs of distinct values into one ascending run, the
+/// two shortest first. Each merge walks its shorter run and copies the
+/// stretch of the longer one before each insertion point whole.
+pub(crate) fn merge_runs<T: Copy + Ord>(mut runs: Vec<Vec<T>>) -> Vec<T> {
+    runs.sort_unstable_by_key(|run| std::cmp::Reverse(run.len()));
+    let mut merged = runs.pop().unwrap_or_default();
+    while let Some(run) = runs.pop() {
+        let mut pair = [run, merged];
+        pair.sort_unstable_by_key(Vec::len);
+        let [short, long] = pair;
+        let mut out = Vec::with_capacity(short.len() + long.len());
+        let mut rest = &long[..];
+        for &x in &short {
+            let (before, after) = rest.split_at(rest.partition_point(|&y| y < x));
+            out.extend_from_slice(before);
+            out.push(x);
+            rest = after;
+        }
+        out.extend_from_slice(rest);
+        merged = out;
+    }
+    merged
+}
 
-/// The six columnar permutation indexes over a frozen triple table.
+/// The three columnar permutation indexes over a frozen triple table.
 #[derive(Debug, Default)]
 pub struct TripleIndex {
-    perms: [PermColumn; 6],
+    perms: [PermColumn; 3],
     layout: SegmentLayout,
 }
 
 impl TripleIndex {
-    /// Builds all six permutations for `triples` in the Flat layout.
-    ///
-    /// `triples[i]` is the triple with `TripleId(i as u32)`. Large tables
-    /// build their permutations on six scoped threads.
-    pub fn build(triples: &[Triple]) -> TripleIndex {
-        TripleIndex::build_with(triples, SegmentLayout::Flat)
+    /// Indexes `triples` from indexes that hold a prefix of them: each
+    /// `(index, offset)` of `prefix` covers the next rows, its ids shifted
+    /// by `offset`. Keys ignore weights, so only the rows past the prefix
+    /// are sorted, then merged with the old columns, one permutation at a
+    /// time (each on its own thread when `parallel`).
+    pub(crate) fn merge(
+        triples: &[Triple],
+        prefix: Vec<(TripleIndex, u32)>,
+        layout: SegmentLayout,
+        parallel: bool,
+    ) -> TripleIndex {
+        let covered: usize = prefix.iter().map(|(index, _)| index.len()).sum();
+        let mut old: [Vec<(PermColumn, u32)>; 3] = Default::default();
+        for (index, offset) in prefix {
+            for (runs, column) in old.iter_mut().zip(index.perms) {
+                runs.push((column, offset));
+            }
+        }
+        let jobs = Permutation::ALL.into_iter().zip(old).map(|(perm, old)| {
+            move || {
+                let mut fresh: Vec<Row> = (covered..triples.len())
+                    .map(|i| pack(perm.key(triples[i]).map(TermId::raw), i as u32))
+                    .collect();
+                fresh.sort_unstable();
+                let mut runs = vec![fresh];
+                for (column, offset) in old {
+                    runs.push(column.into_rows(offset));
+                }
+                PermColumn::from_sorted(merge_runs(runs), layout)
+            }
+        });
+        let mut columns = run_jobs(jobs, parallel).into_iter();
+        TripleIndex {
+            perms: std::array::from_fn(|_| columns.next().unwrap_or_default()),
+            layout,
+        }
     }
 
-    /// Builds all six permutations in the requested [`SegmentLayout`].
-    pub fn build_with(triples: &[Triple], layout: SegmentLayout) -> TripleIndex {
-        let mut perms: [PermColumn; 6] = Default::default();
-        if triples.len() < PARALLEL_BUILD_THRESHOLD {
-            for (slot, perm) in Permutation::ALL.into_iter().enumerate() {
-                perms[slot] = PermColumn::build(perm, triples, layout);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = Permutation::ALL
-                    .into_iter()
-                    .map(|perm| scope.spawn(move || PermColumn::build(perm, triples, layout)))
-                    .collect();
-                for (slot, handle) in handles.into_iter().enumerate() {
-                    // lint:allow(no-panic-hot-path): build-time join — a panicked permutation build has no index to serve and must surface at freeze
-                    perms[slot] = handle.join().expect("index build thread panicked");
-                }
-            });
-        }
-        TripleIndex { perms, layout }
+    /// Number of indexed triples.
+    pub(crate) fn len(&self) -> usize {
+        self.perms[0].len()
     }
 
     /// The layout this index was built with.
@@ -487,8 +531,8 @@ impl TripleIndex {
         match col {
             PermColumn::Flat { keys, .. } => {
                 let prefix = &prefix[..len];
-                let lo = keys.partition_point(|k| &k[..len] < prefix);
-                let hi = lo + keys[lo..].partition_point(|k| &k[..len] <= prefix);
+                let lo = partition(keys, |k| &k[..len] < prefix);
+                let hi = lo + partition(&keys[lo..], |k| &k[..len] <= prefix);
                 lo..hi
             }
             PermColumn::Packed(p) => {
@@ -504,7 +548,7 @@ impl TripleIndex {
         self.span(pattern).len()
     }
 
-    /// Heap bytes held by the six permutations, split into
+    /// Heap bytes held by the three permutations, split into
     /// `(columns, directories)`: the key/id payloads versus the sparse
     /// selection directories and block metadata (Flat has no
     /// directories).
@@ -531,7 +575,16 @@ impl TripleIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::PARALLEL_BUILD_THRESHOLD;
     use crate::term::{TermId, TermKind};
+
+    impl TripleIndex {
+        /// A fresh index over `triples`: a merge with nothing to merge.
+        fn build_with(triples: &[Triple], layout: SegmentLayout) -> TripleIndex {
+            let parallel = triples.len() >= PARALLEL_BUILD_THRESHOLD;
+            TripleIndex::merge(triples, Vec::new(), layout, parallel)
+        }
+    }
 
     fn tid(i: u32) -> TermId {
         TermId::new(TermKind::Resource, i)
@@ -597,7 +650,7 @@ mod tests {
     #[test]
     fn lookup_range_is_in_permutation_key_order() {
         let triples = sample();
-        let idx = TripleIndex::build(&triples);
+        let idx = TripleIndex::build_with(&triples, SegmentLayout::Flat);
         let pat = SlotPattern::with_p(tid(10));
         let perm = Permutation::for_pattern(&pat);
         let keys: Vec<[TermId; 3]> = idx
@@ -611,7 +664,7 @@ mod tests {
     #[test]
     fn count_equals_lookup_len() {
         let triples = sample();
-        let idx = TripleIndex::build(&triples);
+        let idx = TripleIndex::build_with(&triples, SegmentLayout::Flat);
         let pat = SlotPattern::with_p(tid(10));
         assert_eq!(idx.count(&pat), 3);
     }

@@ -14,7 +14,7 @@
 //!   compact [`TermId`]s;
 //! * [`XkgBuilder`] / [`XkgStore`] — a deduplicating triple store with
 //!   per-fact [`Provenance`] (stratum, confidence, support, sources);
-//! * six columnar permutation indexes ([`index::TripleIndex`]) answering
+//! * three columnar permutation indexes ([`index::TripleIndex`]) answering
 //!   every [`SlotPattern`] shape with an allocation-free binary-searched
 //!   range over inline keys;
 //! * [`PostingIndex`] / [`PostingList`] — build-time score-sorted access

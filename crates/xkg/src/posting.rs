@@ -73,10 +73,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::index::BLOCK;
+use crate::index::{merge_runs, BLOCK};
 use crate::pack::{PackedInts, SegmentLayout};
 use crate::pattern::SlotPattern;
-use crate::store::XkgStore;
+use crate::store::{run_jobs, XkgStore};
 use crate::term::TermId;
 use crate::triple::{Provenance, Triple, TripleId};
 
@@ -164,120 +164,79 @@ pub(crate) fn quantize_weight(w: f64) -> u16 {
     code.clamp(1.0, 65535.0) as u16
 }
 
-/// One grouped stratum under construction: entries in (key, weight desc,
-/// id asc) order with globally cumulative prefix sums, each group's
-/// `(start, exact total)` bound, plus the keyed directory when the
-/// caller needs one.
+/// The slot each stratum groups by, in [`PostingIndex`] order: predicate,
+/// subject, object, and none for the global stratum.
+const GROUP_SLOT: [Option<usize>; 4] = [Some(1), Some(0), Some(2), None];
+const PRED: usize = 0;
+const SUBJ: usize = 1;
+const OBJ: usize = 2;
+const ALL: usize = 3;
+
+/// One stratum under construction: entries in (key, weight desc, id asc)
+/// order with globally cumulative prefix sums, and each key run's
+/// `(start, exact total)` bound and key.
 struct StratumBuild {
     entries: Vec<Posting>,
     prefix: Vec<f64>,
     bounds: Vec<(u32, f64)>,
-    groups: HashMap<TermId, Group>,
     keys: Vec<TermId>,
 }
 
-/// Sorts all triples by `(key, weight desc, id asc)` and normalizes each
-/// key's run over its own total. Group totals are accumulated in sorted
-/// order, so a probability here is bit-identical to what the reference
-/// scan path computes for the same match set.
-fn grouped_stratum(
-    weights: &[f64],
-    key_of: impl Fn(usize) -> TermId,
-    with_groups: bool,
-) -> StratumBuild {
-    let n = weights.len();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        key_of(a as usize)
-            .cmp(&key_of(b as usize))
-            .then_with(|| weights[b as usize].total_cmp(&weights[a as usize]))
-            .then_with(|| a.cmp(&b))
-    });
+/// A stratum entry packed into an integer whose order is the stratum
+/// order: the raw group key in the high 32 bits, then the weight
+/// descending under `total_cmp`, then the triple id in the low 32.
+fn entry_key(group: u32, weight: f64, id: u32) -> u128 {
+    let bits = weight.to_bits();
+    let flip = if bits >> 63 == 1 { u64::MAX } else { 1 << 63 };
+    u128::from(group) << 96 | u128::from(!(bits ^ flip)) << 32 | u128::from(id)
+}
 
+/// The weight [`entry_key`] packed, bit for bit.
+fn entry_weight(key: u128) -> f64 {
+    let order = !((key >> 32) as u64);
+    let flip = if order >> 63 == 1 { 1 << 63 } else { u64::MAX };
+    f64::from_bits(order ^ flip)
+}
+
+/// The post-sort pass: lays out a stratum from its entry keys in order,
+/// normalizing each group's run over its own total — or, for the global
+/// stratum, over `store_total`. Run totals accumulate in stratum order,
+/// so a probability here is bit-identical to what the reference scan
+/// path computes for the same match set.
+fn lay_out(order: &[u128], store_total: Option<f64>) -> StratumBuild {
+    let n = order.len();
     let mut entries: Vec<Posting> = Vec::with_capacity(n);
     let mut prefix: Vec<f64> = Vec::with_capacity(n + 1);
     let mut acc = 0.0f64;
     prefix.push(acc);
-    let mut bounds: Vec<(u32, f64)> = Vec::new();
-    let mut groups: HashMap<TermId, Group> = HashMap::new();
-    let mut keys: Vec<TermId> = Vec::new();
-    let mut i = 0usize;
-    while i < n {
-        let key = key_of(order[i] as usize);
-        let mut j = i;
+    let (mut bounds, mut keys) = (Vec::new(), Vec::new());
+    for run in order.chunk_by(|a, b| a >> 96 == b >> 96) {
+        let start = entries.len();
         let mut total = 0.0f64;
-        while j < n && key_of(order[j] as usize) == key {
-            total += weights[order[j] as usize];
-            j += 1;
-        }
-        for &id in &order[i..j] {
-            let weight = weights[id as usize];
+        for &key in run {
+            let weight = entry_weight(key);
+            total += weight;
             entries.push(Posting {
-                triple: TripleId(id),
+                triple: TripleId(key as u32),
                 weight,
-                prob: if total > 0.0 { weight / total } else { 0.0 },
+                prob: 0.0,
             });
             acc += weight;
             prefix.push(acc);
         }
-        bounds.push((i as u32, total));
-        if with_groups {
-            groups.insert(
-                key,
-                Group {
-                    start: i as u32,
-                    end: j as u32,
-                    total_weight: total,
-                },
-            );
-            keys.push(key);
+        let total = store_total.unwrap_or(total);
+        for e in &mut entries[start..] {
+            e.prob = if total > 0.0 { e.weight / total } else { 0.0 };
         }
-        i = j;
+        bounds.push((start as u32, total));
+        keys.push(TermId::from_raw((run[0] >> 96) as u32));
     }
-    keys.sort_unstable();
     StratumBuild {
         entries,
         prefix,
         bounds,
-        groups,
         keys,
     }
-}
-
-/// The global `(weight desc, id asc)` stratum, normalized over the store.
-fn global_stratum(weights: &[f64]) -> (StratumBuild, f64) {
-    let n = weights.len();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        weights[b as usize]
-            .total_cmp(&weights[a as usize])
-            .then_with(|| a.cmp(&b))
-    });
-    let total: f64 = weights.iter().sum();
-    let mut entries: Vec<Posting> = Vec::with_capacity(n);
-    let mut prefix: Vec<f64> = Vec::with_capacity(n + 1);
-    let mut acc = 0.0f64;
-    prefix.push(acc);
-    for &id in &order {
-        let weight = weights[id as usize];
-        entries.push(Posting {
-            triple: TripleId(id),
-            weight,
-            prob: if total > 0.0 { weight / total } else { 0.0 },
-        });
-        acc += weight;
-        prefix.push(acc);
-    }
-    (
-        StratumBuild {
-            entries,
-            prefix,
-            bounds: vec![(0, total)],
-            groups: HashMap::new(),
-            keys: Vec::new(),
-        },
-        total,
-    )
 }
 
 /// One stratum's frozen storage, in the segment's layout.
@@ -287,6 +246,16 @@ enum StratumData {
     Flat { entries: Vec<Posting>, prefix: Vec<f64> },
     /// Packed ids + quantized weight codes + exact scaffolding.
     Packed(PackedStratum),
+}
+
+/// An empty Flat stratum: no entries, and the one leading prefix sum.
+impl Default for StratumData {
+    fn default() -> StratumData {
+        StratumData::Flat {
+            entries: Vec::new(),
+            prefix: vec![0.0],
+        }
+    }
 }
 
 /// A stratum in the Packed layout. See the module docs for the
@@ -394,6 +363,33 @@ impl StratumData {
             StratumData::Flat { entries, .. } => entries.len(),
             StratumData::Packed(p) => p.ids.len(),
         }
+    }
+
+    /// Consumes the stratum into the entry keys of its rows, ids shifted
+    /// by `offset`, minus the `stale` ones: the sorted run a re-freeze
+    /// merges (weights from Flat entries, else from `weights`).
+    fn into_keys(
+        self,
+        offset: u32,
+        stale: &[bool],
+        group: impl Fn(u32) -> u32,
+        weights: &[f64],
+    ) -> Vec<u128> {
+        let mut keys = Vec::with_capacity(self.len());
+        let current = |&(id, _): &(u32, f64)| stale.get(id as usize) != Some(&true);
+        let key = |(id, weight)| entry_key(group(id), weight, id);
+        match self {
+            StratumData::Flat { entries, .. } => {
+                let rows = entries.iter().map(|e| (e.triple.0 + offset, e.weight));
+                keys.extend(rows.filter(current).map(key));
+            }
+            StratumData::Packed(p) => {
+                let ids = (0..p.ids.len()).map(|i| p.ids.get(i) as u32 + offset);
+                let rows = ids.map(|id| (id, weights[id as usize]));
+                keys.extend(rows.filter(current).map(key));
+            }
+        }
+        keys
     }
 
     /// Serves `span` (one group, or a prefix-aligned run of one): a
@@ -637,10 +633,6 @@ impl EntriesRef<'_> {
     }
 }
 
-/// Below this table size the four strata build sequentially; above it,
-/// each sorts on its own scoped thread (they are independent).
-const PARALLEL_STRATA_THRESHOLD: usize = 4096;
-
 /// Build-time score-sorted posting index over a frozen triple table.
 ///
 /// Flat memory: 32 bytes/triple each (24-byte entry + 8-byte prefix
@@ -655,77 +647,85 @@ const PARALLEL_STRATA_THRESHOLD: usize = 4096;
 /// start-aligned exact group totals the decode needs).
 #[derive(Debug, Default)]
 pub struct PostingIndex {
-    /// All triples sorted by (predicate, weight desc, id asc).
-    by_pred: Option<StratumData>,
+    /// All triples sorted by (predicate, weight desc, id asc); by
+    /// (subject, …) and by (object, …), whose group spans are shared with
+    /// the SPO and OSP permutation columns; and by (weight desc, id asc),
+    /// normalized globally — indexed by `PRED`, `SUBJ`, `OBJ`, `ALL`.
+    strata: [StratumData; 4],
     /// Predicate → its contiguous group.
     groups: HashMap<TermId, Group>,
     /// Predicates in ascending term-id order (deterministic iteration).
     predicates: Vec<TermId>,
-    /// All triples sorted by (subject, weight desc, id asc). Group spans
-    /// are shared with the SPO permutation column.
-    by_subj: Option<StratumData>,
-    /// All triples sorted by (object, weight desc, id asc). Group spans
-    /// are shared with the OSP permutation column.
-    by_obj: Option<StratumData>,
-    /// All triples sorted by (weight desc, id asc), normalized globally.
-    all: Option<StratumData>,
     /// Total emission weight of the whole store.
     all_total: f64,
 }
 
 impl PostingIndex {
-    /// Builds the four strata in the requested layout. `prov[i]` and
-    /// `triples[i]` belong to the triple with id `i`. Weights are
-    /// assumed finite (enforced at ingestion by `XkgBuilder`); ordering
-    /// uses `total_cmp`, so even a hostile weight cannot panic here.
-    pub(crate) fn build(
+    /// Builds the four strata like [`crate::index::TripleIndex::merge`]
+    /// builds the permutations, except that the prefix rows `stale` marks
+    /// leave their old runs and are sorted with the appended ones. Weights
+    /// are assumed finite (enforced at ingestion by `XkgBuilder`); order
+    /// follows `total_cmp`, so even a hostile weight cannot panic here.
+    pub(crate) fn merge(
         triples: &[Triple],
         prov: &[Provenance],
+        prefix: Vec<(PostingIndex, u32)>,
+        stale: &[bool],
         layout: SegmentLayout,
+        parallel: bool,
     ) -> PostingIndex {
-        let n = prov.len();
         let weights: Vec<f64> = prov.iter().map(Provenance::weight).collect();
         debug_assert!(
             weights.iter().all(|w| w.is_finite()),
             "weights are validated at ingestion"
         );
-
-        let weights = &weights;
-        let build_pred = || grouped_stratum(weights, |i| triples[i].p, true);
-        let build_subj = || grouped_stratum(weights, |i| triples[i].s, false);
-        let build_obj = || grouped_stratum(weights, |i| triples[i].o, false);
-        let build_all = || global_stratum(weights);
-
-        let (pred, subj, obj, (all, all_total)) = if n < PARALLEL_STRATA_THRESHOLD {
-            (build_pred(), build_subj(), build_obj(), build_all())
-        } else {
-            std::thread::scope(|scope| {
-                let hs = scope.spawn(build_subj);
-                let ho = scope.spawn(build_obj);
-                let ha = scope.spawn(build_all);
-                (
-                    build_pred(),
-                    // lint:allow(no-panic-hot-path): build-time joins — a panicked stratum build leaves nothing to serve and must surface at freeze
-                    hs.join().expect("subject stratum thread panicked"),
-                    // lint:allow(no-panic-hot-path): build-time join, as above
-                    ho.join().expect("object stratum thread panicked"),
-                    // lint:allow(no-panic-hot-path): build-time join, as above
-                    ha.join().expect("global stratum thread panicked"),
-                )
-            })
-        };
-
-        let groups = pred.groups.clone();
-        let predicates = pred.keys.clone();
-        PostingIndex {
-            by_pred: Some(StratumData::from_build(pred, layout)),
-            groups,
-            predicates,
-            by_subj: Some(StratumData::from_build(subj, layout)),
-            by_obj: Some(StratumData::from_build(obj, layout)),
-            all: Some(StratumData::from_build(all, layout)),
-            all_total,
+        let fresh: Vec<u32> = (0..triples.len() as u32)
+            .filter(|&id| stale.get(id as usize) != Some(&false))
+            .collect();
+        let mut old: [Vec<(StratumData, u32)>; 4] = Default::default();
+        for (index, offset) in prefix {
+            for (runs, stratum) in old.iter_mut().zip(index.strata) {
+                runs.push((stratum, offset));
+            }
         }
+        let store_total: f64 = weights.iter().sum();
+        let (weights, fresh) = (&weights, &fresh);
+        let jobs = GROUP_SLOT.into_iter().zip(old).map(|(slot, old)| {
+            move || {
+                let group = |id: u32| slot.map_or(0, |c| triples[id as usize].spo()[c].raw());
+                let mut sorted: Vec<u128> = fresh
+                    .iter()
+                    .map(|&id| entry_key(group(id), weights[id as usize], id))
+                    .collect();
+                sorted.sort_unstable();
+                let mut runs = vec![sorted];
+                for (stratum, offset) in old {
+                    runs.push(stratum.into_keys(offset, stale, group, weights));
+                }
+                lay_out(&merge_runs(runs), slot.map_or(Some(store_total), |_| None))
+            }
+        });
+        let mut index = PostingIndex::default();
+        for (slot, build) in run_jobs(jobs, parallel).into_iter().enumerate() {
+            if slot == PRED {
+                let ends = build.bounds.iter().skip(1).map(|b| b.0);
+                let ends = ends.chain([build.entries.len() as u32]);
+                let groups = build.keys.iter().zip(&build.bounds).zip(ends);
+                for ((&p, &(start, total_weight)), end) in groups {
+                    let group = Group {
+                        start,
+                        end,
+                        total_weight,
+                    };
+                    index.groups.insert(p, group);
+                }
+                // A copy: its capacity is exact, as the byte count expects.
+                index.predicates = build.keys.clone();
+            }
+            index.strata[slot] = StratumData::from_build(build, layout);
+        }
+        index.all_total = store_total;
+        index
     }
 
     /// The predicates present in the store, ascending by term id.
@@ -757,12 +757,12 @@ impl PostingIndex {
             .groups
             .get(&p)
             .map_or(0..0, |g| g.start as usize..g.end as usize);
-        self.stratum(&self.by_pred).serve(span, prov)
+        self.strata[PRED].serve(span, prov)
     }
 
     /// Serves the global unbound stratum.
     pub(crate) fn all_serve(&self, prov: &[Provenance]) -> GroupRef<'_> {
-        let s = self.stratum(&self.all);
+        let s = &self.strata[ALL];
         s.serve(0..s.len(), prov)
     }
 
@@ -770,13 +770,13 @@ impl PostingIndex {
     /// range for that subject (the two share key order, which is why no
     /// subject group map exists).
     pub(crate) fn subject_serve(&self, span: Range<usize>, prov: &[Provenance]) -> GroupRef<'_> {
-        self.stratum(&self.by_subj).serve(span, prov)
+        self.strata[SUBJ].serve(span, prov)
     }
 
     /// Serves the object stratum over `span` — the OSP permutation's
     /// range for that object.
     pub(crate) fn object_serve(&self, span: Range<usize>, prov: &[Provenance]) -> GroupRef<'_> {
-        self.stratum(&self.by_obj).serve(span, prov)
+        self.strata[OBJ].serve(span, prov)
     }
 
     /// Entries-only serve of one predicate's group (see
@@ -790,12 +790,12 @@ impl PostingIndex {
             .groups
             .get(&p)
             .map_or(0..0, |g| g.start as usize..g.end as usize);
-        self.stratum(&self.by_pred).serve_entries(span, prov)
+        self.strata[PRED].serve_entries(span, prov)
     }
 
     /// Entries-only serve of the global unbound stratum.
     pub(crate) fn all_serve_entries(&self, prov: &[Provenance]) -> EntriesRef<'_> {
-        let s = self.stratum(&self.all);
+        let s = &self.strata[ALL];
         s.serve_entries(0..s.len(), prov)
     }
 
@@ -805,7 +805,7 @@ impl PostingIndex {
         span: Range<usize>,
         prov: &[Provenance],
     ) -> EntriesRef<'_> {
-        self.stratum(&self.by_subj).serve_entries(span, prov)
+        self.strata[SUBJ].serve_entries(span, prov)
     }
 
     /// Entries-only serve of the object stratum over `span`.
@@ -814,7 +814,7 @@ impl PostingIndex {
         span: Range<usize>,
         prov: &[Provenance],
     ) -> EntriesRef<'_> {
-        self.stratum(&self.by_obj).serve_entries(span, prov)
+        self.strata[OBJ].serve_entries(span, prov)
     }
 
     /// Head entry of a predicate group, O(1).
@@ -823,45 +823,34 @@ impl PostingIndex {
             .groups
             .get(&p)
             .map_or(0..0, |g| g.start as usize..g.end as usize);
-        self.stratum(&self.by_pred).head(span, prov)
+        self.strata[PRED].head(span, prov)
     }
 
     /// Head entry of the global stratum, O(1).
     pub(crate) fn global_head(&self, prov: &[Provenance]) -> Option<Posting> {
-        let s = self.stratum(&self.all);
+        let s = &self.strata[ALL];
         s.head(0..s.len(), prov)
     }
 
     /// Head entry of the subject stratum over `span`, O(1).
     pub(crate) fn subject_head(&self, span: Range<usize>, prov: &[Provenance]) -> Option<Posting> {
-        self.stratum(&self.by_subj).head(span, prov)
+        self.strata[SUBJ].head(span, prov)
     }
 
     /// Head entry of the object stratum over `span`, O(1).
     pub(crate) fn object_head(&self, span: Range<usize>, prov: &[Provenance]) -> Option<Posting> {
-        self.stratum(&self.by_obj).head(span, prov)
+        self.strata[OBJ].head(span, prov)
     }
 
     /// Exact emission-weight total of the subject stratum over `span`,
     /// as the prefix column difference (bit-identical in both layouts).
     pub(crate) fn subject_span_total(&self, span: Range<usize>, prov: &[Provenance]) -> f64 {
-        self.stratum(&self.by_subj).span_total(span, prov)
+        self.strata[SUBJ].span_total(span, prov)
     }
 
     /// Exact emission-weight total of the object stratum over `span`.
     pub(crate) fn object_span_total(&self, span: Range<usize>, prov: &[Provenance]) -> f64 {
-        self.stratum(&self.by_obj).span_total(span, prov)
-    }
-
-    /// The stratum behind an `Option` field (`Default` leaves them
-    /// `None`; a built index always fills them). Served as a degenerate
-    /// empty Flat stratum when absent so serving paths never panic.
-    fn stratum<'a>(&self, field: &'a Option<StratumData>) -> &'a StratumData {
-        static EMPTY: StratumData = StratumData::Flat {
-            entries: Vec::new(),
-            prefix: Vec::new(),
-        };
-        field.as_ref().unwrap_or(&EMPTY)
+        self.strata[OBJ].span_total(span, prov)
     }
 
     /// Heap bytes held by the four strata, as
@@ -873,10 +862,7 @@ impl PostingIndex {
         let mut directories = self.groups.capacity()
             * (std::mem::size_of::<TermId>() + std::mem::size_of::<Group>())
             + self.predicates.capacity() * std::mem::size_of::<TermId>();
-        for s in [&self.by_pred, &self.by_subj, &self.by_obj, &self.all]
-            .into_iter()
-            .flatten()
-        {
+        for s in &self.strata {
             let (c, d) = s.heap_bytes();
             columns += c;
             directories += d;

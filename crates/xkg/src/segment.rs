@@ -5,7 +5,7 @@
 //! small mutable delta segment over a frozen base segment:
 //!
 //! - [`SegmentedStore::ingest`] appends a batch into the delta and
-//!   re-freezes *only the delta* into a fully indexed view, so the base's
+//!   merges it into *only the delta's* sorted columns, so the base's
 //!   permutation and posting indexes are never rebuilt. A segment is just
 //!   another merge source: queries serve posting lists per segment and
 //!   union them through the engine's rank-merge seam.
@@ -14,9 +14,9 @@
 //!   delta.
 //!
 //! Both are [`LiveDelta`]'s, which the sharded store shares: an ingest
-//! costs the batch plus one freeze of the delta, a compaction one freeze
-//! of the base, and neither copies vocabulary or provenance (the cost
-//! table is in `docs/storage.md`).
+//! costs the batch plus one merge into the delta, a compaction one merge
+//! of the delta into the base, and neither copies vocabulary or
+//! provenance (the cost table is in `docs/storage.md`).
 //!
 //! Re-observation of a triple the base already holds does not duplicate
 //! it: the provenance merge is queued as a *pending absorb* and applied
@@ -35,7 +35,7 @@ use std::sync::Arc;
 use crate::dict::{SourceTable, TermDict};
 use crate::pack::SegmentLayout;
 use crate::pattern::SlotPattern;
-use crate::store::{next_triple_id, Columns, Vocab, XkgBuilder, XkgStore};
+use crate::store::{next_triple_id, Columns, Part, Vocab, XkgBuilder, XkgStore};
 use crate::term::TermId;
 use crate::triple::{GraphTag, Provenance, SourceId, Triple, TripleId};
 
@@ -44,18 +44,18 @@ use crate::triple::{GraphTag, Provenance, SourceId, Triple, TripleId};
 /// monolith) and one live delta partitioned the same way.
 ///
 /// The delta's triples live in its frozen views between ingests; an
-/// ingest *thaws* them back into their payload columns, appends the
-/// batch, and freezes them again — the only per-ingest work that grows
-/// with the delta is that one small freeze, and nothing grows with the
-/// base. The vocabulary is shared, never copied: the delta's dictionary
-/// and source table are clones of the base's that share every sealed
-/// layer (see [`crate::dict`]), held behind the same `Arc`s the views
-/// hold, so thawing the views leaves this the sole owner.
+/// ingest appends the batch to their columns and merges it into their
+/// sorted index columns (*append – merge*), the only per-ingest work that
+/// grows with the delta; nothing grows with the base. The vocabulary is
+/// shared, never copied: the delta's dictionary and source table are
+/// clones of the base's that share every sealed layer (see
+/// [`crate::dict`]), held behind the same `Arc`s the views hold, so
+/// thawing the views leaves this the sole owner.
 #[derive(Debug)]
 pub struct LiveDelta {
     bases: Vec<XkgStore>,
     /// The delta's frozen views, one per base partition; empty while the
-    /// delta holds no triple. Always `Flat`: they are rebuilt on every
+    /// delta holds no triple. Always `Flat`: they are re-frozen on every
     /// ingest.
     views: Vec<XkgStore>,
     /// The interning context ingested terms land in: a superset of the
@@ -174,20 +174,20 @@ impl LiveDelta {
         self.last_compact_ns
     }
 
-    /// Thaws the views into their columns (or empty ones) and takes the
-    /// interning context out of its `Arc`s. With the views gone this is
-    /// normally the last handle on the delta's context and nothing is
-    /// copied; the first ingest after a compaction still shares it with
-    /// the bases and clones the layer handles.
-    fn thaw(&mut self) -> (Vec<Columns>, TermDict, SourceTable) {
-        let columns = if self.views.is_empty() {
-            self.bases.iter().map(|_| Columns::default()).collect()
+    /// Thaws the views into their columns and sorted runs (or empty parts)
+    /// and takes the interning context out of its `Arc`s. With the views
+    /// gone this is normally the last handle on the delta's context and
+    /// nothing is copied; the first ingest after a compaction still
+    /// shares it with the bases and clones the layer handles.
+    fn thaw(&mut self) -> (Vec<Part>, TermDict, SourceTable) {
+        let parts = if self.views.is_empty() {
+            self.bases.iter().map(|_| Part::default()).collect()
         } else {
-            self.views.drain(..).map(XkgStore::into_columns).collect()
+            self.views.drain(..).map(XkgStore::thaw).collect()
         };
         let Vocab { dict, sources, .. } = std::mem::take(&mut self.vocab);
         (
-            columns,
+            parts,
             Arc::unwrap_or_clone(dict),
             Arc::unwrap_or_clone(sources),
         )
@@ -197,12 +197,12 @@ impl LiveDelta {
     /// dictionary and source table *are* the delta's (moved in, moved
     /// back), each batch triple is routed to its subject's partition —
     /// a re-observed base triple queues a pending absorb, a re-observed
-    /// delta triple merges in place, a new one is appended — and the
-    /// views are frozen again. Provenance records move; none is cloned.
-    /// Returns the number of *new* triples appended.
+    /// delta triple merges in place and is marked changed, a new one is
+    /// appended — and the views are frozen again by merging. Provenance
+    /// records move; none is cloned. Returns the number of *new* triples.
     pub fn ingest(&mut self, fill: impl FnOnce(&mut XkgBuilder)) -> usize {
         let start = trinit_obs::now_ns();
-        let (mut columns, dict, sources) = self.thaw();
+        let (mut parts, dict, sources) = self.thaw();
         let mut batch = XkgBuilder::over(dict, sources);
         // A panicking `fill` forfeits its batch, not the store: the
         // delta is frozen again as it was, then the panic resumes.
@@ -223,13 +223,15 @@ impl LiveDelta {
                 self.pending.push((home, base_id, prov));
                 continue;
             }
-            let (delta_triples, delta_provs) = &mut columns[home];
+            let part = &mut parts[home];
+            let (delta_triples, delta_provs) = &mut part.columns;
             match self.dedup.entry(t) {
                 Entry::Occupied(seen) => {
                     let merged = &mut delta_provs[seen.get().idx()];
                     let was_kg = merged.graph == GraphTag::Kg;
                     merged.absorb(&prov);
                     self.kg_len += usize::from(!was_kg && merged.graph == GraphTag::Kg);
+                    part.changed.push(*seen.get());
                 }
                 Entry::Vacant(slot) => {
                     slot.insert(next_triple_id(delta_triples.len()));
@@ -247,7 +249,7 @@ impl LiveDelta {
         let added = dict.heap_bytes_beyond(self.bases[0].dict());
         self.vocab = Vocab::new(dict, sources, added);
         if self.len > 0 {
-            self.views = self.vocab.freeze_all(columns, SegmentLayout::Flat);
+            self.views = self.vocab.freeze_all(parts, SegmentLayout::Flat);
         }
         self.generation += 1;
         self.last_ingest_ns = trinit_obs::now_ns().saturating_sub(start);
@@ -257,28 +259,33 @@ impl LiveDelta {
         appended
     }
 
-    /// Folds the delta into the bases: each partition's base columns
-    /// (taken by value), its pending absorbs (applied by id) and its
-    /// delta columns are frozen as one store in the bases' layout, and
-    /// the delta empties. No dedup pass is needed — ingest already
-    /// proved base ∩ delta = ∅ — and no provenance is cloned. Each
-    /// partition's triple ids are its base ids followed by its delta
-    /// ids, which is the order a from-scratch build assigns.
+    /// Folds the delta into the bases: each partition's base (taken apart
+    /// by value), its pending absorbs (applied by id, marked changed) and
+    /// its delta view are frozen as one store in the bases' layout, and
+    /// the delta empties. The view's sorted columns merge with the base's,
+    /// ids offset by the base length, so only the absorbed rows are
+    /// sorted. No dedup pass is needed — ingest already proved base ∩
+    /// delta = ∅ — and no provenance is cloned. Each partition's triple
+    /// ids are its base ids followed by its delta ids, the order a
+    /// from-scratch build assigns.
     pub fn compact(&mut self) {
         let start = trinit_obs::now_ns();
         let layout = self.bases[0].layout();
-        let mut merged: Vec<Columns> = self.bases.drain(..).map(XkgStore::into_columns).collect();
+        let mut merged: Vec<Part> = self.bases.drain(..).map(XkgStore::thaw).collect();
         for (home, id, prov) in self.pending.drain(..) {
-            merged[home].1[id.idx()].absorb(&prov);
+            merged[home].columns.1[id.idx()].absorb(&prov);
+            merged[home].changed.push(id);
         }
         // With bases and views both thawed, the context's sealed layers
         // have no other owner and flatten in place.
         let (delta, mut dict, mut sources) = self.thaw();
-        for ((triples, provs), (delta_triples, delta_provs)) in merged.iter_mut().zip(delta) {
+        for (part, delta) in merged.iter_mut().zip(delta) {
+            let ((triples, provs), (delta_triples, delta_provs)) = (&mut part.columns, delta.columns);
             triples.reserve_exact(delta_triples.len());
             triples.extend(delta_triples);
             provs.reserve_exact(delta_provs.len());
             provs.extend(delta_provs);
+            part.runs.extend(delta.runs);
         }
         dict.flatten();
         sources.flatten();

@@ -39,7 +39,7 @@ pub struct PredicateStats {
 /// provenance, dictionary), which are layout-independent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageBytes {
-    /// The six permutation key/id columns (flat or bit-packed).
+    /// The three permutation key/id columns (flat or bit-packed).
     pub permutations: usize,
     /// The packed permutations' sparse selection directories.
     pub permutation_directories: usize,
@@ -169,17 +169,22 @@ impl StoreStats {
 /// The exact set of (subject, object) pairs under predicate `p` — the
 /// paper's `args(p)` (§3), deduplicated and sorted.
 pub fn args_pairs(store: &XkgStore, p: TermId) -> Vec<(TermId, TermId)> {
-    let mut pairs: Vec<(TermId, TermId)> = store
+    // The range comes in (object, subject) order; integers sort fastest.
+    let mut pairs: Vec<u64> = store
         .lookup(&SlotPattern::with_p(p))
         .iter()
         .map(|&id| {
             let t = store.triple(id);
-            (t.s, t.o)
+            u64::from(t.s.raw()) << 32 | u64::from(t.o.raw())
         })
         .collect();
     pairs.sort_unstable();
     pairs.dedup();
+    let term = |raw: u64| TermId::from_raw(raw as u32);
     pairs
+        .into_iter()
+        .map(|pair| (term(pair >> 32), term(pair)))
+        .collect()
 }
 
 /// Exact cardinality of a pattern; used by the query planner to order

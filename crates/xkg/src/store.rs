@@ -1,7 +1,7 @@
 //! The extended knowledge graph store.
 //!
 //! [`XkgBuilder`] accumulates deduplicated triples with merged provenance;
-//! [`XkgBuilder::build`] freezes them into an [`XkgStore`] with all six
+//! [`XkgBuilder::build`] freezes them into an [`XkgStore`] with its three
 //! permutation indexes. The store is immutable after build, which is the
 //! access pattern of the paper's system: the XKG is materialized offline
 //! (KG load + Open IE extraction), then queried interactively.
@@ -11,7 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::dict::{SourceTable, TermDict};
-use crate::index::{MatchIds, TripleIndex, PARALLEL_BUILD_THRESHOLD};
+use crate::index::{MatchIds, TripleIndex};
 use crate::pack::SegmentLayout;
 use crate::pattern::SlotPattern;
 use crate::posting::{EntriesRef, GroupRef, PostingIndex, ServeKind};
@@ -62,9 +62,51 @@ pub struct XkgBuilder {
 }
 
 /// One slice's payload columns: `triples[i]` and its provenance are the
-/// triple with local id `i`. What a store is frozen from and thaws back
-/// into.
+/// triple with local id `i`.
 pub(crate) type Columns = (Vec<Triple>, Vec<Provenance>);
+
+/// What one freeze starts from: a slice's rows in id order, the indexes
+/// already holding a prefix of them in sorted runs (none for a fresh
+/// build), and the prefix rows whose provenance changed since.
+#[derive(Debug, Default)]
+pub(crate) struct Part {
+    pub(crate) columns: Columns,
+    /// Each run covers the next rows of `columns`, in order.
+    pub(crate) runs: Vec<(TripleIndex, PostingIndex)>,
+    /// Prefix rows whose place in the weight-ordered strata is stale
+    /// (ids past the prefix are appended rows anyway).
+    pub(crate) changed: Vec<TripleId>,
+}
+
+impl Part {
+    /// Rows a freeze of this part sorts, at most: changed and appended.
+    fn unsorted(&self) -> usize {
+        let covered: usize = self.runs.iter().map(|(index, _)| index.len()).sum();
+        self.columns.0.len() - covered + self.changed.len()
+    }
+}
+
+/// Below this many rows to sort, a freeze runs its column builds in
+/// order; above it, each on its own scoped thread.
+pub(crate) const PARALLEL_BUILD_THRESHOLD: usize = 4096;
+
+/// Runs independent freeze jobs in order, or each on its own scoped
+/// thread when `parallel`; results come back in job order.
+pub(crate) fn run_jobs<T: Send>(
+    jobs: impl IntoIterator<Item = impl FnOnce() -> T + Send>,
+    parallel: bool,
+) -> Vec<T> {
+    if !parallel {
+        return jobs.into_iter().map(|job| job()).collect();
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("freeze thread panicked"))
+            .collect()
+    })
+}
 
 /// The id the next triple appended to a `len`-triple table receives.
 pub(crate) fn next_triple_id(len: usize) -> TripleId {
@@ -250,7 +292,7 @@ impl XkgBuilder {
         self.triples.is_empty()
     }
 
-    /// Freezes the builder into an immutable, fully indexed store: the six
+    /// Freezes the builder into an immutable, fully indexed store: the three
     /// columnar permutation indexes, the score-sorted posting index, and
     /// per-stratum counts are all computed here, once. Uses the default
     /// [`SegmentLayout::Flat`]; see [`XkgBuilder::build_with`].
@@ -263,8 +305,11 @@ impl XkgBuilder {
     /// frozen base segments where bytes/triple dominates. Query answers
     /// are bit-identical in both layouts.
     pub fn build_with(self, layout: SegmentLayout) -> XkgStore {
-        let columns = (self.triples, self.prov);
-        XkgStore::freeze(Vocab::sealed(self.dict, self.sources), columns, layout)
+        let part = Part {
+            columns: (self.triples, self.prov),
+            ..Part::default()
+        };
+        XkgStore::freeze(Vocab::sealed(self.dict, self.sources), part, layout)
     }
 
     /// Freezes the builder into `shards` independent [`XkgStore`]s that
@@ -296,11 +341,11 @@ impl XkgBuilder {
     /// Panics if `shards` is zero.
     pub fn build_sharded_with(self, shards: usize, layout: SegmentLayout) -> Vec<XkgStore> {
         assert!(shards > 0, "shard count must be positive");
-        let mut parts: Vec<Columns> = (0..shards).map(|_| Columns::default()).collect();
+        let mut parts: Vec<Part> = (0..shards).map(|_| Part::default()).collect();
         for (triple, prov) in self.triples.into_iter().zip(self.prov) {
-            let shard = triple.s.shard_of(shards);
-            parts[shard].0.push(triple);
-            parts[shard].1.push(prov);
+            let (triples, provs) = &mut parts[triple.s.shard_of(shards)].columns;
+            triples.push(triple);
+            provs.push(prov);
         }
         Vocab::sealed(self.dict, self.sources).freeze_all(parts, layout)
     }
@@ -335,30 +380,16 @@ impl Vocab {
         Vocab::new(dict, sources, dict_bytes)
     }
 
-    /// Freezes one slice per part. Each slice's permutation and posting
-    /// builds are independent, so several large parts freeze on their
-    /// own threads; below [`PARALLEL_BUILD_THRESHOLD`] triples (ingest
-    /// deltas) thread start-up costs more than the freeze and the parts
-    /// freeze inline. (A slice's own index build goes parallel only
-    /// above the same threshold.)
-    pub(crate) fn freeze_all(&self, parts: Vec<Columns>, layout: SegmentLayout) -> Vec<XkgStore> {
-        let triples: usize = parts.iter().map(|(t, _)| t.len()).sum();
-        if parts.len() == 1 || triples < PARALLEL_BUILD_THRESHOLD {
-            return parts
-                .into_iter()
-                .map(|columns| XkgStore::freeze(self.clone(), columns, layout))
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .map(|columns| scope.spawn(move || XkgStore::freeze(self.clone(), columns, layout)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard build thread panicked"))
-                .collect()
-        })
+    /// Freezes one slice per part. Parts with [`PARALLEL_BUILD_THRESHOLD`]
+    /// rows to sort between them freeze on their own threads; below it
+    /// (ingest deltas, compactions) thread start-up costs more.
+    pub(crate) fn freeze_all(&self, parts: Vec<Part>, layout: SegmentLayout) -> Vec<XkgStore> {
+        let unsorted: usize = parts.iter().map(Part::unsorted).sum();
+        let parallel = parts.len() > 1 && unsorted >= PARALLEL_BUILD_THRESHOLD;
+        let jobs = parts
+            .into_iter()
+            .map(|part| move || XkgStore::freeze(self.clone(), part, layout));
+        run_jobs(jobs, parallel)
     }
 }
 
@@ -398,10 +429,30 @@ pub struct XkgStore {
 }
 
 impl XkgStore {
-    /// Freezes already-interned columns into a fully indexed store.
-    fn freeze(vocab: Vocab, (triples, prov): Columns, layout: SegmentLayout) -> XkgStore {
-        let index = TripleIndex::build_with(&triples, layout);
-        let postings = PostingIndex::build(&triples, &prov, layout);
+    /// Freezes already-interned columns into a fully indexed store, for a
+    /// fresh build, an ingest and a compaction alike: it sorts only the
+    /// part's appended and changed rows and merges them with its runs, so
+    /// every column is the one a from-scratch freeze lays out.
+    fn freeze(vocab: Vocab, part: Part, layout: SegmentLayout) -> XkgStore {
+        let parallel = part.unsorted() >= PARALLEL_BUILD_THRESHOLD;
+        let Part {
+            columns: (triples, prov),
+            runs,
+            changed,
+        } = part;
+        let (mut index_runs, mut posting_runs, mut covered) = (Vec::new(), Vec::new(), 0);
+        for (index, postings) in runs {
+            let offset = covered as u32;
+            covered += index.len();
+            index_runs.push((index, offset));
+            posting_runs.push((postings, offset));
+        }
+        let mut stale = vec![false; covered];
+        for id in changed.into_iter().filter(|id| id.idx() < covered) {
+            stale[id.idx()] = true;
+        }
+        let index = TripleIndex::merge(&triples, index_runs, layout, parallel);
+        let postings = PostingIndex::merge(&triples, &prov, posting_runs, &stale, layout, parallel);
         let kg_len = prov.iter().filter(|p| p.graph == GraphTag::Kg).count();
         let (permutations, permutation_directories) = index.heap_bytes();
         let (posting_strata, posting_directories) = postings.heap_bytes();
@@ -432,10 +483,14 @@ impl XkgStore {
         }
     }
 
-    /// Thaws the store back into its payload columns, dropping the
-    /// indexes and this slice's handles on the shared vocabulary.
-    pub(crate) fn into_columns(self) -> Columns {
-        (self.triples, self.prov)
+    /// Takes the store apart into a [`Part`] whose one run is its own
+    /// indexes, dropping its handles on the shared vocabulary.
+    pub(crate) fn thaw(self) -> Part {
+        Part {
+            columns: (self.triples, self.prov),
+            runs: vec![(self.index, self.postings)],
+            changed: Vec::new(),
+        }
     }
 
     /// Handles on the interning context this store was frozen under.

@@ -9,18 +9,22 @@
 //! with full expansion on the rebuilt union, and the semi-naive delta
 //! question must be sound against the full run on both live-delta
 //! routes. A second case feeds the live routes their delta as 25
-//! successive ingests and then compacts, with a system-level posting
-//! cache that outlives every ingest.
+//! successive ingests that also re-observe base and earlier delta
+//! triples, and then compacts, with a system-level posting cache that
+//! outlives every ingest; the compacted base must then serve exactly
+//! what a from-scratch build serves.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use trinit_core::query::exec::expand;
 use trinit_core::query::Answer;
-use trinit_core::relax::RuleSet;
+use trinit_core::relax::{QTerm, RuleSet};
 use trinit_core::shard::testkit::assert_answers_score_equivalent;
 use trinit_core::shard::ShardedStore;
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
-use trinit_core::xkg::{Provenance, Triple, TripleId, XkgBuilder, XkgStore};
+use trinit_core::xkg::{
+    Posting, Provenance, StorageBytes, TermId, Triple, TripleId, XkgBuilder, XkgStore,
+};
 use trinit_core::{Engine, Session, Trinit, TrinitBuilder};
 
 const SEED: u64 = 42;
@@ -200,13 +204,69 @@ fn every_route_agrees_with_full_expansion_and_delta_queries_are_sound() {
     );
 }
 
+/// A group's entries and prefix sums, bit for bit.
+fn group_bits(entries: &[Posting], prefix: &[f64]) -> (Vec<(TripleId, u64, u64)>, Vec<u64>) {
+    (
+        entries
+            .iter()
+            .map(|e| (e.triple, e.weight.to_bits(), e.prob.to_bits()))
+            .collect(),
+        prefix.iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// `got` serves every predicate group, the subject and object groups of
+/// every term in `anchors`, and the unbound stratum exactly as `want`
+/// does, and holds the same index bytes (the payload's byte counts
+/// follow each vector's growth history, so they are left out).
+fn assert_serves_like(got: &XkgStore, want: &XkgStore, anchors: &[TermId]) {
+    assert_eq!(got.predicates(), want.predicates());
+    for &p in want.predicates() {
+        let (g, w) = (got.predicate_group(p), want.predicate_group(p));
+        assert_eq!(
+            group_bits(g.entries(), g.prefix()),
+            group_bits(w.entries(), w.prefix())
+        );
+    }
+    for &t in anchors {
+        for (g, w) in [
+            (got.subject_group(t), want.subject_group(t)),
+            (got.object_group(t), want.object_group(t)),
+        ] {
+            assert_eq!(
+                group_bits(g.entries(), g.prefix()),
+                group_bits(w.entries(), w.prefix())
+            );
+        }
+    }
+    let (g, w) = (got.unbound_group(), want.unbound_group());
+    assert_eq!(
+        group_bits(g.entries(), g.prefix()),
+        group_bits(w.entries(), w.prefix())
+    );
+    let index_share = |b: StorageBytes| StorageBytes {
+        dict: 0,
+        triples: 0,
+        provenance: 0,
+        ..b
+    };
+    assert_eq!(
+        index_share(got.storage_bytes()),
+        index_share(want.storage_bytes())
+    );
+}
+
 /// The write path at length: the live routes take their delta as 25
-/// successive ingests and then compact. A system-level posting cache
-/// stays enabled throughout — it holds base-slice lists, which no
-/// ingest changes, but every ingest moves the totals they were
-/// normalized by — and each checkpoint is compared against full
-/// expansion over a from-scratch build of what has arrived so far,
-/// directly and through a [`Session`].
+/// successive ingests and then compact. Every batch also re-observes a
+/// base triple (a pending absorb until compaction) and, from the second
+/// on, a triple the batch before it brought (merged into the live delta
+/// in place). A system-level posting cache stays enabled throughout —
+/// it holds base-slice lists, which no ingest changes, but every ingest
+/// moves the totals they were normalized by — and each checkpoint is
+/// compared against full expansion over a from-scratch build of what
+/// the store holds so far, directly and through a [`Session`]. After
+/// compaction the monolith's base must serve exactly what the
+/// from-scratch build of everything that arrived serves.
 #[test]
 fn many_ingests_then_compaction_agree_with_the_rebuild_on_every_route() {
     const INGESTS: usize = 25;
@@ -216,9 +276,17 @@ fn many_ingests_then_compaction_agree_with_the_rebuild_on_every_route() {
     let union = mined.segmented_store().expect("monolithic build").base();
     let (base, delta) = split(union);
     let cut = |i: usize| i * delta.len() / INGESTS;
-    let batches: Vec<&[(Triple, Provenance)]> =
-        (0..INGESTS).map(|i| &delta[cut(i)..cut(i + 1)]).collect();
-    assert!(batches.iter().all(|batch| !batch.is_empty()));
+    let batches: Vec<Rows> = (0..INGESTS)
+        .map(|i| {
+            let mut batch = delta[cut(i)..cut(i + 1)].to_vec();
+            if i > 0 {
+                batch.push(delta[cut(i - 1)].clone());
+            }
+            batch.push(base[i * 37 % base.len()].clone());
+            batch
+        })
+        .collect();
+    assert!(batches.iter().all(|batch| batch.len() > 2));
     let reference = mined.topk_config().reference_expansion();
     let mut texts = vec![
         "?x type city LIMIT 25".to_string(),
@@ -264,15 +332,19 @@ fn many_ingests_then_compaction_agree_with_the_rebuild_on_every_route() {
             }
         }
     };
-    let mut arrived: Vec<&[(Triple, Provenance)]> = vec![&base];
+    // What the live store holds (the base re-observations wait for
+    // compaction) and everything that arrived.
+    let mut held: Vec<&[(Triple, Provenance)]> = vec![&base];
+    let mut arrived = held.clone();
     for (i, batch) in batches.iter().enumerate() {
         for sys in &mut live {
-            assert_eq!(sys.ingest(|b| fill(b, batch)), batch.len());
+            assert_eq!(sys.ingest(|b| fill(b, batch)), cut(i + 1) - cut(i));
             assert_eq!(sys.generation(), i as u64 + 1);
         }
+        held.push(&batch[..batch.len() - 1]);
         arrived.push(batch);
         if i % 6 == 0 || i + 1 == INGESTS {
-            let rebuilt = builder_over(union, &arrived).build();
+            let rebuilt = builder_over(union, &held).build();
             check(&live, &rebuilt, &format!("after ingest {i}"));
         }
     }
@@ -289,5 +361,17 @@ fn many_ingests_then_compaction_agree_with_the_rebuild_on_every_route() {
         assert_eq!(sys.generation(), INGESTS as u64 + 1);
         assert_eq!(sys.stats().total_triples(), union.len());
     }
-    check(&live, union, "after compaction");
+    let rebuilt = builder_over(union, &arrived).build();
+    check(&live, &rebuilt, "after compaction");
+    let anchors: Vec<TermId> = texts
+        .iter()
+        .flat_map(|text| mined.parse(text).expect("generated query parses").patterns)
+        .flat_map(|pattern| [pattern.s, pattern.p, pattern.o])
+        .filter_map(|term| match term {
+            QTerm::Term(t) => Some(t),
+            QTerm::Var(_) => None,
+        })
+        .collect();
+    let compacted = live[0].segmented_store().expect("monolithic build").base();
+    assert_serves_like(compacted, &rebuilt, &anchors);
 }
