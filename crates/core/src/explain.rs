@@ -8,13 +8,12 @@
 use trinit_query::{Answer, Query};
 use trinit_relax::RuleSet;
 use trinit_shard::ShardedStore;
-use trinit_xkg::{GraphTag, Provenance, SegmentedStore, SourceId, TermId, TripleId, XkgStore};
+use trinit_xkg::{GraphTag, Provenance, SourceId, TermId, TripleId, XkgStore};
 
 /// What an explanation needs from the graph: term/triple rendering and
-/// provenance, by (possibly global) triple id. Implemented by the
-/// monolithic store, by the segmented store (ids span base then
-/// delta), and by the sharded store (ids span shards then delta
-/// views).
+/// provenance, by (possibly global) triple id. Implemented by one frozen
+/// store and by the partitioned store every system serves from (ids
+/// span its shards, then its delta views).
 pub trait ExplainSource {
     /// Renders a term for display.
     fn render_term(&self, id: TermId) -> String;
@@ -27,21 +26,6 @@ pub trait ExplainSource {
 }
 
 impl ExplainSource for XkgStore {
-    fn render_term(&self, id: TermId) -> String {
-        self.display_term(id)
-    }
-    fn render_triple(&self, id: TripleId) -> String {
-        self.display_triple(id)
-    }
-    fn provenance_of(&self, id: TripleId) -> &Provenance {
-        self.provenance(id)
-    }
-    fn source(&self, id: SourceId) -> Option<&str> {
-        self.source_name(id)
-    }
-}
-
-impl ExplainSource for SegmentedStore {
     fn render_term(&self, id: TermId) -> String {
         self.display_term(id)
     }
@@ -124,7 +108,7 @@ pub fn explain(store: &XkgStore, query: &Query, rules: &RuleSet, answer: &Answer
 }
 
 /// Builds the explanation of one answer from any [`ExplainSource`] —
-/// the sharded entry point, where derivation ids are global.
+/// the system's entry point, where derivation ids are global.
 pub fn explain_from(
     store: &dyn ExplainSource,
     query: &Query,

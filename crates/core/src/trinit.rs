@@ -13,8 +13,8 @@ use trinit_obs::{
     TraceRecorder,
 };
 use trinit_openie::{Linker, OpenIePipeline, PipelineConfig};
-use trinit_query::exec::topk::{ExecCtx, ExecOutcome, ExecRequest, SegmentedExec, StoreView};
-use trinit_query::exec::{exact, expand, topk};
+use trinit_query::exec::topk::{ExecCtx, ExecOutcome};
+use trinit_query::exec::{exact, expand};
 use trinit_query::{
     Answer, AnswerCollector, BudgetTracker, Completeness, ExecError, ExecMetrics, Governor,
     Query, SharedCacheStats, SharedPostingCache, TopkConfig,
@@ -27,7 +27,7 @@ use trinit_relax::{
 use trinit_shard::{QueryPool, SeedMode, ShardedExecutor, ShardedStore};
 use trinit_worldgen::corpus::generate_corpus;
 use trinit_worldgen::{alias_catalog, project_kg, CorpusConfig, KgConfig, World};
-use trinit_xkg::{GraphTag, SegmentLayout, SegmentedStore, XkgBuilder, XkgStore};
+use trinit_xkg::{GraphTag, SegmentLayout, XkgBuilder, XkgStore};
 
 use crate::complete::{Completer, Completion};
 use crate::explain::Explanation;
@@ -35,16 +35,17 @@ use crate::suggest::{suggest, SuggestConfig, Suggestion};
 
 /// Which execution engine answers a query.
 ///
-/// Every engine value means the same *answers* on every backend. The
-/// reference engines (`Exact`, `FullExpansion`) exist only over one
-/// frozen store; a **sharded** system ([`BuildOptions::shards`] > 1) or
-/// a monolith with a live delta answers them through the top-k
-/// processor instead — `Exact` with an empty rule set (top-k without
-/// rules reduces to exact evaluation), `FullExpansion` with the full
-/// rule set (full expansion runs to the depth the top-k configuration
-/// reaches, so the two agree). Per-engine work counters are then not
-/// comparable with the monolithic baselines, so engine-comparison
-/// experiments should use frozen monolithic builds.
+/// Every engine value means the same *answers* on every store. The
+/// reference engines (`Exact`, `FullExpansion`) run on the store's one
+/// frozen slice when it is one — a single partition with no live delta;
+/// a **sharded** system ([`BuildOptions::shards`] > 1) or a monolith
+/// with a live delta answers them through the top-k processor instead —
+/// `Exact` with an empty rule set (top-k without rules reduces to exact
+/// evaluation), `FullExpansion` with the full rule set (full expansion
+/// runs to the depth the top-k configuration reaches, so the two
+/// agree). Per-engine work counters are then not comparable with the
+/// monolithic baselines, so engine-comparison experiments should use
+/// frozen monolithic builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// Exact evaluation, no relaxation (the non-relaxing baseline).
@@ -82,6 +83,10 @@ pub struct QueryOutcome {
     /// tracing is disabled ([`Trinit::set_obs`]) or the engine ran a
     /// non-traced path (`Exact` / `FullExpansion` on a frozen monolith).
     pub trace: QueryTrace,
+    /// The store generation the query was answered at: derivation ids
+    /// are global offsets, which every later ingest or compaction may
+    /// move (see [`Trinit::explain`]).
+    generation: u64,
 }
 
 impl QueryOutcome {
@@ -91,8 +96,9 @@ impl QueryOutcome {
         &self.trace
     }
 
-    /// The outcome of `query` as the top-k engine reported it.
-    fn of(query: Query, run: ExecOutcome) -> QueryOutcome {
+    /// The outcome of `query` as the top-k engine reported it at store
+    /// generation `generation`.
+    fn of(query: Query, run: ExecOutcome, generation: u64) -> QueryOutcome {
         QueryOutcome {
             query,
             answers: run.answers,
@@ -100,11 +106,17 @@ impl QueryOutcome {
             shard_metrics: run.per_shard,
             completeness: run.completeness,
             trace: run.trace,
+            generation,
         }
     }
 
     /// An outcome that ran to completion outside the traced pipeline.
-    fn untraced(query: Query, answers: Vec<Answer>, metrics: ExecMetrics) -> QueryOutcome {
+    fn untraced(
+        query: Query,
+        answers: Vec<Answer>,
+        metrics: ExecMetrics,
+        generation: u64,
+    ) -> QueryOutcome {
         QueryOutcome {
             query,
             answers,
@@ -112,6 +124,7 @@ impl QueryOutcome {
             shard_metrics: Vec::new(),
             completeness: Completeness::Exact,
             trace: QueryTrace::default(),
+            generation,
         }
     }
 }
@@ -119,7 +132,7 @@ impl QueryOutcome {
 /// What one [`Trinit::execute`] call reads.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Scope {
-    /// The whole store; a sharded backend seeds its cross-shard merge
+    /// The whole store; a multi-shard store seeds its cross-shard merge
     /// per the mode ([`SeedMode::Parallel`] for a query on its own,
     /// [`SeedMode::Off`] inside a batch pool, where the parallelism is
     /// already spent across queries).
@@ -374,18 +387,14 @@ impl TrinitBuilder {
         let rules = registry.build_rules(&store);
 
         let completer = Completer::build(&store);
-        let backend = match sharded_builder {
+        let store = match sharded_builder {
             Some(builder) => {
                 drop(store);
-                Backend::Sharded(Box::new(ShardedStore::build_with(
-                    builder,
-                    shard_count,
-                    self.options.segment_layout,
-                )))
+                ShardedStore::build_with(builder, shard_count, self.options.segment_layout)
             }
-            None => Backend::Single(Box::new(SegmentedStore::new(store))),
+            None => ShardedStore::from_shards(vec![store]),
         };
-        let mut trinit = Trinit::assemble(backend, completer, rules);
+        let mut trinit = Trinit::assemble(store, completer, rules);
         trinit.topk = self.options.topk;
         trinit.stats.documents = self.documents.len();
         trinit.stats.ingest = ingest;
@@ -393,24 +402,12 @@ impl TrinitBuilder {
     }
 }
 
-/// The storage/execution backend of a built system.
-enum Backend {
-    /// One segmented store — a frozen base plus a live-ingestion delta
-    /// segment (empty until [`Trinit::ingest`] runs). While the delta
-    /// is empty every engine runs directly against the frozen base;
-    /// with a live delta, queries serve base ∪ delta as a two-slice
-    /// view (boxed: variant size balance).
-    Single(Box<SegmentedStore>),
-    /// Subject-hash-partitioned shards; queries route through a
-    /// [`trinit_shard::ShardedExecutor`] over the shard slices.
-    /// Boxed like `Single`: the delta bookkeeping makes the store wide.
-    Sharded(Box<ShardedStore>),
-}
-
-/// A built TriniT system: frozen XKG (monolithic or sharded), mined
+/// A built TriniT system: frozen XKG (one partition or several), mined
 /// rules, and query surface.
 pub struct Trinit {
-    backend: Backend,
+    /// Every system's store: N ≥ 1 subject-hash partitions plus a live
+    /// delta (a monolith is one partition).
+    store: ShardedStore,
     rules: RuleSet,
     completer: Completer,
     topk: TopkConfig,
@@ -439,11 +436,11 @@ pub(crate) fn cache_tally(stats: SharedCacheStats) -> CacheTally {
 }
 
 impl Trinit {
-    /// A system over `backend` with default configuration; the stratum
-    /// counts and store gauges are read off the backend.
-    fn assemble(backend: Backend, completer: Completer, rules: RuleSet) -> Trinit {
+    /// A system over `store` with default configuration; the stratum
+    /// counts and store gauges are read off the store.
+    fn assemble(store: ShardedStore, completer: Completer, rules: RuleSet) -> Trinit {
         let mut trinit = Trinit {
-            backend,
+            store,
             completer,
             topk: TopkConfig::default(),
             suggest_cfg: SuggestConfig::default(),
@@ -461,77 +458,49 @@ impl Trinit {
     }
 
     /// Wraps an already-built store and rule set (used by fixtures,
-    /// evaluation ablations, and tests).
+    /// evaluation ablations, and tests) as a one-partition system.
     pub fn from_parts(store: XkgStore, rules: RuleSet) -> Trinit {
-        let completer = Completer::build(&store);
-        let backend = Backend::Single(Box::new(SegmentedStore::new(store)));
-        Trinit::assemble(backend, completer, rules)
+        Trinit::from_sharded_parts(ShardedStore::from_shards(vec![store]), rules)
     }
 
     /// Wraps an already-built sharded store and rule set.
     pub fn from_sharded_parts(store: ShardedStore, rules: RuleSet) -> Trinit {
         let completer = Completer::build(store.shard(0));
-        Trinit::assemble(Backend::Sharded(Box::new(store)), completer, rules)
+        Trinit::assemble(store, completer, rules)
     }
 
-    /// The vocabulary store: the monolith's base (or its delta view
-    /// while an ingested delta is live — a superset dictionary with
-    /// identical ids for shared terms), or the equivalent for a sharded
-    /// system. Every *dictionary-level* operation through this
-    /// reference (parsing, term lookup and display, completion) is
+    /// The vocabulary store: partition 0's base, or a delta view while
+    /// an ingested delta is live (a superset dictionary with identical
+    /// ids for shared terms). Every *dictionary-level* operation through
+    /// this reference (parsing, term lookup and display, completion) is
     /// exact; per-triple operations (`triple`, `provenance`, `lookup`)
     /// see only one slice — resolve those through
-    /// [`Trinit::sharded_store`] / [`Trinit::segmented_store`] instead.
+    /// [`Trinit::segmented_store`] / [`Trinit::sharded_store`] instead.
     pub fn store(&self) -> &XkgStore {
-        match &self.backend {
-            Backend::Single(seg) => seg.vocab(),
-            Backend::Sharded(sharded) => sharded.vocab(),
-        }
+        self.store.vocab()
     }
 
-    /// The segmented (base + delta) store of a monolithic system.
-    pub fn segmented_store(&self) -> Option<&SegmentedStore> {
-        match &self.backend {
-            Backend::Single(seg) => Some(seg),
-            Backend::Sharded(_) => None,
-        }
+    /// The store of a monolithic system (one partition); `None` when
+    /// [`Trinit::sharded_store`] is `Some`.
+    pub fn segmented_store(&self) -> Option<&ShardedStore> {
+        (self.shard_count() == 1).then_some(&self.store)
     }
 
-    /// The sharded store backing this system, if it was built with
-    /// [`BuildOptions::shards`] > 1.
+    /// The store of a system built with [`BuildOptions::shards`] > 1;
+    /// `None` when [`Trinit::segmented_store`] is `Some`.
     pub fn sharded_store(&self) -> Option<&ShardedStore> {
-        match &self.backend {
-            Backend::Single(_) => None,
-            Backend::Sharded(sharded) => Some(sharded),
-        }
+        (self.shard_count() > 1).then_some(&self.store)
     }
 
     /// The store generation: bumped by every [`Trinit::ingest`] and
     /// [`Trinit::compact`].
     pub fn generation(&self) -> u64 {
-        match &self.backend {
-            Backend::Single(seg) => seg.generation(),
-            Backend::Sharded(sharded) => sharded.generation(),
-        }
-    }
-
-    /// The epoch of the frozen base slices: bumped by
-    /// [`Trinit::compact`] only. Posting caches hold base-slice lists,
-    /// which an ingest cannot change, so they are stamped with this
-    /// rather than with the generation.
-    fn base_epoch(&self) -> u64 {
-        match &self.backend {
-            Backend::Single(seg) => seg.base_epoch(),
-            Backend::Sharded(sharded) => sharded.base_epoch(),
-        }
+        self.store.generation()
     }
 
     /// True if an ingested, not-yet-compacted delta segment is live.
     pub fn has_delta(&self) -> bool {
-        match &self.backend {
-            Backend::Single(seg) => seg.delta_view().is_some(),
-            Backend::Sharded(sharded) => sharded.has_delta(),
-        }
+        self.store.has_delta()
     }
 
     /// Ingests a batch of triples into the live delta segment: `fill`
@@ -543,15 +512,13 @@ impl Trinit {
     /// next [`Trinit::compact`] (until then the base serves them with
     /// their pre-ingest weight).
     pub fn ingest(&mut self, fill: impl FnOnce(&mut XkgBuilder)) -> usize {
-        let (appended, ingest_ns) = match &mut self.backend {
-            Backend::Single(seg) => (seg.ingest(fill), seg.last_ingest_ns()),
-            Backend::Sharded(sharded) => (sharded.ingest(fill), sharded.last_ingest_ns()),
-        };
+        let appended = self.store.ingest(fill);
         self.refresh_strata_stats();
         self.registry.incr(Counter::IngestBatches);
         self.registry
             .add(Counter::IngestedTriples, appended as u64);
-        self.registry.record_stage(Stage::Ingest, ingest_ns);
+        self.registry
+            .record_stage(Stage::Ingest, self.store.last_ingest_ns());
         self.refresh_gauges();
         appended
     }
@@ -561,38 +528,23 @@ impl Trinit {
     /// the delta empties. Answers are identical before and after; only
     /// the serving topology (and triple-id assignment) changes.
     pub fn compact(&mut self) {
-        let compact_ns = match &mut self.backend {
-            Backend::Single(seg) => {
-                seg.compact();
-                seg.last_compact_ns()
-            }
-            Backend::Sharded(sharded) => {
-                sharded.compact();
-                sharded.last_compact_ns()
-            }
-        };
+        self.store.compact();
         self.refresh_strata_stats();
         self.registry.incr(Counter::Compactions);
-        self.registry.record_stage(Stage::Compact, compact_ns);
+        self.registry
+            .record_stage(Stage::Compact, self.store.last_compact_ns());
         self.refresh_gauges();
     }
 
     /// Re-derives the per-stratum triple counts after a mutation.
     fn refresh_strata_stats(&mut self) {
-        let (kg, xkg) = match &self.backend {
-            Backend::Single(seg) => (seg.len_of(GraphTag::Kg), seg.len_of(GraphTag::Xkg)),
-            Backend::Sharded(s) => (s.len_of(GraphTag::Kg), s.len_of(GraphTag::Xkg)),
-        };
-        self.stats.kg_triples = kg;
-        self.stats.xkg_triples = xkg;
+        self.stats.kg_triples = self.store.len_of(GraphTag::Kg);
+        self.stats.xkg_triples = self.store.len_of(GraphTag::Xkg);
     }
 
     /// Number of store shards (1 for a monolithic system).
     pub fn shard_count(&self) -> usize {
-        match &self.backend {
-            Backend::Single(_) => 1,
-            Backend::Sharded(sharded) => sharded.shard_count(),
-        }
+        self.store.shard_count()
     }
 
     /// The system rule set.
@@ -664,35 +616,17 @@ impl Trinit {
     /// storage-byte accounting (index bytes across every live segment,
     /// and total bytes per triple).
     fn refresh_gauges(&self) {
-        let (generation, delta, total) = match &self.backend {
-            Backend::Single(seg) => (seg.generation(), seg.delta_len(), seg.len()),
-            Backend::Sharded(s) => (s.generation(), s.delta_len(), s.len()),
-        };
-        self.registry.set_gauge(Gauge::StoreGeneration, generation);
-        self.registry.set_gauge(Gauge::DeltaTriples, delta as u64);
+        let total = self.store.len();
+        self.registry
+            .set_gauge(Gauge::StoreGeneration, self.store.generation());
+        self.registry
+            .set_gauge(Gauge::DeltaTriples, self.store.delta_len() as u64);
         self.registry.set_gauge(Gauge::StoreTriples, total as u64);
-        let mut index_bytes = 0usize;
-        let mut total_bytes = 0usize;
-        let mut tally = |s: &XkgStore| {
-            let b = s.storage_bytes();
+        let (mut index_bytes, mut total_bytes) = (0usize, 0usize);
+        for segment in self.store.segments() {
+            let b = segment.storage_bytes();
             index_bytes += b.index_bytes();
             total_bytes += b.total();
-        };
-        match &self.backend {
-            Backend::Single(seg) => {
-                tally(seg.base());
-                if let Some(view) = seg.delta_view() {
-                    tally(view);
-                }
-            }
-            Backend::Sharded(s) => {
-                for shard in s.shards() {
-                    tally(shard);
-                }
-                for (view, _) in s.delta_slices() {
-                    tally(view);
-                }
-            }
         }
         let bytes_per_triple = if total > 0 {
             (total_bytes as f64 / total as f64).round() as u64
@@ -788,9 +722,9 @@ impl Trinit {
     /// of [`Trinit`] and [`Session`](crate::Session) is this call with
     /// its own rule set and cache set (one store-level posting cache per
     /// shard — one for a monolith — or none; sessions pass their own).
-    /// Total over backends and delta states: the reference engines run
-    /// where they exist (one frozen store) and the top-k processor
-    /// answers for them everywhere else.
+    /// Total over partition counts and delta states: the reference
+    /// engines run where they exist (one frozen slice) and the top-k
+    /// processor answers for them everywhere else.
     pub(crate) fn execute(
         &self,
         query: Query,
@@ -804,19 +738,18 @@ impl Trinit {
         // compaction replaces the slice, and dropped wholesale then. An
         // ingest leaves them valid up to the normalization total baked
         // into their probabilities, which every hit re-checks.
-        let epoch = self.base_epoch();
         for cache in caches {
-            cache.ensure_generation(epoch);
+            cache.ensure_generation(self.store.base_epoch());
         }
-        let outcome = match (&self.backend, engine, scope) {
+        let reference = matches!(engine, Engine::Exact | Engine::FullExpansion);
+        let outcome = match (self.store.single_slice(), scope) {
             // An empty batch introduces nothing.
-            (_, _, Scope::Delta) if !self.has_delta() => {
-                QueryOutcome::untraced(query, Vec::new(), ExecMetrics::default())
+            (_, Scope::Delta) if !self.has_delta() => {
+                let metrics = ExecMetrics::default();
+                QueryOutcome::untraced(query, Vec::new(), metrics, self.generation())
             }
-            (Backend::Single(seg), Engine::Exact | Engine::FullExpansion, Scope::Store(_))
-                if seg.delta_view().is_none() =>
-            {
-                self.run_reference(seg.base(), query, engine, rules)
+            (Some(store), Scope::Store(_)) if reference => {
+                self.run_reference(store, query, engine, rules)
             }
             _ => self.run_topk(query, engine, rules, caches, scope),
         };
@@ -843,16 +776,16 @@ impl Trinit {
         } else {
             expand::run(store, &query, rules, &self.topk.reference_expansion())
         };
-        QueryOutcome::untraced(query, answers, metrics)
+        QueryOutcome::untraced(query, answers, metrics, self.generation())
     }
 
-    /// The top-k processor over the backend's [`StoreView`] — one frozen
-    /// store; base + delta view; the shards and their delta views
-    /// (through a [`ShardedExecutor`]) — once for [`Scope::Store`], once
-    /// per pattern position for [`Scope::Delta`]. Answers (keys *and*
-    /// scores) equal a from-scratch rebuild's on every route. Owns the
-    /// query's budget tracker and recorder, so every pass draws down one
-    /// budget and lands in one trace.
+    /// The top-k processor through a [`ShardedExecutor`]: a seed phase,
+    /// then the merge over the store's segments (a one-store execution
+    /// when the store is one frozen slice) — once for [`Scope::Store`],
+    /// once per pattern position for [`Scope::Delta`]. Answers (keys
+    /// *and* scores) equal a from-scratch rebuild's on every route. Owns
+    /// the query's budget tracker and recorder, so every pass draws down
+    /// one budget and lands in one trace.
     fn run_topk(
         &self,
         query: Query,
@@ -872,39 +805,13 @@ impl Trinit {
             Scope::Store(mode) => (None, mode),
             Scope::Delta => (Some(0), SeedMode::Off),
         };
+        let executor = ShardedExecutor::new(&self.store).with_caches(caches);
         // One pass, pattern `restrict` (if any) confined to the delta
         // slices — to nothing, hence no answers, when there are none.
         let pass = |restrict: Option<usize>, recorder: &mut TraceRecorder| -> ExecOutcome {
             let governor = Governor::primary(&tracker);
-            match &self.backend {
-                Backend::Single(seg) => {
-                    let base = seg.base();
-                    let request = |delta: std::ops::Range<usize>| ExecRequest {
-                        caches,
-                        restrict: restrict.map(|j| (j, delta)),
-                        ..ExecRequest::new(&query, rules, cfg)
-                    };
-                    let ctx = ExecCtx { governor, recorder };
-                    match seg.delta_view() {
-                        None => topk::execute(&StoreView::single(base), request(1..1), ctx),
-                        Some(delta) => {
-                            let slices = [base, delta];
-                            let offsets = [0, base.len() as u32];
-                            let exec = SegmentedExec::new(&slices, &offsets);
-                            // The store-level cache holds frozen-base
-                            // lists; the delta slice (rebuilt every
-                            // ingest) runs uncached.
-                            topk::execute(&exec.view(), request(1..2), ctx)
-                        }
-                    }
-                }
-                Backend::Sharded(sharded) => {
-                    let executor = ShardedExecutor::new(sharded).with_caches(caches);
-                    let seeds = executor.seed(&query, rules, cfg, mode, &tracker, recorder);
-                    let ctx = ExecCtx { governor, recorder };
-                    executor.merge(&query, rules, cfg, seeds, restrict, ctx)
-                }
-            }
+            let seeds = executor.seed(&query, rules, cfg, mode, &tracker, recorder);
+            executor.merge(&query, rules, cfg, seeds, restrict, ExecCtx { governor, recorder })
         };
         let mut run = pass(first, &mut recorder);
         if first.is_some() {
@@ -933,11 +840,11 @@ impl Trinit {
         }
         recorder.record(Stage::Query, run.answers.len() as u32, query_start);
         run.trace = recorder.finish();
-        if matches!(self.backend, Backend::Single(_)) {
+        if self.shard_count() == 1 {
             // Per-shard breakdowns surface on sharded systems only.
             run.per_shard.clear();
         }
-        QueryOutcome::of(query, run)
+        QueryOutcome::of(query, run, self.generation())
     }
 
     /// Executes a batch of independent queries concurrently and returns
@@ -969,21 +876,16 @@ impl Trinit {
         queries: Vec<Query>,
         engine: Engine,
     ) -> Vec<Result<QueryOutcome, ExecError>> {
-        match &self.backend {
-            Backend::Sharded(sharded) => {
-                let workers = sharded.shard_count();
-                if queries.len() < workers {
-                    self.run_batch_stealing(queries, engine, workers)
-                } else {
-                    self.run_batch_with_workers(queries, engine, workers)
-                }
-            }
-            Backend::Single(_) => {
-                let workers = std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1);
-                self.run_batch_with_workers(queries, engine, workers)
-            }
+        let shards = self.shard_count();
+        if shards == 1 {
+            let workers = std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1);
+            self.run_batch_with_workers(queries, engine, workers)
+        } else if queries.len() < shards {
+            self.run_batch_stealing(queries, engine, shards)
+        } else {
+            self.run_batch_with_workers(queries, engine, shards)
         }
     }
 
@@ -998,13 +900,13 @@ impl Trinit {
         engine: Engine,
         workers: usize,
     ) -> Vec<Result<QueryOutcome, ExecError>> {
-        let Backend::Sharded(sharded) = &self.backend else {
+        if self.shard_count() == 1 {
             return self.run_batch_with_workers(queries, engine, workers);
-        };
-        for cache in &self.caches {
-            cache.ensure_generation(sharded.base_epoch());
         }
-        let executor = ShardedExecutor::new(sharded).with_caches(&self.caches);
+        for cache in &self.caches {
+            cache.ensure_generation(self.store.base_epoch());
+        }
+        let executor = ShardedExecutor::new(&self.store).with_caches(&self.caches);
         let rules = Self::engine_rules(engine, &self.rules);
         let runs = executor.run_batch_stealing_observed(
             &queries,
@@ -1018,7 +920,7 @@ impl Trinit {
             .zip(runs)
             .map(|(query, run)| match run {
                 Ok(run) => {
-                    let outcome = QueryOutcome::of(query, run);
+                    let outcome = QueryOutcome::of(query, run, self.generation());
                     // Batch wall clocks overlap across queries; only the
                     // per-stage spans and counters are registered here.
                     self.observe_outcome(&outcome, None);
@@ -1056,26 +958,25 @@ impl Trinit {
         results
     }
 
-    /// Explains one answer of an outcome (paper §5, Figure 6). On a
-    /// sharded system, derivation triple ids resolve through the
-    /// sharded store's global id space.
+    /// Explains one answer of an outcome (paper §5, Figure 6):
+    /// derivation triple ids resolve through the store's global id
+    /// space (the base shards, then the live delta views).
+    ///
+    /// Returns `None` for an outcome answered at another store
+    /// generation ([`Trinit::generation`]): global ids are offsets, so
+    /// an ingest or compaction since may have moved them onto other
+    /// triples. Re-run the query to explain its current answers.
     pub fn explain(&self, outcome: &QueryOutcome, answer_idx: usize) -> Option<Explanation> {
+        if outcome.generation != self.generation() {
+            return None;
+        }
         let answer = outcome.answers.get(answer_idx)?;
-        Some(match &self.backend {
-            // The segmented store resolves global (base-then-delta)
-            // derivation ids whether or not a delta is live.
-            Backend::Single(seg) => {
-                crate::explain::explain_from(seg.as_ref(), &outcome.query, &self.rules, answer)
-            }
-            Backend::Sharded(sharded) => {
-                crate::explain::explain_from(sharded.as_ref(), &outcome.query, &self.rules, answer)
-            }
-        })
+        Some(crate::explain::explain_from(&self.store, &outcome.query, &self.rules, answer))
     }
 
     /// Renders the internal processing steps of an outcome (paper §5:
     /// "TriniT can show internal steps"). Rendering is dictionary-level,
-    /// so [`Trinit::store`] serves both backends.
+    /// so [`Trinit::store`] serves every partition count.
     pub fn processing_report(&self, outcome: &QueryOutcome) -> String {
         crate::explain::processing_report(self.store(), &self.rules, outcome)
     }
@@ -1085,21 +986,11 @@ impl Trinit {
     /// over the frozen base; triples still in a live delta contribute
     /// after the next [`Trinit::compact`].
     pub fn suggest(&self, outcome: &QueryOutcome) -> Vec<Suggestion> {
-        match &self.backend {
-            Backend::Single(seg) => suggest(
-                seg.base(),
-                &outcome.query,
-                &self.rules,
-                &outcome.answers,
-                &self.suggest_cfg,
-            ),
-            Backend::Sharded(sharded) => crate::suggest::suggest_sharded(
-                sharded,
-                &outcome.query,
-                &self.rules,
-                &outcome.answers,
-                &self.suggest_cfg,
-            ),
+        let (query, rules, answers) = (&outcome.query, &self.rules, &outcome.answers);
+        if self.shard_count() == 1 {
+            suggest(self.store.base(), query, rules, answers, &self.suggest_cfg)
+        } else {
+            crate::suggest::suggest_sharded(&self.store, query, rules, answers, &self.suggest_cfg)
         }
     }
 
@@ -1580,6 +1471,37 @@ mod tests {
                 .collect();
             assert_eq!(names, ["dan"], "only the fresh answer surfaces");
         }
+    }
+
+    /// Global ids are offsets: delta view 1 starts after view 0, so an
+    /// ingest homed on shard 0 moves every id of view 1. An outcome from
+    /// before such an ingest must not be explained against the store
+    /// after it — its derivation id now names the other shard's fact.
+    #[test]
+    fn explain_refuses_an_outcome_from_another_generation() {
+        let mut sys = Trinit::from_sharded_parts(
+            ShardedStore::build(kg_builder(BASE_FACTS), 2),
+            RuleSet::new(),
+        );
+        let homed_on = |shard: usize| {
+            let on = |name: &&str| sys.store().resource(name).unwrap().shard_of(2) == shard;
+            BASE_FACTS.iter().map(|f| f.0).find(on).expect("a base subject per shard")
+        };
+        let (first, second) = (homed_on(1), homed_on(0));
+        sys.ingest(|b| {
+            b.add_kg_resources(first, "likes", "jam");
+        });
+        let stale = sys.query("?p likes jam").unwrap();
+        let rendered = sys.explain(&stale, 0).expect("same generation").kg_triples;
+        assert_eq!(rendered, [format!("{first} likes jam")]);
+
+        sys.ingest(|b| {
+            b.add_kg_resources(second, "likes", "jam");
+        });
+        assert!(sys.explain(&stale, 0).is_none(), "stale ids must not resolve");
+        let fresh = sys.query("?p likes jam").unwrap();
+        assert_eq!(fresh.answers.len(), 2);
+        assert!(sys.explain(&fresh, 0).is_some());
     }
 
     /// Compacting re-freezes the delta without changing answers, and

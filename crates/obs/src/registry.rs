@@ -4,8 +4,8 @@
 //! One [`MetricsRegistry`] lives behind the engine for the life of the
 //! process. Counters and gauges are single relaxed atomics; histograms
 //! are sharded across mutex stripes picked by a thread-local stripe id
-//! so concurrent recorders almost never contend. [`snapshot`]
-//! (MetricsRegistry::snapshot) merges everything into one JSON
+//! so concurrent recorders almost never contend.
+//! [`snapshot`](MetricsRegistry::snapshot) merges everything into one JSON
 //! document: counters, gauges, the cache tally, and p50/p90/p99/p999
 //! summaries of the query-wall and per-stage histograms.
 

@@ -333,7 +333,7 @@ pub fn execute(view: &StoreView<'_>, request: ExecRequest<'_>, ctx: ExecCtx<'_>)
             caches.get(s),
             view.totals,
         )
-        .with_id_base(view.offsets[s])
+        .with_id_base(view.offset(s))
     };
     let mut per_shard = Vec::new();
     let answers = if restrict.as_ref().is_some_and(|(_, range)| range.is_empty()) {

@@ -19,9 +19,9 @@
 //! including the ε-approximate mass criterion), and [`drive`] (the one
 //! entry point `execute(view, request, ctx)`, variant enumeration and
 //! the pull loop). [`segmented`] defines what is queried (a
-//! `StoreView` over store slices), [`sharded`] the merge-of-merges
-//! source a multi-slice view gets, and [`topk`] re-exports the public
-//! surface.
+//! [`StoreView`](segmented::StoreView) over store slices), [`sharded`]
+//! the merge-of-merges source a multi-slice view gets, and [`topk`]
+//! re-exports the public surface.
 
 pub mod budget;
 pub mod drive;
@@ -38,10 +38,11 @@ pub mod topk;
 
 /// Resolves triple ids to triples during the rank join.
 ///
-/// The monolithic engine resolves against one [`XkgStore`]; a sharded
-/// executor resolves *global* ids (shard-offset + local id) against the
-/// owning shard. Only the lookup the join actually needs is abstracted —
-/// everything else the engine touches is per-shard and stays concrete.
+/// A one-slice view resolves against its
+/// [`XkgStore`](trinit_xkg::XkgStore); a multi-slice view resolves
+/// *global* ids (slice offset + local id) against the owning slice.
+/// Only the lookup the join actually needs is abstracted — everything
+/// else the engine touches is per-shard and stays concrete.
 pub trait TripleLookup {
     /// The triple with the given id.
     fn triple_of(&self, id: trinit_xkg::TripleId) -> trinit_xkg::Triple;

@@ -1,4 +1,5 @@
-//! Stage 1 over a multi-slice [`StoreView`]: the merge-of-merges.
+//! Stage 1 over a multi-slice
+//! [`StoreView`](crate::exec::segmented::StoreView): the merge-of-merges.
 //!
 //! When a view has more than one slice (N subject-hash shards, a base
 //! plus its delta, or both — see [`crate::exec::segmented`]),
@@ -9,7 +10,8 @@
 //! * a [`ShardedMerge`] holds one [`IncrementalMerge`] per slice and
 //!   emits the union of their posting streams in globally descending
 //!   probability order behind the same [`RankSource`] seam;
-//! * probabilities are normalized by the view's [`GlobalTotals`], so a
+//! * probabilities are normalized by the view's
+//!   [`GlobalTotals`](crate::score::GlobalTotals), so a
 //!   slice's emissions carry exactly the probability the monolithic
 //!   engine would assign them (a slice-local denominator would inflate
 //!   them), and each slice's merge emits ids already based in the
@@ -295,10 +297,26 @@ impl ShardedMerge<'_> {
 mod tests {
     use super::*;
     use crate::exec::drive::TopkConfig;
-    use crate::exec::segmented::SegmentedExec;
-    use crate::score::{GlobalTotals, PostingCache};
+    use crate::score::{satisfies_mask, CanonicalPattern, GlobalTotals, PostingCache};
     use trinit_relax::{QPattern, RuleSet};
     use trinit_xkg::{TripleId, XkgBuilder, XkgStore};
+
+    /// Every slice's matches summed by the reference scan: the
+    /// denominators a partitioned store hands the merge.
+    struct UnionTotals<'a>(&'a [XkgStore]);
+
+    impl GlobalTotals for UnionTotals<'_> {
+        fn pattern_total(&self, &(slot, mask): &CanonicalPattern) -> Option<f64> {
+            let slice_total = |s: &XkgStore| -> f64 {
+                s.lookup(&slot)
+                    .iter()
+                    .filter(|&&id| satisfies_mask(s, id, mask))
+                    .map(|&id| s.provenance(id).weight())
+                    .sum()
+            };
+            Some(self.0.iter().map(slice_total).sum())
+        }
+    }
 
     fn builder() -> XkgBuilder {
         let mut b = XkgBuilder::new();
@@ -386,14 +404,13 @@ mod tests {
         };
         for n in [1usize, 2, 4, 7] {
             let slices = b.clone().build_sharded(n);
-            let refs: Vec<&XkgStore> = slices.iter().collect();
             let mut offsets = Vec::new();
             let mut base = 0u32;
             for s in &slices {
                 offsets.push(base);
                 base += s.len() as u32;
             }
-            let exec = SegmentedExec::new(&refs, &offsets);
+            let exec = UnionTotals(&slices);
             let rules = RuleSet::new();
             let cfg = TopkConfig::default();
             // Both shapes the merge serves heavily: predicate-bound and

@@ -28,4 +28,4 @@ pub use crate::exec::drive::{
     execute, run, run_governed, ExecCtx, ExecOutcome, ExecRequest, TopkConfig,
 };
 pub use crate::exec::merge::{AltView, IncrementalMerge, Merged, RankSource};
-pub use crate::exec::segmented::{SegmentedExec, StoreView};
+pub use crate::exec::segmented::StoreView;

@@ -41,25 +41,21 @@ pub enum SeedMode {
 
 /// What a query's seed phase hands its merge phase: the answers the
 /// per-shard seed tasks found (global ids, globally normalized scores)
-/// and the work each shard's task cost.
-#[derive(Debug)]
+/// and the work each shard's task cost. The default is no seed phase.
+#[derive(Debug, Default)]
 pub struct Seeds {
     answers: Vec<Answer>,
+    /// Shard `i`'s seed work; shards past the end ran no task.
     per_shard: Vec<ExecMetrics>,
 }
 
 impl Seeds {
-    /// No seed phase ran over a store of `shards` shards.
-    pub fn none(shards: usize) -> Seeds {
-        Seeds {
-            answers: Vec::new(),
-            per_shard: vec![ExecMetrics::default(); shards],
-        }
-    }
-
     /// Adds `shard`'s finished seed task.
     pub(crate) fn add(&mut self, shard: usize, answers: Vec<Answer>, metrics: &ExecMetrics) {
         self.answers.extend(answers);
+        if self.per_shard.len() <= shard {
+            self.per_shard.resize(shard + 1, ExecMetrics::default());
+        }
         self.per_shard[shard].merge(metrics);
     }
 }
@@ -73,9 +69,9 @@ impl Seeds {
 /// global (resolve them with [`ShardedStore::resolve`]), `metrics`
 /// aggregates the seed and merge phases, `per_shard` holds each shard's
 /// seed-phase run plus its share of the merge phase's posting work
-/// (live delta views follow the shards), and `completeness` reflects
-/// the merge phase alone — seed-phase retirements never degrade the
-/// label.
+/// (live delta views follow the shards; empty for a store that is one
+/// frozen slice), and `completeness` reflects the merge phase alone —
+/// seed-phase retirements never degrade the label.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedExecutor<'a> {
     pub(crate) store: &'a ShardedStore,
@@ -121,7 +117,7 @@ impl<'a> ShardedExecutor<'a> {
         recorder: &mut TraceRecorder,
     ) -> (Vec<Answer>, ExecMetrics) {
         let slices = [self.store.shard(shard)];
-        let offsets = [self.store.offsets()[shard]];
+        let origin = self.store.offsets()[shard];
         let request = ExecRequest {
             caches: self.caches.get(shard).map_or(&[], std::slice::from_ref),
             ..ExecRequest::new(query, rules, cfg)
@@ -135,7 +131,7 @@ impl<'a> ShardedExecutor<'a> {
             governor: Governor::advisory(tracker),
             recorder: &mut *recorder,
         };
-        let run = execute(&StoreView::over(&slices, &offsets, self.store), request, ctx);
+        let run = execute(&StoreView::over(&slices, origin, self.store), request, ctx);
         recorder.record(Stage::SeedTask, shard as u32, seed_start);
         (run.answers, run.metrics)
     }
@@ -167,7 +163,8 @@ impl<'a> ShardedExecutor<'a> {
     /// The seed phase per `mode`: nothing for [`SeedMode::Off`]; for
     /// [`SeedMode::Parallel`] every shard's seed task on its own scoped
     /// thread, joined in shard order (worker-local recorders merge into
-    /// `recorder` at the join).
+    /// `recorder` at the join). Nothing either over one shard, where a
+    /// seed task would be the merge phase run twice.
     pub fn seed(
         &self,
         query: &Query,
@@ -178,8 +175,8 @@ impl<'a> ShardedExecutor<'a> {
         recorder: &mut TraceRecorder,
     ) -> Seeds {
         let n = self.store.shard_count();
-        let mut seeds = Seeds::none(n);
-        if mode == SeedMode::Off {
+        let mut seeds = Seeds::default();
+        if mode == SeedMode::Off || n == 1 {
             return seeds;
         }
         let results = std::thread::scope(|scope| {
@@ -212,11 +209,14 @@ impl<'a> ShardedExecutor<'a> {
         seeds
     }
 
-    /// The cross-shard merge phase — one [`execute`] over the base
-    /// shards plus any live delta views as extra slices, the collector
-    /// pre-loaded from `seeds` and the seed phase's per-shard work
-    /// folded into the outcome's counters. `ctx` is the query's budget
-    /// and recorder (the caller finishes the trace).
+    /// The cross-shard merge phase — one [`execute`] over the store's
+    /// segments (the base shards plus any live delta views as extra
+    /// slices), the collector pre-loaded from `seeds` and the seed
+    /// phase's per-shard work folded into the outcome's counters. `ctx`
+    /// is the query's budget and recorder (the caller finishes the
+    /// trace). A store that is one frozen slice has nothing to merge:
+    /// the run is a plain one-store execution, with no merge span and
+    /// no per-shard split.
     ///
     /// `restrict = Some(j)` confines query pattern `j` to the delta
     /// slices — the semi-naive delta-query seam: every answer uses at
@@ -236,33 +236,29 @@ impl<'a> ShardedExecutor<'a> {
         restrict: Option<usize>,
         ctx: ExecCtx<'_>,
     ) -> ExecOutcome {
-        let mut slices: Vec<&trinit_xkg::XkgStore> = self.store.shards().iter().collect();
-        let mut offsets: Vec<u32> = self.store.offsets().to_vec();
-        let n_base = slices.len();
-        for (view, offset) in self.store.delta_slices() {
-            slices.push(view);
-            offsets.push(offset);
-        }
+        let Seeds { answers, per_shard } = seeds;
         let request = ExecRequest {
             caches: self.caches,
-            seed: seeds.answers,
-            restrict: restrict.map(|j| (j, n_base..slices.len())),
+            seed: answers,
             ..ExecRequest::new(query, rules, cfg)
         };
+        if let Some(store) = self.store.single_slice() {
+            // No delta: a restricted pattern matches nothing.
+            let request = ExecRequest { restrict: restrict.map(|j| (j, 1..1)), ..request };
+            return execute(&StoreView::single(store), request, ctx);
+        }
+        let slices = self.store.segments();
+        let deltas = self.store.shard_count()..slices.len();
+        let request = ExecRequest { restrict: restrict.map(|j| (j, deltas)), ..request };
         let ExecCtx { governor, recorder } = ctx;
         let merge_start = recorder.start();
-        let view = StoreView::over(&slices, &offsets, self.store);
+        let view = StoreView::over(&slices, 0, self.store);
         let mut run = execute(&view, request, ExecCtx { governor, recorder: &mut *recorder });
         recorder.record(Stage::Merge, slices.len() as u32, merge_start);
 
-        // A one-slice view reports no per-slice split: the aggregate is
-        // that slice's work.
-        if run.per_shard.is_empty() {
-            run.per_shard.push(run.metrics);
-        }
         // Seed-phase work joins both the aggregate and its shard's slot
         // (delta slices, past the shards, have no seed phase).
-        for (seed, slot) in seeds.per_shard.iter().zip(&mut run.per_shard) {
+        for (seed, slot) in per_shard.iter().zip(&mut run.per_shard) {
             run.metrics.merge(seed);
             slot.merge(seed);
         }
@@ -414,21 +410,36 @@ mod tests {
 
     #[test]
     fn every_seed_mode_matches_the_monolith() {
+        use trinit_obs::Stage;
         let single = builder().build();
         let rules = rules(&single);
-        let sharded = ShardedStore::build(builder(), 3);
         let cfg = TopkConfig::default();
         let q = QueryBuilder::new(&single)
             .pattern_v_r_v("a", "p", "b")
             .pattern_v_r_v("b", "q", "c")
             .limit(12)
             .build();
-        let (mono, _) = topk::run(&single, &q, &rules, &cfg);
-        let exec = ShardedExecutor::new(&sharded);
-        for mode in [SeedMode::Off, SeedMode::Parallel] {
-            let run = exec.run(&q, &rules, &cfg, mode);
-            assert_same_answers(&run.answers, &mono);
-            assert_eq!(run.per_shard.len(), 3);
+        let (mono, mono_metrics) = topk::run(&single, &q, &rules, &cfg);
+        for shards in [1, 3] {
+            let sharded = ShardedStore::build(builder(), shards);
+            let exec = ShardedExecutor::new(&sharded);
+            let off = exec.run(&q, &rules, &cfg, SeedMode::Off);
+            let parallel = exec.run(&q, &rules, &cfg, SeedMode::Parallel);
+            for run in [&off, &parallel] {
+                assert_same_answers(&run.answers, &mono);
+            }
+            if shards == 1 {
+                // One shard has nothing to seed: a seed task over it
+                // would be the whole query, answered before the merge
+                // answers it again.
+                assert_eq!(parallel.metrics, off.metrics);
+                assert_eq!(parallel.metrics, mono_metrics);
+                assert_eq!(parallel.trace.stage_count(Stage::SeedTask), 0);
+                assert!(parallel.per_shard.is_empty());
+            } else {
+                assert_eq!(parallel.trace.stage_count(Stage::SeedTask), shards);
+                assert_eq!(parallel.per_shard.len(), shards);
+            }
         }
     }
 

@@ -1,11 +1,11 @@
 //! # trinit-shard — sharded store and parallel batch execution
 //!
-//! Scales the TriniT reproduction past one monolithic store: an
-//! [`XkgStore`](trinit_xkg::XkgStore) is hash-partitioned into N
-//! independent shards at build time, queries execute over the shards
-//! through the partitioned top-k engine, and independent queries run
-//! concurrently across a pool of worker threads sized to the shard
-//! count.
+//! The store behind every TriniT system: an
+//! [`XkgStore`](trinit_xkg::XkgStore) is hash-partitioned into N ≥ 1
+//! independent shards at build time (a monolith is N = 1), queries
+//! execute over the shards and their live delta views through the
+//! partitioned top-k engine, and independent queries run concurrently
+//! across a pool of worker threads sized to the shard count.
 //!
 //! ## Partition scheme
 //!

@@ -284,7 +284,7 @@ impl<'a> ShardedExecutor<'a> {
                             continue;
                         }
                         let slots = std::mem::take(&mut *lock_recover(&state.seeds));
-                        let mut seeds = Seeds::none(n_shards);
+                        let mut seeds = Seeds::default();
                         // The query's trace: worker-local seed recorders
                         // merged in shard order (deterministic regardless
                         // of which worker ran which task), then the merge

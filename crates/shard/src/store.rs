@@ -1,5 +1,5 @@
-//! The sharded store: N subject-hash-partitioned [`XkgStore`] slices
-//! behind one global façade.
+//! The store behind every system: N ≥ 1 subject-hash-partitioned
+//! [`XkgStore`] slices behind one global façade; a monolith is N = 1.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -55,18 +55,19 @@ impl Aggregates {
     }
 }
 
-/// N subject-hash-partitioned store shards sharing one term dictionary,
-/// plus the global aggregates partitioned execution needs: per-predicate
-/// and whole-store emission-weight totals (frozen at build time) and a
-/// memo of scanned totals for pattern shapes that span shards.
+/// N ≥ 1 subject-hash-partitioned store shards sharing one term
+/// dictionary (a monolith is one shard), a live delta over them, and
+/// the global aggregates partitioned execution needs: per-predicate and
+/// whole-store emission-weight totals (frozen at build time) and a memo
+/// of scanned totals for pattern shapes that span slices.
 ///
 /// Triple ids exposed by this type are **global**: shard `i`'s local id
-/// `t` maps to `offsets[i] + t`. Term and source ids need no mapping —
-/// the shards share one dictionary and source table.
+/// `t` maps to `offsets[i] + t`, and the delta views follow the shards.
+/// Term and source ids need no mapping — the shards share one
+/// dictionary and source table.
 #[derive(Debug)]
 pub struct ShardedStore {
-    /// The base shards and the live delta over them — the write path
-    /// shared with the monolith's `SegmentedStore`. Delta views are
+    /// The base shards and the live delta over them. Delta views are
     /// subject-hash partitioned like the shards, so subject co-location
     /// holds per segment pair.
     live: LiveDelta,
@@ -149,6 +150,28 @@ impl ShardedStore {
     #[inline]
     pub fn shard(&self, i: usize) -> &XkgStore {
         &self.live.bases()[i]
+    }
+
+    /// Partition 0's frozen base — a monolith's whole frozen store.
+    #[inline]
+    pub fn base(&self) -> &XkgStore {
+        self.shard(0)
+    }
+
+    /// The whole store as one frozen slice — the case a query reads
+    /// through a plain one-store view, where local totals are global:
+    /// [`ShardedStore::base`] when there is one partition and no live
+    /// delta.
+    #[inline]
+    pub fn single_slice(&self) -> Option<&XkgStore> {
+        (self.shard_count() == 1 && !self.has_delta()).then(|| self.base())
+    }
+
+    /// The live segments in global-id order: the base shards, then the
+    /// non-empty delta views.
+    pub fn segments(&self) -> Vec<&XkgStore> {
+        let views = self.delta_slices().map(|(view, _)| view);
+        self.shards().iter().chain(views).collect()
     }
 
     /// Per-shard bases in the global triple-id space.
@@ -683,6 +706,59 @@ mod tests {
         let sub_key =
             trinit_query::canonical_pattern(&QPattern::new(QTerm::Term(s0), QTerm::Term(p), v1));
         assert_eq!(sharded.pattern_total(&sub_key), None);
+    }
+
+    /// A monolith is the one-partition store: global ids run over the
+    /// base, then the live delta view; triple lookup, the condition
+    /// oracle and the pattern totals span both, and the store reads as
+    /// one frozen slice exactly while no delta is live.
+    #[test]
+    fn one_partition_store_spans_base_and_delta() {
+        let batch = |b: &mut XkgBuilder| {
+            b.add_kg_resources("fresh", "p", "o3");
+            b.add_kg_resources("s1", "q", "o1");
+        };
+        let mut store = ShardedStore::from_shards(vec![builder().build()]);
+        assert!(store.single_slice().is_some());
+        assert_eq!(store.segments().len(), 1);
+        let base_len = store.base().len();
+        assert_eq!(store.ingest(batch), 2);
+        assert!(store.single_slice().is_none());
+        let segments = store.segments();
+        assert_eq!(segments.len(), 2);
+        let view = segments[1];
+        assert_eq!(store.len(), base_len + view.len());
+
+        let first_delta = TripleId(base_len as u32);
+        assert_eq!(store.triple(TripleId(0)), store.base().triple(TripleId(0)));
+        assert_eq!(store.triple(first_delta), view.triple(TripleId(0)));
+        assert_eq!(store.triple_of(first_delta), view.triple(TripleId(0)));
+        assert_eq!(store.display_triple(first_delta), view.display_triple(TripleId(0)));
+
+        let id = |name: &str| store.resource(name).unwrap();
+        assert!(store.ground_holds(id("fresh"), id("p"), id("o3")), "delta fact");
+        assert!(store.ground_holds(id("s0"), id("p"), id("o0")), "base fact");
+        assert!(!store.ground_holds(id("fresh"), id("p"), id("o0")));
+
+        let mut union = builder();
+        batch(&mut union);
+        let union = union.build();
+        let (s, p, o) = (id("s1"), id("p"), id("o1"));
+        for mask in 0u8..8 {
+            let slot = SlotPattern::new(
+                (mask & 1 != 0).then_some(s),
+                (mask & 2 != 0).then_some(p),
+                (mask & 4 != 0).then_some(o),
+            );
+            let want: f64 = union
+                .lookup(&slot)
+                .iter()
+                .map(|&id| union.provenance(id).weight())
+                .sum();
+            let total = store.pattern_total(&(slot, 0)).expect("explicit under a delta");
+            assert!((total - want).abs() < 1e-9, "shape {slot}");
+        }
+        assert_eq!(store.len_of(GraphTag::Kg), union.len_of(GraphTag::Kg));
     }
 
     #[test]

@@ -613,12 +613,11 @@ proptest! {
     }
 }
 
-/// The union source `execute` builds for one pattern over `slices` (slice
-/// `i` based at `offsets[i]`), confined to the slice sub-range `range`
-/// the way a delta-restricted pattern is.
+/// The union source `execute` builds for one pattern over `slices` (a
+/// store's segments: each based where its predecessor ends), confined
+/// to the slice sub-range `range` the way a delta-restricted pattern is.
 fn union_merge<'a>(
     slices: &[&'a XkgStore],
-    offsets: &[u32],
     range: Range<usize>,
     pattern: &QPattern,
     rules: &RuleSet,
@@ -629,8 +628,9 @@ fn union_merge<'a>(
         .clone()
         .map(|s| {
             let cache = Rc::new(RefCell::new(PostingCache::new()));
+            let base: usize = slices[..s].iter().map(|slice| slice.len()).sum();
             IncrementalMerge::for_pattern(slices[s], pattern, rules, cfg, 8, cache, None, Some(totals))
-                .with_id_base(offsets[s])
+                .with_id_base(base as u32)
         })
         .collect();
     let metrics = Rc::new(RefCell::new(vec![ExecMetrics::default(); slices.len()]));
@@ -669,14 +669,9 @@ proptest! {
         let set: RuleSet = rules.into_iter().chain(own).collect();
         let cfg = TopkConfig { min_weight: 0.0, ..TopkConfig::default() };
         let check = |store: &ShardedStore, range: Option<Range<usize>>| {
-            let mut slices: Vec<&XkgStore> = store.shards().iter().collect();
-            let mut offsets = store.offsets().to_vec();
-            for (view, offset) in store.delta_slices() {
-                slices.push(view);
-                offsets.push(offset);
-            }
+            let slices = store.segments();
             let range = range.unwrap_or(0..slices.len());
-            let merge = || union_merge(&slices, &offsets, range.clone(), &pattern, &set, &cfg, store);
+            let merge = || union_merge(&slices, range.clone(), &pattern, &set, &cfg, store);
             assert_restriction_filters(merge(), merge(), |id| store.triple(id), &vars, &keys, at);
         };
         for shards in [1usize, 2, 4, 7] {

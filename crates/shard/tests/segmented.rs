@@ -15,12 +15,12 @@ use std::collections::{BTreeMap, HashSet};
 
 use proptest::prelude::*;
 
-use trinit_query::exec::topk::{self, ExecCtx, ExecRequest, SegmentedExec, TopkConfig};
+use trinit_query::exec::topk::{self, ExecCtx, ExecRequest, StoreView, TopkConfig};
 use trinit_query::{Answer, BudgetTracker, Governor, Query, TraceRecorder};
 use trinit_relax::{ConditionOracle, QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
 use trinit_shard::{SeedMode, Seeds, ShardedExecutor, ShardedStore};
 use trinit_xkg::{
-    PostingList, Provenance, SegmentLayout, SegmentedStore, SlotPattern, SourceId, StorageBytes,
+    PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, StorageBytes,
     TermId, TermKind, Triple, TripleId, XkgBuilder, XkgStore,
 };
 
@@ -322,27 +322,32 @@ fn rule_of_shape(p1: u32, p2: u32, w: f64, shape: u8) -> Rule {
 
 use trinit_shard::testkit::assert_answers_score_equivalent as assert_answers_equivalent;
 
-/// Monolithic segmented execution: the base and the delta view as the
-/// two slices of one view, normalized by [`SegmentedExec`].
+/// A monolith: one partition over an already-built store, the way the
+/// facade wraps one.
+fn monolith(base: XkgStore) -> ShardedStore {
+    ShardedStore::from_shards(vec![base])
+}
+
+/// Monolithic segmented execution: the store's segments — the base and
+/// the live delta view — as the two slices of one view, normalized by
+/// the store itself.
 fn run_mono_segmented(
-    seg: &SegmentedStore,
+    seg: &ShardedStore,
     query: &Query,
     rules: &RuleSet,
     cfg: &TopkConfig,
 ) -> Vec<Answer> {
-    let Some(delta) = seg.delta_view() else {
-        return topk::run(seg.base(), query, rules, cfg).0;
-    };
-    let base = seg.base();
-    let slices = [base, delta];
-    let offsets = [0u32, base.len() as u32];
-    let exec = SegmentedExec::new(&slices, &offsets);
+    if let Some(base) = seg.single_slice() {
+        return topk::run(base, query, rules, cfg).0;
+    }
+    let slices = seg.segments();
     let tracker = BudgetTracker::new(cfg);
     let ctx = ExecCtx {
         governor: Governor::primary(&tracker),
         recorder: &mut TraceRecorder::off(),
     };
-    topk::execute(&exec.view(), ExecRequest::new(query, rules, cfg), ctx).answers
+    let view = StoreView::over(&slices, 0, seg);
+    topk::execute(&view, ExecRequest::new(query, rules, cfg), ctx).answers
 }
 
 proptest! {
@@ -369,11 +374,11 @@ proptest! {
         let (want, _) = topk::run(&union, &query, &set, &cfg);
 
         // Monolithic segmented store.
-        let mut seg = SegmentedStore::new(builder_from(&base_rows).build());
+        let mut seg = monolith(builder_from(&base_rows).build());
         seg.ingest(|b| add_rows(b, &fresh));
         assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want);
         seg.compact();
-        prop_assert!(seg.delta_view().is_none());
+        prop_assert!(seg.single_slice().is_some());
         assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want);
 
         // Sharded store with live per-shard delta views.
@@ -396,7 +401,7 @@ proptest! {
                 governor: Governor::primary(&tracker),
                 recorder: &mut TraceRecorder::off(),
             };
-            let none = exec.merge(&query, &set, &cfg, Seeds::none(shards), Some(0), ctx);
+            let none = exec.merge(&query, &set, &cfg, Seeds::default(), Some(0), ctx);
             prop_assert!(none.answers.is_empty());
         }
     }
@@ -465,10 +470,10 @@ proptest! {
             .collect();
 
         for layout in [SegmentLayout::Flat, SegmentLayout::Packed] {
-            let mut seg = SegmentedStore::new(base().build_with(layout));
+            let mut seg = monolith(base().build_with(layout));
             for (i, rows) in batches.iter().enumerate() {
                 seg.ingest(|b| add_named_rows(b, rows, shift(i), &source(i), &nothing));
-                if let Some(view) = seg.delta_view() {
+                for (view, _) in seg.delta_slices() {
                     assert_same_structures(view, &refrozen(view), &shapes);
                 }
                 if i == compact_after {
@@ -507,8 +512,7 @@ proptest! {
             assert_same_vocabulary(sharded.vocab(), &live);
             prop_assert_eq!(sharded.len(), live.len());
             for shape in &shapes {
-                let slices = sharded.shards().iter().chain(sharded.delta_slices().map(|(v, _)| v));
-                let got = scan_union(slices, shape);
+                let got = scan_union(sharded.segments().into_iter(), shape);
                 prop_assert_eq!(
                     got, scan_union(std::iter::once(&live), shape),
                     "shape {} at {} shards", shape, shards
@@ -564,9 +568,8 @@ proptest! {
                     (mask & 4 != 0).then_some(tid(o)),
                 );
                 let mut got: Vec<(Triple, u64)> = sharded
-                    .shards()
-                    .iter()
-                    .chain(sharded.delta_slices().map(|(v, _)| v))
+                    .segments()
+                    .into_iter()
                     .flat_map(|slice| {
                         slice.lookup(&pattern).iter().map(|&id| {
                             (slice.triple(id), slice.provenance(id).weight().to_bits())
@@ -633,7 +636,7 @@ proptest! {
                     governor: Governor::primary(&tracker),
                     recorder: &mut TraceRecorder::off(),
                 };
-                let run = exec.merge(&query, &set, &cfg, Seeds::none(shards), Some(j), ctx);
+                let run = exec.merge(&query, &set, &cfg, Seeds::default(), Some(j), ctx);
                 for a in run.answers {
                     prop_assert!(
                         a.derivation.triples.iter().any(|(_, id)| id.0 >= base_total),

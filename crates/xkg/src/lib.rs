@@ -23,6 +23,9 @@
 //!   (subject-/object-bound) patterns are served as borrowed slices
 //!   without per-query sorting, and the remaining shapes filter an
 //!   already-sorted group — no query ever sorts post-build;
+//! * [`LiveDelta`] — the write path: N frozen base partitions (one for
+//!   a monolith) plus a live delta that ingestion merges into and
+//!   compaction folds back;
 //! * [`stats`] — predicate statistics and the `args(p)` sets used by the
 //!   relaxation miner (paper §3).
 
@@ -45,7 +48,7 @@ pub use index::MatchIds;
 pub use pack::SegmentLayout;
 pub use pattern::SlotPattern;
 pub use posting::{EntriesRef, Posting, PostingIndex, PostingList, ServeKind, SharedParts};
-pub use segment::{LiveDelta, SegmentedStore};
+pub use segment::LiveDelta;
 pub use stats::{args_pairs, cardinality, PredicateStats, StorageBytes, StoreStats};
 pub use store::{XkgBuilder, XkgError, XkgStore};
 pub use term::{TermId, TermKind};

@@ -1,22 +1,22 @@
-//! LSM-style segmented store: frozen base + mutable delta.
+//! LSM-style live ingestion: frozen base partitions + one mutable delta.
 //!
-//! Everything in [`XkgStore`](crate::XkgStore) is frozen at `build()`,
-//! but a production KG ingests continuously. [`SegmentedStore`] layers a
-//! small mutable delta segment over a frozen base segment:
+//! Everything in [`XkgStore`] is frozen at `build()`, but a production
+//! KG ingests continuously. [`LiveDelta`] layers a small mutable delta
+//! over N frozen base partitions — one for a monolith — and is the write
+//! path of every store (the partitioned store in `trinit-shard` adds its
+//! cross-partition aggregates on top):
 //!
-//! - [`SegmentedStore::ingest`] appends a batch into the delta and
-//!   merges it into *only the delta's* sorted columns, so the base's
-//!   permutation and posting indexes are never rebuilt. A segment is just
-//!   another merge source: queries serve posting lists per segment and
-//!   union them through the engine's rank-merge seam.
-//! - [`SegmentedStore::compact`] merges the delta (and any pending
-//!   provenance absorbs) back into a single frozen base, emptying the
-//!   delta.
+//! - [`LiveDelta::ingest`] appends a batch into the delta and merges it
+//!   into *only the delta's* sorted columns, so the bases' permutation
+//!   and posting indexes are never rebuilt. A segment is just another
+//!   merge source: queries serve posting lists per segment and union them
+//!   through the engine's rank-merge seam.
+//! - [`LiveDelta::compact`] merges the delta (and any pending provenance
+//!   absorbs) back into the frozen bases, emptying the delta.
 //!
-//! Both are [`LiveDelta`]'s, which the sharded store shares: an ingest
-//! costs the batch plus one merge into the delta, a compaction one merge
-//! of the delta into the base, and neither copies vocabulary or
-//! provenance (the cost table is in `docs/storage.md`).
+//! An ingest costs the batch plus one merge into the delta, a compaction
+//! one merge of the delta into the base, and neither copies vocabulary
+//! or provenance (the cost table is in `docs/storage.md`).
 //!
 //! Re-observation of a triple the base already holds does not duplicate
 //! it: the provenance merge is queued as a *pending absorb* and applied
@@ -24,8 +24,8 @@
 //! pre-ingest weight — deltas only ever add mass for genuinely new
 //! facts, which keeps every frozen index valid between compactions).
 //!
-//! Global [`TripleId`]s over a segmented store are `base ids` followed by
-//! `base.len() + delta-local ids`; compaction reassigns them.
+//! Global [`TripleId`]s enumerate the base partitions, then the delta
+//! views after all of them; compaction reassigns them.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -36,12 +36,11 @@ use crate::dict::{SourceTable, TermDict};
 use crate::pack::SegmentLayout;
 use crate::pattern::SlotPattern;
 use crate::store::{next_triple_id, Columns, Part, Vocab, XkgBuilder, XkgStore};
-use crate::term::TermId;
-use crate::triple::{GraphTag, Provenance, SourceId, Triple, TripleId};
+use crate::triple::{GraphTag, Provenance, Triple, TripleId};
 
-/// The write path under both [`SegmentedStore`] and the sharded store:
-/// N frozen base partitions (subject-hash partitioned; N = 1 for a
-/// monolith) and one live delta partitioned the same way.
+/// The write path of every store: N frozen base partitions
+/// (subject-hash partitioned; N = 1 for a monolith) and one live delta
+/// partitioned the same way.
 ///
 /// The delta's triples live in its frozen views between ingests; an
 /// ingest appends the batch to their columns and merges it into their
@@ -301,174 +300,6 @@ impl LiveDelta {
     }
 }
 
-/// A frozen base segment plus a small mutable delta segment: the
-/// one-partition case of [`LiveDelta`].
-#[derive(Debug)]
-pub struct SegmentedStore {
-    live: LiveDelta,
-}
-
-impl SegmentedStore {
-    /// Wraps a frozen store as the base segment with an empty delta.
-    pub fn new(base: XkgStore) -> SegmentedStore {
-        SegmentedStore {
-            live: LiveDelta::new(vec![base]),
-        }
-    }
-
-    /// The frozen base segment.
-    #[inline]
-    pub fn base(&self) -> &XkgStore {
-        &self.live.bases()[0]
-    }
-
-    /// The delta segment's frozen view, or `None` while the delta is
-    /// empty.
-    #[inline]
-    pub fn delta_view(&self) -> Option<&XkgStore> {
-        self.live.views().first()
-    }
-
-    /// The store to resolve vocabulary against: the delta view when one
-    /// exists (its dictionary is a superset of the base's, with
-    /// identical ids for shared terms), the base otherwise.
-    #[inline]
-    pub fn vocab(&self) -> &XkgStore {
-        self.live.vocab()
-    }
-
-    /// Number of triples currently in the delta segment.
-    pub fn delta_len(&self) -> usize {
-        self.live.len()
-    }
-
-    /// Number of provenance merges queued for the next compaction.
-    pub fn pending_absorbs(&self) -> usize {
-        self.live.pending_absorbs()
-    }
-
-    /// The store generation: bumped by every [`SegmentedStore::ingest`]
-    /// and [`SegmentedStore::compact`]. Two reads under the same
-    /// generation observe an identical store.
-    #[inline]
-    pub fn generation(&self) -> u64 {
-        self.live.generation()
-    }
-
-    /// The base segment's epoch: bumped by [`SegmentedStore::compact`]
-    /// only — an ingest never changes the base.
-    #[inline]
-    pub fn base_epoch(&self) -> u64 {
-        self.live.base_epoch()
-    }
-
-    /// Total triples across both segments (pending absorbs merge into
-    /// existing base triples and add none).
-    pub fn len(&self) -> usize {
-        self.base().len() + self.live.len()
-    }
-
-    /// True if both segments are empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Triples per stratum across both segments. O(1).
-    pub fn len_of(&self, graph: GraphTag) -> usize {
-        self.base().len_of(graph) + self.live.len_of(graph)
-    }
-
-    /// The live segments in global-id order: base first, then the delta
-    /// view if the delta is non-empty.
-    pub fn segments(&self) -> Vec<&XkgStore> {
-        let mut out = vec![self.base()];
-        out.extend(self.delta_view());
-        out
-    }
-
-    /// Resolves a global triple id to its segment and segment-local id.
-    /// Global ids enumerate the base then the delta view.
-    fn resolve(&self, id: TripleId) -> (&XkgStore, TripleId) {
-        let base = self.base();
-        let base_len = base.len() as u32;
-        if id.0 < base_len {
-            return (base, id);
-        }
-        // Ids past the base are only issued while a delta view exists; a
-        // stale id with no delta degrades to the base segment, whose
-        // bounds-checked accessor reports it as out of range.
-        match self.delta_view() {
-            Some(view) => (view, TripleId(id.0 - base_len)),
-            None => (base, id),
-        }
-    }
-
-    /// The triple with the given *global* id (base ids first, then
-    /// delta ids offset by `base.len()`).
-    pub fn triple(&self, id: TripleId) -> Triple {
-        let (seg, local) = self.resolve(id);
-        seg.triple(local)
-    }
-
-    /// Provenance of the triple with the given global id.
-    pub fn provenance(&self, id: TripleId) -> &Provenance {
-        let (seg, local) = self.resolve(id);
-        seg.provenance(local)
-    }
-
-    /// Renders a term for display (the delta dictionary is a superset of
-    /// the base's, so every term of either segment resolves).
-    pub fn display_term(&self, id: TermId) -> String {
-        self.vocab().display_term(id)
-    }
-
-    /// Renders a triple with a global id in `S P O` form.
-    pub fn display_triple(&self, id: TripleId) -> String {
-        let (seg, local) = self.resolve(id);
-        seg.display_triple(local)
-    }
-
-    /// Resolves a source id to its document identifier.
-    pub fn source_name(&self, id: SourceId) -> Option<&str> {
-        self.vocab().source_name(id)
-    }
-
-    /// Ingests a batch of triples: `fill` appends into a builder whose
-    /// dictionary/source table extend the current vocabulary, the batch
-    /// lands in the delta segment, and the delta view is frozen again
-    /// (see [`LiveDelta::ingest`]). Returns the number of *new* triples
-    /// appended; re-observations of base triples are queued as pending
-    /// provenance absorbs instead (applied at the next
-    /// [`SegmentedStore::compact`]), and re-observations of delta
-    /// triples merge in place.
-    pub fn ingest(&mut self, fill: impl FnOnce(&mut XkgBuilder)) -> usize {
-        self.live.ingest(fill)
-    }
-
-    /// Re-freezes the delta into the base: base triples, pending
-    /// provenance absorbs, and delta triples become one fresh frozen
-    /// store in the base's layout (a Packed base stays Packed; the hot
-    /// delta view is always Flat), and the delta empties. Global triple
-    /// ids are reassigned.
-    pub fn compact(&mut self) {
-        self.live.compact();
-    }
-
-    /// Wall time of the most recent ingest batch, in nanoseconds (`0`
-    /// before the first ingest).
-    #[inline]
-    pub fn last_ingest_ns(&self) -> u64 {
-        self.live.last_ingest_ns()
-    }
-
-    /// Wall time of the most recent compaction, in nanoseconds (`0`
-    /// before the first compaction).
-    #[inline]
-    pub fn last_compact_ns(&self) -> u64 {
-        self.live.last_compact_ns()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -508,10 +339,28 @@ mod tests {
         b.build()
     }
 
-    fn segmented() -> SegmentedStore {
-        let mut seg = SegmentedStore::new(base_builder().build());
-        seg.ingest(ingest_batch);
-        seg
+    /// A monolith: one base partition.
+    fn monolith(base: XkgStore) -> LiveDelta {
+        LiveDelta::new(vec![base])
+    }
+
+    fn live() -> LiveDelta {
+        let mut live = monolith(base_builder().build());
+        live.ingest(ingest_batch);
+        live
+    }
+
+    fn base(live: &LiveDelta) -> &XkgStore {
+        &live.bases()[0]
+    }
+
+    fn view(live: &LiveDelta) -> Option<&XkgStore> {
+        live.views().first()
+    }
+
+    /// Every live segment, in global-id order.
+    fn segments(live: &LiveDelta) -> impl Iterator<Item = &XkgStore> {
+        live.bases().iter().chain(live.views())
     }
 
     /// Multiset of (triple, weight) a pattern matches in a store,
@@ -525,6 +374,16 @@ mod tests {
             .collect();
         out.sort();
         out
+    }
+
+    /// [`scan_set`] over every live segment.
+    fn scan_segments(live: &LiveDelta, pattern: &SlotPattern) -> Vec<(Triple, u64)> {
+        let mut got: Vec<(Triple, u64)> = Vec::new();
+        for segment in segments(live) {
+            got.extend(scan_set(segment, pattern));
+        }
+        got.sort();
+        got
     }
 
     fn all_shapes(store: &XkgStore) -> Vec<SlotPattern> {
@@ -545,29 +404,28 @@ mod tests {
 
     #[test]
     fn segment_union_matches_rebuilt_store_for_all_shapes() {
-        let seg = segmented();
+        let live = live();
         let union = rebuilt_union();
         for pattern in all_shapes(&union) {
-            let mut got: Vec<(Triple, u64)> = Vec::new();
-            for segment in seg.segments() {
-                got.extend(scan_set(segment, &pattern));
-            }
-            got.sort();
-            assert_eq!(got, scan_set(&union, &pattern), "shape {pattern}");
+            assert_eq!(
+                scan_segments(&live, &pattern),
+                scan_set(&union, &pattern),
+                "shape {pattern}"
+            );
         }
     }
 
     #[test]
     fn compact_preserves_the_union() {
-        let mut seg = segmented();
+        let mut live = live();
         let union = rebuilt_union();
-        seg.compact();
-        assert!(seg.delta_view().is_none());
-        assert_eq!(seg.delta_len(), 0);
-        assert_eq!(seg.len(), union.len());
+        live.compact();
+        assert!(view(&live).is_none());
+        assert_eq!(live.len(), 0);
+        assert_eq!(base(&live).len(), union.len());
         for pattern in all_shapes(&union) {
             assert_eq!(
-                scan_set(seg.base(), &pattern),
+                scan_set(base(&live), &pattern),
                 scan_set(&union, &pattern),
                 "shape {pattern}"
             );
@@ -576,18 +434,17 @@ mod tests {
 
     #[test]
     fn packed_base_stays_packed_through_compact() {
-        use crate::pack::SegmentLayout;
-        let mut seg = SegmentedStore::new(base_builder().build_with(SegmentLayout::Packed));
-        assert!(!seg.base().layout().is_flat());
-        seg.ingest(ingest_batch);
+        let mut live = monolith(base_builder().build_with(SegmentLayout::Packed));
+        assert!(!base(&live).layout().is_flat());
+        live.ingest(ingest_batch);
         // The hot delta view is always frozen Flat.
-        assert!(seg.delta_view().unwrap().layout().is_flat());
-        seg.compact();
-        assert!(!seg.base().layout().is_flat(), "compact must keep the base Packed");
+        assert!(view(&live).unwrap().layout().is_flat());
+        live.compact();
+        assert!(!base(&live).layout().is_flat(), "compact must keep the base Packed");
         let union = rebuilt_union();
         for pattern in all_shapes(&union) {
             assert_eq!(
-                scan_set(seg.base(), &pattern),
+                scan_set(base(&live), &pattern),
                 scan_set(&union, &pattern),
                 "shape {pattern}"
             );
@@ -596,81 +453,68 @@ mod tests {
 
     #[test]
     fn reobserved_base_triple_queues_pending_absorb() {
-        let mut seg = SegmentedStore::new(base_builder().build());
-        let before = seg.base().len();
-        let appended = seg.ingest(|b| {
+        let mut live = monolith(base_builder().build());
+        let before = base(&live).len();
+        let appended = live.ingest(|b| {
             // `s1 p o1` already exists in the base.
             b.add_kg_resources("s1", "p", "o1");
         });
         assert_eq!(appended, 0);
-        assert_eq!(seg.delta_len(), 0, "re-observation must not enter the delta");
-        assert!(seg.delta_view().is_none());
-        assert_eq!(seg.pending_absorbs(), 1);
-        seg.compact();
-        assert_eq!(seg.base().len(), before, "absorb adds no triple");
-        let s = seg.base().resource("s1").unwrap();
-        let p = seg.base().resource("p").unwrap();
-        let o = seg.base().resource("o1").unwrap();
-        let ids = seg.base().lookup(&SlotPattern::new(Some(s), Some(p), Some(o)));
-        assert_eq!(seg.base().provenance(ids[0]).support, 2);
-        assert_eq!(seg.pending_absorbs(), 0);
+        assert_eq!(live.len(), 0, "re-observation must not enter the delta");
+        assert!(view(&live).is_none());
+        assert_eq!(live.pending_absorbs(), 1);
+        live.compact();
+        let base = base(&live);
+        assert_eq!(base.len(), before, "absorb adds no triple");
+        let s = base.resource("s1").unwrap();
+        let p = base.resource("p").unwrap();
+        let o = base.resource("o1").unwrap();
+        let ids = base.lookup(&SlotPattern::new(Some(s), Some(p), Some(o)));
+        assert_eq!(base.provenance(ids[0]).support, 2);
+        assert_eq!(live.pending_absorbs(), 0);
     }
 
     #[test]
     fn generation_bumps_on_every_mutation() {
-        let mut seg = SegmentedStore::new(base_builder().build());
-        assert_eq!(seg.generation(), 0);
-        seg.ingest(ingest_batch);
-        assert_eq!(seg.generation(), 1);
-        seg.compact();
-        assert_eq!(seg.generation(), 2);
+        let mut live = monolith(base_builder().build());
+        assert_eq!((live.generation(), live.base_epoch()), (0, 0));
+        live.ingest(ingest_batch);
+        assert_eq!((live.generation(), live.base_epoch()), (1, 0));
+        live.compact();
+        assert_eq!((live.generation(), live.base_epoch()), (2, 1));
     }
 
     #[test]
     fn delta_vocab_extends_base_vocab() {
-        let seg = segmented();
-        assert!(seg.base().resource("fresh").is_none());
-        let fresh = seg.vocab().resource("fresh").unwrap();
+        let live = live();
+        assert!(base(&live).resource("fresh").is_none());
+        let fresh = live.vocab().resource("fresh").unwrap();
         // Shared terms keep their base ids in the delta dictionary.
-        assert_eq!(seg.vocab().resource("s1"), seg.base().resource("s1"));
-        let view = seg.delta_view().unwrap();
+        assert_eq!(live.vocab().resource("s1"), base(&live).resource("s1"));
+        let view = view(&live).unwrap();
         assert_eq!(view.lookup(&SlotPattern::new(None, None, Some(fresh))).len(), 1);
     }
 
     #[test]
-    fn global_ids_resolve_across_segments() {
-        let seg = segmented();
-        let base_len = seg.base().len() as u32;
-        let t = seg.triple(TripleId(0));
-        assert_eq!(t, seg.base().triple(TripleId(0)));
-        let view = seg.delta_view().unwrap();
-        let dt = seg.triple(TripleId(base_len));
-        assert_eq!(dt, view.triple(TripleId(0)));
-        assert_eq!(
-            seg.display_triple(TripleId(base_len)),
-            view.display_triple(TripleId(0))
-        );
-        assert_eq!(seg.len(), seg.base().len() + view.len());
-    }
-
-    #[test]
     fn len_of_counts_both_segments() {
-        let seg = segmented();
+        let live = live();
         let union = rebuilt_union();
-        assert_eq!(seg.len_of(GraphTag::Kg), union.len_of(GraphTag::Kg));
-        assert_eq!(seg.len_of(GraphTag::Xkg), union.len_of(GraphTag::Xkg));
+        for graph in [GraphTag::Kg, GraphTag::Xkg] {
+            assert_eq!(base(&live).len_of(graph) + live.len_of(graph), union.len_of(graph));
+        }
+        assert_eq!(base(&live).len() + view(&live).unwrap().len(), union.len());
     }
 
     #[test]
     fn delta_shares_the_base_vocabulary_instead_of_copying_it() {
-        let mut seg = SegmentedStore::new(base_builder().build());
+        let mut live = monolith(base_builder().build());
         assert!(
-            Arc::ptr_eq(&seg.live.vocab.dict, &seg.base().dict_handle()),
+            Arc::ptr_eq(&live.vocab.dict, &base(&live).dict_handle()),
             "an empty delta holds the base's own dictionary"
         );
-        seg.ingest(ingest_batch);
-        let base_dict = seg.base().dict();
-        let view = seg.delta_view().unwrap();
+        live.ingest(ingest_batch);
+        let base_dict = base(&live).dict();
+        let view = view(&live).unwrap();
         let added = view.dict().heap_bytes_beyond(base_dict);
         assert!(added > 0, "the batch interned new terms");
         assert_eq!(
@@ -681,36 +525,36 @@ mod tests {
         // The view reports the delta's share only, so summing the live
         // segments counts the base vocabulary once.
         assert_eq!(view.storage_bytes().dict, added);
-        assert_eq!(seg.base().storage_bytes().dict, base_dict.heap_bytes());
+        assert_eq!(base(&live).storage_bytes().dict, base_dict.heap_bytes());
     }
 
     #[test]
     fn provenance_moves_through_ingest_and_compaction() {
-        let mut seg = SegmentedStore::new(base_builder().build());
-        seg.ingest(ingest_batch);
+        let mut live = monolith(base_builder().build());
+        live.ingest(ingest_batch);
         let where_is = |store: &XkgStore, pred: &str| {
             let p = store.token(pred).unwrap();
             let id = store.lookup(&SlotPattern::with_p(p))[0];
             store.provenance(id).sources.as_ptr()
         };
-        let base_before = where_is(seg.base(), "close to");
-        let delta_before = where_is(seg.delta_view().unwrap(), "linked to");
-        seg.ingest(|b| {
+        let base_before = where_is(base(&live), "close to");
+        let delta_before = where_is(view(&live).unwrap(), "linked to");
+        live.ingest(|b| {
             b.add_kg_resources("s40", "p", "o1");
         });
         assert_eq!(
-            where_is(seg.delta_view().unwrap(), "linked to"),
+            where_is(view(&live).unwrap(), "linked to"),
             delta_before,
             "re-freezing the delta cloned an existing provenance"
         );
-        seg.compact();
-        assert_eq!(where_is(seg.base(), "close to"), base_before);
-        assert_eq!(where_is(seg.base(), "linked to"), delta_before);
+        live.compact();
+        assert_eq!(where_is(base(&live), "close to"), base_before);
+        assert_eq!(where_is(base(&live), "linked to"), delta_before);
     }
 
     #[test]
     fn successive_ingests_accumulate_like_one_rebuild() {
-        let mut seg = SegmentedStore::new(base_builder().build());
+        let mut live = monolith(base_builder().build());
         let mut union = base_builder();
         let batches: [&dyn Fn(&mut XkgBuilder); 4] = [
             &ingest_batch,
@@ -737,24 +581,23 @@ mod tests {
             },
         ];
         for (i, batch) in batches.iter().enumerate() {
-            seg.ingest(batch);
+            live.ingest(batch);
             batch(&mut union);
-            assert_eq!(seg.generation(), i as u64 + 1);
+            assert_eq!(live.generation(), i as u64 + 1);
         }
-        assert_eq!(seg.base_epoch(), 0, "ingests leave the base alone");
+        assert_eq!(live.base_epoch(), 0, "ingests leave the base alone");
         let rebuilt = union.build();
-        assert_eq!(seg.len(), rebuilt.len());
-        assert_eq!(seg.len_of(GraphTag::Kg), rebuilt.len_of(GraphTag::Kg));
-        assert_eq!(seg.pending_absorbs(), 1);
+        assert_eq!(base(&live).len() + live.len(), rebuilt.len());
+        assert_eq!(
+            base(&live).len_of(GraphTag::Kg) + live.len_of(GraphTag::Kg),
+            rebuilt.len_of(GraphTag::Kg)
+        );
+        assert_eq!(live.pending_absorbs(), 1);
         for pattern in all_shapes(&rebuilt) {
-            let mut got: Vec<(Triple, u64)> = Vec::new();
-            for segment in seg.segments() {
-                got.extend(scan_set(segment, &pattern));
-            }
-            got.sort();
+            let got = scan_segments(&live, &pattern);
             // The re-observed base triple keeps its pre-ingest weight
             // until compaction; every other match already agrees.
-            let pending = seg.base().resource("s2").unwrap();
+            let pending = base(&live).resource("s2").unwrap();
             let want: Vec<_> = scan_set(&rebuilt, &pattern);
             let differs: Vec<_> = got.iter().zip(&want).filter(|(g, w)| g != w).collect();
             assert!(
@@ -762,41 +605,41 @@ mod tests {
                 "shape {pattern}"
             );
         }
-        seg.compact();
-        assert_eq!(seg.base_epoch(), 1);
+        live.compact();
+        assert_eq!(live.base_epoch(), 1);
+        let base = base(&live);
         for (id, t) in rebuilt.iter() {
-            assert_eq!(seg.base().triple(id), t, "compaction keeps build order");
-            assert_eq!(seg.base().provenance(id), rebuilt.provenance(id));
+            assert_eq!(base.triple(id), t, "compaction keeps build order");
+            assert_eq!(base.provenance(id), rebuilt.provenance(id));
         }
-        let terms: Vec<_> = seg.base().dict().iter().collect();
+        let terms: Vec<_> = base.dict().iter().collect();
         assert_eq!(terms, rebuilt.dict().iter().collect::<Vec<_>>());
     }
 
     #[test]
     fn a_panicking_fill_forfeits_its_batch_not_the_store() {
-        let mut seg = segmented();
-        let before = seg.delta_len();
+        let mut live = live();
+        let before = live.len();
         let died = catch_unwind(AssertUnwindSafe(|| {
-            seg.ingest(|b| {
+            live.ingest(|b| {
                 b.add_kg_resources("half", "written", "batch");
                 panic!("extraction source died");
             })
         }));
         assert!(died.is_err(), "the panic must reach the caller");
-        assert_eq!(seg.delta_len(), before);
-        assert_eq!(seg.delta_view().unwrap().len(), before);
+        assert_eq!(live.len(), before);
+        assert_eq!(view(&live).unwrap().len(), before);
         let union = rebuilt_union();
         for pattern in all_shapes(&union) {
-            let mut got: Vec<(Triple, u64)> = Vec::new();
-            for segment in seg.segments() {
-                got.extend(scan_set(segment, &pattern));
-            }
-            got.sort();
-            assert_eq!(got, scan_set(&union, &pattern), "shape {pattern}");
+            assert_eq!(
+                scan_segments(&live, &pattern),
+                scan_set(&union, &pattern),
+                "shape {pattern}"
+            );
         }
         // And it still ingests.
         assert_eq!(
-            seg.ingest(|b| {
+            live.ingest(|b| {
                 b.add_kg_resources("s50", "p", "o0");
             }),
             1

@@ -126,7 +126,7 @@ impl XkgBuilder {
     /// store keeps resolving identically here, and new terms get fresh
     /// ids past the store's — which is what lets a mutable delta segment
     /// share a frozen base segment's id spaces (see
-    /// [`SegmentedStore`](crate::SegmentedStore)).
+    /// [`LiveDelta`](crate::LiveDelta)).
     pub fn with_context(dict: TermDict, sources: &SourceTable) -> XkgBuilder {
         XkgBuilder::over(dict, sources.clone())
     }

@@ -12,12 +12,15 @@
 //! successive ingests that also re-observe base and earlier delta
 //! triples, and then compacts, with a system-level posting cache that
 //! outlives every ingest; the compacted base must then serve exactly
-//! what a from-scratch build serves.
+//! what a from-scratch build serves. A third case pins the work, not
+//! just the answers: the one-partition routes count exactly what the
+//! engine counts when called directly.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use trinit_core::query::exec::expand;
-use trinit_core::query::Answer;
+use trinit_core::query::exec::topk::{self, ExecCtx, ExecRequest, StoreView};
+use trinit_core::query::{Answer, BudgetTracker, Governor};
 use trinit_core::relax::{QTerm, RuleSet};
 use trinit_core::shard::testkit::assert_answers_score_equivalent;
 use trinit_core::shard::ShardedStore;
@@ -25,7 +28,7 @@ use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConf
 use trinit_core::xkg::{
     Posting, Provenance, StorageBytes, TermId, Triple, TripleId, XkgBuilder, XkgStore,
 };
-use trinit_core::{Engine, Session, Trinit, TrinitBuilder};
+use trinit_core::{Engine, Session, Stage, TraceRecorder, Trinit, TrinitBuilder};
 
 const SEED: u64 = 42;
 
@@ -202,6 +205,53 @@ fn every_route_agrees_with_full_expansion_and_delta_queries_are_sound() {
         introduced_total > 0,
         "the delta introduced no answer to any query"
     );
+}
+
+/// The one-partition routes do no extra work: a frozen monolith runs the
+/// plain one-store execution (no totals provider, no seed or merge
+/// phase), and a monolith with a live delta runs one execution over its
+/// base and delta view, unseeded. Equal answers cannot show this — a
+/// detour through global totals or a seed phase returns the same
+/// answers — so the work counters are compared field for field.
+#[test]
+fn one_partition_routes_do_no_extra_work() {
+    let world = World::generate(WorldConfig::demo(SEED).scaled(0.05));
+    let mined =
+        TrinitBuilder::from_world(&world, &KgConfig::default(), &CorpusConfig::tiny(SEED)).build();
+    let union = mined.segmented_store().expect("monolithic build").base();
+    let ([frozen, live, ..], _) = routes(union, mined.rules());
+    let cfg = mined.topk_config();
+    let live_store = live.segmented_store().expect("one partition");
+    let slices = live_store.segments();
+    assert_eq!(slices.len(), 2, "a base and a delta view");
+    for text in [
+        "?x type person LIMIT 7",
+        "?x bornIn ?y LIMIT 12",
+        "?x bornIn ?c . ?c locatedIn ?y LIMIT 15",
+    ] {
+        let q = frozen.parse(text).expect("parses");
+        let base = frozen.segmented_store().expect("one partition").base();
+        let (_, want) = topk::run(base, &q, frozen.rules(), cfg);
+        let got = frozen.run(q, Engine::IncrementalTopK);
+        assert_eq!(got.metrics, want, "frozen: {text}");
+        assert_eq!(got.trace.stage_count(Stage::Query), 1, "frozen: {text}");
+        for stage in [Stage::SeedTask, Stage::Merge] {
+            assert_eq!(got.trace.stage_count(stage), 0, "frozen {stage:?}: {text}");
+        }
+
+        let q = live.parse(text).expect("parses");
+        let tracker = BudgetTracker::new(cfg);
+        let ctx = ExecCtx {
+            governor: Governor::primary(&tracker),
+            recorder: &mut TraceRecorder::off(),
+        };
+        let view = StoreView::over(&slices, 0, live_store);
+        let want = topk::execute(&view, ExecRequest::new(&q, live.rules(), cfg), ctx);
+        let got = live.run(q, Engine::IncrementalTopK);
+        assert_eq!(got.metrics, want.metrics, "live: {text}");
+        assert_eq!(got.trace.stage_count(Stage::SeedTask), 0, "live: {text}");
+        assert!(got.shard_metrics.is_empty(), "live: {text}");
+    }
 }
 
 /// A group's entries and prefix sums, bit for bit.
