@@ -30,7 +30,9 @@
 //! same pipeline either way and only swaps the stage-1 source its
 //! factory builds per pattern: a bare [`IncrementalMerge`] when the view
 //! has one slice, a [`ShardedMerge`] union of per-slice merges
-//! otherwise. These are two monomorphic instantiations of
+//! otherwise. Either way it builds the pattern's relaxation table
+//! ([`AltTable`]) once and every slice's merge reads that one. These
+//! are two monomorphic instantiations of
 //! [`run_pipeline`], so the single-store path pays nothing for the
 //! election heap it does not need — and the choice is read off the
 //! view, never off an option.
@@ -75,7 +77,7 @@ use crate::answer::{Answer, AnswerCollector};
 use crate::ast::Query;
 use crate::exec::budget::{BudgetTracker, Completeness, ExecBudget, Governor};
 use crate::exec::join::{self, JoinScratch, SeenItem, Stream};
-use crate::exec::merge::{is_mergeable, IncrementalMerge, RankSource, FRESH_VARS_PER_STREAM};
+use crate::exec::merge::{AltTable, IncrementalMerge, RankSource, FRESH_VARS_PER_STREAM};
 use crate::exec::segmented::StoreView;
 use crate::exec::sharded::ShardedMerge;
 use crate::exec::threshold::{Admission, RoundVerdict, ThresholdPolicy};
@@ -165,7 +167,7 @@ impl TopkConfig {
     }
 }
 
-/// Enumerates structural query variants (non-mergeable rules applied at
+/// Enumerates structural query variants (structural rules applied at
 /// the query level), keeping original rule ids in traces. Data
 /// conditions are verified through `oracle` — the whole store for the
 /// monolithic engine, a cross-shard oracle for partitioned execution.
@@ -188,10 +190,8 @@ pub(crate) fn structural_variants(
         let mut next_frontier = Vec::new();
         for &idx in &frontier {
             let (cur_patterns, cur_weight, cur_trace) = out[idx].clone();
-            for (rule_id, rule) in rules.iter() {
-                if is_mergeable(rule) {
-                    continue;
-                }
+            for &rule_id in rules.structural_rules() {
+                let rule = rules.get(rule_id);
                 let weight = cur_weight * rule.weight;
                 if weight < cfg.min_weight {
                     continue;
@@ -306,8 +306,7 @@ pub struct ExecOutcome {
 /// only invoked, when they can still contribute to the top-k.
 pub fn execute(view: &StoreView<'_>, request: ExecRequest<'_>, ctx: ExecCtx<'_>) -> ExecOutcome {
     let (rules, cfg, caches) = (request.rules, request.cfg, request.caches);
-    let slices = view.slices();
-    let n = slices.len();
+    let n = view.slices().len();
     assert!(
         caches.len() <= n,
         "at most one cache per slice, leading slices first"
@@ -318,44 +317,22 @@ pub fn execute(view: &StoreView<'_>, request: ExecRequest<'_>, ctx: ExecCtx<'_>)
     }
     let tracker = ctx.governor.tracker();
     let mut metrics = ExecMetrics::default();
-    // One per-execution posting cache per slice (a cached list holds one
-    // slice's entries): structural variants that share a relaxed pattern
-    // never rebuild its matches.
-    type SliceCache = Rc<RefCell<PostingCache>>;
-    let slice_merge = |s: usize, cache: &SliceCache, pattern: &QPattern, fresh: u16| {
-        IncrementalMerge::for_pattern(
-            slices[s],
-            pattern,
-            rules,
-            cfg,
-            fresh,
-            Rc::clone(cache),
-            caches.get(s),
-            view.totals,
-        )
-        .with_id_base(view.offset(s))
-    };
+    let sources = Sources::new(*view, rules, cfg, caches);
     let mut per_shard = Vec::new();
     let answers = if restrict.as_ref().is_some_and(|(_, range)| range.is_empty()) {
         Vec::new()
     } else if n == 1 {
-        let cache = SliceCache::default();
         run_pipeline(view, request, ctx, &mut metrics, |pattern, fresh, _| {
-            slice_merge(0, &cache, pattern, fresh)
+            sources.slice(0, &sources.table(pattern, fresh))
         })
     } else {
-        let exec_caches: Vec<SliceCache> = (0..n).map(|_| SliceCache::default()).collect();
         let slots = Rc::new(RefCell::new(vec![ExecMetrics::default(); n]));
         let answers = run_pipeline(view, request, ctx, &mut metrics, |pattern, fresh, at| {
             let range = match &restrict {
                 Some((j, range)) if *j == at => range.clone(),
                 _ => 0..n,
             };
-            let merges = range
-                .clone()
-                .map(|s| slice_merge(s, &exec_caches[s], pattern, fresh))
-                .collect();
-            ShardedMerge::new(merges, range.collect(), Rc::clone(&slots))
+            sources.union(pattern, fresh, range, &slots)
         });
         // No end-fold into `metrics`: per-slice merge work already
         // flowed into the aggregate at call time (ShardedMerge records
@@ -370,6 +347,66 @@ pub fn execute(view: &StoreView<'_>, request: ExecRequest<'_>, ctx: ExecCtx<'_>)
         per_shard,
         completeness,
         trace: QueryTrace::default(),
+    }
+}
+
+/// The stage-1 sources [`execute`]'s factory builds over a view's
+/// slices: per stream, one relaxation table ([`AltTable`]) and one merge
+/// per slice reading it.
+pub(crate) struct Sources<'a> {
+    view: StoreView<'a>,
+    rules: &'a RuleSet,
+    cfg: &'a TopkConfig,
+    caches: &'a [SharedPostingCache],
+    /// One per-execution posting cache per slice (a cached list holds one
+    /// slice's entries): structural variants that share a relaxed pattern
+    /// never rebuild its matches.
+    exec_caches: Vec<Rc<RefCell<PostingCache>>>,
+}
+
+impl<'a> Sources<'a> {
+    pub(crate) fn new(
+        view: StoreView<'a>,
+        rules: &'a RuleSet,
+        cfg: &'a TopkConfig,
+        caches: &'a [SharedPostingCache],
+    ) -> Sources<'a> {
+        let exec_caches = view.slices().iter().map(|_| Default::default()).collect();
+        Sources {
+            view,
+            rules,
+            cfg,
+            caches,
+            exec_caches,
+        }
+    }
+
+    /// `pattern`'s table; `fresh` starts its fresh-variable range.
+    pub(crate) fn table(&self, pattern: &QPattern, fresh: u16) -> Rc<AltTable> {
+        let totals = self.view.totals;
+        Rc::new(AltTable::build(pattern, self.rules, self.cfg, fresh, totals))
+    }
+
+    /// Slice `s`'s merge over `table`.
+    pub(crate) fn slice(&self, s: usize, table: &Rc<AltTable>) -> IncrementalMerge<'a> {
+        let (cache, shared) = (Rc::clone(&self.exec_caches[s]), self.caches.get(s));
+        let store = self.view.slices()[s];
+        IncrementalMerge::new(store, Rc::clone(table), cache, shared, self.view.totals)
+            .with_id_base(self.view.offset(s))
+    }
+
+    /// The union of the `range` slices' merges for `pattern`, recording
+    /// per-slice work into `slots`.
+    pub(crate) fn union(
+        &self,
+        pattern: &QPattern,
+        fresh: u16,
+        range: Range<usize>,
+        slots: &Rc<RefCell<Vec<ExecMetrics>>>,
+    ) -> ShardedMerge<'a> {
+        let table = self.table(pattern, fresh);
+        let merges = range.clone().map(|s| self.slice(s, &table)).collect();
+        ShardedMerge::new(table, merges, range.collect(), Rc::clone(slots))
     }
 }
 
@@ -499,9 +536,7 @@ pub(crate) fn variant_streams<M: RankSource>(
         .zip(join::join_vars_of(patterns))
         .enumerate()
         .map(|(i, (pattern, join_vars))| {
-            // Disjoint fresh-variable ranges per pattern — and the same
-            // base across shards, so every slice derives the identical
-            // alternative set.
+            // Disjoint fresh-variable ranges per pattern.
             let fresh_base = max_var + (i as u16) * FRESH_VARS_PER_STREAM;
             // `i` is the pattern's position in the (variant's) query —
             // segmented execution uses it to restrict one pattern to the

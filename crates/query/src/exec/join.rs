@@ -669,12 +669,9 @@ mod tests {
     use super::*;
     use crate::ast::{Query, QueryBuilder};
     use crate::exec::budget::{BudgetTracker, Completeness, Governor};
-    use crate::exec::drive::{self, TopkConfig};
-    use crate::exec::merge::{pattern_alternatives, IncrementalMerge};
-    use crate::exec::testfix::{assert_same_answers, reference, store};
-    use crate::score::PostingCache;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::exec::drive::{self, Sources, TopkConfig};
+    use crate::exec::segmented::StoreView;
+    use crate::exec::testfix::{self, assert_same_answers, reference, store};
     use trinit_relax::{RVar, Rule, RuleProvenance, RuleSet, TTerm, Template};
     use trinit_xkg::{XkgBuilder, XkgStore};
 
@@ -687,9 +684,8 @@ mod tests {
         let store = store();
         let p = store.resource("affiliation").unwrap();
         let pattern = QPattern::new(QTerm::Var(VarId(0)), QTerm::Term(p), QTerm::Var(VarId(1)));
-        let alts = pattern_alternatives(&pattern, &RuleSet::new(), &TopkConfig::default(), 10);
-        let cache = Rc::new(RefCell::new(PostingCache::new()));
-        let merge = IncrementalMerge::new(&store, alts, cache, None, true, None);
+        let (rules, cfg) = (RuleSet::new(), TopkConfig::default());
+        let merge = testfix::merge(&store, &pattern, &rules, &cfg);
         let mut stream = Stream::new(merge, vec![VarId(0)]);
         let einstein = store.resource("AlbertEinstein").unwrap();
         let ias = store.resource("IAS").unwrap();
@@ -820,20 +816,10 @@ mod tests {
     /// Runs the query's original variant through `rank_join`, assembled
     /// exactly as the driver assembles it, and reports the stream state.
     fn drive_variant(store: &XkgStore, query: &Query, rules: &RuleSet, cfg: &TopkConfig) -> Driven {
-        let cache = Rc::new(RefCell::new(PostingCache::new()));
-        let (mut streams, n_vars) =
-            drive::variant_streams(&query.patterns, |pattern, fresh_base, _| {
-                IncrementalMerge::for_pattern(
-                    store,
-                    pattern,
-                    rules,
-                    cfg,
-                    fresh_base,
-                    Rc::clone(&cache),
-                    None,
-                    None,
-                )
-            });
+        let sources = Sources::new(StoreView::single(store), rules, cfg, &[]);
+        let (mut streams, n_vars) = drive::variant_streams(&query.patterns, |pattern, fresh, _| {
+            sources.slice(0, &sources.table(pattern, fresh))
+        });
         let tracker = BudgetTracker::new(cfg);
         let mut collector = AnswerCollector::tracking(query.k);
         let mut metrics = ExecMetrics::default();

@@ -4,8 +4,9 @@
 //! stream of scored matches in globally descending probability order:
 //!
 //! * **Pattern alternatives** — the pattern plus its relaxed forms under
-//!   single-pattern rules (chained up to a depth), each with a combined
-//!   weight ([`pattern_alternatives`]).
+//!   mergeable rules (chained up to a depth), each with a combined
+//!   weight: the stream's [`AltTable`], built once per execution and
+//!   shared by every slice's merge.
 //! * **[`IncrementalMerge`]** — a priority queue over one pattern's
 //!   alternatives (Theobald et al. style). Unopened alternatives are
 //!   held at their upper bound; an alternative's posting list is
@@ -47,7 +48,7 @@ use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use trinit_obs::TraceRecorder;
-use trinit_relax::{apply_rule, QPattern, QTerm, Rule, RuleId, RuleSet, VarId};
+use trinit_relax::{QPattern, QTerm, RuleId, RuleSet, VarId};
 use trinit_xkg::{Posting, SlotPattern, TermId, Triple, TripleId, XkgStore};
 
 use crate::exec::drive::TopkConfig;
@@ -58,23 +59,14 @@ use crate::score::{
     GlobalTotals, PostingCache, ScoredMatches, SharedPostingCache,
 };
 
-/// True if a rule can participate in per-pattern incremental merging:
-/// one pattern in, one pattern out, constant LHS predicate.
-pub(crate) fn is_mergeable(rule: &Rule) -> bool {
-    rule.lhs.len() == 1 && rule.rhs.len() == 1 && rule.lhs_predicate().is_some()
-}
-
-/// One relaxed form of a single pattern.
-#[derive(Debug, Clone)]
-pub(crate) struct Alternative<'s> {
-    pub(crate) pattern: QPattern,
-    pub(crate) weight: f64,
-    pub(crate) trace: Vec<RuleId>,
+/// One slice's state of one entry of the stream's [`AltTable`].
+#[derive(Debug)]
+struct AltState<'s> {
     matches: Option<ScoredMatches<'s>>,
     /// Sound upper bound on this alternative's best emission probability
     /// before its list is opened: the exact head probability for
     /// index-served shapes under the tightened threshold, 1.0 otherwise.
-    pub(crate) head_bound: f64,
+    head_bound: f64,
     /// Restrictions that arrived before the alternative opened, applied
     /// when it does.
     pending: Vec<Restriction>,
@@ -195,130 +187,152 @@ impl Restriction {
 
 /// Variable ids a stream may allocate for rule-introduced fresh
 /// variables: its range is `[fresh_base, fresh_base + FRESH_VARS_PER_STREAM)`.
-/// Every alternative draws from the same range (see [`remap_fresh`]); a
-/// triple pattern has three slots, so three ids always suffice.
+/// Every alternative draws from the same range (see [`AltTable::build`]);
+/// a triple pattern has three slots, so three ids always suffice.
 pub(crate) const FRESH_VARS_PER_STREAM: u16 = 3;
 
-/// Computes the alternatives of one pattern under the mergeable rules.
+/// One entry of an [`AltTable`].
+#[derive(Debug, Clone, Copy)]
+struct AltEntry {
+    pattern: QPattern,
+    weight: f64,
+    /// The rule chain: `len` rules from `start` in the table's `traces`.
+    trace: (u32, u32),
+    /// The pattern's global total under the view's totals provider (see
+    /// [`AltTable::build`]).
+    total: Option<f64>,
+}
+
+/// A stream's relaxation table: its pattern and the relaxed forms of it
+/// under the mergeable rules, chained up to
+/// [`TopkConfig::chain_depth`], each with a combined weight and the
+/// chain of rules behind it. [`RankSource::alternative`] reads it.
 ///
-/// `fresh_base` is the first variable id this pattern may allocate for
-/// RHS-fresh rule variables; callers give each pattern a disjoint range
-/// of [`FRESH_VARS_PER_STREAM`] ids so fresh variables of different
-/// streams never alias.
-pub(crate) fn pattern_alternatives<'s>(
-    pattern: &QPattern,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    fresh_base: u16,
-) -> Vec<Alternative<'s>> {
-    let mut out: Vec<Alternative<'s>> = vec![Alternative {
-        pattern: *pattern,
-        weight: 1.0,
-        trace: Vec::new(),
-        matches: None,
-        head_bound: 1.0,
-        pending: Vec::new(),
-    }];
-    let mut frontier = vec![0usize]; // indices into `out`
-    for _ in 0..cfg.chain_depth {
-        let mut next_frontier = Vec::new();
-        for &idx in &frontier {
-            let (cur_pattern, cur_weight, cur_trace) = {
-                let a = &out[idx];
-                (a.pattern, a.weight, a.trace.clone())
-            };
-            let Some(pred) = cur_pattern.p.term() else {
-                continue;
-            };
-            for &rule_id in rules.rules_for_predicate(pred) {
-                let rule = rules.get(rule_id);
-                if !is_mergeable(rule) {
+/// A table is a function of the pattern, the rules and the configuration
+/// alone, so [`crate::exec::drive::execute`] builds one per stream and
+/// every slice's [`IncrementalMerge`] over that stream shares it; a
+/// slice's merge keeps only its own per-alternative state. Nothing
+/// outlives the execution.
+#[derive(Debug)]
+pub struct AltTable {
+    alts: Vec<AltEntry>,
+    /// Every entry's rule chain, back to back. A chain an entry replaced
+    /// stays behind unreferenced.
+    traces: Vec<RuleId>,
+    /// Whether slices bound unopened alternatives by their index head
+    /// ([`TopkConfig::tighten_threshold`]).
+    tighten: bool,
+}
+
+impl AltTable {
+    /// Enumerates `pattern`'s alternatives breadth-first: each rule that
+    /// rewrites an entry of the last round into a pattern not yet in the
+    /// table appends it, one that rewrites it into a present pattern with
+    /// a higher weight replaces that entry's weight and chain. Entries
+    /// under [`TopkConfig::min_weight`] are pruned and the table holds at
+    /// most [`TopkConfig::max_alternatives`].
+    ///
+    /// `fresh_base` is the first variable id this pattern may allocate for
+    /// RHS-fresh rule variables; callers give each pattern a disjoint range
+    /// of `FRESH_VARS_PER_STREAM` ids so fresh variables of different
+    /// streams never alias. Alternatives draw ids per pattern, not across
+    /// the table: items of different alternatives never join with each
+    /// other, so they may share fresh ids, and alternatives that differ
+    /// only in the naming of their fresh variables are one entry.
+    ///
+    /// Under a totals provider (a multi-slice view), each entry's global
+    /// total is resolved here, once, for every slice's head bound.
+    pub fn build(
+        pattern: &QPattern,
+        rules: &RuleSet,
+        cfg: &TopkConfig,
+        fresh_base: u16,
+        totals: Option<&dyn GlobalTotals>,
+    ) -> AltTable {
+        let origin = AltEntry {
+            pattern: *pattern,
+            weight: 1.0,
+            trace: (0, 0),
+            total: None,
+        };
+        let mut table = AltTable {
+            alts: vec![origin],
+            traces: Vec::new(),
+            tighten: cfg.tighten_threshold,
+        };
+        // Each round appends its new entries after the previous round's.
+        let mut frontier = 0..1;
+        for _ in 0..cfg.chain_depth {
+            let round = table.alts.len();
+            for idx in frontier {
+                let cur = table.alts[idx];
+                let Some(pred) = cur.pattern.p.term() else {
                     continue;
-                }
-                let weight = cur_weight * rule.weight;
-                if weight < cfg.min_weight {
-                    continue;
-                }
-                for rewriting in apply_rule(&[cur_pattern], rule, rule_id) {
-                    let [new_pattern] = rewriting.patterns.as_slice() else {
+                };
+                for &(rule_id, rewrite) in rules.rules_for_predicate(pred) {
+                    let weight = cur.weight * rules.get(rule_id).weight;
+                    if weight < cfg.min_weight {
+                        continue;
+                    }
+                    let Some(pattern) = rewrite.apply(&cur.pattern, fresh_base) else {
                         continue;
                     };
-                    // Remap any fresh variables into this pattern's range.
-                    let new_pattern = remap_fresh(*new_pattern, &cur_pattern, fresh_base);
-                    match out.iter_mut().find(|a| a.pattern == new_pattern) {
-                        Some(existing) => {
-                            if weight > existing.weight {
-                                existing.weight = weight;
-                                existing.trace = cur_trace
-                                    .iter()
-                                    .copied()
-                                    .chain(std::iter::once(rule_id))
-                                    .collect();
-                            }
+                    match table.alts.iter().position(|a| a.pattern == pattern) {
+                        Some(i) if weight > table.alts[i].weight => {
+                            table.alts[i].weight = weight;
+                            table.alts[i].trace = table.chain(cur.trace, rule_id);
                         }
-                        None => {
-                            if out.len() >= cfg.max_alternatives {
-                                continue;
-                            }
-                            let mut trace = cur_trace.clone();
-                            trace.push(rule_id);
-                            out.push(Alternative {
-                                pattern: new_pattern,
+                        None if table.alts.len() < cfg.max_alternatives => {
+                            let trace = table.chain(cur.trace, rule_id);
+                            table.alts.push(AltEntry {
+                                pattern,
                                 weight,
                                 trace,
-                                matches: None,
-                                head_bound: 1.0,
-                                pending: Vec::new(),
+                                total: None,
                             });
-                            next_frontier.push(out.len() - 1);
                         }
+                        _ => {}
                     }
                 }
             }
+            frontier = round..table.alts.len();
+            if frontier.is_empty() {
+                break;
+            }
         }
-        if next_frontier.is_empty() {
-            break;
+        if let Some(totals) = totals.filter(|_| table.tighten) {
+            for alt in &mut table.alts {
+                alt.total = totals.pattern_total(&canonical_pattern(&alt.pattern));
+            }
         }
-        frontier = next_frontier;
+        table
     }
-    out
-}
 
-/// Renames the variables of `pattern` that do not occur in `origin`
-/// (rule-introduced fresh variables) to the lowest ids from `fresh_base`
-/// that `pattern` does not keep from `origin`.
-///
-/// The ids are allocated per alternative, not across the alternatives of
-/// a stream: items of different alternatives never join with each other,
-/// so they may share fresh ids, and a pattern holds at most three
-/// variables, so the allocation never leaves the stream's
-/// [`FRESH_VARS_PER_STREAM`]-wide range however many alternatives there
-/// are. (`origin` may itself carry fresh ids from an earlier link of the
-/// chain; the ones `pattern` keeps are skipped.) Alternatives that differ
-/// only in the naming of their fresh variables become equal patterns and
-/// are deduplicated by the caller.
-fn remap_fresh(pattern: QPattern, origin: &QPattern, fresh_base: u16) -> QPattern {
-    let kept = |v: VarId| origin.vars().any(|u| u == v);
-    let mut mapping = [(VarId(0), VarId(0)); 3];
-    let mut mapped = 0;
-    let mut next = fresh_base;
-    let mut map = |t: QTerm| match t {
-        QTerm::Var(v) if !kept(v) => {
-            if let Some(&(_, nv)) = mapping[..mapped].iter().find(|(old, _)| *old == v) {
-                return QTerm::Var(nv);
-            }
-            while pattern.vars().any(|u| u.0 == next && kept(u)) {
-                next += 1;
-            }
-            let nv = VarId(next);
-            next += 1;
-            mapping[mapped] = (v, nv);
-            mapped += 1;
-            QTerm::Var(nv)
+    /// Appends `parent`'s chain followed by `rule` to the trace arena.
+    fn chain(&mut self, (start, len): (u32, u32), rule: RuleId) -> (u32, u32) {
+        let at = self.traces.len() as u32;
+        self.traces
+            .extend_from_within(start as usize..(start + len) as usize);
+        self.traces.push(rule);
+        (at, len + 1)
+    }
+
+    /// Entry `alt` as the join reads it.
+    #[inline]
+    pub(crate) fn view(&self, alt: usize) -> AltView<'_> {
+        let a = &self.alts[alt];
+        let (start, len) = (a.trace.0 as usize, a.trace.1 as usize);
+        AltView {
+            pattern: &a.pattern,
+            trace: &self.traces[start..start + len],
+            weight: a.weight,
         }
-        other => other,
-    };
-    QPattern::new(map(pattern.s), map(pattern.p), map(pattern.o))
+    }
+
+    /// The entries in table order: the pattern itself first.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = AltView<'_>> {
+        (0..self.alts.len()).map(|i| self.view(i))
+    }
 }
 
 /// Heap entry of the incremental merge: an alternative keyed by an upper
@@ -429,7 +443,10 @@ pub struct AltView<'a> {
 /// when its upper bound reaches the top of the queue.
 pub struct IncrementalMerge<'a> {
     store: &'a XkgStore,
-    alts: Vec<Alternative<'a>>,
+    /// The stream's relaxation table, shared by every slice's merge.
+    table: Rc<AltTable>,
+    /// This slice's state of each table entry.
+    alts: Vec<AltState<'a>>,
     heap: BinaryHeap<MergeEntry>,
     /// Shared per-execution posting cache: structural variants and
     /// alternatives with the same canonical pattern reuse one
@@ -454,35 +471,43 @@ pub struct IncrementalMerge<'a> {
 }
 
 impl<'a> IncrementalMerge<'a> {
-    pub(crate) fn new(
+    /// The merge over `store`'s matches of `table`'s alternatives; `totals`
+    /// must be the provider the table was built under.
+    pub fn new(
         store: &'a XkgStore,
-        mut alts: Vec<Alternative<'a>>,
+        table: Rc<AltTable>,
         cache: Rc<RefCell<PostingCache>>,
         shared: Option<&'a SharedPostingCache>,
-        tighten: bool,
         totals: Option<&'a dyn GlobalTotals>,
     ) -> IncrementalMerge<'a> {
-        if tighten {
-            for alt in &mut alts {
-                // Exact head probability for index-served shapes
-                // (anchored subject/object strata included), read in
-                // O(1) from the precomputed posting index — the
-                // alternative enters the queue at its true first-emission
-                // bound instead of the trivial `weight × 1.0`. Under a
-                // partitioned store the head weight is divided by the
-                // *global* total, so each shard enters the merge at its
-                // exact globally-normalized head. A head bound of exactly
-                // 0 is only reported for index-served shapes whose match
-                // set carries no emission mass (the index serves them
-                // empty): such alternatives never enter the queue, where
-                // a zero-keyed entry would linger for the threshold to
-                // trip over.
-                alt.head_bound = head_prob_bound_global(store, &alt.pattern, totals);
-            }
-        }
+        // Exact head probability for index-served shapes (anchored
+        // subject/object strata included), read in O(1) from the
+        // precomputed posting index — the alternative enters the queue at
+        // its true first-emission bound instead of the trivial
+        // `weight × 1.0`. Under a partitioned store the head weight is
+        // divided by the *global* total, so each slice enters the merge at
+        // its exact globally-normalized head. A head bound of exactly 0 is
+        // only reported for index-served shapes whose match set carries no
+        // emission mass (the index serves them empty): such alternatives
+        // never enter the queue, where a zero-keyed entry would linger for
+        // the threshold to trip over.
+        let head = |a: &AltEntry| {
+            let tight = table
+                .tighten
+                .then(|| head_prob_bound_global(store, &a.pattern, a.total));
+            tight.unwrap_or(1.0)
+        };
+        let alts: Vec<AltState<'a>> = (table.alts.iter())
+            .map(|a| AltState {
+                matches: None,
+                head_bound: head(a),
+                pending: Vec::new(),
+            })
+            .collect();
         let mut merge = IncrementalMerge {
             store,
             heap: BinaryHeap::with_capacity(alts.len()),
+            table,
             alts,
             cache,
             shared,
@@ -500,21 +525,27 @@ impl<'a> IncrementalMerge<'a> {
     fn requeue(&mut self) {
         self.heap.clear();
         self.mass_upper = 0.0;
-        for (i, alt) in self.alts.iter().enumerate() {
+        for (i, (alt, entry)) in self.alts.iter().zip(&self.table.alts).enumerate() {
             let head = (alt.head_bound > 0.0).then_some(alt.head_bound);
             let (bound, mass, opened) = match &alt.matches {
                 Some(m) => (m.peek_prob(), m.remaining_mass(), true),
                 None => (head, alt.head_bound, false),
             };
-            self.mass_upper += alt.weight * mass;
+            self.mass_upper += entry.weight * mass;
             if let Some(bound) = bound {
                 self.heap.push(MergeEntry {
-                    bound: alt.weight * bound,
+                    bound: entry.weight * bound,
                     alt: i,
                     opened,
                 });
             }
         }
+    }
+
+    /// True if this merge reads `table` (the same allocation, not an
+    /// equal copy).
+    pub(crate) fn reads(&self, table: &Rc<AltTable>) -> bool {
+        Rc::ptr_eq(&self.table, table)
     }
 
     /// Emits triple ids offset by `id_base`: the slice's base in a
@@ -524,36 +555,21 @@ impl<'a> IncrementalMerge<'a> {
         self
     }
 
-    /// Builds the merge over `pattern`'s alternatives under `rules` —
-    /// the building block both the monolithic driver and the sharded
-    /// merge instantiate, once per pattern (per shard); `fresh_base`
-    /// starts the pattern's fresh-variable range.
-    #[allow(clippy::too_many_arguments)]
-    pub fn for_pattern(
-        store: &'a XkgStore,
-        pattern: &QPattern,
-        rules: &RuleSet,
-        cfg: &TopkConfig,
-        fresh_base: u16,
-        cache: Rc<RefCell<PostingCache>>,
-        shared: Option<&'a SharedPostingCache>,
-        totals: Option<&'a dyn GlobalTotals>,
-    ) -> IncrementalMerge<'a> {
-        let alts = pattern_alternatives(pattern, rules, cfg, fresh_base);
-        IncrementalMerge::new(store, alts, cache, shared, cfg.tighten_threshold, totals)
-    }
-
     /// Opens an unopened heap entry's posting list — the moment its
     /// relaxation is "invoked" — and re-queues it at its exact head
     /// probability — through its first pending restriction's lookups when
     /// that pays ([`Restriction::open`]), the others applied after.
     fn open_entry(&mut self, entry: MergeEntry, metrics: &mut ExecMetrics) {
+        let AltEntry {
+            pattern, weight, ..
+        } = self.table.alts[entry.alt];
         let alt = &mut self.alts[entry.alt];
-        if !alt.trace.is_empty() {
+        // Entry 0 is the pattern itself; every other is a relaxation.
+        if entry.alt != 0 {
             metrics.relaxations_opened += 1;
         }
         let pending = std::mem::take(&mut alt.pending);
-        let open = |r: &Restriction| r.open(self.store, &alt.pattern, self.totals, metrics);
+        let open = |r: &Restriction| r.open(self.store, &pattern, self.totals, metrics);
         let probed = pending.first().and_then(open);
         let applied = usize::from(probed.is_some());
         let mut matches = match probed {
@@ -563,7 +579,7 @@ impl<'a> IncrementalMerge<'a> {
                 // canonical pattern.
                 let (matches, source) = ScoredMatches::build_global(
                     self.store,
-                    &alt.pattern,
+                    &pattern,
                     &mut self.cache.borrow_mut(),
                     self.shared,
                     self.totals,
@@ -589,18 +605,18 @@ impl<'a> IncrementalMerge<'a> {
             }
         };
         for r in &pending[applied..] {
-            matches = r.apply(self.store, &alt.pattern, &matches, metrics);
+            matches = r.apply(self.store, &pattern, &matches, metrics);
         }
         if let Some(p) = matches.peek_prob() {
             self.heap.push(MergeEntry {
-                bound: alt.weight * p,
+                bound: weight * p,
                 alt: entry.alt,
                 opened: true,
             });
         }
         // Replace the alternative's head-bound contribution with its
         // actual (full) list mass.
-        self.mass_upper += alt.weight * (matches.remaining_mass() - alt.head_bound);
+        self.mass_upper += weight * (matches.remaining_mass() - alt.head_bound);
         alt.matches = Some(matches);
     }
 
@@ -629,28 +645,28 @@ impl<'a> IncrementalMerge<'a> {
                 self.open_entry(entry, metrics);
                 continue;
             }
-            let alt = &mut self.alts[entry.alt];
+            let weight = self.table.alts[entry.alt].weight;
             // An `opened` entry always has materialized matches; if the
             // invariant ever broke, dropping the entry degrades to a
             // skipped alternative instead of panicking mid-serve.
-            let Some(matches) = alt.matches.as_mut() else {
+            let Some(matches) = self.alts[entry.alt].matches.as_mut() else {
                 continue;
             };
             let Some((triple, prob)) = matches.next_entry() else {
                 continue;
             };
-            self.mass_upper -= alt.weight * prob;
+            self.mass_upper -= weight * prob;
             metrics.postings_scanned += 1;
             if let Some(p) = matches.peek_prob() {
                 self.heap.push(MergeEntry {
-                    bound: alt.weight * p,
+                    bound: weight * p,
                     alt: entry.alt,
                     opened: true,
                 });
             }
             return Some(Merged {
                 triple: TripleId(self.id_base + triple.0),
-                prob: alt.weight * prob,
+                prob: weight * prob,
                 alt: entry.alt as u32,
             });
         }
@@ -672,13 +688,9 @@ impl RankSource for IncrementalMerge<'_> {
         IncrementalMerge::next_merged(self, metrics)
     }
 
+    #[inline]
     fn alternative(&self, alt: u32) -> AltView<'_> {
-        let a = &self.alts[alt as usize];
-        AltView {
-            pattern: &a.pattern,
-            trace: &a.trace,
-            weight: a.weight,
-        }
+        self.table.view(alt as usize)
     }
 
     /// Once alternatives are open, also bounds their collective
@@ -694,13 +706,13 @@ impl RankSource for IncrementalMerge<'_> {
     /// and stays lazy; then rebuilds the queue and the mass envelope.
     fn restrict(&mut self, keys: &Rc<KeySet>, metrics: &mut ExecMetrics) -> bool {
         let mut restricted = false;
-        for alt in &mut self.alts {
-            let Some(r) = Restriction::of(keys, &alt.pattern) else {
+        for (alt, entry) in self.alts.iter_mut().zip(&self.table.alts) {
+            let Some(r) = Restriction::of(keys, &entry.pattern) else {
                 continue;
             };
             restricted = true;
             match &alt.matches {
-                Some(m) => alt.matches = Some(r.apply(self.store, &alt.pattern, m, metrics)),
+                Some(m) => alt.matches = Some(r.apply(self.store, &entry.pattern, m, metrics)),
                 None => alt.pending.push(r),
             }
         }
@@ -714,7 +726,7 @@ impl RankSource for IncrementalMerge<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::testfix::store;
+    use crate::exec::testfix::{self, store};
     use trinit_relax::{Rule, RuleProvenance};
 
     #[test]
@@ -745,10 +757,12 @@ mod tests {
                 QTerm::Var(VarId(1)),
             ),
         ] {
-            for tighten in [true, false] {
-                let alts = pattern_alternatives(&pattern, &rules, &cfg, 10);
-                let cache = Rc::new(RefCell::new(PostingCache::new()));
-                let mut merge = IncrementalMerge::new(&store, alts, cache, None, tighten, None);
+            for tighten_threshold in [true, false] {
+                let cfg = TopkConfig {
+                    tighten_threshold,
+                    ..cfg.clone()
+                };
+                let mut merge = testfix::merge(&store, &pattern, &rules, &cfg);
                 let mut metrics = ExecMetrics::default();
                 let mut total_emitted = 0.0;
                 loop {
@@ -756,7 +770,7 @@ mod tests {
                     match merge.peek_bound() {
                         Some(bound) => assert!(
                             mass >= bound - 1e-12,
-                            "mass {mass} < frontier {bound} (tighten={tighten})"
+                            "mass {mass} < frontier {bound} (tighten={tighten_threshold})"
                         ),
                         None => break,
                     }
@@ -790,9 +804,8 @@ mod tests {
         let city = |i: usize| [store.resource(&format!("c{i}")).unwrap()];
         for (cities, lookups, scans) in [(1, 1, 0), (8, 0, 1)] {
             let keys = Rc::new(KeySet::new(&[VarId(1)], (0..cities).map(city)));
-            let alts = pattern_alternatives(&pattern, &RuleSet::new(), &TopkConfig::default(), 10);
-            let cache = Rc::new(RefCell::new(PostingCache::new()));
-            let mut merge = IncrementalMerge::new(&store, alts, cache, None, true, None);
+            let (rules, cfg) = (RuleSet::new(), TopkConfig::default());
+            let mut merge = testfix::merge(&store, &pattern, &rules, &cfg);
             let mut metrics = ExecMetrics::default();
             let first = merge.next_merged(&mut metrics).unwrap();
             assert!(merge.restrict(&keys, &mut metrics));

@@ -22,6 +22,17 @@
 //! [`StoreView`](segmented::StoreView) over store slices), [`sharded`]
 //! the merge-of-merges source a multi-slice view gets, and [`topk`]
 //! re-exports the public surface.
+//!
+//! **Planning.** A stream's relaxation table
+//! ([`AltTable`](merge::AltTable)) is its pattern and the relaxed forms
+//! under the mergeable rules, each with its weight and rule chain. It is
+//! built from the rules `RuleSet::add` compiled (`SlotRewrite`), not by
+//! the general matcher `apply_rule`, once per stream per `execute`, and
+//! every slice's merge reads it; nothing outlives the query. With one
+//! table per slice built through `apply_rule`, `bench.alloc_per_query`
+//! (perfbench traced pass, `--seed 101`) on `batch_sharded` /
+//! `live_ingest` / `explore_cold` / `explore_session` was 405.03 /
+//! 401.22 / 231.96 / 225.74; it is 205.56 / 210.83 / 147.99 / 144.53.
 
 pub mod budget;
 pub mod drive;
@@ -164,13 +175,28 @@ impl ExecMetrics {
 /// Shared fixtures for the pipeline stages' unit tests.
 #[cfg(test)]
 pub(crate) mod testfix {
-    use trinit_relax::RuleSet;
+    use std::rc::Rc;
+
+    use trinit_relax::{QPattern, RuleSet};
     use trinit_xkg::{XkgBuilder, XkgStore};
 
     use crate::answer::Answer;
     use crate::ast::Query;
     use crate::exec::drive::TopkConfig;
     use crate::exec::expand;
+    use crate::exec::merge::{AltTable, IncrementalMerge};
+
+    /// A merge over `pattern`'s table on `store` queried on its own: the
+    /// pattern's fresh variables start at 10, caches are cold.
+    pub(crate) fn merge<'a>(
+        store: &'a XkgStore,
+        pattern: &QPattern,
+        rules: &RuleSet,
+        cfg: &TopkConfig,
+    ) -> IncrementalMerge<'a> {
+        let table = Rc::new(AltTable::build(pattern, rules, cfg, 10, None));
+        IncrementalMerge::new(store, table, Default::default(), None, None)
+    }
 
     /// Reference evaluation for the join tests: full expansion to the
     /// depth the engine under `cfg` reaches evaluates every rewriting with

@@ -57,7 +57,7 @@ use std::rc::Rc;
 use trinit_obs::{now_ns, SpanRecord, Stage, TraceRecorder};
 
 use crate::exec::join::KeySet;
-use crate::exec::merge::{AltView, IncrementalMerge, Merged, RankSource};
+use crate::exec::merge::{AltTable, AltView, IncrementalMerge, Merged, RankSource};
 use crate::exec::ExecMetrics;
 
 /// One shard's standing in the election: its current exact upper bound.
@@ -95,6 +95,10 @@ impl Ord for ShardEntry {
 /// one [`IncrementalMerge`] per shard, pulled head-first across shards
 /// via a bound-keyed max-heap.
 pub struct ShardedMerge<'a> {
+    /// The pattern's relaxation table, which every shard's merge reads:
+    /// an emission's alternative index means the same entry whichever
+    /// shard emitted it.
+    table: Rc<AltTable>,
     shards: Vec<IncrementalMerge<'a>>,
     /// Each shard's slot in the shared `metrics` vector (parallel to
     /// `shards`; restricted merges cover a sub-range of the slots).
@@ -120,15 +124,23 @@ pub struct ShardedMerge<'a> {
 }
 
 impl<'a> ShardedMerge<'a> {
-    /// The union of `shards` (each already emitting global ids);
-    /// `slots[i]` is shard `i`'s index in the shared `metrics` vector.
+    /// The union of `shards`, each a merge over `table` (built with
+    /// [`IncrementalMerge::new`] from that `Rc`) already emitting global
+    /// ids; `slots[i]` is shard `i`'s index in the shared `metrics`
+    /// vector.
     pub fn new(
+        table: Rc<AltTable>,
         shards: Vec<IncrementalMerge<'a>>,
         slots: Vec<usize>,
         metrics: Rc<RefCell<Vec<ExecMetrics>>>,
     ) -> ShardedMerge<'a> {
+        debug_assert!(
+            shards.iter().all(|m| m.reads(&table)),
+            "every shard's merge reads the union's table"
+        );
         let mass = shards.iter().map(IncrementalMerge::remaining_mass).sum();
         let mut merge = ShardedMerge {
+            table,
             shards,
             slots,
             metrics,
@@ -240,11 +252,7 @@ impl RankSource for ShardedMerge<'_> {
     }
 
     fn alternative(&self, alt: u32) -> AltView<'_> {
-        // Every shard's merge is built from the same pattern, rules and
-        // fresh-variable base, so the alternative tables are identical
-        // by construction and one index serves the union stream. (An
-        // index only ever comes out of an emission, so a shard exists.)
-        self.shards[0].alternative(alt)
+        self.table.view(alt as usize)
     }
 
     fn remaining_mass(&self) -> f64 {
@@ -263,7 +271,7 @@ impl RankSource for ShardedMerge<'_> {
     }
 
     fn restrict(&mut self, keys: &Rc<KeySet>, metrics: &mut ExecMetrics) -> bool {
-        // Forwarded to every slice (all derive the same alternatives);
+        // Forwarded to every slice (all read the same table);
         // the mass sum follows each slice's move, the heap is rebuilt.
         let mut restricted = false;
         for i in 0..self.shards.len() {
@@ -296,14 +304,38 @@ impl ShardedMerge<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::drive::TopkConfig;
+    use crate::exec::drive::{Sources, TopkConfig};
+    use crate::exec::segmented::StoreView;
+    use crate::exec::TripleLookup;
     use crate::score::{satisfies_mask, CanonicalPattern, GlobalTotals, PostingCache};
-    use trinit_relax::{QPattern, RuleSet};
-    use trinit_xkg::{TripleId, XkgBuilder, XkgStore};
+    use trinit_relax::{
+        ConditionOracle, QPattern, QTerm, Rule, RuleId, RuleProvenance, RuleSet, VarId,
+    };
+    use trinit_xkg::{TermId, Triple, TripleId, XkgBuilder, XkgStore};
 
     /// Every slice's matches summed by the reference scan: the
-    /// denominators a partitioned store hands the merge.
+    /// denominators a partitioned store hands the merge. Also the
+    /// lookup and oracle of a view over the slices.
     struct UnionTotals<'a>(&'a [XkgStore]);
+
+    impl TripleLookup for UnionTotals<'_> {
+        fn triple_of(&self, id: TripleId) -> Triple {
+            let mut local = id.0 as usize;
+            for slice in self.0 {
+                if local < slice.len() {
+                    return slice.triple(TripleId(local as u32));
+                }
+                local -= slice.len();
+            }
+            panic!("{id:?} is past the last slice")
+        }
+    }
+
+    impl ConditionOracle for UnionTotals<'_> {
+        fn ground_holds(&self, s: TermId, p: TermId, o: TermId) -> bool {
+            self.0.iter().any(|slice| slice.ground_holds(s, p, o))
+        }
+    }
 
     impl GlobalTotals for UnionTotals<'_> {
         fn pattern_total(&self, &(slot, mask): &CanonicalPattern) -> Option<f64> {
@@ -373,24 +405,14 @@ mod tests {
 
     fn merges_for<'a>(
         slices: &'a [XkgStore],
-        pattern: &QPattern,
-        rules: &'a RuleSet,
-        cfg: &'a TopkConfig,
+        table: &Rc<AltTable>,
         totals: &'a dyn GlobalTotals,
     ) -> Vec<IncrementalMerge<'a>> {
         slices
             .iter()
             .map(|s| {
-                IncrementalMerge::for_pattern(
-                    s,
-                    pattern,
-                    rules,
-                    cfg,
-                    8,
-                    Rc::new(RefCell::new(PostingCache::new())),
-                    None,
-                    Some(totals),
-                )
+                let cache = Rc::new(RefCell::new(PostingCache::new()));
+                IncrementalMerge::new(s, Rc::clone(table), cache, None, Some(totals))
             })
             .collect()
     }
@@ -427,11 +449,13 @@ mod tests {
                     trinit_relax::QTerm::Var(trinit_relax::VarId(1)),
                 ),
             ] {
-                let mut reference = merges_for(&slices, &pattern, &rules, &cfg, &exec);
+                let table = Rc::new(AltTable::build(&pattern, &rules, &cfg, 8, Some(&exec)));
+                let mut reference = merges_for(&slices, &table, &exec);
                 let mut ref_metrics = vec![ExecMetrics::default(); n];
                 let heap_metrics = Rc::new(RefCell::new(vec![ExecMetrics::default(); n]));
                 let mut heap_merge = ShardedMerge::new(
-                    merges_for(&slices, &pattern, &rules, &cfg, &exec)
+                    Rc::clone(&table),
+                    merges_for(&slices, &table, &exec)
                         .into_iter()
                         .zip(&offsets)
                         .map(|(m, &base)| m.with_id_base(base))
@@ -490,5 +514,61 @@ mod tests {
                 assert_eq!(scratch, folded);
             }
         }
+    }
+
+    #[test]
+    fn every_slice_merge_of_a_stream_reads_one_table() {
+        // `?x p ?y` relaxes to `?x 'close to' ?y` and on to `?y p ?x`,
+        // each with matches on both slices. The factory `execute` uses
+        // builds the stream's table once: both slice merges read that
+        // allocation, and an alternative index names the same entry
+        // whichever slice emitted it.
+        let slices = builder().build_sharded(2);
+        let (p, close) = (
+            slices[0].resource("p").unwrap(),
+            slices[0].token("close to").unwrap(),
+        );
+        let mut rules = RuleSet::new();
+        rules.add(Rule::predicate_rewrite(
+            "a",
+            p,
+            close,
+            0.8,
+            RuleProvenance::UserDefined,
+        ));
+        rules.add(Rule::inversion(
+            "b",
+            close,
+            p,
+            0.6,
+            RuleProvenance::UserDefined,
+        ));
+        let (cfg, context) = (TopkConfig::default(), UnionTotals(&slices));
+        let refs: Vec<&XkgStore> = slices.iter().collect();
+        let sources = Sources::new(StoreView::over(&refs, 0, &context), &rules, &cfg, &[]);
+        let pattern = QPattern::new(QTerm::Var(VarId(0)), QTerm::Term(p), QTerm::Var(VarId(1)));
+        let slots = Rc::new(RefCell::new(vec![ExecMetrics::default(); 2]));
+        let mut union = sources.union(&pattern, 8, 0..2, &slots);
+        assert!(union.shards.iter().all(|m| m.reads(&union.table)));
+        let traces: Vec<Vec<RuleId>> = union.table.iter().map(|a| a.trace.to_vec()).collect();
+        assert_eq!(
+            traces,
+            [vec![], vec![RuleId(0)], vec![RuleId(0), RuleId(1)]]
+        );
+        let mut emitted = [[false; 3]; 2];
+        let (mut metrics, mut recorder) = (ExecMetrics::default(), TraceRecorder::off());
+        while let Some(m) = union.next_merged(&mut metrics, &mut recorder) {
+            let slice = usize::from(m.triple.0 as usize >= slices[0].len());
+            let (seen, own) = (
+                union.alternative(m.alt),
+                union.shards[slice].alternative(m.alt),
+            );
+            assert!(std::ptr::eq(seen.pattern, own.pattern) && std::ptr::eq(seen.trace, own.trace));
+            emitted[slice][m.alt as usize] = true;
+        }
+        assert_eq!(
+            emitted, [[true; 3]; 2],
+            "every alternative emits on both slices"
+        );
     }
 }

@@ -743,8 +743,11 @@ pub fn head_prob_bound(store: &XkgStore, pattern: &QPattern) -> f64 {
     store.head_prob(&slot).unwrap_or(1.0)
 }
 
-/// [`head_prob_bound`] under a [`GlobalTotals`] provider: the bound on a
-/// *shard's* best emission when probabilities are normalized globally.
+/// [`head_prob_bound`] under a global total: the bound on a *slice's*
+/// best emission when probabilities are normalized over every slice.
+/// `global` is what the view's [`GlobalTotals::pattern_total`] returns
+/// for `pattern`, resolved once per execution by the caller (`None`:
+/// local totals are global).
 /// Borrow-served shapes keep their local probabilities and rescale them
 /// ([`ScoredMatches::build_global`]), so the bound is the local head
 /// probability rescaled the same way — bit for bit the head the list
@@ -754,19 +757,14 @@ pub fn head_prob_bound(store: &XkgStore, pattern: &QPattern) -> f64 {
 /// Shapes the index cannot answer fall back to the trivial bound
 /// (probabilities are ≤ 1 by construction, since every local weight
 /// participates in the global total).
-pub fn head_prob_bound_global(
-    store: &XkgStore,
-    pattern: &QPattern,
-    totals: Option<&dyn GlobalTotals>,
-) -> f64 {
-    let key = canonical_pattern(pattern);
-    let Some(t) = totals.and_then(|g| g.pattern_total(&key)) else {
+pub fn head_prob_bound_global(store: &XkgStore, pattern: &QPattern, global: Option<f64>) -> f64 {
+    let Some(t) = global else {
         return head_prob_bound(store, pattern);
     };
     if t <= 0.0 {
         return 0.0;
     }
-    let (slot, mask) = key;
+    let (slot, mask) = canonical_pattern(pattern);
     match (mask, served_total(store, &slot)) {
         (0, Some(total)) => store.head_prob(&slot).unwrap_or(0.0) * rescale(total, Some(t)),
         _ => store.head_weight(&slot).map_or(1.0, |w| (w / t).min(1.0)),

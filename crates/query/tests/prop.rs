@@ -11,7 +11,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use trinit_query::exec::join::KeySet;
-use trinit_query::exec::merge::{IncrementalMerge, RankSource};
+use trinit_query::exec::merge::{AltTable, IncrementalMerge, RankSource};
 use trinit_query::exec::{expand, topk};
 use trinit_query::{ExecMetrics, PostingCache, Query, TopkConfig};
 use trinit_relax::{ExpandOptions, QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
@@ -521,7 +521,8 @@ fn restriction_leaves_an_alternative_that_dropped_the_key_variable_alone() {
     };
     let merge = || {
         let cache = Rc::new(RefCell::new(PostingCache::new()));
-        IncrementalMerge::for_pattern(&store, &pattern, &rules, &cfg, 8, cache, None, None)
+        let table = Rc::new(AltTable::build(&pattern, &rules, &cfg, 8, None));
+        IncrementalMerge::new(&store, table, cache, None, None)
     };
     let keys = vec![vec![tid(103)], vec![tid(117)]];
     for at in [0, 3] {
@@ -690,7 +691,8 @@ proptest! {
             let cfg = TopkConfig { min_weight: 0.0, tighten_threshold: tighten, ..TopkConfig::default() };
             let merge = || {
                 let cache = Rc::new(RefCell::new(PostingCache::new()));
-                IncrementalMerge::for_pattern(&store, &patterns[0], &set, &cfg, 8, cache, None, None)
+                let table = Rc::new(AltTable::build(&patterns[0], &set, &cfg, 8, None));
+                IncrementalMerge::new(&store, table, cache, None, None)
             };
             assert_restriction_filters(merge(), merge(), |id| store.triple(id), &vars, &keys, at);
         }

@@ -41,5 +41,5 @@ pub use operator::{
 };
 pub use paraphrase::{paraphrase_rules, ParaphraseGroup};
 pub use pattern::{display_pattern, QPattern, QTerm, VarId};
-pub use rule::{RVar, Rule, RuleId, RuleKind, RuleProvenance, TTerm, Template};
+pub use rule::{RVar, Rule, RuleId, RuleKind, RuleProvenance, SlotRewrite, TTerm, Template};
 pub use ruleset::RuleSet;

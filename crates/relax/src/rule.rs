@@ -12,6 +12,8 @@ use std::fmt;
 
 use trinit_xkg::TermId;
 
+use crate::pattern::{QPattern, QTerm, VarId};
+
 /// A rule-scoped variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RVar(pub u8);
@@ -93,6 +95,66 @@ pub enum RuleProvenance {
     UserDefined,
 }
 
+/// One slot of a [`SlotRewrite`] side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// This term.
+    Const(TermId),
+    /// What the query holds in the slot with this index, the first LHS
+    /// slot holding the rule variable.
+    Query(u8),
+    /// The RHS-only rule variable first held by the RHS slot with this
+    /// index.
+    Fresh(u8),
+}
+
+/// A mergeable rule ([`Rule::is_mergeable`]) compiled into a fixed-size
+/// slot substitution: applied to one pattern, it gives exactly what the
+/// general matcher ([`crate::apply::apply_rule`]) gives for that pattern
+/// alone, with fresh variables renamed into a caller-given id range,
+/// and it searches, hashes and allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotRewrite {
+    lhs: [Slot; 3],
+    rhs: [Slot; 3],
+}
+
+impl SlotRewrite {
+    /// The rewriting of `pattern`, or `None` if the rule does not match
+    /// it. Fresh variables take, in order of first occurrence, the lowest
+    /// ids from `fresh_base` up that the rewriting does not already hold
+    /// as a variable kept from `pattern`.
+    #[inline]
+    pub fn apply(&self, pattern: &QPattern, fresh_base: u16) -> Option<QPattern> {
+        let q = pattern.slots();
+        let holds = |(i, slot): (usize, &Slot)| match *slot {
+            Slot::Const(c) => q[i] == QTerm::Term(c),
+            Slot::Query(j) => q[i] == q[j as usize],
+            Slot::Fresh(_) => false,
+        };
+        if !self.lhs.iter().enumerate().all(holds) {
+            return None;
+        }
+        let kept = |id: u16| {
+            let var = QTerm::Var(VarId(id));
+            (self.rhs.iter()).any(|&s| matches!(s, Slot::Query(j) if q[j as usize] == var))
+        };
+        let (mut fresh, mut next) = ([None; 3], fresh_base);
+        let out = self.rhs.map(|slot| match slot {
+            Slot::Const(c) => QTerm::Term(c),
+            Slot::Query(j) => q[j as usize],
+            Slot::Fresh(k) => QTerm::Var(*fresh[k as usize].get_or_insert_with(|| {
+                while kept(next) {
+                    next += 1;
+                }
+                next += 1;
+                VarId(next - 1)
+            })),
+        });
+        Some(QPattern::new(out[0], out[1], out[2]))
+    }
+}
+
 /// Identifier of a rule within a [`crate::ruleset::RuleSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleId(pub u32);
@@ -171,11 +233,28 @@ impl Rule {
         }
     }
 
-    /// True if the rule consumes exactly one pattern with a constant
-    /// predicate — such rules can be merged incrementally per pattern
-    /// during top-k processing (§4).
-    pub fn is_single_pattern(&self) -> bool {
-        self.lhs.len() == 1
+    /// True if the rule rewrites one pattern with a constant predicate
+    /// into one pattern — such rules are merged incrementally per pattern
+    /// during top-k processing (§4); every other rule is structural and
+    /// rewrites the query as a whole.
+    pub fn is_mergeable(&self) -> bool {
+        self.rhs.len() == 1 && self.lhs_predicate().is_some()
+    }
+
+    /// The rule compiled to a [`SlotRewrite`], if it is mergeable.
+    pub fn slot_rewrite(&self) -> Option<SlotRewrite> {
+        if !self.is_mergeable() {
+            return None;
+        }
+        let (lhs, rhs) = (self.lhs[0].slots(), self.rhs[0].slots());
+        let first = |side: [TTerm; 3], t| side.iter().position(|&s| s == t).unwrap_or(0) as u8;
+        let slot = |t: TTerm| match t {
+            TTerm::Const(c) => Slot::Const(c),
+            _ if lhs.contains(&t) => Slot::Query(first(lhs, t)),
+            _ => Slot::Fresh(first(rhs, t)),
+        };
+        let (lhs, rhs) = (lhs.map(slot), rhs.map(slot));
+        Some(SlotRewrite { lhs, rhs })
     }
 
     /// The constant predicate of a single-pattern rule's LHS, if any.
@@ -219,7 +298,7 @@ mod tests {
     #[test]
     fn predicate_rewrite_shape() {
         let r = Rule::predicate_rewrite("p1->p2", tid(1), tid(2), 0.8, RuleProvenance::Paraphrase);
-        assert!(r.is_single_pattern());
+        assert!(r.is_mergeable());
         assert_eq!(r.lhs_predicate(), Some(tid(1)));
         assert_eq!(r.kind, RuleKind::PredicateRewrite);
         assert!(r.fresh_vars().is_empty());
@@ -266,7 +345,7 @@ mod tests {
             RuleProvenance::Ontology,
         );
         assert_eq!(r.fresh_vars(), vec![RVar(2)]);
-        assert!(!r.is_single_pattern());
+        assert!(!r.is_mergeable());
         assert_eq!(r.lhs_predicate(), None);
     }
 }

@@ -4,17 +4,19 @@ use std::collections::HashMap;
 
 use trinit_xkg::TermId;
 
-use crate::rule::{Rule, RuleId};
+use crate::rule::{Rule, RuleId, SlotRewrite};
 
 /// An ordered collection of relaxation rules.
 ///
-/// Rules receive stable [`RuleId`]s in insertion order; single-pattern
-/// rules are indexed by their LHS predicate so the top-k processor can
-/// find the relaxations of a triple pattern in O(1).
+/// Rules receive stable [`RuleId`]s in insertion order. Mergeable rules
+/// ([`Rule::is_mergeable`]) are compiled to their [`SlotRewrite`] and
+/// indexed by their LHS predicate, so the top-k processor finds and
+/// applies the relaxations of a triple pattern without the general
+/// matcher; every other rule is structural.
 #[derive(Debug, Default)]
 pub struct RuleSet {
     rules: Vec<Rule>,
-    by_predicate: HashMap<TermId, Vec<RuleId>>,
+    by_predicate: HashMap<TermId, Vec<(RuleId, SlotRewrite)>>,
     structural: Vec<RuleId>,
 }
 
@@ -27,9 +29,9 @@ impl RuleSet {
     /// Adds a rule, returning its id.
     pub fn add(&mut self, rule: Rule) -> RuleId {
         let id = RuleId(u32::try_from(self.rules.len()).expect("rule overflow"));
-        match rule.lhs_predicate() {
-            Some(p) => self.by_predicate.entry(p).or_default().push(id),
-            None => self.structural.push(id),
+        match (rule.lhs_predicate(), rule.slot_rewrite()) {
+            (Some(p), Some(rewrite)) => self.by_predicate.entry(p).or_default().push((id, rewrite)),
+            _ => self.structural.push(id),
         }
         self.rules.push(rule);
         id
@@ -67,13 +69,14 @@ impl RuleSet {
             .map(|(i, r)| (RuleId(i as u32), r))
     }
 
-    /// Ids of single-pattern rules whose LHS predicate is `p`.
-    pub fn rules_for_predicate(&self, p: TermId) -> &[RuleId] {
+    /// The mergeable rules whose LHS predicate is `p`, compiled, in
+    /// insertion order.
+    pub fn rules_for_predicate(&self, p: TermId) -> &[(RuleId, SlotRewrite)] {
         self.by_predicate.get(&p).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Ids of rules that are not single-pattern predicate rules
-    /// (multi-pattern structural rules and variable-predicate rules).
+    /// Ids of the rules that are not mergeable (multi-pattern sides or a
+    /// variable LHS predicate), in insertion order.
     pub fn structural_rules(&self) -> &[RuleId] {
         &self.structural
     }
@@ -151,20 +154,39 @@ mod tests {
 
     #[test]
     fn structural_rules_are_separated() {
+        // Exactly the non-mergeable rules are structural: two LHS
+        // patterns, two RHS patterns under a constant LHS predicate, a
+        // variable LHS predicate. The one-in, one-out rule with a fresh
+        // variable is mergeable and is the only one indexed.
         let mut set = RuleSet::new();
-        let (x, y) = (TTerm::Var(RVar(0)), TTerm::Var(RVar(1)));
-        set.add(Rule::structural(
-            "s",
-            vec![
-                Template::new(x, TTerm::Const(tid(1)), y),
-                Template::new(y, TTerm::Const(tid(2)), x),
-            ],
-            vec![Template::new(x, TTerm::Const(tid(3)), y)],
-            0.7,
-            RuleProvenance::Ontology,
-        ));
-        assert_eq!(set.structural_rules().len(), 1);
-        assert!(set.rules_for_predicate(tid(1)).is_empty());
+        let (x, y, z) = (
+            TTerm::Var(RVar(0)),
+            TTerm::Var(RVar(1)),
+            TTerm::Var(RVar(2)),
+        );
+        let one = |p: u32, s, o| vec![Template::new(s, TTerm::Const(tid(p)), o)];
+        let rules = [
+            ([one(1, x, y), one(2, y, x)].concat(), one(3, x, y)),
+            (one(1, x, y), [one(3, x, z), one(4, z, y)].concat()),
+            (vec![Template::new(x, z, y)], one(3, x, y)),
+            (one(1, x, y), one(3, x, z)),
+        ];
+        for (lhs, rhs) in rules {
+            set.add(Rule::structural(
+                "s",
+                lhs,
+                rhs,
+                0.7,
+                RuleProvenance::Ontology,
+            ));
+        }
+        let mergeable: Vec<bool> = set.iter().map(|(_, r)| r.is_mergeable()).collect();
+        assert_eq!(mergeable, [false, false, false, true]);
+        assert_eq!(set.structural_rules(), [RuleId(0), RuleId(1), RuleId(2)]);
+        let indexed: Vec<RuleId> = (set.rules_for_predicate(tid(1)).iter())
+            .map(|&(id, _)| id)
+            .collect();
+        assert_eq!(indexed, [RuleId(3)]);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use trinit_relax::{
-    apply_rule, canonical_key, expand, ExpandOptions, QPattern, QTerm, Rule, RuleId,
-    RuleProvenance, RuleSet, VarId,
+    apply_rule, canonical_key, expand, ExpandOptions, QPattern, QTerm, RVar, Rule, RuleId,
+    RuleProvenance, RuleSet, TTerm, Template, VarId,
 };
 use trinit_xkg::{TermId, TermKind};
 
@@ -36,6 +36,92 @@ fn rewrite_rule(terms: u32) -> impl Strategy<Value = Rule> {
             Rule::predicate_rewrite("prop", tid(p1), tid(p2), w, RuleProvenance::UserDefined)
         }
     })
+}
+
+/// A rule slot: one of four rule variables or one of `terms` constants.
+fn tterm(terms: u32) -> impl Strategy<Value = TTerm> {
+    prop_oneof![
+        (0u8..4).prop_map(|v| TTerm::Var(RVar(v))),
+        (0..terms).prop_map(|t| TTerm::Const(tid(t))),
+    ]
+}
+
+/// Every mergeable shape: predicate rewrites and inversions by their
+/// constructors, and one-in, one-out rules with constants in any slot,
+/// repeated variables and RHS-only (fresh) variables.
+fn mergeable_rule(terms: u32) -> impl Strategy<Value = Rule> {
+    let general = (
+        tterm(terms),
+        0..terms,
+        tterm(terms),
+        tterm(terms),
+        tterm(terms),
+        tterm(terms),
+    )
+        .prop_map(|(s, p, o, rs, rp, ro)| {
+            let lhs = Template::new(s, TTerm::Const(tid(p)), o);
+            let rhs = Template::new(rs, rp, ro);
+            Rule::structural("g", vec![lhs], vec![rhs], 0.5, RuleProvenance::UserDefined)
+        });
+    prop_oneof![rewrite_rule(terms), general]
+}
+
+/// A pattern with constants, distinct or repeated variables, and a
+/// constant or variable predicate.
+fn any_qpattern(vars: u16, terms: u32) -> impl Strategy<Value = QPattern> {
+    (qterm(vars, terms), qterm(vars, terms), qterm(vars, terms))
+        .prop_map(|(s, p, o)| QPattern::new(s, p, o))
+}
+
+/// The rewriting's variables that `origin` lacks (fresh ones), renamed
+/// in slot order to the lowest ids from `fresh_base` that no variable
+/// kept from `origin` holds — how the top-k engine numbered them before
+/// rules were compiled.
+fn remap_fresh(pattern: QPattern, origin: &QPattern, fresh_base: u16) -> QPattern {
+    let kept = |v: VarId| origin.vars().any(|u| u == v);
+    let mut mapping: Vec<(VarId, VarId)> = Vec::new();
+    let mut next = fresh_base;
+    let mut map = |t: QTerm| match t {
+        QTerm::Var(v) if !kept(v) => {
+            if let Some(&(_, nv)) = mapping.iter().find(|(old, _)| *old == v) {
+                return QTerm::Var(nv);
+            }
+            while pattern.vars().any(|u| u.0 == next && kept(u)) {
+                next += 1;
+            }
+            mapping.push((v, VarId(next)));
+            next += 1;
+            QTerm::Var(VarId(next - 1))
+        }
+        other => other,
+    };
+    QPattern::new(map(pattern.s), map(pattern.p), map(pattern.o))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// A mergeable rule's compiled form rewrites one pattern exactly as
+    /// the general matcher does followed by fresh-variable renaming, and
+    /// declines exactly the patterns the matcher finds no match in.
+    #[test]
+    fn slot_rewrite_equals_the_general_matcher(
+        rule in mergeable_rule(2),
+        pattern in any_qpattern(3, 2),
+        // Over the pattern's own variable ids too, so that fresh ids must
+        // skip the variables a rewriting keeps.
+        fresh_base in 0u16..4,
+    ) {
+        prop_assert!(rule.is_mergeable());
+        let compiled = rule.slot_rewrite().expect("a mergeable rule compiles");
+        let matched = apply_rule(&[pattern], &rule, RuleId(0));
+        prop_assert!(matched.len() <= 1, "one pattern matches at most once");
+        let want = matched.first().map(|r| {
+            let [rewritten] = r.patterns[..] else { panic!("one pattern out") };
+            remap_fresh(rewritten, &pattern, fresh_base)
+        });
+        prop_assert_eq!(compiled.apply(&pattern, fresh_base), want, "{:?} on {:?}", rule, pattern);
+    }
 }
 
 proptest! {

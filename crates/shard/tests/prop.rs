@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use trinit_query::exec::merge::IncrementalMerge;
+use trinit_query::exec::merge::{AltTable, IncrementalMerge};
 use trinit_query::exec::sharded::ShardedMerge;
 use trinit_query::exec::topk::{self, TopkConfig};
 use trinit_query::{Completeness, ExecBudget, ExecMetrics, GlobalTotals, PostingCache, Query};
@@ -624,17 +624,18 @@ fn union_merge<'a>(
     cfg: &TopkConfig,
     totals: &'a dyn GlobalTotals,
 ) -> ShardedMerge<'a> {
+    let table = Rc::new(AltTable::build(pattern, rules, cfg, 8, Some(totals)));
     let merges = range
         .clone()
         .map(|s| {
             let cache = Rc::new(RefCell::new(PostingCache::new()));
             let base: usize = slices[..s].iter().map(|slice| slice.len()).sum();
-            IncrementalMerge::for_pattern(slices[s], pattern, rules, cfg, 8, cache, None, Some(totals))
+            IncrementalMerge::new(slices[s], Rc::clone(&table), cache, None, Some(totals))
                 .with_id_base(base as u32)
         })
         .collect();
     let metrics = Rc::new(RefCell::new(vec![ExecMetrics::default(); slices.len()]));
-    ShardedMerge::new(merges, range.collect(), metrics)
+    ShardedMerge::new(table, merges, range.collect(), metrics)
 }
 
 proptest! {

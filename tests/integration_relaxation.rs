@@ -1,10 +1,18 @@
 //! Integration: mined rules, user rules, sessions, suggestion, and the
 //! relaxation-driven recovery of missing answers on a generated system.
 
-use trinit_core::relax::{mine_cooccurrence, MinerConfig, Rule, RuleKind, RuleProvenance};
+use trinit_core::query::exec::merge::AltTable;
+use trinit_core::query::TopkConfig;
+use trinit_core::relax::{
+    apply_rule, apply_rule_with, mine_cooccurrence, MinerConfig, QPattern, QTerm, Rule, RuleId,
+    RuleKind, RuleProvenance, RuleSet, VarId,
+};
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
 use trinit_core::xkg::args_pairs;
 use trinit_core::{Engine, Session, TrinitBuilder};
+use trinit_eval::{
+    build_full_system, build_world, generate_benchmark, BenchmarkConfig, EvalConfig,
+};
 
 fn system() -> (World, trinit_core::Trinit) {
     let world = World::generate(WorldConfig::tiny(53).scaled(3.0));
@@ -155,4 +163,142 @@ fn zero_weight_rules_never_contribute() {
     for a in &outcome.answers {
         assert!(a.derivation.is_exact(), "zero-weight rule must be pruned");
     }
+}
+
+/// A reference relaxation table entry: pattern, weight, rule chain.
+type RefEntry = (QPattern, f64, Vec<RuleId>);
+
+/// The variables of `pattern` that `origin` lacks (rule-introduced fresh
+/// ones), renamed in slot order to the lowest ids from `fresh_base` that
+/// no variable kept from `origin` holds.
+fn remap_fresh(pattern: QPattern, origin: &QPattern, fresh_base: u16) -> QPattern {
+    let kept = |v: VarId| origin.vars().any(|u| u == v);
+    let mut mapping: Vec<(VarId, VarId)> = Vec::new();
+    let mut next = fresh_base;
+    let mut map = |t: QTerm| match t {
+        QTerm::Var(v) if !kept(v) => {
+            if let Some(&(_, nv)) = mapping.iter().find(|(old, _)| *old == v) {
+                return QTerm::Var(nv);
+            }
+            while pattern.vars().any(|u| u.0 == next && kept(u)) {
+                next += 1;
+            }
+            mapping.push((v, VarId(next)));
+            next += 1;
+            QTerm::Var(VarId(next - 1))
+        }
+        other => other,
+    };
+    QPattern::new(map(pattern.s), map(pattern.p), map(pattern.o))
+}
+
+/// A pattern's relaxation table enumerated through the general matcher:
+/// breadth-first chains of mergeable rules applied with `apply_rule`, a
+/// rewriting already present kept at its best weight and chain, new ones
+/// appended while the table has room.
+fn reference_table(
+    pattern: &QPattern,
+    rules: &RuleSet,
+    cfg: &TopkConfig,
+    fresh_base: u16,
+) -> Vec<RefEntry> {
+    let mut out: Vec<RefEntry> = vec![(*pattern, 1.0, Vec::new())];
+    let mut frontier = vec![0usize];
+    for _ in 0..cfg.chain_depth {
+        let mut next_frontier = Vec::new();
+        for &idx in &frontier {
+            let (cur, cur_weight, cur_trace) = out[idx].clone();
+            let Some(pred) = cur.p.term() else { continue };
+            let rewrites_pred = |r: &Rule| r.is_mergeable() && r.lhs_predicate() == Some(pred);
+            for (rule_id, rule) in rules.iter().filter(|(_, r)| rewrites_pred(r)) {
+                let weight = cur_weight * rule.weight;
+                if weight < cfg.min_weight {
+                    continue;
+                }
+                for rewriting in apply_rule(&[cur], rule, rule_id) {
+                    let [rewritten] = rewriting.patterns[..] else {
+                        continue;
+                    };
+                    let rewritten = remap_fresh(rewritten, &cur, fresh_base);
+                    let trace = [cur_trace.clone(), vec![rule_id]].concat();
+                    match out.iter().position(|a| a.0 == rewritten) {
+                        Some(i) if weight > out[i].1 => (out[i].1, out[i].2) = (weight, trace),
+                        None if out.len() < cfg.max_alternatives => {
+                            out.push((rewritten, weight, trace));
+                            next_frontier.push(out.len() - 1);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        }
+        if next_frontier.is_empty() {
+            break;
+        }
+        frontier = next_frontier;
+    }
+    out
+}
+
+/// The top-k engine's relaxation table of every pattern the 70 graded
+/// queries run — their own patterns and those of their one-step
+/// structural rewritings, at the fresh-variable base each stream gets —
+/// equals the general matcher's enumeration entry for entry: pattern,
+/// weight to the bit, rule chain, and order (merge ties break on the
+/// entry index).
+#[test]
+fn relaxation_tables_equal_the_general_matcher_enumeration() {
+    let cfg = EvalConfig {
+        seed: 42,
+        scale: 1.0,
+        per_category: 14,
+    };
+    let (world, kg) = build_world(&cfg);
+    let sys = build_full_system(&world, &cfg);
+    let graded = generate_benchmark(
+        &world,
+        &kg,
+        &BenchmarkConfig {
+            seed: 45,
+            per_category: 14,
+        },
+    );
+    assert_eq!(graded.len(), 70);
+    let (rules, topk) = (sys.rules(), TopkConfig::default());
+    let (mut tables, mut relaxed) = (0, 0);
+    for bench in &graded {
+        let query = sys.parse(&bench.text).expect("graded query parses");
+        let mut variants = vec![query.patterns.clone()];
+        for &id in rules.structural_rules() {
+            let rewritings = apply_rule_with(&query.patterns, rules.get(id), id, Some(sys.store()));
+            variants.extend(rewritings.into_iter().map(|r| r.patterns));
+        }
+        for patterns in &variants {
+            let max_var = patterns
+                .iter()
+                .filter_map(QPattern::max_var)
+                .max()
+                .map_or(0, |m| m + 1);
+            for (i, pattern) in patterns.iter().enumerate() {
+                let fresh_base = max_var + 3 * i as u16;
+                let want = reference_table(pattern, rules, &topk, fresh_base);
+                let table = AltTable::build(pattern, rules, &topk, fresh_base, None);
+                let got: Vec<RefEntry> = table
+                    .iter()
+                    .map(|a| (*a.pattern, a.weight, a.trace.to_vec()))
+                    .collect();
+                assert_eq!(got.len(), want.len(), "{}: {pattern:?}", bench.text);
+                for (g, w) in got.iter().zip(&want) {
+                    let (g, w) = ((g.0, g.1.to_bits(), &g.2), (w.0, w.1.to_bits(), &w.2));
+                    assert_eq!(g, w, "{}", bench.text);
+                }
+                tables += 1;
+                relaxed += usize::from(want.len() > 1);
+            }
+        }
+    }
+    assert!(
+        relaxed * 2 > tables,
+        "{relaxed} of {tables} tables relax their pattern"
+    );
 }
