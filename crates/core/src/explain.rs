@@ -212,10 +212,6 @@ pub fn processing_report(
         m.posting_lists_built
     ));
     out.push_str(&format!(
-        "  posting-cache hits:          {}\n",
-        m.posting_cache_hits
-    ));
-    out.push_str(&format!(
         "  session-cache hits:          {}\n",
         m.shared_cache_hits
     ));

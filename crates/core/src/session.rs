@@ -206,9 +206,9 @@ mod tests {
         let q = "AlbertEinstein affiliation ?x LIMIT 5";
         let first = session.query(q).unwrap();
         let stats_after_first = session.cache_stats();
-        assert_eq!(stats_after_first.hits, 0, "cold cache cannot hit");
         assert!(stats_after_first.misses > 0, "first run must consult and miss");
-        assert_eq!(first.metrics.shared_cache_hits, 0);
+        // A hit on a cold cache is the query's own repeat of a pattern.
+        assert_eq!(first.metrics.shared_cache_hits, stats_after_first.hits);
 
         let second = session.query(q).unwrap();
         let stats_after_second = session.cache_stats();
@@ -217,11 +217,12 @@ mod tests {
             stats_after_second.misses, stats_after_first.misses,
             "a repeated query must not miss again"
         );
-        assert!(second.metrics.shared_cache_hits > 0);
-        assert_eq!(second.metrics.posting_lists_built + second.metrics.shared_cache_hits
-            + second.metrics.posting_cache_hits,
-            first.metrics.posting_lists_built + first.metrics.posting_cache_hits,
-            "every open is served by exactly one tier");
+        assert!(second.metrics.shared_cache_hits > first.metrics.shared_cache_hits);
+        assert_eq!(
+            second.metrics.posting_lists_built + second.metrics.shared_cache_hits,
+            first.metrics.posting_lists_built + first.metrics.shared_cache_hits,
+            "every open is either built or a hit"
+        );
 
         // And the cache never changes answers.
         assert_eq!(first.answers.len(), second.answers.len());
@@ -259,16 +260,26 @@ mod tests {
         let a = Session::new(&sys);
         let b = Session::new(&sys);
         let q = "AlbertEinstein affiliation ?x LIMIT 5";
+        let cold = a.query(q).unwrap();
+        let cold_stats = a.cache_stats();
         a.query(q).unwrap();
-        a.query(q).unwrap();
-        assert!(a.cache_stats().hits > 0);
+        assert!(a.cache_stats().hits > cold_stats.hits);
         // Session b never ran anything: its cache saw no traffic at all,
-        // and its first run misses (a's cached lists are invisible).
+        // and its first run misses exactly as a's did (a's cached lists
+        // are invisible), with the same answers.
         assert_eq!(b.cache_stats(), trinit_query::SharedCacheStats::default());
         let outcome = b.query(q).unwrap();
-        assert_eq!(outcome.metrics.shared_cache_hits, 0);
         assert!(b.cache_stats().misses > 0);
-        assert_eq!(b.cache_stats().hits, 0);
+        assert_eq!(b.cache_stats().misses, cold_stats.misses);
+        assert_eq!(b.cache_stats().hits, cold_stats.hits);
+        assert_eq!(
+            outcome.metrics.shared_cache_hits,
+            cold.metrics.shared_cache_hits
+        );
+        for (x, y) in outcome.answers.iter().zip(&cold.answers) {
+            assert_eq!(x.key, y.key);
+        }
+        assert_eq!(outcome.answers.len(), cold.answers.len());
     }
 
     #[test]

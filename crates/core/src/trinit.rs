@@ -1292,11 +1292,22 @@ mod tests {
 
         sys.enable_posting_cache(64);
         let cold = sys.query(q).unwrap();
-        assert_eq!(cold.metrics.shared_cache_hits, 0);
+        let cold_stats = sys.posting_cache().unwrap().stats();
+        // A cold query hits only on its own repeats of a pattern.
+        assert_eq!(cold.metrics.shared_cache_hits, cold_stats.hits);
+        assert!(cold_stats.misses > 0);
         let warm = sys.query(q).unwrap();
-        assert!(warm.metrics.shared_cache_hits > 0);
+        assert!(warm.metrics.shared_cache_hits > cold.metrics.shared_cache_hits);
         let stats = sys.posting_cache().unwrap().stats();
-        assert!(stats.hits > 0 && stats.misses > 0);
+        assert_eq!(
+            stats.misses, cold_stats.misses,
+            "a warm repeat never misses"
+        );
+        assert_eq!(
+            warm.metrics.posting_lists_built + warm.metrics.shared_cache_hits,
+            cold.metrics.posting_lists_built + cold.metrics.shared_cache_hits,
+            "every open is either built or a hit"
+        );
         // Answers are cache-invisible.
         assert_eq!(plain.answers.len(), warm.answers.len());
         for (a, b) in plain.answers.iter().zip(&warm.answers) {

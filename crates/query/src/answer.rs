@@ -7,6 +7,7 @@
 //! can arise from several derivations; the collector keeps the
 //! highest-scoring one (paper §4).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use trinit_relax::{QPattern, RuleId, VarId};
@@ -156,6 +157,8 @@ pub struct Answer {
 
 /// One collected answer plus its insertion sequence number — the stable
 /// identity the tracked top-k list refers to (cheaper than cloning keys).
+/// The answer's key is moved into the collector's map, leaving its own
+/// empty until [`AnswerCollector::into_top_k`] puts it back.
 #[derive(Debug)]
 struct Slot {
     seq: u64,
@@ -205,36 +208,46 @@ impl AnswerCollector {
         }
     }
 
+    /// False only for a tracking collector whose top list is full with a
+    /// minimum strictly above `score`: such an answer cannot rank, so the
+    /// rank join builds nothing for it. Skipping it leaves
+    /// [`AnswerCollector::into_top_k`] bit-identical — the k-th only
+    /// rises, so an offer below the k-th of its time stays below the
+    /// final one — and ties are admitted because `into_top_k` breaks them
+    /// by key.
+    #[inline]
+    pub fn admits(&self, score: f64) -> bool {
+        let full = self.track_k > 0 && self.top.len() >= self.track_k;
+        !(full && self.top.last().is_some_and(|&(min, _)| min > score))
+    }
+
     /// Offers an answer; kept only if it beats the current best for its
     /// key. Returns `true` if the collector changed.
-    pub fn offer(&mut self, answer: Answer) -> bool {
-        match self.best.get_mut(&answer.key) {
-            Some(slot) if slot.answer.score >= answer.score => false,
-            Some(slot) => {
-                let seq = slot.seq;
-                let score = answer.score;
+    pub fn offer(&mut self, mut answer: Answer) -> bool {
+        let score = answer.score;
+        let seq = match self.best.entry(std::mem::take(&mut answer.key)) {
+            Entry::Occupied(slot) if slot.get().answer.score >= score => return false,
+            Entry::Occupied(mut slot) => {
+                let slot = slot.get_mut();
                 slot.answer = answer;
-                if self.track_k > 0 {
-                    // The key's old score may sit in the tracked list;
-                    // drop it before re-offering the improved score.
-                    if let Some(i) = self.top.iter().position(|&(_, s)| s == seq) {
-                        self.top.remove(i);
-                    }
-                    self.offer_top(score, seq);
+                // The key's old score may sit in the tracked list; drop it
+                // before re-offering the improved score.
+                if let Some(i) = self.top.iter().position(|&(_, s)| s == slot.seq) {
+                    self.top.remove(i);
                 }
-                true
+                slot.seq
             }
-            None => {
+            Entry::Vacant(slot) => {
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                let score = answer.score;
-                self.best.insert(answer.key.clone(), Slot { seq, answer });
-                if self.track_k > 0 {
-                    self.offer_top(score, seq);
-                }
-                true
+                slot.insert(Slot { seq, answer });
+                seq
             }
+        };
+        if self.track_k > 0 {
+            self.offer_top(score, seq);
         }
+        true
     }
 
     /// Inserts a candidate into the tracked top list, evicting the
@@ -282,15 +295,20 @@ impl AnswerCollector {
     }
 
     /// Finalizes into the top-`k` answers, sorted by descending score
-    /// (ties broken by key for determinism).
+    /// (ties broken by key for determinism). Keys are distinct, so the
+    /// order is total: selecting the top `k` and sorting only those gives
+    /// exactly the prefix a sort of every held answer would.
     pub fn into_top_k(self, k: usize) -> Vec<Answer> {
-        let mut out: Vec<Answer> = self.best.into_values().map(|s| s.answer).collect();
-        out.sort_by(|a, b| {
-            b.score
-                .total_cmp(&a.score)
-                .then_with(|| a.key.cmp(&b.key))
-        });
-        out.truncate(k);
+        let order =
+            |a: &Answer, b: &Answer| b.score.total_cmp(&a.score).then_with(|| a.key.cmp(&b.key));
+        let mut out: Vec<Answer> = (self.best.into_iter())
+            .map(|(key, slot)| Answer { key, ..slot.answer })
+            .collect();
+        if k < out.len() {
+            out.select_nth_unstable_by(k, order);
+            out.truncate(k);
+        }
+        out.sort_unstable_by(order);
         out
     }
 }

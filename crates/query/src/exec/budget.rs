@@ -79,7 +79,10 @@ pub struct ExecBudget {
     /// [`ExecMetrics::pulls`]: crate::exec::ExecMetrics::pulls
     pub max_pulls: Option<usize>,
     /// Maximum answers materialized into the collector before the run
-    /// is cut off (an admission-control cap on result-set work).
+    /// is cut off (an admission-control cap on result-set work). Only
+    /// *admitted* answers count: a combination scoring strictly below
+    /// the current k-th is never built
+    /// ([`AnswerCollector::admits`](crate::answer::AnswerCollector::admits)).
     pub max_answers: Option<usize>,
     /// Fraction of the budget at which the degradation ladder starts
     /// escalating (`0.75` by default). The region between

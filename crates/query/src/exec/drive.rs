@@ -82,7 +82,7 @@ use crate::exec::segmented::StoreView;
 use crate::exec::sharded::ShardedMerge;
 use crate::exec::threshold::{Admission, RoundVerdict, ThresholdPolicy};
 use crate::exec::{ExecMetrics, TripleLookup};
-use crate::score::{ln_weight, PostingCache, SharedPostingCache};
+use crate::score::{ln_weight, SharedPostingCache};
 
 /// Configuration of the incremental top-k processor.
 #[derive(Debug, Clone)]
@@ -167,30 +167,41 @@ impl TopkConfig {
     }
 }
 
+/// One structural variant of a query: its patterns, weight and the
+/// structural rules behind it.
+pub type Variant = (Vec<QPattern>, f64, Vec<RuleId>);
+
 /// Enumerates structural query variants (structural rules applied at
-/// the query level), keeping original rule ids in traces. Data
-/// conditions are verified through `oracle` — the whole store for the
-/// monolithic engine, a cross-shard oracle for partitioned execution.
-pub(crate) fn structural_variants(
+/// the query level, breadth-first up to
+/// [`TopkConfig::structural_depth`]), the query itself first, keeping
+/// original rule ids in traces. Data conditions are verified through
+/// `oracle` — the whole store for the monolithic engine, a cross-slice
+/// oracle for partitioned execution. A variant only tries the rules
+/// [`RuleSet::structural_rules_for`] keeps for its patterns — the others
+/// cannot match it — so a query no structural rule's predicates touch
+/// costs one scan of the rule list.
+pub fn structural_variants(
     oracle: Option<&dyn ConditionOracle>,
     patterns: &[QPattern],
     rules: &RuleSet,
     cfg: &TopkConfig,
-) -> Vec<(Vec<QPattern>, f64, Vec<RuleId>)> {
+) -> Vec<Variant> {
+    let mut out: Vec<Variant> = vec![(patterns.to_vec(), 1.0, Vec::new())];
+    if cfg.structural_depth == 0 || rules.structural_rules_for(patterns).next().is_none() {
+        return out;
+    }
     let original_vars = patterns
         .iter()
         .filter_map(QPattern::max_var)
         .max()
         .map_or(0, |m| m + 1);
-    let mut out: Vec<(Vec<QPattern>, f64, Vec<RuleId>)> =
-        vec![(patterns.to_vec(), 1.0, Vec::new())];
     let mut keys = vec![canonical_key(patterns, original_vars)];
     let mut frontier = vec![0usize];
     for _ in 0..cfg.structural_depth {
         let mut next_frontier = Vec::new();
         for &idx in &frontier {
             let (cur_patterns, cur_weight, cur_trace) = out[idx].clone();
-            for &rule_id in rules.structural_rules() {
+            for rule_id in rules.structural_rules_for(&cur_patterns) {
                 let rule = rules.get(rule_id);
                 let weight = cur_weight * rule.weight;
                 if weight < cfg.min_weight {
@@ -358,10 +369,6 @@ pub(crate) struct Sources<'a> {
     rules: &'a RuleSet,
     cfg: &'a TopkConfig,
     caches: &'a [SharedPostingCache],
-    /// One per-execution posting cache per slice (a cached list holds one
-    /// slice's entries): structural variants that share a relaxed pattern
-    /// never rebuild its matches.
-    exec_caches: Vec<Rc<RefCell<PostingCache>>>,
 }
 
 impl<'a> Sources<'a> {
@@ -371,13 +378,11 @@ impl<'a> Sources<'a> {
         cfg: &'a TopkConfig,
         caches: &'a [SharedPostingCache],
     ) -> Sources<'a> {
-        let exec_caches = view.slices().iter().map(|_| Default::default()).collect();
         Sources {
             view,
             rules,
             cfg,
             caches,
-            exec_caches,
         }
     }
 
@@ -389,10 +394,14 @@ impl<'a> Sources<'a> {
 
     /// Slice `s`'s merge over `table`.
     pub(crate) fn slice(&self, s: usize, table: &Rc<AltTable>) -> IncrementalMerge<'a> {
-        let (cache, shared) = (Rc::clone(&self.exec_caches[s]), self.caches.get(s));
         let store = self.view.slices()[s];
-        IncrementalMerge::new(store, Rc::clone(table), cache, shared, self.view.totals)
-            .with_id_base(self.view.offset(s))
+        IncrementalMerge::new(
+            store,
+            Rc::clone(table),
+            self.caches.get(s),
+            self.view.totals,
+        )
+        .with_id_base(self.view.offset(s))
     }
 
     /// The union of the `range` slices' merges for `pattern`, recording
@@ -1277,8 +1286,8 @@ mod tests {
     #[test]
     fn anchored_patterns_serve_from_index_without_sorting() {
         // The acceptance counter: an anchored-heavy query performs zero
-        // materialize-and-sort list builds; s-/o-bound patterns are
-        // anchored-index serves.
+        // materialize-and-sort list builds; every open is an index serve —
+        // an anchored stratum, or a small composite shape's exact range.
         let mut b = XkgBuilder::new();
         for i in 0..20u32 {
             b.add_kg_resources(&format!("s{i}"), "p", "hub");
@@ -1286,31 +1295,43 @@ mod tests {
         }
         let store = b.build();
         let queries = [
-            // s-bound (subject stratum, borrowed slice).
-            QueryBuilder::new(&store).pattern_r_r_v("s3", "p", "y").limit(5).build(),
-            // o-bound via a variable predicate: (?x ?p hub).
-            {
-                let mut qb = QueryBuilder::new(&store);
-                let x = QTerm::Var(qb.var("x"));
-                let pv = QTerm::Var(qb.var("pv"));
-                let hub = QTerm::Term(qb.resource("hub"));
-                qb.pattern(x, pv, hub).limit(5).build()
-            },
+            // sp composite with one match: its exact SPO range.
+            (
+                QueryBuilder::new(&store)
+                    .pattern_r_r_v("s3", "p", "y")
+                    .limit(5)
+                    .build(),
+                (0, 1),
+            ),
+            // o-bound via a variable predicate: (?x ?p hub), a borrowed
+            // slice of the object stratum.
+            (
+                {
+                    let mut qb = QueryBuilder::new(&store);
+                    let x = QTerm::Var(qb.var("x"));
+                    let pv = QTerm::Var(qb.var("pv"));
+                    let hub = QTerm::Term(qb.resource("hub"));
+                    qb.pattern(x, pv, hub).limit(5).build()
+                },
+                (1, 0),
+            ),
         ];
-        for q in queries {
+        for (q, serves) in queries {
             let (answers, metrics) = run(&store, &q, &RuleSet::new(), &TopkConfig::default());
             assert!(!answers.is_empty());
-            assert!(
-                metrics.anchored_serves > 0,
-                "anchored shapes must be served by the index: {metrics:?}"
+            assert_eq!(
+                (metrics.anchored_serves, metrics.ranged_serves),
+                serves,
+                "anchored / ranged serves: {metrics:?}"
+            );
+            assert_eq!(
+                metrics.anchored_serves + metrics.ranged_serves,
+                metrics.posting_lists_built,
+                "every list is served by the index: {metrics:?}"
             );
             assert_eq!(
                 metrics.posting_sorts, 0,
                 "the unbounded materialize-and-sort fallback must be unreachable: {metrics:?}"
-            );
-            assert_eq!(
-                metrics.ranged_serves, 0,
-                "these anchored lookups fit their groups — no range cutover expected: {metrics:?}"
             );
         }
     }

@@ -39,7 +39,9 @@
 //!   variant: a scratch [`Bindings`] sized from the variant's real
 //!   variable count, one undo stack shared by every recursion depth, and
 //!   the stack of accumulated partners. A combined `Bindings` is
-//!   allocated once per *successful* full join, never speculatively.
+//!   allocated once per *successful* full join that can still rank —
+//!   one scoring strictly below a full top-k's k-th is dropped before
+//!   anything is built — never speculatively.
 //!
 //! ## The retired-stream semijoin filter
 //!
@@ -595,8 +597,13 @@ impl<M: RankSource> Combine<'_, M> {
     }
 
     /// Materializes one completed combination — the only place the
-    /// alternative tables are read and anything is allocated.
+    /// alternative tables are read and anything is allocated — unless the
+    /// collector already holds a full top-k strictly above its score
+    /// ([`AnswerCollector::admits`]): then nothing is built.
     fn emit(&mut self, score: f64, scratch: &JoinScratch) {
+        if !self.collector.admits(score) {
+            return;
+        }
         let streams = self.streams;
         // The arrival first, then its partners in stream order.
         let items = std::iter::once((self.new_stream, self.new_item)).chain(

@@ -43,7 +43,6 @@
 //! ([`crate::exec::drive::TopkConfig::epsilon`], enforced by
 //! [`crate::exec::threshold`]).
 
-use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
@@ -56,7 +55,7 @@ use crate::exec::join::KeySet;
 use crate::exec::ExecMetrics;
 use crate::score::{
     canonical_pattern, head_prob_bound_global, probe_normalizer, satisfies_mask, CacheSource,
-    GlobalTotals, PostingCache, ScoredMatches, SharedPostingCache,
+    GlobalTotals, ScoredMatches, SharedPostingCache,
 };
 
 /// One slice's state of one entry of the stream's [`AltTable`].
@@ -448,10 +447,6 @@ pub struct IncrementalMerge<'a> {
     /// This slice's state of each table entry.
     alts: Vec<AltState<'a>>,
     heap: BinaryHeap<MergeEntry>,
-    /// Shared per-execution posting cache: structural variants and
-    /// alternatives with the same canonical pattern reuse one
-    /// materialized list.
-    cache: Rc<RefCell<PostingCache>>,
     /// Optional store-level cache shared across executions (sessions).
     shared: Option<&'a SharedPostingCache>,
     /// Optional global normalization totals: set when `store` is one
@@ -476,7 +471,6 @@ impl<'a> IncrementalMerge<'a> {
     pub fn new(
         store: &'a XkgStore,
         table: Rc<AltTable>,
-        cache: Rc<RefCell<PostingCache>>,
         shared: Option<&'a SharedPostingCache>,
         totals: Option<&'a dyn GlobalTotals>,
     ) -> IncrementalMerge<'a> {
@@ -509,7 +503,6 @@ impl<'a> IncrementalMerge<'a> {
             heap: BinaryHeap::with_capacity(alts.len()),
             table,
             alts,
-            cache,
             shared,
             totals,
             mass_upper: 0.0,
@@ -575,18 +568,10 @@ impl<'a> IncrementalMerge<'a> {
         let mut matches = match probed {
             Some(probed) => probed,
             None => {
-                // The cache serves structural variants sharing this
-                // canonical pattern.
-                let (matches, source) = ScoredMatches::build_global(
-                    self.store,
-                    &pattern,
-                    &mut self.cache.borrow_mut(),
-                    self.shared,
-                    self.totals,
-                );
+                let (matches, source) =
+                    ScoredMatches::build_global(self.store, &pattern, self.shared, self.totals);
                 match source {
                     CacheSource::Built => metrics.posting_lists_built += 1,
-                    CacheSource::ExecHit => metrics.posting_cache_hits += 1,
                     CacheSource::SharedHit => metrics.shared_cache_hits += 1,
                 }
                 // Serve-kind accounting for fresh builds: anchored-index

@@ -33,6 +33,21 @@
 //! (perfbench traced pass, `--seed 101`) on `batch_sharded` /
 //! `live_ingest` / `explore_cold` / `explore_session` was 405.03 /
 //! 401.22 / 231.96 / 225.74; it is 205.56 / 210.83 / 147.99 / 144.53.
+//!
+//! **Materialization.** A query builds only what can reach its answer.
+//! The join asks the collector before it builds a combination
+//! ([`AnswerCollector::admits`](crate::answer::AnswerCollector::admits)):
+//! one scoring strictly below a full top-k's k-th gets no key, bindings
+//! or derivation. A posting list is owned by its one merge — there is no
+//! per-execution cache, which measured 0 hits per query on every
+//! workload — and goes into a store-level cache only when the caller
+//! passes one. Composite shapes (`s p ?o`, `?s p o`) find their exact
+//! permutation range with one search and order a range of at most one
+//! block directly. Structural rules are tried only on queries holding
+//! one of their LHS predicates. Every work counter is unchanged;
+//! `bench.alloc_per_query` on `batch_sharded` / `live_ingest` /
+//! `explore_cold` / `explore_session` went from 205.56 / 210.83 /
+//! 147.99 / 144.53 to 132.49 / 131.59 / 94.17 / 98.72.
 
 pub mod budget;
 pub mod drive;
@@ -72,14 +87,12 @@ impl TripleLookup for trinit_xkg::XkgStore {
 pub struct ExecMetrics {
     /// Posting lists opened (index lookups with scoring). Counted per
     /// open, including borrow-served lists (which cost no allocation);
-    /// opens answered by the per-execution cache are counted in
-    /// [`ExecMetrics::posting_cache_hits`] instead.
+    /// opens answered by a store-level cache are counted in
+    /// [`ExecMetrics::shared_cache_hits`] instead.
     pub posting_lists_built: usize,
-    /// Posting lists served from the per-execution cache instead of
-    /// being rebuilt (structural variants sharing a canonical pattern).
-    pub posting_cache_hits: usize,
     /// Posting lists served from a store-level shared cache (consecutive
-    /// queries of a session touching the same canonical pattern).
+    /// queries of a session touching the same canonical pattern, or one
+    /// query opening it twice).
     pub shared_cache_hits: usize,
     /// Postings read: entries consumed from (possibly restricted) posting
     /// lists plus the entries a restriction's scan skipped.
@@ -101,10 +114,11 @@ pub struct ExecMetrics {
     /// group filters for the composite shapes. None of these sort.
     pub anchored_serves: usize,
     /// Selective composite serves that materialized and weight-ordered
-    /// the permutation index's *exact* match range because it was ≥4×
-    /// smaller than every covering group. These do sort — O(matches ·
-    /// log matches), bounded above by the group walk they replace — and
-    /// are deliberately separate from [`ExecMetrics::posting_sorts`].
+    /// the permutation index's *exact* match range because it held at
+    /// most one block (128) of matches or was ≥4× smaller than every
+    /// covering group. These do sort — O(matches · log matches), bounded
+    /// above by the group walk they replace — and are deliberately
+    /// separate from [`ExecMetrics::posting_sorts`].
     pub ranged_serves: usize,
     /// Posting lists built by the pre-index full materialize-and-sort
     /// fallback (`ServeKind::Scanned`). The precomputed index covers
@@ -149,7 +163,6 @@ impl ExecMetrics {
     /// Merges another run's counters into this one.
     pub fn merge(&mut self, other: &ExecMetrics) {
         self.posting_lists_built += other.posting_lists_built;
-        self.posting_cache_hits += other.posting_cache_hits;
         self.shared_cache_hits += other.shared_cache_hits;
         self.postings_scanned += other.postings_scanned;
         self.relaxations_opened += other.relaxations_opened;
@@ -187,7 +200,7 @@ pub(crate) mod testfix {
     use crate::exec::merge::{AltTable, IncrementalMerge};
 
     /// A merge over `pattern`'s table on `store` queried on its own: the
-    /// pattern's fresh variables start at 10, caches are cold.
+    /// pattern's fresh variables start at 10, no cache.
     pub(crate) fn merge<'a>(
         store: &'a XkgStore,
         pattern: &QPattern,
@@ -195,7 +208,7 @@ pub(crate) mod testfix {
         cfg: &TopkConfig,
     ) -> IncrementalMerge<'a> {
         let table = Rc::new(AltTable::build(pattern, rules, cfg, 10, None));
-        IncrementalMerge::new(store, table, Default::default(), None, None)
+        IncrementalMerge::new(store, table, None, None)
     }
 
     /// Reference evaluation for the join tests: full expansion to the
@@ -252,26 +265,25 @@ mod tests {
     fn metrics_merge_covers_every_field() {
         let full = ExecMetrics {
             posting_lists_built: 1,
-            posting_cache_hits: 2,
-            shared_cache_hits: 3,
-            postings_scanned: 4,
-            relaxations_opened: 5,
-            rewritings_evaluated: 6,
-            join_candidates: 7,
-            pulls: 8,
-            early_cutoffs: 9,
-            anchored_serves: 10,
-            ranged_serves: 11,
-            posting_sorts: 12,
-            approx_cutoffs: 13,
-            seed_steals: 14,
-            deadline_cutoffs: 15,
-            budget_cutoffs: 16,
-            degradation_steps: 17,
-            seed_skips: 18,
-            probe_lookups: 19,
-            probed_streams: 20,
-            restriction_scans: 21,
+            shared_cache_hits: 2,
+            postings_scanned: 3,
+            relaxations_opened: 4,
+            rewritings_evaluated: 5,
+            join_candidates: 6,
+            pulls: 7,
+            early_cutoffs: 8,
+            anchored_serves: 9,
+            ranged_serves: 10,
+            posting_sorts: 11,
+            approx_cutoffs: 12,
+            seed_steals: 13,
+            deadline_cutoffs: 14,
+            budget_cutoffs: 15,
+            degradation_steps: 16,
+            seed_skips: 17,
+            probe_lookups: 18,
+            probed_streams: 19,
+            restriction_scans: 20,
         };
         let mut merged = ExecMetrics::default();
         merged.merge(&full);
@@ -279,26 +291,25 @@ mod tests {
         merged.merge(&full);
         let doubled = ExecMetrics {
             posting_lists_built: 2,
-            posting_cache_hits: 4,
-            shared_cache_hits: 6,
-            postings_scanned: 8,
-            relaxations_opened: 10,
-            rewritings_evaluated: 12,
-            join_candidates: 14,
-            pulls: 16,
-            early_cutoffs: 18,
-            anchored_serves: 20,
-            ranged_serves: 22,
-            posting_sorts: 24,
-            approx_cutoffs: 26,
-            seed_steals: 28,
-            deadline_cutoffs: 30,
-            budget_cutoffs: 32,
-            degradation_steps: 34,
-            seed_skips: 36,
-            probe_lookups: 38,
-            probed_streams: 40,
-            restriction_scans: 42,
+            shared_cache_hits: 4,
+            postings_scanned: 6,
+            relaxations_opened: 8,
+            rewritings_evaluated: 10,
+            join_candidates: 12,
+            pulls: 14,
+            early_cutoffs: 16,
+            anchored_serves: 18,
+            ranged_serves: 20,
+            posting_sorts: 22,
+            approx_cutoffs: 24,
+            seed_steals: 26,
+            deadline_cutoffs: 28,
+            budget_cutoffs: 30,
+            degradation_steps: 32,
+            seed_skips: 34,
+            probe_lookups: 36,
+            probed_streams: 38,
+            restriction_scans: 40,
         };
         assert_eq!(merged, doubled, "merge must sum every field");
     }

@@ -307,7 +307,7 @@ mod tests {
     use crate::exec::drive::{Sources, TopkConfig};
     use crate::exec::segmented::StoreView;
     use crate::exec::TripleLookup;
-    use crate::score::{satisfies_mask, CanonicalPattern, GlobalTotals, PostingCache};
+    use crate::score::{satisfies_mask, CanonicalPattern, GlobalTotals};
     use trinit_relax::{
         ConditionOracle, QPattern, QTerm, Rule, RuleId, RuleProvenance, RuleSet, VarId,
     };
@@ -410,10 +410,7 @@ mod tests {
     ) -> Vec<IncrementalMerge<'a>> {
         slices
             .iter()
-            .map(|s| {
-                let cache = Rc::new(RefCell::new(PostingCache::new()));
-                IncrementalMerge::new(s, Rc::clone(table), cache, None, Some(totals))
-            })
+            .map(|s| IncrementalMerge::new(s, Rc::clone(table), None, Some(totals)))
             .collect()
     }
 

@@ -31,8 +31,7 @@ pub use parser::{parse, ParseError};
 pub use plan::plan_order;
 pub use score::{
     canonical_pattern, head_prob_bound_global, ln_weight, satisfies_mask, CacheSource,
-    CanonicalPattern, GlobalTotals, PostingCache, ScoredMatches, SharedCacheStats,
-    SharedPostingCache, LOG_ZERO,
+    CanonicalPattern, GlobalTotals, ScoredMatches, SharedCacheStats, SharedPostingCache, LOG_ZERO,
 };
 
 // Re-export the pattern language for downstream convenience.

@@ -18,14 +18,14 @@
 //! variables delegate directly — predicate-only, unbound, subject-only,
 //! and object-only shapes are borrowed slices of the build-time posting
 //! index (its anchored strata included), zero allocation and zero
-//! sorting per query; the composite shapes filter an already-sorted
-//! group. Patterns that repeat a variable (`?x p ?x`) filter the shared
-//! list and renormalize over the filtered set; since the source is
-//! already score-sorted, filtering preserves order and no re-sort
-//! happens. A [`PostingCache`] shares materialized lists across an
-//! execution, so structural variants touching the same canonical pattern
-//! never rebuild its matches; the borrow-served shapes bypass the caches
-//! entirely — they are already O(1).
+//! sorting per query; the composite shapes order their exact range or
+//! filter an already-sorted group. Patterns that repeat a variable
+//! (`?x p ?x`) filter the shared list and renormalize over the filtered
+//! set; since the source is already score-sorted, filtering preserves
+//! order and no re-sort happens. A list built without a
+//! [`SharedPostingCache`] is owned by its one reader — no copy, no map
+//! insert; with one, materialized lists are shared across queries, and
+//! the Flat borrow-served shapes bypass it — they are already O(1).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -122,33 +122,6 @@ impl CachedList {
     }
 }
 
-/// Per-execution cache of materialized posting lists, keyed by
-/// [`CanonicalPattern`]. Borrow-served pattern shapes are never inserted
-/// by `Flat` stores (they are already free); `Packed` stores insert
-/// their decoded hot shapes here too, so one execution decodes each
-/// group at most once.
-#[derive(Debug, Default)]
-pub struct PostingCache {
-    map: HashMap<CanonicalPattern, CachedList>,
-}
-
-impl PostingCache {
-    /// An empty cache.
-    pub fn new() -> PostingCache {
-        PostingCache::default()
-    }
-
-    /// Number of cached lists.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 /// Supplies *global* normalization totals when the query engine runs
 /// over one slice (shard) of a partitioned store.
 ///
@@ -169,13 +142,11 @@ pub trait GlobalTotals: Sync {
     fn pattern_total(&self, key: &CanonicalPattern) -> Option<f64>;
 }
 
-/// Where a cached posting-list build was served from.
+/// Where a posting-list build was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheSource {
     /// Materialized fresh (or borrow-served, which costs nothing).
     Built,
-    /// Served from the per-execution [`PostingCache`].
-    ExecHit,
     /// Served from a store-level [`SharedPostingCache`].
     SharedHit,
 }
@@ -269,17 +240,16 @@ impl SharedInner {
 }
 
 /// Store-level bounded LRU of materialized posting lists, keyed by
-/// [`CanonicalPattern`] — the second cache tier above the per-execution
-/// [`PostingCache`].
+/// [`CanonicalPattern`].
 ///
 /// Interactive sessions (the paper's E6 workload) re-issue queries over
-/// the same predicates and entity anchors; the per-execution cache dies
-/// with each query, so consecutive queries rebuilt identical lists. A
-/// `SharedPostingCache` lives behind a `Session` (or an entire system)
-/// and hands out `Arc`-shared entry slices across queries. Borrow-served
-/// shapes (predicate-only, fully unbound, subject-only, object-only)
-/// bypass it — they are already O(1) reads of the store's frozen posting
-/// index, anchored strata included.
+/// the same predicates and entity anchors; without a cache, consecutive
+/// queries rebuild identical lists. A `SharedPostingCache` lives behind
+/// a `Session` (or an entire system) and hands out `Arc`-shared entry
+/// slices across queries — and to a query's own repeat of a pattern.
+/// Borrow-served shapes (predicate-only, fully unbound, subject-only,
+/// object-only) bypass it on Flat segments — they are already O(1)
+/// reads of the store's frozen posting index, anchored strata included.
 ///
 /// Eviction is least-recently-used over an intrusive doubly linked
 /// recency list, so hits and evictions are O(1) regardless of how many
@@ -467,14 +437,6 @@ pub struct ScoredMatches<'s> {
 }
 
 impl<'s> ScoredMatches<'s> {
-    fn unscaled(list: PostingList<'s>) -> ScoredMatches<'s> {
-        ScoredMatches {
-            list,
-            scale: 1.0,
-            built: None,
-        }
-    }
-
     fn fresh(list: PostingList<'s>, kind: ServeKind) -> ScoredMatches<'s> {
         ScoredMatches {
             list,
@@ -485,14 +447,7 @@ impl<'s> ScoredMatches<'s> {
 
     /// Builds the scored matches of `pattern` over `store`.
     pub fn build(store: &'s XkgStore, pattern: &QPattern) -> ScoredMatches<'s> {
-        let (slot, mask) = canonical_pattern(pattern);
-        if mask == 0 {
-            let list = PostingList::build(store, &slot);
-            let kind = list.serve_kind();
-            return ScoredMatches::fresh(list, kind);
-        }
-        let (entries, total, kind) = filtered_entries(store, &slot, mask);
-        ScoredMatches::fresh(PostingList::from_owned(entries, total), kind)
+        ScoredMatches::build_global(store, pattern, None, None).0
     }
 
     /// How the underlying posting list was served, when this view built
@@ -501,44 +456,23 @@ impl<'s> ScoredMatches<'s> {
         self.built
     }
 
-    /// Builds through the per-execution `cache` only. See
-    /// [`ScoredMatches::build_tiered`] for the two-tier variant.
-    pub fn build_cached(
-        store: &'s XkgStore,
-        pattern: &QPattern,
-        cache: &mut PostingCache,
-    ) -> (ScoredMatches<'s>, CacheSource) {
-        ScoredMatches::build_tiered(store, pattern, cache, None)
-    }
-
-    /// Builds through the cache hierarchy: the per-execution `cache`
-    /// (L1, shared across structural variants of one query), then the
-    /// optional store-level `shared` LRU (L2, shared across queries of a
-    /// session). Returns the view and where it was served from. Shared
-    /// hits are promoted into the execution cache; fresh builds populate
-    /// both tiers. Borrow-served shapes bypass both (they cost nothing
-    /// to begin with).
-    pub fn build_tiered(
-        store: &'s XkgStore,
-        pattern: &QPattern,
-        cache: &mut PostingCache,
-        shared: Option<&SharedPostingCache>,
-    ) -> (ScoredMatches<'s>, CacheSource) {
-        ScoredMatches::build_global(store, pattern, cache, shared, None)
-    }
-
-    /// Like [`ScoredMatches::build_tiered`], additionally renormalizing
-    /// probabilities by a [`GlobalTotals`] provider — the build path of
-    /// per-shard execution over a partitioned store. When the provider
-    /// returns a global total for the pattern, the local slice's entries
-    /// are materialized with `prob = weight / global_total` (borrow-served
-    /// shapes included: their baked-in probabilities are shard-local, so
-    /// they must be re-scaled); caches passed here must be dedicated to
-    /// this store slice, since the entries they hold are slice-specific.
+    /// Builds `pattern`'s scored matches over `store`, through the
+    /// optional store-level `shared` LRU (shared across the queries of a
+    /// session or system, and a query's own repeats of a pattern), and
+    /// renormalized by an optional [`GlobalTotals`] provider — the build
+    /// path of per-slice execution over a partitioned store. Returns the
+    /// view and where it was served from.
+    ///
+    /// When the provider returns a global total for the pattern, the
+    /// local slice's entries carry `prob = weight / global_total`
+    /// (borrow-served shapes rescale their baked-in local probabilities
+    /// on the fly instead). A `shared` cache must be dedicated to this
+    /// store slice, since the entries it holds are slice-specific.
+    /// Without one, a built list is owned by the returned view alone: no
+    /// copy into a shareable allocation, no map insert.
     pub fn build_global(
         store: &'s XkgStore,
         pattern: &QPattern,
-        cache: &mut PostingCache,
         shared: Option<&SharedPostingCache>,
         totals: Option<&dyn GlobalTotals>,
     ) -> (ScoredMatches<'s>, CacheSource) {
@@ -548,92 +482,67 @@ impl<'s> ScoredMatches<'s> {
         if mask == 0 && is_borrow_served(&slot) {
             // A global total only changes the normalization constant, so
             // hot-shape lists keep their locally normalized entries and
-            // rescale on the fly — the cached/borrowed list is valid
+            // rescale on the fly — a borrowed or cached list is valid
             // under any totals provider.
-            let rescale = |total: f64| rescale(total, global);
-            if store.layout().is_flat() {
-                // Zero-alloc: the borrowed slice of the frozen posting
-                // index is reused with an on-the-fly probability rescale
-                // instead of a copy. Anchored (s-/o-bound) shapes take
-                // this path too — under subject-hash sharding their
-                // lists stay per-shard borrowed slices with no per-shard
-                // materialization at all.
-                let list = PostingList::build(store, &slot);
-                let scale = rescale(list.total_weight());
-                let kind = list.serve_kind();
-                return (
-                    ScoredMatches {
-                        list,
-                        scale,
-                        built: Some(kind),
-                    },
-                    CacheSource::Built,
-                );
-            }
-            // Packed store: hot shapes decode the group into an owned
-            // list, so the decode is shared through the cache tiers —
-            // one decode per execution (or session) instead of one per
-            // build. The exact prefix column rides along, keeping
-            // `remaining_mass` bit-identical to the Flat borrow path.
-            let hit = |cached: &CachedList, source| {
-                let view = ScoredMatches {
-                    list: cached.list(),
-                    scale: rescale(cached.total),
-                    built: None,
-                };
-                (view, source)
+            let view = |list: PostingList<'s>, total, built| ScoredMatches {
+                list,
+                scale: rescale(total, global),
+                built,
             };
-            if let Some(cached) = cache.map.get(&key) {
-                return hit(cached, CacheSource::ExecHit);
-            }
-            // Locally normalized and rescaled on the fly: valid under
-            // any totals provider.
-            if let Some(cached) = shared.and_then(|c| c.get(&key, |_| true)) {
-                let out = hit(&cached, CacheSource::SharedHit);
-                cache.map.insert(key, cached);
-                return out;
+            // Flat segments lend a slice of the frozen posting index
+            // (anchored s-/o-bound strata included): zero-alloc, nothing
+            // worth caching. Packed segments decode the group, shared
+            // through the store-level cache when there is one — the
+            // exact prefix column rides along, keeping `remaining_mass`
+            // bit-identical to the Flat borrow path.
+            let Some(cache) = shared.filter(|_| !store.layout().is_flat()) else {
+                let list = PostingList::build(store, &slot);
+                let (total, kind) = (list.total_weight(), list.serve_kind());
+                return (view(list, total, Some(kind)), CacheSource::Built);
+            };
+            if let Some(cached) = cache.get(&key, |_| true) {
+                return (
+                    view(cached.list(), cached.total, None),
+                    CacheSource::SharedHit,
+                );
             }
             let built = PostingList::build(store, &slot);
             let kind = built.serve_kind();
             let cached = CachedList::local(built.into_shared_parts());
-            let view = ScoredMatches {
-                list: cached.list(),
-                scale: rescale(cached.total),
-                built: Some(kind),
-            };
-            if let Some(store_cache) = shared {
-                store_cache.insert(key, cached.clone());
-            }
-            cache.map.insert(key, cached);
-            return (view, CacheSource::Built);
-        }
-        if let Some(cached) = cache.map.get(&key) {
-            return (ScoredMatches::unscaled(cached.list()), CacheSource::ExecHit);
+            let out = view(cached.list(), cached.total, Some(kind));
+            cache.insert(key, cached);
+            return (out, CacheSource::Built);
         }
         if let Some(cached) = shared.and_then(|c| c.get(&key, |l| l.normalized_for(global))) {
-            let view = ScoredMatches::unscaled(cached.list());
-            cache.map.insert(key, cached);
-            return (view, CacheSource::SharedHit);
+            return (
+                ScoredMatches {
+                    list: cached.list(),
+                    scale: 1.0,
+                    built: None,
+                },
+                CacheSource::SharedHit,
+            );
         }
-        let (entries, total, kind) = match global {
+        let (list, kind) = match global {
             Some(t) => scaled_entries(store, &slot, mask, t),
             None if mask == 0 => {
-                let (entries, total, kind) = PostingList::build_entries(store, &slot);
-                (entries.into_vec(), total, kind)
+                let list = PostingList::build(store, &slot);
+                let kind = list.serve_kind();
+                (list, kind)
             }
             None => filtered_entries(store, &slot, mask),
         };
+        let Some(cache) = shared else {
+            return (ScoredMatches::fresh(list, kind), CacheSource::Built);
+        };
         let cached = CachedList {
-            entries: entries.into(),
+            total: list.total_weight(),
+            entries: list.into_entries().into(),
             prefix: None,
-            total,
             scaled: global.is_some(),
         };
         let view = ScoredMatches::fresh(cached.list(), kind);
-        if let Some(store_cache) = shared {
-            store_cache.insert(key, cached.clone());
-        }
-        cache.map.insert(key, cached);
+        cache.insert(key, cached);
         (view, CacheSource::Built)
     }
 
@@ -839,7 +748,7 @@ fn scaled_entries(
     slot: &SlotPattern,
     mask: u8,
     total: f64,
-) -> (Vec<Posting>, f64, ServeKind) {
+) -> (PostingList<'static>, ServeKind) {
     // Entries-only build: the prefix column is never kept on this path,
     // so a Packed segment skips reconstructing it.
     let (source, _, kind) = PostingList::build_entries(store, slot);
@@ -847,7 +756,7 @@ fn scaled_entries(
     // anywhere: serve empty, exactly like the index's own zero-mass
     // groups, so the 0 head bound reported for such patterns is exact.
     if total <= 0.0 {
-        return (Vec::new(), 0.0, kind);
+        return (PostingList::from_owned(Vec::new(), 0.0), kind);
     }
     let mut entries: Vec<Posting> = match source {
         // An unmasked decoded group is already the exact entry set:
@@ -863,13 +772,17 @@ fn scaled_entries(
     for e in &mut entries {
         e.prob = e.weight / total;
     }
-    (entries, total, kind)
+    (PostingList::from_owned(entries, total), kind)
 }
 
 /// Filters the shared posting list by the repetition constraints and
 /// renormalizes. The source is already score-sorted, so the filtered
 /// subset needs no re-sort.
-fn filtered_entries(store: &XkgStore, slot: &SlotPattern, mask: u8) -> (Vec<Posting>, f64, ServeKind) {
+fn filtered_entries(
+    store: &XkgStore,
+    slot: &SlotPattern,
+    mask: u8,
+) -> (PostingList<'static>, ServeKind) {
     // Entries-only build: the masked copy below never reads the prefix
     // column, so a Packed segment skips reconstructing it.
     let (source, _, kind) = PostingList::build_entries(store, slot);
@@ -884,12 +797,12 @@ fn filtered_entries(store: &XkgStore, slot: &SlotPattern, mask: u8) -> (Vec<Post
     // index's zero-mass groups, keeping masked shapes consistent with
     // the unmasked ones across every engine and the tightened skip.
     if total <= 0.0 {
-        return (Vec::new(), 0.0, kind);
+        return (PostingList::from_owned(Vec::new(), 0.0), kind);
     }
     for e in &mut entries {
         e.prob = e.weight / total;
     }
-    (entries, total, kind)
+    (PostingList::from_owned(entries, total), kind)
 }
 
 /// A log-space score. Probabilities multiply; log scores add.
@@ -1011,30 +924,34 @@ mod tests {
     #[test]
     fn cached_build_shares_materialized_lists() {
         let store = store();
-        let mut cache = PostingCache::new();
+        let cache = SharedPostingCache::new(8);
+        let build = |p: &QPattern| ScoredMatches::build_global(&store, p, Some(&cache), None);
         // Bound-subject pattern: materialized, so cached.
         let a = store.resource("a").unwrap();
         let narrow = pat(&store, QTerm::Term(a), QTerm::Var(VarId(1)));
-        let (m1, src1) = ScoredMatches::build_cached(&store, &narrow, &mut cache);
+        let (m1, src1) = build(&narrow);
         assert_eq!(src1, CacheSource::Built);
         assert_eq!(cache.len(), 1);
-        // Same canonical pattern under different variable names: hit.
+        // Same canonical pattern under different variable names — a
+        // query's own repeat of it — is a hit.
         let renamed = pat(&store, QTerm::Term(a), QTerm::Var(VarId(7)));
-        let (m2, src2) = ScoredMatches::build_cached(&store, &renamed, &mut cache);
-        assert_eq!(src2, CacheSource::ExecHit);
+        let (m2, src2) = build(&renamed);
+        assert_eq!(src2, CacheSource::SharedHit);
         assert_eq!(m1.entries(), m2.entries());
         assert_eq!(m1.total_weight(), m2.total_weight());
-        // Borrow-served shape (predicate-only): never inserted.
+        // Borrow-served shape (predicate-only) on a Flat store: never
+        // inserted, never a lookup.
         let broad = pat(&store, QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
-        let (_, src3) = ScoredMatches::build_cached(&store, &broad, &mut cache);
+        let (_, src3) = build(&broad);
         assert_eq!(src3, CacheSource::Built);
         assert_eq!(cache.len(), 1);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
     }
 
     #[test]
     fn cached_and_uncached_agree() {
         let store = store();
-        let mut cache = PostingCache::new();
+        let cache = SharedPostingCache::new(8);
         let v = QTerm::Var(VarId(0));
         for p in [
             pat(&store, v, v),
@@ -1042,10 +959,10 @@ mod tests {
             pat(&store, QTerm::Term(store.resource("a").unwrap()), v),
         ] {
             let plain = ScoredMatches::build(&store, &p);
-            let (cached, _) = ScoredMatches::build_cached(&store, &p, &mut cache);
+            let (cached, _) = ScoredMatches::build_global(&store, &p, Some(&cache), None);
             assert_eq!(plain.entries(), cached.entries());
             // And a second cached build (the hit path) agrees too.
-            let (hit, _) = ScoredMatches::build_cached(&store, &p, &mut cache);
+            let (hit, _) = ScoredMatches::build_global(&store, &p, Some(&cache), None);
             assert_eq!(plain.entries(), hit.entries());
         }
     }
@@ -1056,27 +973,21 @@ mod tests {
         let shared = SharedPostingCache::new(8);
         let a = store.resource("a").unwrap();
         let narrow = pat(&store, QTerm::Term(a), QTerm::Var(VarId(1)));
-        // First execution: builds and populates both tiers.
-        let mut exec1 = PostingCache::new();
-        let (m1, src1) =
-            ScoredMatches::build_global(&store, &narrow, &mut exec1, Some(&shared), None);
+        // First execution: builds and populates the cache.
+        let (m1, src1) = ScoredMatches::build_global(&store, &narrow, Some(&shared), None);
         assert_eq!(src1, CacheSource::Built);
         assert_eq!(shared.len(), 1);
         assert_eq!(shared.stats().misses, 1);
-        // Second execution (fresh L1): served by the shared tier and
-        // promoted into the new execution cache.
-        let mut exec2 = PostingCache::new();
-        let (m2, src2) =
-            ScoredMatches::build_global(&store, &narrow, &mut exec2, Some(&shared), None);
+        // Second execution: served by the cache.
+        let (m2, src2) = ScoredMatches::build_global(&store, &narrow, Some(&shared), None);
         assert_eq!(src2, CacheSource::SharedHit);
         assert_eq!(shared.stats().hits, 1);
-        assert_eq!(exec2.len(), 1);
         assert_eq!(m1.entries(), m2.entries());
-        // Within the same execution, L1 answers without touching L2.
-        let (_, src3) =
-            ScoredMatches::build_global(&store, &narrow, &mut exec2, Some(&shared), None);
-        assert_eq!(src3, CacheSource::ExecHit);
-        assert_eq!(shared.stats().hits, 1);
+        // Without a cache the same list is built, owned by its view.
+        let (m3, src3) = ScoredMatches::build_global(&store, &narrow, None, None);
+        assert_eq!(src3, CacheSource::Built);
+        assert_eq!(m1.entries(), m3.entries());
+        assert_eq!(shared.stats().hits + shared.stats().misses, 2);
     }
 
     #[test]
@@ -1091,26 +1002,18 @@ mod tests {
             .iter()
             .map(|&t| pat(&store, QTerm::Term(t), QTerm::Var(VarId(1))))
             .collect();
-        let mut exec = PostingCache::new();
-        ScoredMatches::build_global(&store, &pats[0], &mut exec, Some(&shared), None);
-        ScoredMatches::build_global(&store, &pats[1], &mut exec, Some(&shared), None);
+        let build = |p: &QPattern| ScoredMatches::build_global(&store, p, Some(&shared), None).1;
+        build(&pats[0]);
+        build(&pats[1]);
         assert_eq!(shared.len(), 2);
-        // Touch pattern 0 through a fresh execution cache to bump recency.
-        let mut exec2 = PostingCache::new();
-        let (_, src) =
-            ScoredMatches::build_global(&store, &pats[0], &mut exec2, Some(&shared), None);
-        assert_eq!(src, CacheSource::SharedHit);
+        // Touch pattern 0 to bump its recency.
+        assert_eq!(build(&pats[0]), CacheSource::SharedHit);
         // Inserting a third list evicts pattern 1 (the LRU), not 0.
-        ScoredMatches::build_global(&store, &pats[2], &mut exec2, Some(&shared), None);
+        build(&pats[2]);
         assert_eq!(shared.len(), 2);
         assert_eq!(shared.stats().evictions, 1);
-        let mut exec3 = PostingCache::new();
-        let (_, again0) =
-            ScoredMatches::build_global(&store, &pats[0], &mut exec3, Some(&shared), None);
-        assert_eq!(again0, CacheSource::SharedHit);
-        let (_, again1) =
-            ScoredMatches::build_global(&store, &pats[1], &mut exec3, Some(&shared), None);
-        assert_eq!(again1, CacheSource::Built, "pattern 1 was evicted");
+        assert_eq!(build(&pats[0]), CacheSource::SharedHit);
+        assert_eq!(build(&pats[1]), CacheSource::Built, "pattern 1 was evicted");
     }
 
     #[test]
@@ -1119,12 +1022,9 @@ mod tests {
         let shared = SharedPostingCache::new(0);
         let a = store.resource("a").unwrap();
         let narrow = pat(&store, QTerm::Term(a), QTerm::Var(VarId(1)));
-        let mut exec = PostingCache::new();
-        ScoredMatches::build_global(&store, &narrow, &mut exec, Some(&shared), None);
+        ScoredMatches::build_global(&store, &narrow, Some(&shared), None);
         assert!(shared.is_empty());
-        let mut exec2 = PostingCache::new();
-        let (_, src) =
-            ScoredMatches::build_global(&store, &narrow, &mut exec2, Some(&shared), None);
+        let (_, src) = ScoredMatches::build_global(&store, &narrow, Some(&shared), None);
         assert_eq!(src, CacheSource::Built);
         assert_eq!(shared.stats().misses, 2);
     }

@@ -5,7 +5,6 @@
 //! stores, queries, and predicate-rewrite rule sets — the invariant that
 //! makes the paper's efficiency optimization safe.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
@@ -13,8 +12,8 @@ use proptest::prelude::*;
 use trinit_query::exec::join::KeySet;
 use trinit_query::exec::merge::{AltTable, IncrementalMerge, RankSource};
 use trinit_query::exec::{expand, topk};
-use trinit_query::{ExecMetrics, PostingCache, Query, TopkConfig};
-use trinit_relax::{ExpandOptions, QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
+use trinit_query::{Answer, AnswerCollector, Bindings, Derivation, ExecMetrics, Query, TopkConfig};
+use trinit_relax::{ExpandOptions, QPattern, QTerm, Rule, RuleId, RuleProvenance, RuleSet, VarId};
 use trinit_xkg::{
     Provenance, SegmentLayout, SourceId, TermId, TermKind, Triple, XkgBuilder, XkgStore,
 };
@@ -394,11 +393,20 @@ proptest! {
             prop_assert!((a.score - b.score).abs() < 1e-12);
             prop_assert!((b.score - c.score).abs() < 1e-12);
         }
-        // Accounting is exact: the execution-level L1 shields the shared
-        // cache within a run, so the cold run never hits it — every
-        // shared-cache hit the cache counted belongs to the warm run's
-        // metrics.
-        prop_assert_eq!(cache.stats().hits, m_warm.shared_cache_hits);
+        // Accounting is exact: every hit the cache counted is in one
+        // run's metrics (the cold run's are its own repeats of a
+        // pattern), and every open the uncached run built is, cached,
+        // either built or a hit.
+        prop_assert_eq!(
+            cache.stats().hits,
+            m_cold.shared_cache_hits + m_warm.shared_cache_hits
+        );
+        for m in [&m_cold, &m_warm] {
+            prop_assert_eq!(
+                m.posting_lists_built + m.shared_cache_hits,
+                m_plain.posting_lists_built
+            );
+        }
     }
 
     /// With no rules at all, both engines reduce to exact evaluation and
@@ -520,9 +528,8 @@ fn restriction_leaves_an_alternative_that_dropped_the_key_variable_alone() {
         ..TopkConfig::default()
     };
     let merge = || {
-        let cache = Rc::new(RefCell::new(PostingCache::new()));
         let table = Rc::new(AltTable::build(&pattern, &rules, &cfg, 8, None));
-        IncrementalMerge::new(&store, table, cache, None, None)
+        IncrementalMerge::new(&store, table, None, None)
     };
     let keys = vec![vec![tid(103)], vec![tid(117)]];
     for at in [0, 3] {
@@ -690,11 +697,52 @@ proptest! {
             let store = build_store_with(&rows, layout);
             let cfg = TopkConfig { min_weight: 0.0, tighten_threshold: tighten, ..TopkConfig::default() };
             let merge = || {
-                let cache = Rc::new(RefCell::new(PostingCache::new()));
                 let table = Rc::new(AltTable::build(&patterns[0], &set, &cfg, 8, None));
-                IncrementalMerge::new(&store, table, cache, None, None)
+                IncrementalMerge::new(&store, table, None, None)
             };
             assert_restriction_filters(merge(), merge(), |id| store.triple(id), &vars, &keys, at);
+        }
+    }
+}
+
+proptest! {
+    /// Admission before materialization is invisible in the top-k: a
+    /// tracking collector that skips every offer it does not admit
+    /// (`AnswerCollector::admits`) finalizes to the same keys, score bits
+    /// and derivations as an untracked collector offered everything.
+    /// Scores come from six levels, so duplicate keys and exact ties at
+    /// the k-th score are common; each offer's derivation names the offer,
+    /// so keeping a different one of a key's equal-scoring offers fails.
+    #[test]
+    fn admission_gate_keeps_the_top_k_bit_identical(
+        offers in proptest::collection::vec((0u32..12, 0u32..6), 1..120),
+    ) {
+        for k in [1usize, 3, 10] {
+            let answer = |i: usize, key: u32, level: u32| Answer {
+                key: vec![(VarId(0), Some(tid(key)))],
+                bindings: Bindings::new(1),
+                score: -f64::from(level) / 4.0,
+                derivation: Derivation {
+                    triples: Vec::new(),
+                    rules: vec![RuleId(i as u32)],
+                    rule_weight: 1.0,
+                },
+            };
+            let (mut gated, mut plain) = (AnswerCollector::tracking(k), AnswerCollector::new());
+            for (i, &(key, level)) in offers.iter().enumerate() {
+                let offer = answer(i, key, level);
+                if gated.admits(offer.score) {
+                    gated.offer(offer.clone());
+                }
+                plain.offer(offer);
+            }
+            let (gated, plain) = (gated.into_top_k(k), plain.into_top_k(k));
+            prop_assert_eq!(gated.len(), plain.len(), "k = {}", k);
+            for (g, p) in gated.iter().zip(&plain) {
+                prop_assert_eq!(&g.key, &p.key, "k = {}", k);
+                prop_assert_eq!(g.score.to_bits(), p.score.to_bits(), "k = {}", k);
+                prop_assert_eq!(&g.derivation, &p.derivation, "k = {}", k);
+            }
         }
     }
 }

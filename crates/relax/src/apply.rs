@@ -75,9 +75,21 @@ fn unify_slot(t: TTerm, q: QTerm, bindings: &mut Bindings) -> bool {
     }
 }
 
-/// Unifies a template against a query pattern, extending `bindings`.
-fn unify_pattern(t: &Template, q: &QPattern, bindings: &mut Bindings) -> bool {
-    unify_slot(t.s, q.s, bindings) && unify_slot(t.p, q.p, bindings) && unify_slot(t.o, q.o, bindings)
+/// Unifies a template against a query pattern, extending a copy of
+/// `bindings`. Constant slots are tested first, so a trial on the wrong
+/// predicate fails without cloning anything (unification is
+/// conjunctive: the order changes no result).
+fn unify_pattern(t: &Template, q: &QPattern, bindings: &Bindings) -> Option<Bindings> {
+    let slots = [(t.s, q.s), (t.p, q.p), (t.o, q.o)];
+    let clash = |&(t, q): &(TTerm, QTerm)| matches!(t, TTerm::Const(c) if q != QTerm::Term(c));
+    if slots.iter().any(clash) {
+        return None;
+    }
+    let mut trial = bindings.clone();
+    slots
+        .into_iter()
+        .all(|(t, q)| unify_slot(t, q, &mut trial))
+        .then_some(trial)
 }
 
 /// Instantiates one RHS slot under bindings and the fresh-variable map.
@@ -126,8 +138,7 @@ fn search(
         if used.contains(&i) {
             continue;
         }
-        let mut trial = bindings.clone();
-        if unify_pattern(template, q, &mut trial) {
+        if let Some(mut trial) = unify_pattern(template, q, bindings) {
             used.push(i);
             search(&lhs[1..], query, oracle, used, conditions, &mut trial, out);
             used.pop();

@@ -4,7 +4,8 @@ use std::collections::HashMap;
 
 use trinit_xkg::TermId;
 
-use crate::rule::{Rule, RuleId, SlotRewrite};
+use crate::pattern::QPattern;
+use crate::rule::{Rule, RuleId, SlotRewrite, TTerm, Template};
 
 /// An ordered collection of relaxation rules.
 ///
@@ -12,12 +13,16 @@ use crate::rule::{Rule, RuleId, SlotRewrite};
 /// ([`Rule::is_mergeable`]) are compiled to their [`SlotRewrite`] and
 /// indexed by their LHS predicate, so the top-k processor finds and
 /// applies the relaxations of a triple pattern without the general
-/// matcher; every other rule is structural.
+/// matcher; every other rule is structural, indexed by its LHS
+/// constant predicates ([`RuleSet::structural_rules_for`]).
 #[derive(Debug, Default)]
 pub struct RuleSet {
     rules: Vec<Rule>,
     by_predicate: HashMap<TermId, Vec<(RuleId, SlotRewrite)>>,
     structural: Vec<RuleId>,
+    /// Per structural rule, its LHS templates' constant predicates, or
+    /// `None` when some template's predicate is a variable.
+    structural_lhs: Vec<Option<Vec<TermId>>>,
 }
 
 impl RuleSet {
@@ -31,7 +36,15 @@ impl RuleSet {
         let id = RuleId(u32::try_from(self.rules.len()).expect("rule overflow"));
         match (rule.lhs_predicate(), rule.slot_rewrite()) {
             (Some(p), Some(rewrite)) => self.by_predicate.entry(p).or_default().push((id, rewrite)),
-            _ => self.structural.push(id),
+            _ => {
+                let constant = |t: &Template| match t.p {
+                    TTerm::Const(c) => Some(c),
+                    TTerm::Var(_) => None,
+                };
+                self.structural.push(id);
+                self.structural_lhs
+                    .push(rule.lhs.iter().map(constant).collect());
+            }
         }
         self.rules.push(rule);
         id
@@ -79,6 +92,26 @@ impl RuleSet {
     /// variable LHS predicate), in insertion order.
     pub fn structural_rules(&self) -> &[RuleId] {
         &self.structural
+    }
+
+    /// The structural rules that can rewrite a query of `patterns`, in
+    /// insertion order: those with an LHS constant predicate among the
+    /// patterns' predicates, or a variable predicate on either side. An
+    /// application must unify some LHS template with a query pattern, and
+    /// a constant unifies only with itself, so a skipped rule has no
+    /// rewriting, data conditions or not.
+    pub fn structural_rules_for<'a>(
+        &'a self,
+        patterns: &'a [QPattern],
+    ) -> impl Iterator<Item = RuleId> + 'a {
+        let any_var = patterns.iter().any(|q| q.p.term().is_none());
+        let occurs = |c: &TermId| patterns.iter().any(|q| q.p.term() == Some(*c));
+        let applies = move |lhs: &Option<Vec<TermId>>| {
+            any_var || lhs.as_ref().is_none_or(|preds| preds.iter().any(occurs))
+        };
+        (self.structural.iter().zip(&self.structural_lhs))
+            .filter(move |(_, lhs)| applies(lhs))
+            .map(|(&id, _)| id)
     }
 }
 
@@ -187,6 +220,37 @@ mod tests {
             .map(|&(id, _)| id)
             .collect();
         assert_eq!(indexed, [RuleId(3)]);
+    }
+
+    #[test]
+    fn structural_rules_are_indexed_by_lhs_predicates() {
+        // Rule 0 needs p1 or p2 in the query, rule 1 has a variable LHS
+        // predicate and is always tried; a query with a variable
+        // predicate tries everything.
+        use crate::pattern::{QPattern, QTerm, VarId};
+        let mut set = RuleSet::new();
+        let (x, y) = (TTerm::Var(RVar(0)), TTerm::Var(RVar(1)));
+        let one = |p, s, o| Template::new(s, p, o);
+        let c = |p: u32| TTerm::Const(tid(p));
+        set.add(Rule::structural(
+            "two-pattern",
+            vec![one(c(1), x, y), one(c(2), y, x)],
+            vec![one(c(3), x, y)],
+            0.7,
+            RuleProvenance::Ontology,
+        ));
+        set.add(Rule::structural(
+            "any predicate",
+            vec![one(TTerm::Var(RVar(2)), x, y)],
+            vec![one(c(3), x, y)],
+            0.7,
+            RuleProvenance::Ontology,
+        ));
+        let query = |p: QTerm| [QPattern::new(QTerm::Var(VarId(0)), p, QTerm::Var(VarId(1)))];
+        let tried = |p: QTerm| set.structural_rules_for(&query(p)).collect::<Vec<_>>();
+        assert_eq!(tried(QTerm::Term(tid(2))), [RuleId(0), RuleId(1)]);
+        assert_eq!(tried(QTerm::Term(tid(9))), [RuleId(1)]);
+        assert_eq!(tried(QTerm::Var(VarId(5))), [RuleId(0), RuleId(1)]);
     }
 
     #[test]

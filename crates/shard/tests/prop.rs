@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use trinit_query::exec::merge::{AltTable, IncrementalMerge};
 use trinit_query::exec::sharded::ShardedMerge;
 use trinit_query::exec::topk::{self, TopkConfig};
-use trinit_query::{Completeness, ExecBudget, ExecMetrics, GlobalTotals, PostingCache, Query};
+use trinit_query::{Completeness, ExecBudget, ExecMetrics, GlobalTotals, Query};
 use trinit_relax::{QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
 use trinit_shard::{SeedMode, ShardedExecutor, ShardedStore};
 use trinit_xkg::{
@@ -628,9 +628,8 @@ fn union_merge<'a>(
     let merges = range
         .clone()
         .map(|s| {
-            let cache = Rc::new(RefCell::new(PostingCache::new()));
             let base: usize = slices[..s].iter().map(|slice| slice.len()).sum();
-            IncrementalMerge::new(slices[s], Rc::clone(&table), cache, None, Some(totals))
+            IncrementalMerge::new(slices[s], Rc::clone(&table), None, Some(totals))
                 .with_id_base(base as u32)
         })
         .collect();

@@ -485,7 +485,13 @@ impl TripleIndex {
     /// probe repeatedly should prefer [`TripleIndex::lookup_in`] with a
     /// reused scratch buffer.
     pub fn lookup(&self, pattern: &SlotPattern) -> MatchIds<'_> {
-        let span = self.span(pattern);
+        self.ids(pattern, self.span(pattern))
+    }
+
+    /// The ids of `pattern`'s permutation over `span`, a range
+    /// [`TripleIndex::span`] returned for that pattern: borrowed on Flat,
+    /// decoded on Packed.
+    pub(crate) fn ids(&self, pattern: &SlotPattern, span: Range<usize>) -> MatchIds<'_> {
         match &self.perms[Permutation::for_pattern(pattern) as usize] {
             PermColumn::Flat { ids, .. } => MatchIds::Borrowed(&ids[span]),
             PermColumn::Packed(p) => {

@@ -21,8 +21,10 @@
 //!   to a pattern's matches, the primitive required by the incremental
 //!   top-k processor (paper §4); predicate-only, unbound, and anchored
 //!   (subject-/object-bound) patterns are served as borrowed slices
-//!   without per-query sorting, and the remaining shapes filter an
-//!   already-sorted group — no query ever sorts post-build;
+//!   without per-query sorting; the composite shapes order their exact
+//!   permutation range when it is small (at most one block, or ≥ 4×
+//!   smaller than every covering group) and otherwise filter an
+//!   already-sorted group;
 //! * [`LiveDelta`] — the write path: N frozen base partitions (one for
 //!   a monolith) plus a live delta that ingestion merges into and
 //!   compaction folds back;

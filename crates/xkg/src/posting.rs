@@ -53,10 +53,14 @@
 //! [`PostingList::build`] therefore answers **every** pattern shape
 //! without sorting: predicate-only, fully unbound, subject-only, and
 //! object-only patterns are **borrowed slices** on Flat segments and a
-//! single group decode on Packed ones; the remaining shapes filter the
-//! smallest covering group — already score-sorted, so the single
-//! allocated pass preserves order. The pre-index materialize-and-sort
-//! path survives only as [`PostingList::build_by_scan`], the reference
+//! single group decode on Packed ones. The composite shapes (sp, po, so,
+//! ground) find their exact permutation range with one binary search: a
+//! range of at most one block (128 matches) is decoded and weight-ordered
+//! on its own, a larger one filters the smallest covering group — already
+//! score-sorted, so the single allocated pass preserves order — unless
+//! the range is ≥ 4× smaller than that group. The pre-index
+//! materialize-and-sort path survives only as
+//! [`PostingList::build_by_scan`], the reference
 //! implementation property tests and benchmarks compare against.
 //!
 //! # Float edges
@@ -116,11 +120,12 @@ pub enum ServeKind {
     /// The smallest covering index group filtered by the remaining bound
     /// slots: one allocation, zero sorts (the group is already ordered).
     Filtered,
-    /// A highly selective composite shape: the permutation index's exact
-    /// match range, materialized and weight-ordered. Chosen when that
-    /// range is far smaller than every covering group (e.g. a ground
-    /// pattern over three hub terms), where ordering O(matches) entries
-    /// beats walking a group that may be arbitrarily larger.
+    /// A selective composite shape: the permutation index's exact match
+    /// range, materialized and weight-ordered. Chosen when that range
+    /// holds at most one block of matches, or is far smaller than every
+    /// covering group (e.g. a ground pattern over three hub terms), where
+    /// ordering O(matches) entries beats walking a group that may be
+    /// arbitrarily larger.
     Range,
     /// Materialized from the permutation range and sorted — the pre-index
     /// reference path ([`PostingList::build_by_scan`]); never produced by
@@ -438,8 +443,9 @@ impl StratumData {
     /// Entries-only variant of [`StratumData::serve`]: identical entry
     /// values, no prefix-column reconstruction. For consumers that keep
     /// the entry array and drop the prefix sums (the query layer's
-    /// posting caches do exactly that), the skipped replay saves one
-    /// allocation plus an f64 accumulation per entry on Packed serves.
+    /// masked and globally rescaled lists do exactly that), the skipped
+    /// replay saves one allocation plus an f64 accumulation per entry on
+    /// Packed serves.
     fn serve_entries(&self, span: Range<usize>, prov: &[Provenance]) -> EntriesRef<'_> {
         match self {
             StratumData::Flat { entries, .. } => EntriesRef::Borrowed(&entries[span]),
@@ -593,8 +599,8 @@ impl<'s> GroupRef<'s> {
 /// One served group's entries without its prefix column — borrowed
 /// from a Flat stratum, or decoded entries-only from a Packed one (no
 /// prefix reconstruction). Produced by [`PostingList::build_entries`]
-/// for consumers that cache the entry array and discard the prefix
-/// sums; values are bit-identical to the [`GroupRef`] serve.
+/// for consumers that keep only the entry array; values are
+/// bit-identical to the [`GroupRef`] serve.
 #[derive(Debug)]
 pub enum EntriesRef<'s> {
     /// Borrowed directly from Flat stratum columns.
@@ -609,25 +615,6 @@ impl EntriesRef<'_> {
     pub fn as_slice(&self) -> &[Posting] {
         match self {
             EntriesRef::Borrowed(s) => s,
-            EntriesRef::Owned(v) => v,
-        }
-    }
-
-    /// Freezes into a shareable cache payload — exactly one copy from
-    /// either variant (a borrow copies straight into the `Arc`
-    /// allocation with no intermediate `Vec`).
-    pub fn into_arc(self) -> Arc<[Posting]> {
-        match self {
-            EntriesRef::Borrowed(s) => Arc::from(s),
-            EntriesRef::Owned(v) => v.into(),
-        }
-    }
-
-    /// The entries as an owned vector (a borrow copies; an owned decode
-    /// moves).
-    pub fn into_vec(self) -> Vec<Posting> {
-        match self {
-            EntriesRef::Borrowed(s) => s.to_vec(),
             EntriesRef::Owned(v) => v,
         }
     }
@@ -931,7 +918,8 @@ impl PrefixCol<'_> {
 /// shape and segment layout allow (predicate-only, unbound, subject-only,
 /// and object-only patterns on Flat segments); Packed segments decode the
 /// same groups into owned scratch with bit-identical values; composite
-/// anchored shapes own a single filtered — never sorted — list.
+/// shapes own a single list, ordered from their exact range or filtered
+/// from a covering group.
 #[derive(Debug, Clone)]
 pub struct PostingList<'s> {
     entries: Entries<'s>,
@@ -1038,8 +1026,10 @@ impl<'s> PostingList<'s> {
     /// deterministic. Predicate-only, unbound, subject-only, and
     /// object-only patterns are served from the store's posting index
     /// without sorting (borrowed on Flat, decoded on Packed); every
-    /// other shape filters the smallest covering group — one
-    /// allocation, zero sorts.
+    /// other (composite) shape looks up its exact permutation range once
+    /// and orders that range when it holds at most one block of matches
+    /// (or is ≥ 4× smaller than every covering group), else filters the
+    /// smallest covering group — one allocation either way.
     pub fn build(store: &'s XkgStore, pattern: &SlotPattern) -> PostingList<'s> {
         let index = store.posting_index();
         match (pattern.s, pattern.p, pattern.o) {
@@ -1064,10 +1054,9 @@ impl<'s> PostingList<'s> {
     }
 
     /// Entries-only variant of [`PostingList::build`] for consumers
-    /// that cache the entry array and drop the prefix column (the
-    /// query layer's exec and shared posting caches do exactly that).
-    /// Flat segments hand back a borrow — the caller's one copy goes
-    /// straight into the cache payload — and Packed segments decode
+    /// that keep the entry array and drop the prefix column (the query
+    /// layer's masked and globally rescaled lists do exactly that).
+    /// Flat segments hand back a borrow and Packed segments decode
     /// entries without reconstructing the prefix sums. Entry values,
     /// totals, and serve kinds match `build` bit for bit.
     pub fn build_entries(
@@ -1090,23 +1079,33 @@ impl<'s> PostingList<'s> {
     }
 
     /// Serves a composite shape (sp / op / so / ground) from the index.
-    /// The default path filters the smallest covering group — already in
-    /// (weight desc, id asc) order, so no sort; probabilities
-    /// renormalize over the filtered total, summed in entry order
-    /// (bit-identical to the scan reference). When the permutation
-    /// index's *exact* match range is far smaller than every covering
-    /// group (a ground pattern over hub terms can match 1 triple while
-    /// each group holds millions), the range itself is materialized and
-    /// weight-ordered instead — O(matches · log matches) beats an
-    /// unbounded group walk. Group sizes are measured by span arithmetic
-    /// alone, so Packed segments decode at most one group.
+    /// One binary search finds the pattern's exact match range — SPO for
+    /// sp and ground patterns, POS for po, OSP for so. A range of at most
+    /// one block ([`BLOCK`] matches) is decoded and weight-ordered
+    /// (`ServeKind::Range`): a handful of matches sort cheaper than any
+    /// group walk. Larger sets compare the range with the covering
+    /// groups: the smallest group is filtered — already in (weight desc,
+    /// id asc) order, so no sort — unless the range is ≥ 4× smaller
+    /// (a ground pattern over hub terms), where ordering the range beats
+    /// walking a group that may be arbitrarily larger. Either way the
+    /// matches are visited in (weight desc, id asc) order and
+    /// probabilities renormalize over their total summed in that order,
+    /// so both serves are bit-identical to the scan reference. Group
+    /// sizes are measured by span arithmetic alone, so Packed segments
+    /// decode at most one group.
     fn filtered(store: &'s XkgStore, pattern: &SlotPattern) -> PostingList<'s> {
-        // Span arithmetic only: materializing the match ids here would
-        // cost a Packed segment a decode + allocation even when the
-        // group-filter branch below never looks at them.
-        let match_count = store.count(pattern);
+        // Span arithmetic only: the ids are decoded just for a range
+        // serve, never for the group filter.
+        let span = store.span(pattern);
+        let match_count = span.len();
         if match_count == 0 {
             return PostingList::owned(Vec::new(), 0.0, ServeKind::Filtered);
+        }
+        let range = |span| {
+            PostingList::from_match_ids(store, &store.span_ids(pattern, span), ServeKind::Range)
+        };
+        if match_count <= BLOCK {
+            return range(span);
         }
         enum Cover {
             Subject(TermId),
@@ -1134,25 +1133,22 @@ impl<'s> PostingList<'s> {
         if let Some(p) = pattern.p {
             consider(store.posting_index().predicate_group_len(p), Cover::Predicate(p));
         }
-        let Some((group_len, cover)) = best else {
-            // Composite shapes always bind a slot; if a malformed shape
-            // ever lands here, degrade to the exact-range serve.
-            return PostingList::from_match_ids(store, &store.lookup(pattern), ServeKind::Range);
+        // Composite shapes always bind a slot; if a malformed shape ever
+        // lands here, degrade to the exact-range serve.
+        let Some((_, cover)) = best.filter(|(len, _)| match_count * 4 > *len) else {
+            return range(span);
         };
-        if match_count * 4 <= group_len {
-            return PostingList::from_match_ids(store, &store.lookup(pattern), ServeKind::Range);
-        }
         let group = match cover {
             Cover::Subject(s) => store.subject_group(s),
             Cover::Object(o) => store.object_group(o),
             Cover::Predicate(p) => store.predicate_group(p),
         };
-        let mut entries: Vec<Posting> = group
+        let mut entries: Vec<Posting> = Vec::with_capacity(match_count);
+        let matching = group
             .entries()
             .iter()
-            .filter(|e| pattern.matches(store.triple(e.triple)))
-            .copied()
-            .collect();
+            .filter(|e| pattern.matches(store.triple(e.triple)));
+        entries.extend(matching);
         let total: f64 = entries.iter().map(|e| e.weight).sum();
         for e in &mut entries {
             e.prob = if total > 0.0 { e.weight / total } else { 0.0 };
@@ -1168,20 +1164,21 @@ impl<'s> PostingList<'s> {
         ids: &[TripleId],
         kind: ServeKind,
     ) -> PostingList<'static> {
-        let mut raw: Vec<(TripleId, f64)> = ids
-            .iter()
-            .map(|&id| (id, store.provenance(id).weight()))
-            .collect();
-        raw.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        let total: f64 = raw.iter().map(|(_, w)| w).sum();
-        let entries = raw
-            .into_iter()
-            .map(|(triple, weight)| Posting {
-                triple,
-                weight,
-                prob: if total > 0.0 { weight / total } else { 0.0 },
-            })
-            .collect();
+        let posting = |&triple| Posting {
+            triple,
+            weight: store.provenance(triple).weight(),
+            prob: 0.0,
+        };
+        let mut entries: Vec<Posting> = ids.iter().map(posting).collect();
+        entries.sort_unstable_by(|a, b| {
+            b.weight
+                .total_cmp(&a.weight)
+                .then_with(|| a.triple.cmp(&b.triple))
+        });
+        let total: f64 = entries.iter().map(|e| e.weight).sum();
+        for e in &mut entries {
+            e.prob = if total > 0.0 { e.weight / total } else { 0.0 };
+        }
         PostingList::owned(entries, total, kind)
     }
 
@@ -1216,19 +1213,6 @@ impl<'s> PostingList<'s> {
         PostingList {
             consumed_weight: total_weight - kept,
             ..PostingList::from_owned(entries, total_weight)
-        }
-    }
-
-    /// Wraps a cache-shared, already score-sorted entry list. The list
-    /// gets its own cursor; the entries are not copied.
-    pub fn from_shared(entries: Arc<[Posting]>, total_weight: f64) -> PostingList<'static> {
-        PostingList {
-            entries: Entries::Shared(entries),
-            prefix: PrefixCol::None,
-            total_weight,
-            consumed_weight: 0.0,
-            cursor: 0,
-            kind: ServeKind::External,
         }
     }
 
@@ -1469,7 +1453,8 @@ mod tests {
     }
 
     #[test]
-    fn composite_shapes_filter_without_sorting() {
+    fn composite_shapes_serve_their_range_or_filter_a_group() {
+        // Up to one block of matches: the exact range, ordered.
         let store = store_with_weights();
         let s = store.resource("person1").unwrap();
         let p = store.resource("lecturedAt").unwrap();
@@ -1481,10 +1466,32 @@ mod tests {
             SlotPattern::new(Some(s), Some(p), Some(o)),
         ] {
             let list = PostingList::build(&store, &pattern);
-            assert_eq!(list.serve_kind(), ServeKind::Filtered, "{pattern}");
+            assert_eq!(list.serve_kind(), ServeKind::Range, "{pattern}");
             let reference = PostingList::build_by_scan(&store, &pattern);
             assert_eq!(list.entries(), reference.entries(), "{pattern}");
         }
+        // More than a block, and no covering group 4× larger: the
+        // smallest group (the predicate's) filtered, never sorted.
+        let mut b = XkgBuilder::new();
+        let src = b.intern_source("doc");
+        let (p, q) = (b.dict_mut().resource("p"), b.dict_mut().resource("q"));
+        let o = b.dict_mut().resource("o");
+        for i in 0..=BLOCK as u32 {
+            let s = b.dict_mut().resource(&format!("s{i}"));
+            b.add_extracted(s, p, o, 0.1 + (i % 9) as f32 / 10.0, src);
+            b.add_extracted(s, q, o, 0.5, src);
+        }
+        let store = b.build();
+        let pattern = SlotPattern::with_po(p, o);
+        let list = PostingList::build(&store, &pattern);
+        assert_eq!(list.serve_kind(), ServeKind::Filtered);
+        assert_eq!(list.len(), BLOCK + 1);
+        let reference = PostingList::build_by_scan(&store, &pattern);
+        assert_eq!(list.entries(), reference.entries());
+        assert_eq!(
+            list.total_weight().to_bits(),
+            reference.total_weight().to_bits()
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::dict::{SourceTable, TermDict};
@@ -616,6 +617,18 @@ impl XkgStore {
     #[inline]
     pub fn count(&self, pattern: &SlotPattern) -> usize {
         self.index.count(pattern)
+    }
+
+    /// `pattern`'s matches as a range of its permutation's rows: one
+    /// binary search, nothing decoded.
+    pub(crate) fn span(&self, pattern: &SlotPattern) -> Range<usize> {
+        self.index.span(pattern)
+    }
+
+    /// The ids over a `span` of `pattern` ([`XkgStore::lookup`] without
+    /// the search).
+    pub(crate) fn span_ids(&self, pattern: &SlotPattern, span: Range<usize>) -> MatchIds<'_> {
+        self.index.ids(pattern, span)
     }
 
     /// The precomputed score-sorted posting index (the paper's "triple

@@ -1,17 +1,21 @@
 //! Integration: mined rules, user rules, sessions, suggestion, and the
 //! relaxation-driven recovery of missing answers on a generated system.
 
+use std::collections::HashSet;
+use std::sync::OnceLock;
+
+use trinit_core::query::exec::drive::{structural_variants, Variant};
 use trinit_core::query::exec::merge::AltTable;
 use trinit_core::query::TopkConfig;
 use trinit_core::relax::{
-    apply_rule, apply_rule_with, mine_cooccurrence, MinerConfig, QPattern, QTerm, Rule, RuleId,
-    RuleKind, RuleProvenance, RuleSet, VarId,
+    apply_rule, apply_rule_with, canonical_key, mine_cooccurrence, ConditionOracle, MinerConfig,
+    QPattern, QTerm, Rule, RuleId, RuleKind, RuleProvenance, RuleSet, VarId,
 };
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
-use trinit_core::xkg::args_pairs;
-use trinit_core::{Engine, Session, TrinitBuilder};
+use trinit_core::xkg::{args_pairs, PostingList, SegmentLayout, ServeKind, SlotPattern, XkgStore};
+use trinit_core::{Engine, Session, Trinit, TrinitBuilder};
 use trinit_eval::{
-    build_full_system, build_world, generate_benchmark, BenchmarkConfig, EvalConfig,
+    build_full_system, build_world, generate_benchmark, BenchQuery, BenchmarkConfig, EvalConfig,
 };
 
 fn system() -> (World, trinit_core::Trinit) {
@@ -165,6 +169,44 @@ fn zero_weight_rules_never_contribute() {
     }
 }
 
+/// The graded benchmark's system — `WorldConfig::demo(42)` with its
+/// mined rules — and its 70 graded queries, built once for every test
+/// that reads them.
+struct Graded {
+    cfg: EvalConfig,
+    world: World,
+    sys: Trinit,
+    graded: Vec<BenchQuery>,
+}
+
+fn graded() -> &'static Graded {
+    static GRADED: OnceLock<Graded> = OnceLock::new();
+    GRADED.get_or_init(|| {
+        let cfg = EvalConfig {
+            seed: 42,
+            scale: 1.0,
+            per_category: 14,
+        };
+        let (world, kg) = build_world(&cfg);
+        let sys = build_full_system(&world, &cfg);
+        let graded = generate_benchmark(
+            &world,
+            &kg,
+            &BenchmarkConfig {
+                seed: 45,
+                per_category: 14,
+            },
+        );
+        assert_eq!(graded.len(), 70);
+        Graded {
+            cfg,
+            world,
+            sys,
+            graded,
+        }
+    })
+}
+
 /// A reference relaxation table entry: pattern, weight, rule chain.
 type RefEntry = (QPattern, f64, Vec<RuleId>);
 
@@ -248,25 +290,10 @@ fn reference_table(
 /// entry index).
 #[test]
 fn relaxation_tables_equal_the_general_matcher_enumeration() {
-    let cfg = EvalConfig {
-        seed: 42,
-        scale: 1.0,
-        per_category: 14,
-    };
-    let (world, kg) = build_world(&cfg);
-    let sys = build_full_system(&world, &cfg);
-    let graded = generate_benchmark(
-        &world,
-        &kg,
-        &BenchmarkConfig {
-            seed: 45,
-            per_category: 14,
-        },
-    );
-    assert_eq!(graded.len(), 70);
+    let Graded { sys, graded, .. } = graded();
     let (rules, topk) = (sys.rules(), TopkConfig::default());
     let (mut tables, mut relaxed) = (0, 0);
-    for bench in &graded {
+    for bench in graded {
         let query = sys.parse(&bench.text).expect("graded query parses");
         let mut variants = vec![query.patterns.clone()];
         for &id in rules.structural_rules() {
@@ -301,4 +328,146 @@ fn relaxation_tables_equal_the_general_matcher_enumeration() {
         relaxed * 2 > tables,
         "{relaxed} of {tables} tables relax their pattern"
     );
+}
+
+/// `structural_variants` as it was before structural rules were indexed
+/// by predicate: every structural rule tried on every variant.
+fn unindexed_variants(
+    store: &XkgStore,
+    patterns: &[QPattern],
+    rules: &RuleSet,
+    cfg: &TopkConfig,
+) -> Vec<Variant> {
+    let original_vars = patterns
+        .iter()
+        .filter_map(QPattern::max_var)
+        .max()
+        .map_or(0, |m| m + 1);
+    let mut out: Vec<Variant> = vec![(patterns.to_vec(), 1.0, Vec::new())];
+    let mut keys = vec![canonical_key(patterns, original_vars)];
+    let mut frontier = vec![0usize];
+    for _ in 0..cfg.structural_depth {
+        let mut next_frontier = Vec::new();
+        for &idx in &frontier {
+            let (cur, cur_weight, cur_trace) = out[idx].clone();
+            for &id in rules.structural_rules() {
+                let weight = cur_weight * rules.get(id).weight;
+                if weight < cfg.min_weight {
+                    continue;
+                }
+                for rewriting in apply_rule_with(&cur, rules.get(id), id, Some(store)) {
+                    let key = canonical_key(&rewriting.patterns, original_vars);
+                    if keys.contains(&key) || out.len() >= cfg.max_variants {
+                        continue;
+                    }
+                    keys.push(key);
+                    let trace = [cur_trace.clone(), vec![id]].concat();
+                    out.push((rewriting.patterns, weight, trace));
+                    next_frontier.push(out.len() - 1);
+                }
+            }
+        }
+        if next_frontier.is_empty() {
+            break;
+        }
+        frontier = next_frontier;
+    }
+    out
+}
+
+/// Indexing structural rules by their LHS predicates changes which rules
+/// are *tried*, never what comes out: for every graded query, at
+/// structural depths 1 and 2, the variants under the store oracle are
+/// the unindexed enumeration's — same patterns, order, weights to the
+/// bit and traces.
+#[test]
+fn structural_variants_equal_the_unindexed_enumeration() {
+    let Graded { sys, graded, .. } = graded();
+    let (rules, store) = (sys.rules(), sys.store());
+    let (mut skipped, mut rewritten) = (0, 0);
+    for structural_depth in [1, 2] {
+        let cfg = TopkConfig {
+            structural_depth,
+            ..TopkConfig::default()
+        };
+        for bench in graded {
+            let query = sys.parse(&bench.text).expect("graded query parses");
+            let oracle: &dyn ConditionOracle = store;
+            let got = structural_variants(Some(oracle), &query.patterns, rules, &cfg);
+            let want = unindexed_variants(store, &query.patterns, rules, &cfg);
+            assert_eq!(got.len(), want.len(), "{}", bench.text);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(
+                    (&g.0, g.1.to_bits(), &g.2),
+                    (&w.0, w.1.to_bits(), &w.2),
+                    "{}",
+                    bench.text
+                );
+            }
+            let tried = rules.structural_rules_for(&query.patterns).count();
+            skipped += rules.structural_rules().len() - tried;
+            rewritten += usize::from(got.len() > 1);
+        }
+    }
+    assert!(skipped > 0, "the index must skip some rule");
+    assert!(
+        rewritten > 0,
+        "some graded query must have structural variants"
+    );
+}
+
+/// Every composite shape (two or more bound slots) the graded queries
+/// open — their patterns, their structural variants' and every relaxed
+/// form in their relaxation tables — serves entries bit for bit equal to
+/// the scan reference on both segment layouts, through both composite
+/// serves: a small exact range, and a larger set's covering group.
+#[test]
+fn composite_serves_equal_the_scan_reference_on_both_layouts() {
+    let Graded {
+        cfg,
+        world,
+        sys,
+        graded,
+    } = graded();
+    let (rules, topk) = (sys.rules(), TopkConfig::default());
+    let oracle: &dyn ConditionOracle = sys.store();
+    let mut shapes: Vec<SlotPattern> = Vec::new();
+    let mut seen = HashSet::new();
+    for bench in graded {
+        let query = sys.parse(&bench.text).expect("graded query parses");
+        for (patterns, ..) in structural_variants(Some(oracle), &query.patterns, rules, &topk) {
+            for (i, pattern) in patterns.iter().enumerate() {
+                let table = AltTable::build(pattern, rules, &topk, 3 * i as u16, None);
+                for alt in table.iter() {
+                    let shape = alt.pattern.slot_pattern();
+                    if shape.bound_count() >= 2 && seen.insert(shape) {
+                        shapes.push(shape);
+                    }
+                }
+            }
+        }
+    }
+    let mut packed = TrinitBuilder::from_world(world, &cfg.kg_config(), &cfg.corpus_config());
+    packed.options_mut().layout(SegmentLayout::Packed);
+    let packed = packed.build();
+    for store in [sys.store(), packed.store()] {
+        let (mut ranged, mut filtered) = (0, 0);
+        for shape in &shapes {
+            let list = PostingList::build(store, shape);
+            let reference = PostingList::build_by_scan(store, shape);
+            assert_eq!(list.entries(), reference.entries(), "{shape:?}");
+            let (total, want) = (list.total_weight(), reference.total_weight());
+            assert_eq!(total.to_bits(), want.to_bits(), "{shape:?}");
+            match list.serve_kind() {
+                ServeKind::Range => ranged += 1,
+                ServeKind::Filtered => filtered += 1,
+                kind => panic!("{shape:?} served as {kind:?}"),
+            }
+        }
+        assert!(
+            ranged > 0 && filtered > 0,
+            "{ranged} ranged and {filtered} filtered serves of {} shapes",
+            shapes.len()
+        );
+    }
 }
