@@ -50,7 +50,7 @@ pub fn evaluate(
     // candidate would make the join quadratic in the match-set size).
     let prob_maps: Vec<HashMap<TripleId, f64>> = scorers
         .iter()
-        .map(|s| s.entries().iter().map(|e| (e.triple, e.prob)).collect())
+        .map(|s| s.iter().map(|e| (e.triple, e.prob)).collect())
         .collect();
 
     let order = plan_order(store, patterns);

@@ -153,10 +153,13 @@ impl Restriction {
 
     /// The keyed rest of an opened alternative's list: key lookups found
     /// in it by binary search, or one scan (its skips are postings read;
-    /// counted in `restriction_scans`). Both sides pay on the benchmark
-    /// workloads: the scan, chosen in 65–85% of calls, beats the lookups
-    /// it replaces 2.4–3.9× there, and the lookups win where chosen on
-    /// `explore_cold`, the one workload where they carry real time.
+    /// counted in `restriction_scans`). Neither collects the list: a
+    /// Packed group decodes only the entries the search probes, or the
+    /// ids the scan tests and the entries it keeps. Both sides pay on
+    /// the benchmark workloads: the scan, chosen in 65–85% of calls,
+    /// beats the lookups it replaces 2.4–3.9× there, and the lookups win
+    /// where chosen on `explore_cold`, the one workload where they carry
+    /// real time.
     fn apply(
         &self,
         store: &XkgStore,
@@ -164,19 +167,14 @@ impl Restriction {
         matches: &ScoredMatches<'_>,
         metrics: &mut ExecMetrics,
     ) -> ScoredMatches<'static> {
-        let rest = matches.rest();
-        let kept: Vec<Posting> = if self.probe_pays(store, rest.len()) {
-            let locate = |(id, w): Hit| {
-                let before = |e: &Posting| e.weight.total_cmp(&w).then(id.cmp(&e.triple)).is_gt();
-                let at = rest.partition_point(before);
-                rest.get(at).filter(|e| e.triple == id).copied()
-            };
+        let rest = matches.rest_len();
+        let kept: Vec<Posting> = if self.probe_pays(store, rest) {
             let hits = self.lookups(store, pattern, metrics).into_iter();
-            hits.filter_map(locate).collect()
+            hits.filter_map(|(id, w)| matches.locate(id, w)).collect()
         } else {
-            let keyed = |e: &&Posting| self.admits(store.triple(e.triple));
-            let kept: Vec<Posting> = rest.iter().filter(keyed).copied().collect();
-            metrics.postings_scanned += rest.len() - kept.len();
+            let keyed = |id| self.admits(store.triple(id));
+            let kept: Vec<Posting> = matches.select(keyed).collect();
+            metrics.postings_scanned += rest - kept.len();
             metrics.restriction_scans += 1;
             kept
         };

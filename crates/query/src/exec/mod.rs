@@ -110,7 +110,7 @@ pub struct ExecMetrics {
     /// tightened (head-bound / remaining-mass) termination threshold.
     pub early_cutoffs: usize,
     /// Posting lists served from the anchored (subject/object) index
-    /// strata: borrowed slices for s-/o-bound shapes, one-allocation
+    /// strata: in-place serves for s-/o-bound shapes, one-allocation
     /// group filters for the composite shapes. None of these sort.
     pub anchored_serves: usize,
     /// Selective composite serves that materialized and weight-ordered

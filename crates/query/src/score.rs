@@ -16,8 +16,9 @@
 //! [`ScoredMatches`] is a thin view over the store's shared posting
 //! machinery ([`trinit_xkg::PostingList`]): patterns without repeated
 //! variables delegate directly — predicate-only, unbound, subject-only,
-//! and object-only shapes are borrowed slices of the build-time posting
-//! index (its anchored strata included), zero allocation and zero
+//! and object-only shapes are served in place from the build-time
+//! posting index (its anchored strata included; a Packed segment
+//! decodes each entry only when it is read), zero allocation and zero
 //! sorting per query; the composite shapes order their exact range or
 //! filter an already-sorted group. Patterns that repeat a variable
 //! (`?x p ?x`) filter the shared list and renormalize over the filtered
@@ -32,7 +33,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use trinit_relax::{QPattern, QTerm};
 use trinit_xkg::{
-    EntriesRef, Posting, PostingList, ServeKind, SharedParts, SlotPattern, TripleId, XkgStore,
+    Posting, PostingList, Select, ServeKind, SharedParts, SlotPattern, TripleId, XkgStore,
 };
 
 /// Bitmask of within-pattern variable-equality constraints: bit 0 =
@@ -76,16 +77,16 @@ pub fn canonical_pattern(pattern: &QPattern) -> CanonicalPattern {
     (pattern.slot_pattern(), repetition_mask(pattern))
 }
 
-/// One cached materialized list: shared entries, the build-time
-/// prefix-sum column when the source had one (`Packed` stores decode
-/// their hot shapes once per cache tier and keep the exact column so
-/// `remaining_mass` stays bit-identical to the `Flat` borrow path), and
-/// the total emission weight the entries' probabilities are normalized
-/// by.
+/// One cached materialized list: shared entries, the prefix sum their
+/// consumed weights are added onto (`Packed` stores collect their hot
+/// shapes once per cache tier and keep the group's exact start prefix,
+/// so `remaining_mass` stays bit-identical to the `Flat` borrow path),
+/// and the total emission weight the entries' probabilities are
+/// normalized by.
 #[derive(Debug, Clone)]
 struct CachedList {
     entries: Arc<[Posting]>,
-    prefix: Option<Arc<[f64]>>,
+    base: f64,
     total: f64,
     /// True when `total` was supplied by a [`GlobalTotals`] provider
     /// (a cross-slice denominator) rather than summed over the slice.
@@ -93,18 +94,18 @@ struct CachedList {
 }
 
 impl CachedList {
-    fn local((entries, prefix, total): SharedParts) -> CachedList {
+    fn new((entries, base, total): SharedParts, scaled: bool) -> CachedList {
         CachedList {
             entries,
-            prefix,
+            base,
             total,
-            scaled: false,
+            scaled,
         }
     }
 
     /// A fresh cursor over the shared entries.
     fn list(&self) -> PostingList<'static> {
-        PostingList::from_shared_parts(Arc::clone(&self.entries), self.prefix.clone(), self.total)
+        PostingList::from_shared_parts((Arc::clone(&self.entries), self.base, self.total))
     }
 
     /// True if the baked-in probabilities are bit for bit the ones a
@@ -233,7 +234,7 @@ impl SharedInner {
         debug_assert!(i != LRU_NONE, "evict on empty cache");
         self.unlink(i);
         self.map.remove(&self.slab[i].key);
-        self.slab[i].list = CachedList::local((Vec::new().into(), None, 0.0));
+        self.slab[i].list = CachedList::new((Vec::new().into(), 0.0, 0.0), false);
         self.free.push(i);
         self.stats.evictions += 1;
     }
@@ -247,7 +248,7 @@ impl SharedInner {
 /// queries rebuild identical lists. A `SharedPostingCache` lives behind
 /// a `Session` (or an entire system) and hands out `Arc`-shared entry
 /// slices across queries — and to a query's own repeat of a pattern.
-/// Borrow-served shapes (predicate-only, fully unbound, subject-only,
+/// Index-served shapes (predicate-only, fully unbound, subject-only,
 /// object-only) bypass it on Flat segments — they are already O(1)
 /// reads of the store's frozen posting index, anchored strata included.
 ///
@@ -489,11 +490,11 @@ impl<'s> ScoredMatches<'s> {
                 scale: rescale(total, global),
                 built,
             };
-            // Flat segments lend a slice of the frozen posting index
-            // (anchored s-/o-bound strata included): zero-alloc, nothing
-            // worth caching. Packed segments decode the group, shared
-            // through the store-level cache when there is one — the
-            // exact prefix column rides along, keeping `remaining_mass`
+            // The frozen posting index serves these shapes in place
+            // (anchored s-/o-bound strata included): zero-alloc. Flat
+            // slices are not worth caching; a Packed group is collected
+            // into the store-level cache when there is one — its exact
+            // start prefix rides along, keeping `remaining_mass`
             // bit-identical to the Flat borrow path.
             let Some(cache) = shared.filter(|_| !store.layout().is_flat()) else {
                 let list = PostingList::build(store, &slot);
@@ -508,7 +509,7 @@ impl<'s> ScoredMatches<'s> {
             }
             let built = PostingList::build(store, &slot);
             let kind = built.serve_kind();
-            let cached = CachedList::local(built.into_shared_parts());
+            let cached = CachedList::new(built.into_shared_parts(), false);
             let out = view(cached.list(), cached.total, Some(kind));
             cache.insert(key, cached);
             return (out, CacheSource::Built);
@@ -535,12 +536,7 @@ impl<'s> ScoredMatches<'s> {
         let Some(cache) = shared else {
             return (ScoredMatches::fresh(list, kind), CacheSource::Built);
         };
-        let cached = CachedList {
-            total: list.total_weight(),
-            entries: list.into_entries().into(),
-            prefix: None,
-            scaled: global.is_some(),
-        };
+        let cached = CachedList::new(list.into_shared_parts(), global.is_some());
         let view = ScoredMatches::fresh(cached.list(), kind);
         cache.insert(key, cached);
         (view, CacheSource::Built)
@@ -561,20 +557,10 @@ impl<'s> ScoredMatches<'s> {
         self.list.total_weight()
     }
 
-    /// All entries in descending probability order (ignores the cursor).
-    pub fn entries(&self) -> &[Posting] {
-        self.list.entries()
-    }
-
-    /// Emission probability of one triple under this pattern (0.0 if the
-    /// triple does not match).
-    pub fn prob_of(&self, id: TripleId) -> f64 {
-        self.list
-            .entries()
-            .iter()
-            .find(|e| e.triple == id)
-            .map(|e| e.prob * self.scale)
-            .unwrap_or(0.0)
+    /// All entries in descending probability order (ignores the cursor;
+    /// probabilities unscaled), each decoded as the iterator reaches it.
+    pub fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
+        self.list.iter()
     }
 
     /// Probability of the next unconsumed entry.
@@ -594,9 +580,21 @@ impl<'s> ScoredMatches<'s> {
         self.list.consumed()
     }
 
-    /// The unconsumed entries, in order (probabilities unscaled).
-    pub(crate) fn rest(&self) -> &[Posting] {
-        &self.list.entries()[self.consumed()..]
+    /// Number of unconsumed entries.
+    pub(crate) fn rest_len(&self) -> usize {
+        self.len() - self.consumed()
+    }
+
+    /// The unconsumed entries whose triple `keep` admits, in order
+    /// (probabilities unscaled; see [`PostingList::select`]).
+    pub(crate) fn select<F: FnMut(TripleId) -> bool>(&self, keep: F) -> Select<'_, F> {
+        self.list.select(keep)
+    }
+
+    /// The unconsumed entry of triple `id`, whose emission weight is
+    /// `weight`, found by binary search (see [`PostingList::locate`]).
+    pub(crate) fn locate(&self, id: TripleId, weight: f64) -> Option<Posting> {
+        self.list.locate(id, weight)
     }
 
     /// A list of `entries` — ordered, and a subset of a match set whose
@@ -615,7 +613,7 @@ impl<'s> ScoredMatches<'s> {
         }
     }
 
-    /// This list cut to `entries`, a subset of its [`Self::rest`].
+    /// This list cut to `entries`, a subset of its unconsumed ones.
     pub(crate) fn narrowed(&self, entries: Vec<Posting>) -> ScoredMatches<'static> {
         ScoredMatches::restricted(entries, self.total_weight(), self.scale)
     }
@@ -727,10 +725,10 @@ fn rescale(total: f64, global: Option<f64>) -> f64 {
     }
 }
 
-/// True if [`PostingList::build`] serves this shape as a borrowed slice
-/// of the precomputed posting index: predicate-only, fully unbound, and
-/// the anchored subject-only / object-only strata. These shapes are O(1)
-/// and are therefore never inserted into the posting caches.
+/// True if [`PostingList::build`] serves this shape in place from the
+/// precomputed posting index: predicate-only, fully unbound, and the
+/// anchored subject-only / object-only strata. These shapes are O(1) to
+/// open, so a Flat segment never inserts them into the posting caches.
 #[inline]
 fn is_borrow_served(slot: &SlotPattern) -> bool {
     matches!(
@@ -749,25 +747,17 @@ fn scaled_entries(
     mask: u8,
     total: f64,
 ) -> (PostingList<'static>, ServeKind) {
-    // Entries-only build: the prefix column is never kept on this path,
-    // so a Packed segment skips reconstructing it.
-    let (source, _, kind) = PostingList::build_entries(store, slot);
+    let source = PostingList::build(store, slot);
+    let kind = source.serve_kind();
     // A zero global total means the match set carries no emission mass
     // anywhere: serve empty, exactly like the index's own zero-mass
     // groups, so the 0 head bound reported for such patterns is exact.
     if total <= 0.0 {
         return (PostingList::from_owned(Vec::new(), 0.0), kind);
     }
-    let mut entries: Vec<Posting> = match source {
-        // An unmasked decoded group is already the exact entry set:
-        // rescale it in place instead of copying.
-        EntriesRef::Owned(v) if mask == 0 => v,
-        source => source
-            .as_slice()
-            .iter()
-            .filter(|e| mask == 0 || satisfies_mask(store, e.triple, mask))
-            .copied()
-            .collect(),
+    let mut entries: Vec<Posting> = match mask {
+        0 => source.into_entries(),
+        _ => source.select(|id| satisfies_mask(store, id, mask)).collect(),
     };
     for e in &mut entries {
         e.prob = e.weight / total;
@@ -777,20 +767,17 @@ fn scaled_entries(
 
 /// Filters the shared posting list by the repetition constraints and
 /// renormalizes. The source is already score-sorted, so the filtered
-/// subset needs no re-sort.
+/// subset needs no re-sort, and a Packed source decodes only the
+/// entries the filter keeps.
 fn filtered_entries(
     store: &XkgStore,
     slot: &SlotPattern,
     mask: u8,
 ) -> (PostingList<'static>, ServeKind) {
-    // Entries-only build: the masked copy below never reads the prefix
-    // column, so a Packed segment skips reconstructing it.
-    let (source, _, kind) = PostingList::build_entries(store, slot);
+    let source = PostingList::build(store, slot);
+    let kind = source.serve_kind();
     let mut entries: Vec<Posting> = source
-        .as_slice()
-        .iter()
-        .filter(|e| satisfies_mask(store, e.triple, mask))
-        .copied()
+        .select(|id| satisfies_mask(store, id, mask))
         .collect();
     let total: f64 = entries.iter().map(|e| e.weight).sum();
     // Zero-mass filtered sets emit nothing — the same contract as the
@@ -847,10 +834,11 @@ mod tests {
         let p = pat(&store, QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
         let m = ScoredMatches::build(&store, &p);
         assert_eq!(m.len(), 4);
-        let sum: f64 = m.entries().iter().map(|e| e.prob).sum();
+        let entries: Vec<Posting> = m.iter().collect();
+        let sum: f64 = entries.iter().map(|e| e.prob).sum();
         assert!((sum - 1.0).abs() < 1e-9);
         // KG facts (weight 1.0) outrank the 0.5-confidence extraction.
-        assert!(m.entries()[0].prob > m.entries()[3].prob - 1e-12);
+        assert!(entries[0].prob > entries[3].prob - 1e-12);
         assert!((m.total_weight() - 3.5).abs() < 1e-9);
     }
 
@@ -861,7 +849,7 @@ mod tests {
         let p = pat(&store, v, v);
         let m = ScoredMatches::build(&store, &p);
         assert_eq!(m.len(), 1, "only the self-loop matches ?x p ?x");
-        let e = m.entries()[0];
+        let e = m.iter().next().unwrap();
         let t = store.triple(e.triple);
         assert_eq!(t.s, t.o);
         assert!((e.prob - 1.0).abs() < 1e-9, "renormalized over filtered set");
@@ -875,21 +863,28 @@ mod tests {
         let a = store.resource("a").unwrap();
         let broad = pat(&store, QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
         let narrow = pat(&store, QTerm::Term(a), QTerm::Var(VarId(1)));
-        let mb = ScoredMatches::build(&store, &broad);
-        let mn = ScoredMatches::build(&store, &narrow);
-        let id = mn.entries()[0].triple;
-        assert!(mn.prob_of(id) > mb.prob_of(id));
+        let mut mb = ScoredMatches::build(&store, &broad);
+        let mut mn = ScoredMatches::build(&store, &narrow);
+        let (id, narrow_prob) = mn.next_entry().unwrap();
+        let broad_prob = std::iter::from_fn(|| mb.next_entry())
+            .find(|&(t, _)| t == id)
+            .map(|(_, prob)| prob);
+        assert!(narrow_prob > broad_prob.unwrap());
     }
 
     #[test]
-    fn cursor_and_prob_of() {
+    fn cursor_reports_each_entry_once_in_order() {
         let store = store();
         let p = pat(&store, QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
         let mut m = ScoredMatches::build(&store, &p);
+        let entries: Vec<Posting> = m.iter().collect();
         let first = m.next_entry().unwrap();
         assert_eq!(m.consumed(), 1);
-        assert!((m.prob_of(first.0) - first.1).abs() < 1e-12);
-        assert_eq!(m.prob_of(TripleId(999)), 0.0);
+        assert_eq!(first, (entries[0].triple, entries[0].prob));
+        let rest: Vec<(TripleId, f64)> = std::iter::from_fn(|| m.next_entry()).collect();
+        let want: Vec<(TripleId, f64)> = entries[1..].iter().map(|e| (e.triple, e.prob)).collect();
+        assert_eq!(rest, want);
+        assert_eq!(m.next_entry(), None);
     }
 
     #[test]
@@ -897,12 +892,20 @@ mod tests {
         let store = store();
         let p = pat(&store, QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
         let mut m = ScoredMatches::build(&store, &p);
+        let entries: Vec<Posting> = m.iter().collect();
         let first = m.next_entry().unwrap();
-        assert_eq!(m.rest(), &m.entries()[1..]);
-        assert!(m.rest().iter().all(|e| e.triple != first.0));
+        let rest: Vec<Posting> = m.select(|_| true).collect();
+        assert_eq!((m.rest_len(), &rest[..]), (3, &entries[1..]));
+        assert!(rest.iter().all(|e| e.triple != first.0));
+        // Every unconsumed entry is located by its triple and weight; the
+        // consumed one is not.
+        for e in &rest {
+            assert_eq!(m.locate(e.triple, e.weight), Some(*e));
+        }
+        assert_eq!(m.locate(first.0, entries[0].weight), None);
         // A narrowed view reports its entries exactly as the list would,
         // and its remaining mass is theirs alone.
-        let kept = m.rest()[1];
+        let kept = rest[1];
         let mut narrowed = m.narrowed(vec![kept]);
         assert!((narrowed.remaining_mass() - kept.prob).abs() < 1e-12);
         assert_eq!(narrowed.next_entry(), Some((kept.triple, kept.prob)));
@@ -937,7 +940,7 @@ mod tests {
         let renamed = pat(&store, QTerm::Term(a), QTerm::Var(VarId(7)));
         let (m2, src2) = build(&renamed);
         assert_eq!(src2, CacheSource::SharedHit);
-        assert_eq!(m1.entries(), m2.entries());
+        assert!(m1.iter().eq(m2.iter()));
         assert_eq!(m1.total_weight(), m2.total_weight());
         // Borrow-served shape (predicate-only) on a Flat store: never
         // inserted, never a lookup.
@@ -960,10 +963,10 @@ mod tests {
         ] {
             let plain = ScoredMatches::build(&store, &p);
             let (cached, _) = ScoredMatches::build_global(&store, &p, Some(&cache), None);
-            assert_eq!(plain.entries(), cached.entries());
+            assert!(plain.iter().eq(cached.iter()));
             // And a second cached build (the hit path) agrees too.
             let (hit, _) = ScoredMatches::build_global(&store, &p, Some(&cache), None);
-            assert_eq!(plain.entries(), hit.entries());
+            assert!(plain.iter().eq(hit.iter()));
         }
     }
 
@@ -982,11 +985,11 @@ mod tests {
         let (m2, src2) = ScoredMatches::build_global(&store, &narrow, Some(&shared), None);
         assert_eq!(src2, CacheSource::SharedHit);
         assert_eq!(shared.stats().hits, 1);
-        assert_eq!(m1.entries(), m2.entries());
+        assert!(m1.iter().eq(m2.iter()));
         // Without a cache the same list is built, owned by its view.
         let (m3, src3) = ScoredMatches::build_global(&store, &narrow, None, None);
         assert_eq!(src3, CacheSource::Built);
-        assert_eq!(m1.entries(), m3.entries());
+        assert!(m1.iter().eq(m3.iter()));
         assert_eq!(shared.stats().hits + shared.stats().misses, 2);
     }
 
@@ -1087,7 +1090,7 @@ mod tests {
         let p = pat(&store, QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
         let key = canonical_pattern(&p);
         let cache = SharedPostingCache::new(8);
-        cache.insert(key, CachedList::local((Vec::new().into(), None, 1.0)));
+        cache.insert(key, CachedList::new((Vec::new().into(), 0.0, 1.0), false));
         assert_eq!(cache.len(), 1);
 
         // Poison the mutex: a holder panics with the guard live.
@@ -1111,7 +1114,7 @@ mod tests {
         assert_eq!(cache.capacity(), 8, "capacity survives recovery");
 
         // And the cache is fully usable again (poison flag cleared).
-        cache.insert(key, CachedList::local((Vec::new().into(), None, 1.0)));
+        cache.insert(key, CachedList::new((Vec::new().into(), 0.0, 1.0), false));
         assert!(cache.get(&key, |_| true).is_some());
         assert_eq!(cache.stats().poison_recoveries, 1, "recovered once, not per lock");
     }
@@ -1123,7 +1126,7 @@ mod tests {
         let key = canonical_pattern(&p);
         let cache = SharedPostingCache::new(8);
         cache.ensure_generation(0);
-        cache.insert(key, CachedList::local((Vec::new().into(), None, 1.0)));
+        cache.insert(key, CachedList::new((Vec::new().into(), 0.0, 1.0), false));
         assert!(cache.get(&key, |_| true).is_some());
         // Same generation: residents survive.
         cache.ensure_generation(0);
@@ -1136,7 +1139,7 @@ mod tests {
             "stale list served after compaction"
         );
         // Re-stamping the same generation is a no-op for new residents.
-        cache.insert(key, CachedList::local((Vec::new().into(), None, 2.0)));
+        cache.insert(key, CachedList::new((Vec::new().into(), 0.0, 2.0), false));
         cache.ensure_generation(1);
         assert_eq!(cache.get(&key, |_| true).map(|l| l.total), Some(2.0));
     }

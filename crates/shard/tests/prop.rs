@@ -279,7 +279,7 @@ proptest! {
                     let indexed = PostingList::build(shard, &pattern);
                     let reference = PostingList::build_by_scan(shard, &pattern);
                     prop_assert_eq!(indexed.len(), reference.len(), "shape {:#05b}", mask);
-                    for (a, b) in indexed.entries().iter().zip(reference.entries()) {
+                    for (a, b) in indexed.iter().zip(reference.iter()) {
                         prop_assert_eq!(a.triple, b.triple, "order, shape {:#05b}", mask);
                         prop_assert_eq!(a.weight, b.weight);
                         prop_assert!((a.prob - b.prob).abs() <= 1e-12);

@@ -123,7 +123,7 @@ fn scan_union<'a>(
     let mut out: Vec<(Triple, u64)> = slices
         .flat_map(|slice| {
             let list = PostingList::build_by_scan(slice, pattern);
-            let entries = list.entries().iter();
+            let entries = list.iter();
             entries
                 .map(|e| (slice.triple(e.triple), e.weight.to_bits()))
                 .collect::<Vec<_>>()
@@ -134,25 +134,25 @@ fn scan_union<'a>(
 }
 
 /// Everything `store` serves for `shape`, bit for bit: the lookup's ids
-/// in serve order; the posting list's entries, prefix column and total;
-/// and the head bound.
+/// in serve order; the posting list's entries, the prefix sum its replay
+/// starts from, and its total; and the head bound.
 type Served = (
     Vec<TripleId>,
     Vec<(TripleId, u64, u64)>,
-    Option<Vec<u64>>,
+    u64,
     u64,
     Option<u64>,
 );
 
 fn served(store: &XkgStore, shape: &SlotPattern) -> Served {
-    let (entries, prefix, total) = PostingList::build(store, shape).into_shared_parts();
+    let (entries, base, total) = PostingList::build(store, shape).into_shared_parts();
     (
         store.lookup(shape).to_vec(),
         entries
             .iter()
             .map(|e| (e.triple, e.weight.to_bits(), e.prob.to_bits()))
             .collect(),
-        prefix.map(|prefix| prefix.iter().map(|v| v.to_bits()).collect()),
+        base.to_bits(),
         total.to_bits(),
         store.head_prob(shape).map(f64::to_bits),
     )

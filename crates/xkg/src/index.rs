@@ -17,9 +17,8 @@
 //!   the four columns (three key columns + the id column) is stored as
 //!   bit-packed deltas from a per-block reference value, over one shared
 //!   `u64` word stream. A sparse *selection directory* holds each
-//!   block's first key, so a probe is a directory `partition_point` plus
-//!   a binary search inside at most one block — `O(log n)` field reads,
-//!   no allocation. Ids decode into a caller-supplied scratch buffer
+//!   block's first key, so a probe is a directory search plus a search
+//!   inside at most two blocks — `O(log n)` field reads, no allocation. Ids decode into a caller-supplied scratch buffer
 //!   ([`TripleIndex::lookup_in`]) or an owned vector ([`MatchIds`]).
 //!   Typical cost is 2–6 bytes per triple per permutation depending on
 //!   key locality, a 3–6× reduction against Flat.
@@ -30,8 +29,12 @@
 //!
 //! # Cost model
 //!
-//! * **Lookup**: two `partition_point` binary searches (Flat: over the
-//!   key column; Packed: over the directory, then within one block).
+//! * **Lookup**: one search per range. The lower bound is a binary
+//!   search (Flat: over the key column; Packed: over the directory, then
+//!   within one block); the upper bound gallops forward from it, so a
+//!   range of `d` rows costs about 2·log₂ d more probes. The Flat gallop
+//!   falls back to a binary search of the rest past [`BLOCK`] rows; the
+//!   Packed one gallops the directory and then searches one block.
 //! * **Build**: a freeze sorts only the rows it does not already hold in
 //!   order — every row for a fresh build, the appended ones on a
 //!   re-freeze — and merges them into the old columns' sorted runs.
@@ -218,88 +221,76 @@ impl PackedPerm {
         }
     }
 
-    /// Rows in block `b` (the last block may be partial).
-    #[inline]
-    fn rows_in(&self, b: usize) -> usize {
-        BLOCK.min(self.len - b * BLOCK)
-    }
-
-    /// Decoded value of column `c` (0–2 keys, 3 id) at local row `r` of
-    /// block `b`. Out-of-range blocks degrade to 0 — packed readers sit
-    /// on serving paths and must not panic.
-    #[inline]
-    fn field(&self, b: usize, r: usize, c: usize) -> u32 {
-        let Some(m) = self.blocks.get(b) else { return 0 };
-        let rows = self.rows_in(b) as u64;
-        let mut bit = m.bit;
-        for prev in 0..c {
-            bit += rows * u64::from(m.width[prev]);
-        }
-        bit += r as u64 * u64::from(m.width[c]);
-        m.min[c].wrapping_add(read_bits(&self.words, bit, m.width[c]) as u32)
-    }
-
-    /// Compares row `(b, r)`'s key against `prefix` on the first
-    /// `prefix.len()` columns.
-    #[inline]
-    fn cmp_prefix(&self, b: usize, r: usize, prefix: &[u32]) -> std::cmp::Ordering {
-        for (c, &p) in prefix.iter().enumerate() {
-            match self.field(b, r, c).cmp(&p) {
-                std::cmp::Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        std::cmp::Ordering::Equal
-    }
-
-    /// Position of the first row whose key prefix compares `> prefix`
-    /// (`inclusive`) or `>= prefix` (`!inclusive`): the two
-    /// `partition_point` bounds of the classic flat probe, served by a
-    /// directory probe plus a binary search inside one block.
-    fn bound(&self, prefix: &[u32], inclusive: bool) -> usize {
-        let len = prefix.len();
-        let below = |ord: std::cmp::Ordering| {
-            if inclusive {
-                ord != std::cmp::Ordering::Greater
-            } else {
-                ord == std::cmp::Ordering::Less
-            }
+    /// Block `b`'s rows, with each column's bit offset resolved once. A
+    /// block past the end reads as empty — packed readers sit on serving
+    /// paths and must not panic.
+    fn block(&self, b: usize) -> BlockReader<'_> {
+        let Some(m) = self.blocks.get(b) else {
+            return BlockReader::default();
         };
-        // First block whose *first key* is not below the prefix: the
-        // boundary row lies in the block before it (or at its start).
-        let b = self
-            .dir
-            .partition_point(|first| below(cmp_slice(&first[..len], prefix)))
-            .saturating_sub(1);
-        let start = b * BLOCK;
-        if start >= self.len {
-            return self.len;
+        let rows = BLOCK.min(self.len - b * BLOCK);
+        let mut bit = [m.bit; 4];
+        for c in 1..4 {
+            bit[c] = bit[c - 1] + rows as u64 * u64::from(m.width[c - 1]);
         }
-        let (mut lo, mut hi) = (0usize, self.rows_in(b));
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if below(self.cmp_prefix(b, mid, prefix)) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
+        BlockReader {
+            words: &self.words,
+            rows,
+            bit,
+            min: m.min,
+            width: m.width,
         }
-        start + lo
     }
 
+    /// The rows whose key starts with `prefix`. The lower bound is a
+    /// directory search plus a binary search inside one block; the upper
+    /// bound gallops the directory forward from that block and searches
+    /// inside the one block the range ends in — a range inside its first
+    /// block gallops from its first row instead.
     fn span(&self, prefix: &[u32]) -> Range<usize> {
         if prefix.is_empty() {
             return 0..self.len;
         }
-        self.bound(prefix, false)..self.bound(prefix, true)
+        let first = |j: usize| &self.dir[j][..prefix.len()];
+        // The first row not below the prefix lies in the block before the
+        // first block whose first key is not below it (or at its start).
+        let b = partition(0, self.dir.len(), |j| first(j) < prefix).saturating_sub(1);
+        if b >= self.blocks.len() {
+            return self.len..self.len;
+        }
+        let block = self.block(b);
+        let lo = partition(0, block.rows, |r| block.cmp_prefix(r, prefix).is_lt());
+        // The range ends in the block before the first later block whose
+        // first key is above the prefix.
+        let end = gallop(b + 1, self.dir.len(), |j| first(j) <= prefix) - 1;
+        let hi = if end == b {
+            gallop(lo, block.rows, |r| block.cmp_prefix(r, prefix).is_le())
+        } else {
+            let block = self.block(end);
+            partition(0, block.rows, |r| block.cmp_prefix(r, prefix).is_le())
+        };
+        b * BLOCK + lo..end * BLOCK + hi
+    }
+
+    /// Every row in order, as its four fields.
+    fn rows(&self) -> impl Iterator<Item = [u32; 4]> + '_ {
+        (0..self.blocks.len()).flat_map(|b| {
+            let block = self.block(b);
+            (0..block.rows).map(move |r| [0, 1, 2, 3].map(|c| block.field(r, c)))
+        })
     }
 
     /// Decodes the id column over `span` into `out` (cleared first).
     fn decode_ids(&self, span: Range<usize>, out: &mut Vec<TripleId>) {
         out.clear();
         out.reserve(span.len());
-        for i in span {
-            out.push(TripleId(self.field(i / BLOCK, i % BLOCK, 3)));
+        let mut at = span.start;
+        while at < span.end {
+            let (b, r) = (at / BLOCK, at % BLOCK);
+            let block = self.block(b);
+            let upto = BLOCK.min(r + (span.end - at));
+            out.extend((r..upto).map(|r| TripleId(block.field(r, 3))));
+            at += upto - r;
         }
     }
 
@@ -310,25 +301,76 @@ impl PackedPerm {
     }
 }
 
-/// `keys.partition_point(pred)`, forced inline into the probe so that its
-/// speed does not depend on how the crate is split into codegen units.
+/// One block of a [`PackedPerm`], ready to read: the reference value,
+/// width and first bit of each column (key columns 0–2, id column 3).
+#[derive(Default)]
+struct BlockReader<'p> {
+    words: &'p [u64],
+    rows: usize,
+    bit: [u64; 4],
+    min: [u32; 4],
+    width: [u8; 4],
+}
+
+impl BlockReader<'_> {
+    /// Decoded value of column `c` at row `r`.
+    #[inline]
+    fn field(&self, r: usize, c: usize) -> u32 {
+        let at = self.bit[c] + r as u64 * u64::from(self.width[c]);
+        self.min[c].wrapping_add(read_bits(self.words, at, self.width[c]) as u32)
+    }
+
+    /// Compares row `r`'s key against `prefix` on the first
+    /// `prefix.len()` columns.
+    #[inline]
+    fn cmp_prefix(&self, r: usize, prefix: &[u32]) -> std::cmp::Ordering {
+        for (c, &p) in prefix.iter().enumerate() {
+            match self.field(r, c).cmp(&p) {
+                std::cmp::Ordering::Equal => continue,
+                other => return other,
+            }
+        }
+        std::cmp::Ordering::Equal
+    }
+}
+
+/// The first index of `lo..hi` where `below` turns false, for a `below`
+/// that holds on a prefix of the range and fails after it: a binary
+/// search, forced inline into the probe so that its speed does not
+/// depend on how the crate is split into codegen units.
 #[inline(always)]
-fn partition(keys: &[[TermId; 3]], pred: impl Fn(&[TermId; 3]) -> bool) -> usize {
-    let (mut base, mut size) = (0, keys.len());
+fn partition(lo: usize, hi: usize, below: impl Fn(usize) -> bool) -> usize {
+    let (mut base, mut size) = (lo, hi.saturating_sub(lo));
+    if size == 0 {
+        return lo;
+    }
     while size > 1 {
         let half = size / 2;
-        if pred(&keys[base + half]) {
+        if below(base + half) {
             base += half;
         }
         size -= half;
     }
-    base + usize::from(keys.get(base).is_some_and(pred))
+    base + usize::from(below(base))
 }
 
-/// Lexicographic comparison of two raw-key slices.
-#[inline]
-fn cmp_slice(a: &[u32], b: &[u32]) -> std::cmp::Ordering {
-    a.cmp(b)
+/// [`partition`] for a boundary expected close to `lo`: probes `lo`,
+/// `lo + 2`, `lo + 6`, … doubling the step, then binary-searches the
+/// last step, so a boundary `d` rows on costs about 2·log₂ d probes.
+/// Once the gallop passes [`BLOCK`] rows it falls back to one binary
+/// search of the rest, so a long range costs what a plain search does.
+#[inline(always)]
+fn gallop(lo: usize, hi: usize, below: impl Fn(usize) -> bool) -> usize {
+    let (mut done, mut step) = (lo, 1);
+    while done < hi && done - lo < BLOCK {
+        let probe = (done + step).min(hi);
+        if !below(probe - 1) {
+            return partition(done, probe - 1, below);
+        }
+        done = probe;
+        step *= 2;
+    }
+    partition(done, hi, below)
 }
 
 /// One permutation's sorted rows, in either layout.
@@ -379,10 +421,12 @@ impl PermColumn {
                 .zip(ids)
                 .map(|(key, id)| pack(key.map(TermId::raw), id.0 + offset))
                 .collect(),
-            PermColumn::Packed(p) => (0..p.len)
-                .map(|i| [0, 1, 2, 3].map(|c| p.field(i / BLOCK, i % BLOCK, c)))
-                .map(|[k0, k1, k2, id]| pack([k0, k1, k2], id + offset))
-                .collect(),
+            PermColumn::Packed(p) => {
+                let mut rows = Vec::with_capacity(p.len);
+                let fields = p.rows();
+                rows.extend(fields.map(|[k0, k1, k2, id]| pack([k0, k1, k2], id + offset)));
+                rows
+            }
         }
     }
 
@@ -537,9 +581,8 @@ impl TripleIndex {
         match col {
             PermColumn::Flat { keys, .. } => {
                 let prefix = &prefix[..len];
-                let lo = partition(keys, |k| &k[..len] < prefix);
-                let hi = lo + partition(&keys[lo..], |k| &k[..len] <= prefix);
-                lo..hi
+                let lo = partition(0, keys.len(), |i| &keys[i][..len] < prefix);
+                lo..gallop(lo, keys.len(), |i| &keys[i][..len] <= prefix)
             }
             PermColumn::Packed(p) => {
                 let raw = [prefix[0].raw(), prefix[1].raw(), prefix[2].raw()];

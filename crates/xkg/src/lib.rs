@@ -15,13 +15,13 @@
 //! * [`XkgBuilder`] / [`XkgStore`] — a deduplicating triple store with
 //!   per-fact [`Provenance`] (stratum, confidence, support, sources);
 //! * three columnar permutation indexes ([`index::TripleIndex`]) answering
-//!   every [`SlotPattern`] shape with an allocation-free binary-searched
-//!   range over inline keys;
+//!   every [`SlotPattern`] shape with one allocation-free range search;
 //! * [`PostingIndex`] / [`PostingList`] — build-time score-sorted access
 //!   to a pattern's matches, the primitive required by the incremental
 //!   top-k processor (paper §4); predicate-only, unbound, and anchored
-//!   (subject-/object-bound) patterns are served as borrowed slices
-//!   without per-query sorting; the composite shapes order their exact
+//!   (subject-/object-bound) patterns are served in place (borrowed
+//!   slices on Flat, lazily decoded views on Packed) without per-query
+//!   sorting; the composite shapes order their exact
 //!   permutation range when it is small (at most one block, or ≥ 4×
 //!   smaller than every covering group) and otherwise filter an
 //!   already-sorted group;
@@ -49,7 +49,7 @@ pub use dict::{SourceTable, TermDict};
 pub use index::MatchIds;
 pub use pack::SegmentLayout;
 pub use pattern::SlotPattern;
-pub use posting::{EntriesRef, Posting, PostingIndex, PostingList, ServeKind, SharedParts};
+pub use posting::{Posting, PostingIndex, PostingList, Select, ServeKind, SharedParts};
 pub use segment::LiveDelta;
 pub use stats::{args_pairs, cardinality, PredicateStats, StorageBytes, StoreStats};
 pub use store::{XkgBuilder, XkgError, XkgStore};

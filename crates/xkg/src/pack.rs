@@ -24,8 +24,8 @@
 /// (u16 log-domain codes with exact per-group `f64` scaffolding) —
 /// roughly 3–4× fewer index bytes per triple, chosen for frozen base
 /// segments. Query answers are identical in both layouts, bit for bit;
-/// only the serving mechanics differ (borrowed slices versus
-/// decode-into-scratch).
+/// only the serving mechanics differ (borrowed slices versus views that
+/// decode each entry as it is read).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SegmentLayout {
     /// Borrowable flat columns; maximal speed, maximal bytes.

@@ -38,23 +38,28 @@
 //!   (`ceil_log2(n)` bits), the weights as **u16 log-domain quantization
 //!   codes**, and an exact-`f64` scaffolding that keeps every served
 //!   score bit-identical to Flat: prefix-sum *checkpoints* at every
-//!   128-entry block boundary, plus each group's exact build-time total.
-//!   At serve time a group decodes into a scratch list: weights are
+//!   128-entry block boundary, plus each group's exact build-time total
+//!   and start prefix. A group is served as a view that decodes an entry
+//!   only when a cursor reaches it or a search probes it: its weight is
 //!   recomputed exactly from the retained [`Provenance`] (the same
-//!   `support × confidence` product the build evaluated), probabilities
-//!   divide by the stored exact group total (same operands → same
-//!   floats), and the prefix column re-accumulates forward from the
-//!   nearest checkpoint (same additions in the same order → the same
-//!   IEEE results). The u16 codes are the stratum's stored weight
+//!   `support × confidence` product the build evaluated) and its
+//!   probability divides by the stored exact group total (same operands
+//!   → same floats). The u16 codes are the stratum's stored weight
 //!   column — 4× smaller than the two `f64`s they replace and monotone
 //!   in weight, so they preserve ranking on their own; the exact
-//!   scaffolding restores the scores on emit.
+//!   scaffolding restores the scores as entries are read.
+//!
+//! A list's remaining weight is its total minus the weights its cursor
+//! consumed, summed in list order onto the exact build-time prefix at
+//! its group's start — the same additions in the same order as the
+//! build, so every remaining weight is the Flat prefix column's, bit for
+//! bit, in either layout, and O(1) per pull.
 //!
 //! [`PostingList::build`] therefore answers **every** pattern shape
 //! without sorting: predicate-only, fully unbound, subject-only, and
-//! object-only patterns are **borrowed slices** on Flat segments and a
-//! single group decode on Packed ones. The composite shapes (sp, po, so,
-//! ground) find their exact permutation range with one binary search: a
+//! object-only patterns are served **in place** — borrowed slices on
+//! Flat segments, lazy views on Packed ones. The composite shapes (sp,
+//! po, so, ground) find their exact permutation range with one search: a
 //! range of at most one block (128 matches) is decoded and weight-ordered
 //! on its own, a larger one filters the smallest covering group — already
 //! score-sorted, so the single allocated pass preserves order — unless
@@ -73,6 +78,7 @@
 //! rank-join head bound of 0 the precomputed index reports for such
 //! groups is exact rather than a trap for the tightened threshold.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -109,13 +115,15 @@ struct Group {
 /// behind the query layer's `ExecMetrics` anchored-serve counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeKind {
-    /// Borrowed from the per-predicate stratum (zero allocation).
+    /// Served in place from the per-predicate stratum (zero allocation).
     Predicate,
-    /// Borrowed from the global unbound stratum (zero allocation).
+    /// Served in place from the global unbound stratum (zero allocation).
     Unbound,
-    /// Borrowed from the subject-anchored stratum (zero allocation).
+    /// Served in place from the subject-anchored stratum (zero
+    /// allocation).
     Subject,
-    /// Borrowed from the object-anchored stratum (zero allocation).
+    /// Served in place from the object-anchored stratum (zero
+    /// allocation).
     Object,
     /// The smallest covering index group filtered by the remaining bound
     /// slots: one allocation, zero sorts (the group is already ordered).
@@ -146,7 +154,8 @@ impl ServeKind {
         )
     }
 
-    /// True for zero-allocation borrowed slices of the precomputed index.
+    /// True for the zero-allocation in-place serves of the precomputed
+    /// index (borrowed slices on Flat, lazy views on Packed).
     pub fn is_borrowed(self) -> bool {
         matches!(
             self,
@@ -265,9 +274,9 @@ impl Default for StratumData {
 
 /// A stratum in the Packed layout. See the module docs for the
 /// exactness argument: quantized codes store the weights, the exact
-/// `f64` scaffolding (block checkpoints + group totals, with weights
-/// recomputed from retained provenance) restores bit-identical scores
-/// on decode.
+/// `f64` scaffolding (block checkpoints + group totals and start
+/// prefixes, with weights recomputed from retained provenance) restores
+/// bit-identical scores as each entry is read.
 #[derive(Debug)]
 struct PackedStratum {
     /// Triple ids in stratum order, at fixed width `ceil_log2(n)`.
@@ -282,9 +291,8 @@ struct PackedStratum {
     /// Exact build-time group totals, aligned with `group_starts`.
     group_totals: Vec<f64>,
     /// Exact build-time prefix values at each group start, aligned with
-    /// `group_starts`. Group serves begin at a group boundary, so this
-    /// anchor makes their prefix reconstruction O(1) instead of a
-    /// replay from the containing block checkpoint.
+    /// `group_starts`: the anchor a group serve's prefix replay starts
+    /// from, so it costs nothing until the cursor moves.
     group_prefixes: Vec<f64>,
 }
 
@@ -304,17 +312,6 @@ impl PackedStratum {
         }
     }
 
-    /// The exact build-time total of the group containing offset
-    /// `start` (0.0 when the stratum is empty).
-    fn group_total(&self, start: usize) -> f64 {
-        let i = self.group_starts.partition_point(|&s| (s as usize) <= start);
-        if i == 0 {
-            0.0
-        } else {
-            self.group_totals.get(i - 1).copied().unwrap_or(0.0)
-        }
-    }
-
     /// Exact weight of the entry at `i`, recomputed from provenance
     /// (bit-identical to the build-time product; out-of-range degrades
     /// to 0.0 rather than panicking — this sits on serving paths).
@@ -324,18 +321,18 @@ impl PackedStratum {
         prov.get(id).map_or(0.0, Provenance::weight)
     }
 
-    /// The exact build-time prefix-sum value at offset `i`: the nearest
-    /// exact anchor at or below `i` — the containing group's stored
-    /// start prefix or the containing block's checkpoint, whichever is
-    /// closer — plus a forward re-accumulation of the recomputed
-    /// weights. Replaying the same additions in the same order the
-    /// build performed from an exact build-time value reproduces
-    /// `prefix[i]` bit for bit; group-aligned offsets (every group
-    /// serve) replay nothing.
-    fn prefix_at(&self, i: usize, prov: &[Provenance]) -> f64 {
+    /// The group containing offset `i` (`None` in an empty stratum) and
+    /// the exact build-time prefix sum at `i`: the nearest exact anchor at
+    /// or below `i` — the group's stored start prefix or the containing
+    /// block's checkpoint, whichever is closer — plus a forward
+    /// re-accumulation of the recomputed weights. Replaying the same
+    /// additions in the same order the build performed from an exact
+    /// build-time value reproduces `prefix[i]` bit for bit; a group start
+    /// (where every serve begins) replays nothing.
+    fn prefix_at(&self, i: usize, prov: &[Provenance]) -> (Option<usize>, f64) {
         let block_anchor = (i / BLOCK) * BLOCK;
-        let g = self.group_starts.partition_point(|&s| (s as usize) <= i);
-        let (from, mut acc) = match g.checked_sub(1) {
+        let group = self.group_of(i);
+        let (from, mut acc) = match group {
             Some(k) if (self.group_starts[k] as usize) >= block_anchor => (
                 self.group_starts[k] as usize,
                 self.group_prefixes.get(k).copied().unwrap_or(0.0),
@@ -348,7 +345,30 @@ impl PackedStratum {
         for j in from..i {
             acc += self.weight_at(j, prov);
         }
-        acc
+        (group, acc)
+    }
+
+    /// The group containing offset `i` (`None` in an empty stratum).
+    fn group_of(&self, i: usize) -> Option<usize> {
+        let after = self.group_starts.partition_point(|&s| (s as usize) <= i);
+        after.checked_sub(1)
+    }
+
+    /// `span`, inside group `group`, as a view dividing by that group's
+    /// exact total.
+    fn view<'s>(
+        &'s self,
+        span: Range<usize>,
+        prov: &'s [Provenance],
+        group: Option<usize>,
+    ) -> PackedGroup<'s> {
+        PackedGroup {
+            stratum: self,
+            prov,
+            start: span.start,
+            len: span.len(),
+            divisor: group.and_then(|k| self.group_totals.get(k)).copied().unwrap_or(0.0),
+        }
     }
 }
 
@@ -397,82 +417,50 @@ impl StratumData {
         keys
     }
 
-    /// Serves `span` (one group, or a prefix-aligned run of one): a
-    /// borrowed slice pair on Flat, a decoded scratch pair on Packed.
-    ///
-    /// The decode is bit-identical to the Flat columns: weights are the
-    /// same provenance products the build evaluated, probabilities
-    /// divide by the stored exact group total, and the prefix column
-    /// re-accumulates forward from the nearest block checkpoint — the
-    /// same additions in the same order as the build.
-    fn serve(&self, span: Range<usize>, prov: &[Provenance]) -> GroupRef<'_> {
+    /// Serves `span` — one whole group — as a list dividing by `total`,
+    /// or, when `None`, by the span's own prefix-sum difference (the
+    /// anchored strata keep no group directory). Nothing is decoded: a
+    /// Flat stratum lends its columns, a Packed one a view that decodes
+    /// each entry when it is read. Either way the list's prefix replay
+    /// starts from the exact build-time prefix at the group's start.
+    fn group<'s>(
+        &'s self,
+        span: Range<usize>,
+        prov: &'s [Provenance],
+        total: Option<f64>,
+        kind: ServeKind,
+    ) -> PostingList<'s> {
+        if span.is_empty() {
+            return PostingList::new(Entries::Borrowed(&[]), 0.0, total.unwrap_or(0.0), kind);
+        }
         match self {
-            StratumData::Flat { entries, prefix } => GroupRef::Borrowed {
-                entries: &entries[span.clone()],
-                prefix: &prefix[span.start..=span.end],
-            },
+            StratumData::Flat { entries, prefix } => {
+                let at = |i: usize| prefix.get(i).copied().unwrap_or(0.0);
+                let base = at(span.start);
+                let total = total.unwrap_or_else(|| at(span.end) - base);
+                let entries = entries.get(span).unwrap_or_default();
+                PostingList::new(Entries::Borrowed(entries), base, total, kind)
+            }
             StratumData::Packed(p) => {
-                let total = p.group_total(span.start);
-                let mut entries = Vec::with_capacity(span.len());
-                let mut prefix = Vec::with_capacity(span.len() + 1);
-                // Re-accumulate the global prefix from the checkpoint at
-                // the containing block's boundary.
-                let mut acc = p.prefix_at(span.start, prov);
-                prefix.push(acc);
-                for i in span {
-                    let id = TripleId(p.ids.get(i) as u32);
-                    let weight = prov.get(id.idx()).map_or(0.0, Provenance::weight);
-                    debug_assert_eq!(
-                        p.codes.get(i).copied(),
-                        Some(quantize_weight(weight)),
-                        "stored weight code diverged from provenance recompute"
-                    );
-                    entries.push(Posting {
-                        triple: id,
-                        weight,
-                        prob: if total > 0.0 { weight / total } else { 0.0 },
-                    });
-                    acc += weight;
-                    prefix.push(acc);
-                }
-                GroupRef::Decoded { entries, prefix }
+                let (group, base) = p.prefix_at(span.start, prov);
+                let total = total.unwrap_or_else(|| {
+                    let next = group.map_or(0, |k| k + 1);
+                    let end = match p.group_starts.get(next) {
+                        Some(&s) if s as usize == span.end => {
+                            p.group_prefixes.get(next).copied().unwrap_or(0.0)
+                        }
+                        _ => p.prefix_at(span.end, prov).1,
+                    };
+                    end - base
+                });
+                let view = p.view(span, prov, group);
+                PostingList::new(Entries::Packed(view), base, total, kind)
             }
         }
     }
 
-    /// Entries-only variant of [`StratumData::serve`]: identical entry
-    /// values, no prefix-column reconstruction. For consumers that keep
-    /// the entry array and drop the prefix sums (the query layer's
-    /// masked and globally rescaled lists do exactly that), the skipped
-    /// replay saves one allocation plus an f64 accumulation per entry on
-    /// Packed serves.
-    fn serve_entries(&self, span: Range<usize>, prov: &[Provenance]) -> EntriesRef<'_> {
-        match self {
-            StratumData::Flat { entries, .. } => EntriesRef::Borrowed(&entries[span]),
-            StratumData::Packed(p) => {
-                let total = p.group_total(span.start);
-                let mut entries = Vec::with_capacity(span.len());
-                for i in span {
-                    let id = TripleId(p.ids.get(i) as u32);
-                    let weight = prov.get(id.idx()).map_or(0.0, Provenance::weight);
-                    debug_assert_eq!(
-                        p.codes.get(i).copied(),
-                        Some(quantize_weight(weight)),
-                        "stored weight code diverged from provenance recompute"
-                    );
-                    entries.push(Posting {
-                        triple: id,
-                        weight,
-                        prob: if total > 0.0 { weight / total } else { 0.0 },
-                    });
-                }
-                EntriesRef::Owned(entries)
-            }
-        }
-    }
-
-    /// The head entry of the group starting `span` (O(1) in both
-    /// layouts), or `None` for an empty span.
+    /// The first entry of the group `span` covers, reading no prefix sum
+    /// and no total.
     fn head(&self, span: Range<usize>, prov: &[Provenance]) -> Option<Posting> {
         if span.is_empty() {
             return None;
@@ -480,28 +468,9 @@ impl StratumData {
         match self {
             StratumData::Flat { entries, .. } => entries.get(span.start).copied(),
             StratumData::Packed(p) => {
-                let id = TripleId(p.ids.get(span.start) as u32);
-                let weight = prov.get(id.idx()).map_or(0.0, Provenance::weight);
-                let total = p.group_total(span.start);
-                Some(Posting {
-                    triple: id,
-                    weight,
-                    prob: if total > 0.0 { weight / total } else { 0.0 },
-                })
+                let view = p.view(span.clone(), prov, p.group_of(span.start));
+                Some(view.posting(0, view.id(0)))
             }
-        }
-    }
-
-    /// The exact emission-weight total over `span` as the Flat prefix
-    /// column reports it (`prefix[end] − prefix[start]`), bit-identical
-    /// in both layouts.
-    fn span_total(&self, span: Range<usize>, prov: &[Provenance]) -> f64 {
-        match self {
-            StratumData::Flat { prefix, .. } => {
-                prefix.get(span.end).copied().unwrap_or(0.0)
-                    - prefix.get(span.start).copied().unwrap_or(0.0)
-            }
-            StratumData::Packed(p) => p.prefix_at(span.end, prov) - p.prefix_at(span.start, prov),
         }
     }
 
@@ -525,99 +494,71 @@ impl StratumData {
     }
 }
 
-/// A stratum group as served for one pattern: score-sorted entries plus
-/// the aligned (one-longer) prefix-sum column — borrowed from a Flat
-/// stratum, or decoded into owned scratch from a Packed one. The values
-/// are bit-identical either way.
-#[derive(Debug)]
-pub enum GroupRef<'s> {
-    /// Borrowed directly from Flat stratum columns.
-    Borrowed {
-        /// Score-sorted entries of the group.
-        entries: &'s [Posting],
-        /// Globally cumulative prefix sums aligned with `entries`
-        /// (one entry longer).
-        prefix: &'s [f64],
-    },
-    /// Decoded from a Packed stratum.
-    Decoded {
-        /// Score-sorted entries of the group.
-        entries: Vec<Posting>,
-        /// Reconstructed prefix sums aligned with `entries`.
-        prefix: Vec<f64>,
-    },
+/// One group of a Packed stratum, served in place: an entry is decoded
+/// only when a cursor reaches it or a search probes it. Its weight is
+/// recomputed from provenance and divided by the group's exact
+/// build-time total, so every entry is bit for bit the Flat one.
+#[derive(Clone, Copy)]
+struct PackedGroup<'s> {
+    stratum: &'s PackedStratum,
+    prov: &'s [Provenance],
+    /// The group's first stratum offset.
+    start: usize,
+    len: usize,
+    /// The group's exact build-time total, every probability's divisor.
+    divisor: f64,
 }
 
-impl<'s> GroupRef<'s> {
-    /// The group's score-sorted entries.
-    pub fn entries(&self) -> &[Posting] {
-        match self {
-            GroupRef::Borrowed { entries, .. } => entries,
-            GroupRef::Decoded { entries, .. } => entries,
-        }
-    }
-
-    /// The aligned prefix-sum column (one entry longer than `entries`).
-    pub fn prefix(&self) -> &[f64] {
-        match self {
-            GroupRef::Borrowed { prefix, .. } => prefix,
-            GroupRef::Decoded { prefix, .. } => prefix,
-        }
-    }
-
-    /// Number of entries in the group.
-    pub fn len(&self) -> usize {
-        self.entries().len()
-    }
-
-    /// True when the group has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries().is_empty()
-    }
-
-    /// The group's emission-weight total as the serve path computes it:
-    /// last minus first prefix value (0.0 for an empty group).
-    pub fn span_total(&self) -> f64 {
-        let pre = self.prefix();
-        pre.last().unwrap_or(&0.0) - pre.first().unwrap_or(&0.0)
-    }
-
-    /// Wraps the group into a [`PostingList`] with the given
-    /// normalizer total, preserving the borrow when there is one.
-    pub(crate) fn into_list(self, total: f64, kind: ServeKind) -> PostingList<'s> {
-        match self {
-            GroupRef::Borrowed { entries, prefix } => {
-                PostingList::borrowed(entries, Some(prefix), total, kind)
-            }
-            GroupRef::Decoded { entries, prefix } => {
-                PostingList::owned_with_prefix(entries, prefix, total, kind)
-            }
-        }
+/// Names the view, not the whole stratum and provenance column it reads.
+impl std::fmt::Debug for PackedGroup<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedGroup")
+            .field("start", &self.start)
+            .field("len", &self.len)
+            .field("divisor", &self.divisor)
+            .finish()
     }
 }
 
-/// One served group's entries without its prefix column — borrowed
-/// from a Flat stratum, or decoded entries-only from a Packed one (no
-/// prefix reconstruction). Produced by [`PostingList::build_entries`]
-/// for consumers that keep only the entry array; values are
-/// bit-identical to the [`GroupRef`] serve.
-#[derive(Debug)]
-pub enum EntriesRef<'s> {
-    /// Borrowed directly from Flat stratum columns.
-    Borrowed(&'s [Posting]),
-    /// Decoded from a Packed stratum (or materialized by a filter).
-    Owned(Vec<Posting>),
-}
-
-impl EntriesRef<'_> {
-    /// The served entries, in descending score order.
+impl PackedGroup<'_> {
+    /// The triple of entry `i`, read from the id column alone.
     #[inline]
-    pub fn as_slice(&self) -> &[Posting] {
-        match self {
-            EntriesRef::Borrowed(s) => s,
-            EntriesRef::Owned(v) => v,
+    fn id(&self, i: usize) -> TripleId {
+        TripleId(self.stratum.ids.get(self.start + i) as u32)
+    }
+
+    /// Entry `i`, whose triple is `triple`.
+    #[inline]
+    fn posting(&self, i: usize, triple: TripleId) -> Posting {
+        let weight = self.prov.get(triple.idx()).map_or(0.0, Provenance::weight);
+        debug_assert_eq!(
+            self.stratum.codes.get(self.start + i).copied(),
+            Some(quantize_weight(weight)),
+            "stored weight code diverged from provenance recompute"
+        );
+        Posting {
+            triple,
+            weight,
+            prob: if self.divisor > 0.0 { weight / self.divisor } else { 0.0 },
         }
     }
+
+    /// Every entry, in order.
+    fn postings(&self) -> impl Iterator<Item = Posting> + '_ {
+        (0..self.len).map(|i| self.posting(i, self.id(i)))
+    }
+}
+
+/// A group the posting index serves whole: a predicate's, the global
+/// stratum, or a subject's or object's over its permutation span (the
+/// anchored strata share the SPO / OSP key order, so that span is the
+/// group's).
+#[derive(Debug, Clone)]
+pub(crate) enum GroupKey {
+    Predicate(TermId),
+    Unbound,
+    Subject(Range<usize>),
+    Object(Range<usize>),
 }
 
 /// Build-time score-sorted posting index over a frozen triple table.
@@ -629,9 +570,9 @@ impl EntriesRef<'_> {
 /// typically 4–7 bytes/triple/stratum. The anchored (subject/object)
 /// strata carry **no keyed group directory** in either layout: their
 /// group order is the primary-key order of the SPO / OSP permutation
-/// columns, so a group's span is the permutation's binary-searched
-/// range, shared rather than duplicated (Packed keeps only the
-/// start-aligned exact group totals the decode needs).
+/// columns, so a group's span is the permutation's searched range,
+/// shared rather than duplicated (Packed keeps only the start-aligned
+/// exact group totals and start prefixes its views need).
 #[derive(Debug, Default)]
 pub struct PostingIndex {
     /// All triples sorted by (predicate, weight desc, id asc); by
@@ -738,106 +679,36 @@ impl PostingIndex {
         self.all_total
     }
 
-    /// Serves one predicate's group (empty for an absent predicate).
-    pub(crate) fn predicate_serve(&self, p: TermId, prov: &[Provenance]) -> GroupRef<'_> {
-        let span = self
-            .groups
-            .get(&p)
-            .map_or(0..0, |g| g.start as usize..g.end as usize);
-        self.strata[PRED].serve(span, prov)
+    /// `key`'s stratum, span, directory total (`None` for the anchored
+    /// strata, whose total is their span's prefix-sum difference) and
+    /// serve kind. An absent predicate's group is empty.
+    fn resolve(&self, key: GroupKey) -> (&StratumData, Range<usize>, Option<f64>, ServeKind) {
+        match key {
+            GroupKey::Predicate(p) => {
+                let (span, total) = self.groups.get(&p).map_or((0..0, 0.0), |g| {
+                    (g.start as usize..g.end as usize, g.total_weight)
+                });
+                (&self.strata[PRED], span, Some(total), ServeKind::Predicate)
+            }
+            GroupKey::Unbound => {
+                let s = &self.strata[ALL];
+                (s, 0..s.len(), Some(self.all_total), ServeKind::Unbound)
+            }
+            GroupKey::Subject(span) => (&self.strata[SUBJ], span, None, ServeKind::Subject),
+            GroupKey::Object(span) => (&self.strata[OBJ], span, None, ServeKind::Object),
+        }
     }
 
-    /// Serves the global unbound stratum.
-    pub(crate) fn all_serve(&self, prov: &[Provenance]) -> GroupRef<'_> {
-        let s = &self.strata[ALL];
-        s.serve(0..s.len(), prov)
+    /// `key`'s group, served in place (see [`StratumData::group`]).
+    pub(crate) fn group<'s>(&'s self, key: GroupKey, prov: &'s [Provenance]) -> PostingList<'s> {
+        let (stratum, span, total, kind) = self.resolve(key);
+        stratum.group(span, prov, total, kind)
     }
 
-    /// Serves the subject stratum over `span` — the SPO permutation's
-    /// range for that subject (the two share key order, which is why no
-    /// subject group map exists).
-    pub(crate) fn subject_serve(&self, span: Range<usize>, prov: &[Provenance]) -> GroupRef<'_> {
-        self.strata[SUBJ].serve(span, prov)
-    }
-
-    /// Serves the object stratum over `span` — the OSP permutation's
-    /// range for that object.
-    pub(crate) fn object_serve(&self, span: Range<usize>, prov: &[Provenance]) -> GroupRef<'_> {
-        self.strata[OBJ].serve(span, prov)
-    }
-
-    /// Entries-only serve of one predicate's group (see
-    /// [`StratumData::serve_entries`]).
-    pub(crate) fn predicate_serve_entries(
-        &self,
-        p: TermId,
-        prov: &[Provenance],
-    ) -> EntriesRef<'_> {
-        let span = self
-            .groups
-            .get(&p)
-            .map_or(0..0, |g| g.start as usize..g.end as usize);
-        self.strata[PRED].serve_entries(span, prov)
-    }
-
-    /// Entries-only serve of the global unbound stratum.
-    pub(crate) fn all_serve_entries(&self, prov: &[Provenance]) -> EntriesRef<'_> {
-        let s = &self.strata[ALL];
-        s.serve_entries(0..s.len(), prov)
-    }
-
-    /// Entries-only serve of the subject stratum over `span`.
-    pub(crate) fn subject_serve_entries(
-        &self,
-        span: Range<usize>,
-        prov: &[Provenance],
-    ) -> EntriesRef<'_> {
-        self.strata[SUBJ].serve_entries(span, prov)
-    }
-
-    /// Entries-only serve of the object stratum over `span`.
-    pub(crate) fn object_serve_entries(
-        &self,
-        span: Range<usize>,
-        prov: &[Provenance],
-    ) -> EntriesRef<'_> {
-        self.strata[OBJ].serve_entries(span, prov)
-    }
-
-    /// Head entry of a predicate group, O(1).
-    pub(crate) fn predicate_head(&self, p: TermId, prov: &[Provenance]) -> Option<Posting> {
-        let span = self
-            .groups
-            .get(&p)
-            .map_or(0..0, |g| g.start as usize..g.end as usize);
-        self.strata[PRED].head(span, prov)
-    }
-
-    /// Head entry of the global stratum, O(1).
-    pub(crate) fn global_head(&self, prov: &[Provenance]) -> Option<Posting> {
-        let s = &self.strata[ALL];
-        s.head(0..s.len(), prov)
-    }
-
-    /// Head entry of the subject stratum over `span`, O(1).
-    pub(crate) fn subject_head(&self, span: Range<usize>, prov: &[Provenance]) -> Option<Posting> {
-        self.strata[SUBJ].head(span, prov)
-    }
-
-    /// Head entry of the object stratum over `span`, O(1).
-    pub(crate) fn object_head(&self, span: Range<usize>, prov: &[Provenance]) -> Option<Posting> {
-        self.strata[OBJ].head(span, prov)
-    }
-
-    /// Exact emission-weight total of the subject stratum over `span`,
-    /// as the prefix column difference (bit-identical in both layouts).
-    pub(crate) fn subject_span_total(&self, span: Range<usize>, prov: &[Provenance]) -> f64 {
-        self.strata[SUBJ].span_total(span, prov)
-    }
-
-    /// Exact emission-weight total of the object stratum over `span`.
-    pub(crate) fn object_span_total(&self, span: Range<usize>, prov: &[Provenance]) -> f64 {
-        self.strata[OBJ].span_total(span, prov)
+    /// The first entry of `key`'s group, without its total.
+    pub(crate) fn head(&self, key: GroupKey, prov: &[Provenance]) -> Option<Posting> {
+        let (stratum, span, ..) = self.resolve(key);
+        stratum.head(span, prov)
     }
 
     /// Heap bytes held by the four strata, as
@@ -861,11 +732,12 @@ impl PostingIndex {
 /// Where a posting list's entries live.
 #[derive(Debug, Clone)]
 enum Entries<'s> {
-    /// Borrowed straight from the store's [`PostingIndex`] (hot path:
-    /// zero allocations, zero sorting).
+    /// Borrowed straight from a Flat stratum of the store's
+    /// [`PostingIndex`] (hot path: zero allocations, zero sorting).
     Borrowed(&'s [Posting]),
-    /// Materialized for pattern shapes outside the precomputed index,
-    /// or decoded from a Packed stratum.
+    /// A group of a Packed stratum, decoded entry by entry as it is read.
+    Packed(PackedGroup<'s>),
+    /// Materialized for pattern shapes outside the precomputed index.
     Owned(Vec<Posting>),
     /// Shared with a caller-managed cache (see the query layer's
     /// posting-cache hierarchy); each list keeps its own cursor.
@@ -873,40 +745,68 @@ enum Entries<'s> {
     Shared(Arc<[Posting]>),
 }
 
-impl Entries<'_> {
+impl<'s> Entries<'s> {
     #[inline]
-    fn as_slice(&self) -> &[Posting] {
+    fn len(&self) -> usize {
         match self {
-            Entries::Borrowed(s) => s,
-            Entries::Owned(v) => v,
-            Entries::Shared(rc) => rc,
+            Entries::Borrowed(s) => s.len(),
+            Entries::Owned(v) => v.len(),
+            Entries::Shared(rc) => rc.len(),
+            Entries::Packed(g) => g.len,
+        }
+    }
+
+    /// Entry `i`.
+    #[inline]
+    fn get(&self, i: usize) -> Option<Posting> {
+        match self {
+            Entries::Borrowed(s) => s.get(i).copied(),
+            Entries::Owned(v) => v.get(i).copied(),
+            Entries::Shared(rc) => rc.get(i).copied(),
+            Entries::Packed(g) => (i < g.len).then(|| g.posting(i, g.id(i))),
+        }
+    }
+
+    /// The entries from `from` on: a slice, or, for a Packed view, an
+    /// empty slice and the view with its rows from `from` — so a walk is
+    /// a plain slice iteration unless it must decode.
+    #[inline]
+    fn rest(&self, from: usize) -> (&[Posting], Option<(PackedGroup<'s>, Range<usize>)>) {
+        match self {
+            Entries::Borrowed(s) => (s.get(from..).unwrap_or_default(), None),
+            Entries::Owned(v) => (v.get(from..).unwrap_or_default(), None),
+            Entries::Shared(rc) => (rc.get(from..).unwrap_or_default(), None),
+            Entries::Packed(g) => (&[], Some((*g, from..g.len))),
         }
     }
 }
 
-/// Where a posting list's prefix-sum column lives (aligned with the
-/// entries, one element longer, when present).
-#[derive(Debug, Clone, Default)]
-enum PrefixCol<'s> {
-    /// No prefix column: remaining weight tracks consumption instead.
-    #[default]
-    None,
-    /// Borrowed from a Flat stratum.
-    Borrowed(&'s [f64]),
-    /// Reconstructed from a Packed stratum's checkpoints.
-    Owned(Vec<f64>),
-    /// Shared with a cross-query cache.
-    Shared(Arc<[f64]>),
+/// The iterator [`PostingList::select`] returns: a slice walk, or a
+/// Packed view's rows decoded id first.
+#[derive(Debug)]
+pub struct Select<'a, F> {
+    rest: Rest<'a>,
+    keep: F,
 }
 
-impl PrefixCol<'_> {
+#[derive(Debug)]
+enum Rest<'a> {
+    Slice(std::slice::Iter<'a, Posting>),
+    Packed(PackedGroup<'a>, Range<usize>),
+}
+
+impl<F: FnMut(TripleId) -> bool> Iterator for Select<'_, F> {
+    type Item = Posting;
+
     #[inline]
-    fn as_slice(&self) -> Option<&[f64]> {
-        match self {
-            PrefixCol::None => None,
-            PrefixCol::Borrowed(s) => Some(s),
-            PrefixCol::Owned(v) => Some(v),
-            PrefixCol::Shared(rc) => Some(rc),
+    fn next(&mut self) -> Option<Posting> {
+        let keep = &mut self.keep;
+        match &mut self.rest {
+            Rest::Slice(entries) => entries.find(|e| keep(e.triple)).copied(),
+            Rest::Packed(g, rows) => rows.find_map(|i| {
+                let id = g.id(i);
+                keep(id).then(|| g.posting(i, id))
+            }),
         }
     }
 }
@@ -914,174 +814,82 @@ impl PrefixCol<'_> {
 /// The matches of a triple pattern in descending score order, with a cursor
 /// for incremental sorted access.
 ///
-/// Borrows from the store's precomputed [`PostingIndex`] when the pattern
-/// shape and segment layout allow (predicate-only, unbound, subject-only,
-/// and object-only patterns on Flat segments); Packed segments decode the
-/// same groups into owned scratch with bit-identical values; composite
-/// shapes own a single list, ordered from their exact range or filtered
-/// from a covering group.
+/// The shapes the precomputed [`PostingIndex`] serves whole
+/// (predicate-only, unbound, subject-only and object-only patterns) are
+/// served in place: borrowed columns on Flat segments, a view that
+/// decodes each entry as it is read on Packed ones, with bit-identical
+/// values. Composite shapes own a single list, ordered from their exact
+/// range or filtered from a covering group.
+///
+/// The remaining weight is the list total minus the weights consumed,
+/// summed onto `base` in list order. For index-served lists `base` is the
+/// build-time prefix sum at the group's start, so that sum replays the
+/// stratum's prefix column bit for bit in either layout.
 #[derive(Debug, Clone)]
 pub struct PostingList<'s> {
     entries: Entries<'s>,
-    /// Prefix-summed weights aligned with `entries` (one entry longer),
-    /// when served from the precomputed index.
-    prefix: PrefixCol<'s>,
     total_weight: f64,
-    /// Weight consumed by the cursor so far, maintained incrementally so
-    /// [`PostingList::remaining_weight`] is O(1) even for materialized
-    /// lists without a prefix column.
-    consumed_weight: f64,
+    /// The prefix sum the consumed weights are added onto: the exact
+    /// build-time prefix at an index-served group's start, else 0.0.
+    base: f64,
+    /// `base` plus every weight the cursor consumed, added in list order.
+    consumed: f64,
     cursor: usize,
     kind: ServeKind,
 }
 
-/// Cache-shareable split of a [`PostingList`]: entries, the aligned
-/// prefix column when the list was index-served, and the total weight.
-pub type SharedParts = (Arc<[Posting]>, Option<Arc<[f64]>>, f64);
+/// Cache-shareable split of a [`PostingList`]: its entries, the prefix
+/// sum its consumed weights are added onto, and its total weight.
+pub type SharedParts = (Arc<[Posting]>, f64, f64);
 
 impl<'s> PostingList<'s> {
-    /// A borrowed index slice, or the canonical empty list when the
-    /// slice's emission mass is zero (a zero-mass match set emits
-    /// nothing — its entries all carry probability 0).
-    fn borrowed(
-        entries: &'s [Posting],
-        prefix: Option<&'s [f64]>,
-        total_weight: f64,
-        kind: ServeKind,
-    ) -> PostingList<'s> {
-        if total_weight <= 0.0 {
-            return PostingList {
-                entries: Entries::Borrowed(&[]),
-                prefix: PrefixCol::None,
-                total_weight: 0.0,
-                consumed_weight: 0.0,
-                cursor: 0,
-                kind,
-            };
-        }
+    fn new(entries: Entries<'s>, base: f64, total_weight: f64, kind: ServeKind) -> PostingList<'s> {
         PostingList {
-            entries: Entries::Borrowed(entries),
-            prefix: prefix.map_or(PrefixCol::None, PrefixCol::Borrowed),
+            entries,
             total_weight,
-            consumed_weight: 0.0,
+            base,
+            consumed: base,
             cursor: 0,
             kind,
         }
+    }
+
+    /// This list, or the canonical empty list when its emission mass is
+    /// zero: a zero-mass match set emits nothing (its entries all carry
+    /// probability 0).
+    fn unless_massless(self) -> PostingList<'s> {
+        if self.total_weight <= 0.0 {
+            return PostingList::new(Entries::Borrowed(&[]), 0.0, 0.0, self.kind);
+        }
+        self
     }
 
     /// An owned list from already-ordered entries (empty when massless).
     fn owned(entries: Vec<Posting>, total_weight: f64, kind: ServeKind) -> PostingList<'static> {
-        if total_weight <= 0.0 {
-            return PostingList {
-                entries: Entries::Owned(Vec::new()),
-                prefix: PrefixCol::None,
-                total_weight: 0.0,
-                consumed_weight: 0.0,
-                cursor: 0,
-                kind,
-            };
-        }
-        PostingList {
-            entries: Entries::Owned(entries),
-            prefix: PrefixCol::None,
-            total_weight,
-            consumed_weight: 0.0,
-            cursor: 0,
-            kind,
-        }
-    }
-
-    /// An owned list carrying its reconstructed prefix column — the
-    /// Packed decode of an index-served group (empty when massless,
-    /// exactly like the borrowed constructor).
-    fn owned_with_prefix(
-        entries: Vec<Posting>,
-        prefix: Vec<f64>,
-        total_weight: f64,
-        kind: ServeKind,
-    ) -> PostingList<'static> {
-        if total_weight <= 0.0 {
-            return PostingList {
-                entries: Entries::Owned(Vec::new()),
-                prefix: PrefixCol::None,
-                total_weight: 0.0,
-                consumed_weight: 0.0,
-                cursor: 0,
-                kind,
-            };
-        }
-        PostingList {
-            entries: Entries::Owned(entries),
-            prefix: PrefixCol::Owned(prefix),
-            total_weight,
-            consumed_weight: 0.0,
-            cursor: 0,
-            kind,
-        }
+        PostingList::new(Entries::Owned(entries), 0.0, total_weight, kind).unless_massless()
     }
 
     /// Builds the posting list for `pattern` over `store`.
     ///
     /// Ties in weight are broken by triple id so iteration order is
     /// deterministic. Predicate-only, unbound, subject-only, and
-    /// object-only patterns are served from the store's posting index
-    /// without sorting (borrowed on Flat, decoded on Packed); every
-    /// other (composite) shape looks up its exact permutation range once
-    /// and orders that range when it holds at most one block of matches
-    /// (or is ≥ 4× smaller than every covering group), else filters the
+    /// object-only patterns are served in place from the store's posting
+    /// index, without decoding or sorting anything up front; every other
+    /// (composite) shape looks up its exact permutation range once and
+    /// orders that range when it holds at most one block of matches (or
+    /// is ≥ 4× smaller than every covering group), else filters the
     /// smallest covering group — one allocation either way.
     pub fn build(store: &'s XkgStore, pattern: &SlotPattern) -> PostingList<'s> {
-        let index = store.posting_index();
-        match (pattern.s, pattern.p, pattern.o) {
-            (None, Some(p), None) => store
-                .predicate_group(p)
-                .into_list(index.predicate_total_weight(p), ServeKind::Predicate),
-            (None, None, None) => store
-                .unbound_group()
-                .into_list(index.total_weight(), ServeKind::Unbound),
-            (Some(s), None, None) => {
-                let group = store.subject_group(s);
-                let total = group.span_total();
-                group.into_list(total, ServeKind::Subject)
-            }
-            (None, None, Some(o)) => {
-                let group = store.object_group(o);
-                let total = group.span_total();
-                group.into_list(total, ServeKind::Object)
-            }
-            _ => PostingList::filtered(store, pattern),
+        match store.group(pattern) {
+            Some(group) => group.unless_massless(),
+            None => PostingList::filtered(store, pattern),
         }
-    }
-
-    /// Entries-only variant of [`PostingList::build`] for consumers
-    /// that keep the entry array and drop the prefix column (the query
-    /// layer's masked and globally rescaled lists do exactly that).
-    /// Flat segments hand back a borrow and Packed segments decode
-    /// entries without reconstructing the prefix sums. Entry values,
-    /// totals, and serve kinds match `build` bit for bit.
-    pub fn build_entries(
-        store: &'s XkgStore,
-        pattern: &SlotPattern,
-    ) -> (EntriesRef<'s>, f64, ServeKind) {
-        if let Some((entries, total, kind)) = store.group_entries(pattern) {
-            // Mirror the zero-total normalization of the list
-            // constructors: a group whose weights sum to nothing serves
-            // as empty rather than as undefined probabilities.
-            if total <= 0.0 {
-                return (EntriesRef::Owned(Vec::new()), 0.0, kind);
-            }
-            return (entries, total, kind);
-        }
-        let list = PostingList::filtered(store, pattern);
-        let total = list.total_weight();
-        let kind = list.serve_kind();
-        (EntriesRef::Owned(list.into_entries()), total, kind)
     }
 
     /// Serves a composite shape (sp / op / so / ground) from the index.
-    /// One binary search finds the pattern's exact match range — SPO for
-    /// sp and ground patterns, POS for po, OSP for so. A range of at most
-    /// one block ([`BLOCK`] matches) is decoded and weight-ordered
+    /// One search finds the pattern's exact match range — SPO for sp and
+    /// ground patterns, POS for po, OSP for so. A range of at most one
+    /// block ([`BLOCK`] matches) is decoded and weight-ordered
     /// (`ServeKind::Range`): a handful of matches sort cheaper than any
     /// group walk. Larger sets compare the range with the covering
     /// groups: the smallest group is filtered — already in (weight desc,
@@ -1090,9 +898,9 @@ impl<'s> PostingList<'s> {
     /// walking a group that may be arbitrarily larger. Either way the
     /// matches are visited in (weight desc, id asc) order and
     /// probabilities renormalize over their total summed in that order,
-    /// so both serves are bit-identical to the scan reference. Group
-    /// sizes are measured by span arithmetic alone, so Packed segments
-    /// decode at most one group.
+    /// so both serves are bit-identical to the scan reference. The
+    /// filter tests each group triple before it reads that triple's
+    /// provenance, so a Packed group decodes only the weights it keeps.
     fn filtered(store: &'s XkgStore, pattern: &SlotPattern) -> PostingList<'s> {
         // Span arithmetic only: the ids are decoded just for a range
         // serve, never for the group filter.
@@ -1131,7 +939,7 @@ impl<'s> PostingList<'s> {
             );
         }
         if let Some(p) = pattern.p {
-            consider(store.posting_index().predicate_group_len(p), Cover::Predicate(p));
+            consider(store.count(&SlotPattern::with_p(p)), Cover::Predicate(p));
         }
         // Composite shapes always bind a slot; if a malformed shape ever
         // lands here, degrade to the exact-range serve.
@@ -1144,11 +952,7 @@ impl<'s> PostingList<'s> {
             Cover::Predicate(p) => store.predicate_group(p),
         };
         let mut entries: Vec<Posting> = Vec::with_capacity(match_count);
-        let matching = group
-            .entries()
-            .iter()
-            .filter(|e| pattern.matches(store.triple(e.triple)));
-        entries.extend(matching);
+        entries.extend(group.select(|id| pattern.matches(store.triple(id))));
         let total: f64 = entries.iter().map(|e| e.weight).sum();
         for e in &mut entries {
             e.prob = if total > 0.0 { e.weight / total } else { 0.0 };
@@ -1194,14 +998,7 @@ impl<'s> PostingList<'s> {
     /// Wraps an externally materialized, already score-sorted entry list.
     /// Used by the query layer's filtered views over this machinery.
     pub fn from_owned(entries: Vec<Posting>, total_weight: f64) -> PostingList<'static> {
-        PostingList {
-            entries: Entries::Owned(entries),
-            prefix: PrefixCol::None,
-            total_weight,
-            consumed_weight: 0.0,
-            cursor: 0,
-            kind: ServeKind::External,
-        }
+        PostingList::new(Entries::Owned(entries), 0.0, total_weight, ServeKind::External)
     }
 
     /// A list holding only `entries` — ordered, and a subset of a match
@@ -1211,55 +1008,38 @@ impl<'s> PostingList<'s> {
     pub fn restricted(entries: Vec<Posting>, total_weight: f64) -> PostingList<'static> {
         let kept: f64 = entries.iter().map(|e| e.weight).sum();
         PostingList {
-            consumed_weight: total_weight - kept,
+            consumed: total_weight - kept,
             ..PostingList::from_owned(entries, total_weight)
         }
     }
 
-    /// Wraps cache-shared entries together with their aligned prefix
-    /// column — how decoded Packed groups are re-served from the query
-    /// layer's caches with the same O(1) remaining-weight reads as the
-    /// Flat borrow path.
-    pub fn from_shared_parts(
-        entries: Arc<[Posting]>,
-        prefix: Option<Arc<[f64]>>,
-        total_weight: f64,
-    ) -> PostingList<'static> {
-        PostingList {
-            entries: Entries::Shared(entries),
-            prefix: prefix.map_or(PrefixCol::None, PrefixCol::Shared),
-            total_weight,
-            consumed_weight: 0.0,
-            cursor: 0,
-            kind: ServeKind::External,
-        }
+    /// Re-serves cache-shared parts ([`PostingList::into_shared_parts`])
+    /// with a fresh cursor and the same remaining weights.
+    pub fn from_shared_parts((entries, base, total_weight): SharedParts) -> PostingList<'static> {
+        PostingList::new(Entries::Shared(entries), base, total_weight, ServeKind::External)
     }
 
-    /// Splits the list into cache-shareable parts: entries, the aligned
-    /// prefix column when the list was index-served, and the total
-    /// weight. Copies only when the parts were borrowed.
+    /// Splits the list into cache-shareable parts. Copies only when the
+    /// entries were borrowed, and decodes a Packed view whole.
     pub fn into_shared_parts(self) -> SharedParts {
         let entries: Arc<[Posting]> = match self.entries {
             Entries::Owned(v) => v.into(),
             Entries::Borrowed(s) => s.into(),
             Entries::Shared(rc) => rc,
+            Entries::Packed(g) => g.postings().collect(),
         };
-        let prefix: Option<Arc<[f64]>> = match self.prefix {
-            PrefixCol::None => None,
-            PrefixCol::Borrowed(s) => Some(s.into()),
-            PrefixCol::Owned(v) => Some(v.into()),
-            PrefixCol::Shared(rc) => Some(rc),
-        };
-        (entries, prefix, self.total_weight)
+        (entries, self.base, self.total_weight)
     }
 
-    /// Consumes the list into an owned entry vector (no copy when the
-    /// entries were already materialized).
+    /// Consumes the list into an owned entry vector, ignoring the cursor:
+    /// no copy when the entries were already materialized, and a Packed
+    /// view decoded whole.
     pub fn into_entries(self) -> Vec<Posting> {
         match self.entries {
             Entries::Owned(v) => v,
             Entries::Borrowed(s) => s.to_vec(),
             Entries::Shared(rc) => rc.to_vec(),
+            Entries::Packed(g) => g.postings().collect(),
         }
     }
 
@@ -1278,25 +1058,66 @@ impl<'s> PostingList<'s> {
     /// Number of matches.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.as_slice().len()
+        self.entries.len()
     }
 
     /// True if the pattern has no matches.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.as_slice().is_empty()
+        self.len() == 0
     }
 
-    /// Entries in descending score order (ignores the cursor).
-    #[inline]
-    pub fn entries(&self) -> &[Posting] {
-        self.entries.as_slice()
+    /// Every entry in descending score order, ignoring the cursor:
+    /// borrowed, except from a Packed view, which decodes them all.
+    pub fn entries(&self) -> Cow<'_, [Posting]> {
+        match self.entries.rest(0) {
+            (_, Some((g, _))) => Cow::Owned(g.postings().collect()),
+            (slice, None) => Cow::Borrowed(slice),
+        }
+    }
+
+    /// Every entry in descending score order, ignoring the cursor, each
+    /// decoded as the iterator reaches it.
+    pub fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
+        let (slice, packed) = self.entries.rest(0);
+        let decoded = packed
+            .into_iter()
+            .flat_map(|(g, rows)| rows.map(move |i| g.posting(i, g.id(i))));
+        slice.iter().copied().chain(decoded)
+    }
+
+    /// The unconsumed entries whose triple `keep` admits, in list order.
+    /// `keep` sees each triple before its entry is read, so a Packed view
+    /// decodes only the weights of the entries kept.
+    pub fn select<F: FnMut(TripleId) -> bool>(&self, keep: F) -> Select<'_, F> {
+        let rest = match self.entries.rest(self.cursor) {
+            (_, Some((g, rows))) => Rest::Packed(g, rows),
+            (slice, None) => Rest::Slice(slice.iter()),
+        };
+        Select { rest, keep }
+    }
+
+    /// The unconsumed entry of triple `id`, whose emission weight is
+    /// `weight`: a binary search of the (weight desc, id asc) order that
+    /// decodes only the entries it probes.
+    pub fn locate(&self, id: TripleId, weight: f64) -> Option<Posting> {
+        let before = |e: Posting| e.weight.total_cmp(&weight).then(id.cmp(&e.triple)).is_gt();
+        let (mut lo, mut hi) = (self.cursor, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.entries.get(mid).is_some_and(before) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.entries.get(lo).filter(|e| e.triple == id)
     }
 
     /// The next unconsumed posting, without advancing.
     #[inline]
     pub fn peek(&self) -> Option<Posting> {
-        self.entries.as_slice().get(self.cursor).copied()
+        self.entries.get(self.cursor)
     }
 
     /// The emission probability of the next unconsumed posting (an upper
@@ -1311,7 +1132,7 @@ impl<'s> PostingList<'s> {
     pub fn next_posting(&mut self) -> Option<Posting> {
         let p = self.peek()?;
         self.cursor += 1;
-        self.consumed_weight += p.weight;
+        self.consumed += p.weight;
         Some(p)
     }
 
@@ -1321,36 +1142,21 @@ impl<'s> PostingList<'s> {
         self.cursor
     }
 
-    /// Combined weight of the first `upto` entries. O(1) when served from
-    /// the precomputed index (prefix sums), O(upto) otherwise.
+    /// Combined weight of the first `upto` entries, summed in list order
+    /// onto the list's base — for an index-served list, the stratum's
+    /// prefix-sum difference, bit for bit. O(upto).
     pub fn prefix_weight(&self, upto: usize) -> f64 {
-        let upto = upto.min(self.len());
-        match self.prefix.as_slice() {
-            Some(pre) => pre[upto] - pre[0],
-            None => self.entries.as_slice()[..upto]
-                .iter()
-                .map(|e| e.weight)
-                .sum(),
-        }
+        let sum = self.iter().take(upto).fold(self.base, |acc, e| acc + e.weight);
+        sum - self.base
     }
 
-    /// Emission weight not yet consumed by the cursor. O(1) for every
-    /// list: index-served lists read the build-time prefix-sum columns,
-    /// materialized lists use the consumed weight tracked by
-    /// [`PostingList::next_posting`]. (The rank-join threshold asks for
-    /// this every capping round.)
+    /// Emission weight not yet consumed by the cursor, O(1): the total
+    /// minus the consumed weights, which [`PostingList::next_posting`]
+    /// sums in list order. (The rank-join threshold asks for this every
+    /// capping round.)
     #[inline]
     pub fn remaining_weight(&self) -> f64 {
-        match self.prefix.as_slice() {
-            Some(pre) => (self.total_weight - (pre[self.cursor] - pre[0])).max(0.0),
-            None => (self.total_weight - self.consumed_weight).max(0.0),
-        }
-    }
-
-    /// Resets the cursor to the start of the list.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
-        self.consumed_weight = 0.0;
+        (self.total_weight - (self.consumed - self.base)).max(0.0)
     }
 }
 
@@ -1401,9 +1207,7 @@ mod tests {
         let second = list.next_posting().unwrap();
         assert!(first.prob >= second.prob);
         assert_eq!(list.consumed(), 2);
-        list.rewind();
-        assert_eq!(list.consumed(), 0);
-        assert_eq!(list.peek().unwrap(), first);
+        assert_eq!(list.entries()[..2], [first, second]);
     }
 
     #[test]

@@ -102,12 +102,14 @@ impl StoreStats {
         let mut subs: Vec<TermId> = Vec::new();
         let mut objs: Vec<TermId> = Vec::new();
         for &p in &predicates {
+            // Every entry is read, so a Packed group is collected whole.
             let group = store.predicate_group(p);
+            let entries = group.entries();
             let mut kg_triples = 0;
             let mut total_weight = 0.0f64;
             subs.clear();
             objs.clear();
-            for e in group.entries() {
+            for e in entries.iter() {
                 let t = store.triple(e.triple);
                 subs.push(t.s);
                 objs.push(t.o);

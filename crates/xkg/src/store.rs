@@ -15,7 +15,7 @@ use crate::dict::{SourceTable, TermDict};
 use crate::index::{MatchIds, TripleIndex};
 use crate::pack::SegmentLayout;
 use crate::pattern::SlotPattern;
-use crate::posting::{EntriesRef, GroupRef, PostingIndex, ServeKind};
+use crate::posting::{GroupKey, PostingIndex, PostingList};
 use crate::stats::StorageBytes;
 use crate::term::{TermId, TermKind};
 use crate::triple::{GraphTag, Provenance, SourceId, Triple, TripleId};
@@ -613,10 +613,15 @@ impl XkgStore {
         self.index.lookup_in(pattern, buf)
     }
 
-    /// Exact number of triples matching `pattern`.
+    /// Exact number of triples matching `pattern`: a predicate-only
+    /// shape reads its group length from the posting directory in O(1),
+    /// every other shape searches its permutation range.
     #[inline]
     pub fn count(&self, pattern: &SlotPattern) -> usize {
-        self.index.count(pattern)
+        match (pattern.s, pattern.p, pattern.o) {
+            (None, Some(p), None) => self.postings.predicate_group_len(p),
+            _ => self.index.count(pattern),
+        }
     }
 
     /// `pattern`'s matches as a range of its permutation's rows: one
@@ -645,126 +650,79 @@ impl XkgStore {
     }
 
     /// One predicate's group in descending emission-weight order, with
-    /// probabilities normalized over the predicate. Borrowed
-    /// (allocation-free) on Flat segments, decoded into scratch on
-    /// Packed ones — bit-identical values either way.
-    pub fn predicate_group(&self, p: TermId) -> GroupRef<'_> {
-        self.postings.predicate_serve(p, &self.prov)
+    /// probabilities normalized over the predicate, served in place:
+    /// borrowed on Flat segments, a view decoding each entry as it is
+    /// read on Packed ones — bit-identical values either way. Unlike
+    /// [`PostingList::build`], a group without emission mass keeps its
+    /// entries.
+    pub fn predicate_group(&self, p: TermId) -> PostingList<'_> {
+        self.postings.group(GroupKey::Predicate(p), &self.prov)
     }
 
     /// The global unbound stratum: every triple in descending
     /// emission-weight order, normalized over the whole store.
-    pub fn unbound_group(&self) -> GroupRef<'_> {
-        self.postings.all_serve(&self.prov)
+    pub fn unbound_group(&self) -> PostingList<'_> {
+        self.postings.group(GroupKey::Unbound, &self.prov)
     }
 
     /// The subject-anchored stratum's group for `s`: the stratum shares
     /// the SPO permutation's primary-key order, so the group span is the
-    /// permutation's binary-searched range (no group directory exists
-    /// for the anchored strata).
-    pub fn subject_group(&self, s: TermId) -> GroupRef<'_> {
+    /// permutation's searched range (no group directory exists for the
+    /// anchored strata).
+    pub fn subject_group(&self, s: TermId) -> PostingList<'_> {
         let span = self.index.span(&SlotPattern::new(Some(s), None, None));
-        self.postings.subject_serve(span, &self.prov)
+        self.postings.group(GroupKey::Subject(span), &self.prov)
     }
 
     /// The object-anchored stratum's group for `o` (group span shared
     /// with the OSP permutation's range).
-    pub fn object_group(&self, o: TermId) -> GroupRef<'_> {
+    pub fn object_group(&self, o: TermId) -> PostingList<'_> {
         let span = self.index.span(&SlotPattern::new(None, None, Some(o)));
-        self.postings.object_serve(span, &self.prov)
+        self.postings.group(GroupKey::Object(span), &self.prov)
+    }
+
+    /// The group the posting index serves `pattern` from whole, for the
+    /// four shapes it answers without filtering — predicate-only, fully
+    /// unbound, subject-only and object-only; `None` for the composite
+    /// shapes.
+    fn group_key(&self, pattern: &SlotPattern) -> Option<GroupKey> {
+        match (pattern.s, pattern.p, pattern.o) {
+            (None, Some(p), None) => Some(GroupKey::Predicate(p)),
+            (None, None, None) => Some(GroupKey::Unbound),
+            (Some(_), None, None) => Some(GroupKey::Subject(self.index.span(pattern))),
+            (None, None, Some(_)) => Some(GroupKey::Object(self.index.span(pattern))),
+            _ => None,
+        }
+    }
+
+    /// `pattern`'s group (see [`XkgStore::group_key`]), served in place.
+    pub(crate) fn group(&self, pattern: &SlotPattern) -> Option<PostingList<'_>> {
+        let key = self.group_key(pattern)?;
+        Some(self.postings.group(key, &self.prov))
     }
 
     /// Total emission weight of one subject's matches, read from the
-    /// anchored stratum's prefix sums (reconstructed exactly from block
-    /// checkpoints on Packed segments). O(log n), allocation-free.
+    /// anchored stratum's prefix sums (reconstructed exactly from its
+    /// stored anchors on Packed segments). O(log n), allocation-free.
     pub fn subject_total_weight(&self, s: TermId) -> f64 {
-        let span = self.index.span(&SlotPattern::new(Some(s), None, None));
-        self.postings.subject_span_total(span, &self.prov)
+        self.subject_group(s).total_weight()
     }
 
     /// Total emission weight of one object's matches (see
     /// [`XkgStore::subject_total_weight`]).
     pub fn object_total_weight(&self, o: TermId) -> f64 {
-        let span = self.index.span(&SlotPattern::new(None, None, Some(o)));
-        self.postings.object_span_total(span, &self.prov)
-    }
-
-    /// Entries-only serve of `pattern` for the four index-backed
-    /// shapes — the same entries, totals, and serve kinds
-    /// [`PostingList::build`](crate::PostingList::build) produces,
-    /// minus the prefix column. `None` for composite shapes, which
-    /// filter rather than serve whole groups.
-    pub(crate) fn group_entries(
-        &self,
-        pattern: &SlotPattern,
-    ) -> Option<(EntriesRef<'_>, f64, ServeKind)> {
-        match (pattern.s, pattern.p, pattern.o) {
-            (None, Some(p), None) => Some((
-                self.postings.predicate_serve_entries(p, &self.prov),
-                self.postings.predicate_total_weight(p),
-                ServeKind::Predicate,
-            )),
-            (None, None, None) => Some((
-                self.postings.all_serve_entries(&self.prov),
-                self.postings.total_weight(),
-                ServeKind::Unbound,
-            )),
-            (Some(s), None, None) => {
-                let span = self.index.span(&SlotPattern::new(Some(s), None, None));
-                Some((
-                    self.postings.subject_serve_entries(span.clone(), &self.prov),
-                    self.postings.subject_span_total(span, &self.prov),
-                    ServeKind::Subject,
-                ))
-            }
-            (None, None, Some(o)) => {
-                let span = self.index.span(&SlotPattern::new(None, None, Some(o)));
-                Some((
-                    self.postings.object_serve_entries(span.clone(), &self.prov),
-                    self.postings.object_span_total(span, &self.prov),
-                    ServeKind::Object,
-                ))
-            }
-            _ => None,
-        }
+        self.object_group(o).total_weight()
     }
 
     /// Exact head probability (best emission) of `pattern`'s posting
     /// list for the shapes the precomputed index serves — predicate-only,
-    /// fully unbound, subject-only, and object-only — without
-    /// materializing anything. `None` for shapes the index cannot answer
+    /// fully unbound, subject-only, and object-only — reading only the
+    /// group's first entry, not its total. `None` for shapes the index cannot answer
     /// without filtering; callers must fall back to a trivial bound (1.0)
     /// or build the list.
     pub fn head_prob(&self, pattern: &SlotPattern) -> Option<f64> {
-        match (pattern.s, pattern.p, pattern.o) {
-            (None, Some(p), None) => Some(
-                self.postings
-                    .predicate_head(p, &self.prov)
-                    .map_or(0.0, |e| e.prob),
-            ),
-            (None, None, None) => Some(
-                self.postings
-                    .global_head(&self.prov)
-                    .map_or(0.0, |e| e.prob),
-            ),
-            (Some(s), None, None) => {
-                let span = self.index.span(&SlotPattern::new(Some(s), None, None));
-                Some(
-                    self.postings
-                        .subject_head(span, &self.prov)
-                        .map_or(0.0, |e| e.prob),
-                )
-            }
-            (None, None, Some(o)) => {
-                let span = self.index.span(&SlotPattern::new(None, None, Some(o)));
-                Some(
-                    self.postings
-                        .object_head(span, &self.prov)
-                        .map_or(0.0, |e| e.prob),
-                )
-            }
-            _ => None,
-        }
+        let head = self.postings.head(self.group_key(pattern)?, &self.prov);
+        Some(head.map_or(0.0, |e| e.prob))
     }
 
     /// Raw head emission *weight* of `pattern`'s match set for the four
@@ -772,35 +730,8 @@ impl XkgStore {
     /// divides a shard's head weight by a *global* total to get the
     /// shard's exact globally-normalized head bound.
     pub fn head_weight(&self, pattern: &SlotPattern) -> Option<f64> {
-        match (pattern.s, pattern.p, pattern.o) {
-            (None, Some(p), None) => Some(
-                self.postings
-                    .predicate_head(p, &self.prov)
-                    .map_or(0.0, |e| e.weight),
-            ),
-            (None, None, None) => Some(
-                self.postings
-                    .global_head(&self.prov)
-                    .map_or(0.0, |e| e.weight),
-            ),
-            (Some(s), None, None) => {
-                let span = self.index.span(&SlotPattern::new(Some(s), None, None));
-                Some(
-                    self.postings
-                        .subject_head(span, &self.prov)
-                        .map_or(0.0, |e| e.weight),
-                )
-            }
-            (None, None, Some(o)) => {
-                let span = self.index.span(&SlotPattern::new(None, None, Some(o)));
-                Some(
-                    self.postings
-                        .object_head(span, &self.prov)
-                        .map_or(0.0, |e| e.weight),
-                )
-            }
-            _ => None,
-        }
+        let head = self.postings.head(self.group_key(pattern)?, &self.prov);
+        Some(head.map_or(0.0, |e| e.weight))
     }
 
     /// Exact per-structure heap byte accounting of the frozen store,

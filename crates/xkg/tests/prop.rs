@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 
+use trinit_xkg::index::{Permutation, BLOCK};
 use trinit_xkg::{
-    PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, TermDict, TermId, TermKind,
-    Triple, XkgBuilder, XkgStore,
+    Posting, PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, TermDict, TermId,
+    TermKind, Triple, TripleId, XkgBuilder, XkgStore,
 };
 
 /// Strategy: a small universe of term ids per kind.
@@ -47,7 +48,7 @@ fn store_from(triples: &[(Triple, f32, u8)]) -> XkgStore {
 /// equal as raw f64 bits, not merely within an epsilon.
 fn assert_lists_bit_identical(a: &PostingList, b: &PostingList, ctx: &str) {
     assert_eq!(a.len(), b.len(), "length differs: {ctx}");
-    for (x, y) in a.entries().iter().zip(b.entries()) {
+    for (x, y) in a.iter().zip(b.iter()) {
         assert_eq!(x.triple, y.triple, "order differs: {ctx}");
         assert_eq!(
             x.weight.to_bits(),
@@ -140,16 +141,33 @@ proptest! {
         }
     }
 
-    /// Counting via the index equals the lookup length for all shapes.
+    /// Counting equals the lookup length for all eight shapes on both
+    /// layouts (a predicate-only count reads the posting directory, every
+    /// other shape its permutation range).
     #[test]
     fn count_is_consistent(
         triples in proptest::collection::vec((triple(4), 0.5f32..1.0, 0u8..1), 0..40),
-        p in proptest::option::of(term_id(TermKind::Resource, 4)),
-        o in proptest::option::of(term_id(TermKind::Resource, 4)),
+        s in term_id(TermKind::Resource, 4),
+        p in term_id(TermKind::Resource, 4),
+        o in term_id(TermKind::Resource, 4),
     ) {
-        let store = store_from(&triples);
-        let pattern = SlotPattern::new(None, p, o);
-        prop_assert_eq!(store.count(&pattern), store.lookup(&pattern).len());
+        for layout in [SegmentLayout::Flat, SegmentLayout::Packed] {
+            let store = builder_from(&triples).build_with(layout);
+            for mask in 0u8..8 {
+                let pattern = SlotPattern::new(
+                    (mask & 1 != 0).then_some(s),
+                    (mask & 2 != 0).then_some(p),
+                    (mask & 4 != 0).then_some(o),
+                );
+                prop_assert_eq!(
+                    store.count(&pattern),
+                    store.lookup(&pattern).len(),
+                    "shape {:#05b} on {:?}",
+                    mask,
+                    layout
+                );
+            }
+        }
     }
 
     /// The columnar lookup and the posting-index slices agree with a
@@ -187,7 +205,7 @@ proptest! {
             let mut posting_ids: Vec<u32> = list.entries().iter().map(|e| e.triple.0).collect();
             posting_ids.sort_unstable();
             prop_assert_eq!(&posting_ids, &want, "postings disagree for shape {:#05b}", mask);
-            for e in list.entries() {
+            for e in list.iter() {
                 let w = store.provenance(e.triple).weight();
                 prop_assert!((e.weight - w).abs() < 1e-12, "weight mismatch");
             }
@@ -276,7 +294,7 @@ proptest! {
                 "length differs for shape {:#05b}",
                 mask
             );
-            for (a, b) in indexed.entries().iter().zip(reference.entries()) {
+            for (a, b) in indexed.iter().zip(reference.iter()) {
                 prop_assert_eq!(a.triple, b.triple, "order differs for shape {:#05b}", mask);
                 prop_assert_eq!(a.weight, b.weight, "weight differs for shape {:#05b}", mask);
                 prop_assert!(
@@ -399,7 +417,7 @@ proptest! {
                 prop_assert_eq!(list.len(), 0, "shape {:#05b}", mask);
                 continue;
             }
-            let expect_range = matches <= trinit_xkg::index::BLOCK || matches * 4 <= group;
+            let expect_range = matches <= BLOCK || matches * 4 <= group;
             prop_assert_eq!(
                 list.serve_kind() == trinit_xkg::ServeKind::Range,
                 expect_range,
@@ -494,6 +512,187 @@ proptest! {
                 let pl = PostingList::build(&packed, &pattern);
                 assert_lists_bit_identical(&fl, &pl, name);
             }
+        }
+    }
+}
+
+/// Rows of a store several blocks long with skewed keys. The planted
+/// slot's five smallest terms key groups of 128, 1, 127, 129 and `hub`
+/// rows, in that order, so in that slot's permutation the first and
+/// third end on a block boundary. The other two slots of a planted row
+/// draw from wide and narrow pools, and every filler term is drawn
+/// squared, so a few terms own most rows (filler ids never collide with
+/// the planted keys). Confidences span ten orders of magnitude, so
+/// prefix sums round: a replay from the wrong anchor changes their bits.
+fn multi_block_rows(
+    planted: usize,
+    hub: u32,
+    filler: &[((u32, u32, u32), f32)],
+) -> Vec<(Triple, f32, u8)> {
+    let term = |i: u32| TermId::new(TermKind::Resource, i);
+    let mut rows = Vec::new();
+    let mut row = 0u32;
+    for (key, size) in [128, 1, 127, 129, hub].into_iter().enumerate() {
+        for _ in 0..size {
+            let mut spo = [term(1000 + row), term(2000 + row % 13), term(3000 + row % 41)];
+            spo.rotate_right(planted);
+            spo[planted] = term(key as u32);
+            let conf = 1e-6 + ((row * 7919) % 1000) as f32 / 1000.0;
+            let conf = conf.powi(5);
+            rows.push((Triple::new(spo[0], spo[1], spo[2]), conf, (row % 3) as u8));
+            row += 1;
+        }
+    }
+    let skewed = |x: u32| term(10 + x * x / 37);
+    for &((s, p, o), conf) in filler {
+        let triple = Triple::new(skewed(s), skewed(p % 20), skewed(o));
+        rows.push((triple, conf.powi(5), 0));
+    }
+    rows
+}
+
+/// Every triple's key under each permutation, with its id, sorted: the
+/// reference [`reference_range`] cuts.
+fn sorted_keys(store: &XkgStore) -> [Vec<([TermId; 3], TripleId)>; 3] {
+    Permutation::ALL.map(|perm| {
+        let mut rows: Vec<_> = store.iter().map(|(id, t)| (perm.key(t), id)).collect();
+        rows.sort_unstable();
+        rows
+    })
+}
+
+/// `pattern`'s matches as the index must find them: the sorted keys of
+/// the pattern's permutation, cut to the rows whose key starts with the
+/// pattern's bound terms by two `partition_point`s.
+fn reference_range(
+    keys: &[Vec<([TermId; 3], TripleId)>; 3],
+    pattern: &SlotPattern,
+) -> Vec<TripleId> {
+    let perm = Permutation::for_pattern(pattern);
+    let rows = &keys[perm as usize];
+    let unbound = TermId::from_raw(0);
+    let probe = Triple::new(
+        pattern.s.unwrap_or(unbound),
+        pattern.p.unwrap_or(unbound),
+        pattern.o.unwrap_or(unbound),
+    );
+    let len = usize::from(pattern.bound_count());
+    let prefix = &perm.key(probe)[..len];
+    let lo = rows.partition_point(|(key, _)| &key[..len] < prefix);
+    let hi = rows.partition_point(|(key, _)| &key[..len] <= prefix);
+    rows[lo..hi].iter().map(|&(_, id)| id).collect()
+}
+
+/// The shapes a multi-block check probes: every planted key and two
+/// absent terms in each single-slot shape, and all eight shapes over
+/// every 5th triple's terms.
+fn multi_block_shapes(store: &XkgStore) -> Vec<SlotPattern> {
+    let mut shapes = Vec::new();
+    for i in (0..5).chain([5, 999_999]) {
+        let t = Some(TermId::new(TermKind::Resource, i));
+        shapes.push(SlotPattern::new(t, None, None));
+        shapes.push(SlotPattern::new(None, t, None));
+        shapes.push(SlotPattern::new(None, None, t));
+    }
+    for (_, t) in store.iter().step_by(5) {
+        for mask in 0u8..8 {
+            shapes.push(SlotPattern::new(
+                (mask & 1 != 0).then_some(t.s),
+                (mask & 2 != 0).then_some(t.p),
+                (mask & 4 != 0).then_some(t.o),
+            ));
+        }
+    }
+    shapes
+}
+
+/// An entry's bits, so that equal floats compare equal only bit for bit.
+fn bits(p: Option<Posting>) -> Option<(TripleId, u64, u64)> {
+    p.map(|p| (p.triple, p.weight.to_bits(), p.prob.to_bits()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Over stores several blocks long, a range lookup finds exactly the
+    /// rows a `partition_point` reference over the sorted permutation
+    /// does, on both layouts: groups of 0, 1, 127, 128, 129 and hundreds
+    /// of rows, ranges ending on a block boundary and at the table end,
+    /// and every composite shape. `count` is that range's length.
+    #[test]
+    fn multi_block_ranges_equal_the_partition_point_reference(
+        planted in 0usize..3,
+        hub in 200u32..500,
+        filler in proptest::collection::vec(((0u32..60, 0u32..60, 0u32..60), 0.01f32..1.0), 0..600),
+    ) {
+        let rows = multi_block_rows(planted, hub, &filler);
+        for layout in [SegmentLayout::Flat, SegmentLayout::Packed] {
+            let store = builder_from(&rows).build_with(layout);
+            let keys = sorted_keys(&store);
+            for pattern in multi_block_shapes(&store) {
+                let want = reference_range(&keys, &pattern);
+                prop_assert_eq!(&store.lookup(&pattern)[..], &want[..], "{} on {:?}", pattern, layout);
+                prop_assert_eq!(store.count(&pattern), want.len(), "{} on {:?}", pattern, layout);
+            }
+        }
+    }
+
+    /// A `Packed` group served in place is the `Flat` list bit for bit
+    /// under any interleaving of cursor reads (`peek`, `next_posting`,
+    /// runs of pulls), remaining weights, restriction locates of present
+    /// and absent entries, and restriction scans — across block
+    /// boundaries, for every single-slot group shape.
+    #[test]
+    fn packed_views_equal_flat_lists_under_interleaved_reads(
+        planted in 0usize..3,
+        hub in 200u32..500,
+        filler in proptest::collection::vec(((0u32..60, 0u32..60, 0u32..60), 0.01f32..1.0), 0..600),
+        ops in proptest::collection::vec((0u8..6, 0u32..1000), 1..120),
+    ) {
+        let rows = multi_block_rows(planted, hub, &filler);
+        let flat = builder_from(&rows).build();
+        let packed = builder_from(&rows).build_with(SegmentLayout::Packed);
+        let mut seen = std::collections::HashSet::new();
+        let mut shapes = vec![SlotPattern::any()];
+        let single = multi_block_shapes(&flat).into_iter().filter(|s| s.bound_count() == 1);
+        shapes.extend(single.filter(|&s| seen.insert(s)));
+        for pattern in shapes {
+            let mut fl = PostingList::build(&flat, &pattern);
+            let mut pk = PostingList::build(&packed, &pattern);
+            prop_assert_eq!(pk.len(), fl.len(), "{}", pattern);
+            prop_assert_eq!(pk.total_weight().to_bits(), fl.total_weight().to_bits(), "{}", pattern);
+            let entries = fl.entries().into_owned();
+            for &(op, arg) in &ops {
+                match op {
+                    0 => prop_assert_eq!(bits(pk.peek()), bits(fl.peek()), "{}", pattern),
+                    1 => prop_assert_eq!(bits(pk.next_posting()), bits(fl.next_posting()), "{}", pattern),
+                    2 => for _ in 0..arg % 64 {
+                        prop_assert_eq!(bits(pk.next_posting()), bits(fl.next_posting()), "{}", pattern);
+                    },
+                    3 => prop_assert_eq!(
+                        pk.remaining_weight().to_bits(),
+                        fl.remaining_weight().to_bits(),
+                        "{} after {}", pattern, fl.consumed()
+                    ),
+                    4 => {
+                        // Any entry, consumed or not, or one no list holds.
+                        let target = entries.get(arg as usize % (entries.len() + 1)).copied();
+                        let (id, weight) = target.map_or((TripleId(arg), 0.5), |e| (e.triple, e.weight));
+                        prop_assert_eq!(bits(pk.locate(id, weight)), bits(fl.locate(id, weight)), "{}", pattern);
+                    }
+                    _ => {
+                        let keep = |id: TripleId| id.0 % 3 == arg % 3;
+                        let got: Vec<_> = pk.select(keep).map(Some).map(bits).collect();
+                        let want: Vec<_> = fl.select(keep).map(Some).map(bits).collect();
+                        prop_assert_eq!(got, want, "{}", pattern);
+                    }
+                }
+            }
+            prop_assert_eq!(
+                pk.remaining_weight().to_bits(),
+                fl.remaining_weight().to_bits(),
+                "{} at the end", pattern
+            );
         }
     }
 }

@@ -26,7 +26,7 @@ use trinit_core::shard::testkit::assert_answers_score_equivalent;
 use trinit_core::shard::ShardedStore;
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
 use trinit_core::xkg::{
-    Posting, Provenance, StorageBytes, TermId, Triple, TripleId, XkgBuilder, XkgStore,
+    PostingList, Provenance, StorageBytes, TermId, Triple, TripleId, XkgBuilder, XkgStore,
 };
 use trinit_core::{Engine, Session, Stage, TraceRecorder, Trinit, TrinitBuilder};
 
@@ -254,15 +254,14 @@ fn one_partition_routes_do_no_extra_work() {
     }
 }
 
-/// A group's entries and prefix sums, bit for bit.
-fn group_bits(entries: &[Posting], prefix: &[f64]) -> (Vec<(TripleId, u64, u64)>, Vec<u64>) {
-    (
-        entries
-            .iter()
-            .map(|e| (e.triple, e.weight.to_bits(), e.prob.to_bits()))
-            .collect(),
-        prefix.iter().map(|v| v.to_bits()).collect(),
-    )
+/// A served group bit for bit: its entries, the prefix sum its replay
+/// starts from (with the entries' weights, that fixes every prefix sum)
+/// and its total.
+fn group_bits(group: PostingList<'_>) -> (Vec<(TripleId, u64, u64)>, u64, u64) {
+    let (entries, base, total) = group.into_shared_parts();
+    let entries = entries.iter();
+    let entries = entries.map(|e| (e.triple, e.weight.to_bits(), e.prob.to_bits()));
+    (entries.collect(), base.to_bits(), total.to_bits())
 }
 
 /// `got` serves every predicate group, the subject and object groups of
@@ -273,27 +272,18 @@ fn assert_serves_like(got: &XkgStore, want: &XkgStore, anchors: &[TermId]) {
     assert_eq!(got.predicates(), want.predicates());
     for &p in want.predicates() {
         let (g, w) = (got.predicate_group(p), want.predicate_group(p));
-        assert_eq!(
-            group_bits(g.entries(), g.prefix()),
-            group_bits(w.entries(), w.prefix())
-        );
+        assert_eq!(group_bits(g), group_bits(w));
     }
     for &t in anchors {
         for (g, w) in [
             (got.subject_group(t), want.subject_group(t)),
             (got.object_group(t), want.object_group(t)),
         ] {
-            assert_eq!(
-                group_bits(g.entries(), g.prefix()),
-                group_bits(w.entries(), w.prefix())
-            );
+            assert_eq!(group_bits(g), group_bits(w));
         }
     }
     let (g, w) = (got.unbound_group(), want.unbound_group());
-    assert_eq!(
-        group_bits(g.entries(), g.prefix()),
-        group_bits(w.entries(), w.prefix())
-    );
+    assert_eq!(group_bits(g), group_bits(w));
     let index_share = |b: StorageBytes| StorageBytes {
         dict: 0,
         triples: 0,

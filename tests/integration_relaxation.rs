@@ -6,14 +6,14 @@ use std::sync::OnceLock;
 
 use trinit_core::query::exec::drive::{structural_variants, Variant};
 use trinit_core::query::exec::merge::AltTable;
-use trinit_core::query::TopkConfig;
+use trinit_core::query::{Answer, TopkConfig};
 use trinit_core::relax::{
     apply_rule, apply_rule_with, canonical_key, mine_cooccurrence, ConditionOracle, MinerConfig,
     QPattern, QTerm, Rule, RuleId, RuleKind, RuleProvenance, RuleSet, VarId,
 };
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
 use trinit_core::xkg::{args_pairs, PostingList, SegmentLayout, ServeKind, SlotPattern, XkgStore};
-use trinit_core::{Engine, Session, Trinit, TrinitBuilder};
+use trinit_core::{Engine, QueryOutcome, Session, Trinit, TrinitBuilder};
 use trinit_eval::{
     build_full_system, build_world, generate_benchmark, BenchQuery, BenchmarkConfig, EvalConfig,
 };
@@ -170,12 +170,11 @@ fn zero_weight_rules_never_contribute() {
 }
 
 /// The graded benchmark's system — `WorldConfig::demo(42)` with its
-/// mined rules — and its 70 graded queries, built once for every test
-/// that reads them.
+/// mined rules — on the default `Flat` layout and on `Packed`, and its
+/// 70 graded queries, built once for every test that reads them.
 struct Graded {
-    cfg: EvalConfig,
-    world: World,
     sys: Trinit,
+    packed: Trinit,
     graded: Vec<BenchQuery>,
 }
 
@@ -189,6 +188,9 @@ fn graded() -> &'static Graded {
         };
         let (world, kg) = build_world(&cfg);
         let sys = build_full_system(&world, &cfg);
+        let mut packed = TrinitBuilder::from_world(&world, &cfg.kg_config(), &cfg.corpus_config());
+        packed.options_mut().layout(SegmentLayout::Packed);
+        let packed = packed.build();
         let graded = generate_benchmark(
             &world,
             &kg,
@@ -199,9 +201,8 @@ fn graded() -> &'static Graded {
         );
         assert_eq!(graded.len(), 70);
         Graded {
-            cfg,
-            world,
             sys,
+            packed,
             graded,
         }
     })
@@ -424,9 +425,8 @@ fn structural_variants_equal_the_unindexed_enumeration() {
 #[test]
 fn composite_serves_equal_the_scan_reference_on_both_layouts() {
     let Graded {
-        cfg,
-        world,
         sys,
+        packed,
         graded,
     } = graded();
     let (rules, topk) = (sys.rules(), TopkConfig::default());
@@ -447,9 +447,6 @@ fn composite_serves_equal_the_scan_reference_on_both_layouts() {
             }
         }
     }
-    let mut packed = TrinitBuilder::from_world(world, &cfg.kg_config(), &cfg.corpus_config());
-    packed.options_mut().layout(SegmentLayout::Packed);
-    let packed = packed.build();
     for store in [sys.store(), packed.store()] {
         let (mut ranged, mut filtered) = (0, 0);
         for shape in &shapes {
@@ -470,4 +467,37 @@ fn composite_serves_equal_the_scan_reference_on_both_layouts() {
             shapes.len()
         );
     }
+}
+
+/// The layout is invisible to the engine: the 70 graded queries answer
+/// on the `Packed` build exactly as on the `Flat` one — the same answers
+/// in the same order with the same derivations, scores to the bit, the
+/// same completeness, and every `ExecMetrics` counter equal. (The
+/// per-serve pins are the composite test above and the xkg properties;
+/// this one runs the whole pipeline over both.)
+#[test]
+fn graded_queries_run_identically_on_both_layouts() {
+    let Graded {
+        sys,
+        packed,
+        graded,
+    } = graded();
+    assert_eq!(sys.rules().len(), packed.rules().len());
+    let mut answered = 0;
+    for bench in graded {
+        let run = |sys: &Trinit| {
+            let query = sys.parse(&bench.text).expect("graded query parses");
+            sys.run(query, Engine::IncrementalTopK)
+        };
+        let (flat, pack) = (run(sys), run(packed));
+        let answers = |o: &QueryOutcome| -> Vec<_> {
+            let answer = |a: &Answer| (a.key.clone(), a.score.to_bits(), a.derivation.clone());
+            o.answers.iter().map(answer).collect()
+        };
+        assert_eq!(answers(&pack), answers(&flat), "{}", bench.text);
+        assert_eq!(pack.completeness, flat.completeness, "{}", bench.text);
+        assert_eq!(pack.metrics, flat.metrics, "{}", bench.text);
+        answered += usize::from(!flat.answers.is_empty());
+    }
+    assert!(answered * 2 > graded.len(), "{answered} graded queries answered");
 }
