@@ -15,7 +15,6 @@
 
 use trinit_query::{Query, SharedCacheStats, SharedPostingCache};
 use trinit_relax::{Rule, RuleId, RuleSet};
-use trinit_shard::SeedMode;
 
 use crate::trinit::{Engine, QueryOutcome, Scope, Trinit};
 
@@ -131,8 +130,7 @@ impl<'a> Session<'a> {
     /// lists cached by this session's earlier queries (caches are
     /// session-isolated).
     pub fn run(&self, query: Query, engine: Engine) -> QueryOutcome {
-        let scope = Scope::Store(SeedMode::Parallel);
-        self.system.execute(query, engine, &self.rules, &self.caches, scope)
+        self.system.execute(query, engine, &self.rules, &self.caches, Scope::Store)
     }
 }
 

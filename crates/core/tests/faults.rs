@@ -1,7 +1,7 @@
 //! Facade-level fault-injection acceptance test (feature `faults`).
 //!
 //! The contract a serving tier builds on: a batch submitted through
-//! [`Trinit::run_batch`] survives any single worker panic — the
+//! [`Trinit::run_batch`] survives any single query's panic — the
 //! poisoned query's slot carries a typed [`ExecError::WorkerPanicked`],
 //! every other query completes with its normal answers, and the process
 //! never aborts.
@@ -22,68 +22,40 @@ fn tiny_sharded_system(shards: usize) -> Trinit {
 }
 
 #[test]
-fn run_batch_isolates_a_single_worker_panic() {
-    let sys = tiny_sharded_system(4);
+fn run_batch_isolates_a_single_query_panic() {
     let texts = [
         "?x type person LIMIT 4",
         "?x type university LIMIT 3",
         "?x type city LIMIT 5",
     ];
-    let queries: Vec<Query> = texts.iter().map(|t| sys.parse(t).unwrap()).collect();
-    let sequential: Vec<_> = texts
-        .iter()
-        .map(|t| sys.query(t).unwrap().answers)
-        .collect();
-
-    // Three queries < four workers routes through the stealing
-    // scheduler; panic query 1's seed task on shard 0.
-    let victim = 1;
-    let _scope = FaultScope::install(FaultPlan {
-        seed_panics: vec![(victim, 0)],
-        ..FaultPlan::default()
-    });
-    let batch = sys.run_batch(queries, Engine::IncrementalTopK);
-    assert_eq!(batch.len(), texts.len());
-    for (qi, outcome) in batch.iter().enumerate() {
-        if qi == victim {
-            let err = outcome.as_ref().expect_err("victim query must error");
-            let ExecError::WorkerPanicked { context, payload } = err;
-            assert!(context.contains("shard 0"), "context was: {context}");
-            assert!(payload.contains("injected fault"), "payload was: {payload}");
-        } else {
-            let outcome = outcome.as_ref().expect("bystander query must complete");
-            assert_eq!(outcome.answers.len(), sequential[qi].len());
-            for (x, y) in outcome.answers.iter().zip(&sequential[qi]) {
-                assert!((x.score - y.score).abs() < 1e-9);
+    for shards in [1, 2, 4] {
+        let sys = tiny_sharded_system(shards);
+        let queries: Vec<Query> = texts.iter().map(|t| sys.parse(t).unwrap()).collect();
+        let sequential: Vec<_> = texts
+            .iter()
+            .map(|t| sys.query(t).unwrap().answers)
+            .collect();
+        let victim = 1;
+        let _scope = FaultScope::install(FaultPlan {
+            query_panics: vec![victim],
+            ..FaultPlan::default()
+        });
+        let batch = sys.run_batch(queries, Engine::IncrementalTopK);
+        assert_eq!(batch.len(), texts.len());
+        for (qi, outcome) in batch.iter().enumerate() {
+            if qi == victim {
+                let err = outcome.as_ref().expect_err("victim query must error");
+                let ExecError::WorkerPanicked { context, payload } = err;
+                assert_eq!(context, "batch query 1", "shards={shards}");
+                assert!(payload.contains("injected fault"), "payload was: {payload}");
+            } else {
+                let outcome = outcome.as_ref().expect("bystander query must complete");
+                assert_eq!(outcome.answers.len(), sequential[qi].len());
+                for (x, y) in outcome.answers.iter().zip(&sequential[qi]) {
+                    assert!((x.score - y.score).abs() < 1e-9);
+                }
             }
         }
-    }
-}
-
-#[test]
-fn fixed_pool_batches_also_isolate_panics() {
-    let sys = tiny_sharded_system(2);
-    // At least as many queries as workers routes through the fixed
-    // pool; its per-query catch_unwind provides the same isolation.
-    let texts = [
-        "?x type person LIMIT 4",
-        "?x type university LIMIT 3",
-        "?x type city LIMIT 5",
-    ];
-    let queries: Vec<Query> = texts.iter().map(|t| sys.parse(t).unwrap()).collect();
-    let victim = 2;
-    let _scope = FaultScope::install(FaultPlan {
-        merge_panics: vec![victim],
-        ..FaultPlan::default()
-    });
-    let batch = sys.run_batch_stealing(queries, Engine::IncrementalTopK, 2);
-    let err = batch[victim].as_ref().expect_err("victim query must error");
-    let ExecError::WorkerPanicked { context, .. } = err;
-    assert!(context.contains("merge phase"), "context was: {context}");
-    for (qi, outcome) in batch.iter().enumerate() {
-        if qi != victim {
-            let outcome = outcome.as_ref().expect("bystander query must complete");
-            assert!(!outcome.answers.is_empty(), "query {qi} lost its answers");
-        }
+        assert_eq!(sys.registry().get(trinit_core::Counter::QueryFailures), 1);
     }
 }

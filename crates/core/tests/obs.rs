@@ -135,7 +135,7 @@ fn metrics_snapshot_serializes_counters_and_quantiles() {
 }
 
 #[test]
-fn sharded_paths_trace_seed_merge_and_batches() {
+fn sharded_paths_trace_merge_and_batches() {
     let sys = Trinit::from_sharded_parts(
         ShardedStore::build(kg_builder(FACTS), 3),
         trinit_core::relax::RuleSet::new(),
@@ -147,12 +147,11 @@ fn sharded_paths_trace_seed_merge_and_batches() {
     assert_eq!(trace.stage_count(Stage::Merge), 1);
     assert_eq!(
         trace.stage_count(Stage::SeedTask),
-        3,
-        "one seed span per shard: {trace:?}"
+        0,
+        "no seed phase: {trace:?}"
     );
 
-    // The work-stealing batch path observes each query and carries its
-    // merged trace (queries < workers routes through the stealer).
+    // The batch pool observes each query and carries its trace.
     let queries: Vec<_> = (0..2)
         .map(|_| sys.parse("?p likes tea LIMIT 10").unwrap())
         .collect();
@@ -162,7 +161,7 @@ fn sharded_paths_trace_seed_merge_and_batches() {
     for r in &results {
         let out = r.as_ref().expect("batch slot completes");
         assert!(!out.trace().is_empty(), "batch outcomes carry traces");
-        assert_eq!(out.trace().stage_count(Stage::SeedTask), 3);
+        assert_eq!(out.trace().stage_count(Stage::Merge), 1);
         assert_eq!(out.trace().dropped, 0);
     }
     assert_eq!(sys.registry().get(Counter::Queries), before + 2);
@@ -216,7 +215,7 @@ fn dropped_sessions_fold_cache_traffic_into_the_registry() {
 }
 
 #[test]
-fn sharded_session_seeded_runs_preserve_traces() {
+fn sharded_session_runs_preserve_traces() {
     let sys = Trinit::from_sharded_parts(
         ShardedStore::build(kg_builder(FACTS), 2),
         trinit_core::relax::RuleSet::new(),
@@ -224,6 +223,6 @@ fn sharded_session_seeded_runs_preserve_traces() {
     let session = Session::new(&sys);
     let q = sys.parse("?p likes tea LIMIT 10").unwrap();
     let out = session.run(q, Engine::IncrementalTopK);
-    assert_eq!(out.trace().stage_count(Stage::SeedTask), 2);
+    assert_eq!(out.trace().stage_count(Stage::SeedTask), 0);
     assert_eq!(out.trace().stage_count(Stage::Merge), 1);
 }

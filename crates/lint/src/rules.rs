@@ -61,7 +61,6 @@ fn is_hot_path(rel: &str) -> bool {
         || matches!(
             rel,
             "crates/shard/src/exec.rs"
-                | "crates/shard/src/schedule.rs"
                 | "crates/shard/src/store.rs"
                 | "crates/xkg/src/posting.rs"
                 | "crates/xkg/src/segment.rs"

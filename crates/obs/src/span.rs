@@ -4,9 +4,8 @@
 //! a small detail word, and monotonic-clock start/duration in
 //! nanoseconds (anchored to a process-wide epoch so spans from
 //! different threads order on one timeline). A [`TraceRecorder`] is a
-//! bounded ring buffer of spans owned by one execution path: workers
-//! record locally with no locks and no allocation past the ring's
-//! growth, and recorders merge at join points. [`TraceRecorder::off`]
+//! bounded ring buffer of spans owned by one query: it records with no
+//! locks and no allocation past the ring's growth. [`TraceRecorder::off`]
 //! is the zero-overhead disabled mode — every record call reduces to
 //! one branch and the clock is never read.
 
@@ -24,7 +23,7 @@ pub fn now_ns() -> u64 {
 /// Engine stage a span is attributed to.
 ///
 /// Span semantics by stage:
-/// - `Query`, `Variant`, `SeedTask`, `Merge`, `Ingest`, `Compact` are
+/// - `Query`, `Variant`, `Merge`, `Ingest`, `Compact` are
 ///   enter/exit spans: `dur_ns` is the exclusive wall time of that
 ///   unit of work.
 /// - `JoinRound` and `Election` are *windowed batches*: to keep clock
@@ -39,7 +38,8 @@ pub enum Stage {
     Query,
     /// One relaxation variant's pipeline run (`detail` = variant index).
     Variant,
-    /// One per-shard seed task (`detail` = shard index).
+    /// Never recorded: there is no seed phase. Kept only because the
+    /// benchmark harness still reads it.
     SeedTask,
     /// Cross-shard merge election window (`detail` = elections).
     Election,
@@ -49,7 +49,7 @@ pub enum Stage {
     Threshold,
     /// Budget / approximation cutoff (point event).
     Cutoff,
-    /// Cross-shard merge phase of a sharded query.
+    /// Cross-shard merge of a sharded query.
     Merge,
     /// One delta ingest batch (`detail` = triples ingested).
     Ingest,
@@ -115,8 +115,7 @@ pub struct SpanRecord {
 ///
 /// While under capacity, spans append; at capacity the oldest span is
 /// overwritten and `dropped` increments, so `len() + dropped()` is
-/// always the total number of spans ever recorded — the conservation
-/// law the scheduler merge-at-join tests pin.
+/// always the total number of spans ever recorded.
 #[derive(Debug, Clone)]
 pub struct TraceRecorder {
     enabled: bool,
@@ -153,16 +152,6 @@ impl TraceRecorder {
     /// True when recording.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// An empty recorder with the same mode/capacity — hand one to
-    /// each worker, then [`merge`](TraceRecorder::merge) at join.
-    pub fn fork(&self) -> TraceRecorder {
-        if self.enabled {
-            TraceRecorder::with_capacity(self.capacity)
-        } else {
-            TraceRecorder::off()
-        }
     }
 
     /// Span start timestamp: `now_ns()` when enabled, 0 when off.
@@ -225,24 +214,9 @@ impl TraceRecorder {
         self.dropped
     }
 
-    /// Total spans ever recorded (`len() + dropped()`): conserved by
-    /// [`merge`](TraceRecorder::merge).
+    /// Total spans ever recorded (`len() + dropped()`).
     pub fn recorded(&self) -> u64 {
         self.spans.len() as u64 + self.dropped
-    }
-
-    /// Fold a worker-local recorder into this one, oldest first.
-    /// Conserves `recorded()`: afterwards `self.recorded()` equals the
-    /// sum of both sides' prior totals (disabled recorders conserve
-    /// nothing by design).
-    pub fn merge(&mut self, other: &TraceRecorder) {
-        if !self.enabled {
-            return;
-        }
-        for span in other.ordered() {
-            self.push(*span);
-        }
-        self.dropped += other.dropped;
     }
 
     /// Held spans, oldest first (ring rotation applied).
@@ -350,28 +324,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_conserves_recorded_total() {
-        let mut a = TraceRecorder::with_capacity(8);
-        let mut b = a.fork();
-        for i in 0..5u32 {
-            a.record_span(SpanRecord { stage: Stage::SeedTask, detail: i, start_ns: 10 + i as u64, dur_ns: 2 });
-        }
-        for i in 0..12u32 {
-            b.record_span(SpanRecord { stage: Stage::JoinRound, detail: i, start_ns: i as u64, dur_ns: 1 });
-        }
-        let expect = a.recorded() + b.recorded();
-        a.merge(&b);
-        assert_eq!(a.recorded(), expect);
-        let t = a.finish();
-        assert_eq!(t.recorded(), expect);
-    }
-
-    #[test]
     fn finish_orders_spans_by_start() {
         let mut a = TraceRecorder::with_capacity(16);
         a.record_span(SpanRecord { stage: Stage::Merge, detail: 0, start_ns: 50, dur_ns: 1 });
-        a.record_span(SpanRecord { stage: Stage::SeedTask, detail: 0, start_ns: 10, dur_ns: 1 });
-        a.record_span(SpanRecord { stage: Stage::SeedTask, detail: 1, start_ns: 30, dur_ns: 1 });
+        a.record_span(SpanRecord { stage: Stage::Variant, detail: 0, start_ns: 10, dur_ns: 1 });
+        a.record_span(SpanRecord { stage: Stage::Variant, detail: 1, start_ns: 30, dur_ns: 1 });
         let t = a.finish();
         let starts: Vec<u64> = t.spans.iter().map(|s| s.start_ns).collect();
         assert_eq!(starts, vec![10, 30, 50]);

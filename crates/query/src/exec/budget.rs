@@ -5,10 +5,9 @@
 //! just fast-on-average processing. This module is the admission-control
 //! substrate for that serving tier: an [`ExecBudget`] (wall-clock
 //! deadline, pull budget, answer-materialization budget) rides inside
-//! [`TopkConfig`], a shared [`BudgetTracker`] observes consumption
-//! across every phase of one query (monolithic run, per-shard seed
-//! tasks, the cross-shard merge), and the [`ThresholdPolicy`] checks it
-//! O(1) per pull round through a [`Governor`] handle.
+//! [`TopkConfig`], one [`BudgetTracker`] per query observes consumption
+//! across every `execute` call the query makes, and the
+//! [`ThresholdPolicy`] checks it O(1) per pull round.
 //!
 //! Two mechanisms keep budgeted runs *useful* rather than merely
 //! truncated:
@@ -34,8 +33,8 @@
 //! shards.
 //!
 //! Panic isolation lives on the same robustness surface:
-//! [`ExecError`] is the typed per-query failure the batch schedulers
-//! return when a worker panics instead of aborting the whole batch.
+//! [`ExecError`] is the typed per-query failure the batch pool returns
+//! when a query panics instead of aborting the whole batch.
 //!
 //! [`TopkConfig`]: crate::exec::drive::TopkConfig
 //! [`ThresholdPolicy`]: crate::exec::threshold::ThresholdPolicy
@@ -64,9 +63,9 @@ pub struct DegradationRung {
 /// Execution budget carried by
 /// [`TopkConfig::budget`](crate::exec::drive::TopkConfig::budget).
 ///
-/// All limits apply to one *query* as a whole: a sharded execution's
-/// seed tasks and merge phase draw down the same budget (the pull
-/// counter is shared across threads). The default is unlimited.
+/// All limits apply to one *query* as a whole: a delta query's
+/// restricted passes draw down the same budget. The default is
+/// unlimited.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecBudget {
     /// Wall-clock deadline for the whole query, measured from engine
@@ -74,7 +73,7 @@ pub struct ExecBudget {
     /// set).
     pub deadline: Option<Duration>,
     /// Maximum sorted-access pulls ([`ExecMetrics::pulls`] currency)
-    /// across every phase of the query.
+    /// across every pass of the query.
     ///
     /// [`ExecMetrics::pulls`]: crate::exec::ExecMetrics::pulls
     pub max_pulls: Option<usize>,
@@ -169,14 +168,14 @@ impl Completeness {
     }
 }
 
-/// Typed per-query execution failure. Batch schedulers isolate a
-/// panicking worker to the query it was serving and return this instead
-/// of aborting the whole batch.
+/// Typed per-query execution failure. The batch pool isolates a
+/// panicking query to its own slot and returns this instead of
+/// aborting the whole batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// A worker thread panicked while executing this query's work.
     WorkerPanicked {
-        /// Which unit of work panicked (e.g. `"seed task (q=2, shard=1)"`).
+        /// Which unit of work panicked (e.g. `"batch query 2"`).
         context: String,
         /// The panic payload, stringified.
         payload: String,
@@ -219,14 +218,14 @@ pub struct Directive {
     pub theta: f64,
     /// A hard budget cutoff, if one fired.
     pub cutoff: Option<CutoffReason>,
-    /// Ladder rungs climbed by this call (0 when another phase already
+    /// Ladder rungs climbed by this call (0 when an earlier pass already
     /// escalated past the target rung).
     pub escalations: usize,
 }
 
 /// Shared consumption state of one query's budget — one tracker per
-/// query, observed by every phase (monolithic run, per-shard seed
-/// tasks, the cross-shard merge) across threads.
+/// query, lent to every `execute` call the query makes (one run, or
+/// one restricted pass per pattern of a delta query).
 ///
 /// The tracker also accumulates what the run's [`Completeness`] must
 /// report: whether a hard cutoff truncated the run (and the tightest
@@ -244,20 +243,19 @@ pub struct BudgetTracker {
     base_theta: f64,
     /// Any limit or ladder present — the fast path branches on this.
     governed: bool,
-    /// Pulls across every phase (only counted when governed).
+    /// Pulls across every pass (only counted when governed).
     pulls: AtomicUsize,
     /// Highest ladder rung reached (0 = base configuration).
     rung: AtomicUsize,
     /// First cutoff reason recorded (0 = none; 1/2/3 = Deadline /
-    /// Pulls / Answers). First-wins CAS keeps all phases agreeing.
+    /// Pulls / Answers). First-wins CAS keeps all passes agreeing.
     cutoff: AtomicUsize,
-    /// A *primary* (non-advisory) phase was actually truncated.
+    /// The run was actually truncated.
     truncated: AtomicBool,
-    /// An ε / θ retirement fired in a primary phase.
+    /// An ε / θ retirement fired.
     approx_fired: AtomicBool,
     /// Max score bound (log space, f64 bits) recorded over every
-    /// primary-phase truncation: every forfeited answer scores at or
-    /// below it.
+    /// truncation: every forfeited answer scores at or below it.
     bound_bits: AtomicU64,
 }
 
@@ -285,7 +283,7 @@ impl BudgetTracker {
         }
     }
 
-    /// One sorted-access pull was performed (any phase, any thread).
+    /// One sorted-access pull was performed (any pass).
     #[inline]
     pub fn on_pull(&self) {
         if self.governed {
@@ -355,8 +353,8 @@ impl BudgetTracker {
             }
         }
         if let Some(reason) = hit {
-            // First cutoff wins; later phases re-read the recorded one
-            // so every phase reports the same reason.
+            // First cutoff wins; later passes re-read the recorded one
+            // so every pass reports the same reason.
             let code = cutoff_code(reason);
             let recorded = match self.cutoff.compare_exchange(
                 0,
@@ -402,15 +400,15 @@ impl BudgetTracker {
         }
     }
 
-    /// Records an ε / θ retirement in a primary phase: the result is at
-    /// best [`Completeness::Approx`].
-    fn note_approx(&self) {
+    /// Records an ε / θ retirement: the result is at best
+    /// [`Completeness::Approx`].
+    pub(crate) fn note_approx(&self) {
         self.approx_fired.store(true, Ordering::Relaxed);
     }
 
-    /// Records a primary-phase truncation with a sound log-space bound
-    /// on everything the cutoff forfeited.
-    fn note_truncated(&self, bound_log: f64) {
+    /// Records a truncation with a sound log-space bound on everything
+    /// the cutoff forfeited.
+    pub(crate) fn note_truncated(&self, bound_log: f64) {
         self.truncated.store(true, Ordering::Relaxed);
         let mut cur = self.bound_bits.load(Ordering::Relaxed);
         while f64::from_bits(cur) < bound_log {
@@ -462,74 +460,6 @@ fn cutoff_reason(code: usize) -> CutoffReason {
         1 => CutoffReason::Deadline,
         3 => CutoffReason::Answers,
         _ => CutoffReason::Pulls,
-    }
-}
-
-/// A phase's handle on a query's [`BudgetTracker`]: `Copy`, threaded
-/// through the pipeline to the [`ThresholdPolicy`].
-///
-/// *Advisory* governors (per-shard seed tasks) observe the budget —
-/// they consume pulls, trigger escalations, and stop on cutoffs — but
-/// never mark the run truncated or approximate: seeding is a
-/// work-placement warm-start, and the merge phase alone is complete, so
-/// only a *primary* phase's retirements can make the final result
-/// non-exact.
-///
-/// [`ThresholdPolicy`]: crate::exec::threshold::ThresholdPolicy
-#[derive(Debug, Clone, Copy)]
-pub struct Governor<'a> {
-    tracker: &'a BudgetTracker,
-    advisory: bool,
-}
-
-impl<'a> Governor<'a> {
-    /// The governor for a phase whose cutoffs/retirements determine the
-    /// run's completeness (the monolithic run, the cross-shard merge).
-    pub fn primary(tracker: &'a BudgetTracker) -> Governor<'a> {
-        Governor {
-            tracker,
-            advisory: false,
-        }
-    }
-
-    /// The governor for an advisory phase (per-shard seed tasks).
-    pub fn advisory(tracker: &'a BudgetTracker) -> Governor<'a> {
-        Governor {
-            tracker,
-            advisory: true,
-        }
-    }
-
-    /// The underlying tracker.
-    pub fn tracker(&self) -> &'a BudgetTracker {
-        self.tracker
-    }
-
-    #[inline]
-    pub(crate) fn is_governed(&self) -> bool {
-        self.tracker.is_governed()
-    }
-
-    #[inline]
-    pub(crate) fn on_pull(&self) {
-        self.tracker.on_pull();
-    }
-
-    #[inline]
-    pub(crate) fn directive(&self, answers_now: usize) -> Directive {
-        self.tracker.directive(answers_now)
-    }
-
-    pub(crate) fn note_approx(&self) {
-        if !self.advisory {
-            self.tracker.note_approx();
-        }
-    }
-
-    pub(crate) fn note_truncated(&self, bound_log: f64) {
-        if !self.advisory {
-            self.tracker.note_truncated(bound_log);
-        }
     }
 }
 
@@ -692,30 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn advisory_governor_never_marks_the_run_non_exact() {
-        let cfg = cfg_with(ExecBudget {
-            max_pulls: Some(1),
-            ..ExecBudget::default()
-        });
-        let tracker = BudgetTracker::new(&cfg);
-        let advisory = Governor::advisory(&tracker);
-        advisory.note_truncated(0.0);
-        advisory.note_approx();
-        assert!(tracker.completeness(&[]).is_exact());
-        let primary = Governor::primary(&tracker);
-        primary.note_approx();
-        assert!(matches!(
-            tracker.completeness(&[]),
-            Completeness::Approx { .. }
-        ));
-        primary.note_truncated(0.0);
-        assert!(matches!(
-            tracker.completeness(&[]),
-            Completeness::Truncated { .. }
-        ));
-    }
-
-    #[test]
     fn describe_panic_covers_common_payloads() {
         let s: Box<dyn std::any::Any + Send> = Box::new("static str");
         assert_eq!(describe_panic(s.as_ref()), "static str");
@@ -728,12 +634,12 @@ mod tests {
     #[test]
     fn exec_error_displays_context_and_payload() {
         let e = ExecError::WorkerPanicked {
-            context: "seed task (q=2, shard=1)".into(),
+            context: "batch query 2".into(),
             payload: "boom".into(),
         };
         assert_eq!(
             e.to_string(),
-            "worker panicked in seed task (q=2, shard=1): boom"
+            "worker panicked in batch query 2: boom"
         );
     }
 }

@@ -15,13 +15,12 @@
 //!   a base plus its delta, N shards plus their delta views (see
 //!   [`crate::exec::segmented`]);
 //! * the [`ExecRequest`] says *what the call is* — query, rules,
-//!   configuration, store-level caches, seed answers, restriction;
-//! * the [`ExecCtx`] carries the per-query budget [`Governor`] and span
+//!   configuration, store-level caches, restriction;
+//! * the [`ExecCtx`] carries the per-query [`BudgetTracker`] and span
 //!   recorder. Their **owner is the caller** that started the query —
 //!   the engine facade, a sharded executor, or the [`run`] /
 //!   [`run_governed`] conveniences below — because one query may span
-//!   several `execute` calls (per-shard seed tasks under an advisory
-//!   governor, then the merge; one restricted pass per pattern of a
+//!   several `execute` calls (one restricted pass per pattern of a
 //!   delta query) that must draw down one budget and land in one trace.
 //!   The owner records the enclosing [`Stage::Query`] span and finishes
 //!   the recorder into [`ExecOutcome::trace`].
@@ -75,7 +74,7 @@ use trinit_xkg::XkgStore;
 
 use crate::answer::{Answer, AnswerCollector};
 use crate::ast::Query;
-use crate::exec::budget::{BudgetTracker, Completeness, ExecBudget, Governor};
+use crate::exec::budget::{BudgetTracker, Completeness, ExecBudget};
 use crate::exec::join::{self, JoinScratch, SeenItem, Stream};
 use crate::exec::merge::{AltTable, IncrementalMerge, RankSource, FRESH_VARS_PER_STREAM};
 use crate::exec::segmented::StoreView;
@@ -242,11 +241,6 @@ pub struct ExecRequest<'a> {
     /// trailing slices — freshly built delta segments, whose lists
     /// change every ingest — run uncached. Empty: no store-level tier.
     pub caches: &'a [SharedPostingCache],
-    /// Already-known answers offered to the collector before any
-    /// posting list is opened (a sharded executor passes what its
-    /// per-shard seed runs found, so the threshold starts tight). Seeds
-    /// must carry true (globally normalized) scores and global ids.
-    pub seed: Vec<Answer>,
     /// `Some((j, range))` confines query pattern `j`'s source to the
     /// slice sub-range `range` — the semi-naive delta-query seam: a
     /// pattern restricted to the delta slices matches only newly
@@ -258,14 +252,13 @@ pub struct ExecRequest<'a> {
 }
 
 impl<'a> ExecRequest<'a> {
-    /// A cold, unseeded, unrestricted request.
+    /// A cold, unrestricted request.
     pub fn new(query: &'a Query, rules: &'a RuleSet, cfg: &'a TopkConfig) -> ExecRequest<'a> {
         ExecRequest {
             query,
             rules,
             cfg,
             caches: &[],
-            seed: Vec::new(),
             restrict: None,
         }
     }
@@ -274,11 +267,9 @@ impl<'a> ExecRequest<'a> {
 /// The per-query state one or more [`execute`] calls share; owned by
 /// whoever started the query (see the module docs).
 pub struct ExecCtx<'a> {
-    /// Budget governance over the query's shared [`BudgetTracker`]:
-    /// primary for the phase that determines the run's
-    /// [`Completeness`], advisory for seed phases that only draw the
-    /// budget down.
-    pub governor: Governor<'a>,
+    /// The query's budget: every pass draws it down, and the run's
+    /// [`Completeness`] is read off it.
+    pub tracker: &'a BudgetTracker,
     /// Receives the run's stage spans (variant spans, pull and election
     /// windows, threshold/cutoff events); [`TraceRecorder::off`] for an
     /// uninstrumented run.
@@ -299,7 +290,7 @@ pub struct ExecOutcome {
     /// one-slice view, where the aggregate *is* the slice's work.
     pub per_shard: Vec<ExecMetrics>,
     /// What the ranking is guaranteed to be relative to the exact
-    /// engine's, read off the governor's tracker:
+    /// engine's, read off the query's tracker:
     /// [`Completeness::Exact`] unless a cutoff or an ε / θ retirement
     /// actually fired.
     pub completeness: Completeness,
@@ -326,7 +317,7 @@ pub fn execute(view: &StoreView<'_>, request: ExecRequest<'_>, ctx: ExecCtx<'_>)
     if let Some((_, range)) = &restrict {
         assert!(range.end <= n, "restricted slice range out of bounds");
     }
-    let tracker = ctx.governor.tracker();
+    let tracker = ctx.tracker;
     let mut metrics = ExecMetrics::default();
     let sources = Sources::new(*view, rules, cfg, caches);
     let mut per_shard = Vec::new();
@@ -429,7 +420,7 @@ pub fn run(
 ) -> (Vec<Answer>, ExecMetrics) {
     let tracker = BudgetTracker::new(cfg);
     let ctx = ExecCtx {
-        governor: Governor::primary(&tracker),
+        tracker: &tracker,
         recorder: &mut TraceRecorder::off(),
     };
     let out = execute(&StoreView::single(store), ExecRequest::new(query, rules, cfg), ctx);
@@ -455,7 +446,7 @@ pub fn run_governed(
         ..ExecRequest::new(query, rules, cfg)
     };
     let ctx = ExecCtx {
-        governor: Governor::primary(&tracker),
+        tracker: &tracker,
         recorder: &mut recorder,
     };
     let mut out = execute(&StoreView::single(store), request, ctx);
@@ -476,17 +467,14 @@ fn run_pipeline<M: RankSource>(
     metrics: &mut ExecMetrics,
     mut source_for: impl FnMut(&QPattern, u16, usize) -> M,
 ) -> Vec<Answer> {
-    let ExecRequest { query, rules, cfg, seed, restrict, .. } = request;
-    let ExecCtx { governor, recorder } = ctx;
+    let ExecRequest { query, rules, cfg, restrict, .. } = request;
+    let ExecCtx { tracker, recorder } = ctx;
     let projection = query.effective_projection();
     let k = query.k.max(1);
     // Tracked collector: the k-th score the threshold reads on every
     // pull is maintained persistently on insert (O(1), zero allocation
     // per pull) instead of re-selected from all candidate scores.
     let mut collector = AnswerCollector::tracking(k);
-    for answer in seed {
-        collector.offer(answer);
-    }
     let variants = structural_variants(Some(view.oracle), &query.patterns, rules, cfg);
     let mut cut = false;
     for (variant_idx, (patterns, variant_weight, variant_trace)) in
@@ -497,7 +485,7 @@ fn run_pipeline<M: RankSource>(
             // variants are forfeited wholesale. Their answers score at
             // most the variant weight (stream probabilities are ≤ 1),
             // which keeps the truncation bound sound.
-            governor.note_truncated(ln_weight(variant_weight));
+            tracker.note_truncated(ln_weight(variant_weight));
             continue;
         }
         if restrict.as_ref().is_some_and(|(j, _)| *j >= patterns.len()) {
@@ -520,7 +508,7 @@ fn run_pipeline<M: RankSource>(
             n_vars,
             &mut collector,
             metrics,
-            governor,
+            tracker,
             recorder,
         );
         for stream in &mut streams {
@@ -630,10 +618,10 @@ pub(crate) fn rank_join<M: RankSource>(
     n_vars: usize,
     collector: &mut AnswerCollector,
     metrics: &mut ExecMetrics,
-    governor: Governor<'_>,
+    tracker: &BudgetTracker,
     recorder: &mut TraceRecorder,
 ) -> bool {
-    let mut policy = ThresholdPolicy::new(cfg, k, streams.len(), governor);
+    let mut policy = ThresholdPolicy::new(cfg, k, streams.len(), tracker);
     match policy.admit_variant(streams, variant_log, collector, metrics) {
         Admission::Admit => {}
         Admission::Skip => return true,
@@ -656,7 +644,7 @@ pub(crate) fn rank_join<M: RankSource>(
         .max_by(|&a, &b| streams[a].frontier_log().total_cmp(&streams[b].frontier_log()))
     {
         metrics.pulls += 1;
-        governor.on_pull();
+        tracker.on_pull();
         window.tick(recorder);
         #[cfg(feature = "faults")]
         crate::exec::faults::on_pull();

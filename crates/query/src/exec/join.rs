@@ -675,7 +675,7 @@ pub(crate) fn join_with_others<M: RankSource>(
 mod tests {
     use super::*;
     use crate::ast::{Query, QueryBuilder};
-    use crate::exec::budget::{BudgetTracker, Completeness, Governor};
+    use crate::exec::budget::{BudgetTracker, Completeness};
     use crate::exec::drive::{self, Sources, TopkConfig};
     use crate::exec::segmented::StoreView;
     use crate::exec::testfix::{self, assert_same_answers, reference, store};
@@ -841,7 +841,7 @@ mod tests {
             n_vars,
             &mut collector,
             &mut metrics,
-            Governor::primary(&tracker),
+            &tracker,
             &mut TraceRecorder::off(),
         );
         let answers = collector.into_top_k(query.k);

@@ -130,9 +130,8 @@ pub struct ExecMetrics {
     /// ([`crate::exec::drive::TopkConfig::epsilon`]). Always 0 in exact
     /// (ε = 0) runs.
     pub approx_cutoffs: usize,
-    /// Per-shard seed tasks of this query executed by a worker other
-    /// than the query's owning worker under the work-stealing batch
-    /// scheduler (0 outside stolen batch execution).
+    /// Always 0: there is no seed phase. Kept only because the
+    /// benchmark harness still reads it.
     pub seed_steals: usize,
     /// Hard budget cutoffs fired by the wall-clock deadline
     /// ([`crate::exec::budget::ExecBudget::deadline`]).
@@ -145,9 +144,8 @@ pub struct ExecMetrics {
     /// ([`crate::exec::budget::ExecBudget::ladder`]): escalations of
     /// the effective ε / θ inside the soft budget region.
     pub degradation_steps: usize,
-    /// Seed tasks pruned by adaptive seeding under the work-stealing
-    /// batch scheduler: subject-bound queries seed only their subject's
-    /// home shard, and the skipped tasks are counted here.
+    /// Always 0: there is no seed phase. Kept only because the
+    /// benchmark harness still reads it.
     pub seed_skips: usize,
     /// Bound lookups issued by restricted streams, one per key probed.
     pub probe_lookups: usize,

@@ -7,9 +7,9 @@
 //! store. Besides the slices, a view carries the cross-slice context
 //! the pipeline needs:
 //!
-//! * an origin — the first slice's base in the view's global triple-id
-//!   space; each later slice starts where its predecessor ends, so every
-//!   emitted and derivation id is global;
+//! * a global triple-id space — the first slice starts at 0 and each
+//!   later slice where its predecessor ends, so every emitted and
+//!   derivation id is global;
 //! * [`TripleLookup`] — resolves those global ids during the join;
 //! * [`GlobalTotals`] — a pattern's matches split across slices (a
 //!   subject's matches split between its home shard's base and delta,
@@ -44,8 +44,6 @@ enum Slices<'a> {
 #[derive(Clone, Copy)]
 pub struct StoreView<'a> {
     slices: Slices<'a>,
-    /// The first slice's base in the global triple-id space.
-    origin: u32,
     pub(crate) lookup: &'a dyn TripleLookup,
     /// `None` only for [`StoreView::single`]: local totals are global.
     pub(crate) totals: Option<&'a dyn GlobalTotals>,
@@ -57,28 +55,26 @@ impl<'a> StoreView<'a> {
     pub fn single(store: &'a XkgStore) -> StoreView<'a> {
         StoreView {
             slices: Slices::One([store]),
-            origin: 0,
             lookup: store,
             totals: None,
             oracle: store,
         }
     }
 
-    /// `slices`, the first based at `origin` in the global id space and
-    /// each later one right after its predecessor, under `context`'s
-    /// lookup, totals and oracle.
+    /// `slices`, the first based at 0 in the global id space and each
+    /// later one right after its predecessor, under `context`'s lookup,
+    /// totals and oracle.
     ///
     /// # Panics
     ///
     /// Panics if `slices` is empty.
-    pub fn over<C>(slices: &'a [&'a XkgStore], origin: u32, context: &'a C) -> StoreView<'a>
+    pub fn over<C>(slices: &'a [&'a XkgStore], context: &'a C) -> StoreView<'a>
     where
         C: TripleLookup + GlobalTotals + ConditionOracle,
     {
         assert!(!slices.is_empty(), "at least one slice");
         StoreView {
             slices: Slices::Many(slices),
-            origin,
             lookup: context,
             totals: Some(context),
             oracle: context,
@@ -98,6 +94,6 @@ impl<'a> StoreView<'a> {
         let before: usize = self.slices()[..s].iter().map(|slice| slice.len()).sum();
         // The global id space is u32 by design; the store checks it at
         // construction.
-        self.origin + before as u32
+        before as u32
     }
 }

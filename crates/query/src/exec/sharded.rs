@@ -542,7 +542,7 @@ mod tests {
         ));
         let (cfg, context) = (TopkConfig::default(), UnionTotals(&slices));
         let refs: Vec<&XkgStore> = slices.iter().collect();
-        let sources = Sources::new(StoreView::over(&refs, 0, &context), &rules, &cfg, &[]);
+        let sources = Sources::new(StoreView::over(&refs, &context), &rules, &cfg, &[]);
         let pattern = QPattern::new(QTerm::Var(VarId(0)), QTerm::Term(p), QTerm::Var(VarId(1)));
         let slots = Rc::new(RefCell::new(vec![ExecMetrics::default(); 2]));
         let mut union = sources.union(&pattern, 8, 0..2, &slots);

@@ -93,7 +93,7 @@
 //!
 //! ## Budget governance
 //!
-//! The policy also carries the query's [`Governor`]: each round it
+//! The policy also carries the query's [`BudgetTracker`]: each round it
 //! consults [`BudgetTracker::directive`] — O(1), a single branch when
 //! the budget is unlimited — to pick up ladder-escalated effective
 //! ε / θ values and to observe hard cutoffs, which it converts into
@@ -103,10 +103,11 @@
 //! [`TopkConfig::epsilon`]: crate::exec::drive::TopkConfig::epsilon
 //! [`TopkConfig::theta`]: crate::exec::drive::TopkConfig::theta
 //! [`RankSource::remaining_mass`]: crate::exec::merge::RankSource::remaining_mass
+//! [`BudgetTracker`]: crate::exec::budget::BudgetTracker
 //! [`BudgetTracker::directive`]: crate::exec::budget::BudgetTracker::directive
 
 use crate::answer::AnswerCollector;
-use crate::exec::budget::{CutoffReason, Directive, Governor};
+use crate::exec::budget::{BudgetTracker, CutoffReason, Directive};
 use crate::exec::drive::TopkConfig;
 use crate::exec::join::Stream;
 use crate::exec::merge::RankSource;
@@ -146,8 +147,8 @@ pub(crate) enum Admission {
 /// buffers.
 pub(crate) struct ThresholdPolicy<'a> {
     tighten: bool,
-    /// The query's budget governor (shared tracker, phase role).
-    governor: Governor<'a>,
+    /// The query's budget tracker.
+    tracker: &'a BudgetTracker,
     /// Effective ε (probability space) after any ladder escalation.
     eff_eps: f64,
     /// `ln ε` — the approximate mode's forfeit tolerance in log space.
@@ -171,16 +172,16 @@ pub(crate) struct ThresholdPolicy<'a> {
 
 impl<'a> ThresholdPolicy<'a> {
     /// A policy for one variant with `n` streams, governed by the
-    /// query's budget tracker through `governor`.
+    /// query's budget `tracker`.
     pub(crate) fn new(
         cfg: &TopkConfig,
         k: usize,
         n: usize,
-        governor: Governor<'a>,
+        tracker: &'a BudgetTracker,
     ) -> ThresholdPolicy<'a> {
         ThresholdPolicy {
             tighten: cfg.tighten_threshold,
-            governor,
+            tracker,
             eff_eps: cfg.epsilon,
             ln_eps: ln_weight(cfg.epsilon),
             eff_theta: cfg.theta,
@@ -229,7 +230,7 @@ impl<'a> ThresholdPolicy<'a> {
     /// counts the cutoff) if the k-th collected answer already matches
     /// it (head-bound variant pruning, tightened mode) or if even the
     /// best possible answer is within the ε tolerance (approximate
-    /// mode); returns [`Admission::Stop`] when the budget governor
+    /// mode); returns [`Admission::Stop`] when the budget tracker
     /// reports a hard cutoff, recording the head bound as the sound
     /// forfeit envelope.
     pub(crate) fn admit_variant<M: RankSource>(
@@ -248,17 +249,17 @@ impl<'a> ThresholdPolicy<'a> {
         } else {
             None
         };
-        if kth.is_none() && self.ln_eps <= LOG_ZERO && !self.governor.is_governed() {
+        if kth.is_none() && self.ln_eps <= LOG_ZERO && !self.tracker.is_governed() {
             return Admission::Admit;
         }
         // Nothing is kept yet, so every contribution bound is a frontier.
         let bound: f64 = variant_log + self.prefix[streams.len()];
-        if self.governor.is_governed() {
-            let d = self.governor.directive(collector.len());
+        if self.tracker.is_governed() {
+            let d = self.tracker.directive(collector.len());
             if let Some(reason) = self.apply_directive(d, metrics) {
                 // Nothing of this variant was explored: the head bound
                 // caps everything it could have contributed.
-                self.governor.note_truncated(bound);
+                self.tracker.note_truncated(bound);
                 return Admission::Stop(reason);
             }
         }
@@ -270,7 +271,7 @@ impl<'a> ThresholdPolicy<'a> {
         }
         if self.ln_eps > LOG_ZERO && bound <= self.ln_eps {
             metrics.approx_cutoffs += 1;
-            self.governor.note_approx();
+            self.tracker.note_approx();
             return Admission::Skip;
         }
         Admission::Admit
@@ -338,8 +339,8 @@ impl<'a> ThresholdPolicy<'a> {
         // Exact termination is checked *after* the escalation refresh
         // but cutoffs are honored first, so a run is only labeled
         // truncated when the cutoff genuinely preempted termination.
-        if self.governor.is_governed() {
-            let d = self.governor.directive(collector.len());
+        if self.tracker.is_governed() {
+            let d = self.tracker.directive(collector.len());
             if let Some(reason) = self.apply_directive(d, metrics) {
                 if collector
                     .kth_score(self.k)
@@ -349,7 +350,7 @@ impl<'a> ThresholdPolicy<'a> {
                     // normally instead of reporting a truncation.
                     return RoundVerdict::Done;
                 }
-                self.governor.note_truncated(threshold);
+                self.tracker.note_truncated(threshold);
                 return RoundVerdict::Cutoff(reason);
             }
         }
@@ -364,7 +365,7 @@ impl<'a> ThresholdPolicy<'a> {
             // with the exact test above and never fires separately.
             if self.eff_theta > 0.0 && kth >= threshold + self.ln_keep {
                 metrics.approx_cutoffs += 1;
-                self.governor.note_approx();
+                self.tracker.note_approx();
                 return RoundVerdict::Done;
             }
             if self.tighten && n > 1 {
@@ -410,7 +411,7 @@ impl<'a> ThresholdPolicy<'a> {
                 if variant_log + mass_log + self.others(i) <= self.ln_eps {
                     stream.capped = true;
                     metrics.approx_cutoffs += 1;
-                    self.governor.note_approx();
+                    self.tracker.note_approx();
                     if stream.barren() {
                         return RoundVerdict::DeadVariant;
                     }

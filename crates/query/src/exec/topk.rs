@@ -22,7 +22,7 @@
 
 pub use crate::exec::budget::{
     describe_panic, BudgetTracker, Completeness, CutoffReason, DegradationRung, ExecBudget,
-    ExecError, Governor,
+    ExecError,
 };
 pub use crate::exec::drive::{
     execute, run, run_governed, ExecCtx, ExecOutcome, ExecRequest, TopkConfig,

@@ -21,7 +21,7 @@ pub use answer::{Answer, AnswerCollector, Bindings, Derivation};
 pub use ast::{Query, QueryBuilder};
 pub use exec::budget::{
     describe_panic, BudgetTracker, Completeness, CutoffReason, DegradationRung, ExecBudget,
-    ExecError, Governor,
+    ExecError,
 };
 #[cfg(feature = "faults")]
 pub use exec::faults;

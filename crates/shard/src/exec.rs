@@ -1,77 +1,31 @@
-//! The sharded executor: per-shard seeding on scoped threads, the
-//! cross-shard merge phase, and the batch query pool.
+//! The sharded executor and the batch query pool.
 //!
-//! Both phases are calls into the engine's one entry point,
-//! [`execute`]: a seed task is `execute` over a one-slice view of its
-//! shard under an advisory governor, the merge phase is `execute` over
-//! every shard plus the live delta views, pre-seeded with what the seed
-//! tasks found. Whoever starts the query ([`ShardedExecutor::run`], the
-//! work-stealing scheduler, or the engine facade) owns its budget
-//! tracker and recorder and lends them to both phases.
+//! A sharded query is one call into the engine's one entry point,
+//! [`execute`], over every shard plus the live delta views. Whoever
+//! starts the query ([`ShardedExecutor::run`] or the engine facade)
+//! owns its budget tracker and recorder and lends them to that call. A
+//! batch runs whole queries on the [`QueryPool`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use trinit_obs::{Stage, TraceRecorder};
+use trinit_obs::Stage;
 use trinit_query::exec::topk::{execute, ExecCtx, ExecOutcome, ExecRequest, StoreView, TopkConfig};
-use trinit_query::{
-    describe_panic, Answer, BudgetTracker, ExecError, ExecMetrics, Governor, Query,
-    SharedPostingCache,
-};
+use trinit_query::{describe_panic, BudgetTracker, ExecError, Query, SharedPostingCache};
 use trinit_relax::RuleSet;
 
 use crate::store::ShardedStore;
 
-/// How [`ShardedExecutor::run`] seeds the global merge with per-shard
-/// answers before the cross-shard phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedMode {
-    /// Run every shard's local top-k on its own scoped thread — the
-    /// latency-oriented mode: the seed phase takes one shard's time
-    /// instead of the sum, and the merge phase starts with a tight
-    /// k-th score.
-    Parallel,
-    /// Skip seeding: go straight to the cross-shard merge. Cheapest in
-    /// total work — the merge phase alone is complete and exact. Used
-    /// inside batch pools, where the parallelism budget is already
-    /// spent across queries.
-    Off,
-}
-
-/// What a query's seed phase hands its merge phase: the answers the
-/// per-shard seed tasks found (global ids, globally normalized scores)
-/// and the work each shard's task cost. The default is no seed phase.
-#[derive(Debug, Default)]
-pub struct Seeds {
-    answers: Vec<Answer>,
-    /// Shard `i`'s seed work; shards past the end ran no task.
-    per_shard: Vec<ExecMetrics>,
-}
-
-impl Seeds {
-    /// Adds `shard`'s finished seed task.
-    pub(crate) fn add(&mut self, shard: usize, answers: Vec<Answer>, metrics: &ExecMetrics) {
-        self.answers.extend(answers);
-        if self.per_shard.len() <= shard {
-            self.per_shard.resize(shard + 1, ExecMetrics::default());
-        }
-        self.per_shard[shard].merge(metrics);
-    }
-}
-
-/// Executes queries over a [`ShardedStore`]: fans the query out to
-/// per-shard top-k executions (the seed phase) and merges the shards'
-/// posting streams under the engine's tightened global threshold (the
-/// merge phase, which is always complete and exact).
+/// Executes queries over a [`ShardedStore`]: one incremental merge of
+/// every shard's posting streams under the engine's tightened global
+/// threshold, complete and exact on its own.
 ///
 /// Outcomes are the engine's [`ExecOutcome`]: derivation triple ids are
-/// global (resolve them with [`ShardedStore::resolve`]), `metrics`
-/// aggregates the seed and merge phases, `per_shard` holds each shard's
-/// seed-phase run plus its share of the merge phase's posting work
+/// global (resolve them with [`ShardedStore::resolve`]), and
+/// `per_shard` holds each slice's share of the merge's posting work
 /// (live delta views follow the shards; empty for a store that is one
-/// frozen slice), and `completeness` reflects the merge phase alone —
-/// seed-phase retirements never degrade the label.
+/// frozen slice).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedExecutor<'a> {
     pub(crate) store: &'a ShardedStore,
@@ -102,144 +56,46 @@ impl<'a> ShardedExecutor<'a> {
         self
     }
 
-    /// Runs one shard's local top-k (all patterns restricted to the
-    /// shard's slice; scores globally normalized and derivation ids
-    /// global, because the one-slice view keeps the store's totals and
-    /// id space). One seed task of the work-stealing batch scheduler
-    /// ([`crate::schedule`]).
-    pub(crate) fn seed_shard(
-        &self,
-        shard: usize,
-        query: &Query,
-        rules: &RuleSet,
-        cfg: &TopkConfig,
-        tracker: &BudgetTracker,
-        recorder: &mut TraceRecorder,
-    ) -> (Vec<Answer>, ExecMetrics) {
-        let slices = [self.store.shard(shard)];
-        let origin = self.store.offsets()[shard];
-        let request = ExecRequest {
-            caches: self.caches.get(shard).map_or(&[], std::slice::from_ref),
-            ..ExecRequest::new(query, rules, cfg)
-        };
-        let seed_start = recorder.start();
-        // Advisory governance: seed pulls consume the shared budget and
-        // pick up ladder escalations, but a cutoff or ε retirement here
-        // never marks the query non-exact — seeds only warm the merge
-        // phase's collector, and the merge phase alone is complete.
-        let ctx = ExecCtx {
-            governor: Governor::advisory(tracker),
-            recorder: &mut *recorder,
-        };
-        let run = execute(&StoreView::over(&slices, origin, self.store), request, ctx);
-        recorder.record(Stage::SeedTask, shard as u32, seed_start);
-        (run.answers, run.metrics)
-    }
-
-    /// Answers `query`: seed phase per `seed`, then the cross-shard
-    /// merge. The merge phase alone is complete, so every mode returns
-    /// identical answers; seeding only changes how the work is spent.
-    pub fn run(
-        &self,
-        query: &Query,
-        rules: &RuleSet,
-        cfg: &TopkConfig,
-        seed: SeedMode,
-    ) -> ExecOutcome {
+    /// Answers `query` as a whole: owns its budget tracker and recorder
+    /// and returns the finished trace.
+    pub fn run(&self, query: &Query, rules: &RuleSet, cfg: &TopkConfig) -> ExecOutcome {
         let tracker = BudgetTracker::new(cfg);
         let mut recorder = cfg.obs.recorder();
         let query_start = recorder.start();
-        let seeds = self.seed(query, rules, cfg, seed, &tracker, &mut recorder);
         let ctx = ExecCtx {
-            governor: Governor::primary(&tracker),
+            tracker: &tracker,
             recorder: &mut recorder,
         };
-        let mut run = self.merge(query, rules, cfg, seeds, None, ctx);
+        let mut run = self.merge(query, rules, cfg, None, ctx);
         recorder.record(Stage::Query, run.answers.len() as u32, query_start);
         run.trace = recorder.finish();
         run
     }
 
-    /// The seed phase per `mode`: nothing for [`SeedMode::Off`]; for
-    /// [`SeedMode::Parallel`] every shard's seed task on its own scoped
-    /// thread, joined in shard order (worker-local recorders merge into
-    /// `recorder` at the join). Nothing either over one shard, where a
-    /// seed task would be the merge phase run twice.
-    pub fn seed(
-        &self,
-        query: &Query,
-        rules: &RuleSet,
-        cfg: &TopkConfig,
-        mode: SeedMode,
-        tracker: &BudgetTracker,
-        recorder: &mut TraceRecorder,
-    ) -> Seeds {
-        let n = self.store.shard_count();
-        let mut seeds = Seeds::default();
-        if mode == SeedMode::Off || n == 1 {
-            return seeds;
-        }
-        let results = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        // Worker-local recorder: the seed thread records
-                        // lock-free and the join below merges in shard
-                        // order.
-                        let mut local = cfg.obs.recorder();
-                        let out = self.seed_shard(shard, query, rules, cfg, tracker, &mut local);
-                        (out, local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join())
-                .collect::<Vec<_>>()
-        });
-        for (shard, joined) in results.into_iter().enumerate() {
-            // A panicked seed thread forfeits only its warm start: the
-            // merge phase is complete on its own, so the query still
-            // returns its exact answers.
-            if let Ok(((answers, metrics), local)) = joined {
-                seeds.add(shard, answers, &metrics);
-                recorder.merge(&local);
-            }
-        }
-        seeds
-    }
-
-    /// The cross-shard merge phase — one [`execute`] over the store's
+    /// The cross-shard merge — one [`execute`] over the store's
     /// segments (the base shards plus any live delta views as extra
-    /// slices), the collector pre-loaded from `seeds` and the seed
-    /// phase's per-shard work folded into the outcome's counters. `ctx`
-    /// is the query's budget and recorder (the caller finishes the
-    /// trace). A store that is one frozen slice has nothing to merge:
-    /// the run is a plain one-store execution, with no merge span and
-    /// no per-shard split.
+    /// slices). `ctx` is the query's budget and recorder (the caller
+    /// finishes the trace). A store that is one frozen slice has
+    /// nothing to merge: the run is a plain one-store execution, with
+    /// no merge span and no per-shard split.
     ///
     /// `restrict = Some(j)` confines query pattern `j` to the delta
     /// slices — the semi-naive delta-query seam: every answer uses at
     /// least one freshly ingested triple for that pattern, while the
     /// other patterns still read the full base ∪ delta union (and
     /// scores normalize over the union, so a derivation scores exactly
-    /// as it does in a full run).
-    /// Pass no seeds with it — seed tasks search whole shards and would
-    /// reintroduce base-only matches. With no live delta the restricted
+    /// as it does in a full run). With no live delta the restricted
     /// pattern matches nothing and the run has no answers.
     pub fn merge(
         &self,
         query: &Query,
         rules: &RuleSet,
         cfg: &TopkConfig,
-        seeds: Seeds,
         restrict: Option<usize>,
         ctx: ExecCtx<'_>,
     ) -> ExecOutcome {
-        let Seeds { answers, per_shard } = seeds;
         let request = ExecRequest {
             caches: self.caches,
-            seed: answers,
             ..ExecRequest::new(query, rules, cfg)
         };
         if let Some(store) = self.store.single_slice() {
@@ -250,25 +106,19 @@ impl<'a> ShardedExecutor<'a> {
         let slices = self.store.segments();
         let deltas = self.store.shard_count()..slices.len();
         let request = ExecRequest { restrict: restrict.map(|j| (j, deltas)), ..request };
-        let ExecCtx { governor, recorder } = ctx;
+        let ExecCtx { tracker, recorder } = ctx;
         let merge_start = recorder.start();
-        let view = StoreView::over(&slices, 0, self.store);
-        let mut run = execute(&view, request, ExecCtx { governor, recorder: &mut *recorder });
+        let view = StoreView::over(&slices, self.store);
+        let run = execute(&view, request, ExecCtx { tracker, recorder: &mut *recorder });
         recorder.record(Stage::Merge, slices.len() as u32, merge_start);
-
-        // Seed-phase work joins both the aggregate and its shard's slot
-        // (delta slices, past the shards, have no seed phase).
-        for (seed, slot) in per_shard.iter().zip(&mut run.per_shard) {
-            run.metrics.merge(seed);
-            slot.merge(seed);
-        }
         run
     }
 }
 
 /// A fixed-size worker pool executing independent queries concurrently
-/// over a shared engine — the shard deployment's batch surface. Workers
-/// claim queries off an atomic cursor; results land in input order.
+/// over a shared engine — the one batch surface. Workers claim queries
+/// off an atomic cursor; results land in input order. A pool of one
+/// worker, or a batch of one query, runs on the calling thread.
 #[derive(Debug)]
 pub struct QueryPool {
     workers: usize,
@@ -348,21 +198,24 @@ impl QueryPool {
     /// becomes a typed [`ExecError::WorkerPanicked`] in its own output
     /// slot while every other query completes normally. The worker
     /// thread that caught the panic keeps claiming further inputs.
+    /// Under the `faults` feature the boundary is also where an
+    /// injected query panic fires (`trinit_query::faults::on_query`).
     pub fn try_execute<I, O, F>(&self, inputs: Vec<I>, run: F) -> Vec<Result<O, ExecError>>
     where
         I: Send,
         O: Send,
         F: Fn(I) -> O + Sync,
     {
-        let n = inputs.len();
         let indexed: Vec<(usize, I)> = inputs.into_iter().enumerate().collect();
-        debug_assert_eq!(indexed.len(), n);
         self.execute(indexed, |(i, input)| {
-            catch_unwind(AssertUnwindSafe(|| run(input))).map_err(|payload| {
-                ExecError::WorkerPanicked {
-                    context: format!("batch query {i}"),
-                    payload: describe_panic(payload.as_ref()),
-                }
+            catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(feature = "faults")]
+                trinit_query::faults::on_query(i);
+                run(input)
+            }))
+            .map_err(|payload| ExecError::WorkerPanicked {
+                context: format!("batch query {i}"),
+                payload: describe_panic(payload.as_ref()),
             })
         })
     }
@@ -409,7 +262,7 @@ mod tests {
     use crate::testkit::assert_answers_score_equivalent as assert_same_answers;
 
     #[test]
-    fn every_seed_mode_matches_the_monolith() {
+    fn sharded_runs_match_the_monolith() {
         use trinit_obs::Stage;
         let single = builder().build();
         let rules = rules(&single);
@@ -422,23 +275,15 @@ mod tests {
         let (mono, mono_metrics) = topk::run(&single, &q, &rules, &cfg);
         for shards in [1, 3] {
             let sharded = ShardedStore::build(builder(), shards);
-            let exec = ShardedExecutor::new(&sharded);
-            let off = exec.run(&q, &rules, &cfg, SeedMode::Off);
-            let parallel = exec.run(&q, &rules, &cfg, SeedMode::Parallel);
-            for run in [&off, &parallel] {
-                assert_same_answers(&run.answers, &mono);
-            }
+            let run = ShardedExecutor::new(&sharded).run(&q, &rules, &cfg);
+            assert_same_answers(&run.answers, &mono);
+            assert_eq!(run.trace.stage_count(Stage::SeedTask), 0);
             if shards == 1 {
-                // One shard has nothing to seed: a seed task over it
-                // would be the whole query, answered before the merge
-                // answers it again.
-                assert_eq!(parallel.metrics, off.metrics);
-                assert_eq!(parallel.metrics, mono_metrics);
-                assert_eq!(parallel.trace.stage_count(Stage::SeedTask), 0);
-                assert!(parallel.per_shard.is_empty());
+                // One shard is the monolith: the same run, the same work.
+                assert_eq!(run.metrics, mono_metrics);
+                assert!(run.per_shard.is_empty());
             } else {
-                assert_eq!(parallel.trace.stage_count(Stage::SeedTask), shards);
-                assert_eq!(parallel.per_shard.len(), shards);
+                assert_eq!(run.per_shard.len(), shards);
             }
         }
     }
@@ -452,12 +297,7 @@ mod tests {
             .pattern_r_r_v("x1", "p", "b")
             .limit(5)
             .build();
-        let run = ShardedExecutor::new(&sharded).run(
-            &q,
-            &rules,
-            &TopkConfig::default(),
-            SeedMode::Parallel,
-        );
+        let run = ShardedExecutor::new(&sharded).run(&q, &rules, &TopkConfig::default());
         assert!(!run.answers.is_empty());
         for answer in &run.answers {
             for (pattern, id) in &answer.derivation.triples {
@@ -484,8 +324,8 @@ mod tests {
             .limit(5)
             .build();
         let cfg = TopkConfig::default();
-        let cold = exec.run(&q, &rules, &cfg, SeedMode::Parallel);
-        let warm = exec.run(&q, &rules, &cfg, SeedMode::Parallel);
+        let cold = exec.run(&q, &rules, &cfg);
+        let warm = exec.run(&q, &rules, &cfg);
         assert_same_answers(&cold.answers, &warm.answers);
         assert!(
             warm.metrics.shared_cache_hits > 0,
@@ -503,12 +343,7 @@ mod tests {
             .pattern_v_r_v("a", "p", "b")
             .limit(8)
             .build();
-        let run = ShardedExecutor::new(&sharded).run(
-            &q,
-            &rules,
-            &TopkConfig::default(),
-            SeedMode::Parallel,
-        );
+        let run = ShardedExecutor::new(&sharded).run(&q, &rules, &TopkConfig::default());
         let scanned: usize = run.per_shard.iter().map(|m| m.postings_scanned).sum();
         assert_eq!(
             scanned, run.metrics.postings_scanned,
@@ -522,38 +357,28 @@ mod tests {
         use trinit_obs::{ObsConfig, Stage};
         let single = builder().build();
         let rules = rules(&single);
-        let shards = 3;
-        let sharded = ShardedStore::build(builder(), shards);
+        let sharded = ShardedStore::build(builder(), 3);
         let exec = ShardedExecutor::new(&sharded);
         let cfg = TopkConfig::default();
         let q = QueryBuilder::new(&single)
             .pattern_v_r_v("a", "p", "b")
             .limit(6)
             .build();
-        for mode in [SeedMode::Off, SeedMode::Parallel] {
-            let run = exec.run(&q, &rules, &cfg, mode);
-            let trace = &run.trace;
-            assert_eq!(trace.stage_count(Stage::Query), 1, "{mode:?}");
-            assert_eq!(trace.stage_count(Stage::Merge), 1, "{mode:?}");
-            let expected_seeds = if mode == SeedMode::Off { 0 } else { shards };
-            assert_eq!(trace.stage_count(Stage::SeedTask), expected_seeds, "{mode:?}");
-            // The query span encloses the whole run, so it dominates
-            // every other stage's total.
-            assert!(
-                trace.stage_total_ns(Stage::Query) >= trace.stage_total_ns(Stage::Merge),
-                "{mode:?}"
-            );
-        }
+        let run = exec.run(&q, &rules, &cfg);
+        let trace = &run.trace;
+        assert_eq!(trace.stage_count(Stage::Query), 1);
+        assert_eq!(trace.stage_count(Stage::Merge), 1);
+        assert_eq!(trace.stage_count(Stage::SeedTask), 0);
+        // The query span encloses the whole run, so it dominates every
+        // other stage's total.
+        assert!(trace.stage_total_ns(Stage::Query) >= trace.stage_total_ns(Stage::Merge));
         let off = TopkConfig {
             obs: ObsConfig::off(),
             ..TopkConfig::default()
         };
-        let run = exec.run(&q, &rules, &off, SeedMode::Parallel);
-        assert!(run.trace.is_empty(), "disabled obs must record nothing");
-        assert_same_answers(
-            &run.answers,
-            &exec.run(&q, &rules, &cfg, SeedMode::Parallel).answers,
-        );
+        let quiet = exec.run(&q, &rules, &off);
+        assert!(quiet.trace.is_empty(), "disabled obs must record nothing");
+        assert_same_answers(&quiet.answers, &run.answers);
     }
 
     #[test]
@@ -586,9 +411,7 @@ mod tests {
             .map(|q| topk::run(&single, q, &rules, &cfg).0)
             .collect();
         let exec = ShardedExecutor::new(&sharded);
-        let got = QueryPool::new(2).execute(queries, |q| {
-            exec.run(&q, &rules, &cfg, SeedMode::Off).answers
-        });
+        let got = QueryPool::new(2).execute(queries, |q| exec.run(&q, &rules, &cfg).answers);
         for (g, e) in got.iter().zip(&expected) {
             assert_same_answers(g, e);
         }

@@ -5,7 +5,7 @@
 //! independent shards at build time (a monolith is N = 1), queries
 //! execute over the shards and their live delta views through the
 //! partitioned top-k engine, and independent queries run concurrently
-//! across a pool of worker threads sized to the shard count.
+//! on one batch pool ([`QueryPool`]).
 //!
 //! ## Partition scheme
 //!
@@ -47,27 +47,23 @@
 //! property pinned by this crate's equivalence tests at 1, 2, 4, and 7
 //! shards.
 //!
-//! ## Execution phases
+//! ## Execution
 //!
-//! [`ShardedExecutor::run`] optionally *seeds* the global run: each
-//! shard first answers the query against its own slice alone (all
-//! patterns shard-local, globally normalized scores) on scoped threads
-//! — [`SeedMode::Parallel`]. Every seed answer is a true answer of the
-//! global query (its scores are exact, the collector keeps the max per
-//! key), so the global merge starts with a tight k-th score and prunes
-//! hopeless variants and streams from the first pull. Cross-shard join
-//! combinations are then recovered by the merge phase, which is always
-//! complete. Batch workloads ([`QueryPool`]) skip the seed phase and
-//! spend the parallelism across queries instead.
+//! A query is one incremental merge over every shard and live delta
+//! view ([`ShardedExecutor::run`]). The merge alone is complete and
+//! exact, so there is no per-shard warm-start phase: at ~13 pulls per
+//! query, answering each shard first would build every list the merge
+//! builds anyway and double the work. A batch runs whole queries on a
+//! [`QueryPool`]: one worker, or one query, runs on the calling thread,
+//! and each query is panic-isolated to its own slot.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod exec;
-pub mod schedule;
 pub mod store;
 
-pub use exec::{QueryPool, SeedMode, Seeds, ShardedExecutor};
+pub use exec::{QueryPool, ShardedExecutor};
 pub use store::ShardedStore;
 
 /// Test support: the tie-group-aware answer comparator shared by this

@@ -174,12 +174,6 @@ impl ShardedStore {
         self.shards().iter().chain(views).collect()
     }
 
-    /// Per-shard bases in the global triple-id space.
-    #[inline]
-    pub fn offsets(&self) -> &[u32] {
-        &self.base.offsets
-    }
-
     /// Total number of distinct triples across shards and the delta.
     #[inline]
     pub fn len(&self) -> usize {

@@ -1,19 +1,19 @@
 //! Fault-injection robustness suite (feature `faults`).
 //!
 //! Drives the deterministic harness in `trinit_query::faults` against
-//! the work-stealing batch scheduler: any single task's panic must be
-//! isolated to its own query, deterministic seeds must replay, and
-//! budgeted runs must hold their deadline under injected latency.
+//! the batch pool (`QueryPool::try_execute`): any single query's panic
+//! must be isolated to its own slot, deterministic seeds must replay,
+//! and budgeted runs must hold their deadline under injected latency.
 
 #![cfg(feature = "faults")]
 
 use std::time::{Duration, Instant};
 
-use trinit_query::exec::topk::TopkConfig;
+use trinit_query::exec::topk::{ExecOutcome, TopkConfig};
 use trinit_query::faults::{FaultPlan, FaultScope};
 use trinit_query::{Completeness, CutoffReason, ExecBudget, ExecError, Query, QueryBuilder};
 use trinit_relax::{Rule, RuleProvenance, RuleSet};
-use trinit_shard::{SeedMode, ShardedExecutor, ShardedStore};
+use trinit_shard::{QueryPool, ShardedExecutor, ShardedStore};
 use trinit_xkg::XkgBuilder;
 
 fn builder() -> XkgBuilder {
@@ -46,8 +46,7 @@ fn rules(store: &trinit_xkg::XkgStore) -> RuleSet {
     rules
 }
 
-/// Open (variable-subject) queries, so every query seeds every shard
-/// and any (query, shard) pair is a live injection target.
+/// Open (variable-subject) queries, so every query reads every shard.
 fn open_queries(single: &trinit_xkg::XkgStore, n: usize) -> Vec<Query> {
     (0..n)
         .map(|i| {
@@ -59,69 +58,55 @@ fn open_queries(single: &trinit_xkg::XkgStore, n: usize) -> Vec<Query> {
         .collect()
 }
 
-#[test]
-fn batch_survives_any_single_seed_task_panic() {
-    let single = builder().build();
-    let rules = rules(&single);
-    let shards = 3;
-    let sharded = ShardedStore::build(builder(), shards);
-    let exec = ShardedExecutor::new(&sharded);
-    let cfg = TopkConfig::default();
-    let queries = open_queries(&single, 4);
-    let expected: Vec<_> = queries
-        .iter()
-        .map(|q| exec.run(q, &rules, &cfg, SeedMode::Off).answers)
-        .collect();
-
-    // Exhaustive: panic every single (query, shard) seed task in turn.
-    for victim_q in 0..queries.len() {
-        for victim_shard in 0..shards {
-            let _scope = FaultScope::install(FaultPlan {
-                seed_panics: vec![(victim_q, victim_shard)],
-                ..FaultPlan::default()
-            });
-            let runs = exec.run_batch_stealing(&queries, &rules, &cfg, 3);
-            assert_eq!(runs.len(), queries.len());
-            for (qi, run) in runs.iter().enumerate() {
-                if qi == victim_q {
-                    let err = run.as_ref().expect_err("victim query must error");
-                    let ExecError::WorkerPanicked { context, payload } = err;
-                    assert!(
-                        context.contains(&format!("query {victim_q}, shard {victim_shard}")),
-                        "context was: {context}"
-                    );
-                    assert!(payload.contains("injected fault"), "payload was: {payload}");
-                } else {
-                    let run = run.as_ref().expect("bystander query must complete");
-                    trinit_shard::testkit::assert_answers_score_equivalent(
-                        &run.answers,
-                        &expected[qi],
-                    );
-                }
-            }
-        }
-    }
+/// `queries` as one batch on a pool of `workers`, each query one
+/// [`ShardedExecutor::run`].
+fn run_batch(
+    exec: &ShardedExecutor<'_>,
+    queries: &[Query],
+    rules: &RuleSet,
+    cfg: &TopkConfig,
+    workers: usize,
+) -> Vec<Result<ExecOutcome, ExecError>> {
+    QueryPool::new(workers).try_execute(queries.iter().collect(), |q| exec.run(q, rules, cfg))
 }
 
 #[test]
-fn merge_panic_poisons_only_its_query() {
+fn batch_survives_any_single_query_panic() {
     let single = builder().build();
     let rules = rules(&single);
-    let sharded = ShardedStore::build(builder(), 2);
-    let exec = ShardedExecutor::new(&sharded);
     let cfg = TopkConfig::default();
-    let queries = open_queries(&single, 3);
-    let _scope = FaultScope::install(FaultPlan {
-        merge_panics: vec![1],
-        ..FaultPlan::default()
-    });
-    let runs = exec.run_batch_stealing(&queries, &rules, &cfg, 2);
-    let err = runs[1].as_ref().expect_err("merge victim must error");
-    let ExecError::WorkerPanicked { context, .. } = err;
-    assert!(context.contains("merge phase (query 1)"), "context: {context}");
-    for qi in [0, 2] {
-        let run = runs[qi].as_ref().expect("bystanders complete");
-        assert!(!run.answers.is_empty());
+    let queries = open_queries(&single, 4);
+    for shards in [1, 2, 4, 7] {
+        let sharded = ShardedStore::build(builder(), shards);
+        let exec = ShardedExecutor::new(&sharded);
+        let expected: Vec<_> = queries.iter().map(|q| exec.run(q, &rules, &cfg)).collect();
+        // Exhaustive: panic every query in turn, on every pool size.
+        for workers in [1, 2, 4] {
+            for victim in 0..queries.len() {
+                let _scope = FaultScope::install(FaultPlan {
+                    query_panics: vec![victim],
+                    ..FaultPlan::default()
+                });
+                let runs = run_batch(&exec, &queries, &rules, &cfg, workers);
+                assert_eq!(runs.len(), queries.len());
+                for (qi, run) in runs.iter().enumerate() {
+                    let at = format!("shards={shards} workers={workers} victim={victim}");
+                    if qi == victim {
+                        let err = run.as_ref().expect_err("victim query must error");
+                        let ExecError::WorkerPanicked { context, payload } = err;
+                        assert_eq!(context, &format!("batch query {victim}"), "{at}");
+                        assert!(payload.contains("injected fault"), "{at}: {payload}");
+                    } else {
+                        let run = run.as_ref().expect("bystander query must complete");
+                        trinit_shard::testkit::assert_answers_score_equivalent(
+                            &run.answers,
+                            &expected[qi].answers,
+                        );
+                        assert_eq!(run.metrics, expected[qi].metrics, "{at}");
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -132,24 +117,40 @@ fn probabilistic_injection_replays_from_its_seed() {
     let sharded = ShardedStore::build(builder(), 3);
     let exec = ShardedExecutor::new(&sharded);
     let cfg = TopkConfig::default();
-    let queries = open_queries(&single, 5);
-    let outcome_shape = |seed: u64| -> Vec<bool> {
+    let queries = open_queries(&single, 8);
+    let outcome_shape = |seed: u64, workers: usize| -> Vec<bool> {
         let _scope = FaultScope::install(FaultPlan {
-            seed_panic_seed: seed,
-            seed_panic_prob: 0.4,
+            panic_seed: seed,
+            panic_prob: 0.4,
             ..FaultPlan::default()
         });
-        exec.run_batch_stealing(&queries, &rules, &cfg, 2)
+        run_batch(&exec, &queries, &rules, &cfg, workers)
             .iter()
             .map(Result::is_ok)
             .collect()
     };
-    let first = outcome_shape(7);
+    let first = outcome_shape(7, 2);
     assert!(
-        first.iter().any(|ok| !ok),
-        "prob 0.4 over 15 tasks should poison something"
+        first.iter().any(|ok| !ok) && first.iter().any(|ok| *ok),
+        "prob 0.4 over 8 queries should poison some and spare some: {first:?}"
     );
-    assert_eq!(first, outcome_shape(7), "same seed must replay identically");
+    // The coin reads the batch index alone, so neither a rerun nor
+    // another pool size moves it.
+    assert_eq!(
+        first,
+        outcome_shape(7, 2),
+        "same seed must replay identically"
+    );
+    assert_eq!(
+        first,
+        outcome_shape(7, 1),
+        "the pool size must not move the coin"
+    );
+    assert_ne!(
+        first,
+        outcome_shape(8, 2),
+        "another seed draws another coin"
+    );
 }
 
 #[test]
@@ -176,7 +177,7 @@ fn deadline_holds_under_injected_pull_latency() {
         ..FaultPlan::default()
     });
     let started = Instant::now();
-    let run = exec.run(&q, &rules, &cfg, SeedMode::Off);
+    let run = exec.run(&q, &rules, &cfg);
     let elapsed = started.elapsed();
     // The cutoff is checked per pull, so the run overshoots by at most
     // one injected pull plus scheduling noise — far below the exact
@@ -218,56 +219,22 @@ fn injected_pull_latency_shifts_stage_histogram_p99() {
             pull_delay: faulted.then(|| Duration::from_millis(2)),
             ..FaultPlan::default()
         });
-        for run in exec.run_batch_stealing(&queries, &rules, &cfg, 2) {
+        for run in run_batch(&exec, &queries, &rules, &cfg, 2) {
             registry.record_trace(&run.expect("no panics planned").trace);
         }
         registry
     };
 
-    // The seed tasks do the bulk of the pulls (the merge phase starts
-    // from their preloaded collectors), so the injected delay lands in
-    // the seed-task spans — one per (query, shard).
+    // Every pull is inside its query's span — one per query.
     let clean = record_batch(false);
     let slow = record_batch(true);
-    assert_eq!(clean.stage(Stage::SeedTask).count(), 6);
-    let clean_p99 = clean.stage(Stage::SeedTask).quantile(0.99);
-    let slow_p99 = slow.stage(Stage::SeedTask).quantile(0.99);
+    assert_eq!(clean.stage(Stage::Query).count(), 3);
+    let clean_p99 = clean.stage(Stage::Query).quantile(0.99);
+    let slow_p99 = slow.stage(Stage::Query).quantile(0.99);
     assert!(
         slow_p99 >= clean_p99 + 1_000_000,
-        "2 ms per pull must lift the seed-span p99 by at least 1 ms: \
+        "2 ms per pull must lift the query-span p99 by at least 1 ms: \
          clean {clean_p99} ns vs faulted {slow_p99} ns"
-    );
-}
-
-/// A query that dies mid-merge still flushes the spans it completed:
-/// the scheduler records the partial trace into the registry, so seed
-/// work is never silently lost to a panic.
-#[test]
-fn panicked_queries_flush_partial_traces_to_the_registry() {
-    use trinit_obs::{MetricsRegistry, Stage};
-    let single = builder().build();
-    let rules = rules(&single);
-    let shards = 3;
-    let sharded = ShardedStore::build(builder(), shards);
-    let exec = ShardedExecutor::new(&sharded);
-    let cfg = TopkConfig::default();
-    let queries = open_queries(&single, 1);
-    let registry = MetricsRegistry::new();
-    let _scope = FaultScope::install(FaultPlan {
-        merge_panics: vec![0],
-        ..FaultPlan::default()
-    });
-    let runs = exec.run_batch_stealing_observed(&queries, &rules, &cfg, 2, Some(&registry));
-    assert!(runs[0].is_err(), "merge panic must poison the query");
-    assert_eq!(
-        registry.stage(Stage::SeedTask).count(),
-        shards as u64,
-        "every completed seed span flushes despite the merge panic"
-    );
-    assert_eq!(
-        registry.stage(Stage::Merge).count(),
-        0,
-        "the merge span never completed"
     );
 }
 
@@ -295,7 +262,7 @@ fn truncated_runs_trace_their_cutoff() {
         pull_delay: Some(Duration::from_millis(3)),
         ..FaultPlan::default()
     });
-    let run = exec.run(&q, &rules, &cfg, SeedMode::Off);
+    let run = exec.run(&q, &rules, &cfg);
     assert!(
         matches!(run.completeness, Completeness::Truncated { .. }),
         "latency must trip the deadline: {:?}",
@@ -320,13 +287,13 @@ fn unfaulted_runs_are_unaffected_by_a_cleared_plan() {
     let queries = open_queries(&single, 2);
     {
         let _scope = FaultScope::install(FaultPlan {
-            seed_panics: vec![(0, 0)],
+            query_panics: vec![0],
             ..FaultPlan::default()
         });
-        let runs = exec.run_batch_stealing(&queries, &rules, &cfg, 2);
+        let runs = run_batch(&exec, &queries, &rules, &cfg, 2);
         assert!(runs[0].is_err());
     }
     // Scope dropped: the same batch now completes cleanly.
-    let runs = exec.run_batch_stealing(&queries, &rules, &cfg, 2);
+    let runs = run_batch(&exec, &queries, &rules, &cfg, 2);
     assert!(runs.iter().all(Result::is_ok), "cleared plan must not leak");
 }

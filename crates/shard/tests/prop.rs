@@ -3,8 +3,8 @@
 //! The headline property — the acceptance bar of the sharding subsystem:
 //! **sharded execution returns answers score-equal to the single-store
 //! engine** on arbitrary stores, multi-pattern (join) queries, and
-//! relaxation rule sets, at 1, 2, 4, and 7 shards, with and without the
-//! parallel per-shard seed phase. Both sides run the *same* top-k
+//! relaxation rule sets, at 1, 2, 4, and 7 shards. Both sides run the
+//! *same* top-k
 //! configuration, so the comparison is exact (no rewriting-budget
 //! mismatch to tolerate); only membership of a trailing tied-score group
 //! is tie-break detail.
@@ -20,7 +20,7 @@ use trinit_query::exec::sharded::ShardedMerge;
 use trinit_query::exec::topk::{self, TopkConfig};
 use trinit_query::{Completeness, ExecBudget, ExecMetrics, GlobalTotals, Query};
 use trinit_relax::{QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
-use trinit_shard::{SeedMode, ShardedExecutor, ShardedStore};
+use trinit_shard::{QueryPool, ShardedExecutor, ShardedStore};
 use trinit_xkg::{
     PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, TermId, TermKind, Triple,
     XkgBuilder, XkgStore,
@@ -221,7 +221,7 @@ fn sharded_zero_mass_repeated_variable_agrees_with_monolith() {
         let sharded = ShardedStore::build(build(), shards);
         let exec = ShardedExecutor::new(&sharded);
         for cfg in [&cfg_tight, &cfg_loose] {
-            let run = exec.run(&query, &RuleSet::new(), cfg, SeedMode::Off);
+            let run = exec.run(&query, &RuleSet::new(), cfg);
             assert_answers_equivalent(&run.answers, &mono);
         }
     }
@@ -231,7 +231,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Sharded ≡ single-store on multi-pattern queries with relaxation,
-    /// across shard counts and seed modes.
+    /// across shard counts.
     #[test]
     fn sharded_execution_equals_single_store(
         rows in store_strategy(6, 40),
@@ -247,10 +247,8 @@ proptest! {
         for shards in [1usize, 2, 4, 7] {
             let sharded = ShardedStore::build(builder_from(&rows), shards);
             let exec = ShardedExecutor::new(&sharded);
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let run = exec.run(&query, &set, &cfg, mode);
-                assert_answers_equivalent(&run.answers, &mono);
-            }
+            let run = exec.run(&query, &set, &cfg);
+            assert_answers_equivalent(&run.answers, &mono);
         }
     }
 
@@ -346,32 +344,30 @@ proptest! {
         for shards in [2usize, 4, 7] {
             let sharded = ShardedStore::build(build(&supports), shards);
             let exec = ShardedExecutor::new(&sharded);
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let full = exec.run(&full_query, &RuleSet::new(), &cfg, mode);
-                prop_assert_eq!(full.answers.len(), mono_full.len());
-                for (a, b) in full.answers.iter().zip(&mono_full) {
-                    prop_assert_eq!(
-                        &a.key, &b.key,
-                        "uncut tie order diverged at {} shards ({:?})", shards, mode
-                    );
-                    prop_assert_eq!(a.score, b.score, "scores must be bit-equal");
-                }
+            let full = exec.run(&full_query, &RuleSet::new(), &cfg);
+            prop_assert_eq!(full.answers.len(), mono_full.len());
+            for (a, b) in full.answers.iter().zip(&mono_full) {
+                prop_assert_eq!(
+                    &a.key, &b.key,
+                    "uncut tie order diverged at {} shards", shards
+                );
+                prop_assert_eq!(a.score, b.score, "scores must be bit-equal");
+            }
 
-                let cut = exec.run(&cut_query, &RuleSet::new(), &cfg, mode);
-                prop_assert_eq!(cut.answers.len(), mono_cut.len());
-                let boundary = mono_cut.last().map(|a| a.score);
-                for (a, b) in cut.answers.iter().zip(&mono_cut) {
-                    prop_assert_eq!(a.score, b.score, "scores must be bit-equal");
-                    if Some(a.score) != boundary {
-                        prop_assert_eq!(&a.key, &b.key, "order above the tie boundary");
-                    }
+            let cut = exec.run(&cut_query, &RuleSet::new(), &cfg);
+            prop_assert_eq!(cut.answers.len(), mono_cut.len());
+            let boundary = mono_cut.last().map(|a| a.score);
+            for (a, b) in cut.answers.iter().zip(&mono_cut) {
+                prop_assert_eq!(a.score, b.score, "scores must be bit-equal");
+                if Some(a.score) != boundary {
+                    prop_assert_eq!(&a.key, &b.key, "order above the tie boundary");
                 }
-                // Within the returned ranking, every tied run is in
-                // ascending key order — the promise `into_top_k` makes.
-                for w in cut.answers.windows(2) {
-                    if w[0].score == w[1].score {
-                        prop_assert!(w[0].key < w[1].key, "tied run not key-sorted");
-                    }
+            }
+            // Within the returned ranking, every tied run is in
+            // ascending key order — the promise `into_top_k` makes.
+            for w in cut.answers.windows(2) {
+                if w[0].score == w[1].score {
+                    prop_assert!(w[0].key < w[1].key, "tied run not key-sorted");
                 }
             }
         }
@@ -394,13 +390,11 @@ proptest! {
             &query,
             &set,
             &TopkConfig { tighten_threshold: true, ..TopkConfig::default() },
-            SeedMode::Off,
         );
         let loose = exec.run(
             &query,
             &set,
             &TopkConfig { tighten_threshold: false, ..TopkConfig::default() },
-            SeedMode::Off,
         );
         assert_answers_equivalent(&tight.answers, &loose.answers);
     }
@@ -409,8 +403,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The ε-approximate guarantee under sharding, at 1/2/4/7 shards
-    /// and both seed modes: rank-wise the sharded approximate ranking
+    /// The ε-approximate guarantee under sharding, at 1/2/4/7 shards:
+    /// rank-wise the sharded approximate ranking
     /// is within ε of the *monolithic exact* ranking in probability
     /// space, and ε = 0 stays answer-identical (bit-equal scores) and
     /// pull-count-identical to the sharded exact engine.
@@ -434,41 +428,39 @@ proptest! {
         for shards in [1usize, 2, 4, 7] {
             let sharded = ShardedStore::build(builder_from(&rows), shards);
             let exec = ShardedExecutor::new(&sharded);
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let exact_run = exec.run(&query, &set, &cfg, mode);
-                let approx_run = exec.run(&query, &set, &approx_cfg, mode);
-                for (r, e) in mono.iter().enumerate() {
-                    let pe = e.score.exp();
-                    let pa = approx_run.answers.get(r).map_or(0.0, |a| a.score.exp());
-                    prop_assert!(
-                        pa >= pe - eps - 1e-9,
-                        "{} shards ({:?}), rank {}: approx {} not within ε={} of exact {}",
-                        shards, mode, r, pa, eps, pe
-                    );
-                }
+            let exact_run = exec.run(&query, &set, &cfg);
+            let approx_run = exec.run(&query, &set, &approx_cfg);
+            for (r, e) in mono.iter().enumerate() {
+                let pe = e.score.exp();
+                let pa = approx_run.answers.get(r).map_or(0.0, |a| a.score.exp());
                 prop_assert!(
-                    approx_run.metrics.pulls <= exact_run.metrics.pulls,
-                    "{} shards ({:?}): ε pulled more ({} > {})",
-                    shards, mode, approx_run.metrics.pulls, exact_run.metrics.pulls
+                    pa >= pe - eps - 1e-9,
+                    "{} shards, rank {}: approx {} not within ε={} of exact {}",
+                    shards, r, pa, eps, pe
                 );
-                // ε = 0: bit-identical to the sharded exact engine.
-                let eps0_run = exec.run(&query, &set, &eps0_cfg, mode);
-                prop_assert_eq!(eps0_run.answers.len(), exact_run.answers.len());
-                for (a, b) in eps0_run.answers.iter().zip(&exact_run.answers) {
-                    prop_assert_eq!(&a.key, &b.key);
-                    prop_assert_eq!(a.score, b.score, "ε=0 changed a sharded score");
-                }
-                prop_assert_eq!(
-                    eps0_run.metrics.pulls, exact_run.metrics.pulls,
-                    "ε=0 changed sharded pull counts"
-                );
-                prop_assert_eq!(eps0_run.metrics.approx_cutoffs, 0);
             }
+            prop_assert!(
+                approx_run.metrics.pulls <= exact_run.metrics.pulls,
+                "{} shards: ε pulled more ({} > {})",
+                shards, approx_run.metrics.pulls, exact_run.metrics.pulls
+            );
+            // ε = 0: bit-identical to the sharded exact engine.
+            let eps0_run = exec.run(&query, &set, &eps0_cfg);
+            prop_assert_eq!(eps0_run.answers.len(), exact_run.answers.len());
+            for (a, b) in eps0_run.answers.iter().zip(&exact_run.answers) {
+                prop_assert_eq!(&a.key, &b.key);
+                prop_assert_eq!(a.score, b.score, "ε=0 changed a sharded score");
+            }
+            prop_assert_eq!(
+                eps0_run.metrics.pulls, exact_run.metrics.pulls,
+                "ε=0 changed sharded pull counts"
+            );
+            prop_assert_eq!(eps0_run.metrics.approx_cutoffs, 0);
         }
     }
 
-    /// The relative-θ guarantee under sharding, at 1/2/4/7 shards and
-    /// both seed modes: rank-wise the sharded θ ranking keeps
+    /// The relative-θ guarantee under sharding, at 1/2/4/7 shards:
+    /// rank-wise the sharded θ ranking keeps
     /// `prob ≥ (1 − θ) ·` the *monolithic exact* ranking's, never pulls
     /// more than the sharded exact run, and labels itself `Approx` only
     /// when the criterion actually fired.
@@ -490,42 +482,38 @@ proptest! {
         for shards in [1usize, 2, 4, 7] {
             let sharded = ShardedStore::build(builder_from(&rows), shards);
             let exec = ShardedExecutor::new(&sharded);
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let exact_run = exec.run(&query, &set, &cfg, mode);
-                let theta_run = exec.run(&query, &set, &theta_cfg, mode);
-                for (r, e) in mono.iter().enumerate() {
-                    let pe = e.score.exp();
-                    let pa = theta_run.answers.get(r).map_or(0.0, |a| a.score.exp());
-                    prop_assert!(
-                        pa >= (1.0 - theta) * pe - 1e-12,
-                        "{} shards ({:?}), rank {}: θ={} run {} below (1−θ)·{}",
-                        shards, mode, r, theta, pa, pe
-                    );
-                }
+            let exact_run = exec.run(&query, &set, &cfg);
+            let theta_run = exec.run(&query, &set, &theta_cfg);
+            for (r, e) in mono.iter().enumerate() {
+                let pe = e.score.exp();
+                let pa = theta_run.answers.get(r).map_or(0.0, |a| a.score.exp());
                 prop_assert!(
-                    theta_run.metrics.pulls <= exact_run.metrics.pulls,
-                    "{} shards ({:?}): θ pulled more ({} > {})",
-                    shards, mode, theta_run.metrics.pulls, exact_run.metrics.pulls
+                    pa >= (1.0 - theta) * pe - 1e-12,
+                    "{} shards, rank {}: θ={} run {} below (1−θ)·{}",
+                    shards, r, theta, pa, pe
                 );
-                if theta_run.metrics.approx_cutoffs == 0 {
-                    prop_assert_eq!(theta_run.completeness, Completeness::Exact);
-                }
+            }
+            prop_assert!(
+                theta_run.metrics.pulls <= exact_run.metrics.pulls,
+                "{} shards: θ pulled more ({} > {})",
+                shards, theta_run.metrics.pulls, exact_run.metrics.pulls
+            );
+            if theta_run.metrics.approx_cutoffs == 0 {
+                prop_assert_eq!(theta_run.completeness, Completeness::Exact);
             }
         }
     }
 
-    /// The work-stealing batch scheduler is answer-invisible: for
-    /// arbitrary stores, rule sets, and query batches, stolen execution
-    /// returns exactly what per-query execution returns, at every
-    /// worker count.
+    /// The batch pool is invisible: for arbitrary stores, rule sets and
+    /// query batches, a batch returns exactly what per-query execution
+    /// returns — answers and every work counter — at 1/2/4 workers.
     #[test]
-    fn stolen_batches_equal_per_query_execution(
+    fn pool_batches_equal_per_query_execution(
         rows in store_strategy(5, 32),
         patterns_a in pattern_strategy(3, 5),
         patterns_b in pattern_strategy(3, 5),
         rules in rules_strategy(5),
         k in 1usize..8,
-        workers in 1usize..5,
     ) {
         let set: RuleSet = rules.into_iter().collect();
         let cfg = TopkConfig::default();
@@ -537,12 +525,16 @@ proptest! {
         for shards in [2usize, 3] {
             let sharded = ShardedStore::build(builder_from(&rows), shards);
             let exec = ShardedExecutor::new(&sharded);
-            let runs = exec.run_batch_stealing(&queries, &set, &cfg, workers);
-            prop_assert_eq!(runs.len(), queries.len());
-            for (run, q) in runs.iter().zip(&queries) {
-                let run = run.as_ref().expect("no worker panicked");
-                let want = exec.run(q, &set, &cfg, SeedMode::Off);
-                assert_answers_equivalent(&run.answers, &want.answers);
+            for workers in [1usize, 2, 4] {
+                let runs = QueryPool::new(workers)
+                    .try_execute(queries.iter().collect(), |q| exec.run(q, &set, &cfg));
+                prop_assert_eq!(runs.len(), queries.len());
+                for (run, q) in runs.iter().zip(&queries) {
+                    let run = run.as_ref().expect("no query panicked");
+                    let want = exec.run(q, &set, &cfg);
+                    assert_answers_equivalent(&run.answers, &want.answers);
+                    prop_assert_eq!(run.metrics, want.metrics);
+                }
             }
         }
     }
@@ -550,8 +542,8 @@ proptest! {
     /// Budget governance is free when nothing binds: ε = 0 under an
     /// effectively infinite budget is **bit-identical** to the
     /// ungoverned exact path — same answers, same scores, same pull
-    /// counts — monolithic and at 1/2/4/7 shards in both seed modes,
-    /// and every run is labeled [`Completeness::Exact`].
+    /// counts — monolithic and at 1/2/4/7 shards, and every run is
+    /// labeled [`Completeness::Exact`].
     #[test]
     fn governed_unlimited_budget_is_bit_identical_to_exact(
         rows in store_strategy(5, 32),
@@ -592,23 +584,21 @@ proptest! {
         for shards in [1usize, 2, 4, 7] {
             let sharded = ShardedStore::build(builder_from(&rows), shards);
             let exec = ShardedExecutor::new(&sharded);
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let exact_run = exec.run(&query, &set, &cfg, mode);
-                let gov_run = exec.run(&query, &set, &governed_cfg, mode);
-                prop_assert_eq!(gov_run.answers.len(), exact_run.answers.len());
-                for (a, b) in gov_run.answers.iter().zip(&exact_run.answers) {
-                    prop_assert_eq!(&a.key, &b.key);
-                    prop_assert_eq!(
-                        a.score, b.score,
-                        "budget changed a sharded score at {} shards ({:?})", shards, mode
-                    );
-                }
+            let exact_run = exec.run(&query, &set, &cfg);
+            let gov_run = exec.run(&query, &set, &governed_cfg);
+            prop_assert_eq!(gov_run.answers.len(), exact_run.answers.len());
+            for (a, b) in gov_run.answers.iter().zip(&exact_run.answers) {
+                prop_assert_eq!(&a.key, &b.key);
                 prop_assert_eq!(
-                    gov_run.metrics.pulls, exact_run.metrics.pulls,
-                    "budget changed sharded pull counts at {} shards ({:?})", shards, mode
+                    a.score, b.score,
+                    "budget changed a sharded score at {} shards", shards
                 );
-                prop_assert_eq!(gov_run.completeness, Completeness::Exact);
             }
+            prop_assert_eq!(
+                gov_run.metrics.pulls, exact_run.metrics.pulls,
+                "budget changed sharded pull counts at {} shards", shards
+            );
+            prop_assert_eq!(gov_run.completeness, Completeness::Exact);
         }
     }
 }

@@ -16,9 +16,9 @@ use std::collections::{BTreeMap, HashSet};
 use proptest::prelude::*;
 
 use trinit_query::exec::topk::{self, ExecCtx, ExecRequest, StoreView, TopkConfig};
-use trinit_query::{Answer, BudgetTracker, Governor, Query, TraceRecorder};
+use trinit_query::{Answer, BudgetTracker, Query, TraceRecorder};
 use trinit_relax::{ConditionOracle, QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
-use trinit_shard::{SeedMode, Seeds, ShardedExecutor, ShardedStore};
+use trinit_shard::{ShardedExecutor, ShardedStore};
 use trinit_xkg::{
     PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, StorageBytes,
     TermId, TermKind, Triple, TripleId, XkgBuilder, XkgStore,
@@ -343,10 +343,10 @@ fn run_mono_segmented(
     let slices = seg.segments();
     let tracker = BudgetTracker::new(cfg);
     let ctx = ExecCtx {
-        governor: Governor::primary(&tracker),
+        tracker: &tracker,
         recorder: &mut TraceRecorder::off(),
     };
-    let view = StoreView::over(&slices, 0, seg);
+    let view = StoreView::over(&slices, seg);
     topk::execute(&view, ExecRequest::new(query, rules, cfg), ctx).answers
 }
 
@@ -354,7 +354,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Ingest-then-serve ≡ rebuild-from-scratch, monolithic and at
-    /// 1/2/4/7 shards with every seed mode — and compacting the delta
+    /// 1/2/4/7 shards — and compacting the delta
     /// preserves the answers bit-for-bit (modulo tie-break detail).
     #[test]
     fn segmented_serve_equals_from_scratch_rebuild(
@@ -386,22 +386,20 @@ proptest! {
             let mut sharded = ShardedStore::build(builder_from(&base_rows), shards);
             sharded.ingest(|b| add_rows(b, &fresh));
             prop_assert_eq!(sharded.len(), union.len());
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg, mode);
-                assert_answers_equivalent(&run.answers, &want);
-            }
+            let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg);
+            assert_answers_equivalent(&run.answers, &want);
             sharded.compact();
             prop_assert!(!sharded.has_delta());
             let exec = ShardedExecutor::new(&sharded);
-            let run = exec.run(&query, &set, &cfg, SeedMode::Off);
+            let run = exec.run(&query, &set, &cfg);
             assert_answers_equivalent(&run.answers, &want);
             // No delta: a delta-restricted pattern matches nothing.
             let tracker = BudgetTracker::new(&cfg);
             let ctx = ExecCtx {
-                governor: Governor::primary(&tracker),
+                tracker: &tracker,
                 recorder: &mut TraceRecorder::off(),
             };
-            let none = exec.merge(&query, &set, &cfg, Seeds::default(), Some(0), ctx);
+            let none = exec.merge(&query, &set, &cfg, Some(0), ctx);
             prop_assert!(none.answers.is_empty());
         }
     }
@@ -518,10 +516,8 @@ proptest! {
                     "shape {} at {} shards", shape, shards
                 );
             }
-            for mode in [SeedMode::Off, SeedMode::Parallel] {
-                let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg, mode);
-                assert_answers_equivalent(&run.answers, &want_live);
-            }
+            let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg);
+            assert_answers_equivalent(&run.answers, &want_live);
             sharded.compact();
             assert_same_vocabulary(sharded.vocab(), &full);
             prop_assert_eq!(sharded.len(), full.len());
@@ -536,7 +532,7 @@ proptest! {
             for (got, want) in sharded.shards().iter().zip(rebuilt.shards()) {
                 assert_same_structures(got, want, &shapes);
             }
-            let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg, SeedMode::Off);
+            let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg);
             assert_answers_equivalent(&run.answers, &want_full);
         }
     }
@@ -628,15 +624,15 @@ proptest! {
             prop_assert!(sharded.has_delta());
             let base_total = (sharded.len() - sharded.delta_len()) as u32;
             let exec = ShardedExecutor::new(&sharded);
-            let full = exec.run(&query, &set, &cfg, SeedMode::Off);
+            let full = exec.run(&query, &set, &cfg);
             let mut introduced: BTreeMap<Vec<(VarId, Option<TermId>)>, f64> = BTreeMap::new();
             for j in 0..query.patterns.len() {
                 let tracker = BudgetTracker::new(&cfg);
                 let ctx = ExecCtx {
-                    governor: Governor::primary(&tracker),
+                    tracker: &tracker,
                     recorder: &mut TraceRecorder::off(),
                 };
-                let run = exec.merge(&query, &set, &cfg, Seeds::default(), Some(j), ctx);
+                let run = exec.merge(&query, &set, &cfg, Some(j), ctx);
                 for a in run.answers {
                     prop_assert!(
                         a.derivation.triples.iter().any(|(_, id)| id.0 >= base_total),

@@ -12,15 +12,17 @@
 //! successive ingests that also re-observe base and earlier delta
 //! triples, and then compacts, with a system-level posting cache that
 //! outlives every ingest; the compacted base must then serve exactly
-//! what a from-scratch build serves. A third case pins the work, not
+//! what a from-scratch build serves. Two more cases pin the work, not
 //! just the answers: the one-partition routes count exactly what the
-//! engine counts when called directly.
+//! engine counts when called directly, and every way to run a query on
+//! a sharded system — alone, in a session, in a batch of any size on
+//! any pool — counts exactly the same.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use trinit_core::query::exec::expand;
 use trinit_core::query::exec::topk::{self, ExecCtx, ExecRequest, StoreView};
-use trinit_core::query::{Answer, BudgetTracker, Governor};
+use trinit_core::query::{Answer, BudgetTracker, Query};
 use trinit_core::relax::{QTerm, RuleSet};
 use trinit_core::shard::testkit::assert_answers_score_equivalent;
 use trinit_core::shard::ShardedStore;
@@ -28,7 +30,7 @@ use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConf
 use trinit_core::xkg::{
     PostingList, Provenance, StorageBytes, TermId, Triple, TripleId, XkgBuilder, XkgStore,
 };
-use trinit_core::{Engine, Session, Stage, TraceRecorder, Trinit, TrinitBuilder};
+use trinit_core::{Engine, QueryOutcome, Session, Stage, TraceRecorder, Trinit, TrinitBuilder};
 
 const SEED: u64 = 42;
 
@@ -208,11 +210,11 @@ fn every_route_agrees_with_full_expansion_and_delta_queries_are_sound() {
 }
 
 /// The one-partition routes do no extra work: a frozen monolith runs the
-/// plain one-store execution (no totals provider, no seed or merge
-/// phase), and a monolith with a live delta runs one execution over its
-/// base and delta view, unseeded. Equal answers cannot show this — a
-/// detour through global totals or a seed phase returns the same
-/// answers — so the work counters are compared field for field.
+/// plain one-store execution (no totals provider, no merge span), and a
+/// monolith with a live delta runs one execution over its base and
+/// delta view. Equal answers cannot show this — a detour through global
+/// totals returns the same answers — so the work counters are compared
+/// field for field.
 #[test]
 fn one_partition_routes_do_no_extra_work() {
     let world = World::generate(WorldConfig::demo(SEED).scaled(0.05));
@@ -242,15 +244,99 @@ fn one_partition_routes_do_no_extra_work() {
         let q = live.parse(text).expect("parses");
         let tracker = BudgetTracker::new(cfg);
         let ctx = ExecCtx {
-            governor: Governor::primary(&tracker),
+            tracker: &tracker,
             recorder: &mut TraceRecorder::off(),
         };
-        let view = StoreView::over(&slices, 0, live_store);
+        let view = StoreView::over(&slices, live_store);
         let want = topk::execute(&view, ExecRequest::new(&q, live.rules(), cfg), ctx);
         let got = live.run(q, Engine::IncrementalTopK);
         assert_eq!(got.metrics, want.metrics, "live: {text}");
         assert_eq!(got.trace.stage_count(Stage::SeedTask), 0, "live: {text}");
         assert!(got.shard_metrics.is_empty(), "live: {text}");
+    }
+}
+
+/// `got` is `want` run another way: the same answers (keys, scores and
+/// derivations), every work counter and per-shard split, and no seed
+/// phase.
+fn assert_same_run(got: &QueryOutcome, want: &QueryOutcome, what: &str) {
+    assert_eq!(got.answers, want.answers, "{what}");
+    assert_eq!(got.metrics, want.metrics, "{what}");
+    assert_eq!(got.shard_metrics, want.shard_metrics, "{what}");
+    assert_eq!(got.trace.stage_count(Stage::SeedTask), 0, "{what}");
+    assert_eq!(got.trace.stage_count(Stage::Merge), 1, "{what}");
+}
+
+/// Every way to run a query on a sharded system does the same work:
+/// [`Trinit::run`], a [`Session`] (its cache off, so warmth cannot
+/// differ), a 1-query and a 32-query `run_batch`, a batch on one worker
+/// and the `run_batch_stealing` name. Answers cannot tell a seed phase
+/// from none — seeds only move work — so every counter is compared.
+#[test]
+fn every_sharded_route_does_the_same_work() {
+    let world = World::generate(WorldConfig::demo(SEED).scaled(0.05));
+    let mined =
+        TrinitBuilder::from_world(&world, &KgConfig::default(), &CorpusConfig::tiny(SEED)).build();
+    let union = mined.segmented_store().expect("monolithic build").base();
+    let (base, delta) = split(union);
+    let mut texts = vec![
+        "?x type person LIMIT 7".to_string(),
+        "?x bornIn ?y LIMIT 12".to_string(),
+        "?x bornIn ?c . ?c locatedIn ?y LIMIT 15".to_string(),
+    ];
+    for &country in world.of_type(EntityType::Country) {
+        texts.push(format!(
+            "?x bornIn {} LIMIT 10",
+            world.entity(country).resource
+        ));
+    }
+    for shards in [2, 4] {
+        let store = ShardedStore::build(builder_over(union, &[&base, &delta]), shards);
+        let sys = Trinit::from_sharded_parts(store, clone_rules(mined.rules()));
+        let parse = |text: &String| -> Query { sys.parse(text).expect("parses") };
+        let alone: Vec<QueryOutcome> = texts
+            .iter()
+            .map(|t| sys.run(parse(t), Engine::IncrementalTopK))
+            .collect();
+        let mut session = Session::new(&sys);
+        session.set_posting_cache_capacity(0);
+        for (text, want) in texts.iter().zip(&alone) {
+            let what = format!("{shards} shards, {text}");
+            assert_eq!(want.trace.stage_count(Stage::SeedTask), 0, "{what}");
+            let got = session.run(parse(text), Engine::IncrementalTopK);
+            assert_same_run(&got, want, &format!("{what}: session"));
+            let batches = [
+                (
+                    "run_batch of 1",
+                    sys.run_batch(vec![parse(text)], Engine::IncrementalTopK),
+                ),
+                (
+                    "one worker",
+                    sys.run_batch_with_workers(vec![parse(text)], Engine::IncrementalTopK, 1),
+                ),
+                (
+                    "run_batch_stealing",
+                    sys.run_batch_stealing(vec![parse(text)], Engine::IncrementalTopK, 2),
+                ),
+            ];
+            for (route, batch) in batches {
+                let got = batch[0].as_ref().expect("no query panicked");
+                assert_same_run(got, want, &format!("{what}: {route}"));
+            }
+        }
+        let picks: Vec<usize> = (0..32).map(|i| i % texts.len()).collect();
+        let big = sys.run_batch(
+            picks.iter().map(|&i| parse(&texts[i])).collect(),
+            Engine::IncrementalTopK,
+        );
+        for (&i, got) in picks.iter().zip(&big) {
+            let got = got.as_ref().expect("no query panicked");
+            assert_same_run(
+                got,
+                &alone[i],
+                &format!("{shards} shards, {}: batch of 32", texts[i]),
+            );
+        }
     }
 }
 
