@@ -50,18 +50,22 @@ pub const UNSAFE_ALLOWED_FILES: &[&str] = &[];
 pub const FLOAT_ORDERING_ALLOWED_FILES: &[&str] = &[];
 
 /// True for the serving hot paths `no-panic-hot-path` governs: every
-/// top-k pipeline stage, the sharded execution/scheduling/storage
-/// layer, and the xkg store's serving structures (posting lists,
-/// permutation indexes, segment resolution) — the packed readers added
-/// with the compact layout must degrade on bad offsets, not panic.
+/// top-k pipeline stage and the scoring layer that opens its lists, the
+/// sharded execution/scheduling/storage layer, and the xkg store's
+/// serving structures (the store's head bounds and wide-pair totals,
+/// posting lists, permutation indexes, segment resolution) — the packed
+/// readers added with the compact layout must degrade on bad offsets,
+/// not panic.
 /// Panics here escape to `catch_unwind` boundaries at best and poison
 /// shared state at worst (PR 6 made both load-bearing).
 fn is_hot_path(rel: &str) -> bool {
     rel.starts_with("crates/query/src/exec/")
         || matches!(
             rel,
-            "crates/shard/src/exec.rs"
+            "crates/query/src/score.rs"
+                | "crates/shard/src/exec.rs"
                 | "crates/shard/src/store.rs"
+                | "crates/xkg/src/store.rs"
                 | "crates/xkg/src/posting.rs"
                 | "crates/xkg/src/segment.rs"
                 | "crates/xkg/src/index.rs"

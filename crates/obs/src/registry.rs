@@ -10,7 +10,7 @@
 //! summaries of the query-wall and per-stage histograms.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::hist::Histogram;
 use crate::span::{QueryTrace, Stage};
@@ -161,12 +161,48 @@ fn stripe_id() -> usize {
     STRIPE.with(|s| *s)
 }
 
+/// Locks a stripe, recovering from poisoning: a histogram is a plain
+/// count array, never left half-updated in a way later reads could trip
+/// over.
+fn lock<T>(stripe: &Mutex<T>) -> MutexGuard<'_, T> {
+    match stripe.lock() {
+        Ok(g) => g,
+        Err(p) => p.into_inner(),
+    }
+}
+
+/// A value sharded over mutex stripes: each thread works under its own
+/// stripe's lock (no cross-thread contention in steady state), readers
+/// fold every stripe.
+#[derive(Debug)]
+struct Striped<T> {
+    stripes: [Mutex<T>; STRIPES],
+}
+
+impl<T> Striped<T> {
+    fn new(init: impl Fn() -> T) -> Striped<T> {
+        Striped { stripes: std::array::from_fn(|_| Mutex::new(init())) }
+    }
+
+    /// Runs `f` on the calling thread's stripe, under one lock.
+    fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
+        f(&mut lock(&self.stripes[stripe_id()]))
+    }
+
+    /// Visits every stripe in turn.
+    fn for_each(&self, mut f: impl FnMut(&T)) {
+        for s in &self.stripes {
+            f(&lock(s));
+        }
+    }
+}
+
 /// A histogram sharded over mutex stripes: threads record into their
 /// own stripe (no cross-thread contention in steady state), snapshots
 /// merge all stripes.
 #[derive(Debug)]
 pub struct ShardedHistogram {
-    stripes: [Mutex<Histogram>; STRIPES],
+    inner: Striped<Histogram>,
 }
 
 impl Default for ShardedHistogram {
@@ -178,28 +214,18 @@ impl Default for ShardedHistogram {
 impl ShardedHistogram {
     /// An empty sharded histogram.
     pub fn new() -> ShardedHistogram {
-        ShardedHistogram { stripes: std::array::from_fn(|_| Mutex::new(Histogram::new())) }
+        ShardedHistogram { inner: Striped::new(Histogram::new) }
     }
 
     /// Record one sample into the calling thread's stripe.
     pub fn record(&self, v: u64) {
-        let mut h = match self.stripes[stripe_id()].lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        h.record(v);
+        self.inner.with(|h| h.record(v));
     }
 
     /// Merge every stripe into one histogram.
     pub fn merged(&self) -> Histogram {
         let mut out = Histogram::new();
-        for s in &self.stripes {
-            let h = match s.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            out.merge(&h);
-        }
+        self.inner.for_each(|h| out.merge(h));
         out
     }
 }
@@ -212,7 +238,9 @@ pub struct MetricsRegistry {
     gauges: [AtomicU64; Gauge::COUNT],
     cache: [AtomicU64; 4],
     query_wall: ShardedHistogram,
-    stages: [ShardedHistogram; Stage::COUNT],
+    /// One histogram per [`Stage`] in each stripe, so a whole trace
+    /// records under one lock.
+    stages: Striped<[Histogram; Stage::COUNT]>,
 }
 
 impl Default for MetricsRegistry {
@@ -229,7 +257,7 @@ impl MetricsRegistry {
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             cache: std::array::from_fn(|_| AtomicU64::new(0)),
             query_wall: ShardedHistogram::new(),
-            stages: std::array::from_fn(|_| ShardedHistogram::new()),
+            stages: Striped::new(|| std::array::from_fn(|_| Histogram::new())),
         }
     }
 
@@ -289,21 +317,25 @@ impl MetricsRegistry {
 
     /// Record a sample into one stage's histogram.
     pub fn record_stage(&self, stage: Stage, ns: u64) {
-        self.stages[stage.idx()].record(ns);
+        self.stages.with(|h| h[stage.idx()].record(ns));
     }
 
     /// Merged histogram for one stage.
     pub fn stage(&self, stage: Stage) -> Histogram {
-        self.stages[stage.idx()].merged()
+        let mut out = Histogram::new();
+        self.stages.for_each(|h| out.merge(&h[stage.idx()]));
+        out
     }
 
     /// Fold every span of a finished trace into the per-stage
-    /// histograms (point events contribute zero-duration samples, so
-    /// stage counts stay meaningful).
+    /// histograms under one stripe lock (point events contribute
+    /// zero-duration samples, so stage counts stay meaningful).
     pub fn record_trace(&self, trace: &QueryTrace) {
-        for span in &trace.spans {
-            self.record_stage(span.stage, span.dur_ns);
-        }
+        self.stages.with(|h| {
+            for span in &trace.spans {
+                h[span.stage.idx()].record(span.dur_ns);
+            }
+        });
     }
 
     /// Serialize the whole registry to JSON: counters, gauges, the

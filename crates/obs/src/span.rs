@@ -126,6 +126,10 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
+    /// Spans the first record reserves room for (at most the capacity):
+    /// a query records four to seven.
+    const FIRST_RESERVE: usize = 8;
+
     /// An enabled recorder holding at most `capacity` spans.
     pub fn with_capacity(capacity: usize) -> TraceRecorder {
         TraceRecorder {
@@ -189,8 +193,14 @@ impl TraceRecorder {
         self.push(span);
     }
 
+    /// Appends under capacity — the first span reserves room for a
+    /// typical query's few, so most traces allocate once — else
+    /// overwrites the oldest.
     fn push(&mut self, span: SpanRecord) {
         if self.spans.len() < self.capacity {
+            if self.spans.capacity() == 0 {
+                self.spans.reserve_exact(self.capacity.min(Self::FIRST_RESERVE));
+            }
             self.spans.push(span);
         } else {
             self.spans[self.next] = span;
@@ -219,18 +229,14 @@ impl TraceRecorder {
         self.spans.len() as u64 + self.dropped
     }
 
-    /// Held spans, oldest first (ring rotation applied).
-    fn ordered(&self) -> impl Iterator<Item = &SpanRecord> {
-        let (tail, head) = self.spans.split_at(self.next.min(self.spans.len()));
-        head.iter().chain(tail.iter())
-    }
-
     /// Consume the recorder into an exported trace (spans oldest
-    /// first, sorted by start time for a stable cross-thread timeline).
-    pub fn finish(self) -> QueryTrace {
-        let mut spans: Vec<SpanRecord> = self.ordered().copied().collect();
-        spans.sort_by_key(|s| s.start_ns);
-        QueryTrace { spans, dropped: self.dropped }
+    /// first, sorted by start time for a stable cross-thread timeline),
+    /// rotating and sorting the ring in place.
+    pub fn finish(mut self) -> QueryTrace {
+        let oldest = self.next.min(self.spans.len());
+        self.spans.rotate_left(oldest);
+        self.spans.sort_by_key(|s| s.start_ns);
+        QueryTrace { spans: self.spans, dropped: self.dropped }
     }
 }
 

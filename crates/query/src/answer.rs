@@ -163,6 +163,9 @@ pub struct Answer {
 struct Slot {
     seq: u64,
     answer: Answer,
+    /// For an answer offered deferred and not yet settled: its parts, as
+    /// a `(start, len)` range of the collector's `parts`.
+    deferred: Option<(usize, usize)>,
 }
 
 /// Collects answers, deduplicating by projected key and keeping the
@@ -176,6 +179,11 @@ struct Slot {
 /// allocation per call. The rank join calls it on every pull; the
 /// previous implementation allocated and `select_nth`-ed a vector of
 /// *all* candidate scores each time.
+///
+/// An answer may also be offered *deferred*
+/// ([`AnswerCollector::offer_deferred`]): key and score now, bindings and
+/// derivation only if it can still rank when the offerer settles
+/// ([`AnswerCollector::settle`]).
 #[derive(Debug, Default)]
 pub struct AnswerCollector {
     best: HashMap<Vec<(VarId, Option<TermId>)>, Slot>,
@@ -189,6 +197,9 @@ pub struct AnswerCollector {
     /// minimum never decreases).
     top: Vec<(f64, u64)>,
     next_seq: u64,
+    /// The parts of the answers offered deferred since the last settle,
+    /// back to back.
+    parts: Vec<(u32, u32)>,
 }
 
 impl AnswerCollector {
@@ -223,13 +234,75 @@ impl AnswerCollector {
 
     /// Offers an answer; kept only if it beats the current best for its
     /// key. Returns `true` if the collector changed.
-    pub fn offer(&mut self, mut answer: Answer) -> bool {
+    pub fn offer(&mut self, answer: Answer) -> bool {
+        self.insert(answer, None)
+    }
+
+    /// Offers the answer with `key` and `score` whose bindings and
+    /// derivation [`AnswerCollector::settle`] builds later from `parts`
+    /// (opaque to the collector), if it can still rank then. Kept or
+    /// rejected exactly as [`AnswerCollector::offer`] would keep or
+    /// reject the built answer; returns `true` if the collector changed.
+    pub fn offer_deferred(
+        &mut self,
+        key: Vec<(VarId, Option<TermId>)>,
+        score: f64,
+        parts: impl IntoIterator<Item = (u32, u32)>,
+    ) -> bool {
+        let start = self.parts.len();
+        self.parts.extend(parts);
+        let answer = Answer {
+            key,
+            bindings: Bindings::default(),
+            score,
+            derivation: Derivation::default(),
+        };
+        let range = (start, self.parts.len() - start);
+        let kept = self.insert(answer, Some(range));
+        if !kept {
+            self.parts.truncate(start);
+        }
+        kept
+    }
+
+    /// Builds, with `build(parts)`, the bindings and derivation of every
+    /// answer offered deferred since the last settle that can still rank:
+    /// one scoring at or above the tracked k-th (ties included, since
+    /// [`AnswerCollector::into_top_k`] breaks them by key), or any while
+    /// fewer than k answers are held, or any in an untracked collector.
+    /// The others keep their key and score, so the collector's counts,
+    /// its k-th score and its dedup are what offering them built would
+    /// leave — but none of them is ever returned: each scores strictly
+    /// below a k-th score that only rises. The offerer must settle before
+    /// anything `parts` names goes away, and before
+    /// [`AnswerCollector::into_top_k`].
+    pub fn settle(&mut self, mut build: impl FnMut(&[(u32, u32)]) -> (Bindings, Derivation)) {
+        if self.parts.is_empty() {
+            return;
+        }
+        let kth = self.kth_score(self.track_k);
+        for slot in self.best.values_mut() {
+            let Some((start, len)) = slot.deferred.take() else {
+                continue;
+            };
+            if kth.is_some_and(|kth| slot.answer.score < kth) {
+                continue;
+            }
+            let parts = self.parts.get(start..start + len).unwrap_or_default();
+            (slot.answer.bindings, slot.answer.derivation) = build(parts);
+        }
+        self.parts.clear();
+    }
+
+    /// The dedup-by-key insert behind both offers.
+    fn insert(&mut self, mut answer: Answer, deferred: Option<(usize, usize)>) -> bool {
         let score = answer.score;
         let seq = match self.best.entry(std::mem::take(&mut answer.key)) {
             Entry::Occupied(slot) if slot.get().answer.score >= score => return false,
             Entry::Occupied(mut slot) => {
                 let slot = slot.get_mut();
                 slot.answer = answer;
+                slot.deferred = deferred;
                 // The key's old score may sit in the tracked list; drop it
                 // before re-offering the improved score.
                 if let Some(i) = self.top.iter().position(|&(_, s)| s == slot.seq) {
@@ -240,7 +313,11 @@ impl AnswerCollector {
             Entry::Vacant(slot) => {
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                slot.insert(Slot { seq, answer });
+                slot.insert(Slot {
+                    seq,
+                    answer,
+                    deferred,
+                });
                 seq
             }
         };
@@ -299,6 +376,7 @@ impl AnswerCollector {
     /// order is total: selecting the top `k` and sorting only those gives
     /// exactly the prefix a sort of every held answer would.
     pub fn into_top_k(self, k: usize) -> Vec<Answer> {
+        debug_assert!(self.parts.is_empty(), "deferred answers left unsettled");
         let order =
             |a: &Answer, b: &Answer| b.score.total_cmp(&a.score).then_with(|| a.key.cmp(&b.key));
         let mut out: Vec<Answer> = (self.best.into_iter())

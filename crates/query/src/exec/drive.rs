@@ -97,12 +97,6 @@ pub struct TopkConfig {
     pub max_alternatives: usize,
     /// Cap on structural query variants.
     pub max_variants: usize,
-    /// Wire the precomputed posting index into the termination bound:
-    /// exact head probabilities for unopened alternatives, head-bound
-    /// variant pruning, and remaining-mass stream capping. Answers are
-    /// identical with or without; tightening only reduces the work
-    /// ([`ExecMetrics::pulls`]).
-    pub tighten_threshold: bool,
     /// ε-approximate top-k: answers forfeited by early termination are
     /// guaranteed to score at most ε (probability space, absolute), so
     /// for every rank `r` the returned answer satisfies
@@ -144,7 +138,6 @@ impl Default for TopkConfig {
             min_weight: 0.05,
             max_alternatives: 64,
             max_variants: 16,
-            tighten_threshold: true,
             epsilon: 0.0,
             theta: 0.0,
             budget: ExecBudget::default(),
@@ -603,6 +596,10 @@ impl PullWindow {
 /// share every line of join, threshold, and capping logic; `lookup`
 /// resolves emitted triple ids (global ids, for a sharded source).
 ///
+/// Combinations are offered deferred; once the loop ends, while the
+/// streams still hold their items, the collector builds the bindings and
+/// derivations of those that can still rank (`join::materialize`).
+///
 /// Returns `false` when a hard budget cutoff fired — the caller must
 /// stop opening further variants (the policy has already recorded the
 /// forfeit bound); `true` on every normal termination.
@@ -613,6 +610,30 @@ pub(crate) fn rank_join<M: RankSource>(
     streams: &mut [Stream<M>],
     variant_log: f64,
     variant_trace: &[RuleId],
+    projection: &[trinit_relax::VarId],
+    k: usize,
+    n_vars: usize,
+    collector: &mut AnswerCollector,
+    metrics: &mut ExecMetrics,
+    tracker: &BudgetTracker,
+    recorder: &mut TraceRecorder,
+) -> bool {
+    let go_on = pull_loop(
+        lookup, cfg, streams, variant_log, projection, k, n_vars, collector, metrics, tracker,
+        recorder,
+    );
+    let streams = &*streams;
+    collector.settle(|parts| join::materialize(streams, parts, variant_log, variant_trace, n_vars));
+    go_on
+}
+
+/// [`rank_join`]'s pull loop, which offers every combination deferred.
+#[allow(clippy::too_many_arguments)]
+fn pull_loop<M: RankSource>(
+    lookup: &dyn TripleLookup,
+    cfg: &TopkConfig,
+    streams: &mut [Stream<M>],
+    variant_log: f64,
     projection: &[trinit_relax::VarId],
     k: usize,
     n_vars: usize,
@@ -656,8 +677,8 @@ pub(crate) fn rank_join<M: RankSource>(
                 // streams (its own stream is skipped, so joining before
                 // keeping the item is equivalent).
                 join::join_with_others(
-                    streams, next, &item, variant_log, variant_trace, projection, &mut scratch,
-                    collector, metrics,
+                    streams, next, &item, variant_log, projection, &mut scratch, collector,
+                    metrics,
                 );
                 streams[next].push_seen(item);
             }
@@ -1086,14 +1107,14 @@ mod tests {
     }
 
     #[test]
-    fn tightened_threshold_caps_hopeless_streams() {
+    fn threshold_caps_hopeless_streams() {
         // Stream A: one strong lonely item, one joining item, then a
         // heavy tail of lonely items whose frontier stays above stream
         // B's. Stream B: a strong joining head and a long tail. Once the
         // best join is collected, no unseen A item can beat it (its
         // frontier × B's best is below the answer), but B must still be
-        // drained. The untightened engine keeps pulling A (highest
-        // frontier); the tightened one caps A and pulls only B.
+        // drained. Pulling by frontier alone would drain A's tail first;
+        // the threshold caps A and pulls only B.
         let mut b = XkgBuilder::new();
         let p = b.dict_mut().resource("p");
         let q = b.dict_mut().resource("q");
@@ -1119,34 +1140,11 @@ mod tests {
             .limit(1)
             .build();
         let rules = RuleSet::new();
-        let (tight, m_tight) = run(
-            &store,
-            &q,
-            &rules,
-            &TopkConfig {
-                tighten_threshold: true,
-                ..TopkConfig::default()
-            },
-        );
-        let (loose, m_loose) = run(
-            &store,
-            &q,
-            &rules,
-            &TopkConfig {
-                tighten_threshold: false,
-                ..TopkConfig::default()
-            },
-        );
-        assert_same_answers(&tight, &loose);
-        assert_eq!(tight.len(), 1);
-        assert!(
-            m_tight.pulls < m_loose.pulls,
-            "capping must save pulls: {} vs {}",
-            m_tight.pulls,
-            m_loose.pulls
-        );
-        assert!(m_tight.early_cutoffs > 0, "{m_tight:?}");
-        assert_eq!(m_loose.early_cutoffs, 0, "{m_loose:?}");
+        let (answers, m) = run(&store, &q, &rules, &TopkConfig::default());
+        assert_same_answers(&answers, &reference(&store, &q, &rules, &TopkConfig::default()));
+        assert_eq!(answers.len(), 1);
+        assert!(m.early_cutoffs > 0, "{m:?}");
+        assert!(m.pulls <= 2 + 151, "A's lonely tail must not be pulled: {m:?}");
     }
 
     #[test]
@@ -1200,14 +1198,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_mass_groups_agree_with_untightened_and_expansion() {
+    fn zero_mass_groups_agree_with_expansion() {
         // A predicate whose entire match set has weight 0 (confidence 0
         // extractions): its posting group serves as an empty list and
-        // its head bound is 0. The tightened threshold skips the
-        // alternative outright; the untightened engine and the
-        // full-expansion reference open it and emit nothing. All three
-        // must agree — this is the "head bound 0 caps the stream before
-        // pulling" regression.
+        // its head bound is 0. The threshold skips the alternative
+        // outright; the full-expansion reference opens it and emits
+        // nothing. Both must agree — this is the "head bound 0 caps the
+        // stream before pulling" regression.
         let mut b = XkgBuilder::new();
         let ghost = b.dict_mut().resource("ghost");
         let p = b.dict_mut().resource("p");
@@ -1252,15 +1249,8 @@ mod tests {
                 &store,
                 &query,
                 &rules,
-                &TopkConfig { tighten_threshold: true, min_weight: 0.0, ..Default::default() },
+                &TopkConfig { min_weight: 0.0, ..Default::default() },
             );
-            let (loose, _) = run(
-                &store,
-                &query,
-                &rules,
-                &TopkConfig { tighten_threshold: false, min_weight: 0.0, ..Default::default() },
-            );
-            assert_same_answers(&tight, &loose);
             let (full, _) = expand::run(
                 &store,
                 &query,

@@ -22,7 +22,8 @@
 //!   score, its triple id, and the *index* of the alternative that
 //!   emitted it. The alternative's pattern, rule trace and weight stay in
 //!   the source's alternative table ([`RankSource::alternative`]) and are
-//!   read once per *successful* join, when a derivation is materialized.
+//!   read only when a derivation is materialized: once per combination
+//!   that still ranks when its variant's join ends.
 //! * Each [`Stream`] partitions its kept items by the values of its
 //!   *join variables* (variables shared with other streams in the
 //!   variant — the Yannakakis-style observation that only join-compatible
@@ -38,10 +39,14 @@
 //! * The combination loop works in one reusable [`JoinScratch`] per
 //!   variant: a scratch [`Bindings`] sized from the variant's real
 //!   variable count, one undo stack shared by every recursion depth, and
-//!   the stack of accumulated partners. A combined `Bindings` is
-//!   allocated once per *successful* full join that can still rank —
-//!   one scoring strictly below a full top-k's k-th is dropped before
-//!   anything is built — never speculatively.
+//!   the stack of accumulated partners. A *successful* full join that
+//!   can still rank — one scoring strictly below a full top-k's k-th is
+//!   dropped first — builds only its projected key and is offered
+//!   deferred, as its score and its items: the arrival and its partners
+//!   as `(stream, kept item)`. Bindings and derivations are built once
+//!   per variant, when its rank join ends and its streams still hold
+//!   those items (`materialize`), and only for the combinations that
+//!   still rank then.
 //!
 //! ## The retired-stream semijoin filter
 //!
@@ -90,7 +95,7 @@ use trinit_obs::TraceRecorder;
 use trinit_relax::{QPattern, QTerm, RuleId, VarId};
 use trinit_xkg::{TermId, TripleId};
 
-use crate::answer::{Answer, AnswerCollector, Bindings, Derivation};
+use crate::answer::{AnswerCollector, Bindings, Derivation};
 use crate::exec::merge::{Merged, RankSource};
 use crate::exec::{ExecMetrics, TripleLookup};
 use crate::score::{ln_weight, LOG_ZERO};
@@ -526,9 +531,6 @@ impl JoinScratch {
 struct Combine<'a, M> {
     streams: &'a [Stream<M>],
     new_stream: usize,
-    new_item: &'a SeenItem,
-    variant_log: f64,
-    variant_trace: &'a [RuleId],
     projection: &'a [VarId],
     collector: &'a mut AnswerCollector,
     metrics: &'a mut ExecMetrics,
@@ -596,46 +598,65 @@ impl<M: RankSource> Combine<'_, M> {
         candidate.next
     }
 
-    /// Materializes one completed combination — the only place the
-    /// alternative tables are read and anything is allocated — unless the
-    /// collector already holds a full top-k strictly above its score
+    /// Offers one completed combination deferred — its key, its score
+    /// and its items, the arrival first (kept next, at the end of its
+    /// stream) then its partners in stream order — unless the collector
+    /// already holds a full top-k strictly above its score
     /// ([`AnswerCollector::admits`]): then nothing is built.
     fn emit(&mut self, score: f64, scratch: &JoinScratch) {
         if !self.collector.admits(score) {
             return;
         }
-        let streams = self.streams;
-        // The arrival first, then its partners in stream order.
-        let items = std::iter::once((self.new_stream, self.new_item)).chain(
-            scratch
-                .partners
-                .iter()
-                .map(|&(s, i)| (s as usize, &streams[s as usize].seen[i as usize])),
-        );
-        let mut rules: Vec<RuleId> = self.variant_trace.to_vec();
-        let mut rule_weight = 1.0;
-        let mut triples = Vec::with_capacity(streams.len());
-        for (stream, item) in items {
-            let alt = streams[stream].merge.alternative(item.alt);
-            rules.extend_from_slice(alt.trace);
-            rule_weight *= alt.weight;
-            triples.push((*alt.pattern, item.triple));
-        }
-        // Variant weight folds into the derivation weight as well.
-        if self.variant_log.is_finite() {
-            rule_weight *= self.variant_log.exp();
-        }
-        self.collector.offer(Answer {
-            key: scratch.bindings.project(self.projection),
-            bindings: scratch.bindings.clone(),
-            score,
-            derivation: Derivation {
-                triples,
-                rules,
-                rule_weight,
-            },
-        });
+        let arrival = (self.new_stream as u32, self.streams[self.new_stream].seen.len() as u32);
+        let partners = scratch.partners.iter().copied();
+        let key = scratch.bindings.project(self.projection);
+        self.collector
+            .offer_deferred(key, score, std::iter::once(arrival).chain(partners));
     }
+}
+
+/// The bindings and derivation of the combination of `parts` —
+/// `(stream, kept item)` pairs, the arrival first, then its partners in
+/// stream order — exactly as the join's scratch held them when it was
+/// offered: every item's pairs bound into a fresh assignment of `n_vars`
+/// variables, and per item its alternative's pattern, triple, rules and
+/// weight, the variant's folded in last.
+pub(crate) fn materialize<M: RankSource>(
+    streams: &[Stream<M>],
+    parts: &[(u32, u32)],
+    variant_log: f64,
+    variant_trace: &[RuleId],
+    n_vars: usize,
+) -> (Bindings, Derivation) {
+    let mut bindings = Bindings::new(n_vars);
+    let mut rules: Vec<RuleId> = variant_trace.to_vec();
+    let mut rule_weight = 1.0;
+    let mut triples = Vec::with_capacity(parts.len());
+    for &(s, i) in parts {
+        let Some(stream) = streams.get(s as usize) else {
+            continue;
+        };
+        let Some(item) = stream.seen.get(i as usize) else {
+            continue;
+        };
+        for &(v, t) in item.bound.as_slice() {
+            bindings.bind(v, t);
+        }
+        let alt = stream.merge.alternative(item.alt);
+        rules.extend_from_slice(alt.trace);
+        rule_weight *= alt.weight;
+        triples.push((*alt.pattern, item.triple));
+    }
+    // Variant weight folds into the derivation weight as well.
+    if variant_log.is_finite() {
+        rule_weight *= variant_log.exp();
+    }
+    let derivation = Derivation {
+        triples,
+        rules,
+        rule_weight,
+    };
+    (bindings, derivation)
 }
 
 /// Joins one arrival against the other streams' kept partitions,
@@ -648,7 +669,6 @@ pub(crate) fn join_with_others<M: RankSource>(
     new_stream: usize,
     new_item: &SeenItem,
     variant_log: f64,
-    variant_trace: &[RuleId],
     projection: &[VarId],
     scratch: &mut JoinScratch,
     collector: &mut AnswerCollector,
@@ -660,9 +680,6 @@ pub(crate) fn join_with_others<M: RankSource>(
     Combine {
         streams,
         new_stream,
-        new_item,
-        variant_log,
-        variant_trace,
         projection,
         collector,
         metrics,
@@ -674,6 +691,7 @@ pub(crate) fn join_with_others<M: RankSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answer::Answer;
     use crate::ast::{Query, QueryBuilder};
     use crate::exec::budget::{BudgetTracker, Completeness};
     use crate::exec::drive::{self, Sources, TopkConfig};

@@ -63,8 +63,8 @@ use crate::score::{
 struct AltState<'s> {
     matches: Option<ScoredMatches<'s>>,
     /// Sound upper bound on this alternative's best emission probability
-    /// before its list is opened: the exact head probability for
-    /// index-served shapes under the tightened threshold, 1.0 otherwise.
+    /// before its list is opened: the exact head probability for the
+    /// shapes the store answers without the list, 1.0 otherwise.
     head_bound: f64,
     /// Restrictions that arrived before the alternative opened, applied
     /// when it does.
@@ -216,9 +216,6 @@ pub struct AltTable {
     /// Every entry's rule chain, back to back. A chain an entry replaced
     /// stays behind unreferenced.
     traces: Vec<RuleId>,
-    /// Whether slices bound unopened alternatives by their index head
-    /// ([`TopkConfig::tighten_threshold`]).
-    tighten: bool,
 }
 
 impl AltTable {
@@ -255,7 +252,6 @@ impl AltTable {
         let mut table = AltTable {
             alts: vec![origin],
             traces: Vec::new(),
-            tighten: cfg.tighten_threshold,
         };
         // Each round appends its new entries after the previous round's.
         let mut frontier = 0..1;
@@ -297,7 +293,7 @@ impl AltTable {
                 break;
             }
         }
-        if let Some(totals) = totals.filter(|_| table.tighten) {
+        if let Some(totals) = totals {
             for alt in &mut table.alts {
                 alt.total = totals.pattern_total(&canonical_pattern(&alt.pattern));
             }
@@ -483,16 +479,10 @@ impl<'a> IncrementalMerge<'a> {
         // emission mass (the index serves them empty): such alternatives
         // never enter the queue, where a zero-keyed entry would linger for
         // the threshold to trip over.
-        let head = |a: &AltEntry| {
-            let tight = table
-                .tighten
-                .then(|| head_prob_bound_global(store, &a.pattern, a.total));
-            tight.unwrap_or(1.0)
-        };
         let alts: Vec<AltState<'a>> = (table.alts.iter())
             .map(|a| AltState {
                 matches: None,
-                head_bound: head(a),
+                head_bound: head_prob_bound_global(store, &a.pattern, a.total),
                 pending: Vec::new(),
             })
             .collect();
@@ -740,33 +730,24 @@ mod tests {
                 QTerm::Var(VarId(1)),
             ),
         ] {
-            for tighten_threshold in [true, false] {
-                let cfg = TopkConfig {
-                    tighten_threshold,
-                    ..cfg.clone()
-                };
-                let mut merge = testfix::merge(&store, &pattern, &rules, &cfg);
-                let mut metrics = ExecMetrics::default();
-                let mut total_emitted = 0.0;
-                loop {
-                    let mass = merge.remaining_mass();
-                    match merge.peek_bound() {
-                        Some(bound) => assert!(
-                            mass >= bound - 1e-12,
-                            "mass {mass} < frontier {bound} (tighten={tighten_threshold})"
-                        ),
-                        None => break,
-                    }
-                    let Some(m) = merge.next_merged(&mut metrics) else {
-                        break;
-                    };
-                    // The emission itself is covered by the pre-pull mass.
-                    assert!(mass >= m.prob - 1e-12);
-                    total_emitted += m.prob;
+            let mut merge = testfix::merge(&store, &pattern, &rules, &cfg);
+            let mut metrics = ExecMetrics::default();
+            let mut total_emitted = 0.0;
+            loop {
+                let mass = merge.remaining_mass();
+                match merge.peek_bound() {
+                    Some(bound) => assert!(mass >= bound - 1e-12, "mass {mass} < frontier {bound}"),
+                    None => break,
                 }
-                assert!(merge.remaining_mass() >= -1e-12);
-                assert!(total_emitted > 0.0);
+                let Some(m) = merge.next_merged(&mut metrics) else {
+                    break;
+                };
+                // The emission itself is covered by the pre-pull mass.
+                assert!(mass >= m.prob - 1e-12);
+                total_emitted += m.prob;
             }
+            assert!(merge.remaining_mass() >= -1e-12);
+            assert!(total_emitted > 0.0);
         }
     }
 

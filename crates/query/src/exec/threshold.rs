@@ -1,6 +1,6 @@
 //! Stage 3 of the top-k operator pipeline: **termination policy** —
-//! the tightened threshold, stream capping, and the remaining-mass
-//! envelope that powers the ε-approximate mode.
+//! the threshold, stream capping, and the remaining-mass envelope that
+//! powers the ε-approximate mode.
 //!
 //! The driver ([`crate::exec::drive`]) consults a [`ThresholdPolicy`]
 //! at two points: once per variant before any posting list is opened
@@ -13,11 +13,12 @@
 //!
 //! The classic rank-join threshold `T = max_i (frontier_i + Σ_{j≠i}
 //! best_j)` (log space) bounds every unseen combination; processing
-//! stops once the k-th answer's score reaches it. With
-//! `tighten_threshold`, the store's precomputed posting index feeds the
-//! bound (exact head probabilities for unopened alternatives, variant
-//! pruning, per-stream capping); answers are provably identical either
-//! way — tightening only reduces pulls.
+//! stops once the k-th answer's score reaches it. The store feeds the
+//! bound exact head probabilities for unopened alternatives — read from
+//! the posting index's groups or the wide-pair directory, whichever
+//! holds the shape, with the trivial 1.0 for the rest — and the policy
+//! prunes variants and caps streams on it. Any sound bound gives the
+//! same answers; a tighter one only saves pulls and list builds.
 //!
 //! ## Per-round cost
 //!
@@ -146,7 +147,6 @@ pub(crate) enum Admission {
 /// capping decisions, the budget governance, and the round-scratch
 /// buffers.
 pub(crate) struct ThresholdPolicy<'a> {
-    tighten: bool,
     /// The query's budget tracker.
     tracker: &'a BudgetTracker,
     /// Effective ε (probability space) after any ladder escalation.
@@ -180,7 +180,6 @@ impl<'a> ThresholdPolicy<'a> {
         tracker: &'a BudgetTracker,
     ) -> ThresholdPolicy<'a> {
         ThresholdPolicy {
-            tighten: cfg.tighten_threshold,
             tracker,
             eff_eps: cfg.epsilon,
             ln_eps: ln_weight(cfg.epsilon),
@@ -228,7 +227,7 @@ impl<'a> ThresholdPolicy<'a> {
     /// (best emission of stream i)`, and each stream's initial frontier
     /// is exactly that head bound. Returns [`Admission::Skip`] (and
     /// counts the cutoff) if the k-th collected answer already matches
-    /// it (head-bound variant pruning, tightened mode) or if even the
+    /// it (head-bound variant pruning) or if even the
     /// best possible answer is within the ε tolerance (approximate
     /// mode); returns [`Admission::Stop`] when the budget tracker
     /// reports a hard cutoff, recording the head bound as the sound
@@ -244,11 +243,7 @@ impl<'a> ThresholdPolicy<'a> {
             *c = stream.contribution_bound();
         }
         self.resum();
-        let kth = if self.tighten {
-            collector.kth_score(self.k)
-        } else {
-            None
-        };
+        let kth = collector.kth_score(self.k);
         if kth.is_none() && self.ln_eps <= LOG_ZERO && !self.tracker.is_governed() {
             return Admission::Admit;
         }
@@ -368,7 +363,7 @@ impl<'a> ThresholdPolicy<'a> {
                 self.tracker.note_approx();
                 return RoundVerdict::Done;
             }
-            if self.tighten && n > 1 {
+            if n > 1 {
                 // Exact stream capping: retire stream i once its
                 // frontier — with the head-bound refinement, a tight
                 // bound on every unseen item of i (the merge's

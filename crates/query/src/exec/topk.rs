@@ -9,7 +9,7 @@
 //!   [`RankSource`] seam.
 //! * [`crate::exec::join`] — stage 2: the hash-partitioned rank join
 //!   and the scratch-[`Bindings`](crate::answer::Bindings) combine.
-//! * [`crate::exec::threshold`] — stage 3: the (optionally tightened)
+//! * [`crate::exec::threshold`] — stage 3: the head-bound-tightened
 //!   termination bound, stream capping, and the remaining-mass
 //!   envelope that is the load-bearing criterion of the ε-approximate
 //!   mode ([`TopkConfig::epsilon`]).

@@ -636,12 +636,11 @@ impl<'s> ScoredMatches<'s> {
 
 /// Cheap sound upper bound on the head (best) emission probability of
 /// `pattern`, without materializing its match list: exact for the shapes
-/// the precomputed posting index serves (predicate-only, fully unbound,
-/// subject-only, and object-only, no repeated variables), trivial (1.0)
-/// otherwise. Patterns with repeated variables renormalize over a
-/// *filtered* subset, which can only raise probabilities, so the group
-/// head is not a bound there; composite anchored shapes renormalize over
-/// a filtered group total for the same reason.
+/// [`XkgStore::head_prob`] answers (predicate-only, fully unbound,
+/// subject-only, object-only, and composite pairs wider than one block;
+/// no repeated variables), trivial (1.0) otherwise. Patterns with
+/// repeated variables renormalize over a *filtered* subset, which can
+/// only raise probabilities, so the unfiltered head is not a bound there.
 pub fn head_prob_bound(store: &XkgStore, pattern: &QPattern) -> f64 {
     let (slot, mask) = canonical_pattern(pattern);
     if mask != 0 {
@@ -695,9 +694,11 @@ fn served_total(store: &XkgStore, slot: &SlotPattern) -> Option<f64> {
 /// the cursor reports `weight / divisor × scale` for every entry — the
 /// stratum's own total and the global rescale for the predicate-only and
 /// unbound shapes, the global total for every shape a provider scales
-/// explicitly. A divisor ≤ 0 means the list serves empty. `None` for
-/// the shapes whose normalizer is the list itself (anchored strata,
-/// filtered composite shapes without a provider).
+/// explicitly, and without one the stored total of a composite pair
+/// wider than one block ([`XkgStore::pair_total`]). A divisor ≤ 0 means
+/// the list serves empty. `None` for the shapes whose normalizer is the
+/// list itself (anchored strata, narrower composite shapes and
+/// repeated-variable filters without a provider).
 pub(crate) fn probe_normalizer(
     store: &XkgStore,
     pattern: &QPattern,
@@ -711,6 +712,7 @@ pub(crate) fn probe_normalizer(
         (0, None, None, _) => served_total(store, &slot).map(|t| (t, rescale(t, global))),
         (0, _, _, Some(_)) if is_borrow_served(&slot) => None,
         (_, _, _, Some(t)) => Some((t, 1.0)),
+        (0, _, _, None) => store.pair_total(&slot).map(|t| (t, 1.0)),
         _ => None,
     }
 }

@@ -302,60 +302,6 @@ proptest! {
         assert_answers_equivalent(&inc, &full);
     }
 
-    /// Remaining-mass/head-bound threshold tightening never changes
-    /// answers, and the untightened run never cuts a stream off.
-    ///
-    /// Tightening does *not* bound pulls from above, so no pull count is
-    /// compared. It makes an unopened alternative enter its stream's
-    /// merge at its exact head probability instead of `weight × 1.0`,
-    /// which changes the order alternatives open in; and a restriction
-    /// (a retired stream's join keys) leaves an unopened alternative lazy
-    /// at that head bound while it drains an opened one at once. Minimal
-    /// case, found at the 155th case of this property's seeded sequence:
-    /// store `r0 r1 r1`, `r4 r0 r2`, `r1 r0 r4` (confidence 0.5, support
-    /// 1), query `?1 r4 r1 . ?1 r1 r1` with k = 2, rules
-    /// `?x r4 ?y → ?x r0 ?f` (0.97) and `r0 → r1` (0.74). Both runs pull
-    /// `?1 r1 r1` dry, which restricts the first pattern to `?1 = r0`.
-    /// The untightened run then opens `?1 r0 ?f` first (bound 0.97),
-    /// finds it empty under the restriction and emits `r0 r1 r1` through
-    /// `r0 → r1` in the same pull: 2 pulls. The tightened run ranks
-    /// `?1 r0 ?f` at its exact head, 0.97 × 0.5, below that emission, and
-    /// spends a third pull to open it and find it empty. Over 3,000
-    /// cases, 27 pull more when tightened, by up to 7 pulls; every one
-    /// returns the same answers.
-    #[test]
-    fn tightened_threshold_preserves_answers(
-        rows in store_strategy(5, 40),
-        patterns in patterns_strategy(3, 5, 1..3),
-        rules in rules_strategy(5),
-        k in 1usize..8,
-    ) {
-        let store = build_store(&rows);
-        let set: RuleSet = rules.into_iter().collect();
-        let q1 = query_from(patterns.clone(), k);
-        let q2 = query_from(patterns, k);
-        let (tight, _) = topk::run(
-            &store,
-            &q1,
-            &set,
-            &TopkConfig {
-                tighten_threshold: true,
-                ..TopkConfig::default()
-            },
-        );
-        let (loose, m_loose) = topk::run(
-            &store,
-            &q2,
-            &set,
-            &TopkConfig {
-                tighten_threshold: false,
-                ..TopkConfig::default()
-            },
-        );
-        assert_answers_equivalent(&tight, &loose);
-        prop_assert_eq!(m_loose.early_cutoffs, 0, "untightened path must not cut off");
-    }
-
     /// A store-level posting cache is invisible in answers: running the
     /// same query repeatedly through one shared cache returns exactly
     /// what the uncached engine returns, every time.
@@ -693,9 +639,9 @@ proptest! {
         let (p2, w, shape) = own_rule;
         let own = patterns[0].p.term().map(|p1| rule_of_shape(p1.index(), p2, w, shape));
         let set: RuleSet = rules.into_iter().chain(own).collect();
-        for (layout, tighten) in [(SegmentLayout::Flat, true), (SegmentLayout::Packed, false)] {
+        for layout in [SegmentLayout::Flat, SegmentLayout::Packed] {
             let store = build_store_with(&rows, layout);
-            let cfg = TopkConfig { min_weight: 0.0, tighten_threshold: tighten, ..TopkConfig::default() };
+            let cfg = TopkConfig { min_weight: 0.0, ..TopkConfig::default() };
             let merge = || {
                 let table = Rc::new(AltTable::build(&patterns[0], &set, &cfg, 8, None));
                 IncrementalMerge::new(&store, table, None, None)
@@ -706,42 +652,60 @@ proptest! {
 }
 
 proptest! {
-    /// Admission before materialization is invisible in the top-k: a
-    /// tracking collector that skips every offer it does not admit
+    /// Admission before materialization, and materialization deferred
+    /// to settle points, are invisible in the top-k: a tracking collector
+    /// that skips every offer it does not admit
     /// (`AnswerCollector::admits`) finalizes to the same keys, score bits
-    /// and derivations as an untracked collector offered everything.
-    /// Scores come from six levels, so duplicate keys and exact ties at
-    /// the k-th score are common; each offer's derivation names the offer,
-    /// so keeping a different one of a key's equal-scoring offers fails.
+    /// and derivations as an untracked collector offered everything — and
+    /// so does one offered the admitted answers deferred
+    /// (`offer_deferred`), settled every `settle_every` offers as the rank
+    /// join settles at each variant's end. Scores come from six levels, so
+    /// duplicate keys and exact ties at the k-th score are common; each
+    /// offer's derivation names the offer, so keeping a different one of
+    /// a key's equal-scoring offers, or skipping a tie at settle, fails.
     #[test]
     fn admission_gate_keeps_the_top_k_bit_identical(
         offers in proptest::collection::vec((0u32..12, 0u32..6), 1..120),
+        settle_every in 1usize..40,
     ) {
         for k in [1usize, 3, 10] {
+            let derivation = |i: usize| Derivation {
+                triples: Vec::new(),
+                rules: vec![RuleId(i as u32)],
+                rule_weight: 1.0,
+            };
             let answer = |i: usize, key: u32, level: u32| Answer {
                 key: vec![(VarId(0), Some(tid(key)))],
                 bindings: Bindings::new(1),
                 score: -f64::from(level) / 4.0,
-                derivation: Derivation {
-                    triples: Vec::new(),
-                    rules: vec![RuleId(i as u32)],
-                    rule_weight: 1.0,
-                },
+                derivation: derivation(i),
             };
+            let build = |parts: &[(u32, u32)]| (Bindings::new(1), derivation(parts[0].0 as usize));
             let (mut gated, mut plain) = (AnswerCollector::tracking(k), AnswerCollector::new());
+            let mut deferred = AnswerCollector::tracking(k);
             for (i, &(key, level)) in offers.iter().enumerate() {
                 let offer = answer(i, key, level);
                 if gated.admits(offer.score) {
                     gated.offer(offer.clone());
                 }
+                if deferred.admits(offer.score) {
+                    deferred.offer_deferred(offer.key.clone(), offer.score, [(i as u32, 0)]);
+                }
+                if (i + 1) % settle_every == 0 {
+                    deferred.settle(build);
+                }
                 plain.offer(offer);
             }
-            let (gated, plain) = (gated.into_top_k(k), plain.into_top_k(k));
-            prop_assert_eq!(gated.len(), plain.len(), "k = {}", k);
-            for (g, p) in gated.iter().zip(&plain) {
-                prop_assert_eq!(&g.key, &p.key, "k = {}", k);
-                prop_assert_eq!(g.score.to_bits(), p.score.to_bits(), "k = {}", k);
-                prop_assert_eq!(&g.derivation, &p.derivation, "k = {}", k);
+            deferred.settle(build);
+            let plain = plain.into_top_k(k);
+            for (run, name) in [(gated.into_top_k(k), "gated"), (deferred.into_top_k(k), "deferred")] {
+                prop_assert_eq!(run.len(), plain.len(), "{} k = {}", name, k);
+                for (g, p) in run.iter().zip(&plain) {
+                    prop_assert_eq!(&g.key, &p.key, "{} k = {}", name, k);
+                    prop_assert_eq!(g.score.to_bits(), p.score.to_bits(), "{} k = {}", name, k);
+                    prop_assert_eq!(&g.bindings, &p.bindings, "{} k = {}", name, k);
+                    prop_assert_eq!(&g.derivation, &p.derivation, "{} k = {}", name, k);
+                }
             }
         }
     }

@@ -185,9 +185,9 @@ use trinit_shard::testkit::assert_answers_score_equivalent as assert_answers_equ
 
 /// Zero-mass match sets under sharding: a repeated-variable (masked)
 /// pattern whose filtered matches all weigh 0 gets a global total of 0,
-/// so the tightened engine's 0 head bound skips the stream outright.
-/// That skip is only sound because masked zero-mass lists serve empty —
-/// tightened, untightened, and the monolithic engine must agree.
+/// so the engine's 0 head bound skips the stream outright. That skip is
+/// only sound because masked zero-mass lists serve empty — the sharded
+/// and the monolithic engine must agree.
 #[test]
 fn sharded_zero_mass_repeated_variable_agrees_with_monolith() {
     let build = || {
@@ -210,20 +210,14 @@ fn sharded_zero_mass_repeated_variable_agrees_with_monolith() {
     let v = QTerm::Var(VarId(0));
     // `?x p1 ?x` filters to the zero-weight self-loops only.
     let query = query_from(vec![QPattern::new(v, QTerm::Term(tid(1)), v)], 10);
-    let cfg_tight = TopkConfig::default();
-    let cfg_loose = TopkConfig {
-        tighten_threshold: false,
-        ..TopkConfig::default()
-    };
-    let (mono, _) = topk::run(&single, &query, &RuleSet::new(), &cfg_tight);
+    let cfg = TopkConfig::default();
+    let (mono, _) = topk::run(&single, &query, &RuleSet::new(), &cfg);
     assert!(mono.is_empty(), "zero-mass sets emit nothing");
     for shards in [2usize, 4] {
         let sharded = ShardedStore::build(build(), shards);
         let exec = ShardedExecutor::new(&sharded);
-        for cfg in [&cfg_tight, &cfg_loose] {
-            let run = exec.run(&query, &RuleSet::new(), cfg);
-            assert_answers_equivalent(&run.answers, &mono);
-        }
+        let run = exec.run(&query, &RuleSet::new(), &cfg);
+        assert_answers_equivalent(&run.answers, &mono);
     }
 }
 
@@ -371,32 +365,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The tightened threshold stays answer-invisible under sharding,
-    /// exactly as it is on the monolith.
-    #[test]
-    fn sharded_tightening_preserves_answers(
-        rows in store_strategy(5, 30),
-        patterns in patterns_strategy(3, 5, 1..3),
-        rules in rules_strategy(5),
-        k in 1usize..8,
-    ) {
-        let set: RuleSet = rules.into_iter().collect();
-        let query = query_from(patterns, k);
-        let sharded = ShardedStore::build(builder_from(&rows), 3);
-        let exec = ShardedExecutor::new(&sharded);
-        let tight = exec.run(
-            &query,
-            &set,
-            &TopkConfig { tighten_threshold: true, ..TopkConfig::default() },
-        );
-        let loose = exec.run(
-            &query,
-            &set,
-            &TopkConfig { tighten_threshold: false, ..TopkConfig::default() },
-        );
-        assert_answers_equivalent(&tight.answers, &loose.answers);
     }
 }
 

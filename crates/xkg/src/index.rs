@@ -27,6 +27,14 @@
 //! ordering of its packed raw `u32` (kind bits high), so comparing raw
 //! values compares terms.
 //!
+//! Beside the columns, each permutation keeps a *wide-pair directory*:
+//! every run of rows sharing their first two key slots — an sp, po or so
+//! match set — longer than one [`BLOCK`], with the exact total and head
+//! emission weight of its matches. Such a pattern's posting list is the
+//! one composite list that costs a group walk to build; with the
+//! directory its head bound and its normalizer cost one search of a
+//! handful of entries.
+//!
 //! # Cost model
 //!
 //! * **Lookup**: one search per range. The lower bound is a binary
@@ -46,7 +54,7 @@ use crate::pack::{bits_for, read_bits, BitWriter, SegmentLayout};
 use crate::pattern::SlotPattern;
 use crate::store::run_jobs;
 use crate::term::TermId;
-use crate::triple::{Triple, TripleId};
+use crate::triple::{Provenance, Triple, TripleId};
 
 /// Rows per packed block: the unit of delta encoding and of the sparse
 /// selection directory.
@@ -438,6 +446,39 @@ impl PermColumn {
     }
 }
 
+/// A run of one permutation's rows sharing their first two key slots
+/// that is longer than one block — the match set of an sp (SPO), po
+/// (POS) or so (OSP) pattern — with the exact total and head emission
+/// weight of its matches: summed and led in (weight desc, id asc) order,
+/// the order [`crate::PostingList::build`] serves and totals them in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct WidePair {
+    /// The two key slots' raw values, high slot first.
+    key: u64,
+    pub(crate) total: f64,
+    pub(crate) head: f64,
+}
+
+/// The runs of `rows` longer than [`BLOCK`] that share their first two
+/// key slots, ascending by key: one pass over the merged rows, and one
+/// ordering of each wide run's weights.
+fn wide_pairs(rows: &[Row], weight: impl Fn(u32) -> f64) -> Vec<WidePair> {
+    let mut out = Vec::new();
+    for run in rows.chunk_by(|a, b| a >> 64 == b >> 64) {
+        if run.len() <= BLOCK {
+            continue;
+        }
+        let mut matches: Vec<(f64, u32)> = run.iter().map(|&r| (weight(r as u32), r as u32)).collect();
+        matches.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        out.push(WidePair {
+            key: (run[0] >> 64) as u64,
+            total: matches.iter().map(|m| m.0).sum(),
+            head: matches[0].0,
+        });
+    }
+    out
+}
+
 /// Merges ascending runs of distinct values into one ascending run, the
 /// two shortest first. Each merge walks its shorter run and copies the
 /// stretch of the longer one before each insertion point whole.
@@ -466,6 +507,9 @@ pub(crate) fn merge_runs<T: Copy + Ord>(mut runs: Vec<Vec<T>>) -> Vec<T> {
 #[derive(Debug, Default)]
 pub struct TripleIndex {
     perms: [PermColumn; 3],
+    /// Per permutation, its two-slot key runs longer than one block
+    /// ([`WidePair`]), ascending by key.
+    wide: [Vec<WidePair>; 3],
     layout: SegmentLayout,
 }
 
@@ -474,9 +518,12 @@ impl TripleIndex {
     /// `(index, offset)` of `prefix` covers the next rows, its ids shifted
     /// by `offset`. Keys ignore weights, so only the rows past the prefix
     /// are sorted, then merged with the old columns, one permutation at a
-    /// time (each on its own thread when `parallel`).
+    /// time (each on its own thread when `parallel`). The same pass over
+    /// the merged rows records each permutation's wide pairs, weighted by
+    /// `prov`.
     pub(crate) fn merge(
         triples: &[Triple],
+        prov: &[Provenance],
         prefix: Vec<(TripleIndex, u32)>,
         layout: SegmentLayout,
         parallel: bool,
@@ -498,14 +545,44 @@ impl TripleIndex {
                 for (column, offset) in old {
                     runs.push(column.into_rows(offset));
                 }
-                PermColumn::from_sorted(merge_runs(runs), layout)
+                let rows = merge_runs(runs);
+                let weight = |id: u32| prov.get(id as usize).map_or(0.0, Provenance::weight);
+                let wide = wide_pairs(&rows, weight);
+                (PermColumn::from_sorted(rows, layout), wide)
             }
         });
         let mut columns = run_jobs(jobs, parallel).into_iter();
-        TripleIndex {
-            perms: std::array::from_fn(|_| columns.next().unwrap_or_default()),
+        let mut index = TripleIndex {
+            perms: Default::default(),
+            wide: Default::default(),
             layout,
+        };
+        for (perm, wide) in index.perms.iter_mut().zip(&mut index.wide) {
+            (*perm, *wide) = columns.next().unwrap_or_default();
         }
+        index
+    }
+
+    /// The exact total and head weight of `pattern`'s matches when it
+    /// binds exactly the first two key slots of its permutation (sp, po
+    /// or so) and they match more than one block of rows; `None` for
+    /// every other shape and for narrower pairs.
+    pub(crate) fn wide_pair(&self, pattern: &SlotPattern) -> Option<WidePair> {
+        let perm = Permutation::for_pattern(pattern);
+        if pattern.bound_count() != 2 {
+            return None;
+        }
+        let (prefix, _) = perm.prefix(pattern);
+        let key = u64::from(prefix[0].raw()) << 32 | u64::from(prefix[1].raw());
+        let wide = &self.wide[perm as usize];
+        let at = wide.binary_search_by_key(&key, |w| w.key).ok()?;
+        wide.get(at).copied()
+    }
+
+    /// Heap bytes of the wide-pair directory.
+    pub(crate) fn wide_bytes(&self) -> usize {
+        let entries: usize = self.wide.iter().map(Vec::capacity).sum();
+        entries * std::mem::size_of::<WidePair>()
     }
 
     /// Number of indexed triples.
@@ -631,7 +708,7 @@ mod tests {
         /// A fresh index over `triples`: a merge with nothing to merge.
         fn build_with(triples: &[Triple], layout: SegmentLayout) -> TripleIndex {
             let parallel = triples.len() >= PARALLEL_BUILD_THRESHOLD;
-            TripleIndex::merge(triples, Vec::new(), layout, parallel)
+            TripleIndex::merge(triples, &[], Vec::new(), layout, parallel)
         }
     }
 

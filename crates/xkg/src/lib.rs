@@ -24,7 +24,9 @@
 //!   sorting; the composite shapes order their exact
 //!   permutation range when it is small (at most one block, or ≥ 4×
 //!   smaller than every covering group) and otherwise filter an
-//!   already-sorted group;
+//!   already-sorted group; a composite pair wider than one block has its
+//!   exact total and head weight recorded at freeze (the wide-pair
+//!   directory), so its head bound and normalizer need no list;
 //! * [`LiveDelta`] — the write path: N frozen base partitions (one for
 //!   a monolith) plus a live delta that ingestion merges into and
 //!   compaction folds back;

@@ -92,7 +92,9 @@ impl Part {
 pub(crate) const PARALLEL_BUILD_THRESHOLD: usize = 4096;
 
 /// Runs independent freeze jobs in order, or each on its own scoped
-/// thread when `parallel`; results come back in job order.
+/// thread when `parallel`; results come back in job order. A job that
+/// panics on its thread panics the caller with the job's own payload,
+/// as it would have in order.
 pub(crate) fn run_jobs<T: Send>(
     jobs: impl IntoIterator<Item = impl FnOnce() -> T + Send>,
     parallel: bool,
@@ -104,13 +106,14 @@ pub(crate) fn run_jobs<T: Send>(
         let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("freeze thread panicked"))
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect()
     })
 }
 
 /// The id the next triple appended to a `len`-triple table receives.
 pub(crate) fn next_triple_id(len: usize) -> TripleId {
+    // lint:allow(no-panic-hot-path): build-path capacity guard — triple ids are u32, so a 2^32nd triple cannot be stored; no query reaches it
     TripleId(u32::try_from(len).expect("triple overflow"))
 }
 
@@ -452,11 +455,12 @@ impl XkgStore {
         for id in changed.into_iter().filter(|id| id.idx() < covered) {
             stale[id.idx()] = true;
         }
-        let index = TripleIndex::merge(&triples, index_runs, layout, parallel);
+        let index = TripleIndex::merge(&triples, &prov, index_runs, layout, parallel);
         let postings = PostingIndex::merge(&triples, &prov, posting_runs, &stale, layout, parallel);
         let kg_len = prov.iter().filter(|p| p.graph == GraphTag::Kg).count();
         let (permutations, permutation_directories) = index.heap_bytes();
         let (posting_strata, posting_directories) = postings.heap_bytes();
+        let posting_directories = posting_directories + index.wide_bytes();
         let provenance = prov.capacity() * std::mem::size_of::<Provenance>()
             + prov
                 .iter()
@@ -715,23 +719,41 @@ impl XkgStore {
     }
 
     /// Exact head probability (best emission) of `pattern`'s posting
-    /// list for the shapes the precomputed index serves — predicate-only,
-    /// fully unbound, subject-only, and object-only — reading only the
-    /// group's first entry, not its total. `None` for shapes the index cannot answer
-    /// without filtering; callers must fall back to a trivial bound (1.0)
-    /// or build the list.
+    /// list, bit for bit its first entry's, for the shapes the store
+    /// answers without building the list: the four the precomputed index
+    /// serves whole — predicate-only, fully unbound, subject-only and
+    /// object-only, reading only the group's first entry — and the sp,
+    /// po and so shapes wider than one block, from the wide-pair
+    /// directory. `None` for every other shape (ground patterns and
+    /// pairs of at most [`BLOCK`](crate::index::BLOCK) matches, which are cheap
+    /// to build); callers must fall back to a trivial bound (1.0) or
+    /// build the list.
     pub fn head_prob(&self, pattern: &SlotPattern) -> Option<f64> {
-        let head = self.postings.head(self.group_key(pattern)?, &self.prov);
+        let Some(key) = self.group_key(pattern) else {
+            let wide = self.index.wide_pair(pattern)?;
+            return Some(if wide.total > 0.0 { wide.head / wide.total } else { 0.0 });
+        };
+        let head = self.postings.head(key, &self.prov);
         Some(head.map_or(0.0, |e| e.prob))
     }
 
-    /// Raw head emission *weight* of `pattern`'s match set for the four
-    /// index-served shapes, `None` otherwise. Partitioned execution
-    /// divides a shard's head weight by a *global* total to get the
-    /// shard's exact globally-normalized head bound.
+    /// Raw head emission *weight* of `pattern`'s match set for the
+    /// shapes [`XkgStore::head_prob`] answers, `None` otherwise.
+    /// Partitioned execution divides a shard's head weight by a *global*
+    /// total to get the shard's exact globally-normalized head bound.
     pub fn head_weight(&self, pattern: &SlotPattern) -> Option<f64> {
-        let head = self.postings.head(self.group_key(pattern)?, &self.prov);
+        let Some(key) = self.group_key(pattern) else {
+            return self.index.wide_pair(pattern).map(|w| w.head);
+        };
+        let head = self.postings.head(key, &self.prov);
         Some(head.map_or(0.0, |e| e.weight))
+    }
+
+    /// Exact total emission weight of an sp, po or so pattern wider than
+    /// one block — bit for bit the `total_weight` of its served list —
+    /// read from the wide-pair directory; `None` for every other shape.
+    pub fn pair_total(&self, pattern: &SlotPattern) -> Option<f64> {
+        self.index.wide_pair(pattern).map(|w| w.total)
     }
 
     /// Exact per-structure heap byte accounting of the frozen store,

@@ -696,3 +696,116 @@ proptest! {
         }
     }
 }
+
+/// Rows whose `pair`-th composite shape (0 = sp, 1 = po, 2 = so) keys
+/// runs of 127, 128, 129 and `hub` rows — one pair each, the remaining
+/// slot distinct per row — plus skewed filler, in an order that spreads
+/// every run over the whole sequence. Confidences span ten orders of
+/// magnitude, so a total summed in any other order than the served
+/// list's changes its bits; a few pairs repeat a confidence, so heads
+/// tie on weight and break by id.
+fn wide_pair_rows(
+    pair: usize,
+    hub: u32,
+    filler: &[((u32, u32, u32), f32)],
+) -> Vec<(Triple, f32, u8)> {
+    let term = |i: u32| TermId::new(TermKind::Resource, i);
+    let mut rows = Vec::new();
+    let mut row = 0u32;
+    for (key, size) in [127, 128, 129, hub].into_iter().enumerate() {
+        for _ in 0..size {
+            let (a, b, free) = (term(key as u32), term(100 + key as u32), term(5000 + row));
+            let spo = match pair {
+                0 => [a, b, free],
+                1 => [free, a, b],
+                _ => [a, free, b],
+            };
+            let conf = if row.is_multiple_of(11) { 0.5 } else { 1e-6 + ((row * 7919) % 1000) as f32 / 1000.0 };
+            rows.push((Triple::new(spo[0], spo[1], spo[2]), conf.powi(5), (row % 3) as u8));
+            row += 1;
+        }
+    }
+    let skewed = |x: u32| term(10 + x * x / 37);
+    for &((s, p, o), conf) in filler {
+        rows.push((Triple::new(skewed(s), skewed(p % 20), skewed(o)), conf.powi(5), 0));
+    }
+    rows.sort_by_key(|(t, ..)| (t.s.raw() ^ t.p.raw() ^ t.o.raw()).wrapping_mul(2_654_435_761));
+    rows
+}
+
+/// Every sp, po and so pattern `store` holds a match for, plus an absent
+/// pair of each shape and a few ground patterns: the directory must
+/// answer exactly the pairs wider than one block, bit for bit as the
+/// served list, and nothing else. Returns how many pairs were wide.
+fn assert_wide_pairs_exact(store: &XkgStore, ctx: &str) -> usize {
+    let ghost = Some(TermId::new(TermKind::Resource, 999_999));
+    let mut shapes = std::collections::HashSet::new();
+    for (_, t) in store.iter() {
+        shapes.insert(SlotPattern::new(Some(t.s), Some(t.p), None));
+        shapes.insert(SlotPattern::new(None, Some(t.p), Some(t.o)));
+        shapes.insert(SlotPattern::new(Some(t.s), None, Some(t.o)));
+        shapes.insert(SlotPattern::new(ghost, Some(t.p), None));
+        shapes.insert(SlotPattern::new(None, Some(t.p), ghost));
+        shapes.insert(SlotPattern::new(Some(t.s), None, ghost));
+    }
+    for (_, t) in store.iter().step_by(7) {
+        let ground = SlotPattern::new(Some(t.s), Some(t.p), Some(t.o));
+        prop_assert_eq!(store.head_prob(&ground), None, "ground {} {}", ground, ctx);
+    }
+    let mut wide = 0;
+    for pattern in shapes {
+        let (head_prob, head_weight) = (store.head_prob(&pattern), store.head_weight(&pattern));
+        let total = store.pair_total(&pattern);
+        if store.count(&pattern) <= BLOCK {
+            prop_assert_eq!((head_prob, head_weight, total), (None, None, None), "{} {}", pattern, ctx);
+            continue;
+        }
+        wide += 1;
+        let list = PostingList::build(store, &pattern);
+        let first = list.peek();
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
+        prop_assert_eq!(bits(head_prob), bits(Some(first.map_or(0.0, |e| e.prob))), "head prob {} {}", pattern, ctx);
+        prop_assert_eq!(bits(head_weight), bits(Some(first.map_or(0.0, |e| e.weight))), "head weight {} {}", pattern, ctx);
+        prop_assert_eq!(bits(total), bits(Some(list.total_weight())), "total {} {}", pattern, ctx);
+    }
+    wide
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The wide-pair directory answers every sp, po and so pattern with
+    /// more than one block of matches — head probability, head weight and
+    /// total bit for bit the served list's first probability, first weight
+    /// and `total_weight()` — and every narrower or absent pair with
+    /// `None`: runs of 0, 127, 128, 129 and hundreds of rows, on Flat and
+    /// Packed bases, in the base and the delta view after each of three
+    /// ingests, and after a compaction.
+    #[test]
+    fn wide_pair_directory_is_exact_through_ingest_and_compaction(
+        pair in 0usize..3,
+        hub in 200u32..400,
+        filler in proptest::collection::vec(((0u32..60, 0u32..60, 0u32..60), 0.01f32..1.0), 0..300),
+    ) {
+        let rows = wide_pair_rows(pair, hub, &filler);
+        let (base, rest) = rows.split_at(rows.len() / 2);
+        for layout in [SegmentLayout::Flat, SegmentLayout::Packed] {
+            let mut live = trinit_xkg::LiveDelta::new(builder_from(base).build_sharded_with(1, layout));
+            assert_wide_pairs_exact(&live.bases()[0], &format!("base on {layout:?}"));
+            for (i, batch) in rest.chunks(rest.len().div_ceil(3).max(1)).enumerate() {
+                live.ingest(|b| {
+                    for (t, conf, support) in batch {
+                        let mut prov = Provenance::extraction(*conf, SourceId(0));
+                        prov.support = u32::from(*support) + 1;
+                        b.add(*t, prov);
+                    }
+                });
+                assert_wide_pairs_exact(&live.views()[0], &format!("delta {i} on {layout:?}"));
+            }
+            live.compact();
+            // The planted runs of 129 and `hub` rows, at least.
+            let wide = assert_wide_pairs_exact(&live.bases()[0], &format!("compacted on {layout:?}"));
+            prop_assert!(wide >= 2, "{} wide pairs", wide);
+        }
+    }
+}

@@ -11,11 +11,12 @@
 //! restricted to them — so tier-1 pins the answers and that the work no
 //! longer grows with the hub.
 
-use trinit_core::query::exec::expand;
-use trinit_core::query::Answer;
-use trinit_core::relax::TTerm;
+use trinit_core::query::exec::{expand, topk};
+use trinit_core::query::{Answer, QueryBuilder, TopkConfig};
+use trinit_core::relax::{RuleSet, TTerm};
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
-use trinit_core::xkg::{SlotPattern, TermId};
+use trinit_core::xkg::index::BLOCK;
+use trinit_core::xkg::{SegmentLayout, SlotPattern, TermId, XkgBuilder};
 use trinit_core::{Completeness, Engine, Trinit, TrinitBuilder};
 
 const SEED: u64 = 42;
@@ -103,6 +104,52 @@ fn granularity_query_matches_full_expansion_and_skips_dead_arrivals() {
                 keys.len()
             );
         }
+    }
+}
+
+/// The heavy shape with a `type city` run wider than one block: 300
+/// cities, 20 of them (`K`) in `C0` and 40 in `C1`, two births in each
+/// city. `?z locatedIn C0` heads at 1/20, above the cities' 1/300, so it
+/// drains and retires first; `?z type city` must then wait at its exact
+/// head — read from the wide-pair directory, not the trivial 1.0 that
+/// opened it first and filtered its whole run — and open through one
+/// lookup per key of `K`, its normalizer the directory's stored total.
+#[test]
+fn wide_type_run_opens_through_key_lookups_not_its_whole_run() {
+    let mut b = XkgBuilder::new();
+    for place in 0..300 {
+        let z = format!("place{place}");
+        b.add_kg_resources(&z, "type", "city");
+        if place < 60 {
+            b.add_kg_resources(&z, "locatedIn", if place < 20 { "C0" } else { "C1" });
+        }
+        for person in 0..2 {
+            b.add_kg_resources(&format!("p{place}_{person}"), "bornIn", &z);
+        }
+    }
+    for layout in [SegmentLayout::Flat, SegmentLayout::Packed] {
+        let store = b.clone().build_with(layout);
+        let city = SlotPattern::with_po(
+            store.resource("type").expect("type"),
+            store.resource("city").expect("city"),
+        );
+        assert!(store.count(&city) > BLOCK, "the `type city` run must exceed a block");
+        let query = QueryBuilder::new(&store)
+            .pattern_v_r_v("x", "bornIn", "z")
+            .pattern_v_r_r("z", "type", "city")
+            .pattern_v_r_r("z", "locatedIn", "C0")
+            .limit(100)
+            .build();
+        let (rules, cfg) = (RuleSet::new(), TopkConfig::default());
+        let (got, m) = topk::run(&store, &query, &rules, &cfg);
+        let (want, _) = expand::run(&store, &query, &rules, &cfg.reference_expansion());
+        assert_eq!(got.len(), 40, "{layout:?}: two births in each of K's 20 cities");
+        assert!(same_scores(&got, &want), "{layout:?}");
+        let keys = 20;
+        assert!(m.probe_lookups >= keys, "{layout:?}: {m:?}");
+        // The one serve that would read the whole run is the covering
+        // group's filter, counted as an anchored serve.
+        assert_eq!(m.anchored_serves, 0, "{layout:?}: `type city` was served whole: {m:?}");
     }
 }
 
