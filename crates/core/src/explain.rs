@@ -42,7 +42,7 @@ impl ExplainSource for XkgStore {
 
 impl ExplainSource for ShardedStore {
     fn render_term(&self, id: TermId) -> String {
-        self.display_term(id)
+        self.vocab().display_term(id)
     }
     fn render_triple(&self, id: TripleId) -> String {
         self.display_triple(id)
@@ -51,7 +51,7 @@ impl ExplainSource for ShardedStore {
         self.provenance(id)
     }
     fn source(&self, id: SourceId) -> Option<&str> {
-        self.source_name(id)
+        self.vocab().source_name(id)
     }
 }
 

@@ -382,7 +382,6 @@ impl TrinitBuilder {
         }
         let rules = registry.build_rules(&store);
 
-        let completer = Completer::build(&store);
         let store = match sharded_builder {
             Some(builder) => {
                 drop(store);
@@ -390,7 +389,7 @@ impl TrinitBuilder {
             }
             None => ShardedStore::from_shards(vec![store]),
         };
-        let mut trinit = Trinit::assemble(store, completer, rules);
+        let mut trinit = Trinit::from_sharded_parts(store, rules);
         trinit.topk = self.options.topk;
         trinit.stats.documents = self.documents.len();
         trinit.stats.ingest = ingest;
@@ -405,7 +404,6 @@ pub struct Trinit {
     /// delta (a monolith is one partition).
     store: ShardedStore,
     rules: RuleSet,
-    completer: Completer,
     topk: TopkConfig,
     suggest_cfg: SuggestConfig,
     stats: BuildStats,
@@ -432,12 +430,12 @@ pub(crate) fn cache_tally(stats: SharedCacheStats) -> CacheTally {
 }
 
 impl Trinit {
-    /// A system over `store` with default configuration; the stratum
-    /// counts and store gauges are read off the store.
-    fn assemble(store: ShardedStore, completer: Completer, rules: RuleSet) -> Trinit {
+    /// Wraps an already-built sharded store and rule set with default
+    /// configuration; the stratum counts and store gauges are read off
+    /// the store.
+    pub fn from_sharded_parts(store: ShardedStore, rules: RuleSet) -> Trinit {
         let mut trinit = Trinit {
             store,
-            completer,
             topk: TopkConfig::default(),
             suggest_cfg: SuggestConfig::default(),
             stats: BuildStats {
@@ -457,12 +455,6 @@ impl Trinit {
     /// evaluation ablations, and tests) as a one-partition system.
     pub fn from_parts(store: XkgStore, rules: RuleSet) -> Trinit {
         Trinit::from_sharded_parts(ShardedStore::from_shards(vec![store]), rules)
-    }
-
-    /// Wraps an already-built sharded store and rule set.
-    pub fn from_sharded_parts(store: ShardedStore, rules: RuleSet) -> Trinit {
-        let completer = Completer::build(store.shard(0));
-        Trinit::assemble(store, completer, rules)
     }
 
     /// The vocabulary store: partition 0's base, or a delta view while
@@ -926,9 +918,10 @@ impl Trinit {
         }
     }
 
-    /// Auto-completes a term prefix (paper §5).
+    /// Auto-completes a term prefix (paper §5) over the live
+    /// vocabulary, so a term an ingest adds is completed at once.
     pub fn complete(&self, prefix: &str, limit: usize) -> Vec<Completion> {
-        self.completer.complete(prefix, limit)
+        Completer::build(self.store()).complete(prefix, limit)
     }
 }
 

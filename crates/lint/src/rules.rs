@@ -53,7 +53,8 @@ pub const FLOAT_ORDERING_ALLOWED_FILES: &[&str] = &[];
 /// top-k pipeline stage and the scoring layer that opens its lists, the
 /// sharded execution/scheduling/storage layer, and the xkg store's
 /// serving structures (the store's head bounds and wide-pair totals,
-/// posting lists, permutation indexes, segment resolution) — the packed
+/// the term dictionary that serves completion, posting lists,
+/// permutation indexes, segment resolution) — the packed
 /// readers added with the compact layout must degrade on bad offsets,
 /// not panic.
 /// Panics here escape to `catch_unwind` boundaries at best and poison
@@ -66,6 +67,7 @@ fn is_hot_path(rel: &str) -> bool {
                 | "crates/shard/src/exec.rs"
                 | "crates/shard/src/store.rs"
                 | "crates/xkg/src/store.rs"
+                | "crates/xkg/src/dict.rs"
                 | "crates/xkg/src/posting.rs"
                 | "crates/xkg/src/segment.rs"
                 | "crates/xkg/src/index.rs"

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use trinit_xkg::{args_pairs, StoreStats, TermId, XkgStore};
+use trinit_xkg::{args_pairs, TermId, XkgStore};
 
 use crate::rule::{Rule, RuleProvenance};
 
@@ -70,12 +70,9 @@ fn rule_label(store: &XkgStore, p1: TermId, p2: TermId, inverted: bool) -> Strin
 /// Results are sorted by descending weight, ties broken by predicate ids
 /// for determinism.
 pub fn mine_cooccurrence(store: &XkgStore, cfg: &MinerConfig) -> Vec<MinedRule> {
-    let stats = StoreStats::compute(store);
-    let predicates = stats.predicates();
-
     // args(p) for every predicate, plus |args(p)|.
     let mut args: HashMap<TermId, Vec<(TermId, TermId)>> = HashMap::new();
-    for &p in predicates {
+    for &p in store.predicates() {
         args.insert(p, args_pairs(store, p));
     }
 

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use trinit_xkg::{SlotPattern, StoreStats, TermId, XkgStore};
+use trinit_xkg::{SlotPattern, TermId, XkgStore};
 
 use crate::rule::{RVar, Rule, RuleProvenance, TTerm, Template};
 
@@ -98,8 +98,6 @@ pub fn mine_granularity(
     via: TermId,
     cfg: &GranularityMinerConfig,
 ) -> Vec<Rule> {
-    let stats = StoreStats::compute(store);
-
     // Class-pair histogram of the via predicate.
     let mut via_pairs: HashMap<(TermId, TermId), usize> = HashMap::new();
     let mut via_from: HashMap<TermId, usize> = HashMap::new();
@@ -116,7 +114,7 @@ pub fn mine_granularity(
     }
 
     let mut out = Vec::new();
-    for &base in stats.predicates() {
+    for &base in store.predicates() {
         if base == type_pred || base == via || !base.is_resource() {
             continue;
         }

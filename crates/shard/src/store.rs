@@ -8,8 +8,8 @@ use trinit_query::exec::TripleLookup;
 use trinit_query::{satisfies_mask, CanonicalPattern, GlobalTotals};
 use trinit_relax::ConditionOracle;
 use trinit_xkg::{
-    GraphTag, LiveDelta, Provenance, SegmentLayout, SlotPattern, SourceId, TermDict, TermId,
-    TermKind, Triple, TripleId, XkgBuilder, XkgStore,
+    GraphTag, LiveDelta, Provenance, SegmentLayout, SlotPattern, TermDict, TermId, Triple,
+    TripleId, XkgBuilder, XkgStore,
 };
 
 /// What partitioned execution needs to know about a list of slices as
@@ -202,30 +202,10 @@ impl ShardedStore {
         self.live.bases()[0].dict()
     }
 
-    /// The store to resolve vocabulary against: a delta view when the
-    /// delta is non-empty (its dictionary is a superset of the base's,
-    /// with identical ids for shared terms), base shard 0 otherwise.
+    /// The store to resolve vocabulary against: see [`LiveDelta::vocab`].
     #[inline]
     pub fn vocab(&self) -> &XkgStore {
-        self.live.views().first().unwrap_or(&self.live.bases()[0])
-    }
-
-    /// Looks up an existing resource term by name (either segment's
-    /// vocabulary).
-    pub fn resource(&self, name: &str) -> Option<TermId> {
-        self.vocab().dict().get(TermKind::Resource, name)
-    }
-
-    /// Looks up an existing token term by phrase (either segment's
-    /// vocabulary).
-    pub fn token(&self, phrase: &str) -> Option<TermId> {
-        self.vocab().dict().get(TermKind::Token, phrase)
-    }
-
-    /// Looks up an existing literal term by value (either segment's
-    /// vocabulary).
-    pub fn literal(&self, value: &str) -> Option<TermId> {
-        self.vocab().dict().get(TermKind::Literal, value)
+        self.live.vocab()
     }
 
     /// Union of the *base* shards' predicates, ascending by term id
@@ -296,18 +276,6 @@ impl ShardedStore {
     pub fn provenance(&self, id: TripleId) -> &Provenance {
         let (slice, local) = self.slice_of(id);
         slice.provenance(local)
-    }
-
-    /// Resolves a source id to its document identifier (the delta's
-    /// source table is a superset of the shared base table).
-    pub fn source_name(&self, id: SourceId) -> Option<&str> {
-        self.vocab().source_name(id)
-    }
-
-    /// Renders a term for display (superset delta dictionary when one
-    /// is live).
-    pub fn display_term(&self, id: TermId) -> String {
-        self.vocab().display_term(id)
     }
 
     /// Renders a triple with a global id in `S P O` form.
@@ -729,7 +697,7 @@ mod tests {
         assert_eq!(store.triple_of(first_delta), view.triple(TripleId(0)));
         assert_eq!(store.display_triple(first_delta), view.display_triple(TripleId(0)));
 
-        let id = |name: &str| store.resource(name).unwrap();
+        let id = |name: &str| store.vocab().resource(name).unwrap();
         assert!(store.ground_holds(id("fresh"), id("p"), id("o3")), "delta fact");
         assert!(store.ground_holds(id("s0"), id("p"), id("o0")), "base fact");
         assert!(!store.ground_holds(id("fresh"), id("p"), id("o0")));

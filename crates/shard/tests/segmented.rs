@@ -11,7 +11,7 @@
 //! A second suite pins the semi-naive delta-query seam: restricted runs
 //! surface exactly the answers that use fresh evidence.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use proptest::prelude::*;
 
@@ -202,6 +202,23 @@ fn assert_same_vocabulary(got: &XkgStore, want: &XkgStore) {
         want.sources().iter().collect::<Vec<_>>(),
         "source ids diverge"
     );
+    // Completion follows the vocabulary: every prefix of every term
+    // completes as in the from-scratch store, whatever runs and tail
+    // the ingests and compactions left.
+    let mut prefixes = BTreeSet::new();
+    for (_, text) in want.dict().iter() {
+        let cuts = text.char_indices().map(|(at, _)| at).chain([text.len()]);
+        prefixes.extend(cuts.map(|at| &text[..at]));
+    }
+    for prefix in prefixes {
+        for limit in [1, 4, usize::MAX] {
+            assert_eq!(
+                got.dict().complete(prefix, limit),
+                want.dict().complete(prefix, limit),
+                "completions of {prefix:?} diverge"
+            );
+        }
+    }
 }
 
 fn builder_from(rows: &[Row]) -> XkgBuilder {
@@ -413,11 +430,12 @@ proptest! {
     /// triples* serves (they are pending absorbs); after a compaction it
     /// is the rebuild, provenance record for provenance record. Either
     /// way every term and source id is the one the from-scratch builder
-    /// issued. The merged freezes are pinned structure for structure:
-    /// every delta view serves what a from-scratch freeze of its own rows
-    /// serves, and every compacted base (or shard) what the from-scratch
-    /// build serves — the serve order, probability and prefix bits a
-    /// sorted multiset cannot see.
+    /// issued, and every prefix of every term completes as it does in
+    /// the from-scratch store. The merged freezes are pinned structure
+    /// for structure: every delta view serves what a from-scratch freeze
+    /// of its own rows serves, and every compacted base (or shard) what
+    /// the from-scratch build serves — the serve order, probability and
+    /// prefix bits a sorted multiset cannot see.
     #[test]
     fn ingest_sequence_equals_from_scratch_rebuild(
         base_rows in store_strategy(6, 30),

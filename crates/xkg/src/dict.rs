@@ -13,7 +13,12 @@
 //! for the strings a batch adds, never for the vocabulary it extends.
 //! Ids are dense and issued in interning order whatever the layering, so
 //! they are exactly the ids one flat table would have issued.
+//!
+//! It also keeps the completion order (paper §5): one sorted run of ids,
+//! 4 B per term, per seal. Terms are never removed, so runs never change
+//! and completion is monotone under ingest.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -42,8 +47,9 @@ impl Layer {
     }
 
     fn push(&mut self, text: &str) -> u32 {
-        let idx =
-            u32::try_from(self.start as usize + self.strings.len()).expect("dictionary overflow");
+        let next = self.start as usize + self.strings.len();
+        // lint:allow(no-panic-hot-path): build-path capacity guard — ids are u32, so a 2^32nd string cannot be interned; no query reaches it
+        let idx = u32::try_from(next).expect("dictionary overflow");
         let boxed: Box<str> = text.into();
         self.payload += boxed.len();
         self.strings.push(boxed.clone());
@@ -52,9 +58,11 @@ impl Layer {
     }
 
     /// Heap bytes: string payloads (stored twice, in the resolve vector
-    /// and the lookup key) plus table capacities.
+    /// and the lookup key), table capacities, and the 4 B completion-order
+    /// slot a [`TermDict`] keeps per string.
     fn heap_bytes(&self) -> usize {
         self.payload * 2
+            + self.strings.len() * std::mem::size_of::<TermId>()
             + self.strings.capacity() * std::mem::size_of::<Box<str>>()
             + self.lookup.capacity()
                 * (std::mem::size_of::<Box<str>>() + std::mem::size_of::<u32>())
@@ -178,6 +186,8 @@ impl Interner {
 #[derive(Debug, Clone, Default)]
 pub struct TermDict {
     tables: [Interner; 3],
+    /// The completion order: one run per seal, sorted by `cmp_order`.
+    runs: Vec<Arc<[TermId]>>,
 }
 
 impl TermDict {
@@ -241,8 +251,9 @@ impl TermDict {
     }
 
     /// Heap bytes held by the dictionary: string payloads (stored twice,
-    /// in the resolve vector and the lookup key) plus table capacities.
-    /// Layers shared with another dictionary are counted in full; see
+    /// in the resolve vector and the lookup key), table capacities and
+    /// 4 B of completion order per term. Layers shared with another
+    /// dictionary are counted in full; see
     /// [`TermDict::heap_bytes_beyond`] for the unshared remainder.
     pub fn heap_bytes(&self) -> usize {
         self.tables.iter().map(Interner::heap_bytes).sum()
@@ -261,17 +272,82 @@ impl TermDict {
     }
 
     /// Seals every open tail into a shared layer, after which `clone`
-    /// copies layer handles only. Called when a builder freezes.
+    /// copies layer handles only, and sorts the sealed terms into a new
+    /// completion run, keyed by their first 8 lowercase bytes (zero
+    /// padded, so keys order as the texts do) so only ties compare whole.
+    /// Called when a builder freezes.
     pub(crate) fn seal(&mut self) {
+        let bytes = |id| folded(self.text(id)).chain([0; 8]).take(8);
+        let key = |id| bytes(id).fold(0, |k, c| k << 8 | u64::from(c));
+        let mut keyed: Vec<(u64, TermId)> = self.tail_ids().map(|id| (key(id), id)).collect();
         self.tables.iter_mut().for_each(Interner::seal);
+        if !keyed.is_empty() {
+            keyed.sort_unstable_by(|&(x, a), &(y, b)| x.cmp(&y).then_with(|| self.cmp_order(a, b)));
+            self.runs.push(keyed.iter().map(|&(_, id)| id).collect());
+        }
     }
 
-    /// Seals everything into one layer per kind, so lookups stay one
-    /// probe however often the dictionary was extended. Called at
-    /// compaction, when the first layer is normally unshared and is
-    /// extended in place.
+    /// Seals everything into one layer per kind and one completion run,
+    /// so lookups stay one probe however often the dictionary was
+    /// extended. Called at compaction, when the first layer is normally
+    /// unshared and is extended in place. Runs merge, never re-sort: each
+    /// later run's ids are binary-searched into the merged ones.
     pub(crate) fn flatten(&mut self) {
+        self.seal();
         self.tables.iter_mut().for_each(Interner::flatten);
+        let merged = std::mem::take(&mut self.runs).into_iter().reduce(|a, b| {
+            let (mut merged, mut rest) = (Vec::with_capacity(a.len() + b.len()), &a[..]);
+            for &id in b.iter() {
+                let at = rest.partition_point(|&other| self.cmp_order(other, id).is_lt());
+                merged.extend_from_slice(&rest[..at]);
+                merged.push(id);
+                rest = &rest[at..];
+            }
+            merged.extend_from_slice(rest);
+            merged.into()
+        });
+        self.runs.extend(merged);
+    }
+
+    /// Ids interned since the last seal, kind by kind.
+    fn tail_ids(&self) -> impl Iterator<Item = TermId> + '_ {
+        TermKind::ALL.into_iter().flat_map(move |kind| {
+            let table = &self.tables[kind as usize];
+            (table.tail.start..table.len() as u32).map(move |idx| TermId::new(kind, idx))
+        })
+    }
+
+    fn text(&self, id: TermId) -> &str {
+        self.resolve(id).unwrap_or_default()
+    }
+
+    /// The completion order: `(text.to_lowercase(), text, kind)`.
+    fn cmp_order(&self, a: TermId, b: TermId) -> Ordering {
+        let (x, y) = (self.text(a), self.text(b));
+        folded(x).cmp(folded(y)).then(x.cmp(y)).then(a.cmp(&b))
+    }
+
+    /// Completes a prefix case-insensitively: up to `limit` terms whose
+    /// lowercase text starts with `prefix.to_lowercase()`, in completion
+    /// order. Each run yields at most `limit` ids after one binary search;
+    /// the open tail (what ingests interned since a seal) is scanned.
+    pub fn complete(&self, prefix: &str, limit: usize) -> Vec<(TermId, &str)> {
+        let needle = prefix.to_lowercase();
+        // `Equal` exactly for the texts whose lowercase starts with it.
+        let against = |id: &TermId| {
+            let folded = folded(self.text(*id)).take(needle.len());
+            folded.cmp(needle.bytes())
+        };
+        let mut found: Vec<TermId> = Vec::new();
+        for run in &self.runs {
+            let start = run.partition_point(|id| against(id).is_lt());
+            let hits = run[start..].iter().take_while(|id| against(id).is_eq());
+            found.extend(hits.take(limit));
+        }
+        found.extend(self.tail_ids().filter(|id| against(id).is_eq()));
+        found.sort_unstable_by(|&a, &b| self.cmp_order(a, b));
+        found.truncate(limit);
+        found.into_iter().map(|id| (id, self.text(id))).collect()
     }
 
     /// Iterates `(id, text)` pairs of a kind in interning order.
@@ -285,6 +361,19 @@ impl TermDict {
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &str)> {
         TermKind::ALL.into_iter().flat_map(|k| self.iter_kind(k))
     }
+}
+
+/// The bytes of `text.to_lowercase()`, folded as read for ASCII text (all
+/// generated terms); other text is lowered whole, for the final sigma.
+fn folded(text: &str) -> impl Iterator<Item = u8> + '_ {
+    let ascii = text.is_ascii();
+    let lowered = if ascii {
+        Vec::new()
+    } else {
+        text.to_lowercase().into_bytes()
+    };
+    let read = if ascii { text.as_bytes() } else { &[] };
+    read.iter().map(u8::to_ascii_lowercase).chain(lowered)
 }
 
 /// The provenance source table: document identifiers interned into
@@ -501,6 +590,129 @@ mod tests {
         delta.seal();
         assert_eq!(delta.heap_bytes_beyond(&base), added);
         assert_eq!(delta.heap_bytes_beyond(&delta.clone()), 0);
+    }
+
+    /// The completion index the facade once built beside the dictionary:
+    /// every term as `(lowercase text, text, kind)`, sorted.
+    fn reference_index(d: &TermDict) -> Vec<(String, String, TermKind, TermId)> {
+        let mut all: Vec<_> = d
+            .iter()
+            .map(|(id, text)| (text.to_lowercase(), text.to_string(), id.kind(), id))
+            .collect();
+        all.sort();
+        all
+    }
+
+    fn reference_completion(
+        index: &[(String, String, TermKind, TermId)],
+        prefix: &str,
+        limit: usize,
+    ) -> Vec<(TermId, String)> {
+        let needle = prefix.to_lowercase();
+        let matches = index.iter().filter(|(low, ..)| low.starts_with(&needle));
+        matches
+            .take(limit)
+            .map(|(_, text, _, id)| (*id, text.clone()))
+            .collect()
+    }
+
+    fn completion(d: &TermDict, prefix: &str, limit: usize) -> Vec<(TermId, String)> {
+        let found = d.complete(prefix, limit).into_iter();
+        found.map(|(id, text)| (id, text.to_string())).collect()
+    }
+
+    #[test]
+    fn completion_equals_the_reference_through_seals_clones_and_flattens() {
+        // Case pairs, shared prefixes, non-ASCII folds (one growing a
+        // byte, one shrinking, a final sigma) and one text under every kind.
+        let words = [
+            "Ulm",
+            "ulm",
+            "ULMER",
+            "Ulme",
+            "ulmer Münster",
+            "München",
+            "MÜNCHEN",
+            "muenchen",
+            "Straße",
+            "STRASSE",
+            "İstanbul",
+            "istanbul",
+            "ΟΔΟΣ",
+            "οδος",
+            "Οδός",
+            "Z",
+            "z",
+            "a b",
+            "a",
+            "",
+        ];
+        for seed in 1..=20u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut d = TermDict::new();
+            let mut held = Vec::new();
+            for step in 0..120 {
+                match next(&mut state) % 10 {
+                    0 => d.seal(),
+                    1 => d.flatten(),
+                    2 => {
+                        let clone = d.clone();
+                        held.push(std::mem::replace(&mut d, clone));
+                    }
+                    _ => {}
+                }
+                let word = words[next(&mut state) as usize % words.len()];
+                let text = format!("{word}{}", next(&mut state) % 4);
+                let kind = TermKind::ALL[next(&mut state) as usize % 3];
+                d.intern(kind, if step % 7 == 0 { word } else { &text });
+                if step % 20 == 19 {
+                    let index = reference_index(&d);
+                    let mut prefixes: std::collections::BTreeSet<String> =
+                        ["ULM", "ß", "q"].map(String::from).into();
+                    for (_, text) in d.iter() {
+                        let cuts = text.char_indices().map(|(at, _)| at).chain([text.len()]);
+                        prefixes.extend(cuts.map(|at| text[..at].to_string()));
+                    }
+                    for prefix in prefixes {
+                        for limit in [0, 1, 3, usize::MAX] {
+                            assert_eq!(
+                                completion(&d, &prefix, limit),
+                                reference_completion(&index, &prefix, limit),
+                                "seed {seed}, prefix {prefix:?}, limit {limit}"
+                            );
+                        }
+                    }
+                }
+            }
+            d.flatten();
+            assert!(d.runs.len() <= 1 && d.tail_ids().next().is_none());
+            assert_eq!(d.runs.iter().map(|r| r.len()).sum::<usize>(), d.len());
+        }
+    }
+
+    #[test]
+    fn a_clone_shares_completion_runs_and_sealing_moves_no_byte() {
+        let mut base = TermDict::new();
+        for i in 0..100 {
+            base.resource(&format!("Term{i}"));
+        }
+        base.seal();
+        let mut delta = base.clone();
+        assert!(Arc::ptr_eq(&base.runs[0], &delta.runs[0]));
+        delta.token("term added");
+        let before = (delta.heap_bytes(), delta.heap_bytes_beyond(&base));
+        delta.seal();
+        assert_eq!((delta.heap_bytes(), delta.heap_bytes_beyond(&base)), before);
+        assert_eq!(delta.runs.len(), 2);
+        let firsts: Vec<_> = delta
+            .complete("TERM", 3)
+            .into_iter()
+            .map(|(_, t)| t)
+            .collect();
+        assert_eq!(firsts, ["term added", "Term0", "Term1"]);
+        delta.flatten();
+        assert_eq!(delta.runs.len(), 1);
+        assert_eq!(base.complete("term a", 5), []);
     }
 
     #[test]

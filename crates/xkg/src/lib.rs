@@ -53,7 +53,7 @@ pub use pack::SegmentLayout;
 pub use pattern::SlotPattern;
 pub use posting::{Posting, PostingIndex, PostingList, Select, ServeKind, SharedParts};
 pub use segment::LiveDelta;
-pub use stats::{args_pairs, cardinality, PredicateStats, StorageBytes, StoreStats};
+pub use stats::{args_pairs, PredicateStats, StorageBytes, StoreStats};
 pub use store::{XkgBuilder, XkgError, XkgStore};
 pub use term::{TermId, TermKind};
 pub use triple::{GraphTag, Provenance, SourceId, Triple, TripleId};

@@ -288,8 +288,7 @@ impl LiveDelta {
         }
         dict.flatten();
         sources.flatten();
-        let dict_bytes = dict.heap_bytes();
-        self.vocab = Vocab::new(dict, sources, dict_bytes);
+        self.vocab = Vocab::sealed(dict, sources);
         self.bases = self.vocab.freeze_all(merged, layout);
         self.dedup.clear();
         self.len = 0;

@@ -1,10 +1,10 @@
 //! Store statistics: predicate inventory, argument sets, selectivity.
 //!
 //! The relaxation miner (paper §3) needs `args(p)` — the set of
-//! (subject, object) pairs connected by predicate `p` in the XKG — and the
-//! query planner needs cardinality estimates. Both are derived from the
-//! store's precomputed posting-index predicate groups, so they are exact
-//! and never scan the full triple table per predicate.
+//! (subject, object) pairs connected by predicate `p` in the XKG. It and
+//! the per-predicate statistics are derived from the store's precomputed
+//! posting-index predicate groups and permutation ranges, so they are
+//! exact and never scan the full triple table per predicate.
 
 use std::collections::HashMap;
 
@@ -87,8 +87,6 @@ impl StorageBytes {
 pub struct StoreStats {
     by_predicate: HashMap<TermId, PredicateStats>,
     predicates: Vec<TermId>,
-    storage: StorageBytes,
-    triples: usize,
 }
 
 impl StoreStats {
@@ -137,8 +135,6 @@ impl StoreStats {
         StoreStats {
             by_predicate,
             predicates,
-            storage: store.storage_bytes(),
-            triples: store.len(),
         }
     }
 
@@ -150,21 +146,6 @@ impl StoreStats {
     /// Statistics for one predicate, if present in the store.
     pub fn get(&self, predicate: TermId) -> Option<&PredicateStats> {
         self.by_predicate.get(&predicate)
-    }
-
-    /// Number of distinct predicates.
-    pub fn predicate_count(&self) -> usize {
-        self.predicates.len()
-    }
-
-    /// Exact per-structure byte accounting captured at compute time.
-    pub fn storage(&self) -> StorageBytes {
-        self.storage
-    }
-
-    /// Index bytes per triple at compute time.
-    pub fn bytes_per_triple(&self) -> f64 {
-        self.storage.bytes_per_triple(self.triples)
     }
 }
 
@@ -187,12 +168,6 @@ pub fn args_pairs(store: &XkgStore, p: TermId) -> Vec<(TermId, TermId)> {
         .into_iter()
         .map(|pair| (term(pair >> 32), term(pair)))
         .collect()
-}
-
-/// Exact cardinality of a pattern; used by the query planner to order
-/// joins most-selective-first.
-pub fn cardinality(store: &XkgStore, pattern: &SlotPattern) -> usize {
-    store.count(pattern)
 }
 
 #[cfg(test)]
@@ -218,7 +193,7 @@ mod tests {
     fn predicate_inventory() {
         let store = sample();
         let stats = StoreStats::compute(&store);
-        assert_eq!(stats.predicate_count(), 3);
+        assert_eq!(stats.predicates().len(), 3);
         let p = store.resource("p").unwrap();
         let ps = stats.get(p).unwrap();
         assert_eq!(ps.triples, 3);
@@ -248,18 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn cardinality_matches_lookup() {
-        let store = sample();
-        let p = store.resource("p").unwrap();
-        assert_eq!(cardinality(&store, &SlotPattern::with_p(p)), 3);
-        assert_eq!(cardinality(&store, &SlotPattern::any()), 5);
-    }
-
-    #[test]
     fn empty_store_stats() {
         let store = XkgBuilder::new().build();
         let stats = StoreStats::compute(&store);
-        assert_eq!(stats.predicate_count(), 0);
         assert!(stats.predicates().is_empty());
     }
 }

@@ -376,8 +376,9 @@ impl Vocab {
         }
     }
 
-    /// Seals a builder's context so clones of it share its strings.
-    fn sealed(mut dict: TermDict, mut sources: SourceTable) -> Vocab {
+    /// Seals a context so clones of it share its strings and completion
+    /// runs, and prices its dictionary.
+    pub(crate) fn sealed(mut dict: TermDict, mut sources: SourceTable) -> Vocab {
         dict.seal();
         sources.seal();
         let dict_bytes = dict.heap_bytes();

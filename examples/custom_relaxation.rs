@@ -14,7 +14,7 @@
 use trinit_core::relax::{
     CooccurrenceOperator, OperatorRegistry, RelaxationOperator, Rule, RuleProvenance,
 };
-use trinit_core::xkg::{StoreStats, XkgStore};
+use trinit_core::xkg::XkgStore;
 use trinit_core::worldgen::{CorpusConfig, KgConfig, World, WorldConfig};
 use trinit_core::{Trinit, TrinitBuilder};
 
@@ -40,8 +40,7 @@ impl RelaxationOperator for LabelSimilarityOperator {
     }
 
     fn generate(&self, store: &XkgStore) -> Vec<Rule> {
-        let stats = StoreStats::compute(store);
-        let preds: Vec<_> = stats
+        let preds: Vec<_> = store
             .predicates()
             .iter()
             .filter_map(|&p| store.dict().resolve(p).map(|label| (p, label_words(label))))
