@@ -78,7 +78,8 @@ pub struct QueryOutcome {
     pub completeness: Completeness,
     /// Per-stage execution trace of the run: the enclosing query span,
     /// the merge span (sharded systems), per-variant spans, windowed
-    /// pull and election batches, and threshold / cutoff point events.
+    /// pull batches, and threshold / cutoff point events (nothing
+    /// records [`Stage::Election`] or [`Stage::SeedTask`]).
     /// Empty when tracing is disabled ([`Trinit::set_obs`]) or the engine ran a
     /// non-traced path (`Exact` / `FullExpansion` on a frozen monolith).
     pub trace: QueryTrace,

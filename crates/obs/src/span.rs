@@ -26,10 +26,10 @@ pub fn now_ns() -> u64 {
 /// - `Query`, `Variant`, `Merge`, `Ingest`, `Compact` are
 ///   enter/exit spans: `dur_ns` is the exclusive wall time of that
 ///   unit of work.
-/// - `JoinRound` and `Election` are *windowed batches*: to keep clock
-///   reads off the per-pull hot path, the recorder stamps one span per
-///   64 events covering the window in which they occurred (`detail` =
-///   events in the window).
+/// - `JoinRound` is a *windowed batch*: to keep clock reads off the
+///   per-pull hot path, the recorder stamps one span per 64 pulls
+///   covering the window in which they occurred (`detail` = pulls in
+///   the window).
 /// - `Threshold` and `Cutoff` are point events (`dur_ns` = 0) marking
 ///   a termination decision and a budget/approximation cutoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,7 +41,9 @@ pub enum Stage {
     /// Never recorded: there is no seed phase. Kept only because the
     /// benchmark harness still reads it.
     SeedTask,
-    /// Cross-shard merge election window (`detail` = elections).
+    /// Never recorded: a multi-slice view's lists share one merge heap,
+    /// so there is no cross-shard election. Kept only because the
+    /// benchmark harness still reads it.
     Election,
     /// Rank-join pull window (`detail` = pulls in the window).
     JoinRound,

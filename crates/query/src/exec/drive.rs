@@ -25,24 +25,21 @@
 //!   The owner records the enclosing [`Stage::Query`] span and finishes
 //!   the recorder into [`ExecOutcome::trace`].
 //!
-//! **The factory specializes on slice count.** `execute` assembles the
-//! same pipeline either way and only swaps the stage-1 source its
-//! factory builds per pattern: a bare [`IncrementalMerge`] when the view
-//! has one slice, a [`ShardedMerge`] union of per-slice merges
-//! otherwise. Either way it builds the pattern's relaxation table
-//! ([`AltTable`]) once and every slice's merge reads that one. These
-//! are two monomorphic instantiations of
-//! [`run_pipeline`], so the single-store path pays nothing for the
-//! election heap it does not need — and the choice is read off the
-//! view, never off an option.
+//! **One source for any slice count.** `execute`'s factory builds, per
+//! pattern, the pattern's relaxation table ([`AltTable`]) and one
+//! [`IncrementalMerge`] over every (alternative, slice) list of the view
+//! — or of the sub-range a restricted pattern reads. A one-slice view is
+//! the case of one slice, not a second path: the same `run_pipeline`
+//! runs for every view, and only a multi-slice view keeps per-slice work
+//! counters ([`ExecOutcome::per_shard`]).
 //!
 //! The pipeline composes the three stages below it through two narrow
 //! seams and owns nothing else:
 //!
 //! * **[`crate::exec::merge`]** (stage 1) supplies per-pattern sorted
-//!   access behind the [`RankSource`] trait. The driver never sees
-//!   posting lists, caches, or relaxation chains — only
-//!   `peek_bound` / `next_merged` / `remaining_mass`.
+//!   access. The driver never sees posting lists, caches, slices or
+//!   relaxation chains — only `peek_bound` / `next_merged` /
+//!   `remaining_mass`.
 //! * **[`crate::exec::join`]** (stage 2) holds the per-stream join
 //!   state ([`Stream`]), including the keys of a retired stream that
 //!   restrict the others (the retired-stream semijoin filter), and
@@ -76,9 +73,8 @@ use crate::answer::{Answer, AnswerCollector};
 use crate::ast::Query;
 use crate::exec::budget::{BudgetTracker, Completeness, ExecBudget};
 use crate::exec::join::{self, JoinScratch, SeenItem, Stream};
-use crate::exec::merge::{AltTable, IncrementalMerge, RankSource, FRESH_VARS_PER_STREAM};
+use crate::exec::merge::{AltTable, IncrementalMerge, FRESH_VARS_PER_STREAM};
 use crate::exec::segmented::StoreView;
-use crate::exec::sharded::ShardedMerge;
 use crate::exec::threshold::{Admission, RoundVerdict, ThresholdPolicy};
 use crate::exec::{ExecMetrics, TripleLookup};
 use crate::score::{ln_weight, SharedPostingCache};
@@ -263,8 +259,8 @@ pub struct ExecCtx<'a> {
     /// The query's budget: every pass draws it down, and the run's
     /// [`Completeness`] is read off it.
     pub tracker: &'a BudgetTracker,
-    /// Receives the run's stage spans (variant spans, pull and election
-    /// windows, threshold/cutoff events); [`TraceRecorder::off`] for an
+    /// Receives the run's stage spans (variant spans, pull windows,
+    /// threshold/cutoff events); [`TraceRecorder::off`] for an
     /// uninstrumented run.
     pub recorder: &'a mut TraceRecorder,
 }
@@ -313,28 +309,23 @@ pub fn execute(view: &StoreView<'_>, request: ExecRequest<'_>, ctx: ExecCtx<'_>)
     let tracker = ctx.tracker;
     let mut metrics = ExecMetrics::default();
     let sources = Sources::new(*view, rules, cfg, caches);
-    let mut per_shard = Vec::new();
     let answers = if restrict.as_ref().is_some_and(|(_, range)| range.is_empty()) {
         Vec::new()
-    } else if n == 1 {
-        run_pipeline(view, request, ctx, &mut metrics, |pattern, fresh, _| {
-            sources.slice(0, &sources.table(pattern, fresh))
-        })
     } else {
-        let slots = Rc::new(RefCell::new(vec![ExecMetrics::default(); n]));
-        let answers = run_pipeline(view, request, ctx, &mut metrics, |pattern, fresh, at| {
-            let range = match &restrict {
+        run_pipeline(view, request, ctx, &mut metrics, |pattern, fresh, at| {
+            let slices = match &restrict {
                 Some((j, range)) if *j == at => range.clone(),
                 _ => 0..n,
             };
-            sources.union(pattern, fresh, range, &slots)
-        });
-        // No end-fold into `metrics`: per-slice merge work already
-        // flowed into the aggregate at call time (ShardedMerge records
-        // into both), so folding the slots would double-count it.
-        per_shard = slots.take();
-        answers
+            sources.merge(pattern, fresh, slices)
+        })
     };
+    // A multi-slice view's merge work was recorded per slice; the
+    // aggregate is its sum.
+    let per_shard = sources.work.map_or_else(Vec::new, RefCell::into_inner);
+    for slice in &per_shard {
+        metrics.merge(slice);
+    }
     let completeness = tracker.completeness(&answers);
     ExecOutcome {
         answers,
@@ -347,12 +338,15 @@ pub fn execute(view: &StoreView<'_>, request: ExecRequest<'_>, ctx: ExecCtx<'_>)
 
 /// The stage-1 sources [`execute`]'s factory builds over a view's
 /// slices: per stream, one relaxation table ([`AltTable`]) and one merge
-/// per slice reading it.
+/// over its lists on every slice it reads.
 pub(crate) struct Sources<'a> {
     view: StoreView<'a>,
     rules: &'a RuleSet,
     cfg: &'a TopkConfig,
     caches: &'a [SharedPostingCache],
+    /// Each slice's merge work, for a multi-slice view; a one-slice
+    /// view's work is the aggregate itself.
+    work: Option<RefCell<Vec<ExecMetrics>>>,
 }
 
 impl<'a> Sources<'a> {
@@ -362,44 +356,28 @@ impl<'a> Sources<'a> {
         cfg: &'a TopkConfig,
         caches: &'a [SharedPostingCache],
     ) -> Sources<'a> {
+        let n = view.slices().len();
         Sources {
             view,
             rules,
             cfg,
             caches,
+            work: (n > 1).then(|| RefCell::new(vec![ExecMetrics::default(); n])),
         }
     }
 
-    /// `pattern`'s table; `fresh` starts its fresh-variable range.
-    pub(crate) fn table(&self, pattern: &QPattern, fresh: u16) -> Rc<AltTable> {
-        let totals = self.view.totals;
-        Rc::new(AltTable::build(pattern, self.rules, self.cfg, fresh, totals))
-    }
-
-    /// Slice `s`'s merge over `table`.
-    pub(crate) fn slice(&self, s: usize, table: &Rc<AltTable>) -> IncrementalMerge<'a> {
-        let store = self.view.slices()[s];
-        IncrementalMerge::new(
-            store,
-            Rc::clone(table),
-            self.caches.get(s),
-            self.view.totals,
-        )
-        .with_id_base(self.view.offset(s))
-    }
-
-    /// The union of the `range` slices' merges for `pattern`, recording
-    /// per-slice work into `slots`.
-    pub(crate) fn union(
+    /// `pattern`'s merge over the view's slices `slices`; `fresh` starts
+    /// its fresh-variable range.
+    pub(crate) fn merge(
         &self,
         pattern: &QPattern,
         fresh: u16,
-        range: Range<usize>,
-        slots: &Rc<RefCell<Vec<ExecMetrics>>>,
-    ) -> ShardedMerge<'a> {
-        let table = self.table(pattern, fresh);
-        let merges = range.clone().map(|s| self.slice(s, &table)).collect();
-        ShardedMerge::new(table, merges, range.collect(), Rc::clone(slots))
+        slices: Range<usize>,
+    ) -> IncrementalMerge<'_> {
+        let totals = self.view.totals;
+        let table = AltTable::build(pattern, self.rules, self.cfg, fresh, totals);
+        let work = self.work.as_ref();
+        IncrementalMerge::new(&self.view, slices, Rc::new(table), self.caches, work)
     }
 }
 
@@ -450,15 +428,14 @@ pub fn run_governed(
 
 /// Assembles and drives the full pipeline for one query: enumerates
 /// structural variants, builds one [`Stream`] per pattern around the
-/// stage-1 source `source_for` yields, and runs the rank join per
-/// variant into one shared collector. Everything downstream of the
-/// factory is the same code for every source type.
-fn run_pipeline<M: RankSource>(
+/// merge `source_for` yields, and runs the rank join per variant into
+/// one shared collector.
+fn run_pipeline<'s>(
     view: &StoreView<'_>,
     request: ExecRequest<'_>,
     ctx: ExecCtx<'_>,
     metrics: &mut ExecMetrics,
-    mut source_for: impl FnMut(&QPattern, u16, usize) -> M,
+    mut source_for: impl FnMut(&QPattern, u16, usize) -> IncrementalMerge<'s>,
 ) -> Vec<Answer> {
     let ExecRequest { query, rules, cfg, restrict, .. } = request;
     let ExecCtx { tracker, recorder } = ctx;
@@ -504,22 +481,19 @@ fn run_pipeline<M: RankSource>(
             tracker,
             recorder,
         );
-        for stream in &mut streams {
-            stream.merge.finish_obs(recorder);
-        }
         recorder.record(Stage::Variant, variant_idx as u32, variant_start);
     }
     collector.into_top_k(query.k)
 }
 
-/// One [`Stream`] per pattern of a variant around the stage-1 source
+/// One [`Stream`] per pattern of a variant around the merge
 /// `source_for` yields, plus the size of the variant's variable space
 /// (its own variables and every stream's fresh-variable range) — what the
 /// join's scratch assignment is sized from.
-pub(crate) fn variant_streams<M: RankSource>(
+pub(crate) fn variant_streams<'s>(
     patterns: &[QPattern],
-    mut source_for: impl FnMut(&QPattern, u16, usize) -> M,
-) -> (Vec<Stream<M>>, usize) {
+    mut source_for: impl FnMut(&QPattern, u16, usize) -> IncrementalMerge<'s>,
+) -> (Vec<Stream<'s>>, usize) {
     let max_var = join::max_var_of(patterns);
     let streams = patterns
         .iter()
@@ -529,8 +503,8 @@ pub(crate) fn variant_streams<M: RankSource>(
             // Disjoint fresh-variable ranges per pattern.
             let fresh_base = max_var + (i as u16) * FRESH_VARS_PER_STREAM;
             // `i` is the pattern's position in the (variant's) query —
-            // segmented execution uses it to restrict one pattern to the
-            // delta slices (semi-naive delta queries).
+            // a restricted request confines that pattern to the delta
+            // slices (semi-naive delta queries).
             Stream::new(source_for(pattern, fresh_base, i), join_vars)
         })
         .collect();
@@ -592,9 +566,7 @@ impl PullWindow {
 /// stream, joins the arrival against the other streams' kept partitions
 /// (stage 2), restricts the live streams to the keys of any stream that
 /// retired, and stops when the termination policy (stage 3) says so.
-/// Generic over the stream source so the monolithic and sharded engines
-/// share every line of join, threshold, and capping logic; `lookup`
-/// resolves emitted triple ids (global ids, for a sharded source).
+/// `lookup` resolves emitted (global) triple ids.
 ///
 /// Combinations are offered deferred; once the loop ends, while the
 /// streams still hold their items, the collector builds the bindings and
@@ -604,10 +576,10 @@ impl PullWindow {
 /// stop opening further variants (the policy has already recorded the
 /// forfeit bound); `true` on every normal termination.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn rank_join<M: RankSource>(
+pub(crate) fn rank_join(
     lookup: &dyn TripleLookup,
     cfg: &TopkConfig,
-    streams: &mut [Stream<M>],
+    streams: &mut [Stream<'_>],
     variant_log: f64,
     variant_trace: &[RuleId],
     projection: &[trinit_relax::VarId],
@@ -629,10 +601,10 @@ pub(crate) fn rank_join<M: RankSource>(
 
 /// [`rank_join`]'s pull loop, which offers every combination deferred.
 #[allow(clippy::too_many_arguments)]
-fn pull_loop<M: RankSource>(
+fn pull_loop(
     lookup: &dyn TripleLookup,
     cfg: &TopkConfig,
-    streams: &mut [Stream<M>],
+    streams: &mut [Stream<'_>],
     variant_log: f64,
     projection: &[trinit_relax::VarId],
     k: usize,
@@ -669,7 +641,7 @@ fn pull_loop<M: RankSource>(
         window.tick(recorder);
         #[cfg(feature = "faults")]
         crate::exec::faults::on_pull();
-        if let Some(m) = streams[next].pull(metrics, recorder) {
+        if let Some(m) = streams[next].pull(metrics) {
             let pattern = streams[next].merge.alternative(m.alt).pattern;
             if let Some(bound) = join::bind_pairs(pattern, lookup, m.triple) {
                 let item = SeenItem::new(bound, ln_weight(m.prob), &m);
@@ -719,12 +691,12 @@ fn pull_loop<M: RankSource>(
 
 /// In a round where the set of retired streams changed, offers each
 /// newly retired stream's keys ([`Stream::key_set`]) to every live
-/// stream's source ([`RankSource::restrict`]), then refreshes a
+/// stream's merge ([`IncrementalMerge::restrict`]), then refreshes a
 /// restricted stream's frontier — it may exhaust, and offer its own keys
 /// in turn — and re-folds its contribution bound. True when a
 /// restriction left a stream barren: the variant is dead.
-fn restrict_to_retired_keys<M: RankSource>(
-    streams: &mut [Stream<M>],
+fn restrict_to_retired_keys(
+    streams: &mut [Stream<'_>],
     policy: &mut ThresholdPolicy<'_>,
     metrics: &mut ExecMetrics,
 ) -> bool {

@@ -1,7 +1,7 @@
 //! Stage 2 of the top-k operator pipeline: the **hash-partitioned rank
 //! join**.
 //!
-//! Consumes emissions from any [`RankSource`] (stage 1,
+//! Consumes emissions from each pattern's [`IncrementalMerge`] (stage 1,
 //! [`crate::exec::merge`]) and combines them across a variant's streams,
 //! HRJN-style: each new item joins against the kept items of the other
 //! streams. This module knows nothing about thresholds or termination —
@@ -21,7 +21,7 @@
 //!   pairs inline ([`Pairs`] — a triple pattern has three slots), its log
 //!   score, its triple id, and the *index* of the alternative that
 //!   emitted it. The alternative's pattern, rule trace and weight stay in
-//!   the source's alternative table ([`RankSource::alternative`]) and are
+//!   the merge's alternative table ([`IncrementalMerge::alternative`]) and are
 //!   read only when a derivation is materialized: once per combination
 //!   that still ranks when its variant's join ends.
 //! * Each [`Stream`] partitions its kept items by the values of its
@@ -55,7 +55,7 @@
 //! item binds all of `j`'s join variables to a key with no bucket in `j`.
 //! Dead items are never pulled: in the round `j` retires, the driver
 //! restricts every live stream's source to `j`'s keys ([`Stream::key_set`],
-//! [`RankSource::restrict`]), which skips exactly the dead items — found by
+//! [`IncrementalMerge::restrict`]), which skips exactly the dead items — found by
 //! bound lookups of the keys, or one scan of a list's rest — and emits the
 //! others unchanged. Every combination a dead item could complete needs an
 //! item of `j` with exactly its key, and `j` keeps none:
@@ -91,12 +91,11 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use trinit_obs::TraceRecorder;
 use trinit_relax::{QPattern, QTerm, RuleId, VarId};
 use trinit_xkg::{TermId, TripleId};
 
 use crate::answer::{AnswerCollector, Bindings, Derivation};
-use crate::exec::merge::{Merged, RankSource};
+use crate::exec::merge::{IncrementalMerge, Merged};
 use crate::exec::{ExecMetrics, TripleLookup};
 use crate::score::{ln_weight, LOG_ZERO};
 
@@ -147,7 +146,7 @@ pub(crate) struct SeenItem {
     pub(crate) log_score: f64,
     pub(crate) triple: TripleId,
     /// Index into the stream's alternative table
-    /// ([`RankSource::alternative`]).
+    /// ([`IncrementalMerge::alternative`]).
     pub(crate) alt: u32,
     /// Next item of this item's bucket (or residual) chain.
     next: u32,
@@ -275,8 +274,8 @@ impl Chain {
 
 /// One rank-join stream: a stage-1 source plus the partitioned kept-item
 /// state the join probes and the bounds the threshold policy reads.
-pub(crate) struct Stream<M> {
-    pub(crate) merge: M,
+pub(crate) struct Stream<'s> {
+    pub(crate) merge: IncrementalMerge<'s>,
     /// Items that survived the semijoin filter, in arrival order.
     seen: Vec<SeenItem>,
     /// This stream's join variables: variables of its variant pattern
@@ -295,7 +294,7 @@ pub(crate) struct Stream<M> {
     best_log: f64,
     /// Cached `ln` of the source's bound on its next emission. The bound
     /// only moves inside the source's own `next_merged`
-    /// ([`RankSource::peek_bound`] is `&self`), so [`Stream::pull`]
+    /// ([`IncrementalMerge::peek_bound`] is `&self`), so [`Stream::pull`]
     /// refreshes it and every reader in between pays no `ln`.
     frontier: f64,
     /// The source has nothing more to emit (set by [`Stream::pull`]).
@@ -311,9 +310,9 @@ pub(crate) struct Stream<M> {
     pub(crate) keys_offered: bool,
 }
 
-impl<M: RankSource> Stream<M> {
+impl<'s> Stream<'s> {
     /// A fresh stream over `merge` with the given join variables.
-    pub(crate) fn new(merge: M, join_vars: Vec<VarId>) -> Stream<M> {
+    pub(crate) fn new(merge: IncrementalMerge<'s>, join_vars: Vec<VarId>) -> Stream<'s> {
         debug_assert!(join_vars.len() <= 3, "a triple pattern has three slots");
         let bound = merge.peek_bound();
         Stream {
@@ -335,12 +334,8 @@ impl<M: RankSource> Stream<M> {
     /// bound on a further emission — with its last item, not one empty
     /// pull later — so the semijoin filter can rely on it while the
     /// other streams still drain.
-    pub(crate) fn pull(
-        &mut self,
-        metrics: &mut ExecMetrics,
-        recorder: &mut TraceRecorder,
-    ) -> Option<Merged> {
-        let merged = self.merge.next_merged(metrics, recorder);
+    pub(crate) fn pull(&mut self, metrics: &mut ExecMetrics) -> Option<Merged> {
+        let merged = self.merge.next_merged(metrics);
         if merged.is_some() {
             self.refresh();
         } else {
@@ -528,15 +523,15 @@ impl JoinScratch {
 
 /// One arrival's combination pass: what stays fixed while the recursion
 /// walks the other streams.
-struct Combine<'a, M> {
-    streams: &'a [Stream<M>],
+struct Combine<'a, 's> {
+    streams: &'a [Stream<'s>],
     new_stream: usize,
     projection: &'a [VarId],
     collector: &'a mut AnswerCollector,
     metrics: &'a mut ExecMetrics,
 }
 
-impl<M: RankSource> Combine<'_, M> {
+impl Combine<'_, '_> {
     /// Depth-first combination over the other streams' kept items. Each
     /// stream is entered through its join-key partition: one hash probe
     /// selects the only chain whose items can merge with the accumulated
@@ -621,8 +616,8 @@ impl<M: RankSource> Combine<'_, M> {
 /// offered: every item's pairs bound into a fresh assignment of `n_vars`
 /// variables, and per item its alternative's pattern, triple, rules and
 /// weight, the variant's folded in last.
-pub(crate) fn materialize<M: RankSource>(
-    streams: &[Stream<M>],
+pub(crate) fn materialize(
+    streams: &[Stream<'_>],
     parts: &[(u32, u32)],
     variant_log: f64,
     variant_trace: &[RuleId],
@@ -664,8 +659,8 @@ pub(crate) fn materialize<M: RankSource>(
 /// own stream is skipped, so joining before keeping the item is
 /// equivalent to the reverse.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn join_with_others<M: RankSource>(
-    streams: &[Stream<M>],
+pub(crate) fn join_with_others(
+    streams: &[Stream<'_>],
     new_stream: usize,
     new_item: &SeenItem,
     variant_log: f64,
@@ -843,7 +838,7 @@ mod tests {
     fn drive_variant(store: &XkgStore, query: &Query, rules: &RuleSet, cfg: &TopkConfig) -> Driven {
         let sources = Sources::new(StoreView::single(store), rules, cfg, &[]);
         let (mut streams, n_vars) = drive::variant_streams(&query.patterns, |pattern, fresh, _| {
-            sources.slice(0, &sources.table(pattern, fresh))
+            sources.merge(pattern, fresh, 0..1)
         });
         let tracker = BudgetTracker::new(cfg);
         let mut collector = AnswerCollector::tracking(query.k);
@@ -860,7 +855,7 @@ mod tests {
             &mut collector,
             &mut metrics,
             &tracker,
-            &mut TraceRecorder::off(),
+            &mut trinit_obs::TraceRecorder::off(),
         );
         let answers = collector.into_top_k(query.k);
         Driven {

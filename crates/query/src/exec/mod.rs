@@ -19,16 +19,17 @@
 //! including the ε-approximate mass criterion), and [`drive`] (the one
 //! entry point `execute(view, request, ctx)`, variant enumeration and
 //! the pull loop). [`segmented`] defines what is queried (a
-//! [`StoreView`](segmented::StoreView) over store slices), [`sharded`]
-//! the merge-of-merges source a multi-slice view gets, and [`topk`]
-//! re-exports the public surface.
+//! [`StoreView`](segmented::StoreView) over store slices, each pattern's
+//! merge reading all of them) and [`topk`] re-exports the public
+//! surface.
 //!
 //! **Planning.** A stream's relaxation table
 //! ([`AltTable`](merge::AltTable)) is its pattern and the relaxed forms
 //! under the mergeable rules, each with its weight and rule chain. It is
 //! built from the rules `RuleSet::add` compiled (`SlotRewrite`), not by
 //! the general matcher `apply_rule`, once per stream per `execute`, and
-//! every slice's merge reads it; nothing outlives the query. With one
+//! the stream's merge reads it on every slice; nothing outlives the
+//! query. With one
 //! table per slice built through `apply_rule`, `bench.alloc_per_query`
 //! (perfbench traced pass, `--seed 101`) on `batch_sharded` /
 //! `live_ingest` / `explore_cold` / `explore_session` was 405.03 /
@@ -58,7 +59,6 @@ pub mod faults;
 pub mod join;
 pub mod merge;
 pub mod segmented;
-pub mod sharded;
 pub mod threshold;
 pub mod topk;
 
@@ -196,6 +196,7 @@ pub(crate) mod testfix {
     use crate::exec::drive::TopkConfig;
     use crate::exec::expand;
     use crate::exec::merge::{AltTable, IncrementalMerge};
+    use crate::exec::segmented::StoreView;
 
     /// A merge over `pattern`'s table on `store` queried on its own: the
     /// pattern's fresh variables start at 10, no cache.
@@ -206,7 +207,7 @@ pub(crate) mod testfix {
         cfg: &TopkConfig,
     ) -> IncrementalMerge<'a> {
         let table = Rc::new(AltTable::build(pattern, rules, cfg, 10, None));
-        IncrementalMerge::new(store, table, None, None)
+        IncrementalMerge::new(&StoreView::single(store), 0..1, table, &[], None)
     }
 
     /// Reference evaluation for the join tests: full expansion to the

@@ -32,18 +32,29 @@ use crate::exec::TripleLookup;
 use crate::score::GlobalTotals;
 
 /// The slice list of a view; `One` lets [`StoreView::single`] hold its
-/// store without borrowing a caller-side array.
+/// store without borrowing a caller-side array (and a merge copy it
+/// without allocating).
 #[derive(Clone, Copy)]
-enum Slices<'a> {
+pub(crate) enum Slices<'a> {
     One([&'a XkgStore; 1]),
     Many(&'a [&'a XkgStore]),
+}
+
+impl<'a> Slices<'a> {
+    /// The slices, in global-id order.
+    pub(crate) fn get(&self) -> &[&'a XkgStore] {
+        match self {
+            Slices::One(one) => one,
+            Slices::Many(many) => many,
+        }
+    }
 }
 
 /// What one execution queries: store slices plus the cross-slice
 /// context (see the module docs).
 #[derive(Clone, Copy)]
 pub struct StoreView<'a> {
-    slices: Slices<'a>,
+    pub(crate) slices: Slices<'a>,
     pub(crate) lookup: &'a dyn TripleLookup,
     /// `None` only for [`StoreView::single`]: local totals are global.
     pub(crate) totals: Option<&'a dyn GlobalTotals>,
@@ -83,17 +94,6 @@ impl<'a> StoreView<'a> {
 
     /// The slices, in global-id order.
     pub fn slices(&self) -> &[&'a XkgStore] {
-        match &self.slices {
-            Slices::One(one) => one,
-            Slices::Many(many) => many,
-        }
-    }
-
-    /// Slice `s`'s base in the global triple-id space.
-    pub(crate) fn offset(&self, s: usize) -> u32 {
-        let before: usize = self.slices()[..s].iter().map(|slice| slice.len()).sum();
-        // The global id space is u32 by design; the store checks it at
-        // construction.
-        before as u32
+        self.slices.get()
     }
 }

@@ -25,7 +25,7 @@
 //! A round reads no logarithm and, usually, recomputes nothing. Every
 //! stream caches the `ln` of its frontier and refreshes it only inside
 //! its own pull ([`Stream::pull`]) or after a restriction the driver
-//! applied to it ([`Stream::refresh`]) — the source's bound moves nowhere
+//! applied to it ([`Stream::refresh`]) — the merge's bound moves nowhere
 //! else — so the threshold, the capping pass and the driver's stream
 //! selection compare cached numbers; the one `ln` a pull pays for its
 //! bound is the only one (the ε pass adds one per live stream for the
@@ -47,7 +47,7 @@
 //! ## The ε-approximate criterion (mass envelope, load-bearing)
 //!
 //! With [`TopkConfig::epsilon`] ε > 0, the merge stage's O(1)
-//! remaining-mass envelope ([`RankSource::remaining_mass`]) becomes the
+//! remaining-mass envelope ([`IncrementalMerge::remaining_mass`]) becomes the
 //! termination criterion instead of a diagnostic. A stream `i` is
 //! retired as soon as
 //!
@@ -103,7 +103,7 @@
 //!
 //! [`TopkConfig::epsilon`]: crate::exec::drive::TopkConfig::epsilon
 //! [`TopkConfig::theta`]: crate::exec::drive::TopkConfig::theta
-//! [`RankSource::remaining_mass`]: crate::exec::merge::RankSource::remaining_mass
+//! [`IncrementalMerge::remaining_mass`]: crate::exec::merge::IncrementalMerge::remaining_mass
 //! [`BudgetTracker`]: crate::exec::budget::BudgetTracker
 //! [`BudgetTracker::directive`]: crate::exec::budget::BudgetTracker::directive
 
@@ -111,7 +111,6 @@ use crate::answer::AnswerCollector;
 use crate::exec::budget::{BudgetTracker, CutoffReason, Directive};
 use crate::exec::drive::TopkConfig;
 use crate::exec::join::Stream;
-use crate::exec::merge::RankSource;
 use crate::exec::ExecMetrics;
 use crate::score::{ln_weight, LOG_ZERO};
 
@@ -232,9 +231,9 @@ impl<'a> ThresholdPolicy<'a> {
     /// mode); returns [`Admission::Stop`] when the budget tracker
     /// reports a hard cutoff, recording the head bound as the sound
     /// forfeit envelope.
-    pub(crate) fn admit_variant<M: RankSource>(
+    pub(crate) fn admit_variant(
         &mut self,
-        streams: &[Stream<M>],
+        streams: &[Stream<'_>],
         variant_log: f64,
         collector: &AnswerCollector,
         metrics: &mut ExecMetrics,
@@ -285,7 +284,7 @@ impl<'a> ThresholdPolicy<'a> {
     }
 
     /// Folds in stream `i`'s contribution bound if it moved — after a
-    /// pull, or after a [`RankSource::restrict`] outside any pull.
+    /// pull, or after a restriction outside any pull.
     pub(crate) fn refold(&mut self, i: usize, contribution: f64) {
         if contribution != self.contrib[i] {
             self.contrib[i] = contribution;
@@ -302,9 +301,9 @@ impl<'a> ThresholdPolicy<'a> {
     /// The per-round termination pass, after stream `pulled` was pulled:
     /// folds in its contribution bound if it moved, evaluates the global
     /// threshold, and runs the exact and ε capping criteria.
-    pub(crate) fn after_round<M: RankSource>(
+    pub(crate) fn after_round(
         &mut self,
-        streams: &mut [Stream<M>],
+        streams: &mut [Stream<'_>],
         pulled: usize,
         variant_log: f64,
         collector: &AnswerCollector,
@@ -392,11 +391,11 @@ impl<'a> ThresholdPolicy<'a> {
             }
         }
         // ε capping: the mass envelope as the load-bearing criterion.
-        // Everything stream i can still contribute — the *sum* of its
-        // future emissions, not just the next one — combined with the
-        // other streams' bounds is within the forfeit tolerance, so the
-        // stream retires even while its frontier alone would keep it
-        // alive. Needs no k-th answer: the bound is absolute.
+        // Everything stream i can still contribute — every single future
+        // emission, and once its lists are open their *sum* — combined
+        // with the other streams' bounds is within the forfeit tolerance,
+        // so the stream retires even while its frontier alone would keep
+        // it alive. Needs no k-th answer: the bound is absolute.
         if self.ln_eps > LOG_ZERO {
             for (i, stream) in streams.iter_mut().enumerate() {
                 if stream.retired() {

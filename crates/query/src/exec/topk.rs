@@ -5,8 +5,7 @@
 //! them:
 //!
 //! * [`crate::exec::merge`] — stage 1: pattern alternatives and the
-//!   [`IncrementalMerge`] sorted-access source behind the
-//!   [`RankSource`] seam.
+//!   [`IncrementalMerge`] sorted-access source over a view's slices.
 //! * [`crate::exec::join`] — stage 2: the hash-partitioned rank join
 //!   and the scratch-[`Bindings`](crate::answer::Bindings) combine.
 //! * [`crate::exec::threshold`] — stage 3: the head-bound-tightened
@@ -27,5 +26,5 @@ pub use crate::exec::budget::{
 pub use crate::exec::drive::{
     execute, run, run_governed, ExecCtx, ExecOutcome, ExecRequest, TopkConfig,
 };
-pub use crate::exec::merge::{AltView, IncrementalMerge, Merged, RankSource};
+pub use crate::exec::merge::{AltView, IncrementalMerge, Merged};
 pub use crate::exec::segmented::StoreView;

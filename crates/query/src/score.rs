@@ -131,7 +131,9 @@ impl CachedList {
 /// shard only sees its local matches, so a shard-local total would
 /// inflate probabilities and break score equality with the monolithic
 /// engine. A `GlobalTotals` provider answers, per canonical pattern,
-/// the total emission weight of the match set *across every shard*;
+/// the total emission weight of the match set *across every shard*,
+/// once per alternative per execution (the stream's
+/// [`AltTable`](crate::exec::merge::AltTable) keeps it);
 /// [`ScoredMatches::build_global`] then normalizes local entries by
 /// that global denominator, making every per-shard emission carry
 /// exactly the probability the single-store engine would assign it.
@@ -460,26 +462,26 @@ impl<'s> ScoredMatches<'s> {
     /// Builds `pattern`'s scored matches over `store`, through the
     /// optional store-level `shared` LRU (shared across the queries of a
     /// session or system, and a query's own repeats of a pattern), and
-    /// renormalized by an optional [`GlobalTotals`] provider — the build
-    /// path of per-slice execution over a partitioned store. Returns the
-    /// view and where it was served from.
+    /// renormalized by the pattern's `global` total when the view's
+    /// [`GlobalTotals`] provider resolved one — the build path of
+    /// per-slice execution over a partitioned store. Returns the view
+    /// and where it was served from.
     ///
-    /// When the provider returns a global total for the pattern, the
-    /// local slice's entries carry `prob = weight / global_total`
-    /// (borrow-served shapes rescale their baked-in local probabilities
-    /// on the fly instead). A `shared` cache must be dedicated to this
-    /// store slice, since the entries it holds are slice-specific.
-    /// Without one, a built list is owned by the returned view alone: no
-    /// copy into a shareable allocation, no map insert.
+    /// With a global total, the local slice's entries carry
+    /// `prob = weight / global` (borrow-served shapes rescale their
+    /// baked-in local probabilities on the fly instead). A `shared`
+    /// cache must be dedicated to this store slice, since the entries it
+    /// holds are slice-specific. Without one, a built list is owned by
+    /// the returned view alone: no copy into a shareable allocation, no
+    /// map insert.
     pub fn build_global(
         store: &'s XkgStore,
         pattern: &QPattern,
         shared: Option<&SharedPostingCache>,
-        totals: Option<&dyn GlobalTotals>,
+        global: Option<f64>,
     ) -> (ScoredMatches<'s>, CacheSource) {
         let key = canonical_pattern(pattern);
         let (slot, mask) = key;
-        let global = totals.and_then(|t| t.pattern_total(&key));
         if mask == 0 && is_borrow_served(&slot) {
             // A global total only changes the normalization constant, so
             // hot-shape lists keep their locally normalized entries and
@@ -689,12 +691,13 @@ fn served_total(store: &XkgStore, slot: &SlotPattern) -> Option<f64> {
     }
 }
 
-/// How [`ScoredMatches::build_global`] would normalize `pattern`'s list,
-/// when that is known without building it: `(divisor, scale)` such that
-/// the cursor reports `weight / divisor × scale` for every entry — the
-/// stratum's own total and the global rescale for the predicate-only and
-/// unbound shapes, the global total for every shape a provider scales
-/// explicitly, and without one the stored total of a composite pair
+/// How [`ScoredMatches::build_global`] would normalize `pattern`'s list
+/// under its `global` total, when that is known without building it:
+/// `(divisor, scale)` such that the cursor reports
+/// `weight / divisor × scale` for every entry — the stratum's own total
+/// and the global rescale for the predicate-only and unbound shapes, the
+/// global total for every shape it scales explicitly, and without one
+/// the stored total of a composite pair
 /// wider than one block ([`XkgStore::pair_total`]). A divisor ≤ 0 means
 /// the list serves empty. `None` for the shapes whose normalizer is the
 /// list itself (anchored strata, narrower composite shapes and
@@ -702,11 +705,9 @@ fn served_total(store: &XkgStore, slot: &SlotPattern) -> Option<f64> {
 pub(crate) fn probe_normalizer(
     store: &XkgStore,
     pattern: &QPattern,
-    totals: Option<&dyn GlobalTotals>,
+    global: Option<f64>,
 ) -> Option<(f64, f64)> {
-    let key = canonical_pattern(pattern);
-    let (slot, mask) = key;
-    let global = totals.and_then(|t| t.pattern_total(&key));
+    let (slot, mask) = canonical_pattern(pattern);
     match (mask, slot.s, slot.o, global) {
         // Predicate-only and unbound lists divide by their own total.
         (0, None, None, _) => served_total(store, &slot).map(|t| (t, rescale(t, global))),

@@ -10,7 +10,8 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use trinit_query::exec::join::KeySet;
-use trinit_query::exec::merge::{AltTable, IncrementalMerge, RankSource};
+use trinit_query::exec::merge::{AltTable, IncrementalMerge};
+use trinit_query::exec::topk::StoreView;
 use trinit_query::exec::{expand, topk};
 use trinit_query::{Answer, AnswerCollector, Bindings, Derivation, ExecMetrics, Query, TopkConfig};
 use trinit_relax::{ExpandOptions, QPattern, QTerm, Rule, RuleId, RuleProvenance, RuleSet, VarId};
@@ -475,7 +476,7 @@ fn restriction_leaves_an_alternative_that_dropped_the_key_variable_alone() {
     };
     let merge = || {
         let table = Rc::new(AltTable::build(&pattern, &rules, &cfg, 8, None));
-        IncrementalMerge::new(&store, table, None, None)
+        IncrementalMerge::new(&StoreView::single(&store), 0..1, table, &[], None)
     };
     let keys = vec![vec![tid(103)], vec![tid(117)]];
     for at in [0, 3] {
@@ -644,7 +645,7 @@ proptest! {
             let cfg = TopkConfig { min_weight: 0.0, ..TopkConfig::default() };
             let merge = || {
                 let table = Rc::new(AltTable::build(&patterns[0], &set, &cfg, 8, None));
-                IncrementalMerge::new(&store, table, None, None)
+                IncrementalMerge::new(&StoreView::single(&store), 0..1, table, &[], None)
             };
             assert_restriction_filters(merge(), merge(), |id| store.triple(id), &vars, &keys, at);
         }

@@ -1,12 +1,12 @@
 //! The restriction property's oracle, shared by this crate's and
-//! `trinit-shard`'s property tests: a [`RankSource`] restricted to a
-//! retired stream's keys must emit exactly the filtered sorted stream.
+//! `trinit-shard`'s property tests: an [`IncrementalMerge`] restricted to
+//! a retired stream's keys must emit exactly the filtered sorted stream.
 
 use std::rc::Rc;
 
 use trinit_query::exec::join::KeySet;
-use trinit_query::exec::merge::{Merged, RankSource};
-use trinit_query::{ExecMetrics, TraceRecorder};
+use trinit_query::exec::merge::{IncrementalMerge, Merged};
+use trinit_query::ExecMetrics;
 use trinit_relax::{QPattern, QTerm, VarId};
 use trinit_xkg::{TermId, TermKind, Triple, TripleId};
 
@@ -19,9 +19,9 @@ fn emission(m: &Merged) -> Emission {
 }
 
 /// Pulls up to `n` emissions.
-pub fn drain(merge: &mut impl RankSource, n: usize) -> Vec<Merged> {
-    let (mut metrics, mut off) = (ExecMetrics::default(), TraceRecorder::off());
-    std::iter::from_fn(|| merge.next_merged(&mut metrics, &mut off))
+pub fn drain(merge: &mut IncrementalMerge<'_>, n: usize) -> Vec<Merged> {
+    let mut metrics = ExecMetrics::default();
+    std::iter::from_fn(|| merge.next_merged(&mut metrics))
         .take(n)
         .collect()
 }
@@ -46,12 +46,12 @@ pub fn key_values(raw: &[(u32, u32, u32)], n: usize) -> Vec<Vec<TermId>> {
         .collect()
 }
 
-/// The emissions a source restricted to `keys` over `vars` keeps: those
+/// The emissions a merge restricted to `keys` over `vars` keeps: those
 /// of an alternative that does not bind every variable of `vars`, and
 /// those whose values there (`triple_of` resolves the emitted id) form
 /// one of `keys`.
 fn keep_keyed(
-    merge: &impl RankSource,
+    merge: &IncrementalMerge<'_>,
     triple_of: impl Fn(TripleId) -> Triple,
     vars: &[VarId],
     keys: &[Vec<TermId>],
@@ -75,13 +75,13 @@ fn keep_keyed(
         .collect()
 }
 
-/// The property over twin sources: `reference` drains in full; `twin`
+/// The property over twin merges: `reference` drains in full; `twin`
 /// emits `at` items, is restricted to `keys` over `vars`, and drains the
 /// rest. The twin's sequence must be the reference's prefix followed by
 /// its [`keep_keyed`] suffix, emission for emission.
-pub fn assert_restriction_filters<M: RankSource>(
-    mut reference: M,
-    mut twin: M,
+pub fn assert_restriction_filters(
+    mut reference: IncrementalMerge<'_>,
+    mut twin: IncrementalMerge<'_>,
     triple_of: impl Fn(TripleId) -> Triple,
     vars: &[VarId],
     keys: &[Vec<TermId>],

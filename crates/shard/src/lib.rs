@@ -30,16 +30,16 @@
 //!
 //! ## Global-threshold soundness
 //!
-//! Per-shard execution normalizes every emission probability by the
-//! **global** match-set total ([`trinit_query::GlobalTotals`]), so a
-//! shard's emissions carry exactly the probabilities the single-store
-//! engine would assign. The cross-shard merge
-//! ([`trinit_query::exec::sharded::ShardedMerge`]) emits the union of
-//! the shards' streams in globally descending order: a shard's head is
-//! emitted only after it is *exact* (its unopened alternatives are
-//! resolved) and no other shard's upper bound exceeds it. The rank
-//! join, threshold, and stream capping on top are literally the
-//! monolithic engine's code (generic over the stream source), with each
+//! Execution over shards normalizes every emission probability by the
+//! **global** match-set total ([`trinit_query::GlobalTotals`]), resolved
+//! once per alternative per execution, so a shard's emissions carry
+//! exactly the probabilities the single-store engine would assign. A
+//! shard is just more sorted lists: each pattern's
+//! [`IncrementalMerge`](trinit_query::IncrementalMerge) keeps every
+//! (alternative, shard) list in one queue and emits from an opened list
+//! only when no other list's upper bound outranks it, so the union is
+//! emitted in globally descending order. The rank join, threshold, and
+//! stream capping on top are the monolithic engine's code, with each
 //! shard's posting-index head bounds and prefix-sum remaining mass
 //! feeding the bound exactly as the single store's do. Hence every
 //! termination argument of the monolithic engine carries over, and the

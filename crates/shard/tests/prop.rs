@@ -16,14 +16,13 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use trinit_query::exec::merge::{AltTable, IncrementalMerge};
-use trinit_query::exec::sharded::ShardedMerge;
-use trinit_query::exec::topk::{self, TopkConfig};
-use trinit_query::{Completeness, ExecBudget, ExecMetrics, GlobalTotals, Query};
+use trinit_query::exec::topk::{self, StoreView, TopkConfig};
+use trinit_query::{Completeness, ExecBudget, ExecMetrics, Query};
 use trinit_relax::{QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
 use trinit_shard::{QueryPool, ShardedExecutor, ShardedStore};
 use trinit_xkg::{
     PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, TermId, TermKind, Triple,
-    XkgBuilder, XkgStore,
+    XkgBuilder,
 };
 
 #[path = "../../query/tests/support/restriction.rs"]
@@ -571,38 +570,15 @@ proptest! {
     }
 }
 
-/// The union source `execute` builds for one pattern over `slices` (a
-/// store's segments: each based where its predecessor ends), confined
-/// to the slice sub-range `range` the way a delta-restricted pattern is.
-fn union_merge<'a>(
-    slices: &[&'a XkgStore],
-    range: Range<usize>,
-    pattern: &QPattern,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    totals: &'a dyn GlobalTotals,
-) -> ShardedMerge<'a> {
-    let table = Rc::new(AltTable::build(pattern, rules, cfg, 8, Some(totals)));
-    let merges = range
-        .clone()
-        .map(|s| {
-            let base: usize = slices[..s].iter().map(|slice| slice.len()).sum();
-            IncrementalMerge::new(slices[s], Rc::clone(&table), None, Some(totals))
-                .with_id_base(base as u32)
-        })
-        .collect();
-    let metrics = Rc::new(RefCell::new(vec![ExecMetrics::default(); slices.len()]));
-    ShardedMerge::new(table, merges, range.collect(), metrics)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The restriction under partitioning: restricting the union source
-    /// forwards to every slice's merge, each probing its own segment
-    /// under the *global* totals, and the union must still emit exactly
-    /// the filtered sorted stream of its unrestricted twin — at 1/2/4/7
-    /// shards on Flat and Packed segments, and for a union confined to
+    /// The restriction under partitioning: restricting a merge over a
+    /// store's slices restricts every (alternative, slice) list, each
+    /// probing its own segment under the *global* totals, and the merge
+    /// must still emit exactly the filtered sorted stream of its
+    /// unrestricted twin — at 1/2/4/7
+    /// shards on Flat and Packed segments, and for a merge confined to
     /// the delta slices of a store with a live delta (the semi-naive
     /// delta-query seam), whose scores divide by totals that span base
     /// and delta.
@@ -626,10 +602,19 @@ proptest! {
         let own = pattern.p.term().map(|p1| rule_of_shape(p1.index(), p2, w, shape));
         let set: RuleSet = rules.into_iter().chain(own).collect();
         let cfg = TopkConfig { min_weight: 0.0, ..TopkConfig::default() };
+        // The merge `execute` builds for the pattern over a store's
+        // segments (each based where its predecessor ends), confined to
+        // the slice sub-range `range` the way a delta-restricted pattern
+        // is, with each slice's work recorded in its own slot.
         let check = |store: &ShardedStore, range: Option<Range<usize>>| {
             let slices = store.segments();
+            let view = StoreView::over(&slices, store);
             let range = range.unwrap_or(0..slices.len());
-            let merge = || union_merge(&slices, range.clone(), &pattern, &set, &cfg, store);
+            let work = RefCell::new(vec![ExecMetrics::default(); slices.len()]);
+            let merge = || {
+                let table = Rc::new(AltTable::build(&pattern, &set, &cfg, 8, Some(store)));
+                IncrementalMerge::new(&view, range.clone(), table, &[], Some(&work))
+            };
             assert_restriction_filters(merge(), merge(), |id| store.triple(id), &vars, &keys, at);
         };
         for shards in [1usize, 2, 4, 7] {

@@ -16,13 +16,14 @@
 //! just the answers: the one-partition routes count exactly what the
 //! engine counts when called directly, and every way to run a query on
 //! a sharded system — alone, in a session, in a batch of any size on
-//! any pool — counts exactly the same.
+//! any pool — counts exactly the same, with the merge's work split over
+//! the slices without loss.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use trinit_core::query::exec::expand;
 use trinit_core::query::exec::topk::{self, ExecCtx, ExecRequest, StoreView};
-use trinit_core::query::{Answer, BudgetTracker, Query};
+use trinit_core::query::{Answer, BudgetTracker, ExecMetrics, Query};
 use trinit_core::relax::{QTerm, RuleSet};
 use trinit_core::shard::testkit::assert_answers_score_equivalent;
 use trinit_core::shard::ShardedStore;
@@ -267,11 +268,31 @@ fn assert_same_run(got: &QueryOutcome, want: &QueryOutcome, what: &str) {
     assert_eq!(got.trace.stage_count(Stage::Merge), 1, "{what}");
 }
 
+/// The merge's work, split per slice, sums to the aggregate: every list
+/// a slice builds, serves from a cache, scans or opens as a relaxation
+/// is recorded in that slice's slot and nowhere else.
+fn assert_slices_sum_to_aggregate(total: &ExecMetrics, slices: &[ExecMetrics], what: &str) {
+    type Counter = fn(&ExecMetrics) -> usize;
+    let counters: [(&str, Counter); 4] = [
+        ("posting_lists_built", |m| m.posting_lists_built),
+        ("shared_cache_hits", |m| m.shared_cache_hits),
+        ("postings_scanned", |m| m.postings_scanned),
+        ("relaxations_opened", |m| m.relaxations_opened),
+    ];
+    for (name, counter) in counters {
+        let split: usize = slices.iter().map(counter).sum();
+        assert_eq!(split, counter(total), "{what}: {name}");
+    }
+    assert!(total.postings_scanned > 0, "{what}: the query read nothing");
+}
+
 /// Every way to run a query on a sharded system does the same work:
 /// [`Trinit::run`], a [`Session`] (its cache off, so warmth cannot
 /// differ), a 1-query and a 32-query `run_batch`, a batch on one worker
 /// and the `run_batch_stealing` name. Answers cannot tell a seed phase
-/// from none — seeds only move work — so every counter is compared.
+/// from none — seeds only move work — so every counter is compared. At
+/// 2 and 4 shards, and on a monolith with a live delta (base and delta
+/// view), the per-slice split sums to the aggregate.
 #[test]
 fn every_sharded_route_does_the_same_work() {
     let world = World::generate(WorldConfig::demo(SEED).scaled(0.05));
@@ -303,6 +324,8 @@ fn every_sharded_route_does_the_same_work() {
         for (text, want) in texts.iter().zip(&alone) {
             let what = format!("{shards} shards, {text}");
             assert_eq!(want.trace.stage_count(Stage::SeedTask), 0, "{what}");
+            assert_eq!(want.shard_metrics.len(), shards, "{what}");
+            assert_slices_sum_to_aggregate(&want.metrics, &want.shard_metrics, &what);
             let got = session.run(parse(text), Engine::IncrementalTopK);
             assert_same_run(&got, want, &format!("{what}: session"));
             let batches = [
@@ -337,6 +360,28 @@ fn every_sharded_route_does_the_same_work() {
                 &format!("{shards} shards, {}: batch of 32", texts[i]),
             );
         }
+    }
+    // The facade reports no per-shard split for one partition, so the
+    // monolith with a live delta is run through the engine over its
+    // segments.
+    let rules = clone_rules(mined.rules());
+    let mut live = Trinit::from_parts(builder_over(union, &[&base]).build(), rules);
+    assert_eq!(live.ingest(|b| fill(b, &delta)), delta.len());
+    let live_store = live.segmented_store().expect("one partition");
+    let slices = live_store.segments();
+    let view = StoreView::over(&slices, live_store);
+    for text in &texts {
+        let q = live.parse(text).expect("parses");
+        let tracker = BudgetTracker::new(live.topk_config());
+        let ctx = ExecCtx {
+            tracker: &tracker,
+            recorder: &mut TraceRecorder::off(),
+        };
+        let request = ExecRequest::new(&q, live.rules(), live.topk_config());
+        let run = topk::execute(&view, request, ctx);
+        let what = format!("monolith + delta, {text}");
+        assert_eq!(run.per_shard.len(), 2, "{what}");
+        assert_slices_sum_to_aggregate(&run.metrics, &run.per_shard, &what);
     }
 }
 
