@@ -1,23 +1,47 @@
-//! ReVerb-style relation extraction.
+//! ReVerb-style relation extraction in one pass per sentence.
 //!
-//! Implements the syntactic constraint of ReVerb (Fader et al., EMNLP
-//! 2011), the Open IE tool the paper cites (§2): a relation phrase between
-//! two noun phrases must match
+//! A `Scratch` takes a sentence through every stage over buffers it
+//! reuses from one sentence to the next, and keeps positions, not
+//! strings:
 //!
-//! ```text
-//! [Aux]* V | [Aux]* V P | [Aux]* V W* P
-//! ```
+//! 1. **Tokenize.** Split on whitespace, strip leading and trailing
+//!    punctuation, but keep abbreviations (`Prof.`) and date-like
+//!    literals (`1879-03-14`) whole. A token is a byte span of the
+//!    sentence; one lowercase buffer holds every token's lowercase form
+//!    (ASCII folded in place, other text through `str::to_lowercase` on
+//!    the token's own text).
+//! 2. **Tag.** Lexicon lookup first; unknown words fall back to
+//!    heuristics tuned for entity-rich web sentences: capitalized
+//!    unknowns are proper nouns, numeric tokens are numbers, `-ed`
+//!    unknowns after the first token are verbs, everything else is a
+//!    common noun.
+//! 3. **Chunk.** Noun phrases are maximal runs of NP-part tags
+//!    (determiner, adjective, noun, proper noun, number) holding at least
+//!    one nominal head, kept as token ranges.
+//! 4. **Match.** The syntactic constraint of ReVerb (Fader et al., EMNLP
+//!    2011), the Open IE tool the paper cites (§2): a relation phrase
+//!    between two noun phrases must match
 //!
-//! where `V` is a verb, `P` a preposition, and `W` a filler word (noun,
-//! adjective, pronoun, determiner). The phrase must cover *all* tokens
-//! between the argument phrases. Leading auxiliaries are stripped during
-//! normalization (`was housed in` → `housed in`), matching the token
-//! predicates in the paper's Figure 3.
+//!    ```text
+//!    [Aux]* V | [Aux]* V P | [Aux]* V W* P
+//!    ```
+//!
+//!    where `V` is a verb, `P` a preposition, and `W` a filler word
+//!    (noun, adjective, pronoun, determiner). The phrase must cover *all*
+//!    tokens between the argument phrases. Leading auxiliaries are
+//!    stripped (`was housed in` → `housed in`), matching the token
+//!    predicates in the paper's Figure 3.
+//!
+//! A match yields only where the relation phrase starts; text is written
+//! only for kept extractions, into the caller's buffers.
 
-use crate::chunker::{chunk, NounPhrase};
 use crate::lexicon::{Lexicon, Tag};
-use crate::tagger::{tag, Tagged};
-use crate::token::tokenize;
+
+/// A half-open range: of bytes for token text, of tokens for a phrase.
+type Span = (usize, usize);
+
+/// Abbreviations whose trailing period belongs to the token.
+const ABBREVIATIONS: &[&str] = &["prof.", "dr.", "mr.", "ms.", "st."];
 
 /// One extracted textual triple.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,55 +62,211 @@ pub struct Extraction {
     pub arg2_is_proper: bool,
 }
 
-/// Attempts to match the relation-phrase constraint over
-/// `tagged[from..to]`. Returns the normalized phrase if it matches.
-fn match_relation(tagged: &[Tagged], from: usize, to: usize) -> Option<String> {
-    if from >= to {
-        return None;
-    }
-    let mut i = from;
-    // [Aux]* — leading auxiliaries / copulas.
-    while i < to && tagged[i].tag == Tag::Aux {
-        i += 1;
-    }
-    let verb_start = if i < to && tagged[i].tag == Tag::Verb {
-        // Passive/periphrastic: strip the auxiliaries ("was housed in" →
-        // "housed in", matching the paper's Figure 3 tokens).
-        let v = i;
-        i += 1;
-        v
-    } else if i > from {
-        // Copula as main verb ("is a member of"): keep it in the phrase.
-        from
-    } else {
-        return None;
-    };
-    if i == to {
-        // Bare V.
-        return Some(normalize(tagged, verb_start, to));
-    }
-    // V (W | P)* P — everything after the verb must be filler or
-    // preposition, and the final token must be a preposition.
-    for (j, tag_entry) in tagged.iter().enumerate().take(to).skip(i) {
-        let t = tag_entry.tag;
-        let is_last = j + 1 == to;
-        if is_last {
-            if t != Tag::Prep {
-                return None;
-            }
-        } else if !(t.is_relation_filler() || t == Tag::Prep || t == Tag::Verb) {
-            return None;
-        }
-    }
-    Some(normalize(tagged, verb_start, to))
+/// One extraction as positions in its [`Scratch`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Found {
+    /// Left argument phrase (token range).
+    pub(crate) left: Span,
+    /// First token of the relation phrase, which ends where `right` starts.
+    pub(crate) verb: usize,
+    /// Right argument phrase (token range).
+    pub(crate) right: Span,
+    /// Extraction confidence in `[0, 1]`.
+    pub(crate) confidence: f32,
 }
 
-fn normalize(tagged: &[Tagged], from: usize, to: usize) -> String {
-    tagged[from..to]
-        .iter()
-        .map(|t| t.token.lower.as_str())
-        .collect::<Vec<_>>()
-        .join(" ")
+/// Reusable working memory holding one analyzed sentence.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Per token: its text's byte span in the sentence and its lowercase
+    /// form's byte span in `lower`.
+    tokens: Vec<(Span, Span)>,
+    lower: String,
+    tags: Vec<Tag>,
+    /// Noun phrases as token ranges, in sentence order.
+    phrases: Vec<Span>,
+}
+
+/// True if `word` looks like a date or number literal (kept whole).
+fn is_numeric_like(word: &str) -> bool {
+    let part = |c: char| c.is_ascii_digit() || matches!(c, '-' | '.' | ',');
+    word.chars().all(part) && word.chars().any(|c| c.is_ascii_digit())
+}
+
+/// True if `word` lowercases to one of [`ABBREVIATIONS`]. An ASCII
+/// comparison suffices: the only non-ASCII character that lowercases to
+/// ASCII is the Kelvin sign (to `k`), and no abbreviation holds a `k`.
+fn is_abbreviation(word: &str) -> bool {
+    ABBREVIATIONS.iter().any(|a| a.eq_ignore_ascii_case(word))
+}
+
+/// Appends `text.to_lowercase()` to `out`, folding ASCII text in place.
+pub(crate) fn push_lowercase(out: &mut String, text: &str) {
+    if text.is_ascii() {
+        let from = out.len();
+        out.push_str(text);
+        out[from..].make_ascii_lowercase();
+    } else {
+        out.push_str(&text.to_lowercase());
+    }
+}
+
+/// The shallow tag of a token from its text and lowercase form; `first`
+/// if it opens the sentence.
+fn tag_of(lexicon: &Lexicon, text: &str, lower: &str, first: bool) -> Tag {
+    let capitalized = text.chars().next().is_some_and(char::is_uppercase);
+    if is_numeric_like(text) {
+        Tag::Number
+    } else if let Some(t) = lexicon.get(lower) {
+        // A capitalized lexicon word mid-sentence is usually part of a
+        // name ("Velmora University", "Kloue League", "Drona Prize").
+        if capitalized && !first && matches!(t, Tag::Noun | Tag::Adj) {
+            Tag::ProperNoun
+        } else {
+            t
+        }
+    } else if capitalized {
+        Tag::ProperNoun
+    } else if lower.ends_with("ed") && !first {
+        Tag::Verb
+    } else {
+        Tag::Noun
+    }
+}
+
+impl Scratch {
+    /// Tokenizes, tags and chunks `sentence`, replacing whatever the
+    /// scratch held.
+    pub(crate) fn analyze(&mut self, lexicon: &Lexicon, sentence: &str) {
+        self.tokens.clear();
+        self.lower.clear();
+        self.tags.clear();
+        self.phrases.clear();
+        for raw in sentence.split_whitespace() {
+            let word = raw.trim_start_matches(|c: char| !c.is_alphanumeric());
+            if word.is_empty() {
+                continue;
+            }
+            let text = if is_abbreviation(word) {
+                word
+            } else if is_numeric_like(word.trim_end_matches('.')) {
+                word.trim_end_matches('.')
+            } else {
+                word.trim_end_matches(|c: char| !c.is_alphanumeric())
+            };
+            // `text` is a subslice of `sentence`.
+            let start = text.as_ptr() as usize - sentence.as_ptr() as usize;
+            let from = self.lower.len();
+            push_lowercase(&mut self.lower, text);
+            let tag = tag_of(lexicon, text, &self.lower[from..], self.tokens.is_empty());
+            self.tags.push(tag);
+            let spans = ((start, start + text.len()), (from, self.lower.len()));
+            self.tokens.push(spans);
+        }
+        // A run holding a head is a run of NP parts: heads are NP parts.
+        let head = |t: &Tag| matches!(t, Tag::Noun | Tag::ProperNoun | Tag::Number);
+        let mut start = 0;
+        for run in self.tags.chunk_by(|a, b| a.is_np_part() == b.is_np_part()) {
+            if run.iter().any(head) {
+                self.phrases.push((start, start + run.len()));
+            }
+            start += run.len();
+        }
+    }
+
+    /// Where the relation phrase over tokens `from..to` starts, if those
+    /// tokens match the ReVerb constraint.
+    fn relation(&self, from: usize, to: usize) -> Option<usize> {
+        let tags = &self.tags;
+        // [Aux]* — leading auxiliaries / copulas.
+        let mut i = from;
+        while i < to && tags[i] == Tag::Aux {
+            i += 1;
+        }
+        let (verb, rest) = if i < to && tags[i] == Tag::Verb {
+            // Passive/periphrastic: the auxiliaries are stripped.
+            (i, i + 1)
+        } else if i > from {
+            // Copula as main verb ("is a member of"): kept in the phrase.
+            (from, i)
+        } else {
+            return None;
+        };
+        // Bare V, or V (W | P)* P: everything after the verb is filler,
+        // verb or preposition, and the last token is a preposition.
+        let tail = |t: &Tag| t.is_relation_filler() || matches!(t, Tag::Prep | Tag::Verb);
+        let matches =
+            rest == to || (tags[to - 1] == Tag::Prep && tags[rest..to - 1].iter().all(tail));
+        matches.then_some(verb)
+    }
+
+    /// True if the phrase head (last token) is a proper noun.
+    fn is_proper(&self, (start, end): Span) -> bool {
+        end > start && self.tags[end - 1] == Tag::ProperNoun
+    }
+
+    /// True if every token of the phrase is a number/date literal.
+    pub(crate) fn is_numeric(&self, (start, end): Span) -> bool {
+        self.tags[start..end].iter().all(|&t| t == Tag::Number)
+    }
+
+    /// The extractions of the analyzed sentence, one per noun phrase
+    /// that has a relation to a later one.
+    pub(crate) fn extractions(&self) -> impl Iterator<Item = Found> + '_ {
+        self.phrases
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, &left)| {
+                // ReVerb prefers the longest relation-phrase match: a phrase
+                // may span intermediate common-noun chunks ("housed on the
+                // campus of"), so the furthest argument whose gap still
+                // satisfies the constraint wins.
+                let (right, verb) = self.phrases[i + 1..]
+                    .iter()
+                    .rev()
+                    .find_map(|&right| Some((right, self.relation(left.1, right.0)?)))?;
+                // The relation phrase has one word per token.
+                let (proper1, proper2) = (self.is_proper(left), self.is_proper(right));
+                let confidence = confidence(right.0 - verb, proper1, proper2, self.tokens.len());
+                Some(Found {
+                    left,
+                    verb,
+                    right,
+                    confidence,
+                })
+            })
+    }
+
+    /// Writes `words` into `out`, separated by single spaces.
+    fn join<'a>(words: impl Iterator<Item = &'a str>, out: &mut String) {
+        out.clear();
+        for (k, word) in words.enumerate() {
+            if k > 0 {
+                out.push(' ');
+            }
+            out.push_str(word);
+        }
+    }
+
+    /// Writes an argument phrase's surface text into `out`, any leading
+    /// determiner stripped (determiners are not part of entity surface
+    /// forms).
+    pub(crate) fn write_arg(&self, sentence: &str, (start, end): Span, out: &mut String) {
+        let start = (start..end)
+            .find(|&t| self.tags[t] != Tag::Det)
+            .unwrap_or(end);
+        let words = self.tokens[start..end]
+            .iter()
+            .map(|&((a, b), _)| &sentence[a..b]);
+        Scratch::join(words, out);
+    }
+
+    /// Writes an extraction's normalized relation phrase (lowercased,
+    /// auxiliaries stripped) into `out`.
+    pub(crate) fn write_rel(&self, found: &Found, out: &mut String) {
+        let words = self.tokens[found.verb..found.right.0].iter();
+        Scratch::join(words.map(|&(_, (a, b))| &self.lower[a..b]), out);
+    }
 }
 
 /// ReVerb-style confidence function: a deterministic score from shallow
@@ -119,56 +299,175 @@ pub fn confidence(
 
 /// Extracts all (NP, VP, NP) triples from one sentence.
 ///
-/// Adjacent noun-phrase pairs are considered; a pair yields an extraction
-/// iff the tokens between them match the relation constraint.
+/// Each noun phrase yields an extraction with the furthest later phrase
+/// whose gap matches the relation constraint, if any.
 pub fn extract_sentence(lexicon: &Lexicon, sentence: &str) -> Vec<Extraction> {
-    let tokens = tokenize(sentence);
-    let tagged = tag(lexicon, &tokens);
-    let nps = chunk(&tagged);
-    extract_tagged(&tagged, &nps)
-}
-
-fn extract_tagged(tagged: &[Tagged], nps: &[NounPhrase]) -> Vec<Extraction> {
-    let mut out = Vec::new();
-    for (i, left) in nps.iter().enumerate() {
-        // ReVerb prefers the longest relation-phrase match: a phrase may
-        // span intermediate common-noun chunks ("housed on the campus of"),
-        // so scan rightward for the furthest argument whose gap still
-        // satisfies the constraint.
-        let mut best: Option<(&NounPhrase, String)> = None;
-        for right in &nps[i + 1..] {
-            if let Some(rel) = match_relation(tagged, left.end, right.start) {
-                best = Some((right, rel));
+    let mut scratch = Scratch::default();
+    scratch.analyze(lexicon, sentence);
+    scratch
+        .extractions()
+        .map(|found| {
+            let (mut arg1, mut rel, mut arg2): (String, String, String) = Default::default();
+            scratch.write_arg(sentence, found.left, &mut arg1);
+            scratch.write_rel(&found, &mut rel);
+            scratch.write_arg(sentence, found.right, &mut arg2);
+            Extraction {
+                arg1,
+                rel,
+                arg2,
+                confidence: found.confidence,
+                arg2_is_numeric: scratch.is_numeric(found.right),
+                arg1_is_proper: scratch.is_proper(found.left),
+                arg2_is_proper: scratch.is_proper(found.right),
             }
-        }
-        let Some((right, rel)) = best else {
-            continue;
-        };
-        let rel_words = rel.split(' ').count();
-        let arg1_is_proper = left.is_proper(tagged);
-        let arg2_is_proper = right.is_proper(tagged);
-        out.push(Extraction {
-            arg1: left.text(tagged),
-            arg2: right.text(tagged),
-            confidence: confidence(rel_words, arg1_is_proper, arg2_is_proper, tagged.len()),
-            arg2_is_numeric: right.is_numeric(tagged),
-            arg1_is_proper,
-            arg2_is_proper,
-            rel,
-        });
-    }
-    out
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn analyzed(sentence: &str) -> Scratch {
+        let mut scratch = Scratch::default();
+        scratch.analyze(&Lexicon::english(), sentence);
+        scratch
+    }
+
+    fn words<'s>(scratch: &Scratch, sentence: &'s str) -> Vec<&'s str> {
+        scratch
+            .tokens
+            .iter()
+            .map(|&((a, b), _)| &sentence[a..b])
+            .collect()
+    }
+
+    fn phrase_texts(sentence: &str) -> Vec<String> {
+        let scratch = analyzed(sentence);
+        let mut out = String::new();
+        let texts = scratch.phrases.iter().map(|&p| {
+            scratch.write_arg(sentence, p, &mut out);
+            out.clone()
+        });
+        texts.collect()
+    }
+
     fn one(sentence: &str) -> Extraction {
         let lex = Lexicon::english();
         let mut ex = extract_sentence(&lex, sentence);
         assert_eq!(ex.len(), 1, "expected one extraction from {sentence:?}");
         ex.pop().unwrap()
+    }
+
+    #[test]
+    fn splits_and_strips_punctuation() {
+        let s = "Brusa Klinberg lectured at Velmora University.";
+        assert_eq!(
+            words(&analyzed(s), s),
+            vec![
+                "Brusa",
+                "Klinberg",
+                "lectured",
+                "at",
+                "Velmora",
+                "University"
+            ]
+        );
+    }
+
+    #[test]
+    fn keeps_abbreviations_and_dates_whole() {
+        let s = "Prof. Klinberg was born on 1879-03-14.";
+        let scratch = analyzed(s);
+        let w = words(&scratch, s);
+        assert_eq!(w[0], "Prof.");
+        assert_eq!(*w.last().unwrap(), "1879-03-14");
+        assert_eq!(scratch.tags[0], Tag::ProperNoun);
+        assert!(is_numeric_like("1879-03-14"));
+        assert!(!is_numeric_like("abc"));
+        assert!(!is_numeric_like("-"));
+    }
+
+    #[test]
+    fn lowercase_forms() {
+        let scratch = analyzed("The Committee met in İstanbul.");
+        let lower: Vec<&str> = scratch
+            .tokens
+            .iter()
+            .map(|&(_, (a, b))| &scratch.lower[a..b])
+            .collect();
+        assert_eq!(
+            lower,
+            vec!["the", "committee", "met", "in", "i\u{307}stanbul"]
+        );
+    }
+
+    #[test]
+    fn empty_input() {
+        assert!(analyzed("").tokens.is_empty());
+        assert!(analyzed("  ...  ").tokens.is_empty());
+    }
+
+    #[test]
+    fn tags_follow_the_lexicon_and_heuristics() {
+        use Tag::*;
+        let cases: [(&str, &[Tag]); 4] = [
+            (
+                "Brusa Klinberg lectured at Velmora University.",
+                &[ProperNoun, ProperNoun, Verb, Prep, ProperNoun, ProperNoun],
+            ),
+            (
+                "The institute was housed in Drona University.",
+                &[Det, Noun, Aux, Verb, Prep, ProperNoun, ProperNoun],
+            ),
+            (
+                "Velmora lies in Trastenia.",
+                &[ProperNoun, Verb, Prep, ProperNoun],
+            ),
+            (
+                "Kloue Corp sponsored the event.",
+                &[ProperNoun, ProperNoun, Verb, Det, Noun],
+            ),
+        ];
+        for (sentence, tags) in cases {
+            assert_eq!(analyzed(sentence).tags, tags, "{sentence}");
+        }
+        assert_eq!(analyzed("She was born on 1879-03-14.").tags[4], Number);
+    }
+
+    #[test]
+    fn chunks_strip_determiners_and_need_a_head() {
+        assert_eq!(
+            phrase_texts("Brusa Klinberg lectured at Velmora University."),
+            vec!["Brusa Klinberg", "Velmora University"]
+        );
+        let texts = phrase_texts("The Institute for Drona Studies is housed in Kloue University.");
+        assert!(texts[0].starts_with("Institute"));
+        // "the" alone has no nominal head.
+        assert!(analyzed("the of in").phrases.is_empty());
+    }
+
+    #[test]
+    fn phrase_shape_predicates() {
+        let scratch = analyzed("Ada Lum was born on 1854-02-12.");
+        assert!(scratch.is_numeric(scratch.phrases[1]));
+        assert!(!scratch.is_numeric(scratch.phrases[0]));
+        let scratch = analyzed("Brusa Klinberg admired the ancient library.");
+        assert!(scratch.is_proper(scratch.phrases[0]));
+        assert!(!scratch.is_proper(scratch.phrases[1]));
+    }
+
+    #[test]
+    fn a_scratch_reused_forgets_the_previous_sentence() {
+        let lex = Lexicon::english();
+        let mut scratch = Scratch::default();
+        scratch.analyze(
+            &lex,
+            "Ada Lum won the prize for his discovery of quantum flane theory.",
+        );
+        scratch.analyze(&lex, "Velmora Trastenia");
+        assert_eq!(scratch.tokens.len(), 2);
+        assert_eq!(scratch.extractions().count(), 0);
     }
 
     #[test]

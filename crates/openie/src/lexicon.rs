@@ -4,7 +4,7 @@
 //! uses a fast shallow tagger. We ship a closed-class lexicon (complete
 //! for determiners, prepositions, auxiliaries, pronouns) plus an open-class
 //! verb/noun list covering common web-text vocabulary; everything else is
-//! resolved by the heuristics in [`crate::tagger`].
+//! resolved by the tagging heuristics in [`crate::extractor`].
 
 use std::collections::HashMap;
 

@@ -7,19 +7,18 @@
 //! phrases connected by a verbal phrase — with confidences, fed into a
 //! [`trinit_xkg::XkgBuilder`].
 //!
-//! Stages: [`token`] → [`tagger`] (over [`lexicon`]) → [`chunker`] →
-//! [`extractor`] → [`ned`] → [`pipeline`].
+//! Stages: [`extractor`] takes each sentence through tokenize → tag
+//! (over [`lexicon`]) → chunk → relation match in one pass over a
+//! reusable scratch of spans and tags; [`ned`] links the arguments;
+//! [`pipeline`] interns them into the store from borrowed text.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod chunker;
 pub mod extractor;
 pub mod lexicon;
 pub mod ned;
 pub mod pipeline;
-pub mod tagger;
-pub mod token;
 
 pub use extractor::{extract_sentence, Extraction};
 pub use lexicon::{Lexicon, Tag};

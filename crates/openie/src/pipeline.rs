@@ -1,15 +1,21 @@
 //! End-to-end extraction pipeline: documents → XKG extension triples.
 //!
-//! For each sentence: tokenize → tag → chunk → extract → link arguments →
-//! emit a triple into the [`XkgBuilder`]. Linked arguments become KG
+//! For each sentence: one pass of the extractor's scratch (tokenize →
+//! tag → chunk → match), then for each kept extraction link the arguments
+//! and emit a triple into the [`XkgBuilder`]. Linked arguments become KG
 //! resources; unlinked arguments stay textual tokens; numeric arguments
 //! become literals; relation phrases are always tokens. Duplicate
 //! extractions accumulate support in the store, which drives the tf-like
 //! component of answer scoring.
+//!
+//! An ingest call reuses one scratch and two text buffers for all its
+//! sentences: argument and relation text is written into a buffer,
+//! linked and interned from there, so the only strings allocated are the
+//! ones the dictionary keeps.
 
 use trinit_xkg::{TermId, XkgBuilder};
 
-use crate::extractor::{extract_sentence, Extraction};
+use crate::extractor::{extract_sentence, push_lowercase, Extraction, Scratch};
 use crate::lexicon::Lexicon;
 use crate::ned::Linker;
 
@@ -96,11 +102,15 @@ impl OpenIePipeline {
         extract_sentence(&self.lexicon, sentence)
     }
 
+    /// Interns an argument phrase: a literal if `numeric`, else the
+    /// resource it links to, else its lowercase form (written into
+    /// `lower`) as a token.
     fn arg_term(
         &self,
         builder: &mut XkgBuilder,
         phrase: &str,
         numeric: bool,
+        lower: &mut String,
         stats: &mut IngestStats,
     ) -> TermId {
         if numeric {
@@ -108,12 +118,13 @@ impl OpenIePipeline {
             return builder.dict_mut().literal(phrase);
         }
         if let Some(resource) = self.linker.link_resource(phrase) {
-            let resource = resource.to_string();
             stats.linked_args += 1;
-            return builder.dict_mut().resource(&resource);
+            return builder.dict_mut().resource(resource);
         }
         stats.token_args += 1;
-        builder.dict_mut().token(&phrase.to_lowercase())
+        lower.clear();
+        push_lowercase(lower, phrase);
+        builder.dict_mut().token(lower)
     }
 
     /// Ingests one document's sentences into `builder`.
@@ -125,18 +136,25 @@ impl OpenIePipeline {
     ) -> IngestStats {
         let mut stats = IngestStats::default();
         let source = builder.intern_source(doc_id);
+        let mut scratch = Scratch::default();
+        let (mut text, mut lower) = (String::new(), String::new());
         for sentence in sentences {
             stats.sentences += 1;
-            for ex in self.extract(sentence) {
+            scratch.analyze(&self.lexicon, sentence);
+            for found in scratch.extractions() {
                 stats.extractions += 1;
-                if ex.confidence < self.config.min_confidence {
+                if found.confidence < self.config.min_confidence {
                     continue;
                 }
                 stats.kept += 1;
-                let s = self.arg_term(builder, &ex.arg1, false, &mut stats);
-                let p = builder.dict_mut().token(&ex.rel);
-                let o = self.arg_term(builder, &ex.arg2, ex.arg2_is_numeric, &mut stats);
-                builder.add_extracted(s, p, o, ex.confidence, source);
+                scratch.write_arg(sentence, found.left, &mut text);
+                let s = self.arg_term(builder, &text, false, &mut lower, &mut stats);
+                scratch.write_rel(&found, &mut text);
+                let p = builder.dict_mut().token(&text);
+                scratch.write_arg(sentence, found.right, &mut text);
+                let numeric = scratch.is_numeric(found.right);
+                let o = self.arg_term(builder, &text, numeric, &mut lower, &mut stats);
+                builder.add_extracted(s, p, o, found.confidence, source);
             }
         }
         stats

@@ -6,6 +6,7 @@
 //! access pattern of the paper's system: the XKG is materialized offline
 //! (KG load + Open IE extraction), then queried interactively.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -111,6 +112,18 @@ pub(crate) fn run_jobs<T: Send>(
     })
 }
 
+/// A weight sanitized into `[0, 1]`: negative clamps to 0, NaN and −∞
+/// collapse to 0, +∞ to 1.
+fn sanitize(confidence: f32) -> f32 {
+    if confidence.is_finite() {
+        confidence.clamp(0.0, 1.0)
+    } else if confidence == f32::INFINITY {
+        1.0
+    } else {
+        0.0
+    }
+}
+
 /// The id the next triple appended to a `len`-triple table receives.
 pub(crate) fn next_triple_id(len: usize) -> TripleId {
     // lint:allow(no-panic-hot-path): build-path capacity guard — triple ids are u32, so a 2^32nd triple cannot be stored; no query reaches it
@@ -174,10 +187,7 @@ impl XkgBuilder {
     /// and −∞ to 0, +∞ to 1). Use [`XkgBuilder::try_add`] to surface a
     /// typed error for non-finite confidences instead.
     pub fn add(&mut self, triple: Triple, mut prov: Provenance) -> TripleId {
-        if !prov.confidence.is_finite() {
-            prov.confidence = if prov.confidence == f32::INFINITY { 1.0 } else { 0.0 };
-        }
-        prov.confidence = prov.confidence.clamp(0.0, 1.0);
+        prov.confidence = sanitize(prov.confidence);
         self.insert(triple, prov)
     }
 
@@ -200,15 +210,19 @@ impl XkgBuilder {
     /// already carry a finite, clamped confidence.
     fn insert(&mut self, triple: Triple, prov: Provenance) -> TripleId {
         debug_assert!(prov.weight().is_finite(), "weights validated at ingestion");
-        if let Some(&id) = self.dedup.get(&triple) {
-            self.prov[id.idx()].absorb(&prov);
-            return id;
+        match self.dedup.entry(triple) {
+            Entry::Occupied(slot) => {
+                let id = *slot.get();
+                self.prov[id.idx()].absorb(&prov);
+                id
+            }
+            Entry::Vacant(slot) => {
+                let id = next_triple_id(self.triples.len());
+                self.triples.push(triple);
+                self.prov.push(prov);
+                *slot.insert(id)
+            }
         }
-        let id = next_triple_id(self.triples.len());
-        self.triples.push(triple);
-        self.prov.push(prov);
-        self.dedup.insert(triple, id);
-        id
     }
 
     /// Adds a curated KG fact.
@@ -244,7 +258,14 @@ impl XkgBuilder {
         confidence: f32,
         source: SourceId,
     ) -> TripleId {
-        self.add(Triple::new(s, p, o), Provenance::extraction(confidence, source))
+        let triple = Triple::new(s, p, o);
+        // A repeated observation is absorbed in place: no one-source
+        // provenance is built only to be merged and dropped.
+        if let Some(&id) = self.dedup.get(&triple) {
+            self.prov[id.idx()].absorb_extraction(sanitize(confidence), source);
+            return id;
+        }
+        self.add(triple, Provenance::extraction(confidence, source))
     }
 
     /// Adds an Open IE extraction, returning a typed error for a NaN or
@@ -822,6 +843,37 @@ mod tests {
         assert_eq!(b.len(), 1);
         let store = b.build();
         assert_eq!(store.provenance(id1).support, 2);
+    }
+
+    #[test]
+    fn a_repeated_extraction_merges_as_a_one_source_record_would() {
+        let (mut fast, mut slow) = (XkgBuilder::new(), XkgBuilder::new());
+        for b in [&mut fast, &mut slow] {
+            b.add_kg_resources("A", "p", "B");
+        }
+        let Triple { s: a, p, o: b } = fast.triples()[0];
+        // Repeats of a KG fact and of an extraction, sources out of order
+        // and odd confidences included: the in-place merge must sanitize
+        // and union exactly as `add` does.
+        let observations = [
+            (a, b, 0.4, 0),
+            (b, a, 0.9, 1),
+            (a, b, 0.2, 1),
+            (b, a, 1.7, 3),
+            (a, b, -0.3, 0),
+            (b, a, f32::NAN, 2),
+            (b, a, f32::INFINITY, 3),
+            (a, b, f32::NEG_INFINITY, 3),
+            (b, a, 0.5, 1),
+        ];
+        for (s, o, c, src) in observations {
+            let id = fast.add_extracted(s, p, o, c, SourceId(src));
+            let prov = Provenance::extraction(c, SourceId(src));
+            assert_eq!(slow.add(Triple::new(s, p, o), prov), id);
+        }
+        assert_eq!(fast.triples(), slow.triples());
+        assert_eq!(fast.provenances(), slow.provenances());
+        assert_eq!(fast.provenances()[1].sources, [1, 3, 2].map(SourceId));
     }
 
     #[test]

@@ -129,10 +129,28 @@ impl Provenance {
         if other.graph == GraphTag::Kg {
             self.graph = GraphTag::Kg;
         }
-        for src in &other.sources {
-            if !self.sources.contains(src) {
-                self.sources.push(*src);
-            }
+        for &src in &other.sources {
+            self.add_source(src);
+        }
+    }
+
+    /// [`Provenance::absorb`] of `Provenance::extraction(confidence,
+    /// source)` for a `confidence` already in `[0, 1]`, without building
+    /// that one-source record.
+    pub(crate) fn absorb_extraction(&mut self, confidence: f32, source: SourceId) {
+        self.support = self.support.saturating_add(1);
+        if confidence > self.confidence {
+            self.confidence = confidence;
+        }
+        self.add_source(source);
+    }
+
+    /// Unions one source into `sources`. A build feeds sources in
+    /// document order, so a repeat is usually the last one; the scan is
+    /// the fallback.
+    fn add_source(&mut self, src: SourceId) {
+        if self.sources.last() != Some(&src) && !self.sources.contains(&src) {
+            self.sources.push(src);
         }
     }
 

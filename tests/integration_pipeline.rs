@@ -3,12 +3,19 @@
 //! Exercises the full build pipeline across crates and checks the
 //! invariants the downstream query layer depends on.
 
-use trinit_core::worldgen::corpus::generate_corpus;
+use trinit_core::openie::{
+    extract_sentence, IngestStats, Lexicon, Linker, OpenIePipeline, PipelineConfig,
+};
+use trinit_core::worldgen::corpus::{generate_corpus, Document};
 use trinit_core::worldgen::{
     alias_catalog, project_kg, CorpusConfig, EntityType, KgConfig, Relation, World, WorldConfig,
 };
-use trinit_core::xkg::{GraphTag, SlotPattern};
-use trinit_core::TrinitBuilder;
+use trinit_core::xkg::{GraphTag, SlotPattern, TermKind, XkgBuilder};
+use trinit_core::{BuildOptions, TrinitBuilder};
+use trinit_eval::{build_world, EvalConfig};
+
+#[path = "support/openie_reference.rs"]
+mod openie_reference;
 
 fn build_system(seed: u64) -> (World, trinit_core::Trinit) {
     let world = World::generate(WorldConfig::tiny(seed).scaled(2.0));
@@ -155,4 +162,107 @@ fn popular_entities_dominate_mentions() {
         count(&head.name) + count(&head.aliases[1]) >= count(&tail.name),
         "Zipf head should be mentioned at least as often as the tail"
     );
+}
+
+/// Sentences off the corpus generator's beaten path: abbreviations in
+/// every case, numbers and dates with trailing `.`/`,`, punctuation-only
+/// words, empty text, odd whitespace, non-ASCII capitals, the Kelvin
+/// sign (which lowercases to ASCII `k`) and Greek final sigma.
+const EDGE_SENTENCES: &[&str] = &[
+    "",
+    "   ",
+    "... -- !! ??",
+    "Prof. Klinberg met St. Velmora at Dr. Ada's house.",
+    "PROF. Drat lectured at ST. Kloue University and mr. Lum worked at MS. Ada.",
+    "Prof., Drat, lectured at St.. Kloue.",
+    "It was founded in 1,204., and closed on 1879-03-14, after 3.14. years.",
+    "Ada Lum was born on 1854-02-12.. and died in 12,5.",
+    "Ada Lum -- !! lectured at ?? Velmora University .",
+    "Ada\tLum\nlectured  at\u{a0}Velmora.",
+    "The Committee was housed in the Kloue Hall.",
+    "Émile Durand lectured at İstanbul University.",
+    "ÉMILE lectured in İSTANBUL and ÉCOLE NORMALE.",
+    "\u{212a}elvin Lum wor\u{212a}ed at Velmora.",
+    "Ada Lum won the δωροΣ for ΟΔΥΣΣΕΑΣ.",
+    "ΟΔΥΣΣΕΑΣ lectured at ΑΘΗΝΑΣ Σ and studied the ΛΟΓΟΣ of Σ.",
+    "the of in",
+];
+
+/// The corpus of `EvalConfig { seed: 42, scale: 0.25 }`, its alias
+/// catalog as linker entries, and the edge sentences as one more
+/// document.
+fn eval_corpus() -> (Vec<Document>, Vec<(String, String, f64)>) {
+    let cfg = EvalConfig {
+        seed: 42,
+        scale: 0.25,
+        ..EvalConfig::default()
+    };
+    let (world, kg) = build_world(&cfg);
+    let mut docs = generate_corpus(&world, &kg.included, &cfg.corpus_config());
+    docs.push(Document {
+        id: "edge".to_string(),
+        sentences: EDGE_SENTENCES.iter().map(|s| s.to_string()).collect(),
+    });
+    let aliases = alias_catalog(&world)
+        .into_iter()
+        .map(|e| (e.alias, e.resource, e.popularity));
+    (docs, aliases.collect())
+}
+
+#[test]
+fn one_pass_extraction_equals_the_reference_sentence_for_sentence() {
+    let (docs, _) = eval_corpus();
+    let lexicon = Lexicon::english();
+    let mut sentences = 0;
+    for sentence in docs.iter().flat_map(|d| &d.sentences) {
+        let expected = openie_reference::extractor::extract_sentence(&lexicon, sentence);
+        let got = extract_sentence(&lexicon, sentence);
+        assert_eq!(got, expected, "{sentence:?}");
+        sentences += 1;
+    }
+    assert_eq!(sentences, 16_000 + EDGE_SENTENCES.len());
+}
+
+#[test]
+fn one_pass_ingest_builds_the_reference_builder() {
+    let (docs, aliases) = eval_corpus();
+    let dominance = BuildOptions::default().linker_dominance;
+    let pipeline = OpenIePipeline::new(Linker::new(aliases.clone(), dominance));
+    let linker = Linker::new(aliases, dominance);
+    let (lexicon, floor) = (Lexicon::english(), PipelineConfig::default().min_confidence);
+    // Fresh, and over KG facts the extractions land on.
+    for kg_first in [false, true] {
+        let (mut got, mut want) = (XkgBuilder::new(), XkgBuilder::new());
+        if kg_first {
+            for b in [&mut got, &mut want] {
+                b.add_kg_resources("Ada Lum", "lectured at", "Velmora University");
+            }
+        }
+        let (mut got_stats, mut want_stats) = (IngestStats::default(), IngestStats::default());
+        for d in &docs {
+            got_stats.merge(&pipeline.ingest(&d.id, &d.sentences, &mut got));
+            let reference = openie_reference::pipeline::ingest(
+                &lexicon,
+                &linker,
+                floor,
+                &d.id,
+                &d.sentences,
+                &mut want,
+            );
+            want_stats.merge(&reference);
+        }
+        assert_eq!(got_stats, want_stats);
+        assert!(got_stats.kept > 10_000 && got_stats.linked_args > 0 && got_stats.token_args > 0);
+        assert_eq!(got.triples(), want.triples());
+        assert_eq!(got.provenances(), want.provenances());
+        for kind in [TermKind::Resource, TermKind::Token, TermKind::Literal] {
+            let terms = |b: &XkgBuilder| {
+                b.dict()
+                    .iter_kind(kind)
+                    .map(|(id, text)| (id, text.to_string()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(terms(&got), terms(&want), "{kind:?}");
+        }
+    }
 }
