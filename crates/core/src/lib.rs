@@ -39,7 +39,7 @@ pub mod suggest;
 pub mod trinit;
 
 pub use complete::{Completer, Completion};
-pub use explain::{explain, explain_from, processing_report, ExplainSource, Explanation};
+pub use explain::{explain, processing_report, Explanation};
 pub use session::{Session, SESSION_CACHE_CAPACITY};
 pub use suggest::{suggest, suggest_sharded, SuggestConfig, Suggestion};
 pub use trinit::{BuildOptions, BuildStats, Engine, QueryOutcome, Trinit, TrinitBuilder};

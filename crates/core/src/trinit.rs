@@ -896,7 +896,7 @@ impl Trinit {
             return None;
         }
         let answer = outcome.answers.get(answer_idx)?;
-        Some(crate::explain::explain_from(&self.store, &outcome.query, &self.rules, answer))
+        Some(crate::explain::explain(&self.store, &outcome.query, &self.rules, answer))
     }
 
     /// Renders the internal processing steps of an outcome (paper §5:

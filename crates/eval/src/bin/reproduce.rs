@@ -35,12 +35,10 @@ fn e1(cfg: &EvalConfig) {
     for s in &eval.systems {
         print!("{}", report::category_table(s));
     }
-    let trinit = &eval.systems[0];
-    let baseline = eval.systems.last().expect("systems non-empty");
     println!(
-        "\npaper ratio TriniT/baseline: {:.2}x   measured: {:.2}x",
+        "\npaper ratio TriniT/next best: {:.2}x   measured: {:.2}x",
         0.775 / 0.419,
-        trinit.ndcg5 / baseline.ndcg5.max(1e-9)
+        eval.ndcg5_ratio_to_next_best()
     );
 }
 

@@ -90,6 +90,16 @@ pub struct Evaluation {
     pub systems: Vec<SystemScores>,
 }
 
+impl Evaluation {
+    /// The first system's NDCG@5 over the best NDCG@5 among the others:
+    /// the paper's "TriniT against the next best" ratio (0.775 / 0.419,
+    /// 1.85×). Needs at least one system.
+    pub fn ndcg5_ratio_to_next_best(&self) -> f64 {
+        let next_best = self.systems[1..].iter().map(|s| s.ndcg5).fold(0.0, f64::max);
+        self.systems[0].ndcg5 / next_best.max(1e-9)
+    }
+}
+
 /// Builds the world + KG projection for an evaluation config.
 pub fn build_world(cfg: &EvalConfig) -> (World, KgProjection) {
     let world = World::generate(cfg.world_config());
@@ -255,7 +265,7 @@ pub fn efficiency_sweep(system: &Trinit, queries: &[BenchQuery], ks: &[usize]) -
         for (name, engine) in engines {
             let mut metrics = ExecMetrics::default();
             let mut answers = 0usize;
-            // lint:allow(clock-discipline): offline evaluation harness measuring wall-clock throughput, not a serving path
+            #[expect(clippy::disallowed_methods, reason = "offline evaluation harness measuring wall-clock throughput, not a serving path")]
             let start = Instant::now();
             for q in queries {
                 let mut parsed = system.parse(&q.text).expect("benchmark queries parse");
@@ -307,6 +317,28 @@ mod tests {
         // failure mode).
         let no_relax = &eval.systems[1];
         assert!(trinit.ndcg5 >= no_relax.ndcg5 - 1e-9);
+    }
+
+    #[test]
+    fn ratio_divides_by_the_next_best_system_not_the_last() {
+        let system = |name, ndcg5| SystemScores {
+            name,
+            ndcg5,
+            ndcg10: 0.0,
+            map: 0.0,
+            p5: 0.0,
+            per_category: Vec::new(),
+        };
+        let eval = Evaluation {
+            queries: 70,
+            systems: vec![
+                system("TriniT", 0.733),
+                system("XKG, no relaxation", 0.428),
+                system("KG + relaxation", 0.391),
+                system("exact KG", 0.191),
+            ],
+        };
+        assert_eq!(eval.ndcg5_ratio_to_next_best(), 0.733 / 0.428);
     }
 
     #[test]

@@ -164,6 +164,7 @@ fn stripe_id() -> usize {
 /// Locks a stripe, recovering from poisoning: a histogram is a plain
 /// count array, never left half-updated in a way later reads could trip
 /// over.
+#[expect(clippy::disallowed_methods, reason = "poison recovered: a stripe is a plain count array, never left half-updated")]
 fn lock<T>(stripe: &Mutex<T>) -> MutexGuard<'_, T> {
     match stripe.lock() {
         Ok(g) => g,

@@ -16,6 +16,7 @@ use std::time::Instant;
 static ANCHOR: OnceLock<Instant> = OnceLock::new();
 
 /// Nanoseconds since the process-wide monotonic anchor.
+#[expect(clippy::disallowed_methods, reason = "the one clock read every other crate goes through")]
 pub fn now_ns() -> u64 {
     ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }

@@ -7,7 +7,7 @@
 //! deadline, pull budget, answer-materialization budget) rides inside
 //! [`TopkConfig`], one [`BudgetTracker`] per query observes consumption
 //! across every `execute` call the query makes, and the
-//! [`ThresholdPolicy`] checks it O(1) per pull round.
+//! `ThresholdPolicy` checks it O(1) per pull round.
 //!
 //! Two mechanisms keep budgeted runs *useful* rather than merely
 //! truncated:
@@ -37,7 +37,6 @@
 //! when a query panics instead of aborting the whole batch.
 //!
 //! [`TopkConfig`]: crate::exec::drive::TopkConfig
-//! [`ThresholdPolicy`]: crate::exec::threshold::ThresholdPolicy
 //! [`ExecMetrics::degradation_steps`]: crate::exec::ExecMetrics::degradation_steps
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -263,9 +262,10 @@ impl BudgetTracker {
     /// A tracker for one query under `cfg`'s budget, ε, and θ.
     pub fn new(cfg: &TopkConfig) -> BudgetTracker {
         let b = &cfg.budget;
+        #[expect(clippy::disallowed_methods, reason = "budget deadline anchor: one read per governed query at admission, not per pull")]
+        let started = Instant::now();
         BudgetTracker {
-            // lint:allow(clock-discipline): budget deadline anchor — one read per governed query at admission, not per pull
-            started: Instant::now(),
+            started,
             deadline: b.deadline,
             max_pulls: b.max_pulls,
             max_answers: b.max_answers,

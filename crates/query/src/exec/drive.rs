@@ -41,15 +41,15 @@
 //!   relaxation chains — only `peek_bound` / `next_merged` /
 //!   `remaining_mass`.
 //! * **[`crate::exec::join`]** (stage 2) holds the per-stream join
-//!   state ([`Stream`]), including the keys of a retired stream that
+//!   state (`Stream`), including the keys of a retired stream that
 //!   restrict the others (the retired-stream semijoin filter), and
 //!   combines each arrival against the other streams' partitions
-//!   ([`join::join_with_others`]).
+//!   (`join::join_with_others`).
 //! * **[`crate::exec::threshold`]** (stage 3) decides termination: the
-//!   driver asks [`ThresholdPolicy::admit_variant`] before opening a
-//!   variant and [`ThresholdPolicy::after_round`] after every pull.
+//!   driver asks `ThresholdPolicy::admit_variant` before opening a
+//!   variant and `ThresholdPolicy::after_round` after every pull.
 //!
-//! **The restriction seam** ([`restrict_to_retired_keys`]): a retired
+//! **The restriction seam** (`restrict_to_retired_keys`): a retired
 //! stream's join keys restrict the live streams' sources, so the
 //! semijoin filter's knowledge drives bound lookups instead of
 //! discarding pulled postings — Yannakakis' semijoin reduction inside the
@@ -575,7 +575,7 @@ impl PullWindow {
 /// Returns `false` when a hard budget cutoff fired — the caller must
 /// stop opening further variants (the policy has already recorded the
 /// forfeit bound); `true` on every normal termination.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one rank-join execution's inputs, threaded unchanged into `pull_loop`")]
 pub(crate) fn rank_join(
     lookup: &dyn TripleLookup,
     cfg: &TopkConfig,
@@ -600,7 +600,7 @@ pub(crate) fn rank_join(
 }
 
 /// [`rank_join`]'s pull loop, which offers every combination deferred.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the pull loop's state; a struct would only rename the hot loop's locals")]
 fn pull_loop(
     lookup: &dyn TripleLookup,
     cfg: &TopkConfig,

@@ -109,7 +109,7 @@ fn substituted(pattern: &QPattern, bindings: &Bindings) -> SlotPattern {
     SlotPattern::new(slot(pattern.s), slot(pattern.p), slot(pattern.o))
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the backtracking state of one conjunctive evaluation")]
 fn recurse(
     store: &XkgStore,
     patterns: &[QPattern],

@@ -42,9 +42,8 @@ pub struct FaultPlan {
 static ACTIVE: Mutex<Option<FaultPlan>> = Mutex::new(None);
 static SCOPE_GATE: Mutex<()> = Mutex::new(());
 
+#[expect(clippy::disallowed_methods, reason = "poison recovered: injected panics poison the plan lock from worker threads, and the plan is only ever replaced whole")]
 fn lock_active() -> MutexGuard<'static, Option<FaultPlan>> {
-    // Injected panics routinely poison these locks from worker
-    // threads; the harness itself must shrug that off.
     ACTIVE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -59,6 +58,7 @@ impl FaultScope {
     /// Installs `plan` process-wide until the returned scope drops.
     /// Blocks while another scope is alive.
     pub fn install(plan: FaultPlan) -> FaultScope {
+        #[expect(clippy::disallowed_methods, reason = "poison recovered: the gate guards no data, it only serializes scopes")]
         let gate = SCOPE_GATE.lock().unwrap_or_else(PoisonError::into_inner);
         *lock_active() = Some(plan);
         FaultScope { _gate: gate }
@@ -92,6 +92,7 @@ pub fn on_pull() {
 
 /// Batch-query hook: panics when the plan targets batch index `query`,
 /// either explicitly or through the seeded coin.
+#[expect(clippy::panic, reason = "deliberate injected fault: panicking here is the harness's purpose")]
 pub fn on_query(query: usize) {
     let fire = {
         let guard = lock_active();
@@ -104,7 +105,6 @@ pub fn on_query(query: usize) {
         }
     };
     if fire {
-        // lint:allow(no-panic-hot-path): deliberate injected fault — panicking here is the harness's purpose
         panic!("injected fault: batch query {query}");
     }
 }

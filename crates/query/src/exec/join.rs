@@ -7,9 +7,9 @@
 //! streams. This module knows nothing about thresholds or termination —
 //! pulls are sequenced by the driver ([`crate::exec::drive`]) under the
 //! policy of [`crate::exec::threshold`]. The seams it exposes upward are
-//! [`Stream`] (per-stream join state plus the frontier / contribution
+//! `Stream` (per-stream join state plus the frontier / contribution
 //! bounds the threshold reads, and a retired stream's keys for the
-//! semijoin filter) and [`join_with_others`] (combine one arrival
+//! semijoin filter) and `join_with_others` (combine one arrival
 //! against the other streams' partitions).
 //!
 //! ## State layout
@@ -17,18 +17,18 @@
 //! A steady-state pull allocates nothing, hashes one machine word and
 //! touches one compact record per candidate:
 //!
-//! * A [`SeenItem`] is a fixed-size record: its ≤ 3 `(variable, value)`
-//!   pairs inline ([`Pairs`] — a triple pattern has three slots), its log
+//! * A `SeenItem` is a fixed-size record: its ≤ 3 `(variable, value)`
+//!   pairs inline (`Pairs` — a triple pattern has three slots), its log
 //!   score, its triple id, and the *index* of the alternative that
 //!   emitted it. The alternative's pattern, rule trace and weight stay in
 //!   the merge's alternative table ([`IncrementalMerge::alternative`]) and are
 //!   read only when a derivation is materialized: once per combination
 //!   that still ranks when its variant's join ends.
-//! * Each [`Stream`] partitions its kept items by the values of its
+//! * Each `Stream` partitions its kept items by the values of its
 //!   *join variables* (variables shared with other streams in the
 //!   variant — the Yannakakis-style observation that only join-compatible
 //!   partners can ever merge). The partition key is a fixed-width
-//!   [`JoinKey`] (≤ 3 term ids inline) hashed with a multiplicative
+//!   `JoinKey` (≤ 3 term ids inline) hashed with a multiplicative
 //!   hasher — keys are dense internal ids, not outside input, so SipHash
 //!   buys nothing here. Buckets are intrusive chains: the map holds a
 //!   chain's `head`/`tail`, each item its `next`, so a probe goes map
@@ -36,7 +36,7 @@
 //!   order. Items whose relaxed form dropped a join variable sit on one
 //!   always-scanned residual chain, and streams with no shared variables
 //!   degrade to a single bucket (a true cross product).
-//! * The combination loop works in one reusable [`JoinScratch`] per
+//! * The combination loop works in one reusable `JoinScratch` per
 //!   variant: a scratch [`Bindings`] sized from the variant's real
 //!   variable count, one undo stack shared by every recursion depth, and
 //!   the stack of accumulated partners. A *successful* full join that
@@ -54,7 +54,7 @@
 //! capped by the exact, ε or θ criterion), holds no residual item, and the
 //! item binds all of `j`'s join variables to a key with no bucket in `j`.
 //! Dead items are never pulled: in the round `j` retires, the driver
-//! restricts every live stream's source to `j`'s keys ([`Stream::key_set`],
+//! restricts every live stream's source to `j`'s keys (`Stream::key_set`,
 //! [`IncrementalMerge::restrict`]), which skips exactly the dead items — found by
 //! bound lookups of the keys, or one scan of a list's rest — and emits the
 //! others unchanged. Every combination a dead item could complete needs an
@@ -83,7 +83,7 @@
 //! `i` was capped, so the capping inequality bounds the whole
 //! combination. Hence a restricted stream's frontier and remaining mass
 //! range over its surviving items, `best_log` and
-//! [`Stream::contribution_bound`] over *kept* items only (the frontier
+//! `Stream::contribution_bound` over *kept* items only (the frontier
 //! while nothing is kept — tighter, and sound by the above), and a stream
 //! that retires with nothing kept kills the variant exactly as an empty
 //! one does.
@@ -658,7 +658,7 @@ pub(crate) fn materialize(
 /// offering every completed combination to the collector. The arrival's
 /// own stream is skipped, so joining before keeping the item is
 /// equivalent to the reverse.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "the probe state of one join arrival; a struct would only rename the hot loop's locals")]
 pub(crate) fn join_with_others(
     streams: &[Stream<'_>],
     new_stream: usize,

@@ -50,6 +50,9 @@
 //! `explore_cold` / `explore_session` went from 205.56 / 210.83 /
 //! 147.99 / 144.53 to 132.49 / 131.59 / 94.17 / 98.72.
 
+// A serving hot path: degrade or return a typed error, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 pub mod budget;
 pub mod drive;
 pub mod exact;

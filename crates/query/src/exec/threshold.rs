@@ -2,10 +2,10 @@
 //! the threshold, stream capping, and the remaining-mass envelope that
 //! powers the ε-approximate mode.
 //!
-//! The driver ([`crate::exec::drive`]) consults a [`ThresholdPolicy`]
+//! The driver ([`crate::exec::drive`]) consults a `ThresholdPolicy`
 //! at two points: once per variant before any posting list is opened
-//! ([`ThresholdPolicy::admit_variant`]) and once per pull round
-//! ([`ThresholdPolicy::after_round`]). The policy owns every decision
+//! (`ThresholdPolicy::admit_variant`) and once per pull round
+//! (`ThresholdPolicy::after_round`). The policy owns every decision
 //! about *stopping*; it never touches the join state beyond the
 //! `capped` flags.
 //!
@@ -24,8 +24,8 @@
 //!
 //! A round reads no logarithm and, usually, recomputes nothing. Every
 //! stream caches the `ln` of its frontier and refreshes it only inside
-//! its own pull ([`Stream::pull`]) or after a restriction the driver
-//! applied to it ([`Stream::refresh`]) — the merge's bound moves nowhere
+//! its own pull (`Stream::pull`) or after a restriction the driver
+//! applied to it (`Stream::refresh`) — the merge's bound moves nowhere
 //! else — so the threshold, the capping pass and the driver's stream
 //! selection compare cached numbers; the one `ln` a pull pays for its
 //! bound is the only one (the ε pass adds one per live stream for the
@@ -37,7 +37,7 @@
 //! and its first kept item's score from then on, so a round compares the
 //! pulled stream's bound with its stored copy — and a restriction, which
 //! moves a stream outside its pull, re-folds that stream's
-//! ([`ThresholdPolicy::refold`]). In the steady state of a long drain
+//! (`ThresholdPolicy::refold`). In the steady state of a long drain
 //! (every stream holds an item) that comparison is all the bookkeeping a
 //! round does. For up to three streams the floating-point result is
 //! identical to the direct exclusion sum; at higher arity the summation
@@ -98,7 +98,7 @@
 //! consults [`BudgetTracker::directive`] — O(1), a single branch when
 //! the budget is unlimited — to pick up ladder-escalated effective
 //! ε / θ values and to observe hard cutoffs, which it converts into
-//! [`RoundVerdict::Cutoff`] after recording a sound bound (the current
+//! `RoundVerdict::Cutoff` after recording a sound bound (the current
 //! threshold) on everything the cutoff forfeits.
 //!
 //! [`TopkConfig::epsilon`]: crate::exec::drive::TopkConfig::epsilon

@@ -28,6 +28,9 @@
 //! insert; with one, materialized lists are shared across queries, and
 //! the Flat borrow-served shapes bypass it — they are already O(1).
 
+// A serving hot path: degrade or return a typed error, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -287,6 +290,7 @@ impl SharedPostingCache {
     /// — a performance degradation, never an abort. Capacity and
     /// counters survive; the poison flag is cleared so subsequent
     /// locks succeed normally.
+    #[expect(clippy::disallowed_methods, reason = "poison recovered: resident lists are dropped and the cache restarts cold")]
     fn lock(&self) -> MutexGuard<'_, SharedInner> {
         match self.inner.lock() {
             Ok(guard) => guard,
@@ -1099,6 +1103,7 @@ mod tests {
         // Poison the mutex: a holder panics with the guard live.
         let died = std::thread::scope(|s| {
             s.spawn(|| {
+                #[expect(clippy::disallowed_methods, reason = "the test poisons the lock on purpose")]
                 let _guard = cache.inner.lock().unwrap();
                 panic!("holder dies mid-update");
             })

@@ -219,7 +219,8 @@ proptest! {
         fixed.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
 
         let mut reference = items.clone();
-        // lint:allow(float-ordering): reference comparator pinning equivalence with the pre-fix partial_cmp ordering
+        // The reference comparator keeps the pre-fix `partial_cmp`
+        // ordering: the float-ordering scan's one allowed call site.
         reference.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then_with(|| a.1.cmp(&b.1)));
         prop_assert_eq!(&fixed, &reference, "total_cmp changed the ranking");
 

@@ -6,6 +6,9 @@
 //! owns its budget tracker and recorder and lends them to that call. A
 //! batch runs whole queries on the [`QueryPool`].
 
+// A serving hot path: degrade or return a typed error, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -141,6 +144,8 @@ impl QueryPool {
     /// input order. `run` must be safe to call from multiple threads —
     /// the query engines are read-only over `Sync` stores, so closures
     /// capturing a store or executor qualify.
+    #[expect(clippy::disallowed_methods, reason = "poison recovered: each slot holds one whole-value `Option` write, so a panicking holder cannot tear it")]
+    #[expect(clippy::expect_used, reason = "the atomic cursor hands out each index once, so a claimed input slot is populated; `thread::scope` re-raises any worker panic before the outputs are read, and a surviving worker writes the slot it claimed")]
     pub fn execute<I, O, F>(&self, inputs: Vec<I>, run: F) -> Vec<O>
     where
         I: Send,
@@ -177,7 +182,6 @@ impl QueryPool {
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
                         .take();
-                    // lint:allow(no-panic-hot-path): the atomic cursor hands out each index exactly once, so a claimed slot is always populated
                     let input = input.expect("input claimed once");
                     let result = run(input);
                     *out[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
@@ -187,7 +191,6 @@ impl QueryPool {
         out.into_iter()
             .map(|slot| {
                 let produced = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-                // lint:allow(no-panic-hot-path): unreachable — thread::scope re-raises any worker panic before this line runs, and a surviving worker always writes the slot it claimed
                 produced.expect("every input produced an output")
             })
             .collect()

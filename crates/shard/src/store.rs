@@ -1,6 +1,9 @@
 //! The store behind every system: N ≥ 1 subject-hash-partitioned
 //! [`XkgStore`] slices behind one global façade; a monolith is N = 1.
 
+// A serving hot path: degrade or return a typed error, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -34,7 +37,7 @@ impl Aggregates {
         let mut agg = Aggregates::default();
         for slice in slices {
             let base = (origin + agg.len) as u64;
-            // lint:allow(no-panic-hot-path): construction-time capacity guard — the global triple-id space is u32 by design
+            #[expect(clippy::expect_used, reason = "construction-time capacity guard: the global triple-id space is u32 by design")]
             let base = u32::try_from(base).expect("global triple-id overflow");
             agg.offsets.push(base);
             agg.len += slice.len();
@@ -490,11 +493,7 @@ impl GlobalTotals for ShardedStore {
                 _ => {}
             }
         }
-        // Poison recovery: a panicking holder can at worst have left a
-        // partially inserted memo entry; entries are immutable once
-        // written and derived purely from the frozen store, so the memo
-        // is dropped wholesale (totals recompute on demand) rather than
-        // trusted — a cache-warmth loss, never an abort.
+        #[expect(clippy::disallowed_methods, reason = "poison recovered: a panicking holder can at worst leave a partial memo entry, so the memo is dropped wholesale and totals recompute on demand")]
         let mut memo = match self.totals_memo.lock() {
             Ok(guard) => guard,
             Err(poisoned) => {

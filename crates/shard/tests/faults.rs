@@ -176,6 +176,7 @@ fn deadline_holds_under_injected_pull_latency() {
         alloc_pressure: 1 << 16,
         ..FaultPlan::default()
     });
+    #[expect(clippy::disallowed_methods, reason = "the test measures the wall-clock deadline it enforces")]
     let started = Instant::now();
     let run = exec.run(&q, &rules, &cfg);
     let elapsed = started.elapsed();

@@ -18,6 +18,9 @@
 //! 4 B per term, per seal. Terms are never removed, so runs never change
 //! and completion is monotone under ingest.
 
+// A serving hot path: degrade or return a typed error, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,7 +51,7 @@ impl Layer {
 
     fn push(&mut self, text: &str) -> u32 {
         let next = self.start as usize + self.strings.len();
-        // lint:allow(no-panic-hot-path): build-path capacity guard — ids are u32, so a 2^32nd string cannot be interned; no query reaches it
+        #[expect(clippy::expect_used, reason = "build-path capacity guard: ids are u32, so a 2^32nd string cannot be interned; no query reaches it")]
         let idx = u32::try_from(next).expect("dictionary overflow");
         let boxed: Box<str> = text.into();
         self.payload += boxed.len();

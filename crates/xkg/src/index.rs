@@ -48,6 +48,9 @@
 //!   re-freeze — and merges them into the old columns' sorted runs.
 //!   Packing is a single append pass over the merged rows.
 
+// A serving hot path: degrade or return a typed error, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::ops::Range;
 
 use crate::pack::{bits_for, read_bits, BitWriter, SegmentLayout};
@@ -62,7 +65,6 @@ pub const BLOCK: usize = 128;
 
 /// One of the three rotations of (S, P, O) the index keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(clippy::upper_case_acronyms)]
 pub enum Permutation {
     /// subject, predicate, object
     SPO,

@@ -13,6 +13,9 @@
 //! here panics on out-of-range offsets in release serving paths —
 //! callers index within lengths they recorded at build time.
 
+// A serving hot path: degrade or return a typed error, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 /// Physical layout of a frozen segment's permutation and posting
 /// structures.
 ///

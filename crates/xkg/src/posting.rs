@@ -29,7 +29,7 @@
 //! # Stratum layouts
 //!
 //! Each stratum stores its entries in the segment's
-//! [`SegmentLayout`](crate::pack::SegmentLayout):
+//! [`crate::pack::SegmentLayout`]:
 //!
 //! * **Flat** — `Vec<Posting>` (24 B/entry) plus a globally cumulative
 //!   `f64` prefix-sum column (8 B/entry): borrowed slices at serve time,
@@ -77,6 +77,9 @@
 //! lists: a zero-mass match set emits nothing in any engine, so the
 //! rank-join head bound of 0 the precomputed index reports for such
 //! groups is exact rather than a trap for the tightened threshold.
+
+// A serving hot path: degrade or return a typed error, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::borrow::Cow;
 use std::collections::HashMap;

@@ -27,6 +27,9 @@
 //! Global [`TripleId`]s enumerate the base partitions, then the delta
 //! views after all of them; compaction reassigns them.
 
+// A serving hot path: degrade or return a typed error, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

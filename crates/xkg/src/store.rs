@@ -6,6 +6,9 @@
 //! access pattern of the paper's system: the XKG is materialized offline
 //! (KG load + Open IE extraction), then queried interactively.
 
+// A serving hot path: degrade or return a typed error, never panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -125,8 +128,8 @@ fn sanitize(confidence: f32) -> f32 {
 }
 
 /// The id the next triple appended to a `len`-triple table receives.
+#[expect(clippy::expect_used, reason = "build-path capacity guard: triple ids are u32, so a 2^32nd triple cannot be stored; no query reaches it")]
 pub(crate) fn next_triple_id(len: usize) -> TripleId {
-    // lint:allow(no-panic-hot-path): build-path capacity guard — triple ids are u32, so a 2^32nd triple cannot be stored; no query reaches it
     TripleId(u32::try_from(len).expect("triple overflow"))
 }
 

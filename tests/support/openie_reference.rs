@@ -5,8 +5,6 @@
 //! definition (now the public type) and `OpenIePipeline`'s fields (now
 //! parameters) differ.
 
-#![allow(dead_code)]
-
 pub mod token {
     //! Sentence tokenization.
     //!
