@@ -11,7 +11,8 @@
 //! Semantics: each test runs `ProptestConfig::cases` random cases seeded
 //! deterministically from the test's name, and assertion failures panic
 //! like ordinary `assert!`. There is **no shrinking** and no failure
-//! persistence — a failing case reports its generated values via the
+//! persistence: a failing case names its test and case index (rerunning
+//! the test replays it), and reports its generated values via the
 //! assertion message only.
 
 pub mod test_runner {
@@ -75,6 +76,34 @@ pub mod test_runner {
         pub fn below(&mut self, bound: u64) -> u64 {
             debug_assert!(bound > 0);
             self.next_u64() % bound
+        }
+    }
+
+    /// Held while one case of a property runs: if the case panics, names
+    /// the test and the case on stderr. Cases draw from one generator
+    /// seeded by the test's name, so rerunning the test replays the case.
+    #[derive(Debug)]
+    pub struct CaseGuard {
+        test: &'static str,
+        case: u32,
+    }
+
+    impl CaseGuard {
+        /// Guards case `case` of property `test`.
+        pub fn new(test: &'static str, case: u32) -> CaseGuard {
+            CaseGuard { test, case }
+        }
+    }
+
+    impl Drop for CaseGuard {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                eprintln!(
+                    "proptest: `{}` failed at case {} (cases are seeded from the test name; \
+                     rerun the test to replay it)",
+                    self.test, self.case
+                );
+            }
         }
     }
 }
@@ -372,7 +401,7 @@ macro_rules! __proptest_fns {
                 let __config: $crate::test_runner::ProptestConfig = $cfg;
                 let mut __rng = $crate::test_runner::TestRng::for_test(stringify!($name));
                 for __case in 0..__config.cases {
-                    let _ = __case;
+                    let __guard = $crate::test_runner::CaseGuard::new(stringify!($name), __case);
                     $crate::__proptest_bind!(__rng; $($params)*);
                     $body
                 }

@@ -148,14 +148,25 @@ impl<'a> QueryBuilder<'a> {
     }
 
     /// Interns a variable by name.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 65,536 distinct variables, the [`VarId`] space;
+    /// [`crate::parse`] reports that as a [`crate::ParseError`] instead.
     pub fn var(&mut self, name: &str) -> VarId {
+        self.try_var(name).expect("too many variables")
+    }
+
+    /// Interns a variable by name, or returns `None` when every
+    /// [`VarId`] is taken.
+    pub(crate) fn try_var(&mut self, name: &str) -> Option<VarId> {
         if let Some(&v) = self.var_ids.get(name) {
-            return v;
+            return Some(v);
         }
-        let v = VarId(u16::try_from(self.var_names.len()).expect("too many variables"));
+        let v = VarId(u16::try_from(self.var_names.len()).ok()?);
         self.var_ids.insert(name.to_string(), v);
         self.var_names.push(name.to_string());
-        v
+        Some(v)
     }
 
     /// Resolves a term of `kind`; unknown strings get a synthetic id

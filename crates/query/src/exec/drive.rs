@@ -466,7 +466,13 @@ fn run_pipeline<'s>(
             continue;
         }
         let variant_start = recorder.start();
-        let (mut streams, n_vars) = variant_streams(&patterns, &mut source_for);
+        let Some((mut streams, n_vars)) = variant_streams(&patterns, &mut source_for) else {
+            // Its fresh variables cannot be numbered: the variant is
+            // forfeited like one a cutoff skips, its answers bounded by
+            // its weight.
+            tracker.note_truncated(ln_weight(variant_weight));
+            continue;
+        };
         cut = !rank_join(
             view.lookup,
             cfg,
@@ -486,30 +492,47 @@ fn run_pipeline<'s>(
     collector.into_top_k(query.k)
 }
 
+/// The size of a variant's variable space — its own variables, then
+/// one range of [`FRESH_VARS_PER_STREAM`] fresh variables per pattern —
+/// or `None` when it does not fit [`VarId`](trinit_relax::VarId).
+/// [`crate::parse`] refuses a query whose space does not fit; a
+/// structural variant, or a query built by hand, is checked here.
+pub(crate) fn variable_space(patterns: &[QPattern]) -> Option<usize> {
+    let own = patterns
+        .iter()
+        .filter_map(QPattern::max_var)
+        .max()
+        .map_or(0, |m| usize::from(m) + 1);
+    let space = own + patterns.len() * usize::from(FRESH_VARS_PER_STREAM);
+    (space <= usize::from(u16::MAX) + 1).then_some(space)
+}
+
 /// One [`Stream`] per pattern of a variant around the merge
 /// `source_for` yields, plus the size of the variant's variable space
 /// (its own variables and every stream's fresh-variable range) — what the
-/// join's scratch assignment is sized from.
+/// join's scratch assignment is sized from. `None` when that space does
+/// not fit [`VarId`](trinit_relax::VarId) ([`variable_space`]).
 pub(crate) fn variant_streams<'s>(
     patterns: &[QPattern],
     mut source_for: impl FnMut(&QPattern, u16, usize) -> IncrementalMerge<'s>,
-) -> (Vec<Stream<'s>>, usize) {
-    let max_var = join::max_var_of(patterns);
+) -> Option<(Vec<Stream<'s>>, usize)> {
+    let n_vars = variable_space(patterns)?;
+    let own = n_vars - patterns.len() * usize::from(FRESH_VARS_PER_STREAM);
     let streams = patterns
         .iter()
         .zip(join::join_vars_of(patterns))
         .enumerate()
         .map(|(i, (pattern, join_vars))| {
-            // Disjoint fresh-variable ranges per pattern.
-            let fresh_base = max_var + (i as u16) * FRESH_VARS_PER_STREAM;
+            // Disjoint fresh-variable ranges per pattern, all inside
+            // the space.
+            let fresh_base = u16::try_from(own + i * usize::from(FRESH_VARS_PER_STREAM)).ok()?;
             // `i` is the pattern's position in the (variant's) query —
             // a restricted request confines that pattern to the delta
             // slices (semi-naive delta queries).
-            Stream::new(source_for(pattern, fresh_base, i), join_vars)
+            Some(Stream::new(source_for(pattern, fresh_base, i), join_vars))
         })
-        .collect();
-    let n_vars = max_var as usize + patterns.len() * FRESH_VARS_PER_STREAM as usize;
-    (streams, n_vars)
+        .collect::<Option<Vec<_>>>()?;
+    Some((streams, n_vars))
 }
 
 /// Windowed batching of per-pull [`Stage::JoinRound`] spans: the clock
@@ -727,7 +750,7 @@ mod tests {
     use crate::exec::budget::{CutoffReason, DegradationRung};
     use crate::exec::expand;
     use crate::exec::testfix::{assert_same_answers, reference, store};
-    use trinit_relax::{ExpandOptions, QTerm, Rule, RuleProvenance, RuleSet};
+    use trinit_relax::{ExpandOptions, QTerm, Rule, RuleProvenance, RuleSet, VarId};
     use trinit_xkg::XkgBuilder;
 
     fn cfg() -> TopkConfig {
@@ -978,6 +1001,46 @@ mod tests {
         );
         assert_eq!(full.len(), 2, "`nobody` exactly, `a` through q9 and r2");
         assert_same_answers(&inc, &full);
+    }
+
+    #[test]
+    fn variable_ids_at_the_top_of_the_var_id_space_neither_wrap_nor_panic() {
+        let store = store();
+        let (rules, _) = advisor_rules(&store);
+        let cfg = TopkConfig::default();
+        let at = |x: u16, y: u16| {
+            let mut q = QueryBuilder::new(&store)
+                .pattern_r_r_v("AlbertEinstein", "hasAdvisor", "x")
+                .pattern_v_r_v("x", "hasStudent", "y")
+                .build();
+            q.patterns[0].o = QTerm::Var(VarId(x));
+            q.patterns[1].s = QTerm::Var(VarId(x));
+            q.patterns[1].o = QTerm::Var(VarId(y));
+            q
+        };
+        let (want, _) = run(&store, &at(0, 1), &rules, &cfg);
+        assert!(!want.is_empty());
+        // Two patterns over ids up to 65,529: exactly 65,536 with their
+        // two fresh ranges — the last id the space holds is used.
+        let q = at(65_529, 65_528);
+        assert_eq!(variable_space(&q.patterns), Some(65_536));
+        let got = run_governed(&store, &q, &rules, &cfg, None);
+        assert_eq!(got.completeness, Completeness::Exact);
+        assert_eq!(got.answers.len(), want.len());
+        for (g, w) in got.answers.iter().zip(&want) {
+            assert_eq!(g.score.to_bits(), w.score.to_bits());
+            let values = |a: &Answer| a.key.iter().map(|(_, t)| *t).collect::<Vec<_>>();
+            assert_eq!(values(g), values(w));
+        }
+        // One id higher and the fresh ranges cannot be numbered: the
+        // variant is forfeited, typed, instead of wrapping.
+        for (x, y) in [(65_530, 65_528), (u16::MAX, u16::MAX - 1)] {
+            let q = at(x, y);
+            assert_eq!(variable_space(&q.patterns), None);
+            let run = run_governed(&store, &q, &rules, &cfg, None);
+            assert!(run.answers.is_empty());
+            assert!(matches!(run.completeness, Completeness::Truncated { .. }));
+        }
     }
 
     #[test]

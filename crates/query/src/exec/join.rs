@@ -465,15 +465,6 @@ pub(crate) fn join_vars_of(patterns: &[QPattern]) -> Vec<Vec<VarId>> {
         .collect()
 }
 
-/// The first variable id beyond every variable used by `patterns`.
-pub(crate) fn max_var_of(patterns: &[QPattern]) -> u16 {
-    patterns
-        .iter()
-        .filter_map(QPattern::max_var)
-        .max()
-        .map_or(0, |m| m + 1)
-}
-
 /// Reusable per-variant scratch of the combination loop, so a join
 /// allocates nothing until a combination succeeds.
 pub(crate) struct JoinScratch {
@@ -839,7 +830,8 @@ mod tests {
         let sources = Sources::new(StoreView::single(store), rules, cfg, &[]);
         let (mut streams, n_vars) = drive::variant_streams(&query.patterns, |pattern, fresh, _| {
             sources.merge(pattern, fresh, 0..1)
-        });
+        })
+        .expect("the variable space fits");
         let tracker = BudgetTracker::new(cfg);
         let mut collector = AnswerCollector::tracking(query.k);
         let mut metrics = ExecMetrics::default();

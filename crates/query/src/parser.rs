@@ -25,6 +25,7 @@ use trinit_relax::QTerm;
 use trinit_xkg::{TermKind, XkgStore};
 
 use crate::ast::{Query, QueryBuilder};
+use crate::exec::drive::variable_space;
 
 /// A parse failure with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,7 +177,7 @@ pub fn parse(store: &XkgStore, input: &str) -> Result<Query, ParseError> {
                 continue;
             }
             Lex::Var(name) => {
-                let v = builder.var(name);
+                let v = builder.try_var(name).ok_or_else(too_many_variables)?;
                 slots.push(QTerm::Var(v));
                 pos += 1;
             }
@@ -216,11 +217,27 @@ pub fn parse(store: &XkgStore, input: &str) -> Result<Query, ParseError> {
         return Err(err("query has no triple patterns"));
     }
 
+    for name in &projection {
+        builder.try_var(name).ok_or_else(too_many_variables)?;
+    }
     let proj_refs: Vec<&str> = projection.iter().map(String::as_str).collect();
     if !proj_refs.is_empty() {
         builder = builder.project(&proj_refs);
     }
-    Ok(builder.limit(limit).build())
+    let query = builder.limit(limit).build();
+    if variable_space(&query.patterns).is_none() {
+        return Err(err(format!(
+            "query too large: {} patterns over {} variables leave no room for the \
+             relaxations' fresh variables",
+            query.patterns.len(),
+            query.var_names.len()
+        )));
+    }
+    Ok(query)
+}
+
+fn too_many_variables() -> ParseError {
+    err("more than 65536 distinct variables")
 }
 
 #[cfg(test)]
@@ -343,4 +360,68 @@ mod tests {
         let q = parse(&store, "AlbertEinstein \"won nobel for\" ?y").unwrap();
         assert!(q.patterns[0].p.term().unwrap().is_token());
     }
+
+    /// `n` patterns `?a{i} bornIn ?b{i}`: `2n` distinct variables.
+    fn wide_query(n: usize) -> String {
+        (0..n)
+            .map(|i| format!("?a{i} bornIn ?b{i}"))
+            .collect::<Vec<_>>()
+            .join(" . ")
+    }
+
+    #[test]
+    fn more_variables_than_var_ids_is_a_parse_error() {
+        let e = parse(&store(), &wide_query(33_000)).unwrap_err();
+        assert!(e.message.contains("distinct variables"), "{e}");
+        let projected: String = (0..65_600).map(|i| format!("?s{i} ")).collect();
+        let e = parse(&store(), &format!("SELECT {projected} WHERE ?x bornIn ?y")).unwrap_err();
+        assert!(e.message.contains("distinct variables"), "{e}");
+    }
+
+    #[test]
+    fn a_query_whose_fresh_variables_cannot_be_numbered_is_a_parse_error() {
+        // 2n own variables and three fresh ones per pattern: 5n ids.
+        // 32,750 patterns (65,500 variables) used to parse and then
+        // overflow the fresh-variable base in the engine.
+        for n in [13_108, 32_750] {
+            let e = parse(&store(), &wide_query(n)).unwrap_err();
+            assert!(e.message.contains("too large"), "{e}");
+        }
+        let q = parse(&store(), &wide_query(13_107)).unwrap();
+        assert_eq!(q.var_names.len(), 26_214);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Any token sequence parses or is refused with a typed error —
+        /// never a panic — and what parses runs.
+        #[test]
+        fn random_token_sequences_parse_or_fail_typed(
+            tokens in proptest::collection::vec((0usize..FUZZ_TOKENS.len(), proptest::bool::ANY), 0..14),
+        ) {
+            let text: String = tokens
+                .iter()
+                .map(|&(t, spaced)| format!("{}{}", FUZZ_TOKENS[t], if spaced { " " } else { "" }))
+                .collect();
+            let store = store();
+            if let Ok(q) = parse(&store, &text) {
+                assert!(!q.patterns.is_empty(), "{text:?}");
+                for v in q.vars().into_iter().chain(q.projection.iter().copied()) {
+                    assert!(usize::from(v.0) < q.var_names.len(), "{text:?}");
+                }
+                let rules = trinit_relax::RuleSet::new();
+                let cfg = crate::TopkConfig::default();
+                let (answers, _) = crate::exec::topk::run(&store, &q, &rules, &cfg);
+                assert!(answers.len() <= q.k.max(1), "{text:?}");
+            }
+        }
+    }
+
+    #[rustfmt::skip]
+    const FUZZ_TOKENS: &[&str] = &[
+        "?x", "?y", "?", "?é_1", "'won nobel for'", "'12'", "\"3.5\"", "'", "\"", "''",
+        "bornIn", "AlbertEinstein", "Ulm", ".", ";", "..", "SELECT", "select", "WHERE",
+        "LIMIT", "limit", "10", "0", "-1", "99999999999999999999", "x?y", "Émile", "\t",
+    ];
 }

@@ -1,6 +1,8 @@
-//! The restriction property's oracle, shared by this crate's and
-//! `trinit-shard`'s property tests: an [`IncrementalMerge`] restricted to
-//! a retired stream's keys must emit exactly the filtered sorted stream.
+//! The restriction property's oracle: an [`IncrementalMerge`] restricted
+//! to a retired stream's keys must emit exactly the filtered sorted
+//! stream. The property itself, over 1/2/4/7 slices, is
+//! `trinit-shard`'s; this crate's tests use the oracle on hand-built
+//! merges. Includers also include the generators as `gen`.
 
 use std::rc::Rc;
 
@@ -8,7 +10,9 @@ use trinit_query::exec::join::KeySet;
 use trinit_query::exec::merge::{IncrementalMerge, Merged};
 use trinit_query::ExecMetrics;
 use trinit_relax::{QPattern, QTerm, VarId};
-use trinit_xkg::{TermId, TermKind, Triple, TripleId};
+use trinit_xkg::{TermId, Triple, TripleId};
+
+use crate::gen::tid;
 
 /// One emission as the property compares them: triple, probability
 /// bits, alternative.
@@ -40,7 +44,6 @@ pub fn key_vars(pattern: &QPattern, pick: usize) -> Vec<VarId> {
 
 /// Raw resource-index triples as key values for `n` variables.
 pub fn key_values(raw: &[(u32, u32, u32)], n: usize) -> Vec<Vec<TermId>> {
-    let tid = |i| TermId::new(TermKind::Resource, i);
     raw.iter()
         .map(|&(a, b, c)| [tid(a), tid(b), tid(c)][..n].to_vec())
         .collect()

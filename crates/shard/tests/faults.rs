@@ -294,7 +294,9 @@ fn unfaulted_runs_are_unaffected_by_a_cleared_plan() {
         let runs = run_batch(&exec, &queries, &rules, &cfg, 2);
         assert!(runs[0].is_err());
     }
-    // Scope dropped: the same batch now completes cleanly.
+    // Scope dropped: the same batch now completes cleanly. The empty
+    // plan is held so no other test's plan can be installed meanwhile.
+    let _scope = FaultScope::install(FaultPlan::default());
     let runs = run_batch(&exec, &queries, &rules, &cfg, 2);
     assert!(runs.iter().all(Result::is_ok), "cleared plan must not leak");
 }

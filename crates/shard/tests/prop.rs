@@ -1,13 +1,9 @@
-//! Property tests for partitioned execution.
-//!
-//! The headline property — the acceptance bar of the sharding subsystem:
-//! **sharded execution returns answers score-equal to the single-store
-//! engine** on arbitrary stores, multi-pattern (join) queries, and
-//! relaxation rule sets, at 1, 2, 4, and 7 shards. Both sides run the
-//! *same* top-k
-//! configuration, so the comparison is exact (no rewriting-budget
-//! mismatch to tolerate); only membership of a trailing tied-score group
-//! is tie-break detail.
+//! Property tests for partitioned execution: what the configuration
+//! lattice (`crates/core/tests/lattice.rs`, which pins that every
+//! partition count answers as the monolith) cannot see — zero-mass
+//! stream skips, anchored lists against the scan on every shard slice,
+//! cross-shard tie order, and the restricted merge's emission stream
+//! over 1/2/4/7 slices.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -17,170 +13,23 @@ use proptest::prelude::*;
 
 use trinit_query::exec::merge::{AltTable, IncrementalMerge};
 use trinit_query::exec::topk::{self, StoreView, TopkConfig};
-use trinit_query::{Completeness, ExecBudget, ExecMetrics, Query};
-use trinit_relax::{QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
-use trinit_shard::{QueryPool, ShardedExecutor, ShardedStore};
+use trinit_query::ExecMetrics;
+use trinit_relax::{QPattern, QTerm, RuleSet, VarId};
+use trinit_shard::testkit::assert_answers_score_equivalent;
+use trinit_shard::{ShardedExecutor, ShardedStore};
 use trinit_xkg::{
-    PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, TermId, TermKind, Triple,
-    XkgBuilder,
+    PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, Triple, XkgBuilder,
 };
 
+#[path = "../../query/tests/support/gen.rs"]
+pub mod gen;
 #[path = "../../query/tests/support/restriction.rs"]
-mod restriction;
+pub mod restriction;
+use gen::{
+    add_rows, build_store, builder_from, patterns_strategy, query_from, rule_of_shape,
+    rules_strategy, store_strategy, tid,
+};
 use restriction::{assert_restriction_filters, key_values, key_vars};
-
-fn tid(i: u32) -> TermId {
-    TermId::new(TermKind::Resource, i)
-}
-
-type Row = (u32, u32, u32, f32, u8);
-
-/// A random store over a small universe: up to `max_triples` triples
-/// with random confidences and supports — and, about one time in three,
-/// a flat-score hub on top (see [`hub_strategy`]).
-fn store_strategy(universe: u32, max_triples: usize) -> impl Strategy<Value = Vec<Row>> {
-    (
-        proptest::collection::vec(
-            (0..universe, 0..universe, 0..universe, 0.05f32..1.0, 0u8..4),
-            1..max_triples,
-        ),
-        hub_strategy(universe),
-    )
-        .prop_map(|(mut rows, hub)| {
-            rows.extend(hub);
-            rows
-        })
-}
-
-/// The predicate a generated hub sits on: the last of the universe, so
-/// random patterns and rules reach it too.
-fn hub_predicate(universe: u32) -> u32 {
-    universe - 1
-}
-
-/// A flat-score hub predicate: 100–240 equal-weight triples with distinct
-/// subjects (outside the universe, so they spread over every shard) whose
-/// objects cycle over the first few terms of it — the posting list a rank
-/// join has to drain without any score signal. Empty two times in three.
-fn hub_strategy(universe: u32) -> impl Strategy<Value = Vec<Row>> {
-    (0u32..3, 100u32..240, 1u32..universe).prop_map(move |(pick, n, objects)| {
-        if pick != 0 {
-            return Vec::new();
-        }
-        (0..n)
-            .map(|i| (1000 + i, hub_predicate(universe), i % objects, 0.5, 0))
-            .collect()
-    })
-}
-
-fn builder_from(rows: &[Row]) -> XkgBuilder {
-    let mut b = XkgBuilder::new();
-    for &(s, p, o, conf, support) in rows {
-        let mut prov = Provenance::extraction(conf, SourceId(0));
-        prov.support = u32::from(support) + 1;
-        b.add(Triple::new(tid(s), tid(p), tid(o)), prov);
-    }
-    b
-}
-
-fn query_from(patterns: Vec<QPattern>, k: usize) -> Query {
-    let n_vars = patterns
-        .iter()
-        .filter_map(QPattern::max_var)
-        .max()
-        .map_or(0, |m| m as usize + 1);
-    Query {
-        patterns,
-        projection: Vec::new(),
-        k,
-        var_names: (0..n_vars).map(|i| format!("v{i}")).collect(),
-        unknown_terms: Vec::new(),
-    }
-}
-
-fn qterm(vars: u16, universe: u32) -> impl Strategy<Value = QTerm> {
-    prop_oneof![
-        (0..vars).prop_map(|v| QTerm::Var(VarId(v))),
-        (0..universe).prop_map(|t| QTerm::Term(tid(t))),
-    ]
-}
-
-fn pattern_strategy(vars: u16, universe: u32) -> impl Strategy<Value = QPattern> {
-    (
-        qterm(vars, universe),
-        (0..universe).prop_map(|t| QTerm::Term(tid(t))),
-        qterm(vars, universe),
-    )
-        .prop_map(|(s, p, o)| QPattern::new(s, p, o))
-}
-
-/// A granularity-shaped three-pattern star, `?0 hub ?1 . ?1 pa ta .
-/// ?1 pb tb`: every pattern shares `?1`, and the legs' objects are terms
-/// or (both the same) third variable.
-fn star_strategy(universe: u32) -> impl Strategy<Value = Vec<QPattern>> {
-    let leg = move || (0..universe, 0..universe + 1);
-    (leg(), leg()).prop_map(move |((pa, oa), (pb, ob))| {
-        let z = QTerm::Var(VarId(1));
-        let object = |o: u32| {
-            if o == universe {
-                QTerm::Var(VarId(2))
-            } else {
-                QTerm::Term(tid(o))
-            }
-        };
-        vec![
-            QPattern::new(QTerm::Var(VarId(0)), QTerm::Term(tid(hub_predicate(universe))), z),
-            QPattern::new(z, QTerm::Term(tid(pa)), object(oa)),
-            QPattern::new(z, QTerm::Term(tid(pb)), object(ob)),
-        ]
-    })
-}
-
-/// Multi-pattern queries: `len` random patterns over `vars` variables,
-/// or (half the time) a [`star_strategy`] star.
-fn patterns_strategy(
-    vars: u16,
-    universe: u32,
-    len: std::ops::Range<usize>,
-) -> impl Strategy<Value = Vec<QPattern>> {
-    prop_oneof![
-        proptest::collection::vec(pattern_strategy(vars, universe), len),
-        star_strategy(universe),
-    ]
-}
-
-fn rules_strategy(universe: u32) -> impl Strategy<Value = Vec<Rule>> {
-    proptest::collection::vec(
-        (0..universe, 0..universe, 0.15f64..1.0, 0u8..4)
-            .prop_map(|(p1, p2, w, shape)| rule_of_shape(p1, p2, w, shape)),
-        0..4,
-    )
-}
-
-/// One single-pattern rule `?x p1 ?y → …`: a predicate rewrite
-/// (`?x p2 ?y`), an inversion (`?y p2 ?x`), or a rewrite that replaces
-/// the object (`?x p2 ?f`) or the subject (`?f p2 ?y`) by a fresh
-/// variable — the relaxed form then no longer binds that variable, which
-/// is what puts items on a rank-join stream's residual chain.
-fn rule_of_shape(p1: u32, p2: u32, w: f64, shape: u8) -> Rule {
-    use trinit_relax::{RVar, TTerm, Template};
-    let (x, y, f) = (TTerm::Var(RVar(0)), TTerm::Var(RVar(1)), TTerm::Var(RVar(2)));
-    let relaxed = match shape {
-        0 => return Rule::predicate_rewrite("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined),
-        1 => return Rule::inversion("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined),
-        2 => Template::new(x, TTerm::Const(tid(p2)), f),
-        _ => Template::new(f, TTerm::Const(tid(p2)), y),
-    };
-    Rule::structural(
-        "r",
-        vec![Template::new(x, TTerm::Const(tid(p1)), y)],
-        vec![relaxed],
-        w,
-        RuleProvenance::UserDefined,
-    )
-}
-
-use trinit_shard::testkit::assert_answers_score_equivalent as assert_answers_equivalent;
 
 /// Zero-mass match sets under sharding: a repeated-variable (masked)
 /// pattern whose filtered matches all weigh 0 gets a global total of 0,
@@ -216,34 +65,12 @@ fn sharded_zero_mass_repeated_variable_agrees_with_monolith() {
         let sharded = ShardedStore::build(build(), shards);
         let exec = ShardedExecutor::new(&sharded);
         let run = exec.run(&query, &RuleSet::new(), &cfg);
-        assert_answers_equivalent(&run.answers, &mono);
+        assert_answers_score_equivalent(&run.answers, &mono);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// Sharded ≡ single-store on multi-pattern queries with relaxation,
-    /// across shard counts.
-    #[test]
-    fn sharded_execution_equals_single_store(
-        rows in store_strategy(6, 40),
-        patterns in patterns_strategy(3, 6, 1..4),
-        rules in rules_strategy(6),
-        k in 1usize..12,
-    ) {
-        let single = builder_from(&rows).build();
-        let set: RuleSet = rules.into_iter().collect();
-        let cfg = TopkConfig::default();
-        let query = query_from(patterns, k);
-        let (mono, _) = topk::run(&single, &query, &set, &cfg);
-        for shards in [1usize, 2, 4, 7] {
-            let sharded = ShardedStore::build(builder_from(&rows), shards);
-            let exec = ShardedExecutor::new(&sharded);
-            let run = exec.run(&query, &set, &cfg);
-            assert_answers_equivalent(&run.answers, &mono);
-        }
-    }
 
     /// Anchored-index-served posting lists are entry-for-entry equal to
     /// the materialize-and-sort reference on **every shard slice** —
@@ -368,222 +195,24 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The ε-approximate guarantee under sharding, at 1/2/4/7 shards:
-    /// rank-wise the sharded approximate ranking
-    /// is within ε of the *monolithic exact* ranking in probability
-    /// space, and ε = 0 stays answer-identical (bit-equal scores) and
-    /// pull-count-identical to the sharded exact engine.
+    /// A restricted merge emits exactly the filtered sorted stream: a
+    /// merge restricted to a key set at any point of its drain continues
+    /// with precisely the emissions its unrestricted twin makes from that
+    /// point on, minus those of an alternative binding the key variables
+    /// whose values form no key — same triples, probability bits and
+    /// alternatives, in the same order — whether an alternative was
+    /// opened before the restriction or opens through bound lookups
+    /// after it, with rules that drop a variable in play. It holds for a
+    /// merge over one frozen store, and over a store's 1/2/4/7 slices —
+    /// every (alternative, slice) list probing its own segment under the
+    /// *global* totals — on Flat and Packed segments, and for a merge
+    /// confined to the delta slices of a store with a live delta (the
+    /// semi-naive delta-query seam), whose scores divide by totals that
+    /// span base and delta.
     #[test]
-    fn sharded_epsilon_within_eps_of_exact_monolith(
-        rows in store_strategy(5, 32),
-        patterns in patterns_strategy(3, 5, 1..3),
-        rules in rules_strategy(5),
-        k in 1usize..8,
-        eps_pick in 0usize..3,
-    ) {
-        // The last one is small enough to bite on a flat-score hub.
-        let eps = [0.05, 0.01, 1e-4][eps_pick];
-        let single = builder_from(&rows).build();
-        let set: RuleSet = rules.into_iter().collect();
-        let cfg = TopkConfig::default();
-        let query = query_from(patterns, k);
-        let (mono, _) = topk::run(&single, &query, &set, &cfg);
-        let approx_cfg = TopkConfig { epsilon: eps, ..cfg.clone() };
-        let eps0_cfg = TopkConfig { epsilon: 0.0, ..cfg.clone() };
-        for shards in [1usize, 2, 4, 7] {
-            let sharded = ShardedStore::build(builder_from(&rows), shards);
-            let exec = ShardedExecutor::new(&sharded);
-            let exact_run = exec.run(&query, &set, &cfg);
-            let approx_run = exec.run(&query, &set, &approx_cfg);
-            for (r, e) in mono.iter().enumerate() {
-                let pe = e.score.exp();
-                let pa = approx_run.answers.get(r).map_or(0.0, |a| a.score.exp());
-                prop_assert!(
-                    pa >= pe - eps - 1e-9,
-                    "{} shards, rank {}: approx {} not within ε={} of exact {}",
-                    shards, r, pa, eps, pe
-                );
-            }
-            prop_assert!(
-                approx_run.metrics.pulls <= exact_run.metrics.pulls,
-                "{} shards: ε pulled more ({} > {})",
-                shards, approx_run.metrics.pulls, exact_run.metrics.pulls
-            );
-            // ε = 0: bit-identical to the sharded exact engine.
-            let eps0_run = exec.run(&query, &set, &eps0_cfg);
-            prop_assert_eq!(eps0_run.answers.len(), exact_run.answers.len());
-            for (a, b) in eps0_run.answers.iter().zip(&exact_run.answers) {
-                prop_assert_eq!(&a.key, &b.key);
-                prop_assert_eq!(a.score, b.score, "ε=0 changed a sharded score");
-            }
-            prop_assert_eq!(
-                eps0_run.metrics.pulls, exact_run.metrics.pulls,
-                "ε=0 changed sharded pull counts"
-            );
-            prop_assert_eq!(eps0_run.metrics.approx_cutoffs, 0);
-        }
-    }
-
-    /// The relative-θ guarantee under sharding, at 1/2/4/7 shards:
-    /// rank-wise the sharded θ ranking keeps
-    /// `prob ≥ (1 − θ) ·` the *monolithic exact* ranking's, never pulls
-    /// more than the sharded exact run, and labels itself `Approx` only
-    /// when the criterion actually fired.
-    #[test]
-    fn sharded_theta_keeps_rankwise_ratio_of_exact_monolith(
-        rows in store_strategy(5, 32),
-        patterns in patterns_strategy(3, 5, 1..3),
-        rules in rules_strategy(5),
-        k in 1usize..8,
-        theta_pick in proptest::bool::ANY,
-    ) {
-        let theta = if theta_pick { 0.3 } else { 0.7 };
-        let single = builder_from(&rows).build();
-        let set: RuleSet = rules.into_iter().collect();
-        let cfg = TopkConfig::default();
-        let query = query_from(patterns, k);
-        let (mono, _) = topk::run(&single, &query, &set, &cfg);
-        let theta_cfg = TopkConfig { theta, ..cfg.clone() };
-        for shards in [1usize, 2, 4, 7] {
-            let sharded = ShardedStore::build(builder_from(&rows), shards);
-            let exec = ShardedExecutor::new(&sharded);
-            let exact_run = exec.run(&query, &set, &cfg);
-            let theta_run = exec.run(&query, &set, &theta_cfg);
-            for (r, e) in mono.iter().enumerate() {
-                let pe = e.score.exp();
-                let pa = theta_run.answers.get(r).map_or(0.0, |a| a.score.exp());
-                prop_assert!(
-                    pa >= (1.0 - theta) * pe - 1e-12,
-                    "{} shards, rank {}: θ={} run {} below (1−θ)·{}",
-                    shards, r, theta, pa, pe
-                );
-            }
-            prop_assert!(
-                theta_run.metrics.pulls <= exact_run.metrics.pulls,
-                "{} shards: θ pulled more ({} > {})",
-                shards, theta_run.metrics.pulls, exact_run.metrics.pulls
-            );
-            if theta_run.metrics.approx_cutoffs == 0 {
-                prop_assert_eq!(theta_run.completeness, Completeness::Exact);
-            }
-        }
-    }
-
-    /// The batch pool is invisible: for arbitrary stores, rule sets and
-    /// query batches, a batch returns exactly what per-query execution
-    /// returns — answers and every work counter — at 1/2/4 workers.
-    #[test]
-    fn pool_batches_equal_per_query_execution(
-        rows in store_strategy(5, 32),
-        patterns_a in pattern_strategy(3, 5),
-        patterns_b in pattern_strategy(3, 5),
-        rules in rules_strategy(5),
-        k in 1usize..8,
-    ) {
-        let set: RuleSet = rules.into_iter().collect();
-        let cfg = TopkConfig::default();
-        let queries = vec![
-            query_from(vec![patterns_a], k),
-            query_from(vec![patterns_b], k + 1),
-            query_from(vec![patterns_a, patterns_b], k),
-        ];
-        for shards in [2usize, 3] {
-            let sharded = ShardedStore::build(builder_from(&rows), shards);
-            let exec = ShardedExecutor::new(&sharded);
-            for workers in [1usize, 2, 4] {
-                let runs = QueryPool::new(workers)
-                    .try_execute(queries.iter().collect(), |q| exec.run(q, &set, &cfg));
-                prop_assert_eq!(runs.len(), queries.len());
-                for (run, q) in runs.iter().zip(&queries) {
-                    let run = run.as_ref().expect("no query panicked");
-                    let want = exec.run(q, &set, &cfg);
-                    assert_answers_equivalent(&run.answers, &want.answers);
-                    prop_assert_eq!(run.metrics, want.metrics);
-                }
-            }
-        }
-    }
-
-    /// Budget governance is free when nothing binds: ε = 0 under an
-    /// effectively infinite budget is **bit-identical** to the
-    /// ungoverned exact path — same answers, same scores, same pull
-    /// counts — monolithic and at 1/2/4/7 shards, and every run is
-    /// labeled [`Completeness::Exact`].
-    #[test]
-    fn governed_unlimited_budget_is_bit_identical_to_exact(
-        rows in store_strategy(5, 32),
-        patterns in patterns_strategy(3, 5, 1..3),
-        rules in rules_strategy(5),
-        k in 1usize..8,
-    ) {
-        let set: RuleSet = rules.into_iter().collect();
-        let cfg = TopkConfig::default();
-        // Limits present (the governed code path is exercised) but
-        // unreachable: one hour and half the address space of pulls.
-        let governed_cfg = TopkConfig {
-            epsilon: 0.0,
-            budget: ExecBudget {
-                deadline: Some(std::time::Duration::from_secs(3600)),
-                max_pulls: Some(usize::MAX / 2),
-                ..ExecBudget::default()
-            },
-            ..cfg.clone()
-        };
-        let query = query_from(patterns, k);
-
-        let single = builder_from(&rows).build();
-        let (mono, m_mono) = topk::run(&single, &query, &set, &cfg);
-        let governed = topk::run_governed(&single, &query, &set, &governed_cfg, None);
-        prop_assert_eq!(governed.answers.len(), mono.len());
-        for (a, b) in governed.answers.iter().zip(&mono) {
-            prop_assert_eq!(&a.key, &b.key);
-            prop_assert_eq!(a.score, b.score, "governed run changed a monolithic score");
-        }
-        prop_assert_eq!(
-            governed.metrics.pulls, m_mono.pulls,
-            "governed run changed monolithic pull counts"
-        );
-        prop_assert_eq!(governed.completeness, Completeness::Exact);
-        prop_assert_eq!(governed.metrics.degradation_steps, 0);
-
-        for shards in [1usize, 2, 4, 7] {
-            let sharded = ShardedStore::build(builder_from(&rows), shards);
-            let exec = ShardedExecutor::new(&sharded);
-            let exact_run = exec.run(&query, &set, &cfg);
-            let gov_run = exec.run(&query, &set, &governed_cfg);
-            prop_assert_eq!(gov_run.answers.len(), exact_run.answers.len());
-            for (a, b) in gov_run.answers.iter().zip(&exact_run.answers) {
-                prop_assert_eq!(&a.key, &b.key);
-                prop_assert_eq!(
-                    a.score, b.score,
-                    "budget changed a sharded score at {} shards", shards
-                );
-            }
-            prop_assert_eq!(
-                gov_run.metrics.pulls, exact_run.metrics.pulls,
-                "budget changed sharded pull counts at {} shards", shards
-            );
-            prop_assert_eq!(gov_run.completeness, Completeness::Exact);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The restriction under partitioning: restricting a merge over a
-    /// store's slices restricts every (alternative, slice) list, each
-    /// probing its own segment under the *global* totals, and the merge
-    /// must still emit exactly the filtered sorted stream of its
-    /// unrestricted twin — at 1/2/4/7
-    /// shards on Flat and Packed segments, and for a merge confined to
-    /// the delta slices of a store with a live delta (the semi-naive
-    /// delta-query seam), whose scores divide by totals that span base
-    /// and delta.
-    #[test]
-    fn restricted_sharded_merge_emits_the_filtered_sorted_stream(
+    fn restricted_merge_emits_the_filtered_sorted_stream(
         rows in store_strategy(6, 40),
         patterns in patterns_strategy(3, 6, 1..2),
         rules in rules_strategy(6),
@@ -598,10 +227,20 @@ proptest! {
             continue;
         }
         let keys = key_values(&raw_keys, vars.len());
+        // One rule always fires on the pattern itself, half the time
+        // dropping one of its variables.
         let (p2, w, shape) = own_rule;
         let own = pattern.p.term().map(|p1| rule_of_shape(p1.index(), p2, w, shape));
         let set: RuleSet = rules.into_iter().chain(own).collect();
         let cfg = TopkConfig { min_weight: 0.0, ..TopkConfig::default() };
+        for layout in [SegmentLayout::Flat, SegmentLayout::Packed] {
+            let store = build_store(&rows, layout);
+            let merge = || {
+                let table = Rc::new(AltTable::build(&pattern, &set, &cfg, 8, None));
+                IncrementalMerge::new(&StoreView::single(&store), 0..1, table, &[], None)
+            };
+            assert_restriction_filters(merge(), merge(), |id| store.triple(id), &vars, &keys, at);
+        }
         // The merge `execute` builds for the pattern over a store's
         // segments (each based where its predecessor ends), confined to
         // the slice sub-range `range` the way a delta-restricted pattern
@@ -624,13 +263,7 @@ proptest! {
         }
         let half = rows.len() / 2;
         let mut live = ShardedStore::build(builder_from(&rows[..half]), 2);
-        live.ingest(|b| {
-            for &(s, p, o, conf, support) in &rows[half..] {
-                let mut prov = Provenance::extraction(conf, SourceId(0));
-                prov.support = u32::from(support) + 1;
-                b.add(Triple::new(tid(s), tid(p), tid(o)), prov);
-            }
-        });
+        live.ingest(|b| add_rows(b, &rows[half..]));
         let deltas = live.delta_slices().count();
         check(&live, Some(2..2 + deltas));
     }

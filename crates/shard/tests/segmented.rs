@@ -1,15 +1,12 @@
-//! Property tests for segmented (base + live delta) execution.
-//!
-//! The acceptance bar of live ingestion: **serving queries over the
-//! frozen base plus the freshly ingested delta returns answers
-//! score-equal to rebuilding the whole store from scratch** — on
-//! arbitrary stores and batches, multi-pattern queries, and relaxation
-//! rules, monolithic and at 1/2/4/7 shards — and **compacting the
-//! delta changes nothing** but the serving topology. The same bar holds
-//! for a *sequence* of ingests with a compaction somewhere inside it,
-//! down to the term and source ids a from-scratch builder would issue.
-//! A second suite pins the semi-naive delta-query seam: restricted runs
-//! surface exactly the answers that use fresh evidence.
+//! Property tests for segmented (base + live delta) execution, below
+//! the answers the configuration lattice (`crates/core/tests/lattice.rs`)
+//! already pins for a live and a compacted delta at every partition
+//! count. A *sequence* of ingests with a compaction somewhere inside it
+//! equals a from-scratch rebuild down to the term and source ids it
+//! issues, the structures it freezes and the completions it serves; the
+//! slice union serves the rebuilt store's match sets; and the semi-naive
+//! delta-query seam — restricted runs — surfaces exactly the answers
+//! that use fresh evidence.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -17,66 +14,20 @@ use proptest::prelude::*;
 
 use trinit_query::exec::topk::{self, ExecCtx, ExecRequest, StoreView, TopkConfig};
 use trinit_query::{Answer, BudgetTracker, Query, TraceRecorder};
-use trinit_relax::{ConditionOracle, QPattern, QTerm, Rule, RuleProvenance, RuleSet, VarId};
+use trinit_relax::{ConditionOracle, RuleSet, VarId};
+use trinit_shard::testkit::assert_answers_score_equivalent;
 use trinit_shard::{ShardedExecutor, ShardedStore};
 use trinit_xkg::{
-    PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, StorageBytes,
-    TermId, TermKind, Triple, TripleId, XkgBuilder, XkgStore,
+    PostingList, Provenance, SegmentLayout, SlotPattern, SourceId, StorageBytes, TermId, Triple,
+    TripleId, XkgBuilder, XkgStore,
 };
 
-fn tid(i: u32) -> TermId {
-    TermId::new(TermKind::Resource, i)
-}
-
-type Row = (u32, u32, u32, f32, u8);
-
-/// A random store over a small universe: up to `max_triples` triples
-/// with random confidences and supports — and, about one time in three,
-/// a flat-score hub on top (see [`hub_strategy`]).
-fn store_strategy(universe: u32, max_triples: usize) -> impl Strategy<Value = Vec<Row>> {
-    (plain_store_strategy(universe, max_triples), hub_strategy(universe)).prop_map(
-        |(mut rows, hub)| {
-            rows.extend(hub);
-            rows
-        },
-    )
-}
-
-fn plain_store_strategy(universe: u32, max_triples: usize) -> impl Strategy<Value = Vec<Row>> {
-    proptest::collection::vec(
-        (0..universe, 0..universe, 0..universe, 0.05f32..1.0, 0u8..4),
-        1..max_triples,
-    )
-}
-
-/// The predicate a generated hub sits on: the last of the universe, so
-/// random patterns and rules reach it too.
-fn hub_predicate(universe: u32) -> u32 {
-    universe - 1
-}
-
-/// A flat-score hub predicate: 100–240 equal-weight triples with distinct
-/// subjects (outside the universe, so they spread over every shard) whose
-/// objects cycle over the first few terms of it — the posting list a rank
-/// join has to drain without any score signal. Empty two times in three.
-fn hub_strategy(universe: u32) -> impl Strategy<Value = Vec<Row>> {
-    (0u32..3, 100u32..240, 1u32..universe).prop_map(move |(pick, n, objects)| {
-        if pick != 0 {
-            return Vec::new();
-        }
-        (0..n)
-            .map(|i| (1000 + i, hub_predicate(universe), i % objects, 0.5, 0))
-            .collect()
-    })
-}
-
-fn add_rows(b: &mut XkgBuilder, rows: &[Row]) {
-    for &(s, p, o, conf, support) in rows {
-        let mut prov = Provenance::extraction(conf, SourceId(0));
-        prov.support = u32::from(support) + 1;
-        b.add(Triple::new(tid(s), tid(p), tid(o)), prov);
-    }
-}
+#[path = "../../query/tests/support/gen.rs"]
+pub mod gen;
+use gen::{
+    add_rows, builder_from, fresh_rows, pattern_strategy, patterns_strategy, plain_store_strategy,
+    query_from, rules_strategy, store_strategy, tid, Row,
+};
 
 /// Interns resource `r{i}` for `i < universe`, in order, so that
 /// `tid(i)` — which the query and rule generators speak — is that
@@ -221,124 +172,6 @@ fn assert_same_vocabulary(got: &XkgStore, want: &XkgStore) {
     }
 }
 
-fn builder_from(rows: &[Row]) -> XkgBuilder {
-    let mut b = XkgBuilder::new();
-    add_rows(&mut b, rows);
-    b
-}
-
-/// Delta rows that are genuinely new facts: re-observations of base
-/// triples queue pending provenance absorbs (applied at compaction, by
-/// design *not* reflected before it), so weight-equality with an
-/// immediate from-scratch rebuild only holds for fresh facts.
-fn fresh_rows(base: &[Row], delta: &[Row]) -> Vec<Row> {
-    let seen: HashSet<(u32, u32, u32)> = base.iter().map(|r| (r.0, r.1, r.2)).collect();
-    delta
-        .iter()
-        .filter(|r| !seen.contains(&(r.0, r.1, r.2)))
-        .copied()
-        .collect()
-}
-
-fn query_from(patterns: Vec<QPattern>, k: usize) -> Query {
-    let n_vars = patterns
-        .iter()
-        .filter_map(QPattern::max_var)
-        .max()
-        .map_or(0, |m| m as usize + 1);
-    Query {
-        patterns,
-        projection: Vec::new(),
-        k,
-        var_names: (0..n_vars).map(|i| format!("v{i}")).collect(),
-        unknown_terms: Vec::new(),
-    }
-}
-
-fn qterm(vars: u16, universe: u32) -> impl Strategy<Value = QTerm> {
-    prop_oneof![
-        (0..vars).prop_map(|v| QTerm::Var(VarId(v))),
-        (0..universe).prop_map(|t| QTerm::Term(tid(t))),
-    ]
-}
-
-fn pattern_strategy(vars: u16, universe: u32) -> impl Strategy<Value = QPattern> {
-    (
-        qterm(vars, universe),
-        (0..universe).prop_map(|t| QTerm::Term(tid(t))),
-        qterm(vars, universe),
-    )
-        .prop_map(|(s, p, o)| QPattern::new(s, p, o))
-}
-
-/// A granularity-shaped three-pattern star, `?0 hub ?1 . ?1 pa ta .
-/// ?1 pb tb`: every pattern shares `?1`, and the legs' objects are terms
-/// or (both the same) third variable.
-fn star_strategy(universe: u32) -> impl Strategy<Value = Vec<QPattern>> {
-    let leg = move || (0..universe, 0..universe + 1);
-    (leg(), leg()).prop_map(move |((pa, oa), (pb, ob))| {
-        let z = QTerm::Var(VarId(1));
-        let object = |o: u32| {
-            if o == universe {
-                QTerm::Var(VarId(2))
-            } else {
-                QTerm::Term(tid(o))
-            }
-        };
-        vec![
-            QPattern::new(QTerm::Var(VarId(0)), QTerm::Term(tid(hub_predicate(universe))), z),
-            QPattern::new(z, QTerm::Term(tid(pa)), object(oa)),
-            QPattern::new(z, QTerm::Term(tid(pb)), object(ob)),
-        ]
-    })
-}
-
-/// Multi-pattern queries: `len` random patterns over `vars` variables,
-/// or (half the time) a [`star_strategy`] star.
-fn patterns_strategy(
-    vars: u16,
-    universe: u32,
-    len: std::ops::Range<usize>,
-) -> impl Strategy<Value = Vec<QPattern>> {
-    prop_oneof![
-        proptest::collection::vec(pattern_strategy(vars, universe), len),
-        star_strategy(universe),
-    ]
-}
-
-fn rules_strategy(universe: u32) -> impl Strategy<Value = Vec<Rule>> {
-    proptest::collection::vec(
-        (0..universe, 0..universe, 0.15f64..1.0, 0u8..4)
-            .prop_map(|(p1, p2, w, shape)| rule_of_shape(p1, p2, w, shape)),
-        0..4,
-    )
-}
-
-/// One single-pattern rule `?x p1 ?y → …`: a predicate rewrite
-/// (`?x p2 ?y`), an inversion (`?y p2 ?x`), or a rewrite that replaces
-/// the object (`?x p2 ?f`) or the subject (`?f p2 ?y`) by a fresh
-/// variable — the relaxed form then no longer binds that variable, which
-/// is what puts items on a rank-join stream's residual chain.
-fn rule_of_shape(p1: u32, p2: u32, w: f64, shape: u8) -> Rule {
-    use trinit_relax::{RVar, TTerm, Template};
-    let (x, y, f) = (TTerm::Var(RVar(0)), TTerm::Var(RVar(1)), TTerm::Var(RVar(2)));
-    let relaxed = match shape {
-        0 => return Rule::predicate_rewrite("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined),
-        1 => return Rule::inversion("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined),
-        2 => Template::new(x, TTerm::Const(tid(p2)), f),
-        _ => Template::new(f, TTerm::Const(tid(p2)), y),
-    };
-    Rule::structural(
-        "r",
-        vec![Template::new(x, TTerm::Const(tid(p1)), y)],
-        vec![relaxed],
-        w,
-        RuleProvenance::UserDefined,
-    )
-}
-
-use trinit_shard::testkit::assert_answers_score_equivalent as assert_answers_equivalent;
-
 /// A monolith: one partition over an already-built store, the way the
 /// facade wraps one.
 fn monolith(base: XkgStore) -> ShardedStore {
@@ -369,57 +202,6 @@ fn run_mono_segmented(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Ingest-then-serve ≡ rebuild-from-scratch, monolithic and at
-    /// 1/2/4/7 shards — and compacting the delta
-    /// preserves the answers bit-for-bit (modulo tie-break detail).
-    #[test]
-    fn segmented_serve_equals_from_scratch_rebuild(
-        base_rows in store_strategy(6, 30),
-        delta_rows in store_strategy(6, 12),
-        patterns in patterns_strategy(3, 6, 1..3),
-        rules in rules_strategy(6),
-        k in 1usize..12,
-    ) {
-        let fresh = fresh_rows(&base_rows, &delta_rows);
-        let mut union_rows = base_rows.clone();
-        union_rows.extend(fresh.iter().copied());
-        let union = builder_from(&union_rows).build();
-        let set: RuleSet = rules.into_iter().collect();
-        let cfg = TopkConfig::default();
-        let query = query_from(patterns, k);
-        let (want, _) = topk::run(&union, &query, &set, &cfg);
-
-        // Monolithic segmented store.
-        let mut seg = monolith(builder_from(&base_rows).build());
-        seg.ingest(|b| add_rows(b, &fresh));
-        assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want);
-        seg.compact();
-        prop_assert!(seg.single_slice().is_some());
-        assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want);
-
-        // Sharded store with live per-shard delta views.
-        for shards in [1usize, 2, 4, 7] {
-            let mut sharded = ShardedStore::build(builder_from(&base_rows), shards);
-            sharded.ingest(|b| add_rows(b, &fresh));
-            prop_assert_eq!(sharded.len(), union.len());
-            let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg);
-            assert_answers_equivalent(&run.answers, &want);
-            sharded.compact();
-            prop_assert!(!sharded.has_delta());
-            let exec = ShardedExecutor::new(&sharded);
-            let run = exec.run(&query, &set, &cfg);
-            assert_answers_equivalent(&run.answers, &want);
-            // No delta: a delta-restricted pattern matches nothing.
-            let tracker = BudgetTracker::new(&cfg);
-            let ctx = ExecCtx {
-                tracker: &tracker,
-                recorder: &mut TraceRecorder::off(),
-            };
-            let none = exec.merge(&query, &set, &cfg, Some(0), ctx);
-            prop_assert!(none.answers.is_empty());
-        }
-    }
 
     /// A *sequence* of ingests ≡ one rebuild: 1–12 batches that
     /// re-observe base triples, re-observe their own and each other's
@@ -502,7 +284,7 @@ proptest! {
                 let got = scan_union(seg.segments().into_iter(), shape);
                 prop_assert_eq!(got, scan_union(std::iter::once(&live), shape), "shape {}", shape);
             }
-            assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want_live);
+            assert_answers_score_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want_live);
             seg.compact();
             assert_same_vocabulary(seg.base(), &full);
             prop_assert_eq!(seg.base().len(), full.len());
@@ -511,7 +293,7 @@ proptest! {
                 prop_assert_eq!(seg.base().provenance(id), full.provenance(id));
             }
             assert_same_structures(seg.base(), &full_rows.clone().build_with(layout), &shapes);
-            assert_answers_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want_full);
+            assert_answers_score_equivalent(&run_mono_segmented(&seg, &query, &set, &cfg), &want_full);
         }
 
         for shards in [1usize, 2, 4] {
@@ -535,7 +317,7 @@ proptest! {
                 );
             }
             let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg);
-            assert_answers_equivalent(&run.answers, &want_live);
+            assert_answers_score_equivalent(&run.answers, &want_live);
             sharded.compact();
             assert_same_vocabulary(sharded.vocab(), &full);
             prop_assert_eq!(sharded.len(), full.len());
@@ -551,7 +333,7 @@ proptest! {
                 assert_same_structures(got, want, &shapes);
             }
             let run = ShardedExecutor::new(&sharded).run(&query, &set, &cfg);
-            assert_answers_equivalent(&run.answers, &want_full);
+            assert_answers_score_equivalent(&run.answers, &want_full);
         }
     }
 

@@ -131,3 +131,52 @@ fn projection_controls_deduplication() {
         .unwrap();
     assert!(projected.answers.len() <= all_vars.answers.len());
 }
+
+/// The paper's E5 claim (§4): incremental top-k avoids the full
+/// rewriting space. On the default evaluation system and its benchmark
+/// queries (what `reproduce e5` runs), at k = 1, 5, 10 and 50, top-k
+/// returns the answers full expansion returns, under the one comparison
+/// rule, and over the query set builds strictly fewer posting lists and
+/// scans strictly fewer postings. Work counters, not wall-clock.
+#[test]
+fn incremental_topk_answers_as_full_expansion_with_less_work_at_every_k() {
+    use trinit_core::shard::testkit::assert_answers_score_equivalent;
+    use trinit_eval::{
+        build_full_system, build_world, generate_benchmark, BenchmarkConfig, EvalConfig,
+    };
+
+    let cfg = EvalConfig::default();
+    let (world, kg) = build_world(&cfg);
+    let bench = BenchmarkConfig {
+        seed: cfg.seed.wrapping_add(3),
+        per_category: cfg.per_category.min(6),
+    };
+    let queries = generate_benchmark(&world, &kg, &bench);
+    let sys = build_full_system(&world, &cfg);
+    for k in [1, 5, 10, 50] {
+        let (mut lists, mut postings) = ([0usize; 2], [0usize; 2]);
+        for q in &queries {
+            let mut query = sys.parse(&q.text).expect("benchmark queries parse");
+            query.k = k;
+            let topk = sys.run(query.clone(), Engine::IncrementalTopK);
+            let full = sys.run(query, Engine::FullExpansion);
+            assert_answers_score_equivalent(&topk.answers, &full.answers);
+            for (i, run) in [&topk, &full].into_iter().enumerate() {
+                lists[i] += run.metrics.posting_lists_built;
+                postings[i] += run.metrics.postings_scanned;
+            }
+        }
+        assert!(
+            lists[0] < lists[1],
+            "k = {k}: top-k built {} lists, full expansion {}",
+            lists[0],
+            lists[1]
+        );
+        assert!(
+            postings[0] < postings[1],
+            "k = {k}: top-k scanned {} postings, full expansion {}",
+            postings[0],
+            postings[1]
+        );
+    }
+}
