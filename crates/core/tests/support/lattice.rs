@@ -19,10 +19,19 @@
 //! fires change no counter, and a cache tier changes where lists come
 //! from, never how far sorted access walks. The canonical point must
 //! equal full expansion wherever the two reach the same rewritings
-//! ([`reference_expansion`]). At each (layout, partitions, delta) point the
-//! ε/θ guarantees hold against the exact run, ε = 0 is pull-for-pull
-//! the exact run, a batch at one or two workers returns what each query
-//! returns alone, and a system without a live delta introduces nothing.
+//! ([`comparable_expansion`]). At each (layout, partitions, delta) point
+//! the ε/θ guarantees hold against the exact run, ε = 0 is pull-for-pull
+//! the exact run, a batch at one, two or four workers returns what each
+//! query returns alone, and a system without a live delta introduces
+//! nothing; the batch check also runs once per case at three partitions.
+//!
+//! Unlimited-budget points run through the facade (`Trinit::run`,
+//! `Session::run`), so only they check the facade's own cache
+//! generation handling. The facade takes a budget only from
+//! `BuildOptions::topk` through `TrinitBuilder`, which builds from text
+//! facts and documents and cannot hold a generated store, so the
+//! generous-budget points run `ShardedExecutor` over the system's store
+//! and caches, stamping the caches with the store's base epoch first.
 //!
 //! Included by `#[path]` (as a `pub mod`, next to the generators as
 //! `pub mod gen`) from the core crate's property test and the root
@@ -68,8 +77,9 @@ pub struct Case {
 /// Cases over a universe of four, five or six terms (the smaller, the
 /// denser the store and the more answers a query has): a base of up to
 /// 40 rows and a delta of up to 12 (either may carry a flat-score hub),
-/// one or two patterns or a three-pattern star, and rules that chain or
-/// (half the time) cannot.
+/// one to three random patterns (chains, stars and cross products) or a
+/// three-pattern granularity star, and rules that chain or (half the
+/// time) cannot.
 pub fn case_strategy() -> impl Strategy<Value = Case> {
     prop_oneof![case_over(4), case_over(5), case_over(6)]
 }
@@ -78,7 +88,7 @@ fn case_over(universe: u32) -> impl Strategy<Value = Case> {
     (
         store_strategy(universe, 40),
         store_strategy(universe, 12),
-        patterns_strategy(3, universe, 1..3),
+        patterns_strategy(3, universe, 1..4),
         prop_oneof![
             rules_strategy(universe),
             nonchainable_rules_strategy(universe / 2, universe)
@@ -243,7 +253,8 @@ fn store_of(sys: &Trinit) -> &ShardedStore {
 /// Runs `query` on `sys` — in `session` if given — under the system's
 /// configuration. An unlimited budget is the facade's own call; a
 /// generous one runs the executor over the same store and caches,
-/// stamped with the store's base epoch as the facade stamps them.
+/// stamped with the store's base epoch as the facade stamps them (see
+/// the module docs for why it cannot be the facade's call).
 fn run(
     sys: &Trinit,
     session: Option<&Session<'_>>,
@@ -299,23 +310,31 @@ fn assert_output_contract(answers: &[Answer], k: usize) {
 }
 
 /// The full expansion that reaches exactly the rewritings `cfg`'s
-/// top-k reaches for `patterns` under `rules`, if one does: any without
-/// rules; for one pattern, `chain_depth` rule chains pruned at the same
-/// `min_weight`; and for rules that cannot chain and all weigh at least
-/// `min_weight` (top-k then prunes no alternative), one rule per pattern
-/// and no pruning — expansion prunes whole rewritings, not patterns.
-fn reference_expansion(
+/// top-k reaches for `patterns` under `rules`, if one does.
+///
+/// Every generated rule is a single-pattern rule (asserted here), so
+/// top-k's structural step never fires and it reaches `chain_depth`
+/// rule chains per pattern. `TopkConfig::reference_expansion` bounds
+/// depth by `chain_depth + structural_depth`, one chain deeper than
+/// that (ROADMAP item 9(a)), so the reference is the library's at
+/// `structural_depth` 0: right as it is without rules and for one
+/// pattern. For more patterns only rules that cannot chain and all
+/// weigh at least `min_weight` (top-k then prunes no alternative) have
+/// one: one rule per pattern, unpruned — expansion prunes whole
+/// rewritings, not patterns.
+fn comparable_expansion(
     patterns: &[QPattern],
     rules: &[Rule],
     cfg: &TopkConfig,
 ) -> Option<ExpandOptions> {
-    let options = |max_depth, min_weight| ExpandOptions {
-        max_depth,
-        min_weight,
-        max_rewritings: 4096,
-    };
+    assert!(rules.iter().all(Rule::is_mergeable), "a structural rule");
+    let chains_only = TopkConfig {
+        structural_depth: 0,
+        ..cfg.clone()
+    }
+    .reference_expansion();
     if rules.is_empty() || patterns.len() == 1 {
-        return Some(options(cfg.chain_depth, cfg.min_weight));
+        return Some(chains_only);
     }
     let lhs: Vec<TTerm> = rules
         .iter()
@@ -326,11 +345,15 @@ fn reference_expansion(
         .flat_map(|r| &r.rhs)
         .any(|t| lhs.contains(&t.p));
     let pruned = rules.iter().any(|r| r.weight < cfg.min_weight);
-    (!chains && !pruned).then(|| options(patterns.len(), 0.0))
+    (!chains && !pruned).then_some(ExpandOptions {
+        max_depth: patterns.len(),
+        min_weight: 0.0,
+        ..chains_only
+    })
 }
 
 /// Checks the canonical point against full expansion wherever the two
-/// reach the same rewritings ([`reference_expansion`]): for the query
+/// reach the same rewritings ([`comparable_expansion`]): for the query
 /// and for each of its patterns alone, at the case's k, at small k (a
 /// cut inside the answers) and with every answer in (no cut hides a
 /// deep relaxation's answers). Returns whether any shape had a
@@ -349,7 +372,7 @@ pub fn check_against_expansion(case: &Case) -> bool {
     }
     let mut checked = false;
     for patterns in shapes {
-        let Some(options) = reference_expansion(&patterns, &case.rules, &cfg) else {
+        let Some(options) = comparable_expansion(&patterns, &case.rules, &cfg) else {
             continue;
         };
         for k in [1, 3, case.k, EVERY_ANSWER] {
@@ -381,6 +404,13 @@ pub fn check_case(case: &Case) -> Coverage {
     coverage.answered = !canonical.is_empty();
     coverage.cut = canonical.len() == case.k;
     coverage.expansion = check_against_expansion(case);
+    // The batch pool once more, at a partition count off the
+    // lattice's axis and over a live delta.
+    check_batch(
+        case,
+        &query,
+        &system(case, &query, (SegmentLayout::Flat, 3, Delta::Live), false),
+    );
 
     for layout in LAYOUTS {
         for partitions in PARTITIONS {
@@ -563,8 +593,17 @@ fn check_state(case: &Case, query: &Query, rules: &RuleSet, state: (SegmentLayou
         assert_eq!(approx.completeness, Completeness::Exact);
     }
 
-    // A batch returns what each query returns alone — answers and every
-    // work counter — on one worker and on two.
+    check_batch(case, query, &sys);
+
+    if !sys.has_delta() {
+        assert!(sys.answers_introduced_by(query.clone()).answers.is_empty());
+    }
+}
+
+/// A batch of the query and each of its patterns alone returns what
+/// each query returns alone — answers and every work counter — on one,
+/// two and four workers.
+fn check_batch(case: &Case, query: &Query, sys: &Trinit) {
     let mut batch = vec![query.clone()];
     batch.extend(
         case.patterns
@@ -575,7 +614,7 @@ fn check_state(case: &Case, query: &Query, rules: &RuleSet, state: (SegmentLayou
         .iter()
         .map(|q| sys.run(q.clone(), Engine::IncrementalTopK))
         .collect();
-    for workers in [1, 2] {
+    for workers in [1, 2, 4] {
         let runs = sys.run_batch_with_workers(batch.clone(), Engine::IncrementalTopK, workers);
         assert_eq!(runs.len(), batch.len());
         for (got, want) in runs.iter().zip(&alone) {
@@ -583,9 +622,5 @@ fn check_state(case: &Case, query: &Query, rules: &RuleSet, state: (SegmentLayou
             assert_answers_score_equivalent(&got.answers, &want.answers);
             assert_eq!(got.metrics, want.metrics, "{workers} workers");
         }
-    }
-
-    if !sys.has_delta() {
-        assert!(sys.answers_introduced_by(query.clone()).answers.is_empty());
     }
 }

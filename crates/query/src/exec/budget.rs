@@ -125,6 +125,12 @@ pub enum CutoffReason {
     Pulls,
     /// The answer-materialization budget was exhausted.
     Answers,
+    /// No limit fired: a variant of the query was forfeited unrun because
+    /// its variables and fresh-variable ranges do not fit
+    /// [`VarId`](trinit_relax::VarId). [`crate::parse`] refuses a query
+    /// whose own space does not fit; a hand-built query, or a variant a
+    /// structural rule grew, can still reach this.
+    VariableSpace,
 }
 
 /// What a result's ranking is guaranteed to be, relative to the exact
@@ -148,9 +154,10 @@ pub enum Completeness {
         theta: f64,
     },
     /// A hard budget cutoff stopped the run before the threshold
-    /// settled the top-k.
+    /// settled the top-k, or a variant was forfeited
+    /// ([`CutoffReason::VariableSpace`]).
     Truncated {
-        /// Which budget fired.
+        /// Which budget fired, or why a variant was forfeited.
         reason: CutoffReason,
         /// The leading `guaranteed_rank` answers are provably the exact
         /// top answers (each scores strictly above every bound recorded
@@ -247,7 +254,9 @@ pub struct BudgetTracker {
     /// Highest ladder rung reached (0 = base configuration).
     rung: AtomicUsize,
     /// First cutoff reason recorded (0 = none; 1/2/3 = Deadline /
-    /// Pulls / Answers). First-wins CAS keeps all passes agreeing.
+    /// Pulls / Answers). First-wins CAS keeps all passes agreeing. The
+    /// one truncation that records none is a variant forfeited for its
+    /// variable space ([`CutoffReason::VariableSpace`]).
     cutoff: AtomicUsize,
     /// The run was actually truncated.
     truncated: AtomicBool,
@@ -428,7 +437,10 @@ impl BudgetTracker {
     /// (sorted best-first, log-space scores).
     pub fn completeness(&self, answers: &[Answer]) -> Completeness {
         if self.truncated.load(Ordering::Relaxed) {
-            let reason = cutoff_reason(self.cutoff.load(Ordering::Relaxed));
+            let reason = match self.cutoff.load(Ordering::Relaxed) {
+                0 => CutoffReason::VariableSpace,
+                code => cutoff_reason(code),
+            };
             let bound = f64::from_bits(self.bound_bits.load(Ordering::Relaxed));
             // Strictly above the recorded bound: a forfeited answer at
             // exactly the bound could tie into the cut, so ties are not
@@ -452,6 +464,8 @@ fn cutoff_code(reason: CutoffReason) -> usize {
         CutoffReason::Deadline => 1,
         CutoffReason::Pulls => 2,
         CutoffReason::Answers => 3,
+        // Never stored: see `BudgetTracker::cutoff`.
+        CutoffReason::VariableSpace => 4,
     }
 }
 

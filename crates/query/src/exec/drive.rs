@@ -468,8 +468,9 @@ fn run_pipeline<'s>(
         let variant_start = recorder.start();
         let Some((mut streams, n_vars)) = variant_streams(&patterns, &mut source_for) else {
             // Its fresh variables cannot be numbered: the variant is
-            // forfeited like one a cutoff skips, its answers bounded by
-            // its weight.
+            // forfeited unrun, its answers bounded by its weight. No
+            // cutoff is recorded, so the run reports
+            // `CutoffReason::VariableSpace`.
             tracker.note_truncated(ln_weight(variant_weight));
             continue;
         };
@@ -1033,13 +1034,21 @@ mod tests {
             assert_eq!(values(g), values(w));
         }
         // One id higher and the fresh ranges cannot be numbered: the
-        // variant is forfeited, typed, instead of wrapping.
+        // variant is forfeited, typed, instead of wrapping — and no
+        // budget is blamed.
         for (x, y) in [(65_530, 65_528), (u16::MAX, u16::MAX - 1)] {
             let q = at(x, y);
             assert_eq!(variable_space(&q.patterns), None);
             let run = run_governed(&store, &q, &rules, &cfg, None);
             assert!(run.answers.is_empty());
-            assert!(matches!(run.completeness, Completeness::Truncated { .. }));
+            assert_eq!(
+                run.completeness,
+                Completeness::Truncated {
+                    reason: CutoffReason::VariableSpace,
+                    guaranteed_rank: 0,
+                }
+            );
+            assert_eq!(run.metrics.budget_cutoffs + run.metrics.deadline_cutoffs, 0);
         }
     }
 

@@ -215,6 +215,8 @@ impl<'a> ThresholdPolicy<'a> {
             match reason {
                 CutoffReason::Deadline => metrics.deadline_cutoffs += 1,
                 CutoffReason::Pulls | CutoffReason::Answers => metrics.budget_cutoffs += 1,
+                // Recorded outside the budget, never by a directive.
+                CutoffReason::VariableSpace => {}
             }
             return Some(reason);
         }
