@@ -47,9 +47,7 @@ pub use trinit::{BuildOptions, BuildStats, Engine, QueryOutcome, Trinit, TrinitB
 // Budgeted-execution surface: the serving tier reads a query's typed
 // completeness and handles per-query worker panics without unwrapping
 // through the sub-crates.
-pub use trinit_query::{
-    Completeness, CutoffReason, DegradationRung, ExecBudget, ExecError,
-};
+pub use trinit_query::{Completeness, CutoffReason, ExecBudget, ExecError};
 
 // Observability surface: per-query stage traces ride on
 // [`QueryOutcome`], the process-wide registry serializes counters and

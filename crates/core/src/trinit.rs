@@ -71,8 +71,8 @@ pub struct QueryOutcome {
     /// `i`'s share of the merge's posting work.
     pub shard_metrics: Vec<ExecMetrics>,
     /// What the ranking is guaranteed to be relative to the exact
-    /// engine: [`Completeness::Exact`] unless a budget cutoff or an
-    /// ε / θ degradation actually fired during the run. The `Exact`
+    /// engine: [`Completeness::Exact`] unless a budget cutoff or the ε
+    /// criterion actually fired during the run. The `Exact`
     /// and `FullExpansion` engines always report `Exact` (they run to
     /// completion by construction).
     pub completeness: Completeness,
@@ -990,6 +990,33 @@ mod tests {
         let sys = Trinit::from_parts(store, rules);
         let outcome = sys.query("?x bornIn Ulm").unwrap();
         assert_eq!(outcome.answers.len(), 1);
+    }
+
+    #[test]
+    fn full_expansion_over_the_last_var_id_keeps_the_query_answers() {
+        let store = crate::fixtures::paper_store();
+        let rules = crate::fixtures::paper_rules(&store);
+        let sys = Trinit::from_parts(store, rules);
+        let own = sys.run(sys.parse("?x affiliation ?y").unwrap(), Engine::Exact);
+        assert!(!own.answers.is_empty());
+        // By hand (the parser numbers variables from 0): ?x takes the
+        // last id, so rule 3's fresh variable has none left and only
+        // rule 4 rewrites the query.
+        let mut query = sys.parse("?x affiliation ?y").unwrap();
+        query.patterns[0].s = trinit_relax::QTerm::Var(trinit_relax::VarId(u16::MAX));
+        query.patterns[0].o = trinit_relax::QTerm::Var(trinit_relax::VarId(0));
+        query.projection.clear();
+        let got = sys.run(query, Engine::FullExpansion);
+        let values = |a: &Answer| a.key.iter().map(|(_, t)| *t).collect::<Vec<_>>();
+        for want in &own.answers {
+            assert!(
+                got.answers.iter().any(|a| values(a) == values(want)),
+                "{:?} missing from {:?}",
+                values(want),
+                got.answers.iter().map(values).collect::<Vec<_>>()
+            );
+        }
+        assert!(got.answers.len() > own.answers.len(), "rule 4 still applies");
     }
 
     #[test]

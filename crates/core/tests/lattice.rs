@@ -3,7 +3,7 @@
 //! the canonical monolith does (see `support/lattice.rs`), and the
 //! canonical point as full expansion, checked alone on many more cases
 //! because it is cheap. The root `tests/integration_lattice.rs` runs the
-//! same harness on a fixed 8-case slice in tier-1.
+//! same harness on a fixed 10-case slice in tier-1.
 
 use proptest::prelude::*;
 

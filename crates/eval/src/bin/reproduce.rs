@@ -18,10 +18,10 @@
 use trinit_core::fixtures::{paper_rules_with_advisor, paper_store};
 use trinit_core::{Engine, Session, Trinit};
 use trinit_eval::{
-    benchmark::BenchmarkConfig, build_full_system, build_world, efficiency_sweep,
-    generate_benchmark, report, run_evaluation, EvalConfig,
+    benchmark::BenchmarkConfig, build_full_system, build_world, efficiency_sweep, figure4_rules,
+    generate_benchmark, report, run_evaluation, suggestion_hits, EvalConfig,
 };
-use trinit_relax::{mine_cooccurrence, MinerConfig, RuleKind};
+use trinit_relax::RuleKind;
 
 fn header(title: &str) {
     println!("\n=== {title} ===");
@@ -116,15 +116,7 @@ fn e4(cfg: &EvalConfig) {
     header("E4: relaxation rules mined from the XKG (paper Figure 4 + \u{a7}3 formula)");
     let (world, _) = build_world(cfg);
     let system = build_full_system(&world, cfg);
-    let mined = mine_cooccurrence(
-        system.store(),
-        &MinerConfig {
-            min_overlap: 3,
-            min_weight: 0.2,
-            inversions: true,
-            max_rules: 12,
-        },
-    );
+    let mined = figure4_rules(&system);
     println!(
         "{:<66} {:>7} {:>9} {:>7}",
         "rule", "overlap", "|args p2|", "weight"
@@ -227,24 +219,7 @@ fn e8(cfg: &EvalConfig) {
         },
     );
     let system = build_full_system(&world, cfg);
-    // For every inversion-category query (token predicate 'studied
-    // under'), does suggestion propose the canonical `hasStudent`?
-    let mut considered = 0usize;
-    let mut hit = 0usize;
-    for q in queries
-        .iter()
-        .filter(|q| q.category == trinit_eval::Category::Inversion)
-    {
-        let outcome = system.query(&q.text).expect("parses");
-        let suggestions = system.suggest(&outcome);
-        considered += 1;
-        if suggestions.iter().any(|s| matches!(
-            s,
-            trinit_core::Suggestion::ReplaceToken { resource, .. } if resource == "hasStudent"
-        )) {
-            hit += 1;
-        }
-    }
+    let (hit, considered) = suggestion_hits(&system, &queries);
     println!(
         "token-predicate queries where the canonical KG predicate was suggested: {hit}/{considered}"
     );

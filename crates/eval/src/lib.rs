@@ -20,6 +20,6 @@ pub use judge::grade_ranking;
 pub use metrics::{average_precision, dcg_at, mean, ndcg_at, precision_at};
 pub use runner::{
     build_full_system, build_kg_only_system, build_sharded_system, build_world, efficiency_sweep,
-    run_evaluation,
-    EfficiencyRow, EvalConfig, Evaluation, SystemScores,
+    figure4_rules, run_evaluation, suggestion_hits, EfficiencyRow, EvalConfig, Evaluation,
+    SystemScores,
 };

@@ -12,8 +12,9 @@
 
 use std::time::Instant;
 
-use trinit_core::{Engine, Trinit, TrinitBuilder};
+use trinit_core::{Engine, Suggestion, Trinit, TrinitBuilder};
 use trinit_query::ExecMetrics;
+use trinit_relax::{mine_cooccurrence, MinedRule, MinerConfig};
 use trinit_worldgen::{project_kg, CorpusConfig, KgConfig, KgProjection, World, WorldConfig};
 
 use crate::benchmark::{generate_benchmark, BenchQuery, BenchmarkConfig, Category};
@@ -284,6 +285,40 @@ pub fn efficiency_sweep(system: &Trinit, queries: &[BenchQuery], ks: &[usize]) -
         }
     }
     rows
+}
+
+/// The E4 experiment's mining (paper Figure 4 and the §3 weight
+/// formula): co-occurrence rules with an overlap of at least 3 and a
+/// weight of at least 0.2, inversions included, the 12 strongest.
+pub fn figure4_rules(system: &Trinit) -> Vec<MinedRule> {
+    mine_cooccurrence(
+        system.store(),
+        &MinerConfig {
+            min_overlap: 3,
+            min_weight: 0.2,
+            inversions: true,
+            max_rules: 12,
+        },
+    )
+}
+
+/// The E8 experiment (query suggestion, paper §5): of the
+/// inversion-category queries in `queries` (token predicate 'studied
+/// under'), how many get the canonical KG predicate `hasStudent`
+/// suggested. Returns `(hits, considered)`.
+pub fn suggestion_hits(system: &Trinit, queries: &[BenchQuery]) -> (usize, usize) {
+    let mut considered = 0usize;
+    let mut hits = 0usize;
+    for q in queries.iter().filter(|q| q.category == Category::Inversion) {
+        let outcome = system.query(&q.text).expect("benchmark queries parse");
+        considered += 1;
+        if system.suggest(&outcome).iter().any(|s| {
+            matches!(s, Suggestion::ReplaceToken { resource, .. } if resource == "hasStudent")
+        }) {
+            hits += 1;
+        }
+    }
+    (hits, considered)
 }
 
 #[cfg(test)]

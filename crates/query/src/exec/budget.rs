@@ -1,63 +1,41 @@
-//! Resource-governed execution: budgets, the degradation ladder, and
-//! typed completeness for partial results.
+//! Resource-governed execution: budgets and typed completeness for
+//! partial results.
 //!
 //! The paper's interactive setting needs *bounded* response time, not
-//! just fast-on-average processing. This module is the admission-control
-//! substrate for that serving tier: an [`ExecBudget`] (wall-clock
+//! just fast-on-average processing. An [`ExecBudget`] (wall-clock
 //! deadline, pull budget, answer-materialization budget) rides inside
 //! [`TopkConfig`], one [`BudgetTracker`] per query observes consumption
 //! across every `execute` call the query makes, and the
-//! `ThresholdPolicy` checks it O(1) per pull round.
+//! `ThresholdPolicy` asks it once per pull round whether a limit fired.
 //!
-//! Two mechanisms keep budgeted runs *useful* rather than merely
-//! truncated:
+//! Partial results are first-class and honest ([`Completeness`]): a
+//! truncated run reports *why* it stopped and a `guaranteed_rank` — the
+//! number of leading answers that provably coincide with the exact top-k
+//! (every forfeited answer is bounded by the threshold recorded at the
+//! cutoff, so any returned answer scoring strictly above that bound
+//! cannot be displaced). A run the ε criterion cut reports
+//! [`Completeness::Approx`].
 //!
-//! * **The degradation ladder** ([`ExecBudget::ladder`]): once a soft
-//!   fraction of the budget is consumed, the effective ε (and relative
-//!   θ) escalates through the configured rungs — the engine trades
-//!   guarantee tightness for termination *before* hitting the wall,
-//!   exactly the "graceful degradation under load" the ROADMAP's
-//!   serving tier calls for. Escalations are counted in
-//!   [`ExecMetrics::degradation_steps`].
-//! * **Typed [`Completeness`]**: partial results are first-class and
-//!   honest. A truncated run reports *why* it stopped and a
-//!   `guaranteed_rank` — the number of leading answers that provably
-//!   coincide with the exact top-k (every forfeited answer is bounded
-//!   by the threshold recorded at the cutoff, so any returned answer
-//!   scoring strictly above that bound cannot be displaced).
+//! With the default (unlimited) budget and ε = 0, every check in this
+//! module is a single branch on a precomputed flag: the exact path stays
+//! bit-identical in answers *and* pull counts — property-pinned
+//! monolithic and at 1/2/4/7 shards.
 //!
-//! With the default (unlimited) budget, an empty ladder, ε = 0, and
-//! θ = 0, every check in this module is a single branch on a
-//! precomputed flag: the exact path stays bit-identical in answers
-//! *and* pull counts — property-pinned monolithic and at 1/2/4/7
-//! shards.
+//! A query runs on one thread, so the tracker is plain single-threaded
+//! state.
 //!
 //! Panic isolation lives on the same robustness surface:
 //! [`ExecError`] is the typed per-query failure the batch pool returns
 //! when a query panics instead of aborting the whole batch.
 //!
 //! [`TopkConfig`]: crate::exec::drive::TopkConfig
-//! [`ExecMetrics::degradation_steps`]: crate::exec::ExecMetrics::degradation_steps
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use crate::answer::Answer;
 use crate::exec::drive::TopkConfig;
 use crate::score::LOG_ZERO;
-
-/// One rung of the degradation ladder: the ε / θ pair execution
-/// escalates to as budget consumption crosses the rung's share of the
-/// soft region (see [`ExecBudget::ladder`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradationRung {
-    /// Absolute forfeit tolerance (probability space) — see
-    /// [`TopkConfig::epsilon`](crate::exec::drive::TopkConfig::epsilon).
-    pub epsilon: f64,
-    /// Relative slack on the termination threshold — see
-    /// [`TopkConfig::theta`](crate::exec::drive::TopkConfig::theta).
-    pub theta: f64,
-}
 
 /// Execution budget carried by
 /// [`TopkConfig::budget`](crate::exec::drive::TopkConfig::budget).
@@ -65,7 +43,7 @@ pub struct DegradationRung {
 /// All limits apply to one *query* as a whole: a delta query's
 /// restricted passes draw down the same budget. The default is
 /// unlimited.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecBudget {
     /// Wall-clock deadline for the whole query, measured from engine
     /// entry. Checked per pull round (an `Instant::now()` only when
@@ -82,25 +60,6 @@ pub struct ExecBudget {
     /// the current k-th is never built
     /// ([`AnswerCollector::admits`](crate::answer::AnswerCollector::admits)).
     pub max_answers: Option<usize>,
-    /// Fraction of the budget at which the degradation ladder starts
-    /// escalating (`0.75` by default). The region between
-    /// `soft_fraction` and `1.0` is divided evenly across the rungs.
-    pub soft_fraction: f64,
-    /// Degradation rungs, tightest first. Empty (the default) means no
-    /// degradation: the run stays exact until a hard cutoff fires.
-    pub ladder: Vec<DegradationRung>,
-}
-
-impl Default for ExecBudget {
-    fn default() -> Self {
-        ExecBudget {
-            deadline: None,
-            max_pulls: None,
-            max_answers: None,
-            soft_fraction: 0.75,
-            ladder: Vec::new(),
-        }
-    }
 }
 
 impl ExecBudget {
@@ -143,15 +102,12 @@ pub enum Completeness {
     /// The exact top-k: no approximate criterion fired and no cutoff
     /// truncated the run.
     Exact,
-    /// An ε / θ criterion retired work: every rank `r` satisfies
-    /// `prob(answer[r]) ≥ max(prob(exact[r]) − ε, (1−θ)·prob(exact[r]))`
-    /// for the reported tolerances, and returned scores are exact.
+    /// The ε criterion retired work: every rank `r` satisfies
+    /// `prob(answer[r]) ≥ prob(exact[r]) − ε`, and returned scores are
+    /// exact.
     Approx {
-        /// The effective ε at termination (base config or the highest
-        /// ladder rung reached).
+        /// The configured ε.
         epsilon: f64,
-        /// The effective relative θ at termination.
-        theta: f64,
     },
     /// A hard budget cutoff stopped the run before the threshold
     /// settled the top-k, or a variant was forfeited
@@ -212,83 +168,57 @@ pub fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// What the governor tells the policy this round: the effective ε / θ
-/// after any ladder escalation, a hard cutoff if one fired, and how
-/// many rungs were climbed by *this* call (so exactly one observer
-/// counts each escalation).
-#[derive(Debug, Clone, Copy)]
-pub struct Directive {
-    /// Effective forfeit tolerance this round.
-    pub epsilon: f64,
-    /// Effective relative threshold slack this round.
-    pub theta: f64,
-    /// A hard budget cutoff, if one fired.
-    pub cutoff: Option<CutoffReason>,
-    /// Ladder rungs climbed by this call (0 when an earlier pass already
-    /// escalated past the target rung).
-    pub escalations: usize,
-}
-
-/// Shared consumption state of one query's budget — one tracker per
-/// query, lent to every `execute` call the query makes (one run, or
-/// one restricted pass per pattern of a delta query).
+/// Consumption state of one query's budget — one tracker per query,
+/// lent to every `execute` call the query makes (one run, or one
+/// restricted pass per pattern of a delta query).
 ///
 /// The tracker also accumulates what the run's [`Completeness`] must
 /// report: whether a hard cutoff truncated the run (and the tightest
-/// sound bound on everything forfeited), and whether an approximate
-/// criterion actually fired.
+/// sound bound on everything forfeited), and whether the ε criterion
+/// actually fired.
 #[derive(Debug)]
 pub struct BudgetTracker {
-    started: Instant,
-    deadline: Option<Duration>,
+    /// The clock anchor and the deadline, when one is set.
+    deadline: Option<(Instant, Duration)>,
     max_pulls: Option<usize>,
     max_answers: Option<usize>,
-    soft_fraction: f64,
-    ladder: Vec<DegradationRung>,
-    base_epsilon: f64,
-    base_theta: f64,
-    /// Any limit or ladder present — the fast path branches on this.
+    epsilon: f64,
+    /// Any limit present — the fast path branches on this.
     governed: bool,
     /// Pulls across every pass (only counted when governed).
-    pulls: AtomicUsize,
-    /// Highest ladder rung reached (0 = base configuration).
-    rung: AtomicUsize,
-    /// First cutoff reason recorded (0 = none; 1/2/3 = Deadline /
-    /// Pulls / Answers). First-wins CAS keeps all passes agreeing. The
-    /// one truncation that records none is a variant forfeited for its
+    pulls: Cell<usize>,
+    /// The first cutoff recorded; every later pass reports it. The one
+    /// truncation that records none is a variant forfeited for its
     /// variable space ([`CutoffReason::VariableSpace`]).
-    cutoff: AtomicUsize,
+    cutoff: Cell<Option<CutoffReason>>,
     /// The run was actually truncated.
-    truncated: AtomicBool,
-    /// An ε / θ retirement fired.
-    approx_fired: AtomicBool,
-    /// Max score bound (log space, f64 bits) recorded over every
-    /// truncation: every forfeited answer scores at or below it.
-    bound_bits: AtomicU64,
+    truncated: Cell<bool>,
+    /// An ε retirement fired.
+    approx_fired: Cell<bool>,
+    /// Max score bound (log space) recorded over every truncation:
+    /// every forfeited answer scores at or below it.
+    bound: Cell<f64>,
 }
 
 impl BudgetTracker {
-    /// A tracker for one query under `cfg`'s budget, ε, and θ.
+    /// A tracker for one query under `cfg`'s budget and ε.
     pub fn new(cfg: &TopkConfig) -> BudgetTracker {
         let b = &cfg.budget;
-        #[expect(clippy::disallowed_methods, reason = "budget deadline anchor: one read per governed query at admission, not per pull")]
-        let started = Instant::now();
         BudgetTracker {
-            started,
-            deadline: b.deadline,
+            deadline: b.deadline.map(|d| {
+                #[expect(clippy::disallowed_methods, reason = "budget deadline anchor: one read per query that sets a deadline, not per pull")]
+                let started = Instant::now();
+                (started, d)
+            }),
             max_pulls: b.max_pulls,
             max_answers: b.max_answers,
-            soft_fraction: b.soft_fraction.clamp(0.0, 1.0),
-            ladder: b.ladder.clone(),
-            base_epsilon: cfg.epsilon,
-            base_theta: cfg.theta,
+            epsilon: cfg.epsilon,
             governed: !b.is_unlimited(),
-            pulls: AtomicUsize::new(0),
-            rung: AtomicUsize::new(0),
-            cutoff: AtomicUsize::new(0),
-            truncated: AtomicBool::new(false),
-            approx_fired: AtomicBool::new(false),
-            bound_bits: AtomicU64::new(LOG_ZERO.to_bits()),
+            pulls: Cell::new(0),
+            cutoff: Cell::new(None),
+            truncated: Cell::new(false),
+            approx_fired: Cell::new(false),
+            bound: Cell::new(LOG_ZERO),
         }
     }
 
@@ -296,7 +226,7 @@ impl BudgetTracker {
     #[inline]
     pub fn on_pull(&self) {
         if self.governed {
-            self.pulls.fetch_add(1, Ordering::Relaxed);
+            self.pulls.set(self.pulls.get() + 1);
         }
     }
 
@@ -305,143 +235,47 @@ impl BudgetTracker {
         self.governed
     }
 
-    /// The effective ε / θ at the current ladder rung.
-    fn effective(&self) -> (f64, f64) {
-        match self.rung.load(Ordering::Relaxed) {
-            0 => (self.base_epsilon, self.base_theta),
-            r => {
-                let rung = &self.ladder[(r - 1).min(self.ladder.len() - 1)];
-                (
-                    self.base_epsilon.max(rung.epsilon),
-                    self.base_theta.max(rung.theta),
-                )
-            }
-        }
-    }
-
-    /// The per-round governed check: evaluates consumption against
-    /// every set limit, records (first-wins) a hard cutoff at 100%,
-    /// and escalates the ladder within the soft region. O(1); with an
-    /// unlimited budget and no ladder it is a single branch.
-    pub fn directive(&self, answers_now: usize) -> Directive {
+    /// The per-round governed check: did a limit fire? Limits are
+    /// checked in the order deadline, pulls, answers; the first cutoff
+    /// recorded wins, so every pass of a query reports the same reason.
+    /// O(1); with an unlimited budget it is a single branch.
+    pub fn check(&self, answers_now: usize) -> Option<CutoffReason> {
         if !self.governed {
-            return Directive {
-                epsilon: self.base_epsilon,
-                theta: self.base_theta,
-                cutoff: None,
-                escalations: 0,
-            };
+            return None;
         }
-        let mut frac = 0.0f64;
-        let mut hit: Option<CutoffReason> = None;
-        if let Some(d) = self.deadline {
-            let f = self.started.elapsed().as_secs_f64() / d.as_secs_f64().max(f64::MIN_POSITIVE);
-            if f >= frac {
-                frac = f;
-                if f >= 1.0 {
-                    hit = Some(CutoffReason::Deadline);
-                }
-            }
-        }
-        if let Some(mp) = self.max_pulls {
-            let f = self.pulls.load(Ordering::Relaxed) as f64 / (mp.max(1)) as f64;
-            if f >= frac {
-                frac = f;
-                if f >= 1.0 && hit.is_none() {
-                    hit = Some(CutoffReason::Pulls);
-                }
-            }
-        }
-        if let Some(ma) = self.max_answers {
-            let f = answers_now as f64 / (ma.max(1)) as f64;
-            if f >= frac {
-                frac = f;
-                if f >= 1.0 && hit.is_none() {
-                    hit = Some(CutoffReason::Answers);
-                }
-            }
-        }
-        if let Some(reason) = hit {
-            // First cutoff wins; later passes re-read the recorded one
-            // so every pass reports the same reason.
-            let code = cutoff_code(reason);
-            let recorded = match self.cutoff.compare_exchange(
-                0,
-                code,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => reason,
-                Err(prev) => cutoff_reason(prev),
-            };
-            let (epsilon, theta) = self.effective();
-            return Directive {
-                epsilon,
-                theta,
-                cutoff: Some(recorded),
-                escalations: 0,
-            };
-        }
-        let mut escalations = 0;
-        if !self.ladder.is_empty() && self.soft_fraction < 1.0 && frac >= self.soft_fraction {
-            let span = (1.0 - self.soft_fraction) / self.ladder.len() as f64;
-            // How many spans deep into the soft region consumption sits.
-            // The raw cast used to run straight over the float edges: a
-            // `span` that underflows to 0 (or a poisoned `frac`) makes
-            // `depth` non-finite, the cast saturates to `usize::MAX`,
-            // and the `1 +` overflows. Clamp explicitly: any degenerate
-            // depth past the region means the top rung.
-            let depth = (frac - self.soft_fraction) / span;
-            let target = if depth.is_finite() && depth >= 0.0 {
-                (depth as usize).saturating_add(1).min(self.ladder.len())
-            } else {
-                self.ladder.len()
-            };
-            let prev = self.rung.fetch_max(target, Ordering::Relaxed);
-            escalations = target.saturating_sub(prev);
-        }
-        let (epsilon, theta) = self.effective();
-        Directive {
-            epsilon,
-            theta,
-            cutoff: None,
-            escalations,
-        }
+        let hit = if self.deadline.is_some_and(|(started, d)| started.elapsed() >= d) {
+            CutoffReason::Deadline
+        } else if self.max_pulls.is_some_and(|m| self.pulls.get() >= m.max(1)) {
+            CutoffReason::Pulls
+        } else if self.max_answers.is_some_and(|m| answers_now >= m.max(1)) {
+            CutoffReason::Answers
+        } else {
+            return None;
+        };
+        let recorded = self.cutoff.get().unwrap_or(hit);
+        self.cutoff.set(Some(recorded));
+        Some(recorded)
     }
 
-    /// Records an ε / θ retirement: the result is at best
+    /// Records an ε retirement: the result is at best
     /// [`Completeness::Approx`].
     pub(crate) fn note_approx(&self) {
-        self.approx_fired.store(true, Ordering::Relaxed);
+        self.approx_fired.set(true);
     }
 
     /// Records a truncation with a sound log-space bound on everything
     /// the cutoff forfeited.
     pub(crate) fn note_truncated(&self, bound_log: f64) {
-        self.truncated.store(true, Ordering::Relaxed);
-        let mut cur = self.bound_bits.load(Ordering::Relaxed);
-        while f64::from_bits(cur) < bound_log {
-            match self.bound_bits.compare_exchange_weak(
-                cur,
-                bound_log.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
-        }
+        self.truncated.set(true);
+        self.bound.set(self.bound.get().max(bound_log));
     }
 
     /// The [`Completeness`] of a finished run with final `answers`
     /// (sorted best-first, log-space scores).
     pub fn completeness(&self, answers: &[Answer]) -> Completeness {
-        if self.truncated.load(Ordering::Relaxed) {
-            let reason = match self.cutoff.load(Ordering::Relaxed) {
-                0 => CutoffReason::VariableSpace,
-                code => cutoff_reason(code),
-            };
-            let bound = f64::from_bits(self.bound_bits.load(Ordering::Relaxed));
+        if self.truncated.get() {
+            let reason = self.cutoff.get().unwrap_or(CutoffReason::VariableSpace);
+            let bound = self.bound.get();
             // Strictly above the recorded bound: a forfeited answer at
             // exactly the bound could tie into the cut, so ties are not
             // guaranteed.
@@ -450,30 +284,13 @@ impl BudgetTracker {
                 reason,
                 guaranteed_rank,
             }
-        } else if self.approx_fired.load(Ordering::Relaxed) {
-            let (epsilon, theta) = self.effective();
-            Completeness::Approx { epsilon, theta }
+        } else if self.approx_fired.get() {
+            Completeness::Approx {
+                epsilon: self.epsilon,
+            }
         } else {
             Completeness::Exact
         }
-    }
-}
-
-fn cutoff_code(reason: CutoffReason) -> usize {
-    match reason {
-        CutoffReason::Deadline => 1,
-        CutoffReason::Pulls => 2,
-        CutoffReason::Answers => 3,
-        // Never stored: see `BudgetTracker::cutoff`.
-        CutoffReason::VariableSpace => 4,
-    }
-}
-
-fn cutoff_reason(code: usize) -> CutoffReason {
-    match code {
-        1 => CutoffReason::Deadline,
-        3 => CutoffReason::Answers,
-        _ => CutoffReason::Pulls,
     }
 }
 
@@ -494,10 +311,8 @@ mod tests {
         let tracker = BudgetTracker::new(&cfg);
         assert!(!tracker.is_governed());
         tracker.on_pull();
-        assert_eq!(tracker.pulls.load(Ordering::Relaxed), 0, "ungoverned pulls are not counted");
-        let d = tracker.directive(10_000);
-        assert!(d.cutoff.is_none());
-        assert_eq!(d.escalations, 0);
+        assert_eq!(tracker.pulls.get(), 0, "ungoverned pulls are not counted");
+        assert!(tracker.check(10_000).is_none());
         assert!(tracker.completeness(&[]).is_exact());
     }
 
@@ -508,98 +323,13 @@ mod tests {
             ..ExecBudget::default()
         });
         let tracker = BudgetTracker::new(&cfg);
+        assert!(tracker.deadline.is_none(), "no deadline set, so no clock anchor read");
         for _ in 0..3 {
             tracker.on_pull();
         }
-        let d = tracker.directive(0);
-        assert_eq!(d.cutoff, Some(CutoffReason::Pulls));
+        assert_eq!(tracker.check(0), Some(CutoffReason::Pulls));
         // A later answers-limit overrun still reports the first reason.
-        let d2 = tracker.directive(usize::MAX / 2);
-        assert_eq!(d2.cutoff, Some(CutoffReason::Pulls));
-    }
-
-    #[test]
-    fn ladder_escalates_within_soft_region_and_counts_once() {
-        let cfg = TopkConfig {
-            epsilon: 0.0,
-            budget: ExecBudget {
-                max_pulls: Some(100),
-                soft_fraction: 0.5,
-                ladder: vec![
-                    DegradationRung { epsilon: 0.01, theta: 0.0 },
-                    DegradationRung { epsilon: 0.05, theta: 0.1 },
-                ],
-                ..ExecBudget::default()
-            },
-            ..TopkConfig::default()
-        };
-        let tracker = BudgetTracker::new(&cfg);
-        for _ in 0..55 {
-            tracker.on_pull();
-        }
-        let d = tracker.directive(0);
-        assert_eq!(d.escalations, 1, "55% into a 50% soft region is rung 1");
-        assert!((d.epsilon - 0.01).abs() < 1e-12);
-        // Re-checking at the same consumption climbs nothing further.
-        assert_eq!(tracker.directive(0).escalations, 0);
-        for _ in 0..40 {
-            tracker.on_pull();
-        }
-        let d = tracker.directive(0);
-        assert_eq!(d.escalations, 1, "95% is rung 2");
-        assert!((d.epsilon - 0.05).abs() < 1e-12);
-        assert!((d.theta - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn soft_fraction_one_never_escalates_but_hard_limits_still_fire() {
-        let cfg = cfg_with(ExecBudget {
-            max_pulls: Some(10),
-            soft_fraction: 1.0,
-            ladder: vec![DegradationRung {
-                epsilon: 0.5,
-                theta: 0.5,
-            }],
-            ..ExecBudget::default()
-        });
-        let tracker = BudgetTracker::new(&cfg);
-        for _ in 0..9 {
-            tracker.on_pull();
-        }
-        // 90% consumed: the whole soft region is degenerate (zero wide),
-        // so no rung may engage — and nothing may overflow computing it.
-        let d = tracker.directive(0);
-        assert_eq!(d.escalations, 0);
-        assert_eq!(d.epsilon, 0.0);
-        assert!(d.cutoff.is_none());
-        tracker.on_pull();
-        assert_eq!(tracker.directive(0).cutoff, Some(CutoffReason::Pulls));
-    }
-
-    #[test]
-    fn single_rung_ladder_clamps_target_to_one() {
-        let cfg = cfg_with(ExecBudget {
-            max_pulls: Some(100),
-            soft_fraction: 0.5,
-            ladder: vec![DegradationRung {
-                epsilon: 0.07,
-                theta: 0.0,
-            }],
-            ..ExecBudget::default()
-        });
-        let tracker = BudgetTracker::new(&cfg);
-        for _ in 0..99 {
-            tracker.on_pull();
-        }
-        // 99% consumed is deep past the single rung's span; the target
-        // must clamp to rung 1, not truncate past the ladder.
-        let d = tracker.directive(0);
-        assert_eq!(d.escalations, 1);
-        assert!((d.epsilon - 0.07).abs() < 1e-12);
-        assert_eq!(tracker.rung.load(Ordering::Relaxed), 1);
-        // Re-reads stay on the clamped rung.
-        assert_eq!(tracker.directive(0).escalations, 0);
-        assert!((tracker.directive(0).epsilon - 0.07).abs() < 1e-12);
+        assert_eq!(tracker.check(usize::MAX / 2), Some(CutoffReason::Pulls));
     }
 
     #[test]
@@ -610,8 +340,7 @@ mod tests {
         });
         let tracker = BudgetTracker::new(&cfg);
         tracker.on_pull();
-        let d = tracker.directive(0);
-        assert_eq!(d.cutoff, Some(CutoffReason::Pulls));
+        assert_eq!(tracker.check(0), Some(CutoffReason::Pulls));
         tracker.note_truncated(-1.0);
         let answers: Vec<Answer> = [-0.2f64, -0.5, -1.0, -2.0]
             .iter()

@@ -105,19 +105,10 @@ pub struct TopkConfig {
     /// (the default) is the exact mode, bit-identical in answers *and*
     /// pull counts to an engine without the criterion.
     pub epsilon: f64,
-    /// Relative-θ approximate top-k (θ ∈ \[0, 1)): the round loop also
-    /// stops once `kth ≥ threshold · (1 − θ)` in probability space, so
-    /// every returned rank `r` keeps `prob(approx[r]) ≥ (1 − θ) ·
-    /// prob(exact[r])` — a scale-free counterpart to the absolute ε
-    /// criterion (see [`crate::exec::threshold`]). `0.0` (the default)
-    /// coincides with the exact criterion and changes nothing.
-    pub theta: f64,
-    /// Execution budget: wall-clock deadline, pull limit,
-    /// answer-materialization limit, and the degradation ladder that
-    /// escalates ε / θ inside the soft budget region instead of dying
-    /// at the wall ([`crate::exec::budget`]). Unlimited by default —
-    /// and then every governed check reduces to one branch, keeping
-    /// the exact path bit-identical.
+    /// Execution budget: wall-clock deadline, pull limit and
+    /// answer-materialization limit ([`crate::exec::budget`]). Unlimited
+    /// by default — and then every governed check reduces to one branch,
+    /// keeping the exact path bit-identical.
     pub budget: ExecBudget,
     /// Instrumentation: per-query stage spans captured into a bounded
     /// ring and folded into the process registry by the engine facade.
@@ -135,7 +126,6 @@ impl Default for TopkConfig {
             max_alternatives: 64,
             max_variants: 16,
             epsilon: 0.0,
-            theta: 0.0,
             budget: ExecBudget::default(),
             obs: ObsConfig::default(),
         }
@@ -182,7 +172,7 @@ pub fn structural_variants(
         .iter()
         .filter_map(QPattern::max_var)
         .max()
-        .map_or(0, |m| m + 1);
+        .map_or(0, |m| u32::from(m) + 1);
     let mut keys = vec![canonical_key(patterns, original_vars)];
     let mut frontier = vec![0usize];
     for _ in 0..cfg.structural_depth {
@@ -271,8 +261,7 @@ pub struct ExecOutcome {
     /// Top-k answers, best first. Derivation triple ids are in the
     /// view's global id space.
     pub answers: Vec<Answer>,
-    /// Aggregate work counters, budget cutoffs and degradation steps
-    /// included.
+    /// Aggregate work counters, budget cutoffs included.
     pub metrics: ExecMetrics,
     /// Merge-level work (posting lists built, postings scanned, cache
     /// hits, relaxations opened) attributed to each slice. Empty for a
@@ -280,7 +269,7 @@ pub struct ExecOutcome {
     pub per_shard: Vec<ExecMetrics>,
     /// What the ranking is guaranteed to be relative to the exact
     /// engine's, read off the query's tracker:
-    /// [`Completeness::Exact`] unless a cutoff or an ε / θ retirement
+    /// [`Completeness::Exact`] unless a cutoff or an ε retirement
     /// actually fired.
     pub completeness: Completeness,
     /// Per-stage span trace, filled in by the recorder's owner once the
@@ -748,7 +737,7 @@ fn restrict_to_retired_keys(
 mod tests {
     use super::*;
     use crate::ast::QueryBuilder;
-    use crate::exec::budget::{CutoffReason, DegradationRung};
+    use crate::exec::budget::CutoffReason;
     use crate::exec::expand;
     use crate::exec::testfix::{assert_same_answers, reference, store};
     use trinit_relax::{ExpandOptions, QTerm, Rule, RuleProvenance, RuleSet, VarId};
@@ -1576,9 +1565,8 @@ mod tests {
 
     #[test]
     fn unlimited_budget_is_bit_identical_to_exact_and_labeled_exact() {
-        // The ungoverned default — and a ladder with no limits to pace
-        // it against — must reproduce the exact engine bit for bit:
-        // same answers, same pull counts, Completeness::Exact.
+        // The ungoverned default must reproduce the exact engine bit
+        // for bit: same answers, same pull counts, Completeness::Exact.
         let (store, rules) = weak_tail_store();
         let q = QueryBuilder::new(&store)
             .pattern_r_r_v("E", "p", "y")
@@ -1586,29 +1574,18 @@ mod tests {
             .build();
         let cfg = TopkConfig { min_weight: 0.0, ..TopkConfig::default() };
         let (exact, m_exact) = run(&store, &q, &rules, &cfg);
-        for budget in [
-            ExecBudget::default(),
-            // Ladder rungs without any hard limit: no budget fraction
-            // exists, so the rungs must never engage.
-            ExecBudget {
-                ladder: vec![DegradationRung { epsilon: 0.5, theta: 0.5 }],
-                ..ExecBudget::default()
-            },
-        ] {
-            let governed = run_governed(
-                &store,
-                &q,
-                &rules,
-                &TopkConfig { budget, ..cfg.clone() },
-                None,
-            );
-            assert_same_answers(&governed.answers, &exact);
-            assert_eq!(governed.metrics.pulls, m_exact.pulls, "bit-identical pull counts");
-            assert_eq!(governed.completeness, Completeness::Exact);
-            assert_eq!(governed.metrics.degradation_steps, 0);
-            assert_eq!(governed.metrics.budget_cutoffs, 0);
-            assert_eq!(governed.metrics.deadline_cutoffs, 0);
-        }
+        let governed = run_governed(
+            &store,
+            &q,
+            &rules,
+            &TopkConfig { budget: ExecBudget::default(), ..cfg },
+            None,
+        );
+        assert_same_answers(&governed.answers, &exact);
+        assert_eq!(governed.metrics.pulls, m_exact.pulls, "bit-identical pull counts");
+        assert_eq!(governed.completeness, Completeness::Exact);
+        assert_eq!(governed.metrics.budget_cutoffs, 0);
+        assert_eq!(governed.metrics.deadline_cutoffs, 0);
     }
 
     #[test]
@@ -1721,116 +1698,5 @@ mod tests {
             "got {:?}",
             governed.completeness
         );
-    }
-
-    #[test]
-    fn degradation_ladder_escalates_epsilon_instead_of_dying_at_the_wall() {
-        // A generous pull budget whose soft region starts almost
-        // immediately, with an ε rung big enough to retire the weak
-        // tail: the run degrades to Approx (the ladder's ε criterion
-        // finishes it) instead of hitting the hard cutoff.
-        let (store, rules) = weak_tail_store();
-        let q = QueryBuilder::new(&store)
-            .pattern_r_r_v("E", "p", "y")
-            .limit(300)
-            .build();
-        let cfg = TopkConfig { min_weight: 0.0, ..TopkConfig::default() };
-        let (exact, m_exact) = run(&store, &q, &rules, &cfg);
-        let governed = run_governed(
-            &store,
-            &q,
-            &rules,
-            &TopkConfig {
-                budget: ExecBudget {
-                    max_pulls: Some(m_exact.pulls * 2),
-                    soft_fraction: 0.01,
-                    ladder: vec![DegradationRung { epsilon: 0.05, theta: 0.0 }],
-                    ..ExecBudget::default()
-                },
-                ..cfg
-            },
-            None,
-        );
-        assert!(governed.metrics.degradation_steps >= 1, "{:?}", governed.metrics);
-        assert_eq!(governed.metrics.budget_cutoffs, 0, "{:?}", governed.metrics);
-        assert!(
-            governed.metrics.pulls < m_exact.pulls / 10,
-            "the escalated ε must retire the tail: {} vs {}",
-            governed.metrics.pulls,
-            m_exact.pulls
-        );
-        let Completeness::Approx { epsilon, .. } = governed.completeness else {
-            panic!("expected Approx, got {:?}", governed.completeness);
-        };
-        assert!((epsilon - 0.05).abs() < 1e-12);
-        // The ladder's ε guarantee holds rank-wise.
-        for (r, e_ans) in exact.iter().enumerate() {
-            let pe = e_ans.score.exp();
-            let pa = governed.answers.get(r).map_or(0.0, |a| a.score.exp());
-            assert!(pa >= pe - 0.05 - 1e-9, "rank {r}: {pa} vs {pe}");
-        }
-    }
-
-    #[test]
-    fn relative_theta_stops_early_with_rankwise_ratio_guarantee() {
-        // Two-stream cross product with slowly declining scores: the
-        // exact threshold needs a deep drain before the k-th answer
-        // dominates every frontier product, while θ accepts once the
-        // k-th is within a (1−θ) factor — strictly fewer pulls, and
-        // every returned rank keeps prob ≥ (1−θ)·prob(exact).
-        let mut b = XkgBuilder::new();
-        let src = b.intern_source("d");
-        let p = b.dict_mut().resource("p");
-        let qq = b.dict_mut().resource("q");
-        for i in 0..40u32 {
-            let s = b.dict_mut().resource(&format!("s{i}"));
-            let o = b.dict_mut().resource(&format!("o{i}"));
-            b.add_extracted(s, p, o, 0.9 - 0.01 * i as f32, src);
-            let t = b.dict_mut().resource(&format!("t{i}"));
-            let u = b.dict_mut().resource(&format!("u{i}"));
-            b.add_extracted(t, qq, u, 0.9 - 0.01 * i as f32, src);
-        }
-        let store = b.build();
-        let q = QueryBuilder::new(&store)
-            .pattern_v_r_v("a", "p", "b")
-            .pattern_v_r_v("c", "q", "d")
-            .limit(30)
-            .build();
-        let rules = RuleSet::new();
-        let cfg = TopkConfig::default();
-        let (exact, m_exact) = run(&store, &q, &rules, &cfg);
-        let theta = 0.5;
-        let (approx, m_theta) = {
-            let governed = run_governed(
-                &store,
-                &q,
-                &rules,
-                &TopkConfig { theta, ..cfg },
-                None,
-            );
-            assert_eq!(
-                governed.completeness,
-                Completeness::Approx { epsilon: 0.0, theta },
-                "metrics: {:?}",
-                governed.metrics
-            );
-            (governed.answers, governed.metrics)
-        };
-        assert!(m_theta.approx_cutoffs > 0, "{m_theta:?}");
-        assert!(
-            m_theta.pulls < m_exact.pulls,
-            "θ must terminate earlier: {} vs {}",
-            m_theta.pulls,
-            m_exact.pulls
-        );
-        assert_eq!(approx.len(), exact.len());
-        for (r, e_ans) in exact.iter().enumerate() {
-            let pe = e_ans.score.exp();
-            let pa = approx[r].score.exp();
-            assert!(
-                pa >= (1.0 - theta) * pe - 1e-12,
-                "rank {r}: {pa} below (1−θ)·{pe}"
-            );
-        }
     }
 }

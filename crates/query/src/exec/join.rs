@@ -51,7 +51,7 @@
 //! ## The retired-stream semijoin filter
 //!
 //! An item is *dead* when some other stream `j` is retired (exhausted, or
-//! capped by the exact, ε or θ criterion), holds no residual item, and the
+//! capped by the exact or ε criterion), holds no residual item, and the
 //! item binds all of `j`'s join variables to a key with no bucket in `j`.
 //! Dead items are never pulled: in the round `j` retires, the driver
 //! restricts every live stream's source to `j`'s keys (`Stream::key_set`,
@@ -70,7 +70,7 @@
 //!   within ε). `kth` only rises and the right-hand side only falls, so
 //!   a combination through an unseen item of `j` can never enter the
 //!   top-k — the same tie semantics capping has always had, and under
-//!   ε / θ the forfeit is the one `note_approx` recorded at capping time.
+//!   ε the forfeit is the one `note_approx` recorded at capping time.
 //!
 //! Skipped items need the same argument once more, since later arrivals
 //! never find them: take any combination containing a skipped item and

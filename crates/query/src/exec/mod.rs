@@ -143,10 +143,6 @@ pub struct ExecMetrics {
     /// ([`crate::exec::budget::ExecBudget::max_pulls`] /
     /// [`crate::exec::budget::ExecBudget::max_answers`]).
     pub budget_cutoffs: usize,
-    /// Degradation-ladder rungs climbed
-    /// ([`crate::exec::budget::ExecBudget::ladder`]): escalations of
-    /// the effective ε / θ inside the soft budget region.
-    pub degradation_steps: usize,
     /// Always 0: there is no seed phase. Kept only because the
     /// benchmark harness still reads it.
     pub seed_skips: usize,
@@ -178,7 +174,6 @@ impl ExecMetrics {
         self.seed_steals += other.seed_steals;
         self.deadline_cutoffs += other.deadline_cutoffs;
         self.budget_cutoffs += other.budget_cutoffs;
-        self.degradation_steps += other.degradation_steps;
         self.seed_skips += other.seed_skips;
         self.probe_lookups += other.probe_lookups;
         self.probed_streams += other.probed_streams;
@@ -281,11 +276,10 @@ mod tests {
             seed_steals: 13,
             deadline_cutoffs: 14,
             budget_cutoffs: 15,
-            degradation_steps: 16,
-            seed_skips: 17,
-            probe_lookups: 18,
-            probed_streams: 19,
-            restriction_scans: 20,
+            seed_skips: 16,
+            probe_lookups: 17,
+            probed_streams: 18,
+            restriction_scans: 19,
         };
         let mut merged = ExecMetrics::default();
         merged.merge(&full);
@@ -307,11 +301,10 @@ mod tests {
             seed_steals: 26,
             deadline_cutoffs: 28,
             budget_cutoffs: 30,
-            degradation_steps: 32,
-            seed_skips: 34,
-            probe_lookups: 36,
-            probed_streams: 38,
-            restriction_scans: 40,
+            seed_skips: 32,
+            probe_lookups: 34,
+            probed_streams: 36,
+            restriction_scans: 38,
         };
         assert_eq!(merged, doubled, "merge must sum every field");
     }

@@ -81,34 +81,21 @@
 //! criterion are counted in [`ExecMetrics::approx_cutoffs`]; exact
 //! retirements stay in [`ExecMetrics::early_cutoffs`].
 //!
-//! ## The relative-θ criterion
-//!
-//! With [`TopkConfig::theta`] θ ∈ (0, 1), the round loop additionally
-//! stops once `kth ≥ threshold + ln(1 − θ)` (log space): every unseen
-//! combination is then bounded by `kth / (1 − θ)` in probability space,
-//! so for every returned rank `r`, `prob(approx[r]) ≥ (1 − θ) ·
-//! prob(exact[r])` — a *relative* guarantee that adapts to the score
-//! scale where the absolute ε criterion needs calibration. θ = 0 makes
-//! the criterion coincide with the exact `kth ≥ threshold` test and
-//! changes nothing.
-//!
 //! ## Budget governance
 //!
 //! The policy also carries the query's [`BudgetTracker`]: each round it
-//! consults [`BudgetTracker::directive`] — O(1), a single branch when
-//! the budget is unlimited — to pick up ladder-escalated effective
-//! ε / θ values and to observe hard cutoffs, which it converts into
+//! asks [`BudgetTracker::check`] whether a limit fired — O(1), a single
+//! branch when the budget is unlimited — and converts a hard cutoff into
 //! `RoundVerdict::Cutoff` after recording a sound bound (the current
 //! threshold) on everything the cutoff forfeits.
 //!
 //! [`TopkConfig::epsilon`]: crate::exec::drive::TopkConfig::epsilon
-//! [`TopkConfig::theta`]: crate::exec::drive::TopkConfig::theta
 //! [`IncrementalMerge::remaining_mass`]: crate::exec::merge::IncrementalMerge::remaining_mass
 //! [`BudgetTracker`]: crate::exec::budget::BudgetTracker
-//! [`BudgetTracker::directive`]: crate::exec::budget::BudgetTracker::directive
+//! [`BudgetTracker::check`]: crate::exec::budget::BudgetTracker::check
 
 use crate::answer::AnswerCollector;
-use crate::exec::budget::{BudgetTracker, CutoffReason, Directive};
+use crate::exec::budget::{BudgetTracker, CutoffReason};
 use crate::exec::drive::TopkConfig;
 use crate::exec::join::Stream;
 use crate::exec::ExecMetrics;
@@ -119,7 +106,7 @@ use crate::score::{ln_weight, LOG_ZERO};
 pub(crate) enum RoundVerdict {
     /// Keep pulling.
     Continue,
-    /// The top-k is settled (within ε / θ, if set): stop this variant's
+    /// The top-k is settled (within ε, if set): stop this variant's
     /// join loop normally.
     Done,
     /// A stream with no kept items was retired — no combination of this
@@ -148,17 +135,10 @@ pub(crate) enum Admission {
 pub(crate) struct ThresholdPolicy<'a> {
     /// The query's budget tracker.
     tracker: &'a BudgetTracker,
-    /// Effective ε (probability space) after any ladder escalation.
-    eff_eps: f64,
     /// `ln ε` — the approximate mode's forfeit tolerance in log space.
     /// [`LOG_ZERO`] (ε = 0) disables the criterion: no comparison
     /// against it can ever succeed, keeping the exact path bit-identical.
     ln_eps: f64,
-    /// Effective relative θ after any ladder escalation.
-    eff_theta: f64,
-    /// `ln(1 − θ)` — the relative criterion's slack in log space. `0.0`
-    /// (θ = 0) makes the θ test coincide with the exact one.
-    ln_keep: f64,
     k: usize,
     /// Per-stream contribution bounds as of the last round and their
     /// prefix/suffix running totals (lengths `n` and `n + 1`), loaded by
@@ -180,10 +160,7 @@ impl<'a> ThresholdPolicy<'a> {
     ) -> ThresholdPolicy<'a> {
         ThresholdPolicy {
             tracker,
-            eff_eps: cfg.epsilon,
             ln_eps: ln_weight(cfg.epsilon),
-            eff_theta: cfg.theta,
-            ln_keep: ln_weight(1.0 - cfg.theta),
             k,
             contrib: vec![0.0; n],
             prefix: vec![0.0; n + 1],
@@ -191,36 +168,19 @@ impl<'a> ThresholdPolicy<'a> {
         }
     }
 
-    /// Applies a governed round directive: refreshes the cached
-    /// effective ε / θ (recomputing the logs only on change) and counts
-    /// ladder escalations. Returns the hard cutoff, if one fired, after
-    /// counting it in the matching metric.
-    fn apply_directive(
-        &mut self,
-        d: Directive,
-        metrics: &mut ExecMetrics,
-    ) -> Option<CutoffReason> {
-        if d.escalations > 0 {
-            metrics.degradation_steps += d.escalations;
+    /// The budget check — one branch when the budget is unlimited: the
+    /// hard cutoff, if one fired, after counting it in the matching
+    /// metric.
+    #[inline]
+    fn cutoff(&self, collector: &AnswerCollector, metrics: &mut ExecMetrics) -> Option<CutoffReason> {
+        let reason = self.tracker.check(collector.len())?;
+        match reason {
+            CutoffReason::Deadline => metrics.deadline_cutoffs += 1,
+            CutoffReason::Pulls | CutoffReason::Answers => metrics.budget_cutoffs += 1,
+            // Recorded outside the budget, never by a check.
+            CutoffReason::VariableSpace => {}
         }
-        if d.epsilon != self.eff_eps {
-            self.eff_eps = d.epsilon;
-            self.ln_eps = ln_weight(d.epsilon);
-        }
-        if d.theta != self.eff_theta {
-            self.eff_theta = d.theta;
-            self.ln_keep = ln_weight(1.0 - d.theta);
-        }
-        if let Some(reason) = d.cutoff {
-            match reason {
-                CutoffReason::Deadline => metrics.deadline_cutoffs += 1,
-                CutoffReason::Pulls | CutoffReason::Answers => metrics.budget_cutoffs += 1,
-                // Recorded outside the budget, never by a directive.
-                CutoffReason::VariableSpace => {}
-            }
-            return Some(reason);
-        }
-        None
+        Some(reason)
     }
 
     /// Variant admission, checked before any posting list is opened.
@@ -250,14 +210,11 @@ impl<'a> ThresholdPolicy<'a> {
         }
         // Nothing is kept yet, so every contribution bound is a frontier.
         let bound: f64 = variant_log + self.prefix[streams.len()];
-        if self.tracker.is_governed() {
-            let d = self.tracker.directive(collector.len());
-            if let Some(reason) = self.apply_directive(d, metrics) {
-                // Nothing of this variant was explored: the head bound
-                // caps everything it could have contributed.
-                self.tracker.note_truncated(bound);
-                return Admission::Stop(reason);
-            }
+        if let Some(reason) = self.cutoff(collector, metrics) {
+            // Nothing of this variant was explored: the head bound caps
+            // everything it could have contributed.
+            self.tracker.note_truncated(bound);
+            return Admission::Stop(reason);
         }
         if let Some(kth) = kth {
             if kth >= bound {
@@ -328,40 +285,25 @@ impl<'a> ThresholdPolicy<'a> {
         if threshold == LOG_ZERO {
             return RoundVerdict::Done;
         }
-        // Budget governance: pick up ladder escalations (effective ε/θ)
-        // and hard cutoffs. A cutoff records the current threshold as
-        // the forfeit envelope — every unseen combination of this
-        // variant is bounded by it — before stopping the pipeline.
-        // Exact termination is checked *after* the escalation refresh
-        // but cutoffs are honored first, so a run is only labeled
-        // truncated when the cutoff genuinely preempted termination.
-        if self.tracker.is_governed() {
-            let d = self.tracker.directive(collector.len());
-            if let Some(reason) = self.apply_directive(d, metrics) {
-                if collector
-                    .kth_score(self.k)
-                    .is_some_and(|kth| kth >= threshold)
-                {
-                    // The exact criterion held this very round: finish
-                    // normally instead of reporting a truncation.
-                    return RoundVerdict::Done;
-                }
-                self.tracker.note_truncated(threshold);
-                return RoundVerdict::Cutoff(reason);
+        // Budget governance: a hard cutoff records the current threshold
+        // as the forfeit envelope — every unseen combination of this
+        // variant is bounded by it — before stopping the pipeline. A run
+        // is only labeled truncated when the cutoff genuinely preempted
+        // termination.
+        if let Some(reason) = self.cutoff(collector, metrics) {
+            if collector
+                .kth_score(self.k)
+                .is_some_and(|kth| kth >= threshold)
+            {
+                // The exact criterion held this very round: finish
+                // normally instead of reporting a truncation.
+                return RoundVerdict::Done;
             }
+            self.tracker.note_truncated(threshold);
+            return RoundVerdict::Cutoff(reason);
         }
         if let Some(kth) = collector.kth_score(self.k) {
             if kth >= threshold {
-                return RoundVerdict::Done;
-            }
-            // Relative-θ termination: unseen combinations are bounded
-            // by threshold ≤ kth − ln(1−θ), i.e. kth/(1−θ) in
-            // probability space, so every returned rank keeps
-            // prob(approx[r]) ≥ (1−θ)·prob(exact[r]). θ = 0 coincides
-            // with the exact test above and never fires separately.
-            if self.eff_theta > 0.0 && kth >= threshold + self.ln_keep {
-                metrics.approx_cutoffs += 1;
-                self.tracker.note_approx();
                 return RoundVerdict::Done;
             }
             if n > 1 {

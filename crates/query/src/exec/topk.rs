@@ -20,8 +20,7 @@
 //! `exec::topk`.
 
 pub use crate::exec::budget::{
-    describe_panic, BudgetTracker, Completeness, CutoffReason, DegradationRung, ExecBudget,
-    ExecError,
+    describe_panic, BudgetTracker, Completeness, CutoffReason, ExecBudget, ExecError,
 };
 pub use crate::exec::drive::{
     execute, run, run_governed, ExecCtx, ExecOutcome, ExecRequest, TopkConfig,

@@ -20,8 +20,7 @@ pub mod score;
 pub use answer::{Answer, AnswerCollector, Bindings, Derivation};
 pub use ast::{Query, QueryBuilder};
 pub use exec::budget::{
-    describe_panic, BudgetTracker, Completeness, CutoffReason, DegradationRung, ExecBudget,
-    ExecError,
+    describe_panic, BudgetTracker, Completeness, CutoffReason, ExecBudget, ExecError,
 };
 #[cfg(feature = "faults")]
 pub use exec::faults;

@@ -178,3 +178,50 @@ proptest! {
         }
     }
 }
+
+/// Byte-level fuzz of [`trinit_query::parse`]: seeded random byte
+/// strings — query syntax, vocabulary, multibyte and control characters
+/// and raw bytes, decoded lossily — each parse to a query or a typed
+/// error, never a panic. A parsed query also runs.
+#[test]
+fn parse_of_random_bytes_returns_a_query_or_a_typed_error() {
+    const CASES: usize = 4000;
+    const PIECES: [&[u8]; 28] = [
+        b"?x", b"?y", b"? ", b"?", b".", b";", b" ", b"\t", b"\n", b"'", b"\"", b"'housed in'",
+        b"SELECT", b"WHERE", b"LIMIT", b"LIMIT 3", b"-", b"0", b"99999999999999999999", b"1.5",
+        b"a", b"p", b"b", "É".as_bytes(), "İstanbul".as_bytes(), "\u{212A}".as_bytes(), b"\0",
+        b"\x7f",
+    ];
+    let mut b = trinit_xkg::XkgBuilder::new();
+    b.add_kg_resources("a", "p", "b");
+    let src = b.intern_source("doc");
+    let (s, o) = (b.dict_mut().resource("a"), b.dict_mut().resource("b"));
+    let housed = b.dict_mut().token("housed in");
+    b.add_extracted(s, housed, o, 0.5, src);
+    let store = b.build();
+    let mut rng = proptest::test_runner::TestRng::for_test("parse_fuzz");
+    let (mut parsed, mut refused) = (0, 0);
+    for _ in 0..CASES {
+        let mut bytes = Vec::new();
+        for _ in 0..rng.below(24) {
+            if rng.below(4) == 0 {
+                bytes.push(rng.below(256) as u8);
+            } else {
+                bytes.extend_from_slice(PIECES[rng.below(PIECES.len() as u64) as usize]);
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        match trinit_query::parse(&store, &text) {
+            Ok(mut query) => {
+                parsed += 1;
+                query.k = query.k.min(8);
+                topk::run(&store, &query, &RuleSet::new(), &TopkConfig::default());
+            }
+            Err(e) => {
+                refused += 1;
+                assert!(!e.to_string().is_empty());
+            }
+        }
+    }
+    assert!(parsed > 0 && refused > 0, "{parsed} parsed, {refused} refused");
+}

@@ -214,15 +214,23 @@ pub fn apply_rule_oracle(
         .iter()
         .filter_map(QPattern::max_var)
         .max()
-        .map_or(0, |m| m + 1);
+        .map_or(0, |m| u32::from(m) + 1);
 
     let mut out: Vec<Rewriting> = Vec::new();
     for (used, bindings) in matches {
-        // Allocate fresh query variables for RHS-only rule variables.
-        let mut fresh = HashMap::new();
-        for (offset, v) in rule.fresh_vars().into_iter().enumerate() {
-            fresh.insert(v, VarId(next_var + offset as u16));
-        }
+        // Allocate fresh query variables for RHS-only rule variables,
+        // numbered after the query's own. They do not fit `VarId` for
+        // one match exactly when they fit for none: the rule yields no
+        // rewriting.
+        let Some(fresh) = rule
+            .fresh_vars()
+            .into_iter()
+            .zip(next_var..)
+            .map(|(v, id)| Some((v, VarId(u16::try_from(id).ok()?))))
+            .collect::<Option<HashMap<_, _>>>()
+        else {
+            return Vec::new();
+        };
         let mut patterns: Vec<QPattern> = query
             .iter()
             .enumerate()
@@ -256,17 +264,23 @@ pub fn apply_rule_oracle(
 /// sorted pattern list, making alpha-equivalent rewritings identical.
 /// Original query variables keep their identity (they carry projection
 /// semantics).
-pub fn canonical_key(patterns: &[QPattern], original_vars: u16) -> Vec<QPattern> {
+///
+/// `original_vars` counts the query's own variables, so it reaches
+/// 65,536 when the query uses the last [`VarId`].
+pub fn canonical_key(patterns: &[QPattern], original_vars: u32) -> Vec<QPattern> {
     let mut sorted = patterns.to_vec();
     sorted.sort_unstable();
     let mut rename: HashMap<VarId, VarId> = HashMap::new();
     let mut next = original_vars;
     let mut mapped = Vec::with_capacity(sorted.len());
     for p in &sorted {
-        let map_slot = |t: QTerm, rename: &mut HashMap<VarId, VarId>, next: &mut u16| match t {
-            QTerm::Var(v) if v.0 >= original_vars => {
+        let map_slot = |t: QTerm, rename: &mut HashMap<VarId, VarId>, next: &mut u32| match t {
+            QTerm::Var(v) if u32::from(v.0) >= original_vars => {
                 let nv = *rename.entry(v).or_insert_with(|| {
-                    let nv = VarId(*next);
+                    // Renaming is dense from `original_vars`, and at most
+                    // 65,536 − `original_vars` distinct ids lie at or
+                    // above it, so the new id always fits.
+                    let nv = u16::try_from(*next).map_or(v, VarId);
                     *next += 1;
                     nv
                 });
@@ -329,7 +343,7 @@ pub fn expand_with(
         .iter()
         .filter_map(QPattern::max_var)
         .max()
-        .map_or(0, |m| m + 1);
+        .map_or(0, |m| u32::from(m) + 1);
 
     let mut best: HashMap<Vec<QPattern>, RelaxedQuery> = HashMap::new();
     let origin = RelaxedQuery {

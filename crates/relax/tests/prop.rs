@@ -255,3 +255,60 @@ proptest! {
         prop_assert_eq!(&step2[0].patterns, &query);
     }
 }
+
+/// A query over the last [`VarId`] — reachable only by hand, since the
+/// parser numbers variables from 0 — expands without overflowing: a
+/// rewrite that needs no fresh variable still applies, a rule whose
+/// fresh variable has no id left yields no rewriting, and one id lower
+/// that fresh variable takes the last id instead of wrapping.
+#[test]
+fn variable_ids_at_the_top_of_the_var_id_space_neither_overflow_nor_wrap() {
+    let (x, y, z) = (TTerm::Var(RVar(0)), TTerm::Var(RVar(1)), TTerm::Var(RVar(2)));
+    let query_at = |top: u16| {
+        vec![QPattern::new(
+            QTerm::Var(VarId(top)),
+            QTerm::Term(tid(0)),
+            QTerm::Var(VarId(0)),
+        )]
+    };
+    let query = query_at(u16::MAX);
+    let rules: RuleSet = [Rule::predicate_rewrite(
+        "p0 => p1",
+        tid(0),
+        tid(1),
+        0.5,
+        RuleProvenance::UserDefined,
+    )]
+    .into_iter()
+    .collect();
+    let out = expand(
+        &query,
+        &rules,
+        &ExpandOptions {
+            max_depth: 2,
+            ..ExpandOptions::default()
+        },
+    );
+    assert_eq!(out.len(), 2, "{out:?}");
+    assert_eq!(out[0].patterns, query);
+    assert_eq!(out[1].patterns[0].p, QTerm::Term(tid(1)));
+
+    let chain = Rule::structural(
+        "?x p0 ?y => ?x p0 ?z . ?z p1 ?y",
+        vec![Template::new(x, TTerm::Const(tid(0)), y)],
+        vec![
+            Template::new(x, TTerm::Const(tid(0)), z),
+            Template::new(z, TTerm::Const(tid(1)), y),
+        ],
+        0.5,
+        RuleProvenance::UserDefined,
+    );
+    assert!(apply_rule(&query, &chain, RuleId(0)).is_empty());
+    let chains: RuleSet = [chain.clone()].into_iter().collect();
+    let out = expand(&query, &chains, &ExpandOptions::default());
+    assert_eq!(out.len(), 1, "only the query itself: {out:?}");
+
+    let below = apply_rule(&query_at(u16::MAX - 1), &chain, RuleId(0));
+    assert_eq!(below.len(), 1);
+    assert!(below[0].patterns.iter().any(|p| p.s == QTerm::Var(VarId(u16::MAX))));
+}

@@ -809,3 +809,80 @@ proptest! {
         }
     }
 }
+
+/// Byte-level fuzz of the builder's checked inserts: random term ids
+/// (raw bit patterns, and a small universe so repeats merge) and random
+/// confidence bit patterns — NaN, ±∞, subnormals, negatives, values
+/// above 1 — through [`XkgBuilder::try_add`] and
+/// [`XkgBuilder::try_add_extracted`]. Each call succeeds exactly when
+/// the confidence is finite and never panics, and a store frozen after
+/// the loop, on either layout, holds only finite weights.
+#[test]
+fn checked_inserts_of_random_ids_and_confidence_bits_keep_every_weight_finite() {
+    const CASES: usize = 3000;
+    const SPECIAL: [f32; 10] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE,
+        1.0e-45,
+        -0.0,
+        -1.0,
+        f32::MAX,
+        1.0,
+        0.5,
+    ];
+    let mut rng = proptest::test_runner::TestRng::for_test("checked_insert_fuzz");
+    for layout in [SegmentLayout::Flat, SegmentLayout::Packed] {
+        let mut b = XkgBuilder::new();
+        let sources: Vec<SourceId> = (0..4).map(|i| b.intern_source(&format!("doc{i}"))).collect();
+        let term = |rng: &mut proptest::test_runner::TestRng| {
+            if rng.below(2) == 0 {
+                TermId::from_raw(rng.next_u64() as u32)
+            } else {
+                let kind = [TermKind::Resource, TermKind::Token, TermKind::Literal][rng.below(3) as usize];
+                TermId::new(kind, rng.below(6) as u32)
+            }
+        };
+        let (mut added, mut refused) = (0, 0);
+        for _ in 0..CASES {
+            let (s, p, o) = (term(&mut rng), term(&mut rng), term(&mut rng));
+            let confidence = if rng.below(2) == 0 {
+                SPECIAL[rng.below(SPECIAL.len() as u64) as usize]
+            } else {
+                f32::from_bits(rng.next_u64() as u32)
+            };
+            let source = sources[rng.below(4) as usize];
+            let result = if rng.below(2) == 0 {
+                b.try_add_extracted(s, p, o, confidence, source)
+            } else {
+                let mut prov = if rng.below(2) == 0 {
+                    Provenance::kg()
+                } else {
+                    Provenance::extraction(0.5, source)
+                };
+                prov.confidence = confidence;
+                prov.support = rng.next_u64() as u32;
+                b.try_add(Triple::new(s, p, o), prov)
+            };
+            match result {
+                Ok(_) => added += 1,
+                Err(trinit_xkg::XkgError::NonFiniteConfidence { confidence: c, .. }) => {
+                    assert!(!c.is_finite(), "a finite confidence {c} was refused");
+                    refused += 1;
+                }
+            }
+            assert_eq!(result.is_ok(), confidence.is_finite(), "{confidence:?}");
+        }
+        assert!(added > 0 && refused > 0, "{added} added, {refused} refused");
+        let store = b.build_with(layout);
+        for (id, _) in store.iter() {
+            let prov = store.provenance(id);
+            assert!((0.0..=1.0).contains(&prov.confidence), "{prov:?}");
+            assert!(prov.weight().is_finite(), "{prov:?}");
+        }
+        for e in store.unbound_group().entries().iter() {
+            assert!(e.weight.is_finite() && e.prob.is_finite(), "{e:?}");
+        }
+    }
+}

@@ -1,5 +1,7 @@
 //! Integration: mined rules, user rules, sessions, suggestion, and the
-//! relaxation-driven recovery of missing answers on a generated system.
+//! relaxation-driven recovery of missing answers on a generated system;
+//! and the experiment driver's E4 (mined rules) and E8 (suggestion)
+//! claims at its default configuration.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
@@ -8,14 +10,15 @@ use trinit_core::query::exec::drive::{structural_variants, Variant};
 use trinit_core::query::exec::merge::AltTable;
 use trinit_core::query::{Answer, TopkConfig};
 use trinit_core::relax::{
-    apply_rule, apply_rule_with, canonical_key, mine_cooccurrence, ConditionOracle, MinerConfig,
-    QPattern, QTerm, Rule, RuleId, RuleKind, RuleProvenance, RuleSet, VarId,
+    apply_rule, apply_rule_with, canonical_key, mine_cooccurrence, ConditionOracle, MinedRule,
+    MinerConfig, QPattern, QTerm, Rule, RuleId, RuleKind, RuleProvenance, RuleSet, VarId,
 };
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
 use trinit_core::xkg::{args_pairs, PostingList, SegmentLayout, ServeKind, SlotPattern, XkgStore};
 use trinit_core::{Engine, QueryOutcome, Session, Trinit, TrinitBuilder};
 use trinit_eval::{
-    build_full_system, build_world, generate_benchmark, BenchQuery, BenchmarkConfig, EvalConfig,
+    build_full_system, build_world, figure4_rules, generate_benchmark, suggestion_hits, BenchQuery,
+    BenchmarkConfig, EvalConfig,
 };
 
 fn system() -> (World, trinit_core::Trinit) {
@@ -31,11 +34,15 @@ fn mined_weights_satisfy_paper_formula() {
     let (_, sys) = system();
     let mined = mine_cooccurrence(sys.store(), &MinerConfig::default());
     assert!(!mined.is_empty());
-    for m in mined.iter().take(25) {
-        // Recompute w(p1→p2) = |args(p1) ∩ args(p2)| / |args(p2)| from
-        // the raw store and compare.
-        let a1 = args_pairs(sys.store(), m.p1);
-        let a2 = args_pairs(sys.store(), m.p2);
+    assert_paper_weights(sys.store(), mined.iter().take(25));
+}
+
+/// Recomputes each rule's w(p1→p2) = |args(p1) ∩ args(p2)| / |args(p2)|
+/// from the raw store and compares.
+fn assert_paper_weights<'a>(store: &XkgStore, mined: impl Iterator<Item = &'a MinedRule>) {
+    for m in mined {
+        let a1 = args_pairs(store, m.p1);
+        let a2 = args_pairs(store, m.p2);
         let overlap = match m.rule.kind {
             RuleKind::Inversion => a1
                 .iter()
@@ -57,6 +64,48 @@ fn mined_weights_satisfy_paper_formula() {
             expected
         );
     }
+}
+
+/// The experiment driver's system at `EvalConfig::default()` — what
+/// `cargo run -p trinit-eval --bin reproduce` reports on — and E8's
+/// benchmark over it, built once.
+fn experiment() -> &'static (Trinit, Vec<BenchQuery>) {
+    static EXPERIMENT: OnceLock<(Trinit, Vec<BenchQuery>)> = OnceLock::new();
+    EXPERIMENT.get_or_init(|| {
+        let cfg = EvalConfig::default();
+        let (world, kg) = build_world(&cfg);
+        let system = build_full_system(&world, &cfg);
+        let queries = generate_benchmark(
+            &world,
+            &kg,
+            &BenchmarkConfig {
+                seed: cfg.seed.wrapping_add(3),
+                per_category: cfg.per_category,
+            },
+        );
+        (system, queries)
+    })
+}
+
+/// E4: every rule of the Figure 4 mining carries the §3 weight, and the
+/// system holds the recorded 77 rules.
+#[test]
+fn e4_mined_rules_carry_the_paper_weight_and_the_system_holds_77_rules() {
+    let (system, _) = experiment();
+    assert_eq!(system.rules().len(), 77);
+    let mined = figure4_rules(system);
+    assert!(!mined.is_empty());
+    assert_paper_weights(system.store(), mined.iter());
+}
+
+/// E8: every one of the 14 token-predicate ('studied under') queries
+/// gets the canonical KG predicate `hasStudent` suggested.
+#[test]
+fn e8_suggests_has_student_for_every_token_predicate_query() {
+    let (system, queries) = experiment();
+    let (hits, considered) = suggestion_hits(system, queries);
+    assert_eq!(considered, 14);
+    assert!(hits >= 14, "{hits}/{considered}");
 }
 
 #[test]
@@ -343,7 +392,7 @@ fn unindexed_variants(
         .iter()
         .filter_map(QPattern::max_var)
         .max()
-        .map_or(0, |m| m + 1);
+        .map_or(0, |m| u32::from(m) + 1);
     let mut out: Vec<Variant> = vec![(patterns.to_vec(), 1.0, Vec::new())];
     let mut keys = vec![canonical_key(patterns, original_vars)];
     let mut frontier = vec![0usize];
