@@ -166,6 +166,9 @@ pub struct Coverage {
     pub cut: bool,
     /// Whether the live-delta points had a delta to serve.
     pub live_delta: bool,
+    /// Whether a set of structural rules (multi-pattern sides or data
+    /// conditions) was checked against full expansion.
+    pub structural: bool,
 }
 
 /// A k past every answer of most generated cases.
@@ -309,27 +312,38 @@ fn assert_output_contract(answers: &[Answer], k: usize) {
 /// The full expansion that reaches exactly the rewritings `cfg`'s
 /// top-k reaches for `patterns` under `rules`, if one does.
 ///
-/// Every generated rule is a single-pattern rule (asserted here), so
-/// top-k's structural step never fires and it reaches `chain_depth`
-/// rule chains per pattern. `TopkConfig::reference_expansion` bounds
-/// depth by `chain_depth + structural_depth`, one chain deeper than
-/// that (ROADMAP item 9(a)), so the reference is the library's at
-/// `structural_depth` 0: right as it is without rules and for one
-/// pattern. For more patterns only rules that cannot chain and all
+/// Top-k applies at most `structural_depth` structural rules to the
+/// query, then chains at most `chain_depth` single-pattern rules per
+/// pattern. `TopkConfig::reference_expansion` bounds the total depth by
+/// their sum (ROADMAP item 17(c)), so a reference exists where only one
+/// of the two bounds applies. Structural rules alone reach
+/// `structural_depth` rule applications, and top-k keeps
+/// `max_variants` forms, heaviest first, from the same enumerator, so
+/// the expansion keeps as many. Single-pattern rules alone reach
+/// `chain_depth`: right as it is without rules and for one pattern. For
+/// more patterns only single-pattern rules that cannot chain and all
 /// weigh at least `min_weight` (top-k then prunes no alternative) have
 /// one: one rule per pattern, unpruned — expansion prunes whole
-/// rewritings, not patterns.
+/// rewritings, not patterns. A mix of both kinds has none until
+/// expansion gets top-k's staged bound.
 fn comparable_expansion(
     patterns: &[QPattern],
     rules: &[Rule],
     cfg: &TopkConfig,
 ) -> Option<ExpandOptions> {
-    assert!(rules.iter().all(Rule::is_mergeable), "a structural rule");
-    let chains_only = TopkConfig {
-        structural_depth: 0,
-        ..cfg.clone()
+    let reference = cfg.reference_expansion();
+    let structural = rules.iter().filter(|r| !r.is_mergeable()).count();
+    if structural > 0 {
+        return (structural == rules.len()).then_some(ExpandOptions {
+            max_depth: cfg.structural_depth,
+            max_rewritings: cfg.max_variants,
+            ..reference
+        });
     }
-    .reference_expansion();
+    let chains_only = ExpandOptions {
+        max_depth: cfg.chain_depth,
+        ..reference
+    };
     if rules.is_empty() || patterns.len() == 1 {
         return Some(chains_only);
     }
@@ -401,6 +415,7 @@ pub fn check_case(case: &Case) -> Coverage {
     coverage.answered = !canonical.is_empty();
     coverage.cut = canonical.len() == case.k;
     coverage.expansion = check_against_expansion(case);
+    coverage.structural = coverage.expansion && case.rules.iter().any(|r| !r.is_mergeable());
     // The batch pool once more, at a partition count off the
     // lattice's axis and over a live delta.
     check_batch(

@@ -56,8 +56,12 @@
 //! rank join, with no option and no second join loop.
 //!
 //! **Structural variants** (multi-pattern rules, e.g. paper rule 1)
-//! rewrite the query as a whole; each variant runs through the pipeline
-//! above, sharing one global answer collector.
+//! rewrite the query as a whole. They come from the one enumerator of
+//! rewritings, `trinit_relax::expand`, which full expansion also runs, so
+//! a variant keeps its heaviest derivation and the cap keeps the
+//! heaviest variants ([`structural_variants`]). The query, then each
+//! variant heaviest first, runs through the pipeline above, sharing one
+//! global answer collector.
 
 use std::cell::RefCell;
 use std::ops::Range;
@@ -65,7 +69,7 @@ use std::rc::Rc;
 
 use trinit_obs::{now_ns, ObsConfig, QueryTrace, SpanRecord, Stage, TraceRecorder};
 use trinit_relax::{
-    apply_rule_oracle, canonical_key, ConditionOracle, ExpandOptions, QPattern, RuleId, RuleSet,
+    expand, var_count, ConditionOracle, ExpandOptions, QPattern, RelaxedQuery, RuleId, RuleSet,
 };
 use trinit_xkg::XkgStore;
 
@@ -91,7 +95,8 @@ pub struct TopkConfig {
     pub min_weight: f64,
     /// Cap on alternatives per pattern.
     pub max_alternatives: usize,
-    /// Cap on structural query variants.
+    /// Cap on structural query variants, the query itself included;
+    /// the heaviest are kept.
     pub max_variants: usize,
     /// ε-approximate top-k: answers forfeited by early termination are
     /// guaranteed to score at most ε (probability space, absolute), so
@@ -145,65 +150,32 @@ impl TopkConfig {
     }
 }
 
-/// One structural variant of a query: its patterns, weight and the
-/// structural rules behind it.
-pub type Variant = (Vec<QPattern>, f64, Vec<RuleId>);
-
-/// Enumerates structural query variants (structural rules applied at
-/// the query level, breadth-first up to
-/// [`TopkConfig::structural_depth`]), the query itself first, keeping
-/// original rule ids in traces. Data conditions are verified through
-/// `oracle` — the whole store for the monolithic engine, a cross-slice
-/// oracle for partitioned execution. A variant only tries the rules
-/// [`RuleSet::structural_rules_for`] keeps for its patterns — the others
-/// cannot match it — so a query no structural rule's predicates touch
-/// costs one scan of the rule list.
+/// A query's structural variants, heaviest first, without the query
+/// itself: [`trinit_relax::expand`] over [`RuleSet::structural_rules`]
+/// within [`TopkConfig::structural_depth`] applications, capped at
+/// [`TopkConfig::max_variants`] forms. Data conditions are verified
+/// through `oracle`: the whole store for the monolithic engine, a
+/// cross-slice oracle for partitioned execution. A query no structural
+/// rule's LHS predicates touch ([`RuleSet::structural_rules_for`]) has
+/// none, found with one scan of the rule list and no allocation.
 pub fn structural_variants(
     oracle: Option<&dyn ConditionOracle>,
     patterns: &[QPattern],
     rules: &RuleSet,
     cfg: &TopkConfig,
-) -> Vec<Variant> {
-    let mut out: Vec<Variant> = vec![(patterns.to_vec(), 1.0, Vec::new())];
+) -> Vec<RelaxedQuery> {
     if cfg.structural_depth == 0 || rules.structural_rules_for(patterns).next().is_none() {
-        return out;
+        return Vec::new();
     }
-    let original_vars = patterns
-        .iter()
-        .filter_map(QPattern::max_var)
-        .max()
-        .map_or(0, |m| u32::from(m) + 1);
-    let mut keys = vec![canonical_key(patterns, original_vars)];
-    let mut frontier = vec![0usize];
-    for _ in 0..cfg.structural_depth {
-        let mut next_frontier = Vec::new();
-        for &idx in &frontier {
-            let (cur_patterns, cur_weight, cur_trace) = out[idx].clone();
-            for rule_id in rules.structural_rules_for(&cur_patterns) {
-                let rule = rules.get(rule_id);
-                let weight = cur_weight * rule.weight;
-                if weight < cfg.min_weight {
-                    continue;
-                }
-                for rewriting in apply_rule_oracle(&cur_patterns, rule, rule_id, oracle) {
-                    let key = canonical_key(&rewriting.patterns, original_vars);
-                    if keys.contains(&key) || out.len() >= cfg.max_variants {
-                        continue;
-                    }
-                    keys.push(key);
-                    let mut trace = cur_trace.clone();
-                    trace.push(rule_id);
-                    out.push((rewriting.patterns, weight, trace));
-                    next_frontier.push(out.len() - 1);
-                }
-            }
-        }
-        if next_frontier.is_empty() {
-            break;
-        }
-        frontier = next_frontier;
-    }
-    out
+    let opts = ExpandOptions {
+        max_depth: cfg.structural_depth,
+        min_weight: cfg.min_weight,
+        max_rewritings: cfg.max_variants.max(1),
+    };
+    let mut variants = expand(patterns, rules, rules.structural_rules(), &opts, oracle);
+    // The query itself comes first.
+    variants.remove(0);
+    variants
 }
 
 /// The call: what to answer, under which rules and configuration, with
@@ -435,9 +407,13 @@ fn run_pipeline<'s>(
     // per pull) instead of re-selected from all candidate scores.
     let mut collector = AnswerCollector::tracking(k);
     let variants = structural_variants(Some(view.oracle), &query.patterns, rules, cfg);
+    let origin = (&query.patterns[..], 1.0, &[][..]);
+    let relaxed = variants
+        .iter()
+        .map(|v| (&v.patterns[..], v.weight, &v.trace[..]));
     let mut cut = false;
     for (variant_idx, (patterns, variant_weight, variant_trace)) in
-        variants.into_iter().enumerate()
+        std::iter::once(origin).chain(relaxed).enumerate()
     {
         if cut {
             // A hard budget cutoff stopped the pipeline: the remaining
@@ -455,7 +431,7 @@ fn run_pipeline<'s>(
             continue;
         }
         let variant_start = recorder.start();
-        let Some((mut streams, n_vars)) = variant_streams(&patterns, &mut source_for) else {
+        let Some((mut streams, n_vars)) = variant_streams(patterns, &mut source_for) else {
             // Its fresh variables cannot be numbered: the variant is
             // forfeited unrun, its answers bounded by its weight. No
             // cutoff is recorded, so the run reports
@@ -468,7 +444,7 @@ fn run_pipeline<'s>(
             cfg,
             &mut streams,
             ln_weight(variant_weight),
-            &variant_trace,
+            variant_trace,
             &projection,
             k,
             n_vars,
@@ -488,12 +464,7 @@ fn run_pipeline<'s>(
 /// [`crate::parse`] refuses a query whose space does not fit; a
 /// structural variant, or a query built by hand, is checked here.
 pub(crate) fn variable_space(patterns: &[QPattern]) -> Option<usize> {
-    let own = patterns
-        .iter()
-        .filter_map(QPattern::max_var)
-        .max()
-        .map_or(0, |m| usize::from(m) + 1);
-    let space = own + patterns.len() * usize::from(FRESH_VARS_PER_STREAM);
+    let space = var_count(patterns) as usize + patterns.len() * usize::from(FRESH_VARS_PER_STREAM);
     (space <= usize::from(u16::MAX) + 1).then_some(space)
 }
 
@@ -1698,5 +1669,84 @@ mod tests {
             "got {:?}",
             governed.completeness
         );
+    }
+
+    /// Figure 5's shape, `?x p1 ?y ⇒ ?x p1 ?f ; ?f p2 ?y`, as a
+    /// structural rule of weight `w`.
+    fn figure5(p1: trinit_xkg::TermId, p2: trinit_xkg::TermId, w: f64) -> Rule {
+        use trinit_relax::{RVar, TTerm, Template};
+        let (x, y, f) = (
+            TTerm::Var(RVar(0)),
+            TTerm::Var(RVar(1)),
+            TTerm::Var(RVar(2)),
+        );
+        Rule::structural(
+            "figure5",
+            vec![Template::new(x, TTerm::Const(p1), y)],
+            vec![
+                Template::new(x, TTerm::Const(p1), f),
+                Template::new(f, TTerm::Const(p2), y),
+            ],
+            w,
+            RuleProvenance::UserDefined,
+        )
+    }
+
+    /// Two structural rules that rewrite `?v r1 r1` into one variant
+    /// score its answers by the heavier (0.505), as full expansion does,
+    /// not by the first found (0.404).
+    #[test]
+    fn two_rules_to_one_variant_score_it_by_the_heavier() {
+        let mut b = XkgBuilder::new();
+        b.add_kg_resources("a", "r1", "r1");
+        b.add_kg_resources("b", "r1", "r1");
+        b.add_kg_resources("c", "r1", "d");
+        b.add_kg_resources("d", "r2", "r1");
+        let store = b.build();
+        let (r1, r2) = (store.resource("r1").unwrap(), store.resource("r2").unwrap());
+        let rules: RuleSet = [figure5(r1, r2, 0.404), figure5(r1, r2, 0.505)]
+            .into_iter()
+            .collect();
+        let q = QueryBuilder::new(&store)
+            .pattern_v_r_r("v", "r1", "r1")
+            .limit(3)
+            .build();
+        let (answers, _) = run(&store, &q, &rules, &cfg());
+        let options = ExpandOptions {
+            max_depth: cfg().structural_depth,
+            ..cfg().reference_expansion()
+        };
+        let (want, _) = expand::run(&store, &q, &rules, &options);
+        assert_eq!(answers.len(), 3);
+        assert_same_answers(&answers, &want);
+        let c = store.resource("c").unwrap();
+        let relaxed = answers
+            .iter()
+            .find(|a| a.key[0].1 == Some(c))
+            .expect("c answers");
+        assert_eq!(relaxed.derivation.rule_weight, 0.505);
+    }
+
+    /// With more structural variants than [`TopkConfig::max_variants`],
+    /// the heaviest are kept: twenty rules weighing 0.10, 0.14, …, 0.86
+    /// by id leave the fifteen heaviest beside the query (0.86 down to
+    /// 0.30), not the first fifteen found (0.10 to 0.66).
+    #[test]
+    fn variants_over_the_cap_are_the_heaviest() {
+        let store = store();
+        let aff = store.resource("affiliation").unwrap();
+        let rules: RuleSet = (0..20u32)
+            .map(|i| {
+                let p2 = trinit_xkg::TermId::new(trinit_xkg::TermKind::Resource, 1000 + i);
+                figure5(aff, p2, 0.10 + 0.04 * f64::from(i))
+            })
+            .collect();
+        let q = QueryBuilder::new(&store)
+            .pattern_v_r_v("x", "affiliation", "y")
+            .build();
+        let variants = structural_variants(Some(&store), &q.patterns, &rules, &cfg());
+        assert_eq!(variants.len(), cfg().max_variants - 1);
+        let kept: Vec<u32> = variants.iter().map(|v| v.trace[0].0).collect();
+        assert_eq!(kept, (5..20).rev().collect::<Vec<u32>>());
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use trinit_relax::{QPattern, QTerm, RuleId};
+use trinit_relax::{var_count, QPattern, QTerm, RuleId};
 use trinit_xkg::{SlotPattern, TripleId, XkgStore};
 
 use crate::answer::{Answer, Bindings, Derivation};
@@ -54,11 +54,7 @@ pub fn evaluate(
         .collect();
 
     let order = plan_order(store, patterns);
-    let n_vars = patterns
-        .iter()
-        .filter_map(QPattern::max_var)
-        .max()
-        .map_or(0, |m| m as usize + 1);
+    let n_vars = var_count(patterns) as usize;
 
     let mut out = Vec::new();
     let mut bindings = Bindings::new(n_vars);

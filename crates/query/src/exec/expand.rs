@@ -9,7 +9,7 @@
 //! agree on results) and as the baseline the efficiency experiment (E5)
 //! measures against.
 
-use trinit_relax::{expand_with, ExpandOptions, RuleSet};
+use trinit_relax::{expand, ExpandOptions, RuleId, RuleSet};
 use trinit_xkg::XkgStore;
 
 use crate::answer::{Answer, AnswerCollector};
@@ -27,7 +27,8 @@ pub fn run(
     options: &ExpandOptions,
 ) -> (Vec<Answer>, ExecMetrics) {
     let mut metrics = ExecMetrics::default();
-    let rewritings = expand_with(&query.patterns, rules, options, Some(store));
+    let every: Vec<RuleId> = rules.iter().map(|(id, _)| id).collect();
+    let rewritings = expand(&query.patterns, rules, &every, options, Some(store));
     let mut collector = AnswerCollector::new();
     for rewriting in &rewritings {
         metrics.rewritings_evaluated += 1;

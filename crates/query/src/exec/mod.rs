@@ -23,17 +23,16 @@
 //! merge reading all of them) and [`topk`] re-exports the public
 //! surface.
 //!
-//! **Planning.** A stream's relaxation table
+//! **Planning.** A query's structural variants come from
+//! `trinit_relax::expand` over the structural rules — the enumerator
+//! full expansion runs over every rule — and only a query holding one of
+//! their LHS predicates reaches it. A stream's relaxation table
 //! ([`AltTable`](merge::AltTable)) is its pattern and the relaxed forms
 //! under the mergeable rules, each with its weight and rule chain. It is
 //! built from the rules `RuleSet::add` compiled (`SlotRewrite`), not by
 //! the general matcher `apply_rule`, once per stream per `execute`, and
 //! the stream's merge reads it on every slice; nothing outlives the
-//! query. With one
-//! table per slice built through `apply_rule`, `bench.alloc_per_query`
-//! (perfbench traced pass, `--seed 101`) on `batch_sharded` /
-//! `live_ingest` / `explore_cold` / `explore_session` was 405.03 /
-//! 401.22 / 231.96 / 225.74; it is 205.56 / 210.83 / 147.99 / 144.53.
+//! query.
 //!
 //! **Materialization.** A query builds only what can reach its answer.
 //! The join asks the collector before it builds a combination
@@ -44,11 +43,7 @@
 //! workload — and goes into a store-level cache only when the caller
 //! passes one. Composite shapes (`s p ?o`, `?s p o`) find their exact
 //! permutation range with one search and order a range of at most one
-//! block directly. Structural rules are tried only on queries holding
-//! one of their LHS predicates. Every work counter is unchanged;
-//! `bench.alloc_per_query` on `batch_sharded` / `live_ingest` /
-//! `explore_cold` / `explore_session` went from 205.56 / 210.83 /
-//! 147.99 / 144.53 to 132.49 / 131.59 / 94.17 / 98.72.
+//! block directly.
 
 // A serving hot path: degrade or return a typed error, never panic.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]

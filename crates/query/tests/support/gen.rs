@@ -105,11 +105,7 @@ pub fn fresh_rows(base: &[Row], delta: &[Row]) -> Vec<Row> {
 /// A query over `patterns` returning `k` answers, its variables named
 /// `v0`, `v1`, …
 pub fn query_from(patterns: Vec<QPattern>, k: usize) -> Query {
-    let n_vars = patterns
-        .iter()
-        .filter_map(QPattern::max_var)
-        .max()
-        .map_or(0, |m| m as usize + 1);
+    let n_vars = trinit_relax::var_count(&patterns) as usize;
     Query {
         patterns,
         projection: Vec::new(),
@@ -182,11 +178,11 @@ pub fn rules_strategy(universe: u32) -> impl Strategy<Value = Vec<Rule>> {
     rules_between(0..universe, 0..universe)
 }
 
-/// Rules whose RHS predicates never occur as an LHS predicate (LHS drawn
-/// from `[0, lhs_universe)`, RHS from `[lhs_universe, universe)`), so no
-/// rule can chain on another's output: each pattern is relaxed at most
-/// once, and a full expansion as deep as the query is long reaches every
-/// rewriting per-pattern incremental merging reaches.
+/// Rules whose `p2` is never a `p1` (`p1` drawn from `[0,
+/// lhs_universe)`, `p2` from `[lhs_universe, universe)`), so no
+/// single-pattern rule can chain on another's output: each pattern is
+/// relaxed at most once, and a full expansion as deep as the query is
+/// long reaches every rewriting per-pattern incremental merging reaches.
 pub fn nonchainable_rules_strategy(
     lhs_universe: u32,
     universe: u32,
@@ -199,17 +195,21 @@ fn rules_between(
     rhs: std::ops::Range<u32>,
 ) -> impl Strategy<Value = Vec<Rule>> {
     proptest::collection::vec(
-        (lhs, rhs, 0.15f64..1.0, 0u8..4)
+        (lhs, rhs, 0.15f64..1.0, 0u8..6)
             .prop_map(|(p1, p2, w, shape)| rule_of_shape(p1, p2, w, shape)),
         0..4,
     )
 }
 
-/// One single-pattern rule `?x p1 ?y → …`: a predicate rewrite
-/// (`?x p2 ?y`), an inversion (`?y p2 ?x`), or a rewrite that replaces
-/// the object (`?x p2 ?f`) or the subject (`?f p2 ?y`) by a fresh
-/// variable — the relaxed form then no longer binds that variable, which
-/// is what puts items on a rank-join stream's residual chain.
+/// One rule over `?x p1 ?y`. Shapes 0–3 are single-pattern rules: a
+/// predicate rewrite (`?x p2 ?y`), an inversion (`?y p2 ?x`), or a
+/// rewrite that replaces the object (`?x p2 ?f`) or the subject
+/// (`?f p2 ?y`) by a fresh variable — the relaxed form then no longer
+/// binds that variable, which is what puts items on a rank-join stream's
+/// residual chain. Shapes 4 and 5 are structural: Figure 5's
+/// `?x p1 ?f ; ?f p2 ?y`, and `?x p2 ?y` under the data condition
+/// `?y p2 p1` — a second LHS template that a query rarely holds, so the
+/// rule fires when its ground instance is a fact of the store.
 pub fn rule_of_shape(p1: u32, p2: u32, w: f64, shape: u8) -> Rule {
     use trinit_relax::{RVar, TTerm, Template};
     let (x, y, f) = (
@@ -217,17 +217,18 @@ pub fn rule_of_shape(p1: u32, p2: u32, w: f64, shape: u8) -> Rule {
         TTerm::Var(RVar(1)),
         TTerm::Var(RVar(2)),
     );
-    let relaxed = match shape {
+    let (c1, c2) = (TTerm::Const(tid(p1)), TTerm::Const(tid(p2)));
+    let mut lhs = vec![Template::new(x, c1, y)];
+    let rhs = match shape {
         0 => return Rule::predicate_rewrite("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined),
         1 => return Rule::inversion("r", tid(p1), tid(p2), w, RuleProvenance::UserDefined),
-        2 => Template::new(x, TTerm::Const(tid(p2)), f),
-        _ => Template::new(f, TTerm::Const(tid(p2)), y),
+        2 => vec![Template::new(x, c2, f)],
+        3 => vec![Template::new(f, c2, y)],
+        4 => vec![Template::new(x, c1, f), Template::new(f, c2, y)],
+        _ => {
+            lhs.push(Template::new(y, c2, c1));
+            vec![Template::new(x, c2, y)]
+        }
     };
-    Rule::structural(
-        "r",
-        vec![Template::new(x, TTerm::Const(tid(p1)), y)],
-        vec![relaxed],
-        w,
-        RuleProvenance::UserDefined,
-    )
+    Rule::structural("r", lhs, rhs, w, RuleProvenance::UserDefined)
 }

@@ -9,13 +9,17 @@
 //! multiplicative weights, deduplicating alpha-equivalent rewritings and
 //! keeping the maximum weight per rewriting — matching the paper's answer
 //! scoring, where "the score of an answer \[is\] the maximal one obtained
-//! through any such sequence" (§4).
+//! through any such sequence" (§4). It is the one enumerator of
+//! rewritings: full expansion runs it over every rule, and the top-k
+//! engine over the structural rules for its structural variants, so both
+//! keep each form's heaviest derivation and, under a cap, the heaviest
+//! forms.
 
 use std::collections::HashMap;
 
 use trinit_xkg::{SlotPattern, TermId, XkgStore};
 
-use crate::pattern::{QPattern, QTerm, VarId};
+use crate::pattern::{var_count, QPattern, QTerm, VarId};
 use crate::rule::{RVar, Rule, RuleId, TTerm, Template};
 use crate::ruleset::RuleSet;
 
@@ -35,17 +39,6 @@ impl ConditionOracle for XkgStore {
     fn ground_holds(&self, s: TermId, p: TermId, o: TermId) -> bool {
         self.count(&SlotPattern::new(Some(s), Some(p), Some(o))) > 0
     }
-}
-
-/// One rewriting produced by a single rule application.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Rewriting {
-    /// The rewritten query.
-    pub patterns: Vec<QPattern>,
-    /// The applied rule's weight.
-    pub weight: f64,
-    /// The applied rule.
-    pub rule: RuleId,
 }
 
 /// A (possibly multi-step) relaxed form of a query.
@@ -75,18 +68,24 @@ fn unify_slot(t: TTerm, q: QTerm, bindings: &mut Bindings) -> bool {
     }
 }
 
+/// True unless a constant slot of `t` differs from `q`'s: what
+/// unification needs of the constants alone, tested without cloning
+/// anything.
+fn fits(t: &Template, q: &QPattern) -> bool {
+    let clash = |t: TTerm, q: QTerm| matches!(t, TTerm::Const(c) if q != QTerm::Term(c));
+    !(clash(t.s, q.s) || clash(t.p, q.p) || clash(t.o, q.o))
+}
+
 /// Unifies a template against a query pattern, extending a copy of
-/// `bindings`. Constant slots are tested first, so a trial on the wrong
-/// predicate fails without cloning anything (unification is
+/// `bindings`. Constant slots are tested first ([`fits`]), so a trial on
+/// the wrong predicate fails without cloning anything (unification is
 /// conjunctive: the order changes no result).
 fn unify_pattern(t: &Template, q: &QPattern, bindings: &Bindings) -> Option<Bindings> {
-    let slots = [(t.s, q.s), (t.p, q.p), (t.o, q.o)];
-    let clash = |&(t, q): &(TTerm, QTerm)| matches!(t, TTerm::Const(c) if q != QTerm::Term(c));
-    if slots.iter().any(clash) {
+    if !fits(t, q) {
         return None;
     }
     let mut trial = bindings.clone();
-    slots
+    [(t.s, q.s), (t.p, q.p), (t.o, q.o)]
         .into_iter()
         .all(|(t, q)| unify_slot(t, q, &mut trial))
         .then_some(trial)
@@ -172,33 +171,35 @@ fn condition_holds(template: &Template, bindings: &Bindings, oracle: &dyn Condit
 }
 
 /// Applies `rule` to `query` in every possible way, returning the distinct
-/// rewritings. Purely syntactic: LHS patterns must all unify with query
-/// patterns (no data conditions). See [`apply_rule_with`] for the
-/// store-aware variant.
-pub fn apply_rule(query: &[QPattern], rule: &Rule, rule_id: RuleId) -> Vec<Rewriting> {
-    apply_rule_with(query, rule, rule_id, None)
-}
-
-/// Applies `rule` to `query`, optionally allowing unmatched LHS patterns
-/// to be verified as ground conditions against `store`.
-pub fn apply_rule_with(
+/// rewritten queries. Every LHS template unifies with a query pattern;
+/// with an `oracle`, a template may instead be verified as a ground
+/// condition through it — the whole store for a monolithic engine, every
+/// slice for a partitioned one, where "asserted in the data" spans them
+/// all.
+pub fn apply_rule(
     query: &[QPattern],
     rule: &Rule,
-    rule_id: RuleId,
-    store: Option<&XkgStore>,
-) -> Vec<Rewriting> {
-    apply_rule_oracle(query, rule, rule_id, store.map(|s| s as &dyn ConditionOracle))
-}
-
-/// Applies `rule` to `query`, verifying unmatched LHS patterns as ground
-/// conditions through an arbitrary [`ConditionOracle`] — the entry point
-/// sharded executors use, where "asserted in the data" spans every shard.
-pub fn apply_rule_oracle(
-    query: &[QPattern],
-    rule: &Rule,
-    rule_id: RuleId,
     oracle: Option<&dyn ConditionOracle>,
-) -> Vec<Rewriting> {
+) -> Vec<Vec<QPattern>> {
+    let rewritings = rewrite(query, rule, oracle, var_count(query));
+    rewritings.into_iter().map(|(_, p)| p).collect()
+}
+
+/// `rule`'s rewritings of `query`, each with its [`canonical_key`] over
+/// `key_vars` original variables, deduplicated by that key: each key is
+/// computed once, and the walk of [`expand`] reuses it.
+fn rewrite(
+    query: &[QPattern],
+    rule: &Rule,
+    oracle: Option<&dyn ConditionOracle>,
+    key_vars: u32,
+) -> Vec<(Vec<QPattern>, Vec<QPattern>)> {
+    // Some template must consume a query pattern: a rule none of whose
+    // templates fits any pattern has no match, and is refused before the
+    // search allocates.
+    if !rule.lhs.iter().any(|t| query.iter().any(|q| fits(t, q))) {
+        return Vec::new();
+    }
     let mut matches = Vec::new();
     search(
         &rule.lhs,
@@ -210,27 +211,20 @@ pub fn apply_rule_oracle(
         &mut matches,
     );
 
-    let next_var = query
-        .iter()
-        .filter_map(QPattern::max_var)
-        .max()
-        .map_or(0, |m| u32::from(m) + 1);
-
-    let mut out: Vec<Rewriting> = Vec::new();
+    // Fresh query variables for RHS-only rule variables, numbered after
+    // the query's own, the same for every match. When they do not fit
+    // `VarId`, the rule yields no rewriting.
+    let Some(fresh) = rule
+        .fresh_vars()
+        .into_iter()
+        .zip(var_count(query)..)
+        .map(|(v, id)| Some((v, VarId(u16::try_from(id).ok()?))))
+        .collect::<Option<HashMap<_, _>>>()
+    else {
+        return Vec::new();
+    };
+    let mut out: Vec<(Vec<QPattern>, Vec<QPattern>)> = Vec::new();
     for (used, bindings) in matches {
-        // Allocate fresh query variables for RHS-only rule variables,
-        // numbered after the query's own. They do not fit `VarId` for
-        // one match exactly when they fit for none: the rule yields no
-        // rewriting.
-        let Some(fresh) = rule
-            .fresh_vars()
-            .into_iter()
-            .zip(next_var..)
-            .map(|(v, id)| Some((v, VarId(u16::try_from(id).ok()?))))
-            .collect::<Option<HashMap<_, _>>>()
-        else {
-            return Vec::new();
-        };
         let mut patterns: Vec<QPattern> = query
             .iter()
             .enumerate()
@@ -244,16 +238,9 @@ pub fn apply_rule_oracle(
                 instantiate_slot(template.o, &bindings, &fresh),
             ));
         }
-        let rewriting = Rewriting {
-            patterns,
-            weight: rule.weight,
-            rule: rule_id,
-        };
-        if !out
-            .iter()
-            .any(|r| canonical_key(&r.patterns, next_var) == canonical_key(&rewriting.patterns, next_var))
-        {
-            out.push(rewriting);
+        let key = canonical_key(&patterns, key_vars);
+        if !out.iter().any(|(k, _)| *k == key) {
+            out.push((key, patterns));
         }
     }
     out
@@ -268,34 +255,28 @@ pub fn apply_rule_oracle(
 /// `original_vars` counts the query's own variables, so it reaches
 /// 65,536 when the query uses the last [`VarId`].
 pub fn canonical_key(patterns: &[QPattern], original_vars: u32) -> Vec<QPattern> {
-    let mut sorted = patterns.to_vec();
-    sorted.sort_unstable();
-    let mut rename: HashMap<VarId, VarId> = HashMap::new();
-    let mut next = original_vars;
-    let mut mapped = Vec::with_capacity(sorted.len());
-    for p in &sorted {
-        let map_slot = |t: QTerm, rename: &mut HashMap<VarId, VarId>, next: &mut u32| match t {
-            QTerm::Var(v) if u32::from(v.0) >= original_vars => {
-                let nv = *rename.entry(v).or_insert_with(|| {
-                    // Renaming is dense from `original_vars`, and at most
-                    // 65,536 − `original_vars` distinct ids lie at or
-                    // above it, so the new id always fits.
-                    let nv = u16::try_from(*next).map_or(v, VarId);
-                    *next += 1;
-                    nv
-                });
-                QTerm::Var(nv)
-            }
-            other => other,
-        };
-        mapped.push(QPattern::new(
-            map_slot(p.s, &mut rename, &mut next),
-            map_slot(p.p, &mut rename, &mut next),
-            map_slot(p.o, &mut rename, &mut next),
-        ));
+    let mut key = patterns.to_vec();
+    key.sort_unstable();
+    // The fresh variables in first-occurrence order.
+    let mut fresh: Vec<VarId> = Vec::new();
+    let mut map_slot = |t: QTerm| match t {
+        QTerm::Var(v) if u32::from(v.0) >= original_vars => {
+            let at = fresh.iter().position(|&u| u == v).unwrap_or_else(|| {
+                fresh.push(v);
+                fresh.len() - 1
+            });
+            // Renaming is dense from `original_vars`, and at most
+            // 65,536 − `original_vars` distinct ids lie at or above it,
+            // so the new id always fits.
+            QTerm::Var(u16::try_from(original_vars as usize + at).map_or(v, VarId))
+        }
+        other => other,
+    };
+    for p in &mut key {
+        *p = QPattern::new(map_slot(p.s), map_slot(p.p), map_slot(p.o));
     }
-    mapped.sort_unstable();
-    mapped
+    key.sort_unstable();
+    key
 }
 
 /// Options for [`expand`].
@@ -320,82 +301,80 @@ impl Default for ExpandOptions {
     }
 }
 
-/// Expands a query into all relaxed forms reachable within
-/// `opts.max_depth` rule applications.
+/// Expands a query into the relaxed forms reachable within
+/// `opts.max_depth` applications of the rules `candidates` names — every
+/// rule of `rules` for full expansion, [`RuleSet::structural_rules`] for
+/// the top-k engine's structural variants. With an `oracle`, rules may
+/// fire on data conditions (see [`apply_rule`]).
 ///
-/// The result always starts with the original query (weight 1.0, empty
-/// trace); the rest are sorted by descending weight (ties broken by trace
-/// length then canonical order) and deduplicated up to alpha-equivalence,
-/// keeping the maximum weight per form.
-pub fn expand(query: &[QPattern], rules: &RuleSet, opts: &ExpandOptions) -> Vec<RelaxedQuery> {
-    expand_with(query, rules, opts, None)
-}
-
-/// [`expand`] with store-verified data conditions (see
-/// [`apply_rule_with`]).
-pub fn expand_with(
+/// Forms are deduplicated up to alpha-equivalence, each keeping its
+/// heaviest derivation. The result always starts with the original
+/// query (weight 1.0, empty trace); the rest are the heaviest forms,
+/// sorted by descending weight (ties broken by trace length, then
+/// pattern order), at most `opts.max_rewritings` in all.
+pub fn expand(
     query: &[QPattern],
     rules: &RuleSet,
+    candidates: &[RuleId],
     opts: &ExpandOptions,
-    store: Option<&XkgStore>,
+    oracle: Option<&dyn ConditionOracle>,
 ) -> Vec<RelaxedQuery> {
-    let original_vars = query
-        .iter()
-        .filter_map(QPattern::max_var)
-        .max()
-        .map_or(0, |m| u32::from(m) + 1);
-
-    let mut best: HashMap<Vec<QPattern>, RelaxedQuery> = HashMap::new();
+    let key_vars = var_count(query);
     let origin = RelaxedQuery {
         patterns: query.to_vec(),
         weight: 1.0,
         trace: Vec::new(),
     };
-    best.insert(canonical_key(query, original_vars), origin.clone());
-
-    let mut frontier = vec![origin.clone()];
+    // One entry per derivation kept, beside its form's key. A heavier
+    // derivation of a form already in the table is a new entry that takes
+    // the key, leaving the lighter one superseded. Entries never change,
+    // so each round extends the entries the last round added, at the
+    // weight they were found with: a path found one round later is one
+    // step longer, and the depth bound holds.
+    let mut table = vec![(Some(canonical_key(query, key_vars)), origin)];
+    let mut frontier = 0..1;
     for _ in 0..opts.max_depth {
-        let mut next_frontier = Vec::new();
-        for current in &frontier {
-            for (rule_id, rule) in rules.iter() {
-                for rewriting in apply_rule_with(&current.patterns, rule, rule_id, store) {
-                    let weight = current.weight * rewriting.weight;
-                    if weight < opts.min_weight {
-                        continue;
+        let round = table.len();
+        for idx in frontier {
+            for &rule_id in candidates {
+                let rule = rules.get(rule_id);
+                let weight = table[idx].1.weight * rule.weight;
+                if weight < opts.min_weight {
+                    continue;
+                }
+                for (key, patterns) in rewrite(&table[idx].1.patterns, rule, oracle, key_vars) {
+                    let found = table.iter().position(|(k, _)| k.as_ref() == Some(&key));
+                    if let Some(i) = found {
+                        if weight <= table[i].1.weight {
+                            continue;
+                        }
+                        table[i].0 = None;
                     }
-                    let mut trace = current.trace.clone();
-                    trace.push(rule_id);
-                    let candidate = RelaxedQuery {
-                        patterns: rewriting.patterns,
+                    let trace = [&table[idx].1.trace[..], &[rule_id]].concat();
+                    let relaxed = RelaxedQuery {
+                        patterns,
                         weight,
                         trace,
                     };
-                    let key = canonical_key(&candidate.patterns, original_vars);
-                    let insert = match best.get(&key) {
-                        Some(existing) => weight > existing.weight,
-                        None => true,
-                    };
-                    if insert {
-                        best.insert(key, candidate.clone());
-                        next_frontier.push(candidate);
-                    }
+                    table.push((Some(key), relaxed));
                 }
             }
         }
-        if next_frontier.is_empty() {
+        frontier = round..table.len();
+        if frontier.is_empty() {
             break;
         }
-        frontier = next_frontier;
     }
 
-    let mut out: Vec<RelaxedQuery> = best.into_values().collect();
-    out.sort_by(|a, b| {
-        let a_is_origin = a.trace.is_empty();
-        let b_is_origin = b.trace.is_empty();
-        b_is_origin
-            .cmp(&a_is_origin)
-            .then(b.weight.total_cmp(&a.weight))
-            .then_with(|| a.trace.len().cmp(&b.trace.len()))
+    let mut out: Vec<RelaxedQuery> = table
+        .into_iter()
+        .filter_map(|(key, relaxed)| key.map(|_| relaxed))
+        .collect();
+    // Rule weights lie in [0, 1], so nothing supersedes the query itself.
+    out[1..].sort_unstable_by(|a, b| {
+        b.weight
+            .total_cmp(&a.weight)
+            .then(a.trace.len().cmp(&b.trace.len()))
             .then_with(|| a.patterns.cmp(&b.patterns))
     });
     out.truncate(opts.max_rewritings);
@@ -420,18 +399,40 @@ mod tests {
         QTerm::Term(tid(i))
     }
 
+    /// Every rule of `rules`: full expansion's candidates.
+    fn every(rules: &RuleSet) -> Vec<RuleId> {
+        rules.iter().map(|(id, _)| id).collect()
+    }
+
+    /// Figure 5's shape, `?x p1 ?y ⇒ ?x p1 ?f ; ?f p2 ?y`, as a
+    /// structural rule of weight `w`.
+    fn figure5(p1: u32, p2: u32, w: f64) -> Rule {
+        use crate::rule::{RVar, TTerm, Template};
+        let (x, y, f) = (
+            TTerm::Var(RVar(0)),
+            TTerm::Var(RVar(1)),
+            TTerm::Var(RVar(2)),
+        );
+        Rule::structural(
+            "figure5",
+            vec![Template::new(x, TTerm::Const(tid(p1)), y)],
+            vec![
+                Template::new(x, TTerm::Const(tid(p1)), f),
+                Template::new(f, TTerm::Const(tid(p2)), y),
+            ],
+            w,
+            RuleProvenance::UserDefined,
+        )
+    }
+
     #[test]
     fn predicate_rewrite_applies() {
         // Query: ?x p1 Ulm
         let query = vec![QPattern::new(var(0), term(1), term(9))];
         let rule = Rule::predicate_rewrite("r", tid(1), tid(2), 0.8, RuleProvenance::Paraphrase);
-        let rewritings = apply_rule(&query, &rule, RuleId(0));
+        let rewritings = apply_rule(&query, &rule, None);
         assert_eq!(rewritings.len(), 1);
-        assert_eq!(
-            rewritings[0].patterns,
-            vec![QPattern::new(var(0), term(2), term(9))]
-        );
-        assert_eq!(rewritings[0].weight, 0.8);
+        assert_eq!(rewritings[0], vec![QPattern::new(var(0), term(2), term(9))]);
     }
 
     #[test]
@@ -439,19 +440,16 @@ mod tests {
         // AlbertEinstein hasAdvisor ?x  →  ?x hasStudent AlbertEinstein
         let query = vec![QPattern::new(term(7), term(1), var(0))];
         let rule = Rule::inversion("inv", tid(1), tid(2), 1.0, RuleProvenance::MinedInversion);
-        let rewritings = apply_rule(&query, &rule, RuleId(3));
+        let rewritings = apply_rule(&query, &rule, None);
         assert_eq!(rewritings.len(), 1);
-        assert_eq!(
-            rewritings[0].patterns,
-            vec![QPattern::new(var(0), term(2), term(7))]
-        );
+        assert_eq!(rewritings[0], vec![QPattern::new(var(0), term(2), term(7))]);
     }
 
     #[test]
     fn rule_without_match_produces_nothing() {
         let query = vec![QPattern::new(var(0), term(5), var(1))];
         let rule = Rule::predicate_rewrite("r", tid(1), tid(2), 0.8, RuleProvenance::Paraphrase);
-        assert!(apply_rule(&query, &rule, RuleId(0)).is_empty());
+        assert!(apply_rule(&query, &rule, None).is_empty());
     }
 
     #[test]
@@ -483,9 +481,9 @@ mod tests {
             QPattern::new(var(0), term(1), germany),
             QPattern::new(germany, term(2), term(3)),
         ];
-        let rewritings = apply_rule(&query, &rule, RuleId(1));
+        let rewritings = apply_rule(&query, &rule, None);
         assert_eq!(rewritings.len(), 1);
-        let pats = &rewritings[0].patterns;
+        let pats = &rewritings[0];
         assert_eq!(pats.len(), 3);
         // Fresh variable ?v1 (query had max var 0).
         assert!(pats.iter().any(|p| p.s == var(0) && p.o == var(1)));
@@ -504,7 +502,13 @@ mod tests {
             0.8,
             RuleProvenance::Paraphrase,
         ));
-        let out = expand(&query, &rules, &ExpandOptions::default());
+        let out = expand(
+            &query,
+            &rules,
+            &every(&rules),
+            &ExpandOptions::default(),
+            None,
+        );
         assert_eq!(out.len(), 2);
         assert!(out[0].trace.is_empty());
         assert_eq!(out[0].weight, 1.0);
@@ -529,7 +533,13 @@ mod tests {
             0.5,
             RuleProvenance::Paraphrase,
         ));
-        let out = expand(&query, &rules, &ExpandOptions::default());
+        let out = expand(
+            &query,
+            &rules,
+            &every(&rules),
+            &ExpandOptions::default(),
+            None,
+        );
         let chained = out
             .iter()
             .find(|r| r.trace.len() == 2)
@@ -563,7 +573,13 @@ mod tests {
             0.5,
             RuleProvenance::Paraphrase,
         ));
-        let out = expand(&query, &rules, &ExpandOptions::default());
+        let out = expand(
+            &query,
+            &rules,
+            &every(&rules),
+            &ExpandOptions::default(),
+            None,
+        );
         let to_p2: Vec<&RelaxedQuery> = out
             .iter()
             .filter(|r| r.patterns.len() == 1 && r.patterns[0].p == term(2))
@@ -583,7 +599,13 @@ mod tests {
             0.01,
             RuleProvenance::Paraphrase,
         ));
-        let out = expand(&query, &rules, &ExpandOptions::default());
+        let out = expand(
+            &query,
+            &rules,
+            &every(&rules),
+            &ExpandOptions::default(),
+            None,
+        );
         assert_eq!(out.len(), 1, "weak rewriting pruned");
     }
 
@@ -598,14 +620,11 @@ mod tests {
             0.9,
             RuleProvenance::Paraphrase,
         ));
-        let out = expand(
-            &query,
-            &rules,
-            &ExpandOptions {
-                max_depth: 0,
-                ..Default::default()
-            },
-        );
+        let opts = ExpandOptions {
+            max_depth: 0,
+            ..Default::default()
+        };
+        let out = expand(&query, &rules, &every(&rules), &opts, None);
         assert_eq!(out.len(), 1);
     }
 
@@ -645,12 +664,12 @@ mod tests {
         // User A's query, with NO type pattern: ?x bornIn Germany.
         let query = vec![QPattern::new(var(0), QTerm::Term(born), QTerm::Term(germany))];
         // Purely syntactic application cannot fire...
-        assert!(apply_rule(&query, &rule, RuleId(0)).is_empty());
+        assert!(apply_rule(&query, &rule, None).is_empty());
         // ...but with the store, `Germany type country` holds as a
         // condition and the rule rewrites the query.
-        let rewritings = apply_rule_with(&query, &rule, RuleId(0), Some(&store));
+        let rewritings = apply_rule(&query, &rule, Some(&store));
         assert_eq!(rewritings.len(), 1);
-        assert_eq!(rewritings[0].patterns.len(), 3);
+        assert_eq!(rewritings[0].len(), 3);
     }
 
     #[test]
@@ -679,7 +698,7 @@ mod tests {
             RuleProvenance::Ontology,
         );
         let query = vec![QPattern::new(var(0), QTerm::Term(born), QTerm::Term(ulm))];
-        assert!(apply_rule_with(&query, &rule, RuleId(0), Some(&store)).is_empty());
+        assert!(apply_rule(&query, &rule, Some(&store)).is_empty());
     }
 
     #[test]
@@ -700,15 +719,94 @@ mod tests {
             0.9,
             RuleProvenance::Paraphrase,
         ));
-        let out = expand(
-            &query,
-            &rules,
-            &ExpandOptions {
-                max_depth: 6,
-                ..Default::default()
-            },
-        );
+        let opts = ExpandOptions {
+            max_depth: 6,
+            ..Default::default()
+        };
+        let out = expand(&query, &rules, &every(&rules), &opts, None);
         // p1 (original, 1.0) and p2 (0.9); round-trips are dominated.
         assert_eq!(out.len(), 2);
+    }
+
+    /// Two structural rules that rewrite a query into the same form
+    /// leave one form at the heavier weight, with the heavier rule as its
+    /// trace, whichever rule comes first.
+    #[test]
+    fn two_rules_to_one_form_keep_the_heavier_derivation() {
+        let query = vec![QPattern::new(var(0), term(1), term(1))];
+        let rules: RuleSet = [figure5(1, 2, 0.404), figure5(1, 2, 0.505)]
+            .into_iter()
+            .collect();
+        let opts = ExpandOptions {
+            max_depth: 1,
+            ..Default::default()
+        };
+        let out = expand(&query, &rules, rules.structural_rules(), &opts, None);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[1].weight, 0.505);
+        assert_eq!(out[1].trace, vec![RuleId(1)]);
+    }
+
+    /// With more forms than the cap, the heaviest are kept: twenty
+    /// structural rules weighing 0.10, 0.14, …, 0.86 by id, under a cap
+    /// of 16, leave the query and the fifteen heaviest (0.86 down to
+    /// 0.30), heaviest first.
+    #[test]
+    fn forms_over_the_cap_keep_the_heaviest() {
+        let query = vec![QPattern::new(var(0), term(1), var(1))];
+        let rules: RuleSet = (0..20)
+            .map(|i| figure5(1, 100 + i, 0.10 + 0.04 * f64::from(i)))
+            .collect();
+        let opts = ExpandOptions {
+            max_depth: 1,
+            min_weight: 0.05,
+            max_rewritings: 16,
+        };
+        let out = expand(&query, &rules, rules.structural_rules(), &opts, None);
+        assert_eq!(out.len(), 16);
+        assert!(out[0].trace.is_empty());
+        let kept: Vec<u32> = out[1..].iter().map(|r| r.trace[0].0).collect();
+        assert_eq!(kept, (5..20).rev().collect::<Vec<u32>>());
+        assert!(out[1..].windows(2).all(|w| w[0].weight > w[1].weight));
+    }
+
+    /// A heavier path found one round later replaces a form's weight and
+    /// trace, and the form is extended again from the heavier weight; the
+    /// depth bound still counts rule applications along the path.
+    #[test]
+    fn a_heavier_deeper_path_is_extended_within_the_depth_bound() {
+        let query = vec![QPattern::new(var(0), term(1), var(1))];
+        let rules: RuleSet = [
+            // p1 → p2 via p3 (0.9 · 0.9 = 0.81), or directly (0.3). The
+            // second round extends p3, which makes p2 heavier, before p2,
+            // which must still be extended at its one-step weight.
+            Rule::predicate_rewrite("via", tid(1), tid(3), 0.9, RuleProvenance::Paraphrase),
+            Rule::predicate_rewrite("on", tid(3), tid(2), 0.9, RuleProvenance::Paraphrase),
+            Rule::predicate_rewrite("direct", tid(1), tid(2), 0.3, RuleProvenance::Paraphrase),
+            Rule::predicate_rewrite("then", tid(2), tid(4), 0.5, RuleProvenance::Paraphrase),
+        ]
+        .into_iter()
+        .collect();
+        let at = |out: &[RelaxedQuery], p: u32| {
+            out.iter()
+                .find(|r| r.patterns[0].p == term(p))
+                .map(|r| (r.weight, r.trace.clone()))
+        };
+        for (depth, (want_w4, want_trace4)) in [
+            (2, (0.15, vec![RuleId(2), RuleId(3)])),
+            (3, (0.405, vec![RuleId(0), RuleId(1), RuleId(3)])),
+        ] {
+            let opts = ExpandOptions {
+                max_depth: depth,
+                ..Default::default()
+            };
+            let out = expand(&query, &rules, &every(&rules), &opts, None);
+            let (w2, trace2) = at(&out, 2).expect("p2 reached");
+            assert!((w2 - 0.81).abs() < 1e-12);
+            assert_eq!(trace2, vec![RuleId(0), RuleId(1)]);
+            let (w4, trace4) = at(&out, 4).expect("p4 reached");
+            assert!((w4 - want_w4).abs() < 1e-12, "depth {depth}: {w4}");
+            assert_eq!(trace4, want_trace4, "depth {depth}");
+        }
     }
 }

@@ -13,8 +13,9 @@
 //!   [`operator`] API.
 //!
 //! [`apply::expand`] enumerates weighted relaxation *sequences* of a
-//! query, which both the full-expansion baseline and the incremental
-//! top-k processor (in `trinit-query`) consume.
+//! query — the one enumerator both the full-expansion baseline (over
+//! every rule) and the incremental top-k processor's structural variants
+//! (over the structural rules) run, in `trinit-query`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,11 +29,7 @@ pub mod pattern;
 pub mod rule;
 pub mod ruleset;
 
-pub use apply::{
-    apply_rule, apply_rule_oracle, apply_rule_with, canonical_key, expand, expand_with,
-    ConditionOracle, ExpandOptions,
-    RelaxedQuery, Rewriting,
-};
+pub use apply::{apply_rule, canonical_key, expand, ConditionOracle, ExpandOptions, RelaxedQuery};
 pub use mine::{mine_cooccurrence, MinedRule, MinerConfig};
 pub use ontology::{granularity_rule, mine_granularity, GranularityMinerConfig, GranularitySpec};
 pub use operator::{
@@ -40,6 +37,6 @@ pub use operator::{
     ParaphraseOperator, RelaxationOperator,
 };
 pub use paraphrase::{paraphrase_rules, ParaphraseGroup};
-pub use pattern::{display_pattern, QPattern, QTerm, VarId};
+pub use pattern::{display_pattern, var_count, QPattern, QTerm, VarId};
 pub use rule::{RVar, Rule, RuleId, RuleKind, RuleProvenance, SlotRewrite, TTerm, Template};
 pub use ruleset::RuleSet;

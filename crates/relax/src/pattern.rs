@@ -48,6 +48,16 @@ impl QTerm {
     }
 }
 
+/// The number of variable ids a query's `patterns` use: one past the
+/// largest, which reaches 65,536 when they use the last [`VarId`].
+pub fn var_count(patterns: &[QPattern]) -> u32 {
+    patterns
+        .iter()
+        .filter_map(QPattern::max_var)
+        .max()
+        .map_or(0, |m| u32::from(m) + 1)
+}
+
 /// A query triple pattern over [`QTerm`] slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QPattern {

@@ -12,6 +12,11 @@ fn tid(i: u32) -> TermId {
     TermId::new(TermKind::Resource, i)
 }
 
+/// Every rule of `rules`: full expansion's candidates.
+fn every(rules: &RuleSet) -> Vec<RuleId> {
+    rules.iter().map(|(id, _)| id).collect()
+}
+
 fn qterm(vars: u16, terms: u32) -> impl Strategy<Value = QTerm> {
     prop_oneof![
         (0..vars).prop_map(|v| QTerm::Var(VarId(v))),
@@ -114,10 +119,10 @@ proptest! {
     ) {
         prop_assert!(rule.is_mergeable());
         let compiled = rule.slot_rewrite().expect("a mergeable rule compiles");
-        let matched = apply_rule(&[pattern], &rule, RuleId(0));
+        let matched = apply_rule(&[pattern], &rule, None);
         prop_assert!(matched.len() <= 1, "one pattern matches at most once");
         let want = matched.first().map(|r| {
-            let [rewritten] = r.patterns[..] else { panic!("one pattern out") };
+            let [rewritten] = r[..] else { panic!("one pattern out") };
             remap_fresh(rewritten, &pattern, fresh_base)
         });
         prop_assert_eq!(compiled.apply(&pattern, fresh_base), want, "{:?} on {:?}", rule, pattern);
@@ -139,16 +144,14 @@ proptest! {
         prop_assert_eq!(key1, key3, "order invariant");
     }
 
-    /// A predicate-rewrite application preserves the number of patterns
-    /// and only changes predicates; weights pass through unchanged.
+    /// A predicate-rewrite application preserves the number of patterns.
     #[test]
     fn rewrite_application_preserves_shape(
         patterns in proptest::collection::vec(qpattern(4, 6), 1..4),
         rule in rewrite_rule(6),
     ) {
-        for rewriting in apply_rule(&patterns, &rule, RuleId(0)) {
-            prop_assert_eq!(rewriting.patterns.len(), patterns.len());
-            prop_assert_eq!(rewriting.weight, rule.weight);
+        for rewriting in apply_rule(&patterns, &rule, None) {
+            prop_assert_eq!(rewriting.len(), patterns.len());
         }
     }
 
@@ -167,7 +170,7 @@ proptest! {
             min_weight: 0.05,
             max_rewritings: 64,
         };
-        let out = expand(&patterns, &set, &opts);
+        let out = expand(&patterns, &set, &every(&set), &opts, None);
         prop_assert!(!out.is_empty());
         prop_assert!(out[0].trace.is_empty());
         prop_assert_eq!(out[0].weight, 1.0);
@@ -187,7 +190,7 @@ proptest! {
     ) {
         let original_vars = 3;
         let set: RuleSet = rules.into_iter().collect();
-        let out = expand(&patterns, &set, &ExpandOptions::default());
+        let out = expand(&patterns, &set, &every(&set), &ExpandOptions::default(), None);
         let keys: Vec<_> = out
             .iter()
             .map(|r| canonical_key(&r.patterns, original_vars))
@@ -248,11 +251,11 @@ proptest! {
             QTerm::Term(tid(p1)),
             QTerm::Term(tid(o)),
         )];
-        let step1 = apply_rule(&query, &fwd, RuleId(0));
+        let step1 = apply_rule(&query, &fwd, None);
         prop_assert_eq!(step1.len(), 1);
-        let step2 = apply_rule(&step1[0].patterns, &back, RuleId(1));
+        let step2 = apply_rule(&step1[0], &back, None);
         prop_assert_eq!(step2.len(), 1);
-        prop_assert_eq!(&step2[0].patterns, &query);
+        prop_assert_eq!(&step2[0], &query);
     }
 }
 
@@ -281,14 +284,11 @@ fn variable_ids_at_the_top_of_the_var_id_space_neither_overflow_nor_wrap() {
     )]
     .into_iter()
     .collect();
-    let out = expand(
-        &query,
-        &rules,
-        &ExpandOptions {
-            max_depth: 2,
-            ..ExpandOptions::default()
-        },
-    );
+    let opts = ExpandOptions {
+        max_depth: 2,
+        ..ExpandOptions::default()
+    };
+    let out = expand(&query, &rules, &every(&rules), &opts, None);
     assert_eq!(out.len(), 2, "{out:?}");
     assert_eq!(out[0].patterns, query);
     assert_eq!(out[1].patterns[0].p, QTerm::Term(tid(1)));
@@ -303,12 +303,18 @@ fn variable_ids_at_the_top_of_the_var_id_space_neither_overflow_nor_wrap() {
         0.5,
         RuleProvenance::UserDefined,
     );
-    assert!(apply_rule(&query, &chain, RuleId(0)).is_empty());
+    assert!(apply_rule(&query, &chain, None).is_empty());
     let chains: RuleSet = [chain.clone()].into_iter().collect();
-    let out = expand(&query, &chains, &ExpandOptions::default());
+    let out = expand(
+        &query,
+        &chains,
+        &every(&chains),
+        &ExpandOptions::default(),
+        None,
+    );
     assert_eq!(out.len(), 1, "only the query itself: {out:?}");
 
-    let below = apply_rule(&query_at(u16::MAX - 1), &chain, RuleId(0));
+    let below = apply_rule(&query_at(u16::MAX - 1), &chain, None);
     assert_eq!(below.len(), 1);
-    assert!(below[0].patterns.iter().any(|p| p.s == QTerm::Var(VarId(u16::MAX))));
+    assert!(below[0].iter().any(|p| p.s == QTerm::Var(VarId(u16::MAX))));
 }

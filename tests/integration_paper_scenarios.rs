@@ -168,3 +168,35 @@ fn engines_agree_on_exact_fixture_queries() {
         assert_eq!(exact.answers[0].key, inc.answers[0].key);
     }
 }
+
+/// A lighter copy of rule 1 ahead of the fixture rules rewrites user A's
+/// query into the same variant as rule 1 itself: the query answers
+/// exactly as under the fixture rules alone — same keys, same score bits
+/// — because a variant keeps its heaviest derivation, not its first.
+#[test]
+fn a_lighter_duplicate_of_rule_1_changes_no_answer() {
+    let store = paper_store();
+    let paper = paper_rules(&store);
+    let mut rules = trinit_core::relax::RuleSet::new();
+    let rule_1 = paper.iter().next().expect("rule 1").1;
+    rules.add(trinit_core::relax::Rule {
+        weight: 0.6,
+        ..rule_1.clone()
+    });
+    for (_, rule) in paper.iter() {
+        rules.add(rule.clone());
+    }
+    let with_duplicate = Trinit::from_parts(store, rules);
+    let sys = fixture_system();
+    let text = "?x bornIn Germany LIMIT 10";
+    let want = sys.query(text).expect("parses").answers;
+    let got = with_duplicate.query(text).expect("parses").answers;
+    assert!(!want.is_empty());
+    let keyed = |answers: &[trinit_core::query::Answer]| -> Vec<_> {
+        answers
+            .iter()
+            .map(|a| (a.key.clone(), a.score.to_bits()))
+            .collect()
+    };
+    assert_eq!(keyed(&got), keyed(&want));
+}
