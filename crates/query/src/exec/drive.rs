@@ -93,7 +93,8 @@ pub struct TopkConfig {
     pub structural_depth: usize,
     /// Alternatives and variants below this weight are pruned.
     pub min_weight: f64,
-    /// Cap on alternatives per pattern.
+    /// Cap on alternatives per pattern, the pattern itself included;
+    /// the heaviest are kept.
     pub max_alternatives: usize,
     /// Cap on structural query variants, the query itself included;
     /// the heaviest are kept.

@@ -629,7 +629,7 @@ pub(crate) fn materialize(
             bindings.bind(v, t);
         }
         let alt = stream.merge.alternative(item.alt);
-        rules.extend_from_slice(alt.trace);
+        rules.extend(alt.trace);
         rule_weight *= alt.weight;
         triples.push((*alt.pattern, item.triple));
     }

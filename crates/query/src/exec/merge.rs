@@ -6,7 +6,7 @@
 //! * **Pattern alternatives** — the pattern plus its relaxed forms under
 //!   mergeable rules (chained up to a depth), each with a combined
 //!   weight and its global total: the stream's [`AltTable`], built once
-//!   per execution.
+//!   per execution by full expansion's walk ([`walk`]).
 //! * **[`IncrementalMerge`]** — one priority queue over every
 //!   (alternative, slice) list of a pattern (Theobald et al. style): a
 //!   store cut into slices (shards, a base and its delta) just has more
@@ -56,7 +56,8 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::rc::Rc;
 
-use trinit_relax::{QPattern, QTerm, RuleId, RuleSet, VarId};
+use trinit_relax::apply::{walk, Derivation, Trace};
+use trinit_relax::{ExpandOptions, QPattern, QTerm, RuleId, RuleSet, SlotRewrite, VarId};
 use trinit_xkg::{Posting, SlotPattern, TermId, Triple, TripleId, XkgStore};
 
 use crate::exec::drive::TopkConfig;
@@ -199,22 +200,10 @@ impl Restriction {
 /// a triple pattern has three slots, so three ids always suffice.
 pub(crate) const FRESH_VARS_PER_STREAM: u16 = 3;
 
-/// One entry of an [`AltTable`].
-#[derive(Debug, Clone, Copy)]
-struct AltEntry {
-    pattern: QPattern,
-    weight: f64,
-    /// The rule chain: `len` rules from `start` in the table's `traces`.
-    trace: (u32, u32),
-    /// The pattern's global total under the view's totals provider (see
-    /// [`AltTable::build`]).
-    total: Option<f64>,
-}
-
 /// A stream's relaxation table: its pattern and the relaxed forms of it
 /// under the mergeable rules, chained up to
-/// [`TopkConfig::chain_depth`], each with a combined weight and the
-/// chain of rules behind it. [`IncrementalMerge::alternative`] reads it.
+/// [`TopkConfig::chain_depth`], each with its heaviest chain of rules and
+/// that chain's weight. [`IncrementalMerge::alternative`] reads it.
 ///
 /// A table is a function of the pattern, the rules, the configuration
 /// and the view's totals alone, so [`crate::exec::drive::execute`]
@@ -223,19 +212,17 @@ struct AltEntry {
 /// outlives the execution.
 #[derive(Debug)]
 pub struct AltTable {
-    alts: Vec<AltEntry>,
-    /// Every entry's rule chain, back to back. A chain an entry replaced
-    /// stays behind unreferenced.
+    /// Each entry's form is its pattern and the pattern's global total
+    /// under the view's totals provider (see [`AltTable::build`]).
+    alts: Vec<Derivation<QPattern, (QPattern, Option<f64>)>>,
+    /// The arena the entries' rule chains extend.
     traces: Vec<RuleId>,
 }
 
 impl AltTable {
-    /// Enumerates `pattern`'s alternatives breadth-first: each rule that
-    /// rewrites an entry of the last round into a pattern not yet in the
-    /// table appends it, one that rewrites it into a present pattern with
-    /// a higher weight replaces that entry's weight and chain. Entries
-    /// under [`TopkConfig::min_weight`] are pruned and the table holds at
-    /// most [`TopkConfig::max_alternatives`].
+    /// `pattern`'s alternatives in the order found: the walk full
+    /// expansion runs ([`walk`]), stepping with the compiled rules
+    /// ([`RuleSet::rules_for_predicate`]).
     ///
     /// `fresh_base` is the first variable id this pattern may allocate for
     /// RHS-fresh rule variables; callers give each pattern a disjoint range
@@ -255,81 +242,33 @@ impl AltTable {
         fresh_base: u16,
         totals: Option<&dyn GlobalTotals>,
     ) -> AltTable {
-        let origin = AltEntry {
-            pattern: *pattern,
-            weight: 1.0,
-            trace: (0, 0),
-            total: None,
+        let opts = ExpandOptions {
+            max_depth: cfg.chain_depth,
+            min_weight: cfg.min_weight,
+            max_rewritings: cfg.max_alternatives,
         };
-        let mut table = AltTable {
-            alts: vec![origin],
-            traces: Vec::new(),
+        let alt = |pattern| (fresh_key(pattern, fresh_base), (pattern, None));
+        let rules_of = |(pattern, _): &(QPattern, _)| {
+            let pred = pattern.p.term();
+            pred.map_or(&[][..], |p| rules.rules_for_predicate(p)).iter().copied()
         };
-        // Each round appends its new entries after the previous round's.
-        let mut frontier = 0..1;
-        for _ in 0..cfg.chain_depth {
-            let round = table.alts.len();
-            for idx in frontier {
-                let cur = table.alts[idx];
-                let Some(pred) = cur.pattern.p.term() else {
-                    continue;
-                };
-                for &(rule_id, rewrite) in rules.rules_for_predicate(pred) {
-                    let weight = cur.weight * rules.get(rule_id).weight;
-                    if weight < cfg.min_weight {
-                        continue;
-                    }
-                    let Some(pattern) = rewrite.apply(&cur.pattern, fresh_base) else {
-                        continue;
-                    };
-                    match table.alts.iter().position(|a| a.pattern == pattern) {
-                        Some(i) if weight > table.alts[i].weight => {
-                            table.alts[i].weight = weight;
-                            table.alts[i].trace = table.chain(cur.trace, rule_id);
-                        }
-                        None if table.alts.len() < cfg.max_alternatives => {
-                            let trace = table.chain(cur.trace, rule_id);
-                            table.alts.push(AltEntry {
-                                pattern,
-                                weight,
-                                trace,
-                                total: None,
-                            });
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            frontier = round..table.alts.len();
-            if frontier.is_empty() {
-                break;
-            }
-        }
+        let step = |(p, _): &(_, _), rewrite: SlotRewrite| rewrite.apply(p, fresh_base).map(alt);
+        let (mut alts, traces) = walk(alt(*pattern), rules, &opts, rules_of, step);
         if let Some(totals) = totals {
-            for alt in &mut table.alts {
-                alt.total = totals.pattern_total(&canonical_pattern(&alt.pattern));
+            for (pattern, total) in alts.iter_mut().map(|a| &mut a.form) {
+                *total = totals.pattern_total(&canonical_pattern(pattern));
             }
         }
-        table
-    }
-
-    /// Appends `parent`'s chain followed by `rule` to the trace arena.
-    fn chain(&mut self, (start, len): (u32, u32), rule: RuleId) -> (u32, u32) {
-        let at = self.traces.len() as u32;
-        self.traces
-            .extend_from_within(start as usize..(start + len) as usize);
-        self.traces.push(rule);
-        (at, len + 1)
+        AltTable { alts, traces }
     }
 
     /// Entry `alt` as the join reads it.
     #[inline]
     pub(crate) fn view(&self, alt: usize) -> AltView<'_> {
         let a = &self.alts[alt];
-        let (start, len) = (a.trace.0 as usize, a.trace.1 as usize);
         AltView {
-            pattern: &a.pattern,
-            trace: &self.traces[start..start + len],
+            pattern: &a.form.0,
+            trace: a.trace(&self.traces),
             weight: a.weight,
         }
     }
@@ -338,6 +277,19 @@ impl AltTable {
     pub fn iter(&self) -> impl ExactSizeIterator<Item = AltView<'_>> {
         (0..self.alts.len()).map(|i| self.view(i))
     }
+}
+
+/// `pattern`'s key in its table: each fresh variable (id `base` or
+/// above) renamed `base` plus its first slot, so that alternatives equal
+/// up to the naming of their fresh variables share it.
+fn fresh_key(pattern: QPattern, base: u16) -> QPattern {
+    let slots = pattern.slots();
+    let first = |t| slots.iter().position(|&u| u == t).unwrap_or(0) as u16;
+    let [s, p, o] = slots.map(|t| match t {
+        QTerm::Var(v) if v.0 >= base => QTerm::Var(VarId(base + first(t))),
+        t => t,
+    });
+    QPattern::new(s, p, o)
 }
 
 /// Heap entry of the incremental merge: one (alternative, slice) list
@@ -389,12 +341,12 @@ pub struct Merged {
 }
 
 /// One entry of a merge's alternative table, as the join reads it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct AltView<'a> {
     /// The alternative's pattern (needed to bind variables).
     pub pattern: &'a QPattern,
     /// Rules on the alternative's chain.
-    pub trace: &'a [RuleId],
+    pub trace: Trace<'a>,
     /// The alternative's weight.
     pub weight: f64,
 }
@@ -474,7 +426,7 @@ impl<'a> IncrementalMerge<'a> {
         for store in &view.slices()[slices.clone()] {
             lists.extend(table.alts.iter().map(|a| ListState {
                 matches: None,
-                head_bound: head_prob_bound_global(store, &a.pattern, a.total),
+                head_bound: head_prob_bound_global(store, &a.form.0, a.form.1),
                 pending: Vec::new(),
             }));
         }
@@ -536,12 +488,8 @@ impl<'a> IncrementalMerge<'a> {
     /// probability — through its first pending restriction's lookups when
     /// that pays ([`Restriction::open`]), the others applied after.
     fn open_entry(&mut self, entry: MergeEntry, metrics: &mut ExecMetrics) {
-        let AltEntry {
-            pattern,
-            weight,
-            total,
-            ..
-        } = self.table.alts[entry.alt as usize];
+        let a = &self.table.alts[entry.alt as usize];
+        let ((pattern, total), weight) = (a.form, a.weight);
         let s = self.slices.start + entry.slice as usize;
         let (store, cache) = (self.stores.get()[s], self.caches.get(s));
         let i = self.list(&entry);
@@ -673,7 +621,7 @@ impl<'a> IncrementalMerge<'a> {
         let n = self.table.alts.len();
         let mut restricted = false;
         for (a, entry) in self.table.alts.iter().enumerate() {
-            let Some(r) = Restriction::of(keys, &entry.pattern) else {
+            let Some(r) = Restriction::of(keys, &entry.form.0) else {
                 continue;
             };
             restricted = true;
@@ -684,7 +632,7 @@ impl<'a> IncrementalMerge<'a> {
                 match &list.matches {
                     Some(m) => {
                         let (store, m_) = (self.stores.get()[s], slot(&mut work, metrics, s));
-                        list.matches = Some(r.apply(store, &entry.pattern, m, m_));
+                        list.matches = Some(r.apply(store, &entry.form.0, m, m_));
                     }
                     None => list.pending.push(r),
                 }
@@ -988,7 +936,7 @@ mod tests {
         let sources = Sources::new(StoreView::over(&refs, &context), &rules, &cfg, &[]);
         let pattern = QPattern::new(QTerm::Var(VarId(0)), QTerm::Term(p), QTerm::Var(VarId(1)));
         let mut merge = sources.merge(&pattern, 8, 0..2);
-        let traces: Vec<Vec<RuleId>> = merge.table.iter().map(|a| a.trace.to_vec()).collect();
+        let traces: Vec<Vec<RuleId>> = merge.table.iter().map(|a| a.trace.collect()).collect();
         assert_eq!(
             traces,
             [vec![], vec![RuleId(0)], vec![RuleId(0), RuleId(1)]]
@@ -998,13 +946,128 @@ mod tests {
         while let Some(m) = merge.next_merged(&mut metrics) {
             let slice = usize::from(m.triple.0 as usize >= slices[0].len());
             let (alt, entry) = (merge.alternative(m.alt), &merge.table.alts[m.alt as usize]);
-            assert!(std::ptr::eq(alt.pattern, &entry.pattern));
-            assert_eq!(alt.trace, &traces[m.alt as usize][..]);
+            assert!(std::ptr::eq(alt.pattern, &entry.form.0));
+            assert!(alt.trace.eq(traces[m.alt as usize].iter().copied()));
             emitted[slice][m.alt as usize] = true;
         }
         assert_eq!(
             emitted, [[true; 3]; 2],
             "every alternative emits on both slices"
         );
+    }
+
+    fn tid(i: u32) -> TermId {
+        TermId::new(trinit_xkg::TermKind::Resource, i)
+    }
+
+    /// `p1 → p3` 0.9 and `p1 → p2` 0.3 in the order given, then
+    /// `p3 → p2` 0.9 and `p2 → p4` 0.5: `?x p1 ?y`'s table at
+    /// `chain_depth`, as `(predicate, weight, chain)` per entry.
+    fn relaxed_table(first_to: u32, chain_depth: usize) -> Vec<(u32, f64, Vec<RuleId>)> {
+        let rule = |from, to, w| {
+            let (from, to) = (tid(from), tid(to));
+            Rule::predicate_rewrite("r", from, to, w, RuleProvenance::UserDefined)
+        };
+        let other = 5 - first_to;
+        let weight = |to| if to == 3 { 0.9 } else { 0.3 };
+        let rules: RuleSet = [
+            rule(1, first_to, weight(first_to)),
+            rule(1, other, weight(other)),
+            rule(3, 2, 0.9),
+            rule(2, 4, 0.5),
+        ]
+        .into_iter()
+        .collect();
+        let cfg = TopkConfig {
+            chain_depth,
+            ..TopkConfig::default()
+        };
+        let (x, y) = (QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
+        let table = AltTable::build(&QPattern::new(x, QTerm::Term(tid(1)), y), &rules, &cfg, 2, None);
+        let id = |a: &AltView<'_>| (1..5).find(|&p| a.pattern.p == QTerm::Term(tid(p))).unwrap();
+        table.iter().map(|a| (id(&a), a.weight, a.trace.collect())).collect()
+    }
+
+    fn at(table: &[(u32, f64, Vec<RuleId>)], p: u32) -> (f64, Vec<RuleId>) {
+        let (_, w, trace) = table.iter().find(|e| e.0 == p).expect("reached");
+        (*w, trace.clone())
+    }
+
+    /// A form made heavier earlier in a round is not extended from its
+    /// deeper path in that round: at depth 2 `p4` is reached through
+    /// `p1 → p2 → p4` (0.15), not `p1 → p3 → p2 → p4` (0.405, three
+    /// rules), while `p2` keeps its heavier two-rule chain.
+    #[test]
+    fn a_table_stays_within_its_chain_depth() {
+        let table = relaxed_table(3, 2);
+        assert_eq!(at(&table, 2), (0.9 * 0.9, vec![RuleId(0), RuleId(2)]));
+        let (w, trace) = at(&table, 4);
+        assert!((w - 0.15).abs() < 1e-12, "{table:?}");
+        assert_eq!(trace, [RuleId(1), RuleId(3)]);
+    }
+
+    /// A form made heavier after its round is extended again from the
+    /// heavier chain: with `p1 → p2` found first, depth 3 reaches `p4`
+    /// at 0.9 · 0.9 · 0.5 = 0.405, not at 0.3 · 0.5 = 0.15.
+    #[test]
+    fn a_form_made_heavier_later_is_extended_from_its_heavier_chain() {
+        let table = relaxed_table(2, 3);
+        let (w, trace) = at(&table, 4);
+        assert!((w - 0.405).abs() < 1e-12, "{table:?}");
+        assert_eq!(trace, [RuleId(1), RuleId(2), RuleId(3)]);
+    }
+
+    /// With more rewrites of one predicate than `max_alternatives`, added
+    /// lightest first, the table keeps the pattern and the heaviest, in
+    /// the order found: ten rewrites weighing 0.10, 0.18, …, 0.82 under a
+    /// cap of 4 leave the pattern, 0.66, 0.74 and 0.82.
+    #[test]
+    fn alternatives_over_the_cap_are_the_heaviest() {
+        let rules: RuleSet = (0..10)
+            .map(|i| {
+                let w = 0.10 + 0.08 * f64::from(i);
+                Rule::predicate_rewrite("r", tid(1), tid(10 + i), w, RuleProvenance::UserDefined)
+            })
+            .collect();
+        let cfg = TopkConfig {
+            max_alternatives: 4,
+            ..TopkConfig::default()
+        };
+        let (x, y) = (QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
+        let table = AltTable::build(&QPattern::new(x, QTerm::Term(tid(1)), y), &rules, &cfg, 2, None);
+        let traces: Vec<Vec<RuleId>> = table.iter().map(|a| a.trace.collect()).collect();
+        assert_eq!(traces, [vec![], vec![RuleId(7)], vec![RuleId(8)], vec![RuleId(9)]]);
+    }
+
+    /// Alternatives equal up to the naming of their fresh variables are
+    /// one entry at the heavier weight: `?x p1 ?y` reaches `?f r ?g`
+    /// through `?x q ?f` (0.9, then 0.8) and through `?f t ?y` (0.7, then
+    /// 0.6), which name the two fresh variables in opposite slots.
+    #[test]
+    fn alternatives_equal_up_to_fresh_naming_are_one_entry() {
+        use trinit_relax::{RVar, TTerm, Template};
+        let [x, y, f] = [0, 1, 2].map(|v| TTerm::Var(RVar(v)));
+        let rule = |p1, s, p2, o, w| {
+            let lhs = vec![Template::new(x, TTerm::Const(tid(p1)), y)];
+            let rhs = vec![Template::new(s, TTerm::Const(tid(p2)), o)];
+            Rule::structural("r", lhs, rhs, w, RuleProvenance::UserDefined)
+        };
+        let (q, r, t) = (2, 3, 4);
+        let rules: RuleSet = [
+            rule(1, x, q, f, 0.9),
+            rule(q, f, r, y, 0.8),
+            rule(1, f, t, y, 0.7),
+            rule(t, x, r, f, 0.6),
+        ]
+        .into_iter()
+        .collect();
+        let (qx, qy) = (QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
+        let cfg = TopkConfig::default();
+        let table = AltTable::build(&QPattern::new(qx, QTerm::Term(tid(1)), qy), &rules, &cfg, 2, None);
+        let to_r: Vec<f64> = (table.iter())
+            .filter(|a| a.pattern.p == QTerm::Term(tid(r)))
+            .map(|a| a.weight)
+            .collect();
+        assert_eq!(to_r, [0.9 * 0.8]);
     }
 }

@@ -23,16 +23,14 @@
 //! merge reading all of them) and [`topk`] re-exports the public
 //! surface.
 //!
-//! **Planning.** A query's structural variants come from
-//! `trinit_relax::expand` over the structural rules — the enumerator
-//! full expansion runs over every rule — and only a query holding one of
-//! their LHS predicates reaches it. A stream's relaxation table
-//! ([`AltTable`](merge::AltTable)) is its pattern and the relaxed forms
-//! under the mergeable rules, each with its weight and rule chain. It is
-//! built from the rules `RuleSet::add` compiled (`SlotRewrite`), not by
-//! the general matcher `apply_rule`, once per stream per `execute`, and
-//! the stream's merge reads it on every slice; nothing outlives the
-//! query.
+//! **Planning.** One walk (`trinit_relax::apply::walk`) derives every
+//! relaxed form at its heaviest derivation, with two step functions. A
+//! query's structural variants step with the general matcher
+//! (`trinit_relax::expand` over the structural rules, as full expansion
+//! over every rule); only a query holding one of their LHS predicates
+//! gets any. A stream's relaxation table ([`AltTable`](merge::AltTable))
+//! steps with the rules `RuleSet::add` compiled (`SlotRewrite`), once
+//! per stream per `execute`, read by the stream's merge on every slice.
 //!
 //! **Materialization.** A query builds only what can reach its answer.
 //! The join asks the collector before it builds a combination

@@ -1,7 +1,8 @@
 //! The property generators every answer-level test of the workspace
 //! draws from — stores, queries and relaxation rules over a small
-//! universe of resources — defined once and included by `#[path]` from
-//! the query, shard and core test crates and the root `tests/`.
+//! universe of resources — and the check of a relaxation table against
+//! full expansion, defined once and included by `#[path]` from the
+//! query, shard and core test crates and the root `tests/`.
 //!
 //! Resource `i` is [`tid`]`(i)`; a store row is `(s, p, o, confidence,
 //! support − 1)`. Include it as a `pub mod` at the test crate's root, so
@@ -9,8 +10,12 @@
 
 use proptest::prelude::*;
 
-use trinit_query::Query;
-use trinit_relax::{QPattern, QTerm, Rule, RuleProvenance, VarId};
+use trinit_query::exec::merge::AltTable;
+use trinit_query::{Query, TopkConfig};
+use trinit_relax::{
+    canonical_key, expand, var_count, ExpandOptions, QPattern, QTerm, Rule, RuleId, RuleProvenance,
+    RuleSet, VarId,
+};
 use trinit_xkg::{
     Provenance, SegmentLayout, SourceId, TermId, TermKind, Triple, XkgBuilder, XkgStore,
 };
@@ -231,4 +236,43 @@ pub fn rule_of_shape(p1: u32, p2: u32, w: f64, shape: u8) -> Rule {
         }
     };
     Rule::structural("r", lhs, rhs, w, RuleProvenance::UserDefined)
+}
+
+/// A relaxation table entry as full expansion states it: the form's
+/// [`canonical_key`] over the pattern's own variables, the weight's bits
+/// and the rule chain.
+pub type Entry = (Vec<QPattern>, u64, Vec<RuleId>);
+
+/// `pattern`'s relaxation table at `fresh_base`, and full expansion of
+/// the pattern alone over the mergeable rules at the table's bounds —
+/// the same walk, stepping with the general matcher instead of the
+/// compiled rules — each as its [`Entry`]s, sorted.
+pub fn table_and_expansion(
+    pattern: &QPattern,
+    rules: &RuleSet,
+    cfg: &TopkConfig,
+    fresh_base: u16,
+) -> (Vec<Entry>, Vec<Entry>) {
+    let query = std::slice::from_ref(pattern);
+    let key = |patterns: &[QPattern]| canonical_key(patterns, var_count(query));
+    let table = AltTable::build(pattern, rules, cfg, fresh_base, None);
+    let mut got: Vec<Entry> = (table.iter())
+        .map(|a| (key(std::slice::from_ref(a.pattern)), a.weight.to_bits(), a.trace.collect()))
+        .collect();
+    let mergeable: Vec<RuleId> = (rules.iter())
+        .filter(|(_, r)| r.is_mergeable())
+        .map(|(id, _)| id)
+        .collect();
+    let opts = ExpandOptions {
+        max_depth: cfg.chain_depth,
+        min_weight: cfg.min_weight,
+        max_rewritings: cfg.max_alternatives,
+    };
+    let mut want: Vec<Entry> = expand(query, rules, &mergeable, &opts, None)
+        .into_iter()
+        .map(|r| (key(&r.patterns), r.weight.to_bits(), r.trace))
+        .collect();
+    got.sort();
+    want.sort();
+    (got, want)
 }

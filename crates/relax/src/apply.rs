@@ -5,17 +5,17 @@
 //! variables bind consistently to whatever the query holds (constants or
 //! query variables); RHS-only rule variables become fresh query variables.
 //!
-//! [`expand`] explores *sequences* of relaxations breadth-first with
-//! multiplicative weights, deduplicating alpha-equivalent rewritings and
-//! keeping the maximum weight per rewriting — matching the paper's answer
-//! scoring, where "the score of an answer \[is\] the maximal one obtained
-//! through any such sequence" (§4). It is the one enumerator of
-//! rewritings: full expansion runs it over every rule, and the top-k
-//! engine over the structural rules for its structural variants, so both
-//! keep each form's heaviest derivation and, under a cap, the heaviest
-//! forms.
+//! [`walk`] explores *sequences* of relaxations breadth-first with
+//! multiplicative weights, keeping the maximum weight per form — the
+//! paper's answer scoring, where "the score of an answer \[is\] the
+//! maximal one obtained through any such sequence" (§4). It is the one
+//! derivation walk, with two step functions: [`expand`]'s general
+//! matcher (full expansion, and the top-k engine's structural variants)
+//! and the compiled single-pattern rules of the top-k engine's
+//! relaxation tables ([`crate::rule::SlotRewrite`]).
 
 use std::collections::HashMap;
+use std::iter::{Chain, Copied};
 
 use trinit_xkg::{SlotPattern, TermId, XkgStore};
 
@@ -187,7 +187,7 @@ pub fn apply_rule(
 
 /// `rule`'s rewritings of `query`, each with its [`canonical_key`] over
 /// `key_vars` original variables, deduplicated by that key: each key is
-/// computed once, and the walk of [`expand`] reuses it.
+/// computed once, and [`walk`] reuses it.
 fn rewrite(
     query: &[QPattern],
     rule: &Rule,
@@ -287,7 +287,7 @@ pub struct ExpandOptions {
     /// Rewritings with combined weight below this are pruned.
     pub min_weight: f64,
     /// Hard cap on the number of rewritings returned (including the
-    /// original query).
+    /// original query); the heaviest are kept.
     pub max_rewritings: usize,
 }
 
@@ -307,11 +307,9 @@ impl Default for ExpandOptions {
 /// the top-k engine's structural variants. With an `oracle`, rules may
 /// fire on data conditions (see [`apply_rule`]).
 ///
-/// Forms are deduplicated up to alpha-equivalence, each keeping its
-/// heaviest derivation. The result always starts with the original
-/// query (weight 1.0, empty trace); the rest are the heaviest forms,
-/// sorted by descending weight (ties broken by trace length, then
-/// pattern order), at most `opts.max_rewritings` in all.
+/// It is [`walk`] stepping with the general matcher, forms keyed by
+/// [`canonical_key`]. The result starts with the query itself; the rest
+/// are sorted by weight, then trace length, then patterns.
 pub fn expand(
     query: &[QPattern],
     rules: &RuleSet,
@@ -320,57 +318,17 @@ pub fn expand(
     oracle: Option<&dyn ConditionOracle>,
 ) -> Vec<RelaxedQuery> {
     let key_vars = var_count(query);
-    let origin = RelaxedQuery {
-        patterns: query.to_vec(),
-        weight: 1.0,
-        trace: Vec::new(),
-    };
-    // One entry per derivation kept, beside its form's key. A heavier
-    // derivation of a form already in the table is a new entry that takes
-    // the key, leaving the lighter one superseded. Entries never change,
-    // so each round extends the entries the last round added, at the
-    // weight they were found with: a path found one round later is one
-    // step longer, and the depth bound holds.
-    let mut table = vec![(Some(canonical_key(query, key_vars)), origin)];
-    let mut frontier = 0..1;
-    for _ in 0..opts.max_depth {
-        let round = table.len();
-        for idx in frontier {
-            for &rule_id in candidates {
-                let rule = rules.get(rule_id);
-                let weight = table[idx].1.weight * rule.weight;
-                if weight < opts.min_weight {
-                    continue;
-                }
-                for (key, patterns) in rewrite(&table[idx].1.patterns, rule, oracle, key_vars) {
-                    let found = table.iter().position(|(k, _)| k.as_ref() == Some(&key));
-                    if let Some(i) = found {
-                        if weight <= table[i].1.weight {
-                            continue;
-                        }
-                        table[i].0 = None;
-                    }
-                    let trace = [&table[idx].1.trace[..], &[rule_id]].concat();
-                    let relaxed = RelaxedQuery {
-                        patterns,
-                        weight,
-                        trace,
-                    };
-                    table.push((Some(key), relaxed));
-                }
-            }
-        }
-        frontier = round..table.len();
-        if frontier.is_empty() {
-            break;
-        }
-    }
-
-    let mut out: Vec<RelaxedQuery> = table
-        .into_iter()
-        .filter_map(|(key, relaxed)| key.map(|_| relaxed))
+    let origin = (canonical_key(query, key_vars), query.to_vec());
+    let rules_of = |_: &Vec<QPattern>| candidates.iter().map(|&id| (id, rules.get(id)));
+    let step = |patterns: &Vec<QPattern>, rule| rewrite(patterns, rule, oracle, key_vars);
+    let (entries, arena) = walk(origin, rules, opts, rules_of, step);
+    let mut out: Vec<RelaxedQuery> = (entries.into_iter())
+        .map(|d| RelaxedQuery {
+            trace: d.trace(&arena).collect(),
+            patterns: d.form,
+            weight: d.weight,
+        })
         .collect();
-    // Rule weights lie in [0, 1], so nothing supersedes the query itself.
     out[1..].sort_unstable_by(|a, b| {
         b.weight
             .total_cmp(&a.weight)
@@ -379,6 +337,99 @@ pub fn expand(
     });
     out.truncate(opts.max_rewritings);
     out
+}
+
+/// One derivation a [`walk`] keeps: a form, its weight and its rules.
+#[derive(Debug)]
+pub struct Derivation<K, F> {
+    /// The form's key; `None` once a heavier derivation took it.
+    key: Option<K>,
+    /// The derived form.
+    pub form: F,
+    /// The product of the applied rules' weights.
+    pub weight: f64,
+    /// The trace this one extends, as `(start, end)` in the walk's arena,
+    /// and the rule that extended it; the origin has neither.
+    prefix: (u32, u32),
+    last: Option<RuleId>,
+}
+
+impl<K, F> Derivation<K, F> {
+    /// The rules applied, read through the arena the walk returned.
+    pub fn trace<'a>(&self, arena: &'a [RuleId]) -> Trace<'a> {
+        arena[self.prefix.0 as usize..self.prefix.1 as usize].iter().copied().chain(self.last)
+    }
+}
+
+/// A derivation's rules, first applied first.
+pub type Trace<'a> = Chain<Copied<std::slice::Iter<'a, RuleId>>, std::option::IntoIter<RuleId>>;
+
+/// The one breadth-first derivation walk: the forms reachable from the
+/// origin `(key, form)` within `opts.max_depth` steps, each at its
+/// heaviest derivation, none under `opts.min_weight`. `candidates` names
+/// the rules that may rewrite a form, each with what `step` needs to
+/// apply it; `step` gives the rewritings with their keys.
+///
+/// A heavier derivation of a form is a new entry that takes the key.
+/// Entries never change, so each round extends the last round's entries
+/// at the weight they were found with, and the depth bound holds. Past
+/// `opts.max_rewritings` the lightest go (the longer, then the later
+/// found, first among equals), never the origin. Returns the kept
+/// derivations in the order found and the arena their traces extend.
+pub fn walk<K: PartialEq, F, C, I, R>(
+    (key, form): (K, F),
+    rules: &RuleSet,
+    opts: &ExpandOptions,
+    candidates: impl Fn(&F) -> I,
+    mut step: impl FnMut(&F, C) -> R,
+) -> (Vec<Derivation<K, F>>, Vec<RuleId>)
+where
+    I: IntoIterator<Item = (RuleId, C)>,
+    R: IntoIterator<Item = (K, F)>,
+{
+    let origin = Derivation { key: Some(key), form, weight: 1.0, prefix: (0, 0), last: None };
+    let (mut entries, mut arena) = (vec![origin], Vec::new());
+    let mut frontier = 0..1;
+    for _ in 0..opts.max_depth {
+        let round = entries.len();
+        for idx in frontier {
+            // The trace this entry's rewritings extend.
+            let ((start, end), at) = (entries[idx].prefix, arena.len() as u32);
+            arena.extend_from_within(start as usize..end as usize);
+            arena.extend(entries[idx].last);
+            let prefix = (at, arena.len() as u32);
+            for (rule, c) in candidates(&entries[idx].form) {
+                let weight = entries[idx].weight * rules.get(rule).weight;
+                if weight < opts.min_weight {
+                    continue;
+                }
+                for (key, form) in step(&entries[idx].form, c) {
+                    match entries.iter().position(|d| d.key.as_ref() == Some(&key)) {
+                        Some(i) if weight <= entries[i].weight => continue,
+                        Some(i) => entries[i].key = None,
+                        None => {}
+                    }
+                    let (key, last) = (Some(key), Some(rule));
+                    entries.push(Derivation { key, form, weight, prefix, last });
+                }
+            }
+        }
+        frontier = round..entries.len();
+        if frontier.is_empty() {
+            break;
+        }
+    }
+    entries.retain(|d| d.key.is_some());
+    // Rule weights lie in [0, 1], so nothing superseded the origin.
+    while entries.len() > opts.max_rewritings.max(1) {
+        let depth = |d: &Derivation<K, F>| d.prefix.1 - d.prefix.0;
+        let lighter = |a: &Derivation<K, F>, b: &Derivation<K, F>| {
+            b.weight.total_cmp(&a.weight).then(depth(a).cmp(&depth(b)))
+        };
+        let lightest = (1..entries.len()).max_by(|&a, &b| lighter(&entries[a], &entries[b]));
+        entries.remove(lightest.unwrap_or(1));
+    }
+    (entries, arena)
 }
 
 #[cfg(test)]

@@ -12,10 +12,10 @@
 //! * **user-defined rules** and arbitrary plug-ins through the
 //!   [`operator`] API.
 //!
-//! [`apply::expand`] enumerates weighted relaxation *sequences* of a
-//! query — the one enumerator both the full-expansion baseline (over
-//! every rule) and the incremental top-k processor's structural variants
-//! (over the structural rules) run, in `trinit-query`.
+//! [`apply::walk`] enumerates weighted relaxation *sequences*: the one
+//! walk behind [`apply::expand`] (full expansion, and the top-k
+//! processor's structural variants) and the top-k processor's
+//! per-pattern relaxation tables, in `trinit-query`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -8,10 +8,11 @@ use std::sync::OnceLock;
 
 use trinit_core::query::exec::drive::structural_variants;
 use trinit_core::query::exec::merge::AltTable;
+use trinit_core::query::exec::{expand as full_expansion, topk};
 use trinit_core::query::{Answer, TopkConfig};
 use trinit_core::relax::{
     apply_rule, expand, mine_cooccurrence, ConditionOracle, ExpandOptions, MinedRule, MinerConfig,
-    QPattern, QTerm, Rule, RuleId, RuleKind, RuleProvenance, RuleSet, VarId,
+    QPattern, QTerm, Rule, RuleKind, RuleProvenance, RuleSet, VarId,
 };
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
 use trinit_core::xkg::{args_pairs, PostingList, SegmentLayout, ServeKind, SlotPattern, XkgStore};
@@ -20,6 +21,9 @@ use trinit_eval::{
     build_full_system, build_world, figure4_rules, generate_benchmark, run_evaluation,
     suggestion_hits, BenchQuery, BenchmarkConfig, EvalConfig,
 };
+
+#[path = "../crates/query/tests/support/gen.rs"]
+pub mod gen;
 
 fn system() -> (World, trinit_core::Trinit) {
     let world = World::generate(WorldConfig::tiny(53).scaled(3.0));
@@ -280,87 +284,12 @@ fn graded() -> &'static Graded {
     })
 }
 
-/// A reference relaxation table entry: pattern, weight, rule chain.
-type RefEntry = (QPattern, f64, Vec<RuleId>);
-
-/// The variables of `pattern` that `origin` lacks (rule-introduced fresh
-/// ones), renamed in slot order to the lowest ids from `fresh_base` that
-/// no variable kept from `origin` holds.
-fn remap_fresh(pattern: QPattern, origin: &QPattern, fresh_base: u16) -> QPattern {
-    let kept = |v: VarId| origin.vars().any(|u| u == v);
-    let mut mapping: Vec<(VarId, VarId)> = Vec::new();
-    let mut next = fresh_base;
-    let mut map = |t: QTerm| match t {
-        QTerm::Var(v) if !kept(v) => {
-            if let Some(&(_, nv)) = mapping.iter().find(|(old, _)| *old == v) {
-                return QTerm::Var(nv);
-            }
-            while pattern.vars().any(|u| u.0 == next && kept(u)) {
-                next += 1;
-            }
-            mapping.push((v, VarId(next)));
-            next += 1;
-            QTerm::Var(VarId(next - 1))
-        }
-        other => other,
-    };
-    QPattern::new(map(pattern.s), map(pattern.p), map(pattern.o))
-}
-
-/// A pattern's relaxation table enumerated through the general matcher:
-/// breadth-first chains of mergeable rules applied with `apply_rule`, a
-/// rewriting already present kept at its best weight and chain, new ones
-/// appended while the table has room.
-fn reference_table(
-    pattern: &QPattern,
-    rules: &RuleSet,
-    cfg: &TopkConfig,
-    fresh_base: u16,
-) -> Vec<RefEntry> {
-    let mut out: Vec<RefEntry> = vec![(*pattern, 1.0, Vec::new())];
-    let mut frontier = vec![0usize];
-    for _ in 0..cfg.chain_depth {
-        let mut next_frontier = Vec::new();
-        for &idx in &frontier {
-            let (cur, cur_weight, cur_trace) = out[idx].clone();
-            let Some(pred) = cur.p.term() else { continue };
-            let rewrites_pred = |r: &Rule| r.is_mergeable() && r.lhs_predicate() == Some(pred);
-            for (rule_id, rule) in rules.iter().filter(|(_, r)| rewrites_pred(r)) {
-                let weight = cur_weight * rule.weight;
-                if weight < cfg.min_weight {
-                    continue;
-                }
-                for rewriting in apply_rule(&[cur], rule, None) {
-                    let [rewritten] = rewriting[..] else {
-                        continue;
-                    };
-                    let rewritten = remap_fresh(rewritten, &cur, fresh_base);
-                    let trace = [cur_trace.clone(), vec![rule_id]].concat();
-                    match out.iter().position(|a| a.0 == rewritten) {
-                        Some(i) if weight > out[i].1 => (out[i].1, out[i].2) = (weight, trace),
-                        None if out.len() < cfg.max_alternatives => {
-                            out.push((rewritten, weight, trace));
-                            next_frontier.push(out.len() - 1);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        if next_frontier.is_empty() {
-            break;
-        }
-        frontier = next_frontier;
-    }
-    out
-}
-
 /// The top-k engine's relaxation table of every pattern the 70 graded
 /// queries run — their own patterns and those of their one-step
 /// structural rewritings, at the fresh-variable base each stream gets —
-/// equals the general matcher's enumeration entry for entry: pattern,
-/// weight to the bit, rule chain, and order (merge ties break on the
-/// entry index).
+/// equals full expansion of the pattern over the mergeable rules through
+/// the general matcher, entry for entry: the form up to the naming of
+/// fresh variables, weight to the bit and rule chain.
 #[test]
 fn relaxation_tables_equal_the_general_matcher_enumeration() {
     let Graded { sys, graded, .. } = graded();
@@ -384,15 +313,9 @@ fn relaxation_tables_equal_the_general_matcher_enumeration() {
                 .map_or(0, |m| m + 1);
             for (i, pattern) in patterns.iter().enumerate() {
                 let fresh_base = max_var + 3 * i as u16;
-                let want = reference_table(pattern, rules, &topk, fresh_base);
-                let table = AltTable::build(pattern, rules, &topk, fresh_base, None);
-                let got: Vec<RefEntry> = table
-                    .iter()
-                    .map(|a| (*a.pattern, a.weight, a.trace.to_vec()))
-                    .collect();
+                let (got, want) = gen::table_and_expansion(pattern, rules, &topk, fresh_base);
                 assert_eq!(got.len(), want.len(), "{}: {pattern:?}", bench.text);
                 for (g, w) in got.iter().zip(&want) {
-                    let (g, w) = ((g.0, g.1.to_bits(), &g.2), (w.0, w.1.to_bits(), &w.2));
                     assert_eq!(g, w, "{}", bench.text);
                 }
                 tables += 1;
@@ -404,6 +327,50 @@ fn relaxation_tables_equal_the_general_matcher_enumeration() {
         relaxed * 2 > tables,
         "{relaxed} of {tables} tables relax their pattern"
     );
+}
+
+/// Top-k scores an answer reached through chained single-pattern rules
+/// by its heaviest chain of at most `chain_depth` rules, as full
+/// expansion to that depth does. Over a store of `p4` facts only,
+/// `?x p1 ?y` under `p1→p3` 0.9, `p1→p2` 0.3, `p3→p2` 0.9 and `p2→p4` 0.5
+/// scores 0.15 at depth 2 (the 0.405 chain takes three rules) and, with
+/// the first two rules swapped, 0.405 at depth 3.
+#[test]
+fn relaxed_answers_score_as_full_expansion_at_the_chain_depth() {
+    let mut b = trinit_core::xkg::XkgBuilder::new();
+    b.add_kg_resources("a", "p4", "b");
+    let p: Vec<_> = (0..5).map(|i| b.dict_mut().resource(&format!("p{i}"))).collect();
+    let store = b.build();
+    let (x, y) = (QTerm::Var(VarId(0)), QTerm::Var(VarId(1)));
+    let query = gen::query_from(vec![QPattern::new(x, QTerm::Term(p[1]), y)], 3);
+    let rule = |(from, to, w): (usize, usize, f64)| {
+        Rule::predicate_rewrite("r", p[from], p[to], w, RuleProvenance::UserDefined)
+    };
+    let (to_p3, to_p2) = ((1, 3, 0.9), (1, 2, 0.3));
+    for (first, second, chain_depth, want) in [
+        (to_p3, to_p2, 2, 0.15f64),
+        (to_p2, to_p3, 3, 0.405),
+    ] {
+        let rules: RuleSet = [first, second, (3, 2, 0.9), (2, 4, 0.5)]
+            .into_iter()
+            .map(rule)
+            .collect();
+        let cfg = TopkConfig {
+            chain_depth,
+            ..TopkConfig::default()
+        };
+        let opts = ExpandOptions {
+            max_depth: chain_depth,
+            ..cfg.reference_expansion()
+        };
+        let (got, _) = topk::run(&store, &query, &rules, &cfg);
+        let (reference, _) = full_expansion::run(&store, &query, &rules, &opts);
+        assert_eq!((got.len(), reference.len()), (1, 1), "depth {chain_depth}");
+        assert_eq!(got[0].key, reference[0].key);
+        let (got, reference) = (got[0].score, reference[0].score);
+        assert!((got - reference).abs() < 1e-12, "depth {chain_depth}: {got} vs {reference}");
+        assert!((reference - want.ln()).abs() < 1e-12, "depth {chain_depth}: {reference}");
+    }
 }
 
 /// Indexing structural rules by their LHS predicates changes which
