@@ -41,7 +41,7 @@ pub mod trinit;
 pub use complete::{Completer, Completion};
 pub use explain::{explain, processing_report, Explanation};
 pub use session::{Session, SESSION_CACHE_CAPACITY};
-pub use suggest::{suggest, suggest_sharded, SuggestConfig, Suggestion};
+pub use suggest::{suggest, SuggestConfig, Suggestion};
 pub use trinit::{BuildOptions, BuildStats, Engine, QueryOutcome, Trinit, TrinitBuilder};
 
 // Budgeted-execution surface: the serving tier reads a query's typed

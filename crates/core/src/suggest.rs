@@ -9,13 +9,22 @@
 //! * **Rule-invocation notices**: "When a structural relaxation rule
 //!   (e.g. a predicate inversion rule) is invoked and contributes to the
 //!   final answer set, TriniT informs the user of this effect."
+//!
+//! The overlap is probed from the token's side: its distinct
+//! `(s, o)` pairs are collected over every live slice (base partitions,
+//! then delta views), and each pair looks up `(s, ·, o)` and `(o, ·, s)`
+//! in every slice, counting per resource predicate the pairs it shares
+//! forward and reversed. A call costs O(|args(t)| · slices · log n),
+//! whatever the number of predicates, and one path serves a monolith,
+//! N partitions and a live delta. Probes reuse one id buffer, so a
+//! Packed slice decodes into it without allocating.
 
 use std::collections::HashMap;
 
 use trinit_query::{Answer, Query};
 use trinit_relax::{QTerm, RuleKind, RuleSet};
 use trinit_shard::ShardedStore;
-use trinit_xkg::{args_pairs, StoreStats, TermId, XkgStore};
+use trinit_xkg::{SlotPattern, TermId, XkgStore};
 
 /// One suggestion shown to the user after a query.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,6 +97,9 @@ impl Suggestion {
 #[derive(Debug, Clone)]
 pub struct SuggestConfig {
     /// Minimum match-overlap fraction for token → resource suggestions.
+    /// A resource is a candidate only if it shares at least one
+    /// argument pair with the token, so a bound of 0 or below lists
+    /// every resource that overlaps at all, never a disjoint one.
     pub min_overlap: f64,
     /// Maximum suggestions per token.
     pub per_token: usize,
@@ -102,133 +114,89 @@ impl Default for SuggestConfig {
     }
 }
 
-/// Size of the intersection of two sorted, deduplicated pair lists.
-fn sorted_overlap(a: &[(TermId, TermId)], b: &[(TermId, TermId)]) -> usize {
-    let mut i = 0;
-    let mut j = 0;
-    let mut overlap = 0;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                overlap += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    overlap
-}
-
-/// Suggests canonical resources for token predicates used in `query`.
+/// Suggests canonical resources for the token predicates of `query`.
 ///
 /// For a token predicate `t`, every resource predicate `r` with
-/// `|args(t) ∩ args(r)| / |args(t)| ≥ min_overlap` is suggested,
-/// strongest overlap first.
-pub fn token_resource_suggestions(
-    store: &XkgStore,
+/// `|args(t) ∩ args(r)| / |args(t)| ≥ min_overlap` (or the same with
+/// `args(r)` reversed, if strictly larger) is suggested, strongest
+/// overlap first, then by term id. `segments` is called once, and only
+/// if the query has a token predicate.
+fn token_overlaps<'s>(
+    segments: impl FnOnce() -> Vec<&'s XkgStore>,
+    vocab: &XkgStore,
     query: &Query,
     cfg: &SuggestConfig,
 ) -> Vec<Suggestion> {
-    let stats = StoreStats::compute(store);
-    let predicates = stats.predicates().to_vec();
-    token_resource_from(
-        &|id| store.dict().resolve(id).map(str::to_string),
-        &predicates,
-        &|p| args_pairs(store, p),
-        query,
-        cfg,
-    )
-}
-
-/// The sharded counterpart of [`suggest`]: predicate argument sets are
-/// the sorted union of every shard's (subject-hash partitioning spreads
-/// one predicate's triples across shards, so a single shard's `args(p)`
-/// would miss overlaps).
-pub fn suggest_sharded(
-    store: &ShardedStore,
-    query: &Query,
-    rules: &RuleSet,
-    answers: &[Answer],
-    cfg: &SuggestConfig,
-) -> Vec<Suggestion> {
-    let mut out = token_resource_from(
-        &|id| store.dict().resolve(id).map(str::to_string),
-        store.predicates(),
-        &|p| {
-            let mut pairs: Vec<(TermId, TermId)> = store
-                .shards()
-                .iter()
-                .flat_map(|shard| args_pairs(shard, p))
-                .collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            pairs
-        },
-        query,
-        cfg,
-    );
-    out.extend(rule_invocation_notices(rules, answers));
-    out
-}
-
-/// Backend-independent core of the token → resource heuristic:
-/// `predicates` enumerates the graph's predicates, `args_of` yields a
-/// predicate's sorted, deduplicated `(subject, object)` set, `resolve`
-/// renders term ids.
-fn token_resource_from(
-    resolve: &dyn Fn(TermId) -> Option<String>,
-    predicates: &[TermId],
-    args_of: &dyn Fn(TermId) -> Vec<(TermId, TermId)>,
-    query: &Query,
-    cfg: &SuggestConfig,
-) -> Vec<Suggestion> {
-    let mut out = Vec::new();
-
-    // Token predicates appearing in the query.
-    let mut token_preds: Vec<TermId> = query
+    let mut tokens: Vec<TermId> = query
         .patterns
         .iter()
         .filter_map(|p| p.p.term())
         .filter(|t| t.is_token())
         .collect();
-    token_preds.sort_unstable();
-    token_preds.dedup();
-
-    for tp in token_preds {
-        let token_args = args_of(tp);
-        if token_args.is_empty() {
+    if tokens.is_empty() {
+        return Vec::new();
+    }
+    tokens.sort_unstable();
+    tokens.dedup();
+    let segments = segments();
+    let resolve = |id| {
+        vocab
+            .dict()
+            .resolve(id)
+            .unwrap_or("<unknown>")
+            .to_string()
+    };
+    let mut out = Vec::new();
+    let (mut pairs, mut buf) = (Vec::new(), Vec::new());
+    // Per resource predicate: pairs shared forward, pairs shared reversed.
+    let mut shared: HashMap<TermId, [usize; 2]> = HashMap::new();
+    for t in tokens {
+        pairs.clear();
+        for seg in &segments {
+            let ids = seg.lookup_in(&SlotPattern::with_p(t), &mut buf);
+            pairs.extend(ids.iter().map(|&id| {
+                let triple = seg.triple(id);
+                (triple.s, triple.o)
+            }));
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        if pairs.is_empty() {
             continue;
         }
-        let mut candidates: Vec<(f64, bool, TermId)> = Vec::new();
-        for &rp in predicates {
-            if !rp.is_resource() {
-                continue;
-            }
-            let res_args = args_of(rp);
-            let forward = sorted_overlap(&token_args, &res_args);
-            // Inverted relations ('studied under' vs hasStudent) overlap
-            // only with swapped arguments.
-            let reversed = token_args
-                .iter()
-                .filter(|(a, b)| res_args.binary_search(&(*b, *a)).is_ok())
-                .count();
-            let (overlap, inverted) = if reversed > forward {
-                (reversed, true)
-            } else {
-                (forward, false)
-            };
-            let frac = overlap as f64 / token_args.len() as f64;
-            if frac >= cfg.min_overlap {
-                candidates.push((frac, inverted, rp));
+        // Inverted relations ('studied under' vs hasStudent) overlap
+        // only with swapped arguments, so each pair probes both ways.
+        shared.clear();
+        for &(s, o) in &pairs {
+            for (way, (a, b)) in [(s, o), (o, s)].into_iter().enumerate() {
+                let probe = SlotPattern::new(Some(a), None, Some(b));
+                for seg in &segments {
+                    for &id in seg.lookup_in(&probe, &mut buf) {
+                        let p = seg.triple(id).p;
+                        if p.is_resource() {
+                            shared.entry(p).or_default()[way] += 1;
+                        }
+                    }
+                }
             }
         }
+        let mut candidates: Vec<(f64, bool, TermId)> = shared
+            .iter()
+            .map(|(&p, &[forward, reversed])| {
+                let (overlap, inverted) = if reversed > forward {
+                    (reversed, true)
+                } else {
+                    (forward, false)
+                };
+                (overlap as f64 / pairs.len() as f64, inverted, p)
+            })
+            .filter(|&(frac, ..)| frac >= cfg.min_overlap)
+            .collect();
         candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.2.cmp(&b.2)));
-        for (frac, inverted, rp) in candidates.into_iter().take(cfg.per_token) {
+        for (frac, inverted, p) in candidates.into_iter().take(cfg.per_token) {
             out.push(Suggestion::ReplaceToken {
-                token: resolve(tp).unwrap_or_else(|| "<unknown>".to_string()),
-                resource: resolve(rp).unwrap_or_else(|| "<unknown>".to_string()),
+                token: resolve(t),
+                resource: resolve(p),
                 overlap: frac,
                 inverted,
             });
@@ -259,15 +227,17 @@ pub fn rule_invocation_notices(rules: &RuleSet, answers: &[Answer]) -> Vec<Sugge
         .collect()
 }
 
-/// All suggestions for a finished query.
+/// All suggestions for a finished query: token → resource overlaps
+/// over every live slice of `store` (its base partitions and delta
+/// views), then the rule notices.
 pub fn suggest(
-    store: &XkgStore,
+    store: &ShardedStore,
     query: &Query,
     rules: &RuleSet,
     answers: &[Answer],
     cfg: &SuggestConfig,
 ) -> Vec<Suggestion> {
-    let mut out = token_resource_suggestions(store, query, cfg);
+    let mut out = token_overlaps(|| store.segments(), store.vocab(), query, cfg);
     out.extend(rule_invocation_notices(rules, answers));
     out
 }
@@ -283,12 +253,14 @@ pub fn query_uses_tokens(query: &Query) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use trinit_query::QueryBuilder;
     use trinit_xkg::XkgBuilder;
 
     /// Store where the token 'worked at' heavily overlaps `affiliation`.
-    fn overlapping_store() -> XkgStore {
+    fn overlapping_store() -> ShardedStore {
         let mut b = XkgBuilder::new();
         for (s, o) in [("a", "U1"), ("b", "U1"), ("c", "U2"), ("d", "U3")] {
             b.add_kg_resources(s, "affiliation", o);
@@ -300,17 +272,37 @@ mod tests {
             let o = b.dict_mut().resource(o);
             b.add_extracted(s, worked, o, 0.8, src);
         }
-        b.build()
+        ShardedStore::build(b, 1)
+    }
+
+    /// The token → resource suggestions alone.
+    fn overlaps(store: &ShardedStore, query: &Query, cfg: &SuggestConfig) -> Vec<Suggestion> {
+        suggest(store, query, &RuleSet::new(), &[], cfg)
+    }
+
+    /// `(resource, overlap, inverted)` of each suggestion, in order.
+    fn resources(suggestions: &[Suggestion]) -> Vec<(String, f64, bool)> {
+        suggestions
+            .iter()
+            .map(|s| match s {
+                Suggestion::ReplaceToken {
+                    resource,
+                    overlap,
+                    inverted,
+                    ..
+                } => (resource.clone(), *overlap, *inverted),
+                other => panic!("unexpected suggestion {other:?}"),
+            })
+            .collect()
     }
 
     #[test]
     fn token_predicate_suggests_resource() {
         let store = overlapping_store();
-        let q = QueryBuilder::new(&store)
+        let q = QueryBuilder::new(store.vocab())
             .pattern_r_t_v("a", "worked at", "y")
             .build();
-        let suggestions =
-            token_resource_suggestions(&store, &q, &SuggestConfig::default());
+        let suggestions = overlaps(&store, &q, &SuggestConfig::default());
         assert!(!suggestions.is_empty());
         match &suggestions[0] {
             Suggestion::ReplaceToken {
@@ -331,28 +323,120 @@ mod tests {
     #[test]
     fn no_suggestions_for_resource_only_query() {
         let store = overlapping_store();
-        let q = QueryBuilder::new(&store)
+        let q = QueryBuilder::new(store.vocab())
             .pattern_v_r_v("x", "affiliation", "y")
             .build();
         assert!(!query_uses_tokens(&q));
-        assert!(token_resource_suggestions(&store, &q, &SuggestConfig::default()).is_empty());
+        assert!(overlaps(&store, &q, &SuggestConfig::default()).is_empty());
+    }
+
+    #[test]
+    fn a_query_without_token_predicate_walks_no_slice() {
+        let store = overlapping_store();
+        let walks = Cell::new(0);
+        let segments = || {
+            walks.set(walks.get() + 1);
+            store.segments()
+        };
+        let cfg = SuggestConfig::default();
+        let kg = QueryBuilder::new(store.vocab())
+            .pattern_v_r_v("x", "affiliation", "y")
+            .build();
+        assert!(token_overlaps(segments, store.vocab(), &kg, &cfg).is_empty());
+        assert_eq!(walks.get(), 0, "no token predicate, no slice walked");
+        let token = QueryBuilder::new(store.vocab())
+            .pattern_r_t_v("a", "worked at", "y")
+            .build();
+        assert!(!token_overlaps(segments, store.vocab(), &token, &cfg).is_empty());
+        assert_eq!(walks.get(), 1, "a token query walks the slices once");
     }
 
     #[test]
     fn threshold_filters_weak_overlap() {
         let store = overlapping_store();
-        let q = QueryBuilder::new(&store)
+        let q = QueryBuilder::new(store.vocab())
             .pattern_r_t_v("a", "worked at", "y")
             .build();
-        let none = token_resource_suggestions(
-            &store,
-            &q,
-            &SuggestConfig {
-                min_overlap: 1.01,
+        let cfg = SuggestConfig {
+            min_overlap: 1.01,
+            per_token: 3,
+        };
+        assert!(overlaps(&store, &q, &cfg).is_empty());
+    }
+
+    #[test]
+    fn a_suggestion_needs_a_shared_pair_even_at_zero_min_overlap() {
+        // `located` shares no pair with 'worked at', `affiliation` all.
+        let mut b = XkgBuilder::new();
+        b.add_kg_resources("U1", "located", "Ulm");
+        b.add_kg_resources("a", "affiliation", "U1");
+        let src = b.intern_source("d0");
+        let worked = b.dict_mut().token("worked at");
+        let (a, u1) = (b.dict_mut().resource("a"), b.dict_mut().resource("U1"));
+        b.add_extracted(a, worked, u1, 0.8, src);
+        let store = ShardedStore::build(b, 1);
+        let q = QueryBuilder::new(store.vocab())
+            .pattern_r_t_v("a", "worked at", "y")
+            .build();
+        for min_overlap in [0.0, -1.0] {
+            let cfg = SuggestConfig {
+                min_overlap,
                 per_token: 3,
-            },
+            };
+            assert_eq!(
+                resources(&overlaps(&store, &q, &cfg)),
+                vec![("affiliation".to_string(), 1.0, false)]
+            );
+        }
+    }
+
+    #[test]
+    fn a_forward_reversed_tie_is_not_inverted() {
+        // 'knows' shares (a, b) with `friend` forward and (d, c) reversed.
+        let mut b = XkgBuilder::new();
+        b.add_kg_resources("a", "friend", "b");
+        b.add_kg_resources("c", "friend", "d");
+        let src = b.intern_source("d0");
+        let knows = b.dict_mut().token("knows");
+        for (s, o) in [("a", "b"), ("d", "c")] {
+            let (s, o) = (b.dict_mut().resource(s), b.dict_mut().resource(o));
+            b.add_extracted(s, knows, o, 0.8, src);
+        }
+        let store = ShardedStore::build(b, 1);
+        let q = QueryBuilder::new(store.vocab())
+            .pattern_r_t_v("a", "knows", "y")
+            .build();
+        assert_eq!(
+            resources(&overlaps(&store, &q, &SuggestConfig::default())),
+            vec![("friend".to_string(), 0.5, false)]
         );
-        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn a_token_predicate_in_two_patterns_is_suggested_once() {
+        let store = overlapping_store();
+        let q = QueryBuilder::new(store.vocab())
+            .pattern_r_t_v("a", "worked at", "y")
+            .pattern_r_t_v("b", "worked at", "y")
+            .build();
+        assert_eq!(
+            resources(&overlaps(&store, &q, &SuggestConfig::default())),
+            vec![("affiliation".to_string(), 1.0, false)]
+        );
+    }
+
+    #[test]
+    fn a_token_in_a_subject_or_object_slot_is_ignored() {
+        let store = overlapping_store();
+        let mut b = QueryBuilder::new(store.vocab());
+        let (x, worked) = (b.var("x"), b.token("worked at"));
+        let aff = b.resource("affiliation");
+        let q = b
+            .pattern(QTerm::Term(worked), QTerm::Term(aff), QTerm::Var(x))
+            .pattern(QTerm::Var(x), QTerm::Term(aff), QTerm::Term(worked))
+            .build();
+        assert!(query_uses_tokens(&q));
+        assert!(overlaps(&store, &q, &SuggestConfig::default()).is_empty());
     }
 
     #[test]
@@ -369,18 +453,14 @@ mod tests {
             let o = b.dict_mut().resource(adv);
             b.add_extracted(s, studied, o, 0.7, src);
         }
-        let store = b.build();
-        let q = QueryBuilder::new(&store)
+        let store = ShardedStore::build(b, 1);
+        let q = QueryBuilder::new(store.vocab())
             .pattern_r_t_v("S1", "studied under", "y")
             .build();
-        let suggestions =
-            token_resource_suggestions(&store, &q, &SuggestConfig::default());
-        let hit = suggestions.iter().any(|s| matches!(
-            s,
-            Suggestion::ReplaceToken { resource, inverted: true, .. }
-                if resource == "hasStudent"
-        ));
-        assert!(hit, "expected inverted suggestion: {suggestions:?}");
+        assert_eq!(
+            resources(&overlaps(&store, &q, &SuggestConfig::default())),
+            vec![("hasStudent".to_string(), 1.0, true)]
+        );
     }
 
     #[test]
@@ -388,8 +468,8 @@ mod tests {
         use trinit_query::{Answer, Bindings, Derivation};
         use trinit_relax::{Rule, RuleProvenance, RuleSet};
         let store = overlapping_store();
-        let aff = store.resource("affiliation").unwrap();
-        let worked = store.token("worked at").unwrap();
+        let aff = store.vocab().resource("affiliation").unwrap();
+        let worked = store.vocab().token("worked at").unwrap();
         let mut rules = RuleSet::new();
         let id = rules.add(Rule::inversion(
             "inv",

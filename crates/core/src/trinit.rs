@@ -906,17 +906,13 @@ impl Trinit {
         crate::explain::processing_report(self.store(), &self.rules, outcome)
     }
 
-    /// Suggestions for a finished query (paper §5). Sharded systems
-    /// aggregate predicate argument sets across every shard. Computed
-    /// over the frozen base; triples still in a live delta contribute
-    /// after the next [`Trinit::compact`].
+    /// Suggestions for a finished query (paper §5): a token
+    /// predicate's overlaps are probed over every live slice — the base
+    /// partitions and the delta views — so triples an ingest adds count
+    /// at once, before any [`Trinit::compact`].
     pub fn suggest(&self, outcome: &QueryOutcome) -> Vec<Suggestion> {
         let (query, rules, answers) = (&outcome.query, &self.rules, &outcome.answers);
-        if self.shard_count() == 1 {
-            suggest(self.store.base(), query, rules, answers, &self.suggest_cfg)
-        } else {
-            crate::suggest::suggest_sharded(&self.store, query, rules, answers, &self.suggest_cfg)
-        }
+        suggest(&self.store, query, rules, answers, &self.suggest_cfg)
     }
 
     /// Auto-completes a term prefix (paper §5) over the live

@@ -30,8 +30,8 @@
 //! * [`LiveDelta`] — the write path: N frozen base partitions (one for
 //!   a monolith) plus a live delta that ingestion merges into and
 //!   compaction folds back;
-//! * [`stats`] — predicate statistics and the `args(p)` sets used by the
-//!   relaxation miner (paper §3).
+//! * [`stats`] — the `args(p)` sets used by the relaxation miner
+//!   (paper §3) and heap byte accounting.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -53,7 +53,7 @@ pub use pack::SegmentLayout;
 pub use pattern::SlotPattern;
 pub use posting::{Posting, PostingIndex, PostingList, Select, ServeKind, SharedParts};
 pub use segment::LiveDelta;
-pub use stats::{args_pairs, PredicateStats, StorageBytes, StoreStats};
+pub use stats::{args_pairs, StorageBytes};
 pub use store::{XkgBuilder, XkgError, XkgStore};
 pub use term::{TermId, TermKind};
 pub use triple::{GraphTag, Provenance, SourceId, Triple, TripleId};

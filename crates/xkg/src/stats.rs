@@ -1,34 +1,15 @@
-//! Store statistics: predicate inventory, argument sets, selectivity.
+//! Store statistics: argument sets and heap byte accounting.
 //!
 //! The relaxation miner (paper §3) needs `args(p)` — the set of
-//! (subject, object) pairs connected by predicate `p` in the XKG. It and
-//! the per-predicate statistics are derived from the store's precomputed
-//! posting-index predicate groups and permutation ranges, so they are
-//! exact and never scan the full triple table per predicate.
-
-use std::collections::HashMap;
+//! (subject, object) pairs connected by predicate `p` in the XKG —
+//! read off `p`'s permutation range, so it is exact and never scans
+//! the full triple table. Query suggestion probes a token's own pairs
+//! instead of reading every predicate's (`trinit_core::suggest`), so
+//! no whole-store statistics pass is kept.
 
 use crate::pattern::SlotPattern;
 use crate::store::XkgStore;
 use crate::term::TermId;
-use crate::triple::GraphTag;
-
-/// Aggregate statistics for one predicate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PredicateStats {
-    /// The predicate term.
-    pub predicate: TermId,
-    /// Number of distinct triples under this predicate.
-    pub triples: usize,
-    /// Number of distinct subjects.
-    pub distinct_subjects: usize,
-    /// Number of distinct objects.
-    pub distinct_objects: usize,
-    /// Number of triples in the curated KG stratum.
-    pub kg_triples: usize,
-    /// Total emission weight (`Σ support × confidence`).
-    pub total_weight: f64,
-}
 
 /// Exact heap byte accounting of a frozen store, per structure.
 ///
@@ -82,73 +63,6 @@ impl StorageBytes {
     }
 }
 
-/// Statistics over an entire store.
-#[derive(Debug, Default)]
-pub struct StoreStats {
-    by_predicate: HashMap<TermId, PredicateStats>,
-    predicates: Vec<TermId>,
-}
-
-impl StoreStats {
-    /// Computes statistics for every predicate in `store`, walking the
-    /// posting index's per-predicate groups (each group is visited once;
-    /// counts and total weights come straight from the group).
-    pub fn compute(store: &XkgStore) -> StoreStats {
-        let predicates: Vec<TermId> = store.predicates().to_vec();
-        let mut by_predicate: HashMap<TermId, PredicateStats> =
-            HashMap::with_capacity(predicates.len());
-        let mut subs: Vec<TermId> = Vec::new();
-        let mut objs: Vec<TermId> = Vec::new();
-        for &p in &predicates {
-            // Every entry is read, so a Packed group is collected whole.
-            let group = store.predicate_group(p);
-            let entries = group.entries();
-            let mut kg_triples = 0;
-            let mut total_weight = 0.0f64;
-            subs.clear();
-            objs.clear();
-            for e in entries.iter() {
-                let t = store.triple(e.triple);
-                subs.push(t.s);
-                objs.push(t.o);
-                total_weight += e.weight;
-                if store.provenance(e.triple).graph == GraphTag::Kg {
-                    kg_triples += 1;
-                }
-            }
-            subs.sort_unstable();
-            subs.dedup();
-            objs.sort_unstable();
-            objs.dedup();
-            by_predicate.insert(
-                p,
-                PredicateStats {
-                    predicate: p,
-                    triples: group.len(),
-                    distinct_subjects: subs.len(),
-                    distinct_objects: objs.len(),
-                    kg_triples,
-                    total_weight,
-                },
-            );
-        }
-        StoreStats {
-            by_predicate,
-            predicates,
-        }
-    }
-
-    /// All predicates in deterministic (term id) order.
-    pub fn predicates(&self) -> &[TermId] {
-        &self.predicates
-    }
-
-    /// Statistics for one predicate, if present in the store.
-    pub fn get(&self, predicate: TermId) -> Option<&PredicateStats> {
-        self.by_predicate.get(&predicate)
-    }
-}
-
 /// The exact set of (subject, object) pairs under predicate `p` — the
 /// paper's `args(p)` (§3), deduplicated and sorted.
 pub fn args_pairs(store: &XkgStore, p: TermId) -> Vec<(TermId, TermId)> {
@@ -190,42 +104,11 @@ mod tests {
     }
 
     #[test]
-    fn predicate_inventory() {
-        let store = sample();
-        let stats = StoreStats::compute(&store);
-        assert_eq!(stats.predicates().len(), 3);
-        let p = store.resource("p").unwrap();
-        let ps = stats.get(p).unwrap();
-        assert_eq!(ps.triples, 3);
-        assert_eq!(ps.distinct_subjects, 2);
-        assert_eq!(ps.distinct_objects, 2);
-        assert_eq!(ps.kg_triples, 3);
-    }
-
-    #[test]
-    fn token_predicates_are_included() {
-        let store = sample();
-        let stats = StoreStats::compute(&store);
-        let said = store.token("said to").unwrap();
-        let ss = stats.get(said).unwrap();
-        assert_eq!(ss.triples, 1);
-        assert_eq!(ss.kg_triples, 0);
-        assert!((ss.total_weight - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn args_pairs_are_sorted_and_distinct() {
         let store = sample();
         let p = store.resource("p").unwrap();
         let pairs = args_pairs(&store, p);
         assert_eq!(pairs.len(), 3);
         assert!(pairs.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn empty_store_stats() {
-        let store = XkgBuilder::new().build();
-        let stats = StoreStats::compute(&store);
-        assert!(stats.predicates().is_empty());
     }
 }
