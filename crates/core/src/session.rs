@@ -122,15 +122,14 @@ impl<'a> Session<'a> {
     /// [`Trinit::answers_introduced_by`]. Returns no answers when no
     /// delta is live.
     pub fn answers_introduced_by(&self, query: Query) -> QueryOutcome {
-        let engine = Engine::IncrementalTopK;
-        self.system.execute(query, engine, &self.rules, &self.caches, Scope::Delta)
+        self.system.execute(query, &self.rules, &self.caches, Scope::Delta)
     }
 
     /// Runs a compiled query with the session rule set, reusing posting
     /// lists cached by this session's earlier queries (caches are
     /// session-isolated).
-    pub fn run(&self, query: Query, engine: Engine) -> QueryOutcome {
-        self.system.execute(query, engine, &self.rules, &self.caches, Scope::Store)
+    pub fn run(&self, query: Query, _engine: Engine) -> QueryOutcome {
+        self.system.execute(query, &self.rules, &self.caches, Scope::Store)
     }
 }
 

@@ -6,15 +6,12 @@
 //! triple-pattern queries with relaxation, explanation, suggestion, and
 //! auto-completion — the full demo surface of the paper.
 
-use std::sync::OnceLock;
-
 use trinit_obs::{
     now_ns, CacheTally, Counter, Gauge, MetricsRegistry, ObsConfig, QueryTrace, Stage,
     TraceRecorder,
 };
 use trinit_openie::{Linker, OpenIePipeline, PipelineConfig};
 use trinit_query::exec::topk::{ExecCtx, ExecOutcome};
-use trinit_query::exec::{exact, expand};
 use trinit_query::{
     Answer, AnswerCollector, BudgetTracker, Completeness, ExecError, ExecMetrics, Query,
     SharedCacheStats, SharedPostingCache, TopkConfig,
@@ -33,27 +30,15 @@ use crate::complete::{Completer, Completion};
 use crate::explain::Explanation;
 use crate::suggest::{suggest, SuggestConfig, Suggestion};
 
-/// Which execution engine answers a query.
-///
-/// Every engine value means the same *answers* on every store. The
-/// reference engines (`Exact`, `FullExpansion`) run on the store's one
-/// frozen slice when it is one — a single partition with no live delta;
-/// a **sharded** system ([`BuildOptions::shards`] > 1) or a monolith
-/// with a live delta answers them through the top-k processor instead —
-/// `Exact` with an empty rule set (top-k without rules reduces to exact
-/// evaluation), `FullExpansion` with the full rule set (full expansion
-/// runs to the depth the top-k configuration reaches, so the two
-/// agree). Per-engine work counters are then not comparable with the
-/// monolithic baselines, so engine-comparison experiments should use
-/// frozen monolithic builds.
+/// The engine a run method is asked for: the facade serves top-k only,
+/// and `Engine` stays only because the benchmark harness passes it. The
+/// references are [`expand::run`](trinit_query::exec::expand::run) on a
+/// monolith's frozen slice ([`ShardedStore::single_slice`]): over the
+/// system rules at [`TopkConfig::reference_expansion`] full expansion,
+/// over an empty [`RuleSet`] exact evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Exact evaluation, no relaxation (the non-relaxing baseline).
-    Exact,
-    /// Full expansion of all rewritings up front (reference semantics),
-    /// to [`TopkConfig::reference_expansion`].
-    FullExpansion,
-    /// The paper's incremental top-k processor (default).
+    /// The paper's incremental top-k processor.
     IncrementalTopK,
 }
 
@@ -72,16 +57,14 @@ pub struct QueryOutcome {
     pub shard_metrics: Vec<ExecMetrics>,
     /// What the ranking is guaranteed to be relative to the exact
     /// engine: [`Completeness::Exact`] unless a budget cutoff or the ε
-    /// criterion actually fired during the run. The `Exact`
-    /// and `FullExpansion` engines always report `Exact` (they run to
-    /// completion by construction).
+    /// criterion actually fired during the run.
     pub completeness: Completeness,
     /// Per-stage execution trace of the run: the enclosing query span,
     /// the merge span (sharded systems), per-variant spans, windowed
     /// pull batches, and threshold / cutoff point events (nothing
     /// records [`Stage::Election`] or [`Stage::SeedTask`]).
-    /// Empty when tracing is disabled ([`Trinit::set_obs`]) or the engine ran a
-    /// non-traced path (`Exact` / `FullExpansion` on a frozen monolith).
+    /// Empty when tracing is disabled ([`Trinit::set_obs`]) or the query
+    /// asked for the answers a live delta introduces and none is live.
     pub trace: QueryTrace,
     /// The store generation the query was answered at: derivation ids
     /// are global offsets, which every later ingest or compaction may
@@ -110,17 +93,12 @@ impl QueryOutcome {
         }
     }
 
-    /// An outcome that ran to completion outside the traced pipeline.
-    fn untraced(
-        query: Query,
-        answers: Vec<Answer>,
-        metrics: ExecMetrics,
-        generation: u64,
-    ) -> QueryOutcome {
+    /// An outcome with no answers and no work, at `generation`.
+    fn empty(query: Query, generation: u64) -> QueryOutcome {
         QueryOutcome {
             query,
-            answers,
-            metrics,
+            answers: Vec::new(),
+            metrics: ExecMetrics::default(),
             shard_metrics: Vec::new(),
             completeness: Completeness::Exact,
             trace: QueryTrace::default(),
@@ -622,17 +600,6 @@ impl Trinit {
         self.registry.set_gauge(Gauge::BytesPerTriple, bytes_per_triple);
     }
 
-    /// The rule set an engine variant runs the top-k processor with:
-    /// none for `Exact` (top-k without rules reduces to exact
-    /// evaluation), `rules` as given for the relaxing engines.
-    fn engine_rules(engine: Engine, rules: &RuleSet) -> &RuleSet {
-        static NO_RULES: OnceLock<RuleSet> = OnceLock::new();
-        match engine {
-            Engine::Exact => NO_RULES.get_or_init(RuleSet::new),
-            Engine::FullExpansion | Engine::IncrementalTopK => rules,
-        }
-    }
-
     /// Enables the system-level posting cache: a bounded LRU of
     /// materialized posting lists shared across *every* query answered
     /// through this system. Sessions carry their own cache (see
@@ -662,14 +629,13 @@ impl Trinit {
         trinit_query::parse(self.store(), text)
     }
 
-    /// Parses and answers a query with the default engine (incremental
-    /// top-k) and the system rule set.
+    /// Parses and answers a query with the system rule set.
     pub fn query(&self, text: &str) -> Result<QueryOutcome, trinit_query::ParseError> {
         let query = self.parse(text)?;
         Ok(self.run(query, Engine::IncrementalTopK))
     }
 
-    /// Runs a compiled query with a chosen engine and the system rules.
+    /// Runs a compiled query with the system rules.
     pub fn run(&self, query: Query, engine: Engine) -> QueryOutcome {
         self.run_with_rules(query, engine, &self.rules)
     }
@@ -677,8 +643,8 @@ impl Trinit {
     /// Runs a compiled query with a caller-supplied rule set (evaluation
     /// ablations; [`Session`](crate::Session)s add their own caches).
     /// Consults the system-level posting cache if one was enabled.
-    pub fn run_with_rules(&self, query: Query, engine: Engine, rules: &RuleSet) -> QueryOutcome {
-        self.execute(query, engine, rules, &self.caches, Scope::Store)
+    pub fn run_with_rules(&self, query: Query, _engine: Engine, rules: &RuleSet) -> QueryOutcome {
+        self.execute(query, rules, &self.caches, Scope::Store)
     }
 
     /// The semi-naive delta question: which of `query`'s top-k answers
@@ -698,20 +664,17 @@ impl Trinit {
     /// surfaces answers with fresh evidence, the re-query–vs–rebuild
     /// trade the `live_ingest` benchmark workload measures.
     pub fn answers_introduced_by(&self, query: Query) -> QueryOutcome {
-        self.execute(query, Engine::IncrementalTopK, &self.rules, &self.caches, Scope::Delta)
+        self.execute(query, &self.rules, &self.caches, Scope::Delta)
     }
 
-    /// The one way a query reaches an engine: every public query method
-    /// of [`Trinit`] and [`Session`](crate::Session) is this call with
-    /// its own rule set and cache set (one store-level posting cache per
-    /// shard — one for a monolith — or none; sessions pass their own).
-    /// Total over partition counts and delta states: the reference
-    /// engines run where they exist (one frozen slice) and the top-k
-    /// processor answers for them everywhere else.
+    /// The one way a query reaches the top-k processor: every public
+    /// query method of [`Trinit`] and [`Session`](crate::Session) is
+    /// this call with its own rule set and cache set (one store-level
+    /// posting cache per shard — one for a monolith — or none; sessions
+    /// pass their own).
     pub(crate) fn execute(
         &self,
         query: Query,
-        engine: Engine,
         rules: &RuleSet,
         caches: &[SharedPostingCache],
         scope: Scope,
@@ -724,42 +687,13 @@ impl Trinit {
         for cache in caches {
             cache.ensure_generation(self.store.base_epoch());
         }
-        let reference = matches!(engine, Engine::Exact | Engine::FullExpansion);
-        let outcome = match (self.store.single_slice(), scope) {
+        let outcome = match scope {
             // An empty batch introduces nothing.
-            (_, Scope::Delta) if !self.has_delta() => {
-                let metrics = ExecMetrics::default();
-                QueryOutcome::untraced(query, Vec::new(), metrics, self.generation())
-            }
-            (Some(store), Scope::Store) if reference => {
-                self.run_reference(store, query, engine, rules)
-            }
-            _ => self.run_topk(query, engine, rules, caches, scope),
+            Scope::Delta if !self.has_delta() => QueryOutcome::empty(query, self.generation()),
+            _ => self.run_topk(query, rules, caches, scope),
         };
         self.observe_outcome(&outcome, wall_start);
         outcome
-    }
-
-    /// The reference engines over one frozen store. They run to
-    /// completion by construction and record no trace.
-    fn run_reference(
-        &self,
-        store: &XkgStore,
-        query: Query,
-        engine: Engine,
-        rules: &RuleSet,
-    ) -> QueryOutcome {
-        let (answers, metrics) = if engine == Engine::Exact {
-            let mut metrics = ExecMetrics::default();
-            let mut collector = AnswerCollector::new();
-            for a in exact::evaluate(store, &query, &query.patterns, &[], 1.0, &mut metrics) {
-                collector.offer(a);
-            }
-            (collector.into_top_k(query.k), metrics)
-        } else {
-            expand::run(store, &query, rules, &self.topk.reference_expansion())
-        };
-        QueryOutcome::untraced(query, answers, metrics, self.generation())
     }
 
     /// The top-k processor through a [`ShardedExecutor`]: the merge over
@@ -772,12 +706,10 @@ impl Trinit {
     fn run_topk(
         &self,
         query: Query,
-        engine: Engine,
         rules: &RuleSet,
         caches: &[SharedPostingCache],
         scope: Scope,
     ) -> QueryOutcome {
-        let rules = Self::engine_rules(engine, rules);
         let cfg = &self.topk;
         let tracker = BudgetTracker::new(cfg);
         let mut recorder = cfg.obs.recorder();
@@ -867,11 +799,11 @@ impl Trinit {
     pub fn run_batch_with_workers(
         &self,
         queries: Vec<Query>,
-        engine: Engine,
+        _engine: Engine,
         workers: usize,
     ) -> Vec<Result<QueryOutcome, ExecError>> {
         let results = QueryPool::new(workers).try_execute(queries, |q| {
-            self.execute(q, engine, &self.rules, &self.caches, Scope::Store)
+            self.execute(q, &self.rules, &self.caches, Scope::Store)
         });
         // Successful slots were observed by `execute`; panicked slots
         // only surface here.
@@ -925,7 +857,17 @@ impl Trinit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trinit_query::exec::expand;
     use trinit_worldgen::WorldConfig;
+
+    /// `query`'s reference answers under `rules` on `sys`'s one frozen
+    /// slice: full expansion, or exact evaluation with no rules.
+    fn reference(sys: &Trinit, query: &Query, rules: &RuleSet) -> Vec<Answer> {
+        let slice = sys.segmented_store().and_then(ShardedStore::single_slice);
+        let slice = slice.expect("a frozen monolith is one slice");
+        let options = sys.topk_config().reference_expansion();
+        expand::run(slice, query, rules, &options).0
+    }
 
     fn tiny_system() -> Trinit {
         let world = World::generate(WorldConfig::tiny(11));
@@ -954,14 +896,13 @@ mod tests {
     #[test]
     fn engines_agree_on_exact_queries() {
         let sys = tiny_system();
-        let q1 = sys.parse("?x type university LIMIT 100").unwrap();
-        let q2 = sys.parse("?x type university LIMIT 100").unwrap();
-        let exact = sys.run(q1, Engine::Exact);
-        let topk = sys.run(q2, Engine::IncrementalTopK);
+        let q = sys.parse("?x type university LIMIT 100").unwrap();
+        let exact = reference(&sys, &q, &RuleSet::new());
+        let topk = sys.run(q, Engine::IncrementalTopK);
         // type-triples admit no relaxation in the mined rule set targeted
         // at them necessarily, but exact answers must be a subset.
-        assert!(topk.answers.len() >= exact.answers.len());
-        let exact_keys: Vec<_> = exact.answers.iter().map(|a| &a.key).collect();
+        assert!(topk.answers.len() >= exact.len());
+        let exact_keys: Vec<_> = exact.iter().map(|a| &a.key).collect();
         for k in exact_keys {
             assert!(topk.answers.iter().any(|a| &a.key == k));
         }
@@ -993,8 +934,9 @@ mod tests {
         let store = crate::fixtures::paper_store();
         let rules = crate::fixtures::paper_rules(&store);
         let sys = Trinit::from_parts(store, rules);
-        let own = sys.run(sys.parse("?x affiliation ?y").unwrap(), Engine::Exact);
-        assert!(!own.answers.is_empty());
+        let plain = sys.parse("?x affiliation ?y").unwrap();
+        let own = reference(&sys, &plain, &RuleSet::new());
+        assert!(!own.is_empty());
         // By hand (the parser numbers variables from 0): ?x takes the
         // last id, so rule 3's fresh variable has none left and only
         // rule 4 rewrites the query.
@@ -1002,17 +944,17 @@ mod tests {
         query.patterns[0].s = trinit_relax::QTerm::Var(trinit_relax::VarId(u16::MAX));
         query.patterns[0].o = trinit_relax::QTerm::Var(trinit_relax::VarId(0));
         query.projection.clear();
-        let got = sys.run(query, Engine::FullExpansion);
+        let got = reference(&sys, &query, sys.rules());
         let values = |a: &Answer| a.key.iter().map(|(_, t)| *t).collect::<Vec<_>>();
-        for want in &own.answers {
+        for want in &own {
             assert!(
-                got.answers.iter().any(|a| values(a) == values(want)),
+                got.iter().any(|a| values(a) == values(want)),
                 "{:?} missing from {:?}",
                 values(want),
-                got.answers.iter().map(values).collect::<Vec<_>>()
+                got.iter().map(values).collect::<Vec<_>>()
             );
         }
-        assert!(got.answers.len() > own.answers.len(), "rule 4 still applies");
+        assert!(got.len() > own.len(), "rule 4 still applies");
     }
 
     #[test]
@@ -1112,37 +1054,6 @@ mod tests {
             }
             assert_eq!(b.shard_metrics.len(), 4, "per-shard metrics surface");
             assert!(a.shard_metrics.is_empty());
-        }
-    }
-
-    #[test]
-    fn sharded_routing_covers_every_engine() {
-        let mono = tiny_system();
-        let sharded = tiny_sharded_system(2);
-        for engine in [Engine::Exact, Engine::FullExpansion, Engine::IncrementalTopK] {
-            let q1 = mono.parse("?x type person LIMIT 6").unwrap();
-            let q2 = sharded.parse("?x type person LIMIT 6").unwrap();
-            let a = mono.run(q1, engine);
-            let b = sharded.run(q2, engine);
-            // Exact and top-k agree across backends up to which members
-            // of the tie group the k-cut lands in; full expansion's
-            // answer set is engine-equivalent under the topk budget, so
-            // compare the exact subset it must contain above that group.
-            if engine != Engine::FullExpansion {
-                trinit_shard::testkit::assert_answers_score_equivalent(&b.answers, &a.answers);
-                continue;
-            }
-            let cut = b.answers.last().map_or(f64::NEG_INFINITY, |y| y.score);
-            for x in a
-                .answers
-                .iter()
-                .filter(|x| x.derivation.is_exact() && x.score > cut + 1e-9)
-            {
-                assert!(
-                    b.answers.iter().any(|y| y.key == x.key),
-                    "{engine:?}: exact answer lost"
-                );
-            }
         }
     }
 

@@ -16,12 +16,14 @@
 //!   e8  query suggestion quality
 
 use trinit_core::fixtures::{paper_rules_with_advisor, paper_store};
-use trinit_core::{Engine, Session, Trinit};
+use trinit_core::shard::ShardedStore;
+use trinit_core::{Session, Trinit};
 use trinit_eval::{
     benchmark::BenchmarkConfig, build_full_system, build_world, efficiency_sweep, figure4_rules,
     generate_benchmark, report, run_evaluation, suggestion_hits, EvalConfig,
 };
-use trinit_relax::RuleKind;
+use trinit_query::exec::expand;
+use trinit_relax::{RuleKind, RuleSet};
 
 fn header(title: &str) {
     println!("\n=== {title} ===");
@@ -65,6 +67,11 @@ fn e3() {
     };
     let rules = paper_rules_with_advisor(&store, probe);
     let system = Trinit::from_parts(store, rules);
+    // Exact evaluation: full expansion with no rules.
+    let slice = system.segmented_store();
+    let slice = slice.and_then(ShardedStore::single_slice);
+    let slice = slice.expect("the fixture system is one frozen slice");
+    let (no_rules, options) = (RuleSet::new(), system.topk_config().reference_expansion());
 
     let cases = [
         ("A", "Who was born in Germany?", "?x bornIn Germany"),
@@ -89,10 +96,8 @@ fn e3() {
         "user", "information need", "exact", "TriniT"
     );
     for (user, need, text) in cases {
-        let exact = system
-            .run(system.parse(text).expect("parses"), Engine::Exact)
-            .answers
-            .len();
+        let query = system.parse(text).expect("parses");
+        let exact = expand::run(slice, &query, &no_rules, &options).0.len();
         let outcome = system.query(text).expect("parses");
         let top = outcome
             .answers

@@ -12,10 +12,13 @@
 
 use std::time::Instant;
 
+use trinit_core::shard::ShardedStore;
 use trinit_core::{Engine, Suggestion, Trinit, TrinitBuilder};
-use trinit_query::ExecMetrics;
-use trinit_relax::{mine_cooccurrence, MinedRule, MinerConfig};
+use trinit_query::exec::expand;
+use trinit_query::{Answer, ExecMetrics, Query};
+use trinit_relax::{mine_cooccurrence, MinedRule, MinerConfig, RuleSet};
 use trinit_worldgen::{project_kg, CorpusConfig, KgConfig, KgProjection, World, WorldConfig};
+use trinit_xkg::XkgStore;
 
 use crate::benchmark::{generate_benchmark, BenchQuery, BenchmarkConfig, Category};
 use crate::judge::grade_ranking;
@@ -115,13 +118,6 @@ pub fn build_full_system(world: &World, cfg: &EvalConfig) -> Trinit {
 
 /// Builds the full system over a sharded store backend (`shards` store
 /// slices; see `trinit_core::BuildOptions::shards`).
-///
-/// Intended for throughput/scaling measurements (the E7 bench). Do not
-/// feed sharded systems to engine-comparison sweeps
-/// ([`efficiency_sweep`], [`score_system`] with `Engine::FullExpansion`
-/// / `Engine::Exact`): a sharded backend serves *every* engine through
-/// the partitioned top-k path, so such rows would compare top-k against
-/// itself under a different label.
 pub fn build_sharded_system(world: &World, cfg: &EvalConfig, shards: usize) -> Trinit {
     let mut builder = TrinitBuilder::from_world(world, &cfg.kg_config(), &cfg.corpus_config());
     builder.options_mut().shards(shards);
@@ -135,7 +131,15 @@ pub fn build_kg_only_system(world: &World, cfg: &EvalConfig) -> Trinit {
     TrinitBuilder::from_world(world, &cfg.kg_config(), &c).build()
 }
 
-/// Scores one system over the benchmark queries.
+/// The one frozen slice the references (`expand::run`) read; a
+/// partitioned store or a live delta has none, and this panics.
+fn reference_slice(system: &Trinit) -> &XkgStore {
+    let slice = system.segmented_store();
+    let slice = slice.and_then(ShardedStore::single_slice);
+    slice.expect("the references read one frozen slice; partitions and a live delta have none")
+}
+
+/// Scores one system's top-k answers over the benchmark queries.
 pub fn score_system(
     name: &'static str,
     system: &Trinit,
@@ -143,7 +147,20 @@ pub fn score_system(
     use_rules: bool,
     queries: &[BenchQuery],
 ) -> SystemScores {
-    let empty_rules = trinit_relax::RuleSet::new();
+    let no_rules = RuleSet::new();
+    let rules = if use_rules { system.rules() } else { &no_rules };
+    score_answers(name, system, queries, |q| {
+        system.run_with_rules(q, engine, rules).answers
+    })
+}
+
+/// Scores the answers `answer` gives each parsed benchmark query.
+fn score_answers(
+    name: &'static str,
+    system: &Trinit,
+    queries: &[BenchQuery],
+    mut answer: impl FnMut(Query) -> Vec<Answer>,
+) -> SystemScores {
     let mut ndcg5s = Vec::new();
     let mut ndcg10s = Vec::new();
     let mut maps = Vec::new();
@@ -152,14 +169,8 @@ pub fn score_system(
         Category::ALL.into_iter().map(|c| (c, Vec::new())).collect();
 
     for q in queries {
-        let parsed = system.parse(&q.text).expect("benchmark queries parse");
-        let rules = if use_rules {
-            system.rules()
-        } else {
-            &empty_rules
-        };
-        let outcome = system.run_with_rules(parsed, engine, rules);
-        let grades = grade_ranking(system.store(), &outcome.answers, &q.ideal);
+        let answers = answer(system.parse(&q.text).expect("benchmark queries parse"));
+        let grades = grade_ranking(system.store(), &answers, &q.ideal);
         let ideal_grades: Vec<u8> = q.ideal.values().copied().collect();
         let n5 = ndcg_at(&grades, &ideal_grades, 5);
         ndcg5s.push(n5);
@@ -200,6 +211,8 @@ pub fn run_evaluation(cfg: &EvalConfig) -> Evaluation {
     );
     let full = build_full_system(&world, cfg);
     let kg_only = build_kg_only_system(&world, cfg);
+    let (slice, no_rules) = (reference_slice(&kg_only), RuleSet::new());
+    let exact = kg_only.topk_config().reference_expansion();
 
     let systems = vec![
         score_system(
@@ -223,13 +236,9 @@ pub fn run_evaluation(cfg: &EvalConfig) -> Evaluation {
             true,
             &queries,
         ),
-        score_system(
-            "exact KG baseline",
-            &kg_only,
-            Engine::Exact,
-            false,
-            &queries,
-        ),
+        score_answers("exact KG baseline", &kg_only, &queries, |q| {
+            expand::run(slice, &q, &no_rules, &exact).0
+        }),
     ];
 
     Evaluation {
@@ -253,17 +262,21 @@ pub struct EfficiencyRow {
     pub answers: usize,
 }
 
-/// Runs the E5 efficiency sweep: incremental top-k vs full expansion vs
-/// exact, for each `k`.
+/// Runs the E5 efficiency sweep, for each `k`: incremental top-k through
+/// the facade against the references on the system's one frozen slice,
+/// full expansion and exact evaluation (no rules). Panics on a
+/// partitioned system or a live delta, which the references cannot read.
 pub fn efficiency_sweep(system: &Trinit, queries: &[BenchQuery], ks: &[usize]) -> Vec<EfficiencyRow> {
-    let engines: [(&'static str, Engine); 3] = [
-        ("incremental top-k", Engine::IncrementalTopK),
-        ("full expansion", Engine::FullExpansion),
-        ("exact (no relaxation)", Engine::Exact),
+    let (slice, no_rules) = (reference_slice(system), RuleSet::new());
+    let options = system.topk_config().reference_expansion();
+    let engines = [
+        ("incremental top-k", None),
+        ("full expansion", Some(system.rules())),
+        ("exact (no relaxation)", Some(&no_rules)),
     ];
     let mut rows = Vec::new();
     for &k in ks {
-        for (name, engine) in engines {
+        for (name, reference) in engines {
             let mut metrics = ExecMetrics::default();
             let mut answers = 0usize;
             #[expect(clippy::disallowed_methods, reason = "offline evaluation harness measuring wall-clock throughput, not a serving path")]
@@ -271,9 +284,15 @@ pub fn efficiency_sweep(system: &Trinit, queries: &[BenchQuery], ks: &[usize]) -
             for q in queries {
                 let mut parsed = system.parse(&q.text).expect("benchmark queries parse");
                 parsed.k = k;
-                let outcome = system.run(parsed, engine);
-                metrics.merge(&outcome.metrics);
-                answers += outcome.answers.len();
+                let (got, work) = match reference {
+                    Some(rules) => expand::run(slice, &parsed, rules, &options),
+                    None => {
+                        let outcome = system.run(parsed, Engine::IncrementalTopK);
+                        (outcome.answers, outcome.metrics)
+                    }
+                };
+                metrics.merge(&work);
+                answers += got.len();
             }
             rows.push(EfficiencyRow {
                 engine: name,
@@ -400,5 +419,24 @@ mod tests {
             topk_row.metrics.posting_lists_built,
             full_row.metrics.posting_lists_built,
         );
+    }
+
+    /// A partitioned store has no one frozen slice for the references
+    /// to read, so E5 refuses it rather than label top-k's rows as
+    /// theirs.
+    #[test]
+    #[should_panic(expected = "the references read one frozen slice")]
+    fn efficiency_sweep_refuses_a_partitioned_store() {
+        let cfg = small_cfg();
+        let (world, kg) = build_world(&cfg);
+        let queries = generate_benchmark(
+            &world,
+            &kg,
+            &crate::benchmark::BenchmarkConfig {
+                seed: 1,
+                per_category: 1,
+            },
+        );
+        efficiency_sweep(&build_sharded_system(&world, &cfg, 2), &queries, &[1]);
     }
 }

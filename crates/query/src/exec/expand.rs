@@ -17,7 +17,8 @@ use crate::ast::Query;
 use crate::exec::exact;
 use crate::exec::ExecMetrics;
 
-/// Runs full-expansion processing.
+/// Runs full-expansion processing; with an empty rule set this is
+/// exact evaluation (the query is its only rewriting).
 ///
 /// Returns the top `query.k` answers and the work metrics.
 pub fn run(

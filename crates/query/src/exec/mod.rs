@@ -95,7 +95,9 @@ pub struct ExecMetrics {
     pub postings_scanned: usize,
     /// Relaxed pattern alternatives actually opened.
     pub relaxations_opened: usize,
-    /// Query rewritings fully evaluated (full-expansion only).
+    /// Query rewritings evaluated: each variant top-k runs, the query
+    /// itself included (the facade's delta loop stops at a pass that
+    /// runs none), or each one full expansion evaluates (1 with no rules).
     pub rewritings_evaluated: usize,
     /// Join candidate combinations tested.
     pub join_candidates: usize,

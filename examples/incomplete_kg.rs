@@ -10,18 +10,35 @@
 //! cargo run --release --example incomplete_kg
 //! ```
 
+use trinit_core::query::exec::expand;
+use trinit_core::relax::RuleSet;
+use trinit_core::shard::ShardedStore;
 use trinit_core::worldgen::{
     project_kg, CorpusConfig, EntityType, KgConfig, World, WorldConfig,
 };
-use trinit_core::{Engine, TrinitBuilder};
+use trinit_core::{Engine, Trinit, TrinitBuilder};
 
-fn answered(system: &trinit_core::Trinit, engine: Engine, queries: &[String]) -> usize {
+/// How many `queries` get an answer: from top-k with relaxation, or from
+/// exact evaluation (full expansion with no rules) on the system's one
+/// frozen slice.
+fn answered(system: &Trinit, relax: bool, queries: &[String]) -> usize {
+    let slice = system.segmented_store();
+    let slice = slice.and_then(ShardedStore::single_slice);
+    let slice = slice.expect("a frozen monolith is one slice");
+    let (no_rules, options) = (RuleSet::new(), system.topk_config().reference_expansion());
+    let answers = |parsed| {
+        if relax {
+            system.run(parsed, Engine::IncrementalTopK).answers
+        } else {
+            expand::run(slice, &parsed, &no_rules, &options).0
+        }
+    };
     queries
         .iter()
         .filter(|q| {
             system
                 .parse(q)
-                .map(|parsed| !system.run(parsed, engine).answers.is_empty())
+                .map(|parsed| !answers(parsed).is_empty())
                 .unwrap_or(false)
         })
         .count()
@@ -53,12 +70,7 @@ fn main() {
             corpus.documents = 0;
         }
         let system = TrinitBuilder::from_world(&world, &kg_cfg, &corpus).build();
-        let engine = if with_corpus {
-            Engine::IncrementalTopK
-        } else {
-            Engine::Exact
-        };
-        let n = answered(&system, engine, &queries);
+        let n = answered(&system, with_corpus, &queries);
         println!(
             "{label:<48} answered {n:>2}/40   (store: {} triples, {} rules)",
             system.stats().total_triples(),

@@ -80,7 +80,10 @@ fn summed(queries: &[Query], mut run: impl FnMut(Query) -> ExecMetrics) -> ExecM
 /// The delta: per graded query whose terms the store knows, one
 /// extracted triple that matches it, each variable a fresh resource.
 fn ingest_delta(sys: &mut Trinit, queries: &[Query]) -> usize {
-    let matched: Vec<_> = queries.iter().filter(|q| q.unknown_terms.is_empty()).collect();
+    let matched: Vec<_> = queries
+        .iter()
+        .filter(|q| q.unknown_terms.is_empty())
+        .collect();
     sys.ingest(|b| {
         let source = b.intern_source("counters:delta");
         for (i, query) in matched.iter().enumerate() {
@@ -96,9 +99,13 @@ fn ingest_delta(sys: &mut Trinit, queries: &[Query]) -> usize {
     })
 }
 
+/// The counters file: the setup header, then each route's fields.
 fn render(header: &[(&str, String)], routes: &[(&str, ExecMetrics)]) -> String {
     let mut out = String::from("{\n  \"setup\": {\n");
-    let lines: Vec<_> = header.iter().map(|(k, v)| format!("    \"{k}\": {v}")).collect();
+    let lines: Vec<_> = header
+        .iter()
+        .map(|(k, v)| format!("    \"{k}\": {v}"))
+        .collect();
     out += &lines.join(",\n");
     out += "\n  },\n  \"routes\": {\n";
     let routes: Vec<_> = routes
@@ -128,7 +135,9 @@ fn every_route_does_the_committed_work() {
     );
     let build = |partitions: usize| {
         let mut b = TrinitBuilder::from_world(&world, &cfg.kg_config(), &cfg.corpus_config());
-        b.options_mut().layout(SegmentLayout::Packed).shards(partitions);
+        b.options_mut()
+            .layout(SegmentLayout::Packed)
+            .shards(partitions);
         b.build()
     };
     let (mut mono, sharded) = (build(1), build(3));
@@ -145,7 +154,8 @@ fn every_route_does_the_committed_work() {
         .and_then(ShardedStore::single_slice)
         .expect("a frozen monolith is one slice");
     let options = mono.topk_config().reference_expansion();
-    let reference = |rules: &RuleSet| summed(&queries, |q| expand::run(slice, &q, rules, &options).1);
+    let reference =
+        |rules: &RuleSet| summed(&queries, |q| expand::run(slice, &q, rules, &options).1);
     let mut routes = vec![
         ("topk_monolith", topk(&mono)),
         ("topk_3_partitions", topk(&sharded)),

@@ -13,6 +13,9 @@ const ROOT: &str = env!("CARGO_MANIFEST_DIR");
 
 /// Runs `cargo clippy --all-targets -- -D warnings` on `manifest`'s
 /// workspace, building under `target` so the outer build is untouched.
+/// `--locked` fails it when a manifest's dependency edges no longer
+/// match the committed lock file (perfbench's lists every crate's edges,
+/// and cargo would rewrite it on the next build).
 fn clippy_clean(manifest: &str, target: &str) {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let out = Command::new(cargo)
@@ -22,6 +25,7 @@ fn clippy_clean(manifest: &str, target: &str) {
             "--workspace",
             "--all-targets",
             "--offline",
+            "--locked",
             "--quiet",
         ])
         .args(["--manifest-path", manifest, "--target-dir"])

@@ -7,6 +7,9 @@
 use trinit_core::fixtures::{paper_rules, paper_rules_with_advisor, paper_store};
 use trinit_core::{Engine, Trinit};
 
+#[path = "support/reference.rs"]
+pub mod reference;
+
 fn fixture_system() -> Trinit {
     let store = paper_store();
     let rules = paper_rules(&store);
@@ -26,8 +29,8 @@ fn top_answer(sys: &Trinit, text: &str) -> Option<String> {
 #[test]
 fn user_a_granularity() {
     let sys = fixture_system();
-    let exact = sys.run(sys.parse("?x bornIn Germany").unwrap(), Engine::Exact);
-    assert!(exact.answers.is_empty(), "KG has no person bornIn Germany");
+    let exact = reference::exact(&sys, &sys.parse("?x bornIn Germany").unwrap());
+    assert!(exact.is_empty(), "KG has no person bornIn Germany");
     assert_eq!(
         top_answer(&sys, "?x bornIn Germany"),
         Some("AlbertEinstein".to_string())
@@ -58,8 +61,8 @@ fn user_b_inversion() {
 fn user_c_incompleteness() {
     let sys = fixture_system();
     let text = "AlbertEinstein affiliation ?x . ?x member IvyLeague";
-    let exact = sys.run(sys.parse(text).unwrap(), Engine::Exact);
-    assert!(exact.answers.is_empty(), "strictly, no Ivy affiliation");
+    let exact = reference::exact(&sys, &sys.parse(text).unwrap());
+    assert!(exact.is_empty(), "strictly, no Ivy affiliation");
     assert_eq!(top_answer(&sys, text), Some("PrincetonUniversity".to_string()));
 
     // The explanation must surface all three information pieces of §5.
@@ -155,17 +158,18 @@ fn literal_queries() {
     );
 }
 
-/// All engines agree on the paper's exact-match queries.
+/// Top-k and both references agree on the paper's exact-match queries.
 #[test]
 fn engines_agree_on_exact_fixture_queries() {
     let sys = fixture_system();
     for text in ["?x bornIn Ulm", "Ulm locatedIn ?x", "?x member IvyLeague"] {
-        let exact = sys.run(sys.parse(text).unwrap(), Engine::Exact);
-        let full = sys.run(sys.parse(text).unwrap(), Engine::FullExpansion);
-        let inc = sys.run(sys.parse(text).unwrap(), Engine::IncrementalTopK);
-        assert_eq!(exact.answers.len(), 1);
-        assert_eq!(exact.answers[0].key, full.answers[0].key);
-        assert_eq!(exact.answers[0].key, inc.answers[0].key);
+        let query = sys.parse(text).unwrap();
+        let exact = reference::exact(&sys, &query);
+        let (full, _) = reference::full(&sys, &query);
+        let inc = sys.run(query, Engine::IncrementalTopK);
+        assert_eq!(exact.len(), 1);
+        assert_eq!(exact[0].key, full[0].key);
+        assert_eq!(exact[0].key, inc.answers[0].key);
     }
 }
 

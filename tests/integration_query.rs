@@ -4,6 +4,9 @@
 use trinit_core::worldgen::{CorpusConfig, EntityType, KgConfig, World, WorldConfig};
 use trinit_core::{Engine, TrinitBuilder};
 
+#[path = "support/reference.rs"]
+pub mod reference;
+
 fn system() -> (World, trinit_core::Trinit) {
     let world = World::generate(WorldConfig::tiny(41).scaled(2.0));
     let sys =
@@ -58,15 +61,14 @@ fn incremental_topk_agrees_with_full_expansion_on_real_system() {
         format!("{person} 'studied under' ?x LIMIT 50"),
         "?x type league LIMIT 50".to_string(),
     ] {
-        let q1 = sys.parse(&text).unwrap();
-        let q2 = sys.parse(&text).unwrap();
-        let inc = sys.run(q1, Engine::IncrementalTopK);
-        let full = sys.run(q2, Engine::FullExpansion);
+        let query = sys.parse(&text).unwrap();
+        let (full, _) = reference::full(&sys, &query);
+        let inc = sys.run(query, Engine::IncrementalTopK);
         // The engines explore slightly different rewriting spaces
         // (chained per-pattern rules vs bounded global sequences), so we
         // require agreement on the exact-match subset and score ordering
         // consistency for shared answers.
-        for (a, b) in inc.answers.iter().zip(full.answers.iter()).take(3) {
+        for (a, b) in inc.answers.iter().zip(full.iter()).take(3) {
             assert_eq!(a.key, b.key, "top answers agree for {text}");
             assert!((a.score - b.score).abs() < 1e-6, "scores agree for {text}");
         }
@@ -78,10 +80,10 @@ fn exact_engine_is_a_lower_bound() {
     let (world, sys) = system();
     let person = world.entity(world.of_type(EntityType::Person)[1]).resource.clone();
     let text = format!("{person} graduatedFrom ?x LIMIT 20");
-    let exact = sys.run(sys.parse(&text).unwrap(), Engine::Exact);
+    let exact = reference::exact(&sys, &sys.parse(&text).unwrap());
     let relaxed = sys.run(sys.parse(&text).unwrap(), Engine::IncrementalTopK);
-    assert!(relaxed.answers.len() >= exact.answers.len());
-    for e in &exact.answers {
+    assert!(relaxed.answers.len() >= exact.len());
+    for e in &exact {
         assert!(
             relaxed.answers.iter().any(|r| r.key == e.key),
             "relaxation must not lose exact answers"
@@ -112,12 +114,12 @@ fn metrics_reflect_engine_differences() {
     let person = world.entity(world.of_type(EntityType::Person)[0]).resource.clone();
     let text = format!("{person} affiliation ?x LIMIT 1");
     let inc = sys.run(sys.parse(&text).unwrap(), Engine::IncrementalTopK);
-    let full = sys.run(sys.parse(&text).unwrap(), Engine::FullExpansion);
+    let (_, full) = reference::full(&sys, &sys.parse(&text).unwrap());
     assert!(
-        inc.metrics.posting_lists_built <= full.metrics.posting_lists_built,
+        inc.metrics.posting_lists_built <= full.posting_lists_built,
         "lazy evaluation must not build more lists ({} vs {})",
         inc.metrics.posting_lists_built,
-        full.metrics.posting_lists_built
+        full.posting_lists_built
     );
 }
 
@@ -158,12 +160,12 @@ fn incremental_topk_answers_as_full_expansion_with_less_work_at_every_k() {
         for q in &queries {
             let mut query = sys.parse(&q.text).expect("benchmark queries parse");
             query.k = k;
-            let topk = sys.run(query.clone(), Engine::IncrementalTopK);
-            let full = sys.run(query, Engine::FullExpansion);
-            assert_answers_score_equivalent(&topk.answers, &full.answers);
-            for (i, run) in [&topk, &full].into_iter().enumerate() {
-                lists[i] += run.metrics.posting_lists_built;
-                postings[i] += run.metrics.postings_scanned;
+            let (full, full_metrics) = reference::full(&sys, &query);
+            let topk = sys.run(query, Engine::IncrementalTopK);
+            assert_answers_score_equivalent(&topk.answers, &full);
+            for (i, metrics) in [&topk.metrics, &full_metrics].into_iter().enumerate() {
+                lists[i] += metrics.posting_lists_built;
+                postings[i] += metrics.postings_scanned;
             }
         }
         assert!(

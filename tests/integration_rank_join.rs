@@ -19,6 +19,9 @@ use trinit_core::xkg::index::BLOCK;
 use trinit_core::xkg::{SegmentLayout, SlotPattern, TermId, XkgBuilder};
 use trinit_core::{Completeness, Engine, Trinit, TrinitBuilder};
 
+#[path = "support/reference.rs"]
+pub mod reference;
+
 const SEED: u64 = 42;
 
 /// `p` and every predicate the system's single-pattern rules rewrite it
@@ -160,7 +163,7 @@ fn same_scores(a: &[Answer], b: &[Answer]) -> bool {
             .all(|(x, y)| (x.score - y.score).abs() < 1e-9)
 }
 
-/// `Engine::FullExpansion` is the reference for the system's top-k
+/// Full expansion on the system's slice is the reference for its top-k
 /// configuration: it expands to `chain_depth + structural_depth`
 /// (`TopkConfig::reference_expansion`), not to
 /// `ExpandOptions::default()`'s depth 2 — which stops one rule short of
@@ -185,8 +188,8 @@ fn full_expansion_engine_expands_to_the_depth_topk_reaches() {
                 sys.rules(),
                 &trinit_core::relax::ExpandOptions::default(),
             );
-            let full = sys.run(query.clone(), Engine::FullExpansion);
-            assert!(same_scores(&full.answers, &want), "{text}");
+            let (full, _) = reference::full(&sys, &query);
+            assert!(same_scores(&full, &want), "{text}");
             let got = sys.run(query, Engine::IncrementalTopK);
             if !same_scores(&shallow, &want) && same_scores(&got.answers, &want) {
                 reproduced += 1;
